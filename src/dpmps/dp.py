@@ -1,10 +1,19 @@
 """Dynamic program over net elements with stitching, and its certificates.
 
 Site by site, the solver keeps one best-so-far entry per surviving net
-pair.  A transition from pair q at site j-1 to pair p at site j is
-admissible when the cached right Schmidt vector mu_q is within
-2*epsilon_op of lambda_p; its cost is the windowed energy of the term
-between the two sites.  The returned sandwich bounds are
+pair, held as a `DpList` of parallel arrays ordered by net index.  A
+transition from pair q at site j-1 to pair p at site j is admissible when
+the cached right Schmidt vector mu_q is within 2*epsilon_op of lambda_p;
+its cost is the windowed energy of the term between the two sites.  Ties
+go to the predecessor with the lowest net index.
+
+Admissibility depends on p only through lambda_p, and the net holds few
+distinct lambda vectors, so `solve` builds it once per solve as an
+N x |lambda-net| matrix.  The N x N transition energies depend only on the
+term, so `solve` recomputes them only when a term differs from the
+previous site's, and keeps at most one such matrix alive; before the
+first one it raises SizeGuardError if that matrix would not fit in
+physical memory.  The returned sandwich bounds are
 
     e_alg - 6 J n eps  <=  e_exact  <=  e_true  <=  e_alg + 1.5 J D^2 n^2 eps.
 """
@@ -15,12 +24,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import hashlib
 import json
+import os
 import time
 
 import numpy as np
 
 from .epsnet import BoundaryNet, PairNet, build_end_net, build_pair_net
-from .errors import NoAdmissibleTransitionError
+from .errors import NoAdmissibleTransitionError, SizeGuardError
 from .hamiltonian import NnHamiltonian
 from .mps import CanonicalMps, expectation_full, mu_of
 
@@ -28,12 +38,20 @@ CHUNK = 256
 
 
 @dataclass
-class DpEntry:
-    """One list entry: a net pair with its best accumulated energy."""
+class DpList:
+    """One DP site list as parallel arrays, ordered by net index.
 
-    pair_index: int
-    tail: int | None        # index of the chosen entry in the previous list
-    energy: float
+    Entry k is net pair `pair_index[k]` with its best accumulated energy
+    `energy[k]`; `tail[k]` is the position of its chosen predecessor in
+    the previous list, or the boundary tensor index in the first list.
+    """
+
+    pair_index: np.ndarray
+    tail: np.ndarray
+    energy: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pair_index)
 
 
 @dataclass
@@ -64,7 +82,6 @@ class SolveResult:
     N: int
     n_end: int
     assignment: list
-    dropped: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
     @property
@@ -106,8 +123,7 @@ def left_defect(lam, b, lam_next) -> DefectMatrix:
 def _net_arrays(net: PairNet):
     lam = np.stack([p.lam for p in net.pairs])
     b = np.stack([p.b for p in net.pairs])
-    mu = np.stack([p.mu for p in net.pairs])
-    return lam, b, mu
+    return lam, b
 
 
 def _chunked_matmul(g_flat, t2_flat, threads: int) -> np.ndarray:
@@ -134,7 +150,7 @@ def transition_energies(net: PairNet, hterm: np.ndarray,
                         threads: int = 1) -> np.ndarray:
     """Matrix E[q, p] of windowed energies of the term between a pair q at
     the left site and a pair p at the right site."""
-    lam, b, _ = _net_arrays(net)
+    lam, b = _net_arrays(net)
     D, d = b.shape[1], b.shape[2]
     h = np.asarray(hterm).reshape(d, d, d, d)
     m = lam[:, :, None, None] * b
@@ -146,51 +162,109 @@ def transition_energies(net: PairNet, hterm: np.ndarray,
     return e.real
 
 
+def _lambda_classes(net: PairNet):
+    """(distinct lambda vectors of the net, class index of each pair)."""
+    lam_net, lam_class = np.unique(np.stack([p.lam for p in net.pairs]),
+                                   axis=0, return_inverse=True)
+    return lam_net, lam_class.reshape(-1)
+
+
 def stitching_mask(net: PairNet, epsilon_op: float) -> np.ndarray:
-    """Admissibility A[q, p]: ||mu_q - lambda_p|| <= 2*epsilon_op."""
-    lam, _, mu = _net_arrays(net)
-    dist = np.linalg.norm(mu[:, None, :] - lam[None, :, :], axis=2)
+    """Admissibility A[q, k]: ||mu_q - lambda_k|| <= 2*epsilon_op for each
+    distinct lambda vector lambda_k of the net, in `_lambda_classes` order.
+    A transition q -> p is admissible when A[q, class of p] holds."""
+    lam_net, _ = _lambda_classes(net)
+    mu = np.stack([p.mu for p in net.pairs])
+    dist = np.linalg.norm(mu[:, None, :] - lam_net[None, :, :], axis=2)
     return dist <= 2.0 * epsilon_op + 1e-14
 
 
-def extend_list(prev: list, net: PairNet, hterm, epsilon_op: float,
-                threads: int = 1) -> list:
+def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
+                threads: int = 1, *, e_trans: np.ndarray | None = None,
+                mask: np.ndarray | None = None,
+                lam_class: np.ndarray | None = None) -> DpList:
     """One DP step: best admissible predecessor for every net pair.
 
-    Ties at the argmin go to the predecessor with the lowest list index,
-    which is the lowest net index since lists are index-sorted.
+    `e_trans`, `mask` and `lam_class` are the site-independent inputs
+    from `transition_energies`, `stitching_mask` and `_lambda_classes`;
+    any not given is computed here.  The step reads `e_trans` by columns,
+    so it is fastest in Fortran order.  For each lambda class the
+    min-reduce runs over the live predecessors admissible for that class
+    only.  Ties at the argmin go to the predecessor with the lowest list
+    index, which is the lowest net index since lists are index-sorted.
     """
-    if not prev:
+    if len(prev) == 0:
         raise NoAdmissibleTransitionError("previous DP list is empty")
-    e_trans = transition_energies(net, hterm, threads)
-    mask = stitching_mask(net, epsilon_op)
-    q_idx = np.array([e.pair_index for e in prev])
-    e_prev = np.array([e.energy for e in prev])
-    cost = e_prev[:, None] + e_trans[q_idx]
-    cost = np.where(mask[q_idx], cost, np.inf)
-    best = cost.min(axis=0)
-    tails = cost.argmin(axis=0)
-    out = [DpEntry(pair_index=p, tail=int(tails[p]), energy=float(best[p]))
-           for p in range(len(net.pairs)) if np.isfinite(best[p])]
-    if not out:
+    if e_trans is None:
+        e_trans = transition_energies(net, hterm, threads)
+    if mask is None:
+        mask = stitching_mask(net, epsilon_op)
+    if lam_class is None:
+        lam_class = _lambda_classes(net)[1]
+    size = len(net.pairs)
+    best = np.full(size, np.inf)
+    tails = np.zeros(size, dtype=np.intp)
+    for k in range(mask.shape[1]):
+        rows = np.flatnonzero(mask[prev.pair_index, k])
+        if rows.size == 0:
+            continue
+        cols = np.flatnonzero(lam_class == k)
+        q = prev.pair_index[rows]
+        # cost[p, r] = E[q_r, p] + e_prev[r] for the pairs p of class k
+        cost = e_trans.T
+        if cols.size < size or q.size < size:
+            cost = cost[np.ix_(cols, q)]
+        cost = cost + prev.energy[rows]
+        arg = cost.argmin(axis=1)
+        tails[cols] = rows[arg]
+        best[cols] = cost[np.arange(cols.size), arg]
+    live = np.flatnonzero(np.isfinite(best))
+    if live.size == 0:
         raise NoAdmissibleTransitionError(
             f"no admissible transition at epsilon_op={epsilon_op}"
         )
-    return out
+    return DpList(pair_index=live, tail=tails[live], energy=best[live])
+
+
+def transition_size_guard(n_pairs: int, phys_bytes: int | None) -> None:
+    """Raise SizeGuardError when one complex N x N transition matrix
+    (16 N^2 bytes) would exceed `phys_bytes` of physical memory; None
+    (memory size unknown) passes."""
+    need = 16 * n_pairs * n_pairs
+    if phys_bytes is not None and need > phys_bytes:
+        raise SizeGuardError(
+            f"N={n_pairs} needs {need} bytes per transition matrix, "
+            f"more than the {phys_bytes} bytes of physical memory"
+        )
+
+
+def _physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _boundary_left_energies(end_net: BoundaryNet, net: PairNet,
                             hterm) -> np.ndarray:
     """E[g, p]: windowed energy of the first term for boundary tensor g
     and first interior pair p."""
-    lam, b, _ = _net_arrays(net)
+    lam, b = _net_arrays(net)
     d_end = end_net.tensors[0].shape[1]
     d = b.shape[2]
     h = np.asarray(hterm).reshape(d_end, d, d_end, d)
+    # every boundary tensor has the same shape, so one path serves them all
+    w_spec, val_spec = "ai,pa,pajb->pijb", "pijb,ijkl,pklb->p"
+    w_path = np.einsum_path(w_spec, end_net.tensors[0], lam, b,
+                            optimize=True)[0]
+    val_path = None
     out = np.empty((end_net.size, len(net.pairs)))
     for gi, gam in enumerate(end_net.tensors):
-        w = np.einsum("ai,pa,pajb->pijb", gam, lam, b, optimize=True)
-        val = np.einsum("pijb,ijkl,pklb->p", w.conj(), h, w, optimize=True)
+        w = np.einsum(w_spec, gam, lam, b, optimize=w_path)
+        if val_path is None:
+            val_path = np.einsum_path(val_spec, w.conj(), h, w,
+                                      optimize=True)[0]
+        val = np.einsum(val_spec, w.conj(), h, w, optimize=val_path)
         out[gi] = val.real
     return out
 
@@ -199,25 +273,30 @@ def _boundary_right_energies(net: PairNet, end_net: BoundaryNet,
                              hterm) -> np.ndarray:
     """E[q, g]: windowed energy of the last term for interior pair q and
     boundary tensor g."""
-    lam, b, _ = _net_arrays(net)
+    lam, b = _net_arrays(net)
     d = b.shape[2]
     d_end = end_net.tensors[0].shape[1]
     h = np.asarray(hterm).reshape(d, d_end, d, d_end)
+    w_spec, val_spec = "pa,paig,gj->paij", "paij,ijkl,pakl->p"
+    w_path = np.einsum_path(w_spec, lam, b, end_net.tensors[0],
+                            optimize=True)[0]
+    val_path = None
     out = np.empty((len(net.pairs), end_net.size))
     for gi, gam in enumerate(end_net.tensors):
-        w = np.einsum("pa,paig,gj->paij", lam, b, gam, optimize=True)
-        val = np.einsum("paij,ijkl,pakl->p", w.conj(), h, w, optimize=True)
+        w = np.einsum(w_spec, lam, b, gam, optimize=w_path)
+        if val_path is None:
+            val_path = np.einsum_path(val_spec, w.conj(), h, w,
+                                      optimize=True)[0]
+        val = np.einsum(val_spec, w.conj(), h, w, optimize=val_path)
         out[:, gi] = val.real
     return out
 
 
-def initial_list(end_net: BoundaryNet, net: PairNet, hterm) -> list:
+def initial_list(end_net: BoundaryNet, net: PairNet, hterm) -> DpList:
     """First DP list: each pair keeps its best boundary tensor."""
     e0 = _boundary_left_energies(end_net, net, hterm)
-    best = e0.min(axis=0)
-    tails = e0.argmin(axis=0)
-    return [DpEntry(pair_index=p, tail=int(tails[p]), energy=float(best[p]))
-            for p in range(len(net.pairs))]
+    return DpList(pair_index=np.arange(len(net.pairs)),
+                  tail=e0.argmin(axis=0), energy=e0.min(axis=0))
 
 
 def solve(h: NnHamiltonian, D: int, delta: float,
@@ -243,20 +322,28 @@ def solve(h: NnHamiltonian, D: int, delta: float,
         epsilon_op = pair_net.epsilon_cert
     t_net = time.perf_counter()
 
+    if n > 3:               # only chains with interior sites need one
+        transition_size_guard(pair_net.size, _physical_memory())
     lists = [initial_list(end_net, pair_net, h.terms[0])]
-    dropped = []
+    mask = stitching_mask(pair_net, epsilon_op)
+    lam_class = _lambda_classes(pair_net)[1]
+    e_trans, term_key = None, None
     for j in range(3, n):
-        nxt = extend_list(lists[-1], pair_net, h.terms[j - 2], epsilon_op,
-                          threads)
-        alive = {e.pair_index for e in nxt}
-        dropped.append(sorted(set(range(pair_net.size)) - alive))
-        lists.append(nxt)
+        hterm = h.terms[j - 2]
+        key = hterm.tobytes()   # terms are complex arrays of one shape
+        if key != term_key:
+            e_trans = None      # free the previous matrix before the next
+            e_trans = np.asfortranarray(
+                transition_energies(pair_net, hterm, threads))
+            term_key = key
+        lists.append(extend_list(lists[-1], pair_net, hterm, epsilon_op,
+                                 threads, e_trans=e_trans, mask=mask,
+                                 lam_class=lam_class))
+    e_trans = None          # not needed past the last interior site
 
     last = lists[-1]
     e_right = _boundary_right_energies(pair_net, end_net, h.terms[-1])
-    q_idx = np.array([e.pair_index for e in last])
-    e_prev = np.array([e.energy for e in last])
-    total = e_prev[:, None] + e_right[q_idx]
+    total = last.energy[:, None] + e_right[last.pair_index]
     # scan boundary tensors in index order; strict improvement keeps the
     # lowest-index winner on ties
     best_val, best_g, best_q = np.inf, -1, -1
@@ -269,15 +356,13 @@ def solve(h: NnHamiltonian, D: int, delta: float,
 
     # walk the back-pointers
     chosen = []
-    li, ei = len(lists) - 1, best_q
-    while li >= 0:
-        entry = lists[li][ei]
-        chosen.append(entry.pair_index)
-        ei = entry.tail
-        li -= 1
+    ei = best_q
+    for lst in reversed(lists):
+        chosen.append(int(lst.pair_index[ei]))
+        ei = int(lst.tail[ei])
     gamma1_idx = ei
     chosen.reverse()
-    assignment = [int(gamma1_idx)] + [int(c) for c in chosen] + [int(best_g)]
+    assignment = [gamma1_idx] + chosen + [best_g]
 
     pairs = [pair_net.pairs[c] for c in chosen]
     omega = CanonicalMps(
@@ -296,7 +381,6 @@ def solve(h: NnHamiltonian, D: int, delta: float,
         lower_bound=lower, upper_slack=upper_slack,
         epsilon_used=eps_cert, epsilon_op=epsilon_op, delta_used=delta,
         N=pair_net.size, n_end=end_net.size, assignment=assignment,
-        dropped=dropped,
         timings={
             "net_ms": 1e3 * (t_net - t0),
             "dp_ms": 1e3 * (t_dp - t_net),

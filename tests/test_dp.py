@@ -22,17 +22,19 @@ class TestExtendList:
     def test_min_selection_prefers_low_energy_tail(self):
         net = en.build_pair_net(1, 2, 0.25, epsilon_op=1.0)
         zero = np.zeros((4, 4), dtype=complex)
-        prev = [dp.DpEntry(pair_index=p, tail=None, energy=(0.0 if p == 2
-                                                            else 5.0))
-                for p in range(net.size)]
+        idx = np.arange(net.size)
+        prev = dp.DpList(pair_index=idx, tail=np.zeros_like(idx),
+                         energy=np.where(idx == 2, 0.0, 5.0))
         out = dp.extend_list(prev, net, zero, 1.0)
-        assert all(e.tail == 2 for e in out)
-        assert all(np.isclose(e.energy, 0.0) for e in out)
+        assert all(t == 2 for t in out.tail)
+        assert all(np.isclose(e, 0.0) for e in out.energy)
 
     def test_empty_prev_rejected(self):
         net = en.build_pair_net(1, 2, 0.25, epsilon_op=1.0)
+        empty = dp.DpList(pair_index=np.array([], dtype=int),
+                          tail=np.array([], dtype=int), energy=np.array([]))
         with pytest.raises(NoAdmissibleTransitionError):
-            dp.extend_list([], net, np.zeros((4, 4)), 1.0)
+            dp.extend_list(empty, net, np.zeros((4, 4)), 1.0)
 
     def test_tables_match_enumeration(self):
         h = grouped("zz_chain", 4, 1)
@@ -87,6 +89,30 @@ class TestSolve:
         assert a.e_alg == b.e_alg
         assert a.assignment == b.assignment
         assert a.digest == b.digest
+
+
+# (model, n, delta, seed) -> (assignment, repr(e_alg), digest), recorded
+# from the dense N x N DP step before the DP lists became arrays
+GOLDEN_SOLVES = [
+    (("transverse_ising", 12, 0.25, None),
+     ([9, 3, 9, 3, 9, 3, 9, 3, 9, 3, 9, 3], "-14.239999999999997",
+      "98aaf590f5f872816d3eb50da84197058066945ab0fad1ec0e0d2482880cea66")),
+    (("random_hermitian", 6, 0.1, 3),
+     ([155, 24, 284, 125, 206, 40], "-6.856188671070385",
+      "bef2e6c6db3ad206b371d7ba16da09739aeacf7bfa3541f30da5a8d9f5a2c0ca")),
+    (("trap_model", 6, 0.1, None),
+     ([12, 5, 0, 7, 7, 2], "0.5550267697798928",
+      "1f65aa48282f06e0829fe4eb7165c652141313371a844148f8f77cca5e4f33ad")),
+]
+
+
+@pytest.mark.parametrize("config,expect", GOLDEN_SOLVES,
+                         ids=[c[0] for c, _ in GOLDEN_SOLVES])
+def test_golden_solve_results(config, expect):
+    name, n, delta, seed = config
+    h = ham.group_boundaries(ham.build_model(name, {}, n, seed), 1)
+    sr = dp.solve(h, 1, delta)
+    assert (sr.assignment, repr(sr.e_alg), sr.digest) == expect
 
 
 class TestErrorBounds:
