@@ -51,6 +51,14 @@ class RunConfig:
     verbose: bool = False
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document."""
     try:
@@ -59,6 +67,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
+    for section in ("model", "solver", "run", "output"):
+        if not isinstance(doc.get(section, {}), dict):
+            raise ConfigError(f"{section} must be an object")
     model = doc.get("model", {})
     solver = doc.get("solver", {})
     run = doc.get("run", {})
@@ -68,38 +79,42 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(name, str):
         raise ConfigError("model.name is required")
     n = model.get("n")
-    if not isinstance(n, int) or n < 3:
+    if not _is_int(n) or n < 3:
         raise ConfigError("model.n must be an integer >= 3")
     seed = model.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_int(seed):
         raise ConfigError("model.seed must be an integer")
+    params = {} if model.get("params") is None else model["params"]
+    if not isinstance(params, dict) or not all(
+            _is_number(v) for v in params.values()):
+        raise ConfigError("model.params must be an object of numbers")
 
     D = solver.get("D", 1)
-    if not isinstance(D, int) or D < 1:
+    if not _is_int(D) or D < 1:
         raise ConfigError("solver.D must be an integer >= 1")
     delta = solver.get("delta", 0.25)
-    if not isinstance(delta, (int, float)) or not 0.0 < delta <= 0.5:
+    if not _is_number(delta) or not 0.0 < delta <= 0.5:
         raise ConfigError("solver.delta must lie in (0, 0.5]")
     cap = solver.get("cap", DEFAULT_CAP)
-    if not isinstance(cap, int) or cap < 1:
+    if not _is_int(cap) or cap < 1:
         raise ConfigError("solver.cap must be a positive integer")
     for key in ("epsilon_op", "target_error", "epsilon"):
         val = solver.get(key)
-        if val is not None and (not isinstance(val, (int, float)) or val <= 0):
+        if val is not None and (not _is_number(val) or val <= 0):
             raise ConfigError(f"solver.{key} must be a positive number")
 
     mode = run.get("mode")
     if mode not in MODES:
         raise ConfigError(f"run.mode must be one of {MODES}")
     sweeps = run.get("sweeps", 4)
-    if not isinstance(sweeps, int) or sweeps < 0:
+    if not _is_int(sweeps) or sweeps < 0:
         raise ConfigError("run.sweeps must be a nonnegative integer")
     start = run.get("start", "all_up")
     if start not in ("all_up", "all_down"):
         raise ConfigError("run.start must be 'all_up' or 'all_down'")
 
     return RunConfig(
-        model_name=name, model_params=model.get("params", {}) or {},
+        model_name=name, model_params=params,
         n=n, seed=seed, D=D, delta=float(delta),
         epsilon_op=solver.get("epsilon_op"),
         target_error=solver.get("target_error"),
@@ -133,7 +148,12 @@ def execute(cfg: RunConfig) -> dict:
     """Run the configured mode and return the result document."""
     res = _result_skeleton(cfg)
     t0 = time.perf_counter()
-    h0 = build_model(cfg.model_name, cfg.model_params, cfg.n, cfg.seed)
+    try:
+        h0 = build_model(cfg.model_name, cfg.model_params, cfg.n, cfg.seed)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"model {cfg.model_name!r}: {exc}") from exc
 
     if cfg.mode == "solve":
         hg = group_boundaries(h0, cfg.D)
@@ -161,7 +181,7 @@ def execute(cfg: RunConfig) -> dict:
         hg = group_boundaries(h0, cfg.D)
         eps_op = _epsilon_op_for(cfg, hg)
         if eps_op is None:
-            eps_op = 2.0 * 59.0 * (hg.dims[1] * cfg.D) * cfg.delta
+            eps_op = epsnet.certified_epsilon(hg.dims[1], cfg.D, cfg.delta)
         pn = epsnet.build_pair_net(cfg.D, hg.dims[1], cfg.delta, eps_op,
                                    cfg.cap)
         en = epsnet.build_end_net(cfg.D, hg.dims[0], cfg.delta, cfg.cap)
@@ -189,7 +209,7 @@ def execute(cfg: RunConfig) -> dict:
         hg = group_boundaries(h0, cfg.D)
         d = hg.dims[1]
         eps = cfg.epsilon if cfg.epsilon is not None \
-            else 2.0 * 59.0 * (d * cfg.D) * cfg.delta
+            else epsnet.certified_epsilon(d, cfg.D, cfg.delta)
         bound = epsnet.net_size_estimate(cfg.D, d, eps)
         eps_op = _epsilon_op_for(cfg, hg) or eps
         pn = epsnet.build_pair_net(cfg.D, d, cfg.delta, eps_op, cfg.cap)

@@ -29,7 +29,8 @@ import time
 
 import numpy as np
 
-from .epsnet import BoundaryNet, PairNet, build_end_net, build_pair_net
+from .epsnet import (BoundaryNet, PairNet, build_end_net, build_pair_net,
+                     certified_epsilon)
 from .errors import NoAdmissibleTransitionError, SizeGuardError
 from .hamiltonian import NnHamiltonian
 from .mps import CanonicalMps, expectation_full, mu_of
@@ -120,12 +121,6 @@ def left_defect(lam, b, lam_next) -> DefectMatrix:
     return DefectMatrix(delta=r + np.diag(lam_next**2 - mu**2))
 
 
-def _net_arrays(net: PairNet):
-    lam = np.stack([p.lam for p in net.pairs])
-    b = np.stack([p.b for p in net.pairs])
-    return lam, b
-
-
 def _chunked_matmul(g_flat, t2_flat, threads: int) -> np.ndarray:
     """g_flat @ t2_flat.T with fixed-size row chunks; chunk boundaries do
     not depend on the thread count, so results are bitwise identical."""
@@ -150,45 +145,36 @@ def transition_energies(net: PairNet, hterm: np.ndarray,
                         threads: int = 1) -> np.ndarray:
     """Matrix E[q, p] of windowed energies of the term between a pair q at
     the left site and a pair p at the right site."""
-    lam, b = _net_arrays(net)
-    D, d = b.shape[1], b.shape[2]
+    lam, b = net.lam, net.b
+    d = b.shape[2]
     h = np.asarray(hterm).reshape(d, d, d, d)
     m = lam[:, :, None, None] * b
     t1 = np.einsum("qaix,qaky->qxiyk", m.conj(), m, optimize=True)
     t2 = np.einsum("pxjb,pylb->pxjyl", b.conj(), b, optimize=True)
     g = np.einsum("qxiyk,ijkl->qxjyl", t1, h, optimize=True)
-    e = _chunked_matmul(g.reshape(len(net.pairs), -1),
-                        t2.reshape(len(net.pairs), -1), threads)
+    e = _chunked_matmul(g.reshape(net.size, -1), t2.reshape(net.size, -1),
+                        threads)
     return e.real
-
-
-def _lambda_classes(net: PairNet):
-    """(distinct lambda vectors of the net, class index of each pair)."""
-    lam_net, lam_class = np.unique(np.stack([p.lam for p in net.pairs]),
-                                   axis=0, return_inverse=True)
-    return lam_net, lam_class.reshape(-1)
 
 
 def stitching_mask(net: PairNet, epsilon_op: float) -> np.ndarray:
     """Admissibility A[q, k]: ||mu_q - lambda_k|| <= 2*epsilon_op for each
-    distinct lambda vector lambda_k of the net, in `_lambda_classes` order.
-    A transition q -> p is admissible when A[q, class of p] holds."""
-    lam_net, _ = _lambda_classes(net)
-    mu = np.stack([p.mu for p in net.pairs])
-    dist = np.linalg.norm(mu[:, None, :] - lam_net[None, :, :], axis=2)
+    distinct lambda vector lambda_k = net.lam_net[k].  A transition q -> p
+    is admissible when A[q, net.lam_class[p]] holds."""
+    dist = np.linalg.norm(net.mu[:, None, :] - net.lam_net[None, :, :],
+                          axis=2)
     return dist <= 2.0 * epsilon_op + 1e-14
 
 
 def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
                 threads: int = 1, *, e_trans: np.ndarray | None = None,
-                mask: np.ndarray | None = None,
-                lam_class: np.ndarray | None = None) -> DpList:
+                mask: np.ndarray | None = None) -> DpList:
     """One DP step: best admissible predecessor for every net pair.
 
-    `e_trans`, `mask` and `lam_class` are the site-independent inputs
-    from `transition_energies`, `stitching_mask` and `_lambda_classes`;
-    any not given is computed here.  The step reads `e_trans` by columns,
-    so it is fastest in Fortran order.  For each lambda class the
+    `e_trans` and `mask` are the site-independent inputs from
+    `transition_energies` and `stitching_mask`; either not given is
+    computed here.  The step reads `e_trans` by columns, so it is fastest
+    in Fortran order.  For each lambda class (`net.lam_class`) the
     min-reduce runs over the live predecessors admissible for that class
     only.  Ties at the argmin go to the predecessor with the lowest list
     index, which is the lowest net index since lists are index-sorted.
@@ -199,16 +185,14 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
         e_trans = transition_energies(net, hterm, threads)
     if mask is None:
         mask = stitching_mask(net, epsilon_op)
-    if lam_class is None:
-        lam_class = _lambda_classes(net)[1]
-    size = len(net.pairs)
+    size = net.size
     best = np.full(size, np.inf)
     tails = np.zeros(size, dtype=np.intp)
     for k in range(mask.shape[1]):
         rows = np.flatnonzero(mask[prev.pair_index, k])
         if rows.size == 0:
             continue
-        cols = np.flatnonzero(lam_class == k)
+        cols = np.flatnonzero(net.lam_class == k)
         q = prev.pair_index[rows]
         # cost[p, r] = E[q_r, p] + e_prev[r] for the pairs p of class k
         cost = e_trans.T
@@ -249,7 +233,7 @@ def _boundary_left_energies(end_net: BoundaryNet, net: PairNet,
                             hterm) -> np.ndarray:
     """E[g, p]: windowed energy of the first term for boundary tensor g
     and first interior pair p."""
-    lam, b = _net_arrays(net)
+    lam, b = net.lam, net.b
     d_end = end_net.tensors[0].shape[1]
     d = b.shape[2]
     h = np.asarray(hterm).reshape(d_end, d, d_end, d)
@@ -258,7 +242,7 @@ def _boundary_left_energies(end_net: BoundaryNet, net: PairNet,
     w_path = np.einsum_path(w_spec, end_net.tensors[0], lam, b,
                             optimize=True)[0]
     val_path = None
-    out = np.empty((end_net.size, len(net.pairs)))
+    out = np.empty((end_net.size, net.size))
     for gi, gam in enumerate(end_net.tensors):
         w = np.einsum(w_spec, gam, lam, b, optimize=w_path)
         if val_path is None:
@@ -273,7 +257,7 @@ def _boundary_right_energies(net: PairNet, end_net: BoundaryNet,
                              hterm) -> np.ndarray:
     """E[q, g]: windowed energy of the last term for interior pair q and
     boundary tensor g."""
-    lam, b = _net_arrays(net)
+    lam, b = net.lam, net.b
     d = b.shape[2]
     d_end = end_net.tensors[0].shape[1]
     h = np.asarray(hterm).reshape(d, d_end, d, d_end)
@@ -281,7 +265,7 @@ def _boundary_right_energies(net: PairNet, end_net: BoundaryNet,
     w_path = np.einsum_path(w_spec, lam, b, end_net.tensors[0],
                             optimize=True)[0]
     val_path = None
-    out = np.empty((len(net.pairs), end_net.size))
+    out = np.empty((net.size, end_net.size))
     for gi, gam in enumerate(end_net.tensors):
         w = np.einsum(w_spec, lam, b, gam, optimize=w_path)
         if val_path is None:
@@ -295,7 +279,7 @@ def _boundary_right_energies(net: PairNet, end_net: BoundaryNet,
 def initial_list(end_net: BoundaryNet, net: PairNet, hterm) -> DpList:
     """First DP list: each pair keeps its best boundary tensor."""
     e0 = _boundary_left_energies(end_net, net, hterm)
-    return DpList(pair_index=np.arange(len(net.pairs)),
+    return DpList(pair_index=np.arange(net.size),
                   tail=e0.argmin(axis=0), energy=e0.min(axis=0))
 
 
@@ -314,7 +298,7 @@ def solve(h: NnHamiltonian, D: int, delta: float,
     d_end, d, n = h.dims[0], h.dims[1], h.n
     if pair_net is None:
         eps_tmp = epsilon_op if epsilon_op is not None \
-            else 2.0 * 59.0 * (d * D) * delta
+            else certified_epsilon(d, D, delta)
         pair_net = build_pair_net(D, d, delta, eps_tmp, cap)
     if end_net is None:
         end_net = build_end_net(D, d_end, delta, cap)
@@ -326,7 +310,6 @@ def solve(h: NnHamiltonian, D: int, delta: float,
         transition_size_guard(pair_net.size, _physical_memory())
     lists = [initial_list(end_net, pair_net, h.terms[0])]
     mask = stitching_mask(pair_net, epsilon_op)
-    lam_class = _lambda_classes(pair_net)[1]
     e_trans, term_key = None, None
     for j in range(3, n):
         hterm = h.terms[j - 2]
@@ -337,8 +320,7 @@ def solve(h: NnHamiltonian, D: int, delta: float,
                 transition_energies(pair_net, hterm, threads))
             term_key = key
         lists.append(extend_list(lists[-1], pair_net, hterm, epsilon_op,
-                                 threads, e_trans=e_trans, mask=mask,
-                                 lam_class=lam_class))
+                                 threads, e_trans=e_trans, mask=mask))
     e_trans = None          # not needed past the last interior site
 
     last = lists[-1]
@@ -364,12 +346,11 @@ def solve(h: NnHamiltonian, D: int, delta: float,
     chosen.reverse()
     assignment = [gamma1_idx] + chosen + [best_g]
 
-    pairs = [pair_net.pairs[c] for c in chosen]
     omega = CanonicalMps(
         n=n, d=d, D=D, d_end=d_end, s=h.s,
         gamma_left=np.asarray(end_net.tensors[gamma1_idx]),
-        lambda2=pairs[0].lam.copy(),
-        b_tensors=[p.b.copy() for p in pairs],
+        lambda2=pair_net.lam[chosen[0]].copy(),
+        b_tensors=[pair_net.b[c].copy() for c in chosen],
         gamma_right=np.asarray(end_net.tensors[best_g]),
     )
     e_true = expectation_full(omega, h)

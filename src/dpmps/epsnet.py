@@ -6,10 +6,18 @@ and finishes with Gram-Schmidt.  The certified per-row covering radius of
 the output family is nu_cert = 59*b*delta for column count b.  Boundary
 and interior tensor nets are thin wrappers assembling the family output
 into canonical MPS building blocks.
+
+The interior pair net is held as arrays: `lam` (N, D), `b` (N, D, d, D)
+and `mu` (N, D), with pairs ordered lambda-major over the lambda family,
+plus the distinct lambda vectors `lam_net` and each pair's row in it,
+`lam_class`.  It is built by one batched left-canonical filter per lambda:
+the (lambda B) columns of the whole B family, their Gram matrices by
+stacked `np.matmul`, and a keep mask on the largest off-diagonal entry.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 import math
@@ -171,11 +179,36 @@ class PairElement:
     mu: np.ndarray       # mu_of(lam, b)
 
 
+class PairView(Sequence):
+    """Read-only sequence over a pair net's arrays.  An integer index gives
+    a PairElement of views into the arrays, a slice gives a PairView."""
+
+    def __init__(self, lam: np.ndarray, b: np.ndarray, mu: np.ndarray):
+        self._lam, self._b, self._mu = lam, b, mu
+
+    def __len__(self) -> int:
+        return len(self._lam)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PairView(self._lam[i], self._b[i], self._mu[i])
+        return PairElement(lam=self._lam[i], b=self._b[i], mu=self._mu[i])
+
+
 @dataclass
 class PairNet:
-    """Net of canonical (lambda, B) pairs for interior sites."""
+    """Net of canonical (lambda, B) pairs for interior sites, as arrays.
 
-    pairs: list
+    Pair k is (lam[k], b[k]) with right Schmidt vector mu[k] =
+    mu_of(lam[k], b[k]); `lam_net` holds the distinct lambda vectors in
+    lexicographic order and lam_net[lam_class[k]] == lam[k].
+    """
+
+    lam: np.ndarray          # (N, D) nonnegative, unit norm
+    b: np.ndarray            # (N, D, d, D) right canonical
+    mu: np.ndarray           # (N, D)
+    lam_net: np.ndarray      # (K, D)
+    lam_class: np.ndarray    # (N,) row of lam_net
     delta: float
     nu_cert_lambda: float
     nu_cert_b: float
@@ -184,8 +217,12 @@ class PairNet:
     filtered_out: int = 0
 
     @property
+    def pairs(self) -> PairView:
+        return PairView(self.lam, self.b, self.mu)
+
+    @property
     def size(self) -> int:
-        return len(self.pairs)
+        return len(self.lam)
 
 
 def build_end_net(D: int, d_end: int, delta: float,
@@ -198,46 +235,69 @@ def build_end_net(D: int, d_end: int, delta: float,
     return BoundaryNet(tensors=mats, delta=delta, nu_cert=cert.nu_cert)
 
 
-def left_gram_offdiag(lam: np.ndarray, b: np.ndarray) -> float:
-    """max over beta != beta' of |<(lambda B)_beta | (lambda B)_beta'>|."""
-    cols = (lam[:, None, None] * b).reshape(-1, b.shape[2])
-    g = cols.conj().T @ cols
-    off = g - np.diag(np.diag(g))
-    return float(np.abs(off).max()) if b.shape[2] > 1 else 0.0
+def certified_epsilon(d: int, D: int, delta: float) -> float:
+    """Certified accuracy 2 * 59 * (d D) * delta of the pair net at grid
+    spacing delta: twice the covering radius of the D x dD B family."""
+    return 2.0 * 59.0 * (d * D) * delta
+
+
+def left_gram_offdiag(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max over beta != beta' of |<(lambda B)_beta | (lambda B)_beta'>|,
+    over the leading axes of lam (..., D) and b (..., D, d, D)."""
+    cols = lam[..., :, None, None] * b
+    # rows (alpha, i), columns beta; the Gram matrix is over the columns
+    cols = cols.reshape(cols.shape[:-3] + (-1, b.shape[-1]))
+    g = np.abs(np.matmul(cols.conj().swapaxes(-1, -2), cols))
+    diag = np.arange(b.shape[-1])
+    g[..., diag, diag] = 0.0
+    return g.max(axis=(-2, -1))
 
 
 def build_pair_net(D: int, d: int, delta: float, epsilon_op: float,
                    cap: int = DEFAULT_CAP) -> PairNet:
     """Cartesian product of the lambda net (real nonnegative unit vectors)
     and the B net (right-canonical tensors from D x dD families), keeping
-    pairs that are approximately left canonical at threshold 3*epsilon_op."""
+    pairs that are approximately left canonical: those whose largest
+    off-diagonal Gram entry is not above 3*epsilon_op (ties are kept).
+
+    The filter runs once per lambda over the whole B family, so pairs come
+    out lambda-major, each lambda's pairs in B family order.
+    """
     if epsilon_op <= 0:
         raise ValueError(f"epsilon_op must be positive, got {epsilon_op}")
     lam_mats, lam_cert = orthonormal_family(1, D, delta, real_nonneg=True,
                                             cap=cap)
     b_mats, b_cert = orthonormal_family(D, d * D, delta, real_nonneg=False,
                                         cap=cap)
-    pairs = []
-    dropped = 0
-    for lm in lam_mats:
-        lam = lm[0].real
-        for bm in b_mats:
-            # column index (i, beta) is row-major over the dD columns
-            b = bm.reshape(D, d, D)
-            if left_gram_offdiag(lam, b) > 3.0 * epsilon_op:
-                dropped += 1
-                continue
-            pairs.append(PairElement(lam=lam, b=b, mu=mu_of(lam, b)))
-    if not pairs:
+    lam_fam = np.stack([m[0].real for m in lam_mats])
+    # column index (i, beta) is row-major over the dD columns
+    b_fam = np.stack(b_mats).reshape(-1, D, d, D)
+    kept, mu_parts = [], []
+    for lam in lam_fam:
+        keep = np.flatnonzero(
+            ~(left_gram_offdiag(lam, b_fam) > 3.0 * epsilon_op))
+        kept.append(keep)
+        mu_parts.append(mu_of(lam, b_fam[keep]))
+    counts = np.array([k.size for k in kept])
+    if counts.sum() == 0:
         raise EmptyNetError(
             "left-canonical filter removed every pair; "
             f"epsilon_op={epsilon_op} too small for delta={delta}"
         )
+    lam_idx = np.repeat(np.arange(len(lam_fam)), counts)
+    # equal lambda vectors from different grid points share one class
+    live = counts > 0
+    lam_net, live_class = np.unique(lam_fam[live], axis=0,
+                                    return_inverse=True)
+    fam_class = np.zeros(len(lam_fam), dtype=np.intp)
+    fam_class[live] = live_class.reshape(-1)
     return PairNet(
-        pairs=pairs, delta=delta,
+        lam=lam_fam[lam_idx], b=b_fam[np.concatenate(kept)],
+        mu=np.concatenate(mu_parts), lam_net=lam_net,
+        lam_class=fam_class[lam_idx], delta=delta,
         nu_cert_lambda=lam_cert.nu_cert, nu_cert_b=b_cert.nu_cert,
-        epsilon_cert=2.0 * 59.0 * (d * D) * delta, epsilon_op=epsilon_op,
-        filtered_out=dropped,
+        epsilon_cert=certified_epsilon(d, D, delta), epsilon_op=epsilon_op,
+        filtered_out=int(counts.size * len(b_fam) - counts.sum()),
     )
 
 
@@ -250,43 +310,6 @@ def net_size_estimate(D: int, d: int, epsilon: float) -> int:
     k = D + 2 * d * D * D
     val = base**k
     return int(val) if val >= 1 else 0
-
-
-PIPELINE_VERSION = 1
-
-
-def family_to_json(mats: list, cert: NetCertificate) -> dict:
-    """Cache document for a generated family, keyed by its parameters."""
-    def enc(a):
-        out = np.empty(a.shape + (2,))
-        out[..., 0], out[..., 1] = a.real, a.imag
-        return out.tolist()
-    return {
-        "a": cert.a, "b": cert.b, "delta": cert.delta,
-        "real_nonneg": cert.real_nonneg,
-        "pipeline_version": PIPELINE_VERSION,
-        "matrices": [enc(m) for m in mats],
-    }
-
-
-def family_from_json(doc: dict):
-    """Inverse of family_to_json; returns (matrices, certificate)."""
-    if doc.get("pipeline_version") != PIPELINE_VERSION:
-        raise ValueError(
-            f"unsupported pipeline version {doc.get('pipeline_version')}"
-        )
-    mats = []
-    for m in doc["matrices"]:
-        arr = np.asarray(m, dtype=float)
-        mats.append(arr[..., 0] + 1j * arr[..., 1])
-    a, b, delta = int(doc["a"]), int(doc["b"]), float(doc["delta"])
-    cert = NetCertificate(
-        a=a, b=b, delta=delta, real_nonneg=bool(doc["real_nonneg"]),
-        nu_cert=59.0 * b * delta, candidate_count=-1,
-        survivors_norm_filter=-1, survivors_overlap_filter=-1,
-        dropped_degenerate=-1, size=len(mats),
-    )
-    return mats, cert
 
 
 @dataclass

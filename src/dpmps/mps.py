@@ -68,16 +68,17 @@ def mu_of(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Right Schmidt vector of a (lambda, B) pair:
     mu_beta = (sum_{i,alpha} |lambda_alpha B^i_{alpha beta}|^2)^(1/2).
 
-    Defined for non-canonical pairs as well.
+    Defined for non-canonical pairs as well.  Leading axes of lam (..., D)
+    and b (..., D, d, D) broadcast, so one call serves a batch of pairs.
     """
     lam = np.asarray(lam, dtype=float)
     b = np.asarray(b)
-    if b.ndim != 3 or b.shape[0] != lam.shape[0]:
+    if b.ndim < 3 or lam.ndim < 1 or b.shape[-3] != lam.shape[-1]:
         raise ShapeMismatchError(
-            f"lambda of length {lam.shape[0]} does not match B of shape {b.shape}"
+            f"lambda of shape {lam.shape} does not match B of shape {b.shape}"
         )
-    w = np.abs(lam[:, None, None] * b) ** 2
-    return np.sqrt(w.sum(axis=(0, 1)))
+    w = np.abs(lam[..., :, None, None] * b) ** 2
+    return np.sqrt(w.sum(axis=(-3, -2)))
 
 
 def canonicalize(state, n: int, d: int, D, d_end: int,

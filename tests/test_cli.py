@@ -137,3 +137,45 @@ class TestMain:
         path.write_text(cfg_text())
         assert cli.main(["--config", str(path)]) == 4
         capsys.readouterr()
+
+
+class TestBadInputExit2:
+    """Malformed configs exit 2 with a config error and write no output."""
+
+    def run(self, tmp_path, capsys, doc=None, **over):
+        path = tmp_path / "cfg.json"
+        outp = tmp_path / "res.json"
+        doc = doc or json.loads(cfg_text(**over))
+        doc["output"] = {"path": str(outp)}
+        path.write_text(json.dumps(doc))
+        code = cli.main(["--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:")
+        assert not outp.exists()
+
+    def test_non_numeric_param(self, tmp_path, capsys):
+        self.run(tmp_path, capsys,
+                 model={"name": "transverse_ising", "params": {"g": "abc"}})
+
+    def test_params_not_an_object(self, tmp_path, capsys):
+        self.run(tmp_path, capsys, model={"params": [1]})
+
+    @pytest.mark.parametrize("section,key", [("solver", "D"),
+                                             ("solver", "cap"),
+                                             ("model", "n"), ("model", "seed"),
+                                             ("run", "sweeps")])
+    def test_bool_integer_field(self, tmp_path, capsys, section, key):
+        self.run(tmp_path, capsys, **{section: {key: True}})
+
+    def test_section_not_an_object(self, tmp_path, capsys):
+        doc = json.loads(cfg_text())
+        doc["solver"] = "x"
+        self.run(tmp_path, capsys, doc=doc)
+
+    def test_model_type_error(self, tmp_path, capsys, monkeypatch):
+        def bad_model(name, params, n, seed=None):
+            raise TypeError("unsupported parameter type")
+
+        monkeypatch.setattr(cli, "build_model", bad_model)
+        self.run(tmp_path, capsys)

@@ -24,7 +24,9 @@ def sub_net():
         rng = np.random.default_rng(seed)
         keep = np.sort(rng.choice(net.size, size=SUB_NET_SIZE,
                                   replace=False))
-        return dataclasses.replace(net, pairs=[net.pairs[i] for i in keep])
+        return dataclasses.replace(net, lam=net.lam[keep], b=net.b[keep],
+                                   mu=net.mu[keep],
+                                   lam_class=net.lam_class[keep])
 
     return make
 
@@ -42,9 +44,7 @@ def random_prev(size, rng):
 
 def dense_extend(prev, net, e_trans, epsilon_op):
     """The dense step the array step replaced: full N x N mask and cost."""
-    lam = np.stack([p.lam for p in net.pairs])
-    mu = np.stack([p.mu for p in net.pairs])
-    dist = np.linalg.norm(mu[:, None, :] - lam[None, :, :], axis=2)
+    dist = np.linalg.norm(net.mu[:, None, :] - net.lam[None, :, :], axis=2)
     mask = dist <= 2.0 * epsilon_op + 1e-14
     q_idx = prev.pair_index
     cost = prev.energy[:, None] + e_trans[q_idx]
@@ -82,10 +82,10 @@ def test_tie_goes_to_lowest_index(sub_net):
                      energy=np.zeros(idx.size))
     # every cost is exactly zero: the first admissible predecessor wins
     out = dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op)
-    lam = np.stack([p.lam for p in net.pairs])
-    mu = np.stack([p.mu for p in net.pairs])[idx]
+    mu = net.mu[idx]
     for p, tail in zip(out.pair_index, out.tail):
-        ok = np.linalg.norm(mu - lam[p], axis=1) <= 2.0 * epsilon_op + 1e-14
+        ok = np.linalg.norm(mu - net.lam[p], axis=1) \
+            <= 2.0 * epsilon_op + 1e-14
         assert tail == np.flatnonzero(ok)[0]
     live, tails, _ = dense_extend(prev, net, np.zeros((net.size,) * 2),
                                   epsilon_op)

@@ -7,6 +7,11 @@ from dpmps import epsnet as en
 from dpmps.errors import EmptyNetError, NetSizeError
 
 
+@pytest.fixture(scope="module")
+def d2_net():
+    return en.build_pair_net(2, 2, 0.25, epsilon_op=0.05)
+
+
 class TestGrids:
     def test_real_grid_quarter(self):
         assert np.allclose(en.real_grid(0.25), [0.25, 0.75])
@@ -121,22 +126,94 @@ class TestPairNet:
         b[1, 1, 0] = b[1, 1, 1] = 1 / np.sqrt(2)
         assert en.left_gram_offdiag(lam, b) > 1 / 3
 
-    def test_left_canonical_filter_enforced(self):
-        eps = 0.05
-        net = en.build_pair_net(2, 2, 0.25, epsilon_op=eps, cap=10**7)
-        for el in net.pairs:
-            assert en.left_gram_offdiag(el.lam, el.b) <= 3 * eps + 1e-12
+    def test_left_canonical_filter_enforced(self, d2_net):
+        off = en.left_gram_offdiag(d2_net.lam, d2_net.b)
+        assert off.shape == (d2_net.size,)
+        assert off.max() <= 3 * d2_net.epsilon_op + 1e-12
 
     def test_empty_net_error(self, monkeypatch):
         # the coarse grids always contain some exactly left-canonical pair,
         # so force the filter to reject everything to exercise the error
-        monkeypatch.setattr(en, "left_gram_offdiag", lambda lam, b: 1.0)
+        monkeypatch.setattr(en, "left_gram_offdiag",
+                            lambda lam, b: np.ones(b.shape[:-3]))
         with pytest.raises(EmptyNetError):
             en.build_pair_net(1, 2, 0.25, epsilon_op=0.01)
 
     def test_epsilon_cert_formula(self):
         net = en.build_pair_net(1, 2, 0.25, epsilon_op=1.0)
         assert np.isclose(net.epsilon_cert, 2 * 59 * 2 * 0.25)
+
+    @pytest.mark.parametrize("d,D,delta", [(2, 1, 0.25), (2, 1, 0.1),
+                                           (2, 1, 0.05), (2, 2, 0.25)])
+    def test_certified_epsilon_matches_inline_expression(self, d, D, delta):
+        # the expression it replaced, in the same evaluation order
+        assert en.certified_epsilon(d, D, delta) == \
+            2.0 * 59.0 * (d * D) * delta
+
+    def test_pairs_view(self):
+        net = en.build_pair_net(1, 2, 0.1, epsilon_op=1.0)
+        view = net.pairs
+        assert len(view) == net.size == 350
+        el = view[-1]
+        assert np.array_equal(el.lam, net.lam[-1])
+        assert np.array_equal(el.b, net.b[-1])
+        assert np.array_equal(el.mu, net.mu[-1])
+        head = view[:50]
+        assert len(head) == 50 and len(list(head)) == 50
+        assert all(np.array_equal(p.b, net.b[k]) for k, p in enumerate(head))
+        with pytest.raises(IndexError):
+            view[net.size]
+        with pytest.raises(TypeError):
+            view[0] = el
+
+
+def reference_pair_net(D, d, delta, epsilon_op):
+    """The per-pair filter loop the batched build replaced: scalar Gram
+    matrix and right Schmidt vector for one (lambda, B) at a time."""
+    lam_mats, _ = en.orthonormal_family(1, D, delta, real_nonneg=True)
+    b_mats, _ = en.orthonormal_family(D, d * D, delta)
+    lams, bs, mus, dropped = [], [], [], 0
+    for lm in lam_mats:
+        lam = lm[0].real
+        for bm in b_mats:
+            b = bm.reshape(D, d, D)
+            cols = (lam[:, None, None] * b).reshape(-1, D)
+            g = cols.conj().T @ cols
+            off = float(np.abs(g - np.diag(np.diag(g))).max())
+            if off > 3.0 * epsilon_op:
+                dropped += 1
+                continue
+            w = np.abs(lam[:, None, None] * b) ** 2
+            lams.append(lam)
+            bs.append(b)
+            mus.append(np.sqrt(w.sum(axis=(0, 1))))
+    return np.stack(lams), np.stack(bs), np.stack(mus), dropped
+
+
+def assert_matches_reference(net, D, d, delta, epsilon_op):
+    lam, b, mu, dropped = reference_pair_net(D, d, delta, epsilon_op)
+    assert net.filtered_out == dropped
+    assert np.array_equal(net.lam, lam)
+    assert np.array_equal(net.b, b)
+    assert np.array_equal(net.mu, mu)
+    assert np.array_equal(net.lam_net[net.lam_class], net.lam)
+
+
+class TestBatchedFilter:
+    def test_d2_matches_per_pair_loop(self, d2_net):
+        # 128 pairs sit on the threshold 0.15 in exact arithmetic; the
+        # matmul Gram puts them above it, so they are dropped
+        assert d2_net.size == 123264
+        assert d2_net.filtered_out == 136576
+        assert_matches_reference(d2_net, 2, 2, 0.25, 0.05)
+        assert d2_net.lam_net.shape == (3, 2)
+
+    @pytest.mark.parametrize("delta", [0.25, 0.1, 0.05])
+    def test_d1_matches_per_pair_loop(self, delta):
+        eps = en.certified_epsilon(2, 1, delta)
+        net = en.build_pair_net(1, 2, delta, eps)
+        assert_matches_reference(net, 1, 2, delta, eps)
+        assert net.lam_net.shape == (1, 1)
 
 
 class TestNetSizeEstimate:
@@ -169,20 +246,6 @@ class TestFilterSoundness:
             off = np.abs(g - np.diag(np.diag(g))).max()
             assert off <= 2 * eps + eps**2 + 1e-12
             assert off <= 3 * eps + 1e-12
-
-
-class TestFamilyCache:
-    def test_roundtrip(self):
-        mats, cert = en.orthonormal_family(1, 2, 0.25)
-        mats2, cert2 = en.family_from_json(en.family_to_json(mats, cert))
-        assert cert2.a == 1 and cert2.b == 2 and cert2.delta == 0.25
-        assert len(mats2) == len(mats)
-        for m, m2 in zip(mats, mats2):
-            assert np.abs(m - m2).max() < 1e-15
-
-    def test_version_check(self):
-        with pytest.raises(ValueError):
-            en.family_from_json({"pipeline_version": 99, "matrices": []})
 
 
 class TestCoveringChain:
