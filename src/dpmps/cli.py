@@ -2,23 +2,25 @@
 
 Reads a JSON run configuration, dispatches to the solver, the oracles, or
 the commuting refinement, and writes a machine-readable result document.
-Exit codes: 0 success, 2 config error, 3 infeasible size guard, 4
-numerical failure.
+Exit codes: 0 success, 2 config error or unwritable output, 3 infeasible
+size guard, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
 
 from . import commuting as cm
 from . import dp, epsnet, oracle
-from .errors import (AnnihilationError, ConfigError, EmptyNetError,
-                     NetSizeError, NoAdmissibleSequenceError,
+from .errors import (AnnihilationError, ConfigError, ConvergenceError,
+                     EmptyNetError, NetSizeError, NoAdmissibleSequenceError,
                      NoAdmissibleTransitionError, NoFeasibleEigenspaceError,
                      SizeGuardError)
 from .hamiltonian import build_model, group_boundaries, is_commuting
@@ -145,7 +147,9 @@ def _epsilon_op_for(cfg: RunConfig, h_grouped) -> float | None:
 
 
 def execute(cfg: RunConfig) -> dict:
-    """Run the configured mode and return the result document."""
+    """Run the configured mode and return the result document.  With
+    `output.emit_mps` and an output path, a solve also returns the MPS
+    document under "mps"; `main` writes it beside the result."""
     res = _result_skeleton(cfg)
     t0 = time.perf_counter()
     try:
@@ -171,8 +175,7 @@ def execute(cfg: RunConfig) -> dict:
         if sr.epsilon_used >= 1.0:
             res["warnings"].append("certified epsilon exceeds 1: bounds vacuous")
         if cfg.emit_mps and cfg.out_path:
-            with open(cfg.out_path + ".mps.json", "w", encoding="utf-8") as f:
-                json.dump(mps_to_json(sr.omega), f)
+            res["mps"] = mps_to_json(sr.omega)
     elif cfg.mode == "oracle":
         gt = oracle.exact_ground(h0)
         res.update({"e_exact": gt.e0, "degeneracy": gt.degeneracy,
@@ -273,23 +276,47 @@ def main(argv=None) -> int:
     except (NetSizeError, SizeGuardError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (AnnihilationError, EmptyNetError, NoAdmissibleSequenceError,
-            NoAdmissibleTransitionError, NoFeasibleEigenspaceError) as exc:
+    except (AnnihilationError, ConvergenceError, EmptyNetError,
+            NoAdmissibleSequenceError, NoAdmissibleTransitionError,
+            NoFeasibleEigenspaceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    mps_doc = res.pop("mps", None)
     text = json.dumps(res, indent=2, default=float)
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
-        if cfg.verbose:
-            print(f"wrote {cfg.out_path}")
-    else:
+    if not cfg.out_path:
         print(text)
+        return 0
+    files = [(cfg.out_path, text + "\n")]
+    if mps_doc is not None:
+        files.append((cfg.out_path + ".mps.json", json.dumps(mps_doc)))
+    try:
+        _write_all(files)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    if cfg.verbose:
+        print(f"wrote {cfg.out_path}")
     return 0
+
+
+def _write_all(files: list):
+    """Write each (path, text) in order.  If one fails, remove the files
+    this call opened, so a failed run leaves no partial output."""
+    opened = []
+    try:
+        for path, text in files:
+            with open(path, "w", encoding="utf-8") as f:
+                opened.append(path)
+                f.write(text)
+    except OSError:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 if __name__ == "__main__":

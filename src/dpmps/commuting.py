@@ -7,6 +7,8 @@ left-to-right pass the state is an exact eigenstate of every term and its
 energy is the sum of the chosen eigenvalues.  A projection onto an
 eigenspace with weight c multiplies the energy surplus by at most
 (1 + 1/n) when c >= 1/(k n^2), which telescopes to a factor below e.
+Projectors and terms are applied to the state vector by reshape
+(`hamiltonian.apply_term`); no 2^n x 2^n matrix is formed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnnihilationError, NoFeasibleEigenspaceError
-from .hamiltonian import NnHamiltonian, to_dense_hamiltonian, _embed
+from .hamiltonian import NnHamiltonian, apply_hamiltonian, apply_term
 from .mps import CanonicalMps, canonicalize, to_dense
 
 ANNIHILATION_TOL = 1e-12
@@ -64,12 +66,6 @@ def eig_projectors(hterm: np.ndarray, cluster_tol: float = 1e-8) -> EigDecomp:
                      k=len(groups))
 
 
-def _embedded(op: np.ndarray, dims: list, site: int) -> np.ndarray:
-    left = int(np.prod(dims[:site])) if site else 1
-    right = int(np.prod(dims[site + 2:])) if site + 2 < len(dims) else 1
-    return _embed(op, left, right)
-
-
 def apply_projector(m: CanonicalMps, p: np.ndarray, site: int):
     """Project onto an eigenspace of the term on (site, site+1), 0-based,
     and renormalize.  Returns (new state, weight c = <psi|P|psi>).
@@ -78,9 +74,8 @@ def apply_projector(m: CanonicalMps, p: np.ndarray, site: int):
     the bond dimension grows at most by the d^2 factor of the two-site
     operator.
     """
-    dims = m.dims
     v = to_dense(m)
-    w = _embedded(np.asarray(p, dtype=complex), list(dims), site) @ v
+    w = apply_term(np.asarray(p, dtype=complex), v, m.dims, site)
     nrm = float(np.linalg.norm(w))
     if nrm <= ANNIHILATION_TOL:
         raise AnnihilationError(
@@ -89,13 +84,6 @@ def apply_projector(m: CanonicalMps, p: np.ndarray, site: int):
     out = canonicalize(w / nrm, m.n, m.d, None, m.d_end, mode="strict",
                        s=m.s)
     return out, nrm * nrm
-
-
-def projector_weight(m: CanonicalMps, p: np.ndarray, site: int) -> float:
-    """<psi|P|psi> without modifying the state."""
-    v = to_dense(m)
-    w = _embedded(np.asarray(p, dtype=complex), list(m.dims), site) @ v
-    return float(np.vdot(v, w).real)
 
 
 def refine_to_eigenstate(omega: CanonicalMps, h: NnHamiltonian,
@@ -108,7 +96,6 @@ def refine_to_eigenstate(omega: CanonicalMps, h: NnHamiltonian,
     is below a third of the gap.  Ties go to the lowest eigenspace index.
     """
     n = h.n
-    mat = to_dense_hamiltonian(h)
     state = omega
     chosen = []
     picked_eigenvalues = []
@@ -117,13 +104,12 @@ def refine_to_eigenstate(omega: CanonicalMps, h: NnHamiltonian,
         v = to_dense(state)
         best = None
         for j, p in enumerate(dec.projectors):
-            pe = _embedded(p, list(state.dims), t)
-            w = pe @ v
+            w = apply_term(p, v, state.dims, t)
             c = float(np.vdot(v, w).real)
             if c < 1.0 / (dec.k * n * n):
                 continue
             wn = w / np.linalg.norm(w)
-            e = float(np.vdot(wn, mat @ wn).real)
+            e = float(np.vdot(wn, apply_hamiltonian(h, wn)).real)
             if best is None or e < best[0] - 1e-14:
                 best = (e, j, c)
         if best is None:
@@ -147,8 +133,7 @@ def verify_eigenstate(state: CanonicalMps, h: NnHamiltonian,
     v = to_dense(state)
     out = []
     for t, term in enumerate(h.terms):
-        pe = _embedded(np.asarray(term, dtype=complex), list(state.dims), t)
-        w = pe @ v
+        w = apply_term(np.asarray(term, dtype=complex), v, state.dims, t)
         expect = float(np.vdot(v, w).real)
         vals = np.linalg.eigvalsh(np.asarray(term, dtype=complex))
         e = float(vals[np.argmin(np.abs(vals - expect))])

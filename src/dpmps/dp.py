@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from .epsnet import (BoundaryNet, PairNet, build_end_net, build_pair_net,
-                     certified_epsilon)
+                     certified_epsilon, left_gram)
 from .errors import NoAdmissibleTransitionError, SizeGuardError
 from .hamiltonian import NnHamiltonian
 from .mps import CanonicalMps, expectation_full, mu_of
@@ -114,8 +114,7 @@ def left_defect(lam, b, lam_next) -> DefectMatrix:
     lam = np.asarray(lam, dtype=float)
     b = np.asarray(b)
     lam_next = np.asarray(lam_next, dtype=float)
-    cols = (lam[:, None, None] * b).reshape(-1, b.shape[2])
-    g = cols.conj().T @ cols
+    g = left_gram(lam, b)
     r = g - np.diag(np.diag(g))
     mu = mu_of(lam, b)
     return DefectMatrix(delta=r + np.diag(lam_next**2 - mu**2))

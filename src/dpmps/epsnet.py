@@ -241,13 +241,19 @@ def certified_epsilon(d: int, D: int, delta: float) -> float:
     return 2.0 * 59.0 * (d * D) * delta
 
 
-def left_gram_offdiag(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """max over beta != beta' of |<(lambda B)_beta | (lambda B)_beta'>|,
-    over the leading axes of lam (..., D) and b (..., D, d, D)."""
+def left_gram(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gram matrix <(lambda B)_beta | (lambda B)_beta'> of the columns of
+    lambda B, over the leading axes of lam (..., D) and b (..., D, d, D)."""
     cols = lam[..., :, None, None] * b
     # rows (alpha, i), columns beta; the Gram matrix is over the columns
     cols = cols.reshape(cols.shape[:-3] + (-1, b.shape[-1]))
-    g = np.abs(np.matmul(cols.conj().swapaxes(-1, -2), cols))
+    return np.matmul(cols.conj().swapaxes(-1, -2), cols)
+
+
+def left_gram_offdiag(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max over beta != beta' of |<(lambda B)_beta | (lambda B)_beta'>|,
+    over the leading axes of lam (..., D) and b (..., D, d, D)."""
+    g = np.abs(left_gram(lam, b))
     diag = np.arange(b.shape[-1])
     g[..., diag, diag] = 0.0
     return g.max(axis=(-2, -1))

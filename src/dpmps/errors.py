@@ -2,8 +2,8 @@
 
 The CLI maps these onto exit codes: infeasibility guards (net caps,
 enumeration explosion, dense-size guards) exit with 3, numerical failures
-(annihilated states, empty DP lists, infeasible eigenspace selection)
-exit with 4.
+(annihilated states, empty DP lists, infeasible eigenspace selection, an
+eigensolver that does not converge) exit with 4.
 """
 
 
@@ -41,6 +41,10 @@ class AnnihilationError(RuntimeError):
 
 class NoFeasibleEigenspaceError(RuntimeError):
     """No eigenspace passes the weight threshold of the projection lemma."""
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative eigensolver did not reach its residual tolerance."""
 
 
 class ConfigError(ValueError):

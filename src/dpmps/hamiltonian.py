@@ -3,7 +3,8 @@
 A Hamiltonian on n sites is a list of n-1 Hermitian two-site terms, term j
 acting on sites (j, j+1), together with per-site physical dimensions.
 Single-site fields are folded into bond terms so the two-site term list is
-the complete description.
+the complete description.  `apply_hamiltonian` applies H to a state vector
+term by term, so the eigensolvers never build the dense 2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -209,8 +210,26 @@ def is_commuting(h: NnHamiltonian, tol: float = 1e-10) -> bool:
     return True
 
 
+def apply_term(term: np.ndarray, v: np.ndarray, dims, site: int) -> np.ndarray:
+    """The two-site operator `term` on (site, site+1), 0-based, applied to
+    the state vector v over per-site dimensions dims, without forming the
+    identity-padded matrix: v is viewed as (left, d_site d_site+1, right)
+    and the term multiplies the middle axis."""
+    x = v.reshape(math.prod(dims[:site]), dims[site] * dims[site + 1], -1)
+    return np.matmul(term, x).reshape(v.shape)
+
+
+def apply_hamiltonian(h: NnHamiltonian, v: np.ndarray) -> np.ndarray:
+    """H v as the sum of the terms applied one by one."""
+    out = apply_term(h.terms[0], v, h.dims, 0)
+    for j in range(1, h.n - 1):
+        out += apply_term(h.terms[j], v, h.dims, j)
+    return out
+
+
 def to_dense_hamiltonian(h: NnHamiltonian) -> np.ndarray:
-    """Sum of identity-padded terms as one dense Hermitian matrix."""
+    """Sum of identity-padded terms as one dense Hermitian matrix; the small-n
+    reference for the matrix-free `apply_hamiltonian`."""
     total = h.total_dim
     if total > DENSE_DIM_GUARD:
         raise SizeGuardError(f"Hilbert dimension {total} exceeds {DENSE_DIM_GUARD}")

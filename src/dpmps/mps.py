@@ -311,16 +311,6 @@ def expectation_full(m: CanonicalMps, h) -> float:
     return float(val.real)
 
 
-def two_site_expectation(m: CanonicalMps, op, site: int) -> float:
-    """Normalized expectation of a two-site operator on (site, site+1), 0-based."""
-    tensors = m.site_tensors()
-    left, right = _transfer_envs(tensors)
-    overlap = np.einsum("ab,aic,bic->", left[-1], tensors[-1].conj(),
-                        tensors[-1], optimize=True)
-    val = _two_site_value(tensors, left[site], right[site + 1], op, site) / overlap
-    return float(val.real)
-
-
 def align_phase(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Rotate v by a global phase so its largest-overlap alignment with ref
     is real positive; used for phase-insensitive dense comparisons."""

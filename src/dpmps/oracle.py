@@ -1,8 +1,9 @@
 """Ground-truth computations the solver is checked against.
 
-Exact diagonalization and an independent power-iteration eigensolver give
-reference energies; brute-force enumeration over net assignments realizes
-the DP's search space directly; a greedy single-site sweep provides the
+A matrix-free Lanczos eigensolver (H applied term by term) and an
+independent dense power-iteration eigensolver give reference energies;
+brute-force enumeration over net assignments realizes the DP's search
+space directly; a greedy single-site sweep provides the
 local-minimum baseline that the trap instances defeat.
 """
 
@@ -13,13 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .epsnet import BoundaryNet, PairNet
-from .errors import NoAdmissibleSequenceError, SizeGuardError
-from .hamiltonian import NnHamiltonian, to_dense_hamiltonian
+from .errors import (ConvergenceError, NoAdmissibleSequenceError,
+                     SizeGuardError)
+from .hamiltonian import (DENSE_DIM_GUARD, NnHamiltonian, apply_hamiltonian,
+                          to_dense_hamiltonian)
 from .mps import (CanonicalMps, local_energy, local_energy_left,
                   local_energy_right)
 
 DEGENERACY_TOL = 1e-9
 ENUM_GUARD = 10**8
+KRYLOV_DIM = 64             # Lanczos basis size between restarts
+LANCZOS_MAX_RESTARTS = 200  # restarts before ConvergenceError
+LANCZOS_TOL = 1e-12         # residual bound relative to the bound on ||H||
+LANCZOS_SEED = 7
 
 
 @dataclass
@@ -33,15 +40,87 @@ class GroundTruth:
 
 
 def exact_ground(h: NnHamiltonian) -> GroundTruth:
-    """Dense Hermitian eigendecomposition of the full Hamiltonian."""
-    mat = to_dense_hamiltonian(h)
-    vals, vecs = np.linalg.eigh(mat)
-    e0 = float(vals[0])
-    cluster = vals <= e0 + DEGENERACY_TOL
-    deg = int(cluster.sum())
-    gap = float(vals[deg] - e0) if deg < len(vals) else 0.0
-    return GroundTruth(e0=e0, ground_vector=vecs[:, 0], degeneracy=deg,
+    """Ground energy, its degeneracy and the gap above it, by Lanczos with H
+    applied term by term (no dense matrix).
+
+    The ground vector is found first.  Each further eigenvector is sought in
+    the orthogonal complement of those already found (they are locked),
+    until the first eigenvalue above e0 + DEGENERACY_TOL, which sets the
+    gap; the gap is 0 when every eigenvalue lies within the tolerance.
+    """
+    dim = h.total_dim
+    if dim > DENSE_DIM_GUARD:
+        raise SizeGuardError(f"Hilbert dimension {dim} exceeds {DENSE_DIM_GUARD}")
+    scale = max(1.0, h.J * (h.n - 1))       # bounds the norm of H
+    rng = np.random.default_rng(LANCZOS_SEED)
+    e0, ground = _lowest_eigenpair(h, np.empty((0, dim), dtype=complex),
+                                   rng, scale)
+    locked = ground[None, :]
+    gap = 0.0
+    while len(locked) < dim:
+        e, x = _lowest_eigenpair(h, locked, rng, scale)
+        if e > e0 + DEGENERACY_TOL:
+            gap = e - e0
+            break
+        locked = np.vstack([locked, x])
+    return GroundTruth(e0=e0, ground_vector=ground, degeneracy=len(locked),
                        gap=gap)
+
+
+def _lowest_eigenpair(h: NnHamiltonian, locked: np.ndarray, rng,
+                      scale: float) -> tuple:
+    """Lowest eigenpair of H on the orthogonal complement of the locked rows.
+
+    Lanczos from a random complex start, every new vector orthogonalised
+    against all earlier ones and the locked rows.  When the basis holds
+    KRYLOV_DIM vectors it is restarted from its lowest half of Ritz vectors
+    (a thick restart, which separates close eigenvalues that a restart from
+    one Ritz vector resolves only slowly).  Returns once the lowest Ritz pair
+    has ||H x - theta x|| <= LANCZOS_TOL * scale, the part along the locked
+    rows left out; raises ConvergenceError after LANCZOS_MAX_RESTARTS
+    restarts.
+    """
+    dim = h.total_dim
+    steps = min(KRYLOV_DIM, dim - len(locked))
+    basis = np.empty((steps, dim), dtype=complex)
+    hbasis = np.empty((steps, dim), dtype=complex)      # H applied to basis
+    x = _project_out(rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
+                     locked)
+    basis[0] = x / np.linalg.norm(x)
+    hbasis[0] = apply_hamiltonian(h, basis[0])
+    k, resid = 1, np.inf
+    for _ in range(LANCZOS_MAX_RESTARTS + 1):
+        while k < steps:
+            w = _project_out(_project_out(hbasis[k - 1], basis[:k]), locked)
+            nrm = np.linalg.norm(w)
+            if nrm <= LANCZOS_TOL * scale:      # invariant Krylov space
+                break
+            basis[k] = w / nrm
+            hbasis[k] = apply_hamiltonian(h, basis[k])
+            k += 1
+        vals, vecs = np.linalg.eigh(basis[:k].conj() @ hbasis[:k].T)
+        x = vecs[:, 0] @ basis[:k]
+        x /= np.linalg.norm(x)
+        hx = apply_hamiltonian(h, x)
+        resid = float(np.linalg.norm(_project_out(hx - vals[0] * x, locked)))
+        if resid <= LANCZOS_TOL * scale:
+            return float(vals[0]), x
+        keep = max(1, k // 2)
+        basis[:keep] = vecs[:, :keep].T @ basis[:k]
+        hbasis[:keep] = vecs[:, :keep].T @ hbasis[:k]
+        k = keep
+    raise ConvergenceError(
+        f"Lanczos residual {resid:.3e} above {LANCZOS_TOL * scale:.3e} "
+        f"after {LANCZOS_MAX_RESTARTS} restarts"
+    )
+
+
+def _project_out(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """w minus its components along the orthonormal rows, by classical
+    Gram-Schmidt applied twice."""
+    for _ in range(2):
+        w = w - (rows @ w.conj()).conj() @ rows
+    return w
 
 
 def power_iteration_ground(h: NnHamiltonian, iters: int = 20000,

@@ -255,7 +255,7 @@ def test_criterion_9_projection_lemma(capsys):
             dec = cm.eig_projectors(term)
             found = False
             for p in dec.projectors:
-                pe = cm._embedded(p, [2] * n, t)
+                pe = ham._embed(p, 2**t, 2**(n - t - 2))
                 w = pe @ v
                 c = float(np.vdot(v, w).real)
                 if c < 1.0 / (dec.k * n * n):

@@ -139,6 +139,53 @@ class TestMain:
         capsys.readouterr()
 
 
+class TestOutputFiles:
+    """A run whose output cannot be written exits 2 and leaves no file."""
+
+    def run(self, tmp_path, capsys, outp, **over):
+        path = tmp_path / "cfg.json"
+        doc = json.loads(cfg_text(**over))
+        doc["output"] = {"path": str(outp), "emit_mps": True}
+        path.write_text(json.dumps(doc))
+        code = cli.main(["--config", str(path)])
+        return code, capsys.readouterr().err
+
+    def test_missing_directory(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, tmp_path / "missing" / "r.json")
+        assert code == 2
+        assert err.startswith("error: cannot write output")
+        assert not (tmp_path / "missing").exists()
+
+    def test_result_unwritable_no_mps_written(self, tmp_path, capsys):
+        outp = tmp_path / "res.json"
+        outp.mkdir()
+        code, err = self.run(tmp_path, capsys, outp)
+        assert code == 2
+        assert err.startswith("error: cannot write output")
+        assert not (tmp_path / "res.json.mps.json").exists()
+
+    def test_mps_unwritable_result_removed(self, tmp_path, capsys):
+        outp = tmp_path / "res.json"
+        (tmp_path / "res.json.mps.json").mkdir()
+        code, err = self.run(tmp_path, capsys, outp)
+        assert code == 2
+        assert err.startswith("error: cannot write output")
+        assert not outp.exists()
+
+    def test_eigensolver_failure_exit_4(self, tmp_path, capsys, monkeypatch):
+        from dpmps import oracle
+
+        monkeypatch.setattr(oracle, "LANCZOS_MAX_RESTARTS", 0)
+        outp = tmp_path / "res.json"
+        code, err = self.run(
+            tmp_path, capsys, outp,
+            model={"name": "random_hermitian", "n": 10, "seed": 1},
+            run={"mode": "oracle"})
+        assert code == 4
+        assert err.startswith("numerical failure:")
+        assert not outp.exists()
+
+
 class TestBadInputExit2:
     """Malformed configs exit 2 with a config error and write no output."""
 

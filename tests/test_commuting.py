@@ -1,5 +1,7 @@
 """Tests for the eigenspace projection refinement."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,51 @@ def perturbed_ground(h, amount, which=5):
     v = vecs[:, 0] + amount * vecs[:, which]
     v /= np.linalg.norm(v)
     return mps.canonicalize(v, h.n, h.dims[1], None, h.dims[0])
+
+
+def dense_refine_choices(m, h):
+    """The refinement's eigenspace choices computed with dense matrices:
+    identity-padded projectors and the full Hamiltonian, as the loop was
+    written before it went matrix-free."""
+    n = h.n
+    hd = ham.to_dense_hamiltonian(h)
+    state, chosen = m, []
+    for t, term in enumerate(h.terms):
+        dec = cm.eig_projectors(term)
+        v = mps.to_dense(state)
+        best = None
+        for j, p in enumerate(dec.projectors):
+            w = ham._embed(p, 2**t, 2**(n - t - 2)) @ v
+            c = float(np.vdot(v, w).real)
+            if c < 1.0 / (dec.k * n * n):
+                continue
+            wn = w / np.linalg.norm(w)
+            e = float(np.vdot(wn, hd @ wn).real)
+            if best is None or e < best[0] - 1e-14:
+                best = (e, j, c)
+        _, j, c = best
+        w = ham._embed(dec.projectors[j], 2**t, 2**(n - t - 2)) @ v
+        state = mps.canonicalize(w / np.linalg.norm(w), n, m.d, None, m.d_end,
+                                 mode="strict", s=m.s)
+        chosen.append((t, j, c))
+    return chosen
+
+
+class TestApplyTerm:
+    def test_matches_dense_kron_on_grouped_chain(self):
+        h = ham.group_boundaries(
+            ham.build_model("random_hermitian", {}, 6, seed=3), 3)
+        assert h.dims == [4, 2, 2, 4]
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(h.total_dim) \
+            + 1j * rng.standard_normal(h.total_dim)
+        for t, term in enumerate(h.terms):
+            pe = ham._embed(term, math.prod(h.dims[:t]),
+                            math.prod(h.dims[t + 2:]))
+            got = ham.apply_term(term, v, h.dims, t)
+            assert np.abs(got - pe @ v).max() <= 1e-12
+        ref = ham.to_dense_hamiltonian(h) @ v
+        assert np.abs(ham.apply_hamiltonian(h, v) - ref).max() <= 1e-12
 
 
 class TestEigProjectors:
@@ -76,7 +123,7 @@ class TestApplyProjector:
         h = ham.build_model("rotated_classical", {}, 6, seed=4)
         p = cm.eig_projectors(h.terms[2]).projectors[0]
         out, c = cm.apply_projector(m, p, 2)
-        pe = cm._embedded(p, [2] * 6, 2)
+        pe = ham._embed(p, 2**2, 2**2)
         ref = pe @ v
         ref /= np.linalg.norm(ref)
         w = mps.to_dense(out)
@@ -127,7 +174,7 @@ class TestRefine:
                 dec = cm.eig_projectors(term)
                 found = False
                 for p in dec.projectors:
-                    pe = cm._embedded(p, list(m.dims), t)
+                    pe = ham._embed(p, 2**t, 2**(n - t - 2))
                     w = pe @ v
                     c = float(np.vdot(v, w).real)
                     if c < 1.0 / (dec.k * n * n):
@@ -155,6 +202,17 @@ class TestRefine:
         base = max(m.bond_dims)
         rr = cm.refine_to_eigenstate(m, h)
         assert max(rr.state.bond_dims) <= base * 4
+
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_dense_loop(self, seed):
+        h = ham.build_model("rotated_classical", {}, 8, seed=seed)
+        m = perturbed_ground(h, 0.1)
+        want = dense_refine_choices(m, h)
+        got = cm.refine_to_eigenstate(m, h).chosen
+        assert [(t, j) for t, j, _ in got] == [(t, j) for t, j, _ in want]
+        for (_, _, c), (_, _, c_ref) in zip(got, want):
+            assert abs(c - c_ref) <= 1e-12
 
 
 class TestVerifyEigenstate:

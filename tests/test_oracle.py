@@ -6,7 +6,24 @@ import pytest
 from dpmps import epsnet as en, oracle
 from dpmps import hamiltonian as ham
 from dpmps import mps
-from dpmps.errors import NoAdmissibleSequenceError, SizeGuardError
+from dpmps.errors import (ConvergenceError, NoAdmissibleSequenceError,
+                          SizeGuardError)
+
+CATALOG = ("zz_chain", "transverse_ising", "heisenberg", "random_hermitian",
+           "trap_model", "rotated_classical", "diagonal_commuting")
+
+
+def assert_matches_dense(h):
+    """Lanczos exact_ground against a dense eigh of the full matrix."""
+    gt = oracle.exact_ground(h)
+    vals, vecs = np.linalg.eigh(ham.to_dense_hamiltonian(h))
+    deg = int((vals <= vals[0] + oracle.DEGENERACY_TOL).sum())
+    gap = float(vals[deg] - vals[0]) if deg < len(vals) else 0.0
+    assert abs(gt.e0 - vals[0]) <= 1e-10
+    assert gt.degeneracy == deg
+    assert abs(gt.gap - gap) <= 1e-8
+    if deg == 1:
+        assert abs(np.vdot(vecs[:, 0], gt.ground_vector)) ** 2 >= 1 - 1e-10
 
 
 class TestExactGround:
@@ -33,6 +50,49 @@ class TestExactGround:
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             oracle.exact_ground(ham.build_model("zz_chain", {}, 16))
+
+
+class TestLanczos:
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_matches_dense_eigh(self, name, n):
+        assert_matches_dense(ham.build_model(name, {}, n, seed=n))
+
+    @pytest.mark.parametrize("name,params,n", [
+        ("rotated_classical", {}, 10),
+        ("heisenberg", {}, 10),
+        ("random_hermitian", {"d": 3}, 5),
+        # ground splitting 2e-8 (n=8) and 2e-10 (n=10, degenerate within
+        # the tolerance), with a first excited pair 1e-8 apart
+        ("transverse_ising", {"g": 0.1}, 8),
+        ("transverse_ising", {"g": 0.1}, 10),
+    ])
+    def test_matches_dense_eigh_hard_cases(self, name, params, n):
+        assert_matches_dense(ham.build_model(name, params, n, seed=1))
+
+    def test_two_sites_krylov_space_used_up(self):
+        # the Krylov space is the whole 4-dimensional space
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        heis = ham.build_model("heisenberg", {}, 3).terms[0]
+        for term in ((m + m.conj().T) / 2, heis, np.kron(ham.Z, ham.Z),
+                     np.eye(4, dtype=complex)):
+            assert_matches_dense(ham.NnHamiltonian(n=2, dims=[2, 2],
+                                                   terms=[term]))
+
+    @pytest.mark.parametrize("name", ["random_hermitian", "zz_chain"])
+    def test_repeat_calls_bitwise_identical(self, name):
+        h = ham.build_model(name, {}, 8, seed=2)
+        a, b = oracle.exact_ground(h), oracle.exact_ground(h)
+        assert (a.e0, a.degeneracy, a.gap) == (b.e0, b.degeneracy, b.gap)
+        assert np.array_equal(a.ground_vector, b.ground_vector)
+
+    def test_not_converged_raises(self, monkeypatch):
+        # one Krylov pass is not enough for this instance
+        monkeypatch.setattr(oracle, "LANCZOS_MAX_RESTARTS", 0)
+        with pytest.raises(ConvergenceError):
+            oracle.exact_ground(ham.build_model("random_hermitian", {}, 10,
+                                                seed=1))
 
 
 class TestEnumerateNetOptimum:
