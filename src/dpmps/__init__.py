@@ -1,10 +1,10 @@
 """Net-based dynamic programming for MPS ground states of 1D chains.
 
-Modules: tensor (dense tensor primitives), mps (canonical form and energy
-evaluation), hamiltonian (model catalog and boundary grouping), epsnet
-(grid nets of canonical tensors), dp (the stitched dynamic program and its
+Modules: mps (canonical form and energy evaluation), hamiltonian (model
+catalog, boundary grouping and matrix-free application), epsnet (grid nets
+of canonical tensors), dp (the stitched dynamic program and its
 certificates), oracle (ground truth), commuting (exact eigenstate
-refinement), cli (config-driven runner).
+refinement), errors (exception types), cli (config-driven runner).
 """
 
 from .dp import SolveResult, solve

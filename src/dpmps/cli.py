@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from . import commuting as cm
 from . import dp, epsnet, oracle
-from .errors import (AnnihilationError, ConfigError, ConvergenceError,
-                     EmptyNetError, NetSizeError, NoAdmissibleSequenceError,
+from .errors import (ConfigError, ConvergenceError, EmptyNetError,
+                     NetSizeError, NoAdmissibleSequenceError,
                      NoAdmissibleTransitionError, NoFeasibleEigenspaceError,
                      SizeGuardError)
 from .hamiltonian import build_model, group_boundaries, is_commuting
@@ -229,7 +229,7 @@ def execute(cfg: RunConfig) -> dict:
         k = 0 if cfg.start == "all_up" else h0.dims[0] - 1
         v = product_basis_state(h0.n, h0.dims[1], h0.dims[0], [k] * h0.n)
         start = canonicalize(v, h0.n, h0.dims[1], cfg.D, h0.dims[0])
-        e = oracle.local_sweep_baseline(h0, cfg.D, start, cfg.sweeps)
+        e = oracle.local_sweep_baseline(h0, start, cfg.sweeps)
         res.update({"e_baseline": e, "sweeps": cfg.sweeps,
                     "start": cfg.start})
     res["timings"]["total_ms"] = 1e3 * (time.perf_counter() - t0)
@@ -276,9 +276,8 @@ def main(argv=None) -> int:
     except (NetSizeError, SizeGuardError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (AnnihilationError, ConvergenceError, EmptyNetError,
-            NoAdmissibleSequenceError, NoAdmissibleTransitionError,
-            NoFeasibleEigenspaceError) as exc:
+    except (ConvergenceError, EmptyNetError, NoAdmissibleSequenceError,
+            NoAdmissibleTransitionError, NoFeasibleEigenspaceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except ConfigError as exc:

@@ -2,13 +2,13 @@
 
 The CLI maps these onto exit codes: infeasibility guards (net caps,
 enumeration explosion, dense-size guards) exit with 3, numerical failures
-(annihilated states, empty DP lists, infeasible eigenspace selection, an
-eigensolver that does not converge) exit with 4.
+(empty nets or DP lists, no admissible enumerated sequence, infeasible
+eigenspace selection, an eigensolver that does not converge) exit with 4.
 """
 
 
 class ShapeMismatchError(ValueError):
-    """Tensor axes paired for contraction have unequal extents."""
+    """Array shapes that must agree (state, dims, terms, tensors) do not."""
 
 
 class SizeGuardError(RuntimeError):
@@ -33,10 +33,6 @@ class NoAdmissibleTransitionError(RuntimeError):
 
 class NoAdmissibleSequenceError(RuntimeError):
     """Brute-force enumeration found no sequence satisfying all stitching bounds."""
-
-
-class AnnihilationError(RuntimeError):
-    """A projector annihilated the state (norm below tolerance)."""
 
 
 class NoFeasibleEigenspaceError(RuntimeError):

@@ -3,7 +3,7 @@
 A matrix-free Lanczos eigensolver (H applied term by term) and an
 independent dense power-iteration eigensolver give reference energies;
 brute-force enumeration over net assignments realizes the DP's search
-space directly; a greedy single-site sweep provides the
+space directly; a greedy single-site sweep, also matrix-free, provides the
 local-minimum baseline that the trap instances defeat.
 """
 
@@ -227,16 +227,20 @@ def _site_isometry(tensors: list, site: int) -> np.ndarray:
     return a.reshape(dim_l * d * dim_r, rl * d * rr)
 
 
-def local_sweep_baseline(h: NnHamiltonian, D: int, start: CanonicalMps,
+def local_sweep_baseline(h: NnHamiltonian, start: CanonicalMps,
                          sweeps: int = 4) -> float:
     """Greedy single-site coordinate descent from a given MPS.
 
     Each step minimizes the energy over one site tensor with all others
     fixed, via the generalized eigenproblem on the site subspace, and
     accepts the move only when it strictly lowers the energy.  The returned
-    energy is monotonically non-increasing in the number of sweeps.
+    energy is monotonically non-increasing in the number of sweeps.  H is
+    applied term by term to the state and to the site isometry's columns,
+    so no dense 2^n x 2^n matrix is formed.
     """
-    mat = to_dense_hamiltonian(h)
+    dim = h.total_dim
+    if dim > DENSE_DIM_GUARD:
+        raise SizeGuardError(f"Hilbert dimension {dim} exceeds {DENSE_DIM_GUARD}")
     tensors = [t.copy() for t in start.site_tensors()]
 
     def energy_of(ts):
@@ -245,14 +249,14 @@ def local_sweep_baseline(h: NnHamiltonian, D: int, start: CanonicalMps,
             v = np.tensordot(v, t, axes=([1], [0]))
             v = v.reshape(-1, v.shape[-1])
         v = v.reshape(-1)
-        return float((np.vdot(v, mat @ v) / np.vdot(v, v)).real), v
+        return float((np.vdot(v, apply_hamiltonian(h, v)) / np.vdot(v, v)).real)
 
-    energy, _ = energy_of(tensors)
+    energy = energy_of(tensors)
     order = list(range(start.n)) + list(range(start.n - 2, -1, -1))
     for _ in range(sweeps):
         for site in order:
             a = _site_isometry(tensors, site)
-            h_eff = a.conj().T @ mat @ a
+            h_eff = a.conj().T @ apply_hamiltonian(h, a)
             n_eff = a.conj().T @ a
             svals, u = np.linalg.eigh(n_eff)
             keep = svals > 1e-10
@@ -263,5 +267,4 @@ def local_sweep_baseline(h: NnHamiltonian, D: int, start: CanonicalMps,
                 new_t = (basis @ vecs[:, 0]).reshape(tensors[site].shape)
                 tensors[site] = new_t
                 energy = float(vals[0])
-    final, _ = energy_of(tensors)
-    return final
+    return energy_of(tensors)

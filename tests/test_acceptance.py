@@ -204,7 +204,7 @@ def test_criterion_7_trap_separation(capsys):
     h0 = ham.build_model("trap_model", {}, 6)
     start = mps.canonicalize(mps.product_basis_state(6, 2, 2, [0] * 6),
                              6, 2, 1, 2)
-    e_base = oracle.local_sweep_baseline(h0, 1, start, sweeps=4)
+    e_base = oracle.local_sweep_baseline(h0, start, sweeps=4)
     sr = dp.solve(grouped("trap_model", 6, 1), 1, 0.1)
     elapsed = time.time() - t0
     ok = (e_base == 6.0 and sr.e_alg <= 1.0

@@ -126,6 +126,17 @@ class TestMain:
         assert cli.main(["--config", str(path)]) == 3
         capsys.readouterr()
 
+    def test_baseline_size_guard_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        outp = tmp_path / "res.json"
+        doc = json.loads(cfg_text(model={"name": "zz_chain", "n": 15},
+                                  run={"mode": "baseline"}))
+        doc["output"] = {"path": str(outp)}
+        path.write_text(json.dumps(doc))
+        assert cli.main(["--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("infeasible:")
+        assert not outp.exists()
+
     def test_numerical_failure_exit_4(self, tmp_path, capsys, monkeypatch):
         from dpmps.errors import EmptyNetError
 

@@ -8,7 +8,6 @@ import pytest
 from dpmps import commuting as cm
 from dpmps import hamiltonian as ham
 from dpmps import mps, oracle
-from dpmps.errors import AnnihilationError
 
 
 def perturbed_ground(h, amount, which=5):
@@ -19,10 +18,11 @@ def perturbed_ground(h, amount, which=5):
     return mps.canonicalize(v, h.n, h.dims[1], None, h.dims[0])
 
 
-def dense_refine_choices(m, h):
-    """The refinement's eigenspace choices computed with dense matrices:
-    identity-padded projectors and the full Hamiltonian, as the loop was
-    written before it went matrix-free."""
+def dense_refine(m, h):
+    """The refinement's eigenspace choices and final state vector computed
+    with dense matrices: identity-padded projectors, the full Hamiltonian
+    and a canonicalization after every projection; the independent
+    reference for the matrix-free, one-vector pass."""
     n = h.n
     hd = ham.to_dense_hamiltonian(h)
     state, chosen = m, []
@@ -44,7 +44,7 @@ def dense_refine_choices(m, h):
         state = mps.canonicalize(w / np.linalg.norm(w), n, m.d, None, m.d_end,
                                  mode="strict", s=m.s)
         chosen.append((t, j, c))
-    return chosen
+    return chosen, mps.to_dense(state)
 
 
 class TestApplyTerm:
@@ -93,50 +93,6 @@ class TestEigProjectors:
         bad[0, 1] = 0.5
         with pytest.raises(ValueError):
             cm.eig_projectors(bad)
-
-
-class TestApplyProjector:
-    def test_identity_projector(self):
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        v /= np.linalg.norm(v)
-        m = mps.canonicalize(v, 6, 2, None, 2)
-        out, c = cm.apply_projector(m, np.eye(4, dtype=complex), 2)
-        assert np.isclose(c, 1.0)
-        w = mps.to_dense(out)
-        assert np.linalg.norm(mps.align_phase(w, v) - v) < 1e-10
-
-    def test_fixed_point_of_matching_projector(self):
-        v = mps.product_basis_state(4, 2, 2, [0] * 4)
-        m = mps.canonicalize(v, 4, 2, None, 2)
-        p00 = np.zeros((4, 4), dtype=complex)
-        p00[0, 0] = 1.0
-        out, c = cm.apply_projector(m, p00, 1)
-        assert np.isclose(c, 1.0)
-        assert np.abs(np.abs(mps.to_dense(out)) - np.abs(v)).max() < 1e-12
-
-    def test_matches_dense_application(self):
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        v /= np.linalg.norm(v)
-        m = mps.canonicalize(v, 6, 2, None, 2)
-        h = ham.build_model("rotated_classical", {}, 6, seed=4)
-        p = cm.eig_projectors(h.terms[2]).projectors[0]
-        out, c = cm.apply_projector(m, p, 2)
-        pe = ham._embed(p, 2**2, 2**2)
-        ref = pe @ v
-        ref /= np.linalg.norm(ref)
-        w = mps.to_dense(out)
-        assert np.linalg.norm(mps.align_phase(w, ref) - ref) < 1e-8
-        assert abs(c - np.vdot(v, pe @ v).real) < 1e-10
-
-    def test_annihilation(self):
-        v = mps.product_basis_state(4, 2, 2, [0] * 4)
-        m = mps.canonicalize(v, 4, 2, None, 2)
-        p11 = np.zeros((4, 4), dtype=complex)
-        p11[3, 3] = 1.0
-        with pytest.raises(AnnihilationError):
-            cm.apply_projector(m, p11, 1)
 
 
 class TestRefine:
@@ -203,16 +159,36 @@ class TestRefine:
         rr = cm.refine_to_eigenstate(m, h)
         assert max(rr.state.bond_dims) <= base * 4
 
-
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_dense_loop(self, seed):
         h = ham.build_model("rotated_classical", {}, 8, seed=seed)
         m = perturbed_ground(h, 0.1)
-        want = dense_refine_choices(m, h)
-        got = cm.refine_to_eigenstate(m, h).chosen
+        want, v_ref = dense_refine(m, h)
+        rr = cm.refine_to_eigenstate(m, h)
+        got = rr.chosen
         assert [(t, j) for t, j, _ in got] == [(t, j) for t, j, _ in want]
         for (_, _, c), (_, _, c_ref) in zip(got, want):
             assert abs(c - c_ref) <= 1e-12
+        v = mps.to_dense(rr.state)
+        assert np.linalg.norm(mps.align_phase(v, v_ref) - v_ref) <= 1e-10
+
+    def test_one_canonicalize_two_to_dense(self, monkeypatch):
+        h = ham.build_model("rotated_classical", {}, 6, seed=2)
+        m = perturbed_ground(h, 0.1)
+        calls = {"canonicalize": 0, "to_dense": 0}
+
+        def counting(name):
+            original = getattr(cm, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(cm, name, counting(name))
+        cm.refine_to_eigenstate(m, h)
+        assert calls == {"canonicalize": 1, "to_dense": 2}
 
 
 class TestVerifyEigenstate:
