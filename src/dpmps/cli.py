@@ -170,6 +170,7 @@ def execute(cfg: RunConfig) -> dict:
             "N": sr.N, "end_net_size": sr.n_end,
             "epsilon_cert": sr.epsilon_used, "epsilon_op": sr.epsilon_op,
             "assignment": sr.assignment, "digest": sr.digest,
+            "omega_defect_max": sr.omega_defect_max,
         })
         res["timings"].update(sr.timings)
         if sr.epsilon_used >= 1.0:

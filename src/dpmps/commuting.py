@@ -9,7 +9,9 @@ eigenspace with weight c multiplies the energy surplus by at most
 (1 + 1/n) when c >= 1/(k n^2), which telescopes to a factor below e.
 The pass holds the state as one dense vector, applies projectors and terms
 to it by reshape (`hamiltonian.apply_term`), so no 2^n x 2^n matrix is
-formed, and canonicalizes the result once at the end.
+formed, and canonicalizes the result once at the end.  Each distinct term
+is diagonalized once, and the final eigen-residual check reuses those
+decompositions.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ class EigDecomp:
     projectors: list
     eigenvalues: list
     k: int
+    spectrum: np.ndarray      # every eigenvalue of the term, ascending
 
 
 @dataclass
@@ -62,7 +65,19 @@ def eig_projectors(hterm: np.ndarray, cluster_tol: float = 1e-8) -> EigDecomp:
         projectors.append(v @ v.conj().T)
         eigenvalues.append(float(np.mean(vals[g])))
     return EigDecomp(projectors=projectors, eigenvalues=eigenvalues,
-                     k=len(groups))
+                     k=len(groups), spectrum=vals)
+
+
+def _term_decomps(h: NnHamiltonian) -> list:
+    """`eig_projectors` of every term, computed once per distinct term."""
+    cache, out = {}, []
+    for term in h.terms:
+        t = np.asarray(term, dtype=complex)
+        key = (t.shape, t.tobytes())
+        if key not in cache:
+            cache[key] = eig_projectors(t)
+        out.append(cache[key])
+    return out
 
 
 def refine_to_eigenstate(omega: CanonicalMps, h: NnHamiltonian) -> RefineResult:
@@ -78,10 +93,10 @@ def refine_to_eigenstate(omega: CanonicalMps, h: NnHamiltonian) -> RefineResult:
     """
     n = h.n
     v = to_dense(omega)
+    decomps = _term_decomps(h)
     chosen = []
     picked_eigenvalues = []
-    for t, term in enumerate(h.terms):
-        dec = eig_projectors(term)
+    for t, dec in enumerate(decomps):
         best = None
         for j, p in enumerate(dec.projectors):
             w = apply_term(p, v, omega.dims, t)
@@ -101,20 +116,24 @@ def refine_to_eigenstate(omega: CanonicalMps, h: NnHamiltonian) -> RefineResult:
         chosen.append((t, j, c))
         picked_eigenvalues.append(dec.eigenvalues[j])
     state = canonicalize(v, n, omega.d, None, omega.d_end, s=omega.s)
-    residuals = verify_eigenstate(state, h)
+    residuals = verify_eigenstate(state, h, decomps)
     return RefineResult(state=state, energy=float(sum(picked_eigenvalues)),
                         chosen=chosen, residuals=residuals)
 
 
-def verify_eigenstate(state: CanonicalMps, h: NnHamiltonian) -> list:
+def verify_eigenstate(state: CanonicalMps, h: NnHamiltonian,
+                      decomps: list | None = None) -> list:
     """Per term, the norm of H_term |psi> - e |psi> with e the term
-    eigenvalue nearest to the term expectation."""
+    eigenvalue nearest to the term expectation.  `decomps` are the terms'
+    `_term_decomps`; computed here when not given."""
+    if decomps is None:
+        decomps = _term_decomps(h)
     v = to_dense(state)
     out = []
-    for t, term in enumerate(h.terms):
+    for t, (term, dec) in enumerate(zip(h.terms, decomps)):
         w = apply_term(np.asarray(term, dtype=complex), v, state.dims, t)
         expect = float(np.vdot(v, w).real)
-        vals = np.linalg.eigvalsh(np.asarray(term, dtype=complex))
+        vals = dec.spectrum
         e = float(vals[np.argmin(np.abs(vals - expect))])
         out.append(float(np.linalg.norm(w - e * v)))
     return out

@@ -9,11 +9,20 @@ go to the predecessor with the lowest net index.
 
 Admissibility depends on p only through lambda_p, and the net holds few
 distinct lambda vectors, so `solve` builds it once per solve as an
-N x |lambda-net| matrix.  The N x N transition energies depend only on the
+N x |lambda-net| matrix.  The transition energies depend only on the
 term, so `solve` recomputes them only when a term differs from the
-previous site's, and keeps at most one such matrix alive; before the
-first one it raises SizeGuardError if that matrix would not fit in
-physical memory.  The returned sandwich bounds are
+previous site's, and keeps at most one such matrix alive: a real N x N
+matrix E[p, q] in C order, which the DP step min-reduces in blocks of p
+rows.  Before the first one it raises SizeGuardError if that matrix
+(8 N^2 bytes) and one complex row chunk would not fit in physical memory.
+
+The boundary energies of the first and last terms come from one kernel
+that walks the end net in chunks.  `initial_list` keeps a running
+(min, argmin) over the chunks, and the right end evaluates the live
+pairs of the last list only, so no (end net) x N array is formed.  At
+D=1 both are bitwise equal to the per-end-tensor einsum loop they
+replaced, and the transition matrix is bitwise the transpose of the
+q x p product.  The returned sandwich bounds are
 
     e_alg - 6 J n eps  <=  e_exact  <=  e_true  <=  e_alg + 1.5 J D^2 n^2 eps.
 """
@@ -35,7 +44,8 @@ from .errors import NoAdmissibleTransitionError, SizeGuardError
 from .hamiltonian import NnHamiltonian
 from .mps import CanonicalMps, expectation_full, mu_of
 
-CHUNK = 256
+CHUNK = 256             # rows per transition-matrix chunk
+BLOCK_ELEMENTS = 1 << 15  # entries per boundary or min-reduce block
 
 
 @dataclass
@@ -57,15 +67,15 @@ class DpList:
 
 @dataclass
 class DefectMatrix:
-    """Left-canonical defect Delta of a (lambda, B, lambda_next) triplet:
+    """Left-canonical defect Delta of (lambda, B, lambda_next) triplets:
     the off-diagonal Gram matrix of the (lambda B) columns plus the
-    diagonal mismatch |lambda_next|^2 - |mu|^2."""
+    diagonal mismatch |lambda_next|^2 - |mu|^2, over any leading axes."""
 
     delta: np.ndarray
 
     @property
     def max_abs(self) -> float:
-        return float(np.abs(self.delta).max())
+        return float(np.abs(self.delta).max(initial=0.0))
 
 
 @dataclass
@@ -83,6 +93,7 @@ class SolveResult:
     N: int
     n_end: int
     assignment: list
+    omega_defect_max: float     # largest junction defect entry of omega
     timings: dict = field(default_factory=dict)
 
     @property
@@ -110,26 +121,31 @@ def epsilon_for_target(target_error: float, J: float, D: int, n: int) -> float:
 
 
 def left_defect(lam, b, lam_next) -> DefectMatrix:
-    """Defect matrix of one DP junction."""
+    """Defect matrices of DP junctions, over the leading axes of lam
+    (..., D), b (..., D, d, D) and lam_next (..., D)."""
     lam = np.asarray(lam, dtype=float)
     b = np.asarray(b)
     lam_next = np.asarray(lam_next, dtype=float)
-    g = left_gram(lam, b)
-    r = g - np.diag(np.diag(g))
-    mu = mu_of(lam, b)
-    return DefectMatrix(delta=r + np.diag(lam_next**2 - mu**2))
+    delta = left_gram(lam, b)
+    diag = np.arange(b.shape[-1])
+    delta[..., diag, diag] = lam_next**2 - mu_of(lam, b)**2
+    return DefectMatrix(delta=delta)
 
 
-def _chunked_matmul(g_flat, t2_flat, threads: int) -> np.ndarray:
-    """g_flat @ t2_flat.T with fixed-size row chunks; chunk boundaries do
+def _chunked_matmul(a, b, threads: int) -> np.ndarray:
+    """Real part of (a @ b.T).T in C order.  Each fixed-size row chunk of a
+    gives one complex product a[chunk] @ b.T, written transposed into its
+    column block, so only one chunk per worker is alive at a time.  The
+    products are those of the unchunked q x p layout (a p x q product
+    rounds differently in BLAS edge tiles), and the chunk boundaries do
     not depend on the thread count, so results are bitwise identical."""
-    rows = g_flat.shape[0]
-    out = np.empty((rows, t2_flat.shape[0]), dtype=complex)
+    rows = a.shape[0]
+    out = np.empty((b.shape[0], rows))
     spans = [(i, min(i + CHUNK, rows)) for i in range(0, rows, CHUNK)]
 
     def work(span):
         lo, hi = span
-        out[lo:hi] = g_flat[lo:hi] @ t2_flat.T
+        out[:, lo:hi] = (a[lo:hi] @ b.T).real.T
 
     if threads <= 1 or len(spans) == 1:
         for sp in spans:
@@ -142,8 +158,8 @@ def _chunked_matmul(g_flat, t2_flat, threads: int) -> np.ndarray:
 
 def transition_energies(net: PairNet, hterm: np.ndarray,
                         threads: int = 1) -> np.ndarray:
-    """Matrix E[q, p] of windowed energies of the term between a pair q at
-    the left site and a pair p at the right site."""
+    """Real matrix E[p, q], C order: windowed energy of the term between a
+    pair q at the left site and a pair p at the right site."""
     lam, b = net.lam, net.b
     d = b.shape[2]
     h = np.asarray(hterm).reshape(d, d, d, d)
@@ -151,9 +167,8 @@ def transition_energies(net: PairNet, hterm: np.ndarray,
     t1 = np.einsum("qaix,qaky->qxiyk", m.conj(), m, optimize=True)
     t2 = np.einsum("pxjb,pylb->pxjyl", b.conj(), b, optimize=True)
     g = np.einsum("qxiyk,ijkl->qxjyl", t1, h, optimize=True)
-    e = _chunked_matmul(g.reshape(net.size, -1), t2.reshape(net.size, -1),
-                        threads)
-    return e.real
+    return _chunked_matmul(g.reshape(net.size, -1), t2.reshape(net.size, -1),
+                           threads)
 
 
 def stitching_mask(net: PairNet, epsilon_op: float) -> np.ndarray:
@@ -170,12 +185,12 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
                 mask: np.ndarray | None = None) -> DpList:
     """One DP step: best admissible predecessor for every net pair.
 
-    `e_trans` and `mask` are the site-independent inputs from
-    `transition_energies` and `stitching_mask`; either not given is
-    computed here.  The step reads `e_trans` by columns, so it is fastest
-    in Fortran order.  For each lambda class (`net.lam_class`) the
-    min-reduce runs over the live predecessors admissible for that class
-    only.  Ties at the argmin go to the predecessor with the lowest list
+    `e_trans` (p-major, as `transition_energies` returns it) and `mask` are
+    the site-independent inputs from `transition_energies` and
+    `stitching_mask`; either not given is computed here.  For each lambda
+    class (`net.lam_class`) the min-reduce runs over the live predecessors
+    admissible for that class only, in blocks of at most BLOCK_ELEMENTS
+    costs.  Ties at the argmin go to the predecessor with the lowest list
     index, which is the lowest net index since lists are index-sorted.
     """
     if len(prev) == 0:
@@ -193,14 +208,15 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
             continue
         cols = np.flatnonzero(net.lam_class == k)
         q = prev.pair_index[rows]
-        # cost[p, r] = E[q_r, p] + e_prev[r] for the pairs p of class k
-        cost = e_trans.T
-        if cols.size < size or q.size < size:
-            cost = cost[np.ix_(cols, q)]
-        cost = cost + prev.energy[rows]
-        arg = cost.argmin(axis=1)
-        tails[cols] = rows[arg]
-        best[cols] = cost[np.arange(cols.size), arg]
+        step = max(1, BLOCK_ELEMENTS // q.size)
+        for lo in range(0, cols.size, step):
+            p = cols[lo:lo + step]
+            # blk[i, r] = E[p_i, q_r] + e_prev[r]
+            blk = e_trans[p] if q.size == size else e_trans[np.ix_(p, q)]
+            blk += prev.energy[rows]
+            arg = blk.argmin(axis=1)
+            tails[p] = rows[arg]
+            best[p] = blk[np.arange(p.size), arg]
     live = np.flatnonzero(np.isfinite(best))
     if live.size == 0:
         raise NoAdmissibleTransitionError(
@@ -210,14 +226,16 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
 
 
 def transition_size_guard(n_pairs: int, phys_bytes: int | None) -> None:
-    """Raise SizeGuardError when one complex N x N transition matrix
-    (16 N^2 bytes) would exceed `phys_bytes` of physical memory; None
-    (memory size unknown) passes."""
-    need = 16 * n_pairs * n_pairs
+    """Raise SizeGuardError when what one transition matrix allocates, the
+    real N x N matrix (8 N^2 bytes) plus one complex row chunk of CHUNK
+    rows (16 CHUNK N bytes), would exceed `phys_bytes` of physical
+    memory; None (memory size unknown) passes."""
+    need = 8 * n_pairs * n_pairs + 16 * min(CHUNK, n_pairs) * n_pairs
     if phys_bytes is not None and need > phys_bytes:
         raise SizeGuardError(
-            f"N={n_pairs} needs {need} bytes per transition matrix, "
-            f"more than the {phys_bytes} bytes of physical memory"
+            f"N={n_pairs} needs {need} bytes per transition matrix and "
+            f"its row chunk, more than the {phys_bytes} bytes of physical "
+            "memory"
         )
 
 
@@ -228,58 +246,78 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _boundary_left_energies(end_net: BoundaryNet, net: PairNet,
-                            hterm) -> np.ndarray:
-    """E[g, p]: windowed energy of the first term for boundary tensor g
-    and first interior pair p."""
-    lam, b = net.lam, net.b
-    d_end = end_net.tensors[0].shape[1]
-    d = b.shape[2]
-    h = np.asarray(hterm).reshape(d_end, d, d_end, d)
-    # every boundary tensor has the same shape, so one path serves them all
-    w_spec, val_spec = "ai,pa,pajb->pijb", "pijb,ijkl,pklb->p"
-    w_path = np.einsum_path(w_spec, end_net.tensors[0], lam, b,
-                            optimize=True)[0]
-    val_path = None
-    out = np.empty((end_net.size, net.size))
-    for gi, gam in enumerate(end_net.tensors):
-        w = np.einsum(w_spec, gam, lam, b, optimize=w_path)
-        if val_path is None:
-            val_path = np.einsum_path(val_spec, w.conj(), h, w,
-                                      optimize=True)[0]
-        val = np.einsum(val_spec, w.conj(), h, w, optimize=val_path)
-        out[gi] = val.real
-    return out
+def _boundary_energies(end_net: BoundaryNet, lam: np.ndarray, b: np.ndarray,
+                       hterm, end_left: bool):
+    """Windowed energies of a boundary term, in chunks of end tensors.
 
-
-def _boundary_right_energies(net: PairNet, end_net: BoundaryNet,
-                             hterm) -> np.ndarray:
-    """E[q, g]: windowed energy of the last term for interior pair q and
-    boundary tensor g."""
-    lam, b = net.lam, net.b
-    d = b.shape[2]
-    d_end = end_net.tensors[0].shape[1]
-    h = np.asarray(hterm).reshape(d, d_end, d, d_end)
-    w_spec, val_spec = "pa,paig,gj->paij", "paij,ijkl,pakl->p"
-    w_path = np.einsum_path(w_spec, lam, b, end_net.tensors[0],
-                            optimize=True)[0]
-    val_path = None
-    out = np.empty((net.size, end_net.size))
-    for gi, gam in enumerate(end_net.tensors):
-        w = np.einsum(w_spec, lam, b, gam, optimize=w_path)
-        if val_path is None:
-            val_path = np.einsum_path(val_spec, w.conj(), h, w,
-                                      optimize=True)[0]
-        val = np.einsum(val_spec, w.conj(), h, w, optimize=val_path)
-        out[:, gi] = val.real
-    return out
+    Yields (lo, E) with E[g - lo, p] the energy of boundary tensor g and
+    pair p = (lam[p], b[p]); the end site is the left site of the term
+    when `end_left`, else the right one.  Each chunk holds at most about
+    BLOCK_ELEMENTS product entries.  The steps are those numpy's
+    optimized einsum takes for one end tensor, with the end tensors as a
+    batch axis and in the same operand order, so at D=1 the energies are
+    bitwise those of a per-tensor einsum loop.
+    """
+    ends = np.stack(end_net.tensors)                     # (G, D, d_end)
+    P, D, d, _ = b.shape
+    ij = ends.shape[2] * d
+    lb = b * lam[:, :, None, None]                       # (P, a, s, c)
+    if end_left:
+        # w[g, t, s, c, p] = sum_a ends[g, a, t] lb[p, a, s, c]
+        lbt = np.ascontiguousarray(lb.transpose(1, 2, 3, 0))[:, None]
+        ends = ends[:, :, :, None, None, None]
+    else:
+        # w[g, s, t, a, p] = sum_c lb[p, a, s, c] ends[g, c, t]
+        lbt = np.ascontiguousarray(lb.transpose(3, 2, 1, 0))[:, :, None]
+        ends = ends[:, :, None, :, None, None]
+    hm = np.asarray(hterm).reshape(ij, ij).T              # (kl, ij)
+    step = max(1, BLOCK_ELEMENTS // (ij * D * P))
+    for lo in range(0, ends.shape[0], step):
+        chunk = ends[lo:lo + step]
+        w = lbt[0] * chunk[:, 0]                          # (g, i, j, e, P)
+        for a in range(1, D):
+            w += lbt[a] * chunk[:, a]
+        g = w.shape[0]
+        x = np.matmul(hm, w.conj().reshape(g, ij, D * P))  # (g, kl, e P)
+        # val[g, p] = sum over (e, kl) of x[g, kl, e, p] w[g, kl, e, p]
+        x = x.reshape(g, ij, D, P).transpose(0, 3, 2, 1)
+        w = w.reshape(g, ij, D, P).transpose(0, 3, 2, 1)
+        val = np.matmul(x.reshape(g, P, 1, D * ij),
+                        w.reshape(g, P, D * ij, 1))
+        yield lo, val.reshape(g, P).real
 
 
 def initial_list(end_net: BoundaryNet, net: PairNet, hterm) -> DpList:
-    """First DP list: each pair keeps its best boundary tensor."""
-    e0 = _boundary_left_energies(end_net, net, hterm)
-    return DpList(pair_index=np.arange(net.size),
-                  tail=e0.argmin(axis=0), energy=e0.min(axis=0))
+    """First DP list: each pair keeps its best boundary tensor.  A running
+    (min, argmin) over chunks of end tensors, updated on strict
+    improvement, so ties go to the lowest end tensor index."""
+    energy = np.full(net.size, np.inf)
+    tail = np.zeros(net.size, dtype=np.intp)
+    for lo, e in _boundary_energies(end_net, net.lam, net.b, hterm, True):
+        arg = e.argmin(axis=0)
+        val = e[arg, np.arange(net.size)]
+        better = val < energy
+        energy[better] = val[better]
+        tail[better] = lo + arg[better]
+    return DpList(pair_index=np.arange(net.size), tail=tail, energy=energy)
+
+
+def _close_list(last: DpList, end_net: BoundaryNet, net: PairNet,
+                hterm) -> tuple:
+    """(e_alg, g, q): the best total over boundary tensors g and positions
+    q of the last list.  Only the live pairs of `last` are evaluated.  Per
+    g the best q, then g in index order with strict improvement, so ties
+    go to the lowest (g, q)."""
+    best_val, best_g, best_q = np.inf, -1, -1
+    for lo, e in _boundary_energies(end_net, net.lam[last.pair_index],
+                                    net.b[last.pair_index], hterm, False):
+        total = last.energy + e
+        arg = total.argmin(axis=1)
+        val = total[np.arange(arg.size), arg]
+        gi = int(val.argmin())
+        if val[gi] < best_val:
+            best_val, best_g, best_q = float(val[gi]), lo + gi, int(arg[gi])
+    return best_val, best_g, best_q
 
 
 def solve(h: NnHamiltonian, D: int, delta: float,
@@ -315,24 +353,14 @@ def solve(h: NnHamiltonian, D: int, delta: float,
         key = hterm.tobytes()   # terms are complex arrays of one shape
         if key != term_key:
             e_trans = None      # free the previous matrix before the next
-            e_trans = np.asfortranarray(
-                transition_energies(pair_net, hterm, threads))
+            e_trans = transition_energies(pair_net, hterm, threads)
             term_key = key
         lists.append(extend_list(lists[-1], pair_net, hterm, epsilon_op,
                                  threads, e_trans=e_trans, mask=mask))
     e_trans = None          # not needed past the last interior site
 
-    last = lists[-1]
-    e_right = _boundary_right_energies(pair_net, end_net, h.terms[-1])
-    total = last.energy[:, None] + e_right[last.pair_index]
-    # scan boundary tensors in index order; strict improvement keeps the
-    # lowest-index winner on ties
-    best_val, best_g, best_q = np.inf, -1, -1
-    for gi in range(end_net.size):
-        col = total[:, gi]
-        qi = int(col.argmin())
-        if col[qi] < best_val:
-            best_val, best_g, best_q = float(col[qi]), gi, qi
+    best_val, best_g, best_q = _close_list(lists[-1], end_net, pair_net,
+                                           h.terms[-1])
     t_dp = time.perf_counter()
 
     # walk the back-pointers
@@ -353,6 +381,8 @@ def solve(h: NnHamiltonian, D: int, delta: float,
         gamma_right=np.asarray(end_net.tensors[best_g]),
     )
     e_true = expectation_full(omega, h)
+    defect = left_defect(pair_net.lam[chosen[:-1]], pair_net.b[chosen[:-1]],
+                         pair_net.lam[chosen[1:]])
     eps_cert = pair_net.epsilon_cert
     lower, upper_slack = error_bounds(best_val, h.J, n, D, eps_cert)
     t_end = time.perf_counter()
@@ -361,6 +391,7 @@ def solve(h: NnHamiltonian, D: int, delta: float,
         lower_bound=lower, upper_slack=upper_slack,
         epsilon_used=eps_cert, epsilon_op=epsilon_op, delta_used=delta,
         N=pair_net.size, n_end=end_net.size, assignment=assignment,
+        omega_defect_max=defect.max_abs,
         timings={
             "net_ms": 1e3 * (t_net - t0),
             "dp_ms": 1e3 * (t_dp - t_net),

@@ -246,7 +246,8 @@ def left_gram(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
     lambda B, over the leading axes of lam (..., D) and b (..., D, d, D)."""
     cols = lam[..., :, None, None] * b
     # rows (alpha, i), columns beta; the Gram matrix is over the columns
-    cols = cols.reshape(cols.shape[:-3] + (-1, b.shape[-1]))
+    cols = cols.reshape(cols.shape[:-3] + (b.shape[-3] * b.shape[-2],
+                                           b.shape[-1]))
     return np.matmul(cols.conj().swapaxes(-1, -2), cols)
 
 

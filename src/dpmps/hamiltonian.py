@@ -115,7 +115,11 @@ def build_model(name: str, params: dict | None, n: int,
     if n < 3:
         raise ConfigError(f"model {name!r} needs n >= 3, got {n}")
     rng = np.random.default_rng(seed)
-    d = int(params.pop("d", 2))
+    d = params.pop("d", 2)
+    if not (math.isfinite(d) and d == int(d) and d >= 2):
+        raise ConfigError(f"model {name!r}: param d must be an integer >= 2, "
+                          f"got {d!r}")
+    d = int(d)
     zz = np.kron(Z, Z)
 
     if name == "zz_chain":
@@ -157,6 +161,8 @@ def build_model(name: str, params: dict | None, n: int,
 
 def grouping_count(d: int, D: int) -> int:
     """s = max(1, smallest integer with d^s >= D)."""
+    if d < 2 and D > 1:
+        raise ValueError(f"site dimension {d} never reaches D={D}")
     s = 1
     while d**s < D:
         s += 1

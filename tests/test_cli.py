@@ -1,8 +1,11 @@
 """Tests for config parsing and the CLI run modes."""
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpmps import cli
 from dpmps.errors import ConfigError
@@ -50,6 +53,10 @@ class TestExecute:
                     "epsilon_cert", "epsilon_op", "digest"):
             assert key in res
         assert "certified epsilon exceeds 1: bounds vacuous" in res["warnings"]
+
+    def test_solve_reports_omega_defect(self):
+        res = cli.execute(cli.parse_config(cfg_text(model={"n": 5})))
+        assert 0.0 <= res["omega_defect_max"] <= 1e-12
 
     def test_oracle_heisenberg(self):
         res = cli.execute(cli.parse_config(cfg_text(
@@ -226,6 +233,15 @@ class TestBadInputExit2:
     def test_bool_integer_field(self, tmp_path, capsys, section, key):
         self.run(tmp_path, capsys, **{section: {key: True}})
 
+    @pytest.mark.parametrize("d,D,mode", [(1, 2, "solve"), (-1, 1, "oracle"),
+                                          (2.5, 1, "solve")])
+    def test_bad_site_dimension(self, tmp_path, capsys, d, D, mode):
+        # d=1 with D=2 looped forever in the boundary grouping, and d=-1
+        # exited 1 with a numpy ValueError
+        self.run(tmp_path, capsys,
+                 model={"name": "random_hermitian", "params": {"d": d}},
+                 solver={"D": D}, run={"mode": mode})
+
     def test_section_not_an_object(self, tmp_path, capsys):
         doc = json.loads(cfg_text())
         doc["solver"] = "x"
@@ -237,3 +253,68 @@ class TestBadInputExit2:
 
         monkeypatch.setattr(cli, "build_model", bad_model)
         self.run(tmp_path, capsys)
+
+
+# --- fuzzing `main` with generated configs
+
+MODELS = ("zz_chain", "transverse_ising", "heisenberg", "random_hermitian",
+          "trap_model", "rotated_classical", "diagonal_commuting")
+WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.lists(st.integers(-2, 2), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(),
+                                  max_size=1))
+
+
+def _field(good):
+    """A valid value, or now and then one of a wrong type.  Hypothesis
+    draws the ends of an integer range more often than its middle, so the
+    wrong type hangs on a middle value."""
+    return st.integers(0, 15).flatmap(lambda k: WRONG if k == 7 else good)
+
+
+def _section(required, optional):
+    return _field(st.fixed_dictionaries(
+        {k: _field(v) for k, v in required.items()},
+        optional={k: _field(v) for k, v in optional.items()}))
+
+
+CONFIGS = st.fixed_dictionaries({
+    "model": _section(
+        {"name": st.sampled_from(MODELS + ("no_such_model",)),
+         "n": st.integers(3, 5)},
+        {"seed": st.integers(0, 3),
+         "params": st.dictionaries(
+             st.sampled_from(("g", "d", "x")),
+             st.one_of(st.integers(-1, 4),
+                       st.floats(allow_nan=True, allow_infinity=True)),
+             max_size=2)}),
+    # cap is always given, so no net grows past 10^4 candidates
+    "solver": _section({"cap": st.integers(-1, 10**4)}, {
+        "D": st.integers(0, 2),
+        "delta": st.sampled_from((0.25, 0.5, 0.0, -0.1, 0.9)),
+        "epsilon_op": st.floats(1e-3, 10.0),
+        "target_error": st.floats(1e-3, 10.0),
+        "epsilon": st.floats(1e-3, 10.0)}),
+    "run": _section({"mode": st.sampled_from(cli.MODES)},
+                    {"sweeps": st.integers(-1, 2),
+                     "start": st.sampled_from(("all_up", "all_down"))}),
+    "output": _section({}, {"emit_mps": st.booleans()}),
+})
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(doc=CONFIGS)
+def test_fuzzed_config_keeps_exit_contract(doc):
+    """Any config exits 0, 2, 3 or 4, and a failed run leaves no file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        outp = os.path.join(tmp, "res.json")
+        if isinstance(doc.get("output"), dict):
+            doc["output"]["path"] = outp
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        code = cli.main(["--config", path])
+        assert code in (0, 2, 3, 4)
+        if code != 0:
+            assert os.listdir(tmp) == ["cfg.json"]

@@ -191,6 +191,28 @@ class TestRefine:
         assert calls == {"canonicalize": 1, "to_dense": 2}
 
 
+    def test_one_eigh_per_distinct_term(self, monkeypatch):
+        # zz_chain has one distinct term; refinement and verification share
+        # its decomposition
+        h = ham.build_model("zz_chain", {}, 8)
+        m = perturbed_ground(h, 0.1)
+        calls = {"eigh": 0, "eigvalsh": 0}
+
+        def counting(name):
+            original = getattr(np.linalg, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        rr = cm.refine_to_eigenstate(m, h)
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+        assert max(rr.residuals) <= 1e-12
+
+
 class TestVerifyEigenstate:
     def test_basis_eigenstate(self):
         h = ham.build_model("zz_chain", {}, 5)

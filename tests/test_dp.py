@@ -1,5 +1,7 @@
 """Tests for the dynamic program, its certificates, and determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,57 @@ def test_golden_solve_results(config, expect):
     h = ham.group_boundaries(ham.build_model(name, {}, n, seed), 1)
     sr = dp.solve(h, 1, delta)
     assert (sr.assignment, repr(sr.e_alg), sr.digest) == expect
+
+
+class TestOmegaDefect:
+    """`left_defect` over leading axes, and the realized junction defect
+    of the returned Omega that `solve` reports."""
+
+    @pytest.fixture(scope="class")
+    def d2_solve(self):
+        # a 1,500-pair sub-net of the D=2 delta=0.25 net keeps the solve small
+        eps = 0.05
+        net = en.build_pair_net(2, 2, 0.25, eps)
+        keep = np.sort(np.random.default_rng(0).choice(net.size, 1500,
+                                                       replace=False))
+        sub = dataclasses.replace(net, lam=net.lam[keep], b=net.b[keep],
+                                  mu=net.mu[keep],
+                                  lam_class=net.lam_class[keep])
+        h = grouped("heisenberg", 6, 2)
+        return dp.solve(h, 2, 0.25, epsilon_op=eps, pair_net=sub), sub, eps
+
+    def test_batched_matches_per_triplet(self):
+        rng = np.random.default_rng(2)
+        lam = np.abs(rng.standard_normal((5, 3)))
+        b = rng.standard_normal((5, 3, 2, 3)) \
+            + 1j * rng.standard_normal((5, 3, 2, 3))
+        lam_next = np.abs(rng.standard_normal((5, 3)))
+        batched = dp.left_defect(lam, b, lam_next)
+        for k in range(5):
+            one = dp.left_defect(lam[k], b[k], lam_next[k])
+            assert np.array_equal(batched.delta[k], one.delta)
+
+    def test_solve_reports_max_over_junctions(self, d2_solve):
+        sr, net, eps = d2_solve
+        chosen = sr.assignment[1:-1]
+        per_junction = [dp.left_defect(net.lam[q], net.b[q], net.lam[p])
+                        .max_abs for q, p in zip(chosen, chosen[1:])]
+        assert sr.omega_defect_max == max(per_junction)
+        assert 0.0 < sr.omega_defect_max <= 3 * eps + 4 * eps + 1e-12
+
+    def test_d1_defect_vanishes(self):
+        sr = dp.solve(grouped("transverse_ising", 6, 1), 1, 0.25)
+        assert sr.omega_defect_max <= 1e-12
+
+    def test_no_junction_at_n3(self):
+        sr = dp.solve(grouped("zz_chain", 3, 1), 1, 0.25)
+        assert len(sr.assignment) == 3
+        assert sr.omega_defect_max == 0.0
+
+    def test_left_out_of_digest(self, d2_solve):
+        sr = d2_solve[0]
+        moved = dataclasses.replace(sr, omega_defect_max=1.0)
+        assert moved.digest == sr.digest
 
 
 class TestErrorBounds:

@@ -1,5 +1,8 @@
 """Tests for the array DP step: equivalence with the dense N x N step, tie
-rule, empty steps, the transition memo and the transition size guard."""
+rule, empty steps, the transition memo and the transition size guard; and
+for the batched boundary energies and the p-major transition matrix
+against the per-tensor einsum loops and the q-major formula they
+replaced."""
 
 import dataclasses
 
@@ -64,10 +67,9 @@ def test_matches_dense_step_on_d2_sub_nets(sub_net, seed, epsilon_op):
     mask = dp.stitching_mask(net, epsilon_op)
     assert mask.shape[1] == 3 and 0.0 < mask.mean() < 1.0
     e_trans = dp.transition_energies(net, hterm)
-    # Fortran order, as `solve` passes it
-    out = dp.extend_list(prev, net, hterm, epsilon_op,
-                         e_trans=np.asfortranarray(e_trans))
-    live, tails, best = dense_extend(prev, net, e_trans, epsilon_op)
+    # p-major, as `solve` passes it; the dense step reads E[q, p]
+    out = dp.extend_list(prev, net, hterm, epsilon_op, e_trans=e_trans)
+    live, tails, best = dense_extend(prev, net, e_trans.T, epsilon_op)
     assert len(out) == live.size
     assert np.array_equal(out.pair_index, live)
     assert np.array_equal(out.tail, tails)
@@ -135,10 +137,165 @@ class TestSizeGuard:
         def never(*args, **kwargs):
             raise AssertionError("transition matrix attempted")
 
-        # 1,500 pairs need 36 MB per transition matrix
+        # 1,500 pairs need 18 MB per transition matrix
         monkeypatch.setattr(dp, "_physical_memory", lambda: 2**20)
         monkeypatch.setattr(dp, "transition_energies", never)
         monkeypatch.setattr(dp, "initial_list", never)
         h = ham.group_boundaries(ham.build_model("heisenberg", {}, 6), 2)
         with pytest.raises(SizeGuardError):
             dp.solve(h, 2, 0.25, epsilon_op=0.05, pair_net=sub_net(5))
+
+
+# --- the per-tensor einsum loops and the q-major formula replaced by the
+# batched boundary kernel and the p-major transition matrix
+
+def einsum_left_energies(end_net, net, hterm):
+    """E[g, p] by one einsum pair per boundary tensor."""
+    lam, b = net.lam, net.b
+    d_end, d = end_net.tensors[0].shape[1], b.shape[2]
+    h = np.asarray(hterm).reshape(d_end, d, d_end, d)
+    w_spec, val_spec = "ai,pa,pajb->pijb", "pijb,ijkl,pklb->p"
+    w_path = np.einsum_path(w_spec, end_net.tensors[0], lam, b,
+                            optimize=True)[0]
+    val_path = None
+    out = np.empty((end_net.size, net.size))
+    for gi, gam in enumerate(end_net.tensors):
+        w = np.einsum(w_spec, gam, lam, b, optimize=w_path)
+        if val_path is None:
+            val_path = np.einsum_path(val_spec, w.conj(), h, w,
+                                      optimize=True)[0]
+        out[gi] = np.einsum(val_spec, w.conj(), h, w, optimize=val_path).real
+    return out
+
+
+def einsum_right_energies(net, end_net, hterm):
+    """E[q, g] by one einsum pair per boundary tensor."""
+    lam, b = net.lam, net.b
+    d, d_end = b.shape[2], end_net.tensors[0].shape[1]
+    h = np.asarray(hterm).reshape(d, d_end, d, d_end)
+    w_spec, val_spec = "pa,paig,gj->paij", "paij,ijkl,pakl->p"
+    w_path = np.einsum_path(w_spec, lam, b, end_net.tensors[0],
+                            optimize=True)[0]
+    val_path = None
+    out = np.empty((net.size, end_net.size))
+    for gi, gam in enumerate(end_net.tensors):
+        w = np.einsum(w_spec, lam, b, gam, optimize=w_path)
+        if val_path is None:
+            val_path = np.einsum_path(val_spec, w.conj(), h, w,
+                                      optimize=True)[0]
+        out[:, gi] = np.einsum(val_spec, w.conj(), h, w,
+                               optimize=val_path).real
+    return out
+
+
+def einsum_close(last, end_net, net, hterm):
+    """The right-end scan over the full q x g energy matrix."""
+    e_right = einsum_right_energies(net, end_net, hterm)
+    total = last.energy[:, None] + e_right[last.pair_index]
+    best_val, best_g, best_q = np.inf, -1, -1
+    for gi in range(end_net.size):
+        col = total[:, gi]
+        qi = int(col.argmin())
+        if col[qi] < best_val:
+            best_val, best_g, best_q = float(col[qi]), gi, qi
+    return best_val, best_g, best_q
+
+
+def q_major_transitions(net, hterm):
+    """E[q, p], complex products in q x p order, in row chunks of 256."""
+    lam, b = net.lam, net.b
+    d = b.shape[2]
+    h = np.asarray(hterm).reshape(d, d, d, d)
+    m = lam[:, :, None, None] * b
+    t1 = np.einsum("qaix,qaky->qxiyk", m.conj(), m, optimize=True)
+    t2 = np.einsum("pxjb,pylb->pxjyl", b.conj(), b, optimize=True)
+    g = np.einsum("qxiyk,ijkl->qxjyl", t1, h, optimize=True)
+    g, t2 = g.reshape(net.size, -1), t2.reshape(net.size, -1)
+    e = np.empty((net.size, net.size), dtype=complex)
+    for lo in range(0, net.size, 256):
+        e[lo:lo + 256] = g[lo:lo + 256] @ t2.T
+    return e.real
+
+
+def kernel_left_energies(end_net, net, hterm):
+    out = np.empty((end_net.size, net.size))
+    for lo, e in dp._boundary_energies(end_net, net.lam, net.b, hterm, True):
+        out[lo:lo + len(e)] = e
+    return out
+
+
+@pytest.fixture(scope="module")
+def d1_nets():
+    """D=1 (pair net, end net) by delta.  At delta=0.05 every tenth end
+    tensor is kept, so the einsum loops stay fast."""
+    cache = {}
+
+    def make(delta):
+        if delta not in cache:
+            net = en.build_pair_net(1, 2, delta,
+                                    en.certified_epsilon(2, 1, delta))
+            end = en.build_end_net(1, 2, delta)
+            if delta < 0.1:
+                end = dataclasses.replace(end, tensors=end.tensors[::10])
+            cache[delta] = net, end
+        return cache[delta]
+
+    return make
+
+
+D1_MODELS = [("random_hermitian", 1), ("random_hermitian", 2),
+             ("random_hermitian", 3), ("transverse_ising", None)]
+
+
+@pytest.mark.parametrize("delta", [0.25, 0.1, 0.05])
+@pytest.mark.parametrize("name,seed", D1_MODELS)
+def test_boundary_kernel_bitwise_at_d1(d1_nets, delta, name, seed):
+    net, end = d1_nets(delta)
+    h = ham.group_boundaries(ham.build_model(name, {}, 6, seed), 1)
+    e0 = einsum_left_energies(end, net, h.terms[0])
+    first = dp.initial_list(end, net, h.terms[0])
+    assert np.array_equal(first.energy, e0.min(axis=0))
+    assert np.array_equal(first.tail, e0.argmin(axis=0))
+    last = random_prev(net.size, np.random.default_rng(7))
+    got = dp._close_list(last, end, net, h.terms[-1])
+    assert got == einsum_close(last, end, net, h.terms[-1])
+
+
+def test_boundary_kernel_at_d2(sub_net):
+    net = sub_net(6)
+    h = ham.group_boundaries(ham.build_model("heisenberg", {}, 6), 2)
+    end = en.build_end_net(2, h.dims[0], 0.25)
+    e0 = einsum_left_energies(end, net, h.terms[0])
+    e_left = kernel_left_energies(end, net, h.terms[0])
+    assert np.abs(e_left - e0).max() <= 1e-12 * np.abs(e0).max()
+    first = dp.initial_list(end, net, h.terms[0])
+    assert np.abs(first.energy - e0.min(axis=0)).max() <= 1e-12
+    last = random_prev(net.size, np.random.default_rng(8))
+    val, g, q = dp._close_list(last, end, net, h.terms[-1])
+    ref_val, _, _ = einsum_close(last, end, net, h.terms[-1])
+    assert abs(val - ref_val) <= 1e-12 * max(1.0, abs(ref_val))
+    e_right = einsum_right_energies(net, end, h.terms[-1])
+    assert abs(last.energy[q] + e_right[last.pair_index[q], g] - val) \
+        <= 1e-12 * max(1.0, abs(val))
+
+
+def test_boundary_ties_go_to_lowest_index(d1_nets):
+    net, end = d1_nets(0.1)
+    zero = np.zeros((4, 4))
+    first = dp.initial_list(end, net, zero)
+    assert np.array_equal(first.tail, np.zeros(net.size, dtype=np.intp))
+    assert np.array_equal(first.energy, np.zeros(net.size))
+    idx = np.arange(3, net.size, 2)
+    energy = np.ones(idx.size)
+    energy[[4, 9, 20]] = -1.0
+    last = dp.DpList(pair_index=idx, tail=np.zeros_like(idx), energy=energy)
+    assert dp._close_list(last, end, net, zero) == (-1.0, 0, 4)
+
+
+@pytest.mark.parametrize("which", ["d1", "d2"])
+def test_transitions_bitwise_p_major(d1_nets, sub_net, which):
+    net = d1_nets(0.1)[0] if which == "d1" else sub_net(7)
+    hterm = random_term(np.random.default_rng(9))
+    e_trans = dp.transition_energies(net, hterm)
+    assert e_trans.flags.c_contiguous and e_trans.dtype == float
+    assert np.array_equal(e_trans, q_major_transitions(net, hterm).T)

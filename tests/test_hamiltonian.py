@@ -46,6 +46,11 @@ class TestBuildModel:
         with pytest.raises(ConfigError):
             ham.build_model("zz_chain", {"bogus": 1}, 4)
 
+    @pytest.mark.parametrize("d", [1, 0, -1, 2.5, float("nan")])
+    def test_bad_site_dimension(self, d):
+        with pytest.raises(ConfigError, match="param d"):
+            ham.build_model("random_hermitian", {"d": d}, 4)
+
     def test_random_hermitian_seeded(self):
         h1 = ham.build_model("random_hermitian", {}, 4, seed=5)
         h2 = ham.build_model("random_hermitian", {}, 4, seed=5)
@@ -78,6 +83,12 @@ class TestGroupBoundaries:
     def test_too_short(self):
         with pytest.raises(ConfigError):
             ham.group_boundaries(ham.build_model("zz_chain", {}, 4), 4)
+
+    def test_site_dimension_one_cannot_reach_d2(self):
+        # this loop never ended for d=1
+        with pytest.raises(ValueError):
+            ham.grouping_count(1, 2)
+        assert ham.grouping_count(1, 1) == 1
 
 
 class TestNormsAndChecks:
