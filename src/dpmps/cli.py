@@ -1,7 +1,12 @@
 """Config-driven command line front end.
 
-Reads a JSON run configuration, dispatches to the solver, the oracles, or
-the commuting refinement, and writes a machine-readable result document.
+Reads a JSON run configuration, runs one mode, and writes a
+machine-readable result document.  Each `run.mode` has one handler in the
+mode table `_HANDLERS` (`MODES` is its keys); `execute` builds the model,
+calls the handler, and adds what every document shares: the model echo,
+the warnings (bounds vacuous whenever the document's `epsilon_cert` is at
+least 1), timings and digest.
+
 Exit codes: 0 success, 2 config error or unwritable output, 3 infeasible
 size guard, 4 numerical failure.
 """
@@ -25,10 +30,6 @@ from .errors import (ConfigError, ConvergenceError, EmptyNetError,
                      SizeGuardError)
 from .hamiltonian import build_model, group_boundaries, is_commuting
 from .mps import canonicalize, mps_to_json, product_basis_state
-
-MODES = ("solve", "oracle", "enumerate", "commuting", "net-stats", "baseline")
-DEFAULT_CAP = 10**7
-
 
 @dataclass
 class RunConfig:
@@ -97,7 +98,7 @@ def parse_config(text: str) -> RunConfig:
     delta = solver.get("delta", 0.25)
     if not _is_number(delta) or not 0.0 < delta <= 0.5:
         raise ConfigError("solver.delta must lie in (0, 0.5]")
-    cap = solver.get("cap", DEFAULT_CAP)
+    cap = solver.get("cap", epsnet.DEFAULT_CAP)
     if not _is_int(cap) or cap < 1:
         raise ConfigError("solver.cap must be a positive integer")
     for key in ("epsilon_op", "target_error", "epsilon"):
@@ -127,30 +128,119 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _result_skeleton(cfg: RunConfig) -> dict:
-    return {
-        "mode": cfg.mode,
-        "model": {"name": cfg.model_name, "params": cfg.model_params,
-                  "n": cfg.n, "seed": cfg.seed},
-        "warnings": [],
-        "timings": {},
-    }
-
-
-def _epsilon_op_for(cfg: RunConfig, h_grouped) -> float | None:
+def _epsilon_op_for(cfg: RunConfig, hg, default=None) -> float:
+    """solver.epsilon_op, else the value solver.target_error implies, else
+    `default`, else the certified epsilon of the pair net, for the
+    boundary-grouped chain hg."""
     if cfg.epsilon_op is not None:
         return cfg.epsilon_op
     if cfg.target_error is not None:
-        return dp.epsilon_for_target(cfg.target_error, h_grouped.J, cfg.D,
-                                     h_grouped.n)
-    return None
+        return dp.epsilon_for_target(cfg.target_error, hg.J, cfg.D, hg.n)
+    if default is not None:
+        return default
+    return epsnet.certified_epsilon(hg.dims[1], cfg.D, cfg.delta)
+
+
+def _nets(cfg: RunConfig, hg, eps_op: float) -> tuple:
+    """(pair net, end net) of the run's D, delta and cap for the
+    boundary-grouped chain hg."""
+    return (epsnet.build_pair_net(cfg.D, hg.dims[1], cfg.delta, eps_op,
+                                  cfg.cap),
+            epsnet.build_end_net(cfg.D, hg.dims[0], cfg.delta, cfg.cap))
+
+
+def _solve(cfg: RunConfig, h0) -> dict:
+    hg = group_boundaries(h0, cfg.D)
+    sr = dp.solve(hg, cfg.D, cfg.delta, epsilon_op=_epsilon_op_for(cfg, hg),
+                  cap=cfg.cap, threads=cfg.threads)
+    out = {
+        "timings": sr.timings,
+        "e_alg": sr.e_alg, "e_true": sr.e_true,
+        "lower_bound": sr.lower_bound, "upper_slack": sr.upper_slack,
+        "N": sr.N, "end_net_size": sr.n_end,
+        "epsilon_cert": sr.epsilon_used, "epsilon_op": sr.epsilon_op,
+        "assignment": sr.assignment, "digest": sr.digest,
+        "omega_defect_max": sr.omega_defect_max,
+    }
+    if cfg.emit_mps and cfg.out_path:
+        out["mps"] = mps_to_json(sr.omega)
+    return out
+
+
+def _oracle(cfg: RunConfig, h0) -> dict:
+    gt = oracle.exact_ground(h0)
+    return {"e_exact": gt.e0, "degeneracy": gt.degeneracy, "gap": gt.gap}
+
+
+def _enumerate(cfg: RunConfig, h0) -> dict:
+    hg = group_boundaries(h0, cfg.D)
+    eps_op = _epsilon_op_for(cfg, hg)
+    pn, en = _nets(cfg, hg, eps_op)
+    e_alg, assignment = oracle.enumerate_net_optimum(hg, en, pn, eps_op)
+    return {"e_alg": e_alg, "assignment": assignment,
+            "N": pn.size, "end_net_size": en.size,
+            "epsilon_cert": pn.epsilon_cert, "epsilon_op": eps_op}
+
+
+def _commuting(cfg: RunConfig, h0) -> dict:
+    if not is_commuting(h0):
+        raise ConfigError(
+            f"model {cfg.model_name!r} is not commuting; "
+            "commuting mode requires pairwise-commuting terms"
+        )
+    gt = oracle.exact_ground(h0)
+    omega = canonicalize(gt.ground_vector, h0.n, h0.dims[1], None,
+                         h0.dims[0])
+    rr = cm.refine_to_eigenstate(omega, h0)
+    return {
+        "energy": rr.energy, "e_exact": gt.e0,
+        "chosen": [[t, j, c] for t, j, c in rr.chosen],
+        "residual_max": max(rr.residuals),
+        "matched_exact": bool(abs(rr.energy - gt.e0) <= 1e-8),
+    }
+
+
+def _net_stats(cfg: RunConfig, h0) -> dict:
+    hg = group_boundaries(h0, cfg.D)
+    pn, en = _nets(cfg, hg, _epsilon_op_for(cfg, hg, cfg.epsilon))
+    # solver.epsilon sizes the paper's bound; it defaults to the certified one
+    eps = cfg.epsilon if cfg.epsilon is not None else pn.epsilon_cert
+    bound = epsnet.net_size_estimate(cfg.D, hg.dims[1], eps)
+    return {
+        "paper_bound": str(bound),
+        "paper_bound_log10": len(str(bound)) - 1,
+        "N": pn.size, "end_net_size": en.size,
+        "epsilon": eps, "epsilon_cert": pn.epsilon_cert,
+    }
+
+
+def _baseline(cfg: RunConfig, h0) -> dict:
+    k = 0 if cfg.start == "all_up" else h0.dims[0] - 1
+    v = product_basis_state(h0.n, h0.dims[1], h0.dims[0], [k] * h0.n)
+    start = canonicalize(v, h0.n, h0.dims[1], cfg.D, h0.dims[0])
+    e = oracle.local_sweep_baseline(h0, start, cfg.sweeps)
+    return {"e_baseline": e, "sweeps": cfg.sweeps, "start": cfg.start}
+
+
+# run.mode -> handler(cfg, ungrouped model) returning the mode's fields
+_HANDLERS = {
+    "solve": _solve, "oracle": _oracle, "enumerate": _enumerate,
+    "commuting": _commuting, "net-stats": _net_stats, "baseline": _baseline,
+}
+MODES = tuple(_HANDLERS)
 
 
 def execute(cfg: RunConfig) -> dict:
     """Run the configured mode and return the result document.  With
     `output.emit_mps` and an output path, a solve also returns the MPS
     document under "mps"; `main` writes it beside the result."""
-    res = _result_skeleton(cfg)
+    res = {
+        "mode": cfg.mode,
+        "model": {"name": cfg.model_name, "params": cfg.model_params,
+                  "n": cfg.n, "seed": cfg.seed},
+        "warnings": [],
+        "timings": {},
+    }
     t0 = time.perf_counter()
     try:
         h0 = build_model(cfg.model_name, cfg.model_params, cfg.n, cfg.seed)
@@ -158,81 +248,9 @@ def execute(cfg: RunConfig) -> dict:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"model {cfg.model_name!r}: {exc}") from exc
-
-    if cfg.mode == "solve":
-        hg = group_boundaries(h0, cfg.D)
-        sr = dp.solve(hg, cfg.D, cfg.delta,
-                      epsilon_op=_epsilon_op_for(cfg, hg), cap=cfg.cap,
-                      threads=cfg.threads)
-        res.update({
-            "e_alg": sr.e_alg, "e_true": sr.e_true,
-            "lower_bound": sr.lower_bound, "upper_slack": sr.upper_slack,
-            "N": sr.N, "end_net_size": sr.n_end,
-            "epsilon_cert": sr.epsilon_used, "epsilon_op": sr.epsilon_op,
-            "assignment": sr.assignment, "digest": sr.digest,
-            "omega_defect_max": sr.omega_defect_max,
-        })
-        res["timings"].update(sr.timings)
-        if sr.epsilon_used >= 1.0:
-            res["warnings"].append("certified epsilon exceeds 1: bounds vacuous")
-        if cfg.emit_mps and cfg.out_path:
-            res["mps"] = mps_to_json(sr.omega)
-    elif cfg.mode == "oracle":
-        gt = oracle.exact_ground(h0)
-        res.update({"e_exact": gt.e0, "degeneracy": gt.degeneracy,
-                    "gap": gt.gap})
-    elif cfg.mode == "enumerate":
-        hg = group_boundaries(h0, cfg.D)
-        eps_op = _epsilon_op_for(cfg, hg)
-        if eps_op is None:
-            eps_op = epsnet.certified_epsilon(hg.dims[1], cfg.D, cfg.delta)
-        pn = epsnet.build_pair_net(cfg.D, hg.dims[1], cfg.delta, eps_op,
-                                   cfg.cap)
-        en = epsnet.build_end_net(cfg.D, hg.dims[0], cfg.delta, cfg.cap)
-        e_alg, assignment = oracle.enumerate_net_optimum(hg, en, pn, eps_op)
-        res.update({"e_alg": e_alg, "assignment": assignment,
-                    "N": pn.size, "end_net_size": en.size,
-                    "epsilon_cert": pn.epsilon_cert, "epsilon_op": eps_op})
-    elif cfg.mode == "commuting":
-        if not is_commuting(h0):
-            raise ConfigError(
-                f"model {cfg.model_name!r} is not commuting; "
-                "commuting mode requires pairwise-commuting terms"
-            )
-        gt = oracle.exact_ground(h0)
-        omega = canonicalize(gt.ground_vector, h0.n, h0.dims[1], None,
-                             h0.dims[0])
-        rr = cm.refine_to_eigenstate(omega, h0)
-        res.update({
-            "energy": rr.energy, "e_exact": gt.e0,
-            "chosen": [[t, j, c] for t, j, c in rr.chosen],
-            "residual_max": max(rr.residuals),
-            "matched_exact": bool(abs(rr.energy - gt.e0) <= 1e-8),
-        })
-    elif cfg.mode == "net-stats":
-        hg = group_boundaries(h0, cfg.D)
-        d = hg.dims[1]
-        eps = cfg.epsilon if cfg.epsilon is not None \
-            else epsnet.certified_epsilon(d, cfg.D, cfg.delta)
-        bound = epsnet.net_size_estimate(cfg.D, d, eps)
-        eps_op = _epsilon_op_for(cfg, hg) or eps
-        pn = epsnet.build_pair_net(cfg.D, d, cfg.delta, eps_op, cfg.cap)
-        en = epsnet.build_end_net(cfg.D, hg.dims[0], cfg.delta, cfg.cap)
-        res.update({
-            "paper_bound": str(bound),
-            "paper_bound_log10": len(str(bound)) - 1,
-            "N": pn.size, "end_net_size": en.size,
-            "epsilon": eps, "epsilon_cert": pn.epsilon_cert,
-        })
-        if eps >= 1.0:
-            res["warnings"].append("certified epsilon exceeds 1: bounds vacuous")
-    elif cfg.mode == "baseline":
-        k = 0 if cfg.start == "all_up" else h0.dims[0] - 1
-        v = product_basis_state(h0.n, h0.dims[1], h0.dims[0], [k] * h0.n)
-        start = canonicalize(v, h0.n, h0.dims[1], cfg.D, h0.dims[0])
-        e = oracle.local_sweep_baseline(h0, start, cfg.sweeps)
-        res.update({"e_baseline": e, "sweeps": cfg.sweeps,
-                    "start": cfg.start})
+    res.update(_HANDLERS[cfg.mode](cfg, h0))
+    if res.get("epsilon_cert", 0.0) >= 1.0:
+        res["warnings"].append("certified epsilon exceeds 1: bounds vacuous")
     res["timings"]["total_ms"] = 1e3 * (time.perf_counter() - t0)
     res["digest"] = res.get("digest") or _doc_digest(res)
     return res
@@ -253,8 +271,6 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True, help="path to JSON run config")
     ap.add_argument("--threads", type=int, default=1,
                     help="worker threads for the DP inner loop")
-    ap.add_argument("--cap-net-size", type=int, default=None,
-                    help="override the net candidate cap")
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
 
@@ -269,8 +285,6 @@ def main(argv=None) -> int:
         return 2
     cfg.threads = max(1, args.threads)
     cfg.verbose = args.verbose
-    if args.cap_net_size is not None:
-        cfg.cap = args.cap_net_size
 
     try:
         res = execute(cfg)

@@ -38,8 +38,8 @@ import time
 
 import numpy as np
 
-from .epsnet import (BoundaryNet, PairNet, build_end_net, build_pair_net,
-                     certified_epsilon, left_gram)
+from .epsnet import (DEFAULT_CAP, BoundaryNet, PairNet, build_end_net,
+                     build_pair_net, certified_epsilon, left_gram)
 from .errors import NoAdmissibleTransitionError, SizeGuardError
 from .hamiltonian import NnHamiltonian
 from .mps import CanonicalMps, expectation_full, mu_of
@@ -89,7 +89,6 @@ class SolveResult:
     upper_slack: float
     epsilon_used: float
     epsilon_op: float
-    delta_used: float
     N: int
     n_end: int
     assignment: list
@@ -258,7 +257,7 @@ def _boundary_energies(end_net: BoundaryNet, lam: np.ndarray, b: np.ndarray,
     batch axis and in the same operand order, so at D=1 the energies are
     bitwise those of a per-tensor einsum loop.
     """
-    ends = np.stack(end_net.tensors)                     # (G, D, d_end)
+    ends = end_net.tensors                               # (G, D, d_end)
     P, D, d, _ = b.shape
     ij = ends.shape[2] * d
     lb = b * lam[:, :, None, None]                       # (P, a, s, c)
@@ -321,7 +320,7 @@ def _close_list(last: DpList, end_net: BoundaryNet, net: PairNet,
 
 
 def solve(h: NnHamiltonian, D: int, delta: float,
-          epsilon_op: float | None = None, cap: int = 10**7,
+          epsilon_op: float | None = None, cap: int = DEFAULT_CAP,
           threads: int = 1,
           end_net: BoundaryNet | None = None,
           pair_net: PairNet | None = None) -> SolveResult:
@@ -329,18 +328,16 @@ def solve(h: NnHamiltonian, D: int, delta: float,
 
     Nets may be passed in to share them across runs; otherwise they are
     built from (D, delta).  epsilon_op defaults to the certified epsilon
-    of the pair net.
+    `certified_epsilon(d, D, delta)`.
     """
     t0 = time.perf_counter()
     d_end, d, n = h.dims[0], h.dims[1], h.n
+    if epsilon_op is None:
+        epsilon_op = certified_epsilon(d, D, delta)
     if pair_net is None:
-        eps_tmp = epsilon_op if epsilon_op is not None \
-            else certified_epsilon(d, D, delta)
-        pair_net = build_pair_net(D, d, delta, eps_tmp, cap)
+        pair_net = build_pair_net(D, d, delta, epsilon_op, cap)
     if end_net is None:
         end_net = build_end_net(D, d_end, delta, cap)
-    if epsilon_op is None:
-        epsilon_op = pair_net.epsilon_cert
     t_net = time.perf_counter()
 
     if n > 3:               # only chains with interior sites need one
@@ -375,10 +372,10 @@ def solve(h: NnHamiltonian, D: int, delta: float,
 
     omega = CanonicalMps(
         n=n, d=d, D=D, d_end=d_end, s=h.s,
-        gamma_left=np.asarray(end_net.tensors[gamma1_idx]),
+        gamma_left=end_net.tensors[gamma1_idx].copy(),
         lambda2=pair_net.lam[chosen[0]].copy(),
         b_tensors=[pair_net.b[c].copy() for c in chosen],
-        gamma_right=np.asarray(end_net.tensors[best_g]),
+        gamma_right=end_net.tensors[best_g].copy(),
     )
     e_true = expectation_full(omega, h)
     defect = left_defect(pair_net.lam[chosen[:-1]], pair_net.b[chosen[:-1]],
@@ -389,7 +386,7 @@ def solve(h: NnHamiltonian, D: int, delta: float,
     return SolveResult(
         omega=omega, e_alg=best_val, e_true=e_true,
         lower_bound=lower, upper_slack=upper_slack,
-        epsilon_used=eps_cert, epsilon_op=epsilon_op, delta_used=delta,
+        epsilon_used=eps_cert, epsilon_op=epsilon_op,
         N=pair_net.size, n_end=end_net.size, assignment=assignment,
         omega_defect_max=defect.max_abs,
         timings={

@@ -116,7 +116,7 @@ def orthonormal_family(a: int, b: int, delta: float, real_nonneg: bool = False,
     magnitude; orthonormalize rows by Gram-Schmidt.  Candidates whose rows
     become numerically dependent during Gram-Schmidt are dropped.
 
-    Returns (list of matrices, NetCertificate).
+    Returns (array of the matrices, shape (size, a, b); NetCertificate).
     """
     if a > b:
         raise ValueError(f"need row count a <= column count b, got {a} > {b}")
@@ -154,16 +154,14 @@ def orthonormal_family(a: int, b: int, delta: float, real_nonneg: bool = False,
         raise EmptyNetError(
             f"all {total} candidates removed for a={a}, b={b}, delta={delta}"
         )
-    return [out[i] for i in range(out.shape[0])], cert
+    return out, cert
 
 
 @dataclass
 class BoundaryNet:
     """Net of D x d_end boundary tensors with orthonormal rows."""
 
-    tensors: list
-    delta: float
-    nu_cert: float
+    tensors: np.ndarray      # (G, D, d_end)
 
     @property
     def size(self) -> int:
@@ -209,9 +207,6 @@ class PairNet:
     mu: np.ndarray           # (N, D)
     lam_net: np.ndarray      # (K, D)
     lam_class: np.ndarray    # (N,) row of lam_net
-    delta: float
-    nu_cert_lambda: float
-    nu_cert_b: float
     epsilon_cert: float
     epsilon_op: float
     filtered_out: int = 0
@@ -231,8 +226,8 @@ def build_end_net(D: int, d_end: int, delta: float,
     = A[alpha, i]."""
     if D > d_end:
         raise ValueError(f"boundary net needs D <= d_end, got {D} > {d_end}")
-    mats, cert = orthonormal_family(D, d_end, delta, real_nonneg=False, cap=cap)
-    return BoundaryNet(tensors=mats, delta=delta, nu_cert=cert.nu_cert)
+    mats, _ = orthonormal_family(D, d_end, delta, real_nonneg=False, cap=cap)
+    return BoundaryNet(tensors=mats)
 
 
 def certified_epsilon(d: int, D: int, delta: float) -> float:
@@ -272,13 +267,11 @@ def build_pair_net(D: int, d: int, delta: float, epsilon_op: float,
     """
     if epsilon_op <= 0:
         raise ValueError(f"epsilon_op must be positive, got {epsilon_op}")
-    lam_mats, lam_cert = orthonormal_family(1, D, delta, real_nonneg=True,
-                                            cap=cap)
-    b_mats, b_cert = orthonormal_family(D, d * D, delta, real_nonneg=False,
-                                        cap=cap)
-    lam_fam = np.stack([m[0].real for m in lam_mats])
+    lam_mats, _ = orthonormal_family(1, D, delta, real_nonneg=True, cap=cap)
+    b_mats, _ = orthonormal_family(D, d * D, delta, real_nonneg=False, cap=cap)
+    lam_fam = np.ascontiguousarray(lam_mats[:, 0].real)
     # column index (i, beta) is row-major over the dD columns
-    b_fam = np.stack(b_mats).reshape(-1, D, d, D)
+    b_fam = b_mats.reshape(-1, D, d, D)
     kept, mu_parts = [], []
     for lam in lam_fam:
         keep = np.flatnonzero(
@@ -301,8 +294,7 @@ def build_pair_net(D: int, d: int, delta: float, epsilon_op: float,
     return PairNet(
         lam=lam_fam[lam_idx], b=b_fam[np.concatenate(kept)],
         mu=np.concatenate(mu_parts), lam_net=lam_net,
-        lam_class=fam_class[lam_idx], delta=delta,
-        nu_cert_lambda=lam_cert.nu_cert, nu_cert_b=b_cert.nu_cert,
+        lam_class=fam_class[lam_idx],
         epsilon_cert=certified_epsilon(d, D, delta), epsilon_op=epsilon_op,
         filtered_out=int(counts.size * len(b_fam) - counts.sum()),
     )

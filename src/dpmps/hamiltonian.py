@@ -53,14 +53,6 @@ class NnHamiltonian:
         self.J = max_term_norm(self)
 
     @property
-    def d(self) -> int:
-        return self.dims[1] if self.n > 2 else self.dims[0]
-
-    @property
-    def d_end(self) -> int:
-        return self.dims[0]
-
-    @property
     def total_dim(self) -> int:
         return int(np.prod(self.dims))
 
@@ -233,12 +225,19 @@ def apply_hamiltonian(h: NnHamiltonian, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def to_dense_hamiltonian(h: NnHamiltonian) -> np.ndarray:
-    """Sum of identity-padded terms as one dense Hermitian matrix; the small-n
-    reference for the matrix-free `apply_hamiltonian`."""
+def dense_dim(h: NnHamiltonian) -> int:
+    """The Hilbert dimension of h, for code that holds whole state vectors
+    or matrices over it; raises SizeGuardError above DENSE_DIM_GUARD."""
     total = h.total_dim
     if total > DENSE_DIM_GUARD:
         raise SizeGuardError(f"Hilbert dimension {total} exceeds {DENSE_DIM_GUARD}")
+    return total
+
+
+def to_dense_hamiltonian(h: NnHamiltonian) -> np.ndarray:
+    """Sum of identity-padded terms as one dense Hermitian matrix; the small-n
+    reference for the matrix-free `apply_hamiltonian`."""
+    total = dense_dim(h)
     out = np.zeros((total, total), dtype=complex)
     for j, t in enumerate(h.terms):
         left = int(np.prod(h.dims[:j], dtype=object)) if j else 1

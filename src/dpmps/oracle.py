@@ -16,7 +16,7 @@ import numpy as np
 from .epsnet import BoundaryNet, PairNet
 from .errors import (ConvergenceError, NoAdmissibleSequenceError,
                      SizeGuardError)
-from .hamiltonian import (DENSE_DIM_GUARD, NnHamiltonian, apply_hamiltonian,
+from .hamiltonian import (NnHamiltonian, apply_hamiltonian, dense_dim,
                           to_dense_hamiltonian)
 from .mps import (CanonicalMps, local_energy, local_energy_left,
                   local_energy_right)
@@ -48,9 +48,7 @@ def exact_ground(h: NnHamiltonian) -> GroundTruth:
     until the first eigenvalue above e0 + DEGENERACY_TOL, which sets the
     gap; the gap is 0 when every eigenvalue lies within the tolerance.
     """
-    dim = h.total_dim
-    if dim > DENSE_DIM_GUARD:
-        raise SizeGuardError(f"Hilbert dimension {dim} exceeds {DENSE_DIM_GUARD}")
+    dim = dense_dim(h)
     scale = max(1.0, h.J * (h.n - 1))       # bounds the norm of H
     rng = np.random.default_rng(LANCZOS_SEED)
     e0, ground = _lowest_eigenpair(h, np.empty((0, dim), dtype=complex),
@@ -162,26 +160,27 @@ def enumerate_net_optimum(h: NnHamiltonian, end_net: BoundaryNet,
         raise SizeGuardError(f"{total} net sequences exceed guard {ENUM_GUARD}")
 
     # pairwise tables from the scalar window-energy evaluators
+    lam, b, mu = pair_net.lam, pair_net.b, pair_net.mu
     e_left = np.empty((ne, npair))
     for gi, gam in enumerate(end_net.tensors):
-        for p, el in enumerate(pair_net.pairs):
-            e_left[gi, p] = local_energy_left(gam, el.lam, el.b, h.terms[0])
+        for p in range(npair):
+            e_left[gi, p] = local_energy_left(gam, lam[p], b[p], h.terms[0])
     e_right = np.empty((npair, ne))
-    for q, el in enumerate(pair_net.pairs):
+    for q in range(npair):
         for gi, gam in enumerate(end_net.tensors):
-            e_right[q, gi] = local_energy_right(el.lam, el.b, gam,
+            e_right[q, gi] = local_energy_right(lam[q], b[q], gam,
                                                 h.terms[-1])
     e_mid = []
     admissible = np.empty((npair, npair), dtype=bool)
-    for q, eq in enumerate(pair_net.pairs):
-        for p, ep in enumerate(pair_net.pairs):
-            admissible[q, p] = (np.linalg.norm(eq.mu - ep.lam)
+    for q in range(npair):
+        for p in range(npair):
+            admissible[q, p] = (np.linalg.norm(mu[q] - lam[p])
                                 <= 2.0 * epsilon_op + 1e-14)
     for t in range(1, n - 2):
         tab = np.empty((npair, npair))
-        for q, eq in enumerate(pair_net.pairs):
-            for p, ep in enumerate(pair_net.pairs):
-                tab[q, p] = local_energy(eq.lam, eq.b, ep.b, h.terms[t])
+        for q in range(npair):
+            for p in range(npair):
+                tab[q, p] = local_energy(lam[q], b[q], b[p], h.terms[t])
         e_mid.append(np.where(admissible, tab, np.inf))
 
     # broadcast-sum over the assignment axes (g1, p2, ..., p_{n-1}, gn)
@@ -238,9 +237,7 @@ def local_sweep_baseline(h: NnHamiltonian, start: CanonicalMps,
     applied term by term to the state and to the site isometry's columns,
     so no dense 2^n x 2^n matrix is formed.
     """
-    dim = h.total_dim
-    if dim > DENSE_DIM_GUARD:
-        raise SizeGuardError(f"Hilbert dimension {dim} exceeds {DENSE_DIM_GUARD}")
+    dense_dim(h)
     tensors = [t.copy() for t in start.site_tensors()]
 
     def energy_of(ts):

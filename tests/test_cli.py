@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpmps import cli
+from dpmps import epsnet as en
 from dpmps.errors import ConfigError
 
 
@@ -96,6 +97,31 @@ class TestExecute:
         a = cli.execute(cli.parse_config(cfg_text()))
         b = cli.execute(cli.parse_config(cfg_text()))
         assert a["digest"] == b["digest"]
+
+    def test_enumerate_warns_vacuous(self):
+        res = cli.execute(cli.parse_config(cfg_text(run={"mode": "enumerate"})))
+        assert res["epsilon_cert"] >= 1.0
+        assert "certified epsilon exceeds 1: bounds vacuous" in res["warnings"]
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_every_mode_has_shared_fields(self, mode):
+        res = cli.execute(cli.parse_config(cfg_text(run={"mode": mode})))
+        assert res["mode"] == mode
+        assert res["model"]["name"] == "zz_chain"
+        assert isinstance(res["warnings"], list)
+        assert res["timings"]["total_ms"] >= 0.0
+        assert len(res["digest"]) == 64
+
+    @pytest.mark.parametrize("mode", ["solve", "enumerate"])
+    def test_default_epsilon_op_is_certified(self, mode):
+        eps = en.certified_epsilon(2, 1, 0.25)
+        a = cli.execute(cli.parse_config(cfg_text(run={"mode": mode})))
+        b = cli.execute(cli.parse_config(cfg_text(
+            solver={"epsilon_op": eps}, run={"mode": mode})))
+        assert a["epsilon_op"] == b["epsilon_op"] == eps
+        assert a["assignment"] == b["assignment"]
+        if mode == "solve":
+            assert a["digest"] == b["digest"]
 
 
 class TestMain:

@@ -83,6 +83,11 @@ class TestOrthonormalFamily:
         with pytest.raises(ValueError):
             en.orthonormal_family(2, 4, 0.25, real_nonneg=True)
 
+    def test_returns_one_array(self):
+        mats, cert = en.orthonormal_family(2, 4, 0.25)
+        assert isinstance(mats, np.ndarray)
+        assert mats.shape == (cert.size, 2, 4)
+
     def test_certified_radius(self):
         _, cert = en.orthonormal_family(1, 2, 0.25)
         assert np.isclose(cert.nu_cert, 59 * 2 * 0.25)
@@ -91,6 +96,8 @@ class TestOrthonormalFamily:
 class TestBoundaryNet:
     def test_elements_are_survivors(self):
         net = en.build_end_net(1, 2, 0.25)
+        assert isinstance(net.tensors, np.ndarray)
+        assert net.tensors.shape == (16, 1, 2)
         assert net.size == 16
         for t in net.tensors:
             assert np.abs(t @ t.conj().T - np.eye(1)).max() <= 1e-10
