@@ -39,10 +39,10 @@ import time
 import numpy as np
 
 from .epsnet import (DEFAULT_CAP, BoundaryNet, PairNet, build_end_net,
-                     build_pair_net, certified_epsilon, left_gram)
+                     build_pair_net, certified_epsilon)
 from .errors import NoAdmissibleTransitionError, SizeGuardError
 from .hamiltonian import NnHamiltonian
-from .mps import CanonicalMps, expectation_full, mu_of
+from .mps import CanonicalMps, expectation_full, left_gram, mu_of
 
 CHUNK = 256             # rows per transition-matrix chunk
 BLOCK_ELEMENTS = 1 << 15  # entries per boundary or min-reduce block

@@ -3,16 +3,18 @@
 The generator enumerates matrices over a finite grid of complex entries,
 filters by row norm, renormalizes, filters by pairwise row inner products,
 and finishes with Gram-Schmidt.  The certified per-row covering radius of
-the output family is nu_cert = 59*b*delta for column count b.  Boundary
-and interior tensor nets are thin wrappers assembling the family output
-into canonical MPS building blocks.
+the output family is nu_cert = 59*b*delta for column count b; it and the
+two filter bounds each live in one helper (`_radius`, `_norm_band`,
+`_overlap_bound`), shared by the generator, `covering_chain` and
+`certified_epsilon`.  Boundary and interior tensor nets are thin wrappers
+assembling the family output into canonical MPS building blocks.
 
 The interior pair net is held as arrays: `lam` (N, D), `b` (N, D, d, D)
 and `mu` (N, D), with pairs ordered lambda-major over the lambda family,
 plus the distinct lambda vectors `lam_net` and each pair's row in it,
 `lam_class`.  It is built by one batched left-canonical filter per lambda:
-the (lambda B) columns of the whole B family, their Gram matrices by
-stacked `np.matmul`, and a keep mask on the largest off-diagonal entry.
+the (lambda B) Gram matrices of the whole B family (`mps.left_gram`, by
+stacked `np.matmul`), and a keep mask on the largest off-diagonal entry.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import EmptyNetError, NetSizeError
-from .mps import mu_of
+from .mps import left_gram_offdiag, mu_of
 
 DEFAULT_CAP = 10**7
 GS_DEGENERATE_TOL = 1e-7
@@ -64,6 +66,23 @@ class NetCertificate:
     survivors_overlap_filter: int
     dropped_degenerate: int
     size: int
+
+
+def _norm_band(b: int, delta: float) -> tuple:
+    """Row norms kept by the norm filter: [1 - 2 sqrt(b) delta,
+    1 + 2 sqrt(b) delta] for column count b."""
+    w = 2.0 * math.sqrt(b) * delta
+    return 1.0 - w, 1.0 + w
+
+
+def _overlap_bound(b: int, delta: float) -> float:
+    """Largest off-diagonal row inner product kept by the overlap filter."""
+    return 9.0 * math.sqrt(b) * delta
+
+
+def _radius(b: int, delta: float) -> float:
+    """Certified per-row covering radius 59 b delta of the family."""
+    return 59.0 * b * delta
 
 
 def _enumerate_candidates(grid: np.ndarray, a: int, b: int,
@@ -126,7 +145,7 @@ def orthonormal_family(a: int, b: int, delta: float, real_nonneg: bool = False,
     cands = _enumerate_candidates(grid.astype(complex), a, b, cap)
     total = cands.shape[0]
 
-    lo, hi = 1.0 - 2.0 * math.sqrt(b) * delta, 1.0 + 2.0 * math.sqrt(b) * delta
+    lo, hi = _norm_band(b, delta)
     norms = np.linalg.norm(cands, axis=2)
     keep = np.all((norms >= lo) & (norms <= hi), axis=1)
     cands, norms = cands[keep], norms[keep]
@@ -136,7 +155,7 @@ def orthonormal_family(a: int, b: int, delta: float, real_nonneg: bool = False,
     if a > 1:
         gram = np.einsum("nij,nkj->nik", cands.conj(), cands)
         off = np.abs(gram - np.eye(a)[None])
-        keep = off.max(axis=(1, 2)) <= 9.0 * math.sqrt(b) * delta
+        keep = off.max(axis=(1, 2)) <= _overlap_bound(b, delta)
         cands = cands[keep]
     n3 = cands.shape[0]
 
@@ -146,7 +165,7 @@ def orthonormal_family(a: int, b: int, delta: float, real_nonneg: bool = False,
         out = out.real.astype(complex)
     cert = NetCertificate(
         a=a, b=b, delta=delta, real_nonneg=real_nonneg,
-        nu_cert=59.0 * b * delta, candidate_count=total,
+        nu_cert=_radius(b, delta), candidate_count=total,
         survivors_norm_filter=n1, survivors_overlap_filter=n3,
         dropped_degenerate=n3 - out.shape[0], size=out.shape[0],
     )
@@ -233,26 +252,7 @@ def build_end_net(D: int, d_end: int, delta: float,
 def certified_epsilon(d: int, D: int, delta: float) -> float:
     """Certified accuracy 2 * 59 * (d D) * delta of the pair net at grid
     spacing delta: twice the covering radius of the D x dD B family."""
-    return 2.0 * 59.0 * (d * D) * delta
-
-
-def left_gram(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gram matrix <(lambda B)_beta | (lambda B)_beta'> of the columns of
-    lambda B, over the leading axes of lam (..., D) and b (..., D, d, D)."""
-    cols = lam[..., :, None, None] * b
-    # rows (alpha, i), columns beta; the Gram matrix is over the columns
-    cols = cols.reshape(cols.shape[:-3] + (b.shape[-3] * b.shape[-2],
-                                           b.shape[-1]))
-    return np.matmul(cols.conj().swapaxes(-1, -2), cols)
-
-
-def left_gram_offdiag(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """max over beta != beta' of |<(lambda B)_beta | (lambda B)_beta'>|,
-    over the leading axes of lam (..., D) and b (..., D, d, D)."""
-    g = np.abs(left_gram(lam, b))
-    diag = np.arange(b.shape[-1])
-    g[..., diag, diag] = 0.0
-    return g.max(axis=(-2, -1))
+    return 2.0 * _radius(d * D, delta)
 
 
 def build_pair_net(D: int, d: int, delta: float, epsilon_op: float,
@@ -342,12 +342,12 @@ def covering_chain(a_mat: np.ndarray, delta: float,
     grid = (real_grid(delta) if real_nonneg else complex_grid(delta)).astype(complex)
     x = _round_to_grid(a_mat, grid)
     norms = np.linalg.norm(x, axis=1)
-    lo, hi = 1.0 - 2.0 * math.sqrt(b) * delta, 1.0 + 2.0 * math.sqrt(b) * delta
+    lo, hi = _norm_band(b, delta)
     s1 = bool(np.all((norms >= lo) & (norms <= hi)))
     y = x / norms[:, None]
     gram = y.conj() @ y.T
     over = np.abs(gram - np.eye(a)).max() if a > 1 else 0.0
-    s3 = bool(over <= 9.0 * math.sqrt(b) * delta)
+    s3 = bool(over <= _overlap_bound(b, delta))
     z, ok = _gram_schmidt_rows(y[None])
     z = z[0]
     return CoveringChain(

@@ -8,6 +8,11 @@ they are recovered from (lambda, B) pairs via `mu_of`.
 Bond dimensions are the exact Schmidt ranks of the represented state,
 capped at D.  Interior B tensors are indexed [alpha, i, beta] with alpha
 the left bond; boundary tensors are indexed [alpha, i].
+
+Each MPS job has one implementation: `contract` (site tensors multiplied
+out left to right), `local_energy` (the window kernel every windowed
+energy calls) and `left_gram` (the (lambda B) Gram matrix behind the
+left-canonical filter, the DP defects and `check_canonical`).
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ class CanonicalMps:
     b_tensors: list                 # site j=2..n-1: (r_j, d, r_{j+1})
     gamma_right: np.ndarray         # (r_n, d_end)
     s: int = 1
-    discarded_weight: float = 0.0   # squared weight dropped by truncation
 
     @property
     def dims(self) -> tuple:
@@ -81,17 +85,33 @@ def mu_of(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(w.sum(axis=(-3, -2)))
 
 
+def left_gram(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gram matrix <(lambda B)_beta | (lambda B)_beta'> of the columns of
+    lambda B, over the leading axes of lam (..., D) and b (..., D, d, D)."""
+    cols = lam[..., :, None, None] * b
+    # rows (alpha, i), columns beta; the Gram matrix is over the columns
+    cols = cols.reshape(cols.shape[:-3] + (b.shape[-3] * b.shape[-2],
+                                           b.shape[-1]))
+    return np.matmul(cols.conj().swapaxes(-1, -2), cols)
+
+
+def left_gram_offdiag(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max over beta != beta' of |<(lambda B)_beta | (lambda B)_beta'>|,
+    the left-canonical defect of a (lambda, B) pair, over the leading axes
+    of lam (..., D) and b (..., D, d, D); 0 for a single column."""
+    g = np.abs(left_gram(lam, b))
+    diag = np.arange(b.shape[-1])
+    g[..., diag, diag] = 0.0
+    return g.max(axis=(-2, -1))
+
+
 def canonicalize(state, n: int, d: int, D, d_end: int,
-                 mode: str = "strict", s: int = 1) -> CanonicalMps:
+                 s: int = 1) -> CanonicalMps:
     """Decompose a normalized dense state into canonical form by SVD sweeps.
 
-    Singular values below 1e-12 are treated as zero.  If a cut has rank
-    above D, strict mode raises; truncate mode keeps the D largest values,
-    renormalizes, and records the discarded squared weight.  D=None means
-    no cap.
+    Singular values below 1e-12 are treated as zero.  A cut of rank above
+    D raises SchmidtRankError; D=None means no cap.
     """
-    if mode not in ("strict", "truncate"):
-        raise ValueError(f"unknown mode {mode!r}")
     dims = [d_end] + [d] * (n - 2) + [d_end]
     v = np.asarray(state, dtype=complex).ravel()
     if v.size != int(np.prod(dims)):
@@ -103,7 +123,6 @@ def canonicalize(state, n: int, d: int, D, d_end: int,
         raise ValueError(f"input state norm {nrm} is not 1")
     v = v / nrm
 
-    discarded = 0.0
     right_tensors = []   # site n down to site 2
     lam2 = None
     rem = v
@@ -114,13 +133,9 @@ def canonicalize(state, n: int, d: int, D, d_end: int,
         keep = sv > SVD_CUTOFF
         sv, u, vh = sv[keep], u[:, keep], vh[keep]
         if D is not None and len(sv) > D:
-            if mode == "strict":
-                raise SchmidtRankError(
-                    f"cut before site {j} has Schmidt rank {len(sv)} > D={D}"
-                )
-            discarded += float(np.sum(sv[D:] ** 2))
-            sv, u, vh = sv[:D], u[:, :D], vh[:D]
-            sv = sv / np.linalg.norm(sv)
+            raise SchmidtRankError(
+                f"cut before site {j} has Schmidt rank {len(sv)} > D={D}"
+            )
         right_tensors.append(vh.reshape(len(sv), dims[j - 1], r))
         rem = u * sv
         r = len(sv)
@@ -132,9 +147,21 @@ def canonicalize(state, n: int, d: int, D, d_end: int,
     return CanonicalMps(
         n=n, d=d, D=(D if D is not None else d_cap), d_end=d_end,
         gamma_left=gamma_left, lambda2=lam2.copy(),
-        b_tensors=b_tensors, gamma_right=gamma_right,
-        s=s, discarded_weight=discarded,
+        b_tensors=b_tensors, gamma_right=gamma_right, s=s,
     )
+
+
+def contract(tensors) -> np.ndarray:
+    """Contract (r_left, dim, r_right) site tensors left to right into one
+    matrix: rows are the first tensor's r_left followed by the physical
+    dims, columns the last tensor's r_right.  An empty list gives the
+    1 x 1 identity."""
+    if not tensors:
+        return np.eye(1, dtype=complex)
+    acc = tensors[0].reshape(-1, tensors[0].shape[2])
+    for t in tensors[1:]:
+        acc = np.tensordot(acc, t, axes=([1], [0])).reshape(-1, t.shape[2])
+    return acc
 
 
 def to_dense(m: CanonicalMps) -> np.ndarray:
@@ -142,13 +169,7 @@ def to_dense(m: CanonicalMps) -> np.ndarray:
     total = int(np.prod(m.dims))
     if total > DENSE_SIZE_GUARD:
         raise SizeGuardError(f"dense size {total} exceeds guard {DENSE_SIZE_GUARD}")
-    tensors = m.site_tensors()
-    acc = tensors[0]                        # (1, d_end, r)
-    acc = acc.reshape(-1, acc.shape[2])
-    for t in tensors[1:]:
-        acc = np.tensordot(acc, t, axes=([1], [0]))
-        acc = acc.reshape(-1, acc.shape[-1])
-    return acc.reshape(-1)
+    return contract(m.site_tensors()).reshape(-1)
 
 
 @dataclass
@@ -185,14 +206,11 @@ def check_canonical(m: CanonicalMps, tol: float = 1e-10) -> CanonicalReport:
     for lam in lams:
         rep.norm.append(abs(float(np.linalg.norm(lam)) - 1.0))
     for lam, b in zip(lams, m.b_tensors):
-        rl, _, rr = b.shape
+        rl = b.shape[0]
         flat = b.reshape(rl, -1)
         gram = flat.conj() @ flat.T
         rep.right.append(float(np.abs(gram - np.eye(rl)).max()))
-        cols = (lam[:, None, None] * b).reshape(-1, rr)
-        g2 = cols.conj().T @ cols
-        off = g2 - np.diag(np.diag(g2))
-        rep.left.append(float(np.abs(off).max()) if rr > 1 else 0.0)
+        rep.left.append(float(left_gram_offdiag(lam, b)))
     return rep
 
 
@@ -201,67 +219,48 @@ def _check_hermitian(h: np.ndarray, tol: float = 1e-10):
         raise ValueError("Hamiltonian term is not Hermitian")
 
 
-def _window_value(w: np.ndarray, hterm: np.ndarray, d1: int, d2: int) -> float:
-    """<W| hterm (x) I |W> for a window tensor with physical axes (i1, i2)
-    in the middle and collapsed bond axes at the ends."""
-    hw = hterm.reshape(d1, d2, d1, d2)
-    val = np.einsum("aijb,ijkl,aklb->", w.conj(), hw, w, optimize=True)
+def local_energy(lam, b1, b2, hterm) -> float:
+    """Energy of one term from the window lambda^[j-1] B^[j-1] B^[j],
+    assuming canonical collapse on both sides of the window: the window
+    tensor W[a, i, j, b] gives <W| hterm (x) I |W>."""
+    hterm = np.asarray(hterm)
+    _check_hermitian(hterm)
+    lam = np.asarray(lam, dtype=float)
+    b1, b2 = np.asarray(b1), np.asarray(b2)
+    d1, d2 = b1.shape[1], b2.shape[1]
+    w = np.einsum("a,aig,gjb->aijb", lam, b1, b2, optimize=True)
+    val = np.einsum("aijb,ijkl,aklb->", w.conj(),
+                    hterm.reshape(d1, d2, d1, d2), w, optimize=True)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise ValueError(f"energy has non-negligible imaginary part {val.imag}")
     return float(val.real)
 
 
-def local_energy(lam, b1, b2, hterm) -> float:
-    """Energy of one interior term from the window lambda^[j-1] B^[j-1] B^[j],
-    assuming canonical collapse on both sides of the window."""
-    _check_hermitian(np.asarray(hterm))
-    lam = np.asarray(lam, dtype=float)
-    b1, b2 = np.asarray(b1), np.asarray(b2)
-    w = np.einsum("a,aig,gjb->aijb", lam, b1, b2, optimize=True)
-    return _window_value(w, np.asarray(hterm), b1.shape[1], b2.shape[1])
-
-
 def local_energy_left(gamma1, lam2, b2, hterm) -> float:
     """Boundary variant for H_{1,2} from the window Gamma^[1] lambda^[2] B^[2]."""
-    _check_hermitian(np.asarray(hterm))
-    g = np.asarray(gamma1)
-    w = np.einsum("ai,a,ajb->ijb", g, np.asarray(lam2, dtype=float),
-                  np.asarray(b2), optimize=True)
-    w = w[None, :, :, :]
-    return _window_value(w, np.asarray(hterm), g.shape[1], b2.shape[1])
+    m1 = np.asarray(gamma1) * np.asarray(lam2, dtype=float)[:, None]
+    return local_energy(np.ones(1), m1.T[None], b2, hterm)
 
 
 def local_energy_right(lam, b1, gamma_n, hterm) -> float:
     """Boundary variant for H_{n-1,n} from the window lambda^[n-1] B^[n-1] Gamma^[n]."""
-    _check_hermitian(np.asarray(hterm))
-    g = np.asarray(gamma_n)
-    b1 = np.asarray(b1)
-    w = np.einsum("a,aig,gj->aij", np.asarray(lam, dtype=float), b1, g,
-                  optimize=True)
-    w = w[:, :, :, None]
-    return _window_value(w, np.asarray(hterm), b1.shape[1], g.shape[1])
+    return local_energy(lam, b1, np.asarray(gamma_n)[:, :, None], hterm)
 
 
 def windowed_energy_sum(m: CanonicalMps, h) -> float:
     """Sum of windowed local energies over all terms, with lambda^[j] for
     j >= 3 recovered via mu chains.  Equals the true energy when the state
     is exactly canonical."""
-    lams = m.derived_lambdas()
-    terms = h.terms
-    if len(terms) != m.n - 1:
+    if len(h.terms) != m.n - 1:
         raise ShapeMismatchError("term count does not match site count")
-    total = local_energy_left(m.gamma_left, m.lambda2, m.b_tensors[0], terms[0])
-    for j in range(1, m.n - 2):
-        total += local_energy(lams[j - 1], m.b_tensors[j - 1], m.b_tensors[j],
-                              terms[j])
-    total += local_energy_right(lams[m.n - 3], m.b_tensors[-1], m.gamma_right,
-                                terms[-1])
-    return total
+    ts = m.site_tensors()
+    lams = [np.ones(1)] + m.derived_lambdas()
+    return sum(local_energy(lams[j], ts[j], ts[j + 1], term)
+               for j, term in enumerate(h.terms))
 
 
 def _transfer_envs(tensors):
     """Left and right bond environments of <psi|psi>."""
-    n = len(tensors)
     left = [np.ones((1, 1), dtype=complex)]
     for t in tensors[:-1]:
         e = left[-1]
@@ -345,13 +344,6 @@ def _tensor_to_json(a: np.ndarray):
     return [_tensor_to_json(x) for x in a]
 
 
-def _tensor_from_json(obj) -> np.ndarray:
-    a = np.asarray(obj, dtype=float)
-    if a.ndim < 1 or a.shape[-1] != 2:
-        raise ValueError("tensor encoding must nest [re, im] pairs")
-    return a[..., 0] + 1j * a[..., 1]
-
-
 def mps_to_json(m: CanonicalMps) -> dict:
     """JSON document for the MPS file format."""
     return {
@@ -362,17 +354,3 @@ def mps_to_json(m: CanonicalMps) -> dict:
         "b_tensors": [_tensor_to_json(b) for b in m.b_tensors],
         "gamma_right": _tensor_to_json(m.gamma_right),
     }
-
-
-def mps_from_json(doc: dict) -> CanonicalMps:
-    if doc.get("version") != MPS_FORMAT_VERSION:
-        raise ValueError(f"unsupported MPS format version {doc.get('version')}")
-    lam2 = _tensor_from_json(doc["lambda2"])
-    return CanonicalMps(
-        n=int(doc["n"]), d=int(doc["d"]), D=int(doc["D"]),
-        d_end=int(doc["d_end"]), s=int(doc["s"]),
-        gamma_left=_tensor_from_json(doc["gamma_left"]),
-        lambda2=lam2.real,
-        b_tensors=[_tensor_from_json(b) for b in doc["b_tensors"]],
-        gamma_right=_tensor_from_json(doc["gamma_right"]),
-    )

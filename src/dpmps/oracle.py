@@ -3,8 +3,9 @@
 A matrix-free Lanczos eigensolver (H applied term by term) and an
 independent dense power-iteration eigensolver give reference energies;
 brute-force enumeration over net assignments realizes the DP's search
-space directly; a greedy single-site sweep, also matrix-free, provides the
-local-minimum baseline that the trap instances defeat.
+space directly, with the window energies of `mps`; a greedy single-site
+sweep, also matrix-free, provides the local-minimum baseline that the
+trap instances defeat; it optimizes over the true single-site subspace.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import (ConvergenceError, NoAdmissibleSequenceError,
                      SizeGuardError)
 from .hamiltonian import (NnHamiltonian, apply_hamiltonian, dense_dim,
                           to_dense_hamiltonian)
-from .mps import (CanonicalMps, local_energy, local_energy_left,
+from .mps import (CanonicalMps, contract, local_energy, local_energy_left,
                   local_energy_right)
 
 DEGENERACY_TOL = 1e-9
@@ -208,22 +209,14 @@ def _expand(tab: np.ndarray, ax1: int, ax2: int, axes: int) -> np.ndarray:
 
 def _site_isometry(tensors: list, site: int) -> np.ndarray:
     """Map from the site-tensor space to the full Hilbert space with every
-    other site tensor fixed: columns indexed by (left bond, phys, right
-    bond) of the free site."""
-    left = np.ones((1, 1), dtype=complex)
-    for t in tensors[:site]:
-        left = np.tensordot(left, t, axes=([1], [0]))
-        left = left.reshape(-1, left.shape[-1])
-    right = np.ones((1, 1), dtype=complex)
-    for t in reversed(tensors[site + 1:]):
-        right = np.tensordot(t, right, axes=([2], [0]))
-        right = right.reshape(right.shape[0], -1)
+    other site tensor fixed: rows indexed by (left sites, phys, right
+    sites), columns by (left bond, phys, right bond) of the free site."""
     rl, d, rr = tensors[site].shape
-    dim_l, dim_r = left.shape[0], right.shape[1]
-    a = np.einsum("la,ib,cr->libacr",
-                  left, np.eye(d, dtype=complex), right,
+    left = contract(tensors[:site])                         # (dim_l, rl)
+    right = contract(tensors[site + 1:]).reshape(rr, -1)    # (rr, dim_r)
+    a = np.einsum("la,ib,cr->lirabc", left, np.eye(d, dtype=complex), right,
                   optimize=True)
-    return a.reshape(dim_l * d * dim_r, rl * d * rr)
+    return a.reshape(left.shape[0] * d * right.shape[1], rl * d * rr)
 
 
 def local_sweep_baseline(h: NnHamiltonian, start: CanonicalMps,
@@ -241,11 +234,7 @@ def local_sweep_baseline(h: NnHamiltonian, start: CanonicalMps,
     tensors = [t.copy() for t in start.site_tensors()]
 
     def energy_of(ts):
-        v = ts[0].reshape(-1, ts[0].shape[2])
-        for t in ts[1:]:
-            v = np.tensordot(v, t, axes=([1], [0]))
-            v = v.reshape(-1, v.shape[-1])
-        v = v.reshape(-1)
+        v = contract(ts).reshape(-1)
         return float((np.vdot(v, apply_hamiltonian(h, v)) / np.vdot(v, v)).real)
 
     energy = energy_of(tensors)

@@ -42,7 +42,7 @@ def dense_refine(m, h):
         _, j, c = best
         w = ham._embed(dec.projectors[j], 2**t, 2**(n - t - 2)) @ v
         state = mps.canonicalize(w / np.linalg.norm(w), n, m.d, None, m.d_end,
-                                 mode="strict", s=m.s)
+                                 s=m.s)
         chosen.append((t, j, c))
     return chosen, mps.to_dense(state)
 

@@ -1,5 +1,7 @@
 """Tests for the grid nets and the orthonormal-family generator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,15 @@ class TestPairNet:
         # the expression it replaced, in the same evaluation order
         assert en.certified_epsilon(d, D, delta) == \
             2.0 * 59.0 * (d * D) * delta
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("delta", [0.25, 0.1, 0.05, 0.03])
+    def test_filter_bounds_match_inline_expressions(self, b, delta):
+        # the expressions the helpers replaced, in the same evaluation order
+        assert en._norm_band(b, delta) == (1.0 - 2.0 * math.sqrt(b) * delta,
+                                           1.0 + 2.0 * math.sqrt(b) * delta)
+        assert en._overlap_bound(b, delta) == 9.0 * math.sqrt(b) * delta
+        assert en._radius(b, delta) == 59.0 * b * delta
 
     def test_pairs_view(self):
         net = en.build_pair_net(1, 2, 0.1, epsilon_op=1.0)

@@ -1,5 +1,7 @@
 """Tests for the canonical MPS data model and energy evaluation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -69,14 +71,7 @@ class TestCanonicalize:
         rng = np.random.default_rng(2)
         v = random_state(rng, 64)
         with pytest.raises(SchmidtRankError):
-            mps.canonicalize(v, 6, 2, 2, 2, mode="strict")
-
-    def test_truncate_mode_reports_weight(self):
-        rng = np.random.default_rng(3)
-        v = random_state(rng, 64)
-        m = mps.canonicalize(v, 6, 2, 2, 2, mode="truncate")
-        assert m.discarded_weight > 0
-        assert abs(np.linalg.norm(mps.to_dense(m)) - 1.0) < 1e-10
+            mps.canonicalize(v, 6, 2, 2, 2)
 
     def test_unnormalized_input_rejected(self):
         with pytest.raises(ValueError):
@@ -95,6 +90,126 @@ class TestToDense:
         v = random_state(rng, 64)
         m = mps.canonicalize(v, 6, 2, 8, 2)
         assert abs(np.linalg.norm(mps.to_dense(m)) - 1.0) < 1e-10
+
+
+class TestContract:
+    def test_empty_list_is_identity(self):
+        out = mps.contract([])
+        assert out.shape == (1, 1) and out[0, 0] == 1.0
+
+    def test_to_dense_equals_left_to_right_loop(self):
+        rng = np.random.default_rng(12)
+        product = mps.product_basis_state(6, 2, 2, [0, 1, 0, 0, 1, 1])
+        for m in (mps.canonicalize(product, 6, 2, 1, 2),
+                  mps.canonicalize(random_state(rng, 64), 6, 2, None, 2)):
+            tensors = m.site_tensors()
+            acc = tensors[0].reshape(-1, tensors[0].shape[2])
+            for t in tensors[1:]:
+                acc = np.tensordot(acc, t, axes=([1], [0]))
+                acc = acc.reshape(-1, acc.shape[-1])
+            assert np.array_equal(mps.to_dense(m), acc.reshape(-1))
+
+    def test_block_keeps_first_left_bond(self):
+        rng = np.random.default_rng(13)
+        ts = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+              for shape in ((2, 3, 2), (2, 2, 1))]
+        out = mps.contract(ts)
+        assert out.shape == (12, 1)
+        want = np.einsum("aib,bjc->aij", ts[0], ts[1])
+        assert np.allclose(out.reshape(2, 3, 2), want, atol=1e-14)
+
+
+# The three separate window einsums that the one kernel replaced, kept as
+# references.
+def ref_window_value(w, hterm, d1, d2):
+    hw = hterm.reshape(d1, d2, d1, d2)
+    return float(np.einsum("aijb,ijkl,aklb->", w.conj(), hw, w,
+                           optimize=True).real)
+
+
+def ref_interior(lam, b1, b2, hterm):
+    w = np.einsum("a,aig,gjb->aijb", lam, b1, b2, optimize=True)
+    return ref_window_value(w, hterm, b1.shape[1], b2.shape[1])
+
+
+def ref_left(gamma1, lam2, b2, hterm):
+    w = np.einsum("ai,a,ajb->ijb", gamma1, lam2, b2, optimize=True)
+    return ref_window_value(w[None], hterm, gamma1.shape[1], b2.shape[1])
+
+
+def ref_right(lam, b1, gamma_n, hterm):
+    w = np.einsum("a,aig,gj->aij", lam, b1, gamma_n, optimize=True)
+    return ref_window_value(w[..., None], hterm, b1.shape[1],
+                            gamma_n.shape[1])
+
+
+class TestWindowKernel:
+    """The boundary windows run through the interior kernel; each window
+    energy is compared with the separate einsum it replaced."""
+
+    def draws(self, D, d_end, count=100):
+        rng = np.random.default_rng(14 + D + d_end)
+        c = lambda *s: rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        for _ in range(count):
+            lam = np.abs(rng.standard_normal(D))
+            lam /= np.linalg.norm(lam)
+            hl, hm = c(2 * d_end, 2 * d_end), c(4, 4)
+            yield (lam, c(D, 2, D), c(D, 2, D), c(D, d_end),
+                   hl + hl.conj().T, hm + hm.conj().T)
+
+    @pytest.mark.parametrize("D,d_end", [(1, 2), (1, 3), (2, 2), (2, 4)])
+    def test_interior_and_right_bitwise(self, D, d_end):
+        for lam, b1, b2, g, h_end, h_mid in self.draws(D, d_end):
+            assert mps.local_energy(lam, b1, b2, h_mid) == \
+                ref_interior(lam, b1, b2, h_mid)
+            assert mps.local_energy_right(lam, b1, g, h_end) == \
+                ref_right(lam, b1, g, h_end)
+
+    @pytest.mark.parametrize("D,d_end", [(1, 2), (2, 4)])
+    def test_left_bitwise(self, D, d_end):
+        for lam, _, b2, g, h_end, _ in self.draws(D, d_end):
+            assert mps.local_energy_left(g, lam, b2, h_end) == \
+                ref_left(g, lam, b2, h_end)
+
+    @pytest.mark.parametrize("D,d_end", [(1, 3), (2, 2)])
+    def test_left_random_within_rounding(self, D, d_end):
+        # for generic complex entries at these shapes einsum contracts the
+        # window in another pairwise order, so the last bits may differ
+        for lam, _, b2, g, h_end, _ in self.draws(D, d_end):
+            want = ref_left(g, lam, b2, h_end)
+            got = mps.local_energy_left(g, lam, b2, h_end)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("D,d", [(1, 2), (1, 3), (2, 2)])
+    def test_left_bitwise_on_net_elements(self, D, d):
+        from dpmps import epsnet as en
+        ends = en.build_end_net(D, d, 0.25).tensors
+        net = en.build_pair_net(D, d, 0.25, 0.5)
+        h = ham.build_model("random_hermitian", {"d": d}, 3, seed=1).terms[0]
+        rng = np.random.default_rng(17)
+        for gi, p in zip(rng.integers(len(ends), size=300),
+                         rng.integers(net.size, size=300)):
+            assert mps.local_energy_left(ends[gi], net.lam[p], net.b[p], h) \
+                == ref_left(ends[gi], net.lam[p], net.b[p], h)
+
+    def test_windowed_sum_equals_term_by_term(self):
+        rng = np.random.default_rng(15)
+        h = ham.build_model("random_hermitian", {}, 6, seed=2)
+        m = mps.canonicalize(random_state(rng, 64), 6, 2, 8, 2)
+        lams = m.derived_lambdas()
+        want = ref_left(m.gamma_left, m.lambda2, m.b_tensors[0], h.terms[0])
+        for j in range(1, 4):
+            want += ref_interior(lams[j - 1], m.b_tensors[j - 1],
+                                 m.b_tensors[j], h.terms[j])
+        want += ref_right(lams[3], m.b_tensors[-1], m.gamma_right,
+                          h.terms[-1])
+        assert abs(mps.windowed_energy_sum(m, h) - want) <= 1e-13
+
+    def test_windowed_sum_term_count_checked(self):
+        m = mps.canonicalize(mps.product_basis_state(4, 2, 2, [0] * 4),
+                             4, 2, 1, 2)
+        with pytest.raises(ShapeMismatchError):
+            mps.windowed_energy_sum(m, ham.build_model("zz_chain", {}, 5))
 
 
 class TestCheckCanonical:
@@ -121,6 +236,22 @@ class TestCheckCanonical:
         )
         rep = mps.check_canonical(m)
         assert max(rep.right) >= 1.0 - 1e-12
+
+    def test_left_residual_is_largest_offdiagonal_gram_entry(self):
+        rng = np.random.default_rng(16)
+        product = mps.product_basis_state(6, 2, 2, [1, 0, 0, 1, 0, 1])
+        for v in (product, random_state(rng, 64)):
+            m = mps.canonicalize(v, 6, 2, None, 2)
+            m.b_tensors = [b + 0.1 * rng.standard_normal(b.shape)
+                           for b in m.b_tensors]
+            want = []
+            for lam, b in zip(m.derived_lambdas(), m.b_tensors):
+                rr = b.shape[2]
+                cols = (lam[:, None, None] * b).reshape(-1, rr)
+                g2 = cols.conj().T @ cols
+                off = g2 - np.diag(np.diag(g2))
+                want.append(float(np.abs(off).max()) if rr > 1 else 0.0)
+            assert mps.check_canonical(m).left == want
 
     def test_normalization_residual(self):
         lam = np.array([0.6, 0.8])
@@ -208,13 +339,21 @@ class TestStructuralProperties:
 
 
 class TestJsonFormat:
-    def test_roundtrip(self):
+    def test_writer_encodes_every_tensor(self):
         rng = np.random.default_rng(11)
-        v = random_state(rng, 64)
-        m = mps.canonicalize(v, 6, 2, 8, 2)
-        m2 = mps.mps_from_json(mps.mps_to_json(m))
-        assert np.linalg.norm(mps.to_dense(m2) - mps.to_dense(m)) < 1e-12
+        m = mps.canonicalize(random_state(rng, 64), 6, 2, 8, 2, s=1)
+        doc = json.loads(json.dumps(mps.mps_to_json(m)))
 
-    def test_version_check(self):
-        with pytest.raises(ValueError):
-            mps.mps_from_json({"version": 99})
+        def decode(obj):
+            a = np.asarray(obj, dtype=float)
+            return a[..., 0] + 1j * a[..., 1]
+
+        assert doc["version"] == mps.MPS_FORMAT_VERSION
+        assert (doc["n"], doc["d"], doc["D"], doc["d_end"], doc["s"]) == \
+            (m.n, m.d, m.D, m.d_end, m.s)
+        assert np.array_equal(decode(doc["gamma_left"]), m.gamma_left)
+        assert np.array_equal(decode(doc["lambda2"]), m.lambda2)
+        assert len(doc["b_tensors"]) == len(m.b_tensors)
+        for enc, b in zip(doc["b_tensors"], m.b_tensors):
+            assert np.array_equal(decode(enc), b)
+        assert np.array_equal(decode(doc["gamma_right"]), m.gamma_right)

@@ -126,35 +126,73 @@ class TestEnumerateNetOptimum:
         assert len(assignment) == h.n
 
 
+def chain_state(tensors):
+    """Dense state of (r_left, dim, r_right) site tensors, contracted
+    inline left to right."""
+    v = np.ones((1, 1), dtype=complex)
+    for t in tensors:
+        v = np.tensordot(v, t, axes=([1], [0])).reshape(-1, t.shape[2])
+    return v.reshape(-1)
+
+
+def random_start(n, D, seed):
+    """Canonical form of a random chain of bond dimension D."""
+    rng = np.random.default_rng(seed)
+    shapes = [(1 if j == 0 else D, 2, 1 if j == n - 1 else D)
+              for j in range(n)]
+    v = chain_state([rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                     for s in shapes])
+    return mps.canonicalize(v / np.linalg.norm(v), n, 2, D, 2)
+
+
 def dense_sweep_baseline(h, start, sweeps):
-    """The greedy sweep with the dense Hamiltonian; the independent
+    """The greedy sweep with the dense Hamiltonian and each site's columns
+    built by contracting the chain with a unit site tensor; the independent
     reference for the matrix-free sweep."""
     mat = ham.to_dense_hamiltonian(h)
     tensors = [t.copy() for t in start.site_tensors()]
 
     def energy_of(ts):
-        v = ts[0].reshape(-1, ts[0].shape[2])
-        for t in ts[1:]:
-            v = np.tensordot(v, t, axes=([1], [0]))
-            v = v.reshape(-1, v.shape[-1])
-        v = v.reshape(-1)
+        v = chain_state(ts)
         return float((np.vdot(v, mat @ v) / np.vdot(v, v)).real)
 
     energy = energy_of(tensors)
     order = list(range(start.n)) + list(range(start.n - 2, -1, -1))
     for _ in range(sweeps):
         for site in order:
-            a = oracle._site_isometry(tensors, site)
+            shape = tensors[site].shape
+            units = np.eye(int(np.prod(shape)), dtype=complex)
+            a = np.stack([chain_state(tensors[:site] + [u.reshape(shape)]
+                                      + tensors[site + 1:])
+                          for u in units], axis=1)
             h_eff = a.conj().T @ mat @ a
             svals, u = np.linalg.eigh(a.conj().T @ a)
             keep = svals > 1e-10
             basis = u[:, keep] / np.sqrt(svals[keep])[None, :]
             vals, vecs = np.linalg.eigh(basis.conj().T @ h_eff @ basis)
             if vals[0] < energy - 1e-12:
-                tensors[site] = (basis @ vecs[:, 0]).reshape(
-                    tensors[site].shape)
+                tensors[site] = (basis @ vecs[:, 0]).reshape(shape)
                 energy = float(vals[0])
     return energy_of(tensors)
+
+
+class TestSiteIsometry:
+    @pytest.mark.parametrize("D", [1, 2])
+    def test_maps_site_tensor_to_state(self, D):
+        for seed in range(3):
+            ts = random_start(5, D, seed).site_tensors()
+            v = chain_state(ts)
+            for site in range(5):
+                a = oracle._site_isometry(ts, site)
+                assert np.abs(a @ ts[site].ravel() - v).max() <= 1e-12
+
+    def test_columns_are_unit_tensor_states(self):
+        ts = random_start(4, 2, 3).site_tensors()
+        shape = ts[2].shape
+        a = oracle._site_isometry(ts, 2)
+        for k, u in enumerate(np.eye(int(np.prod(shape)))):
+            col = chain_state(ts[:2] + [u.reshape(shape)] + ts[3:])
+            assert np.abs(a[:, k] - col).max() <= 1e-12
 
 
 class TestLocalSweepBaseline:
@@ -175,15 +213,17 @@ class TestLocalSweepBaseline:
         assert abs(e) < 1e-12
 
     def test_monotone_in_sweeps(self):
-        rng = np.random.default_rng(5)
         h = ham.build_model("zz_chain", {}, 5)
-        v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        v /= np.linalg.norm(v)
-        start = mps.canonicalize(v, 5, 2, 2, 2, mode="truncate")
+        start = random_start(5, 2, 5)
         energies = [oracle.local_sweep_baseline(h, start, sweeps=k)
                     for k in range(4)]
         for a, b in zip(energies, energies[1:]):
             assert b <= a + 1e-10
+
+    def test_zz_chain_from_all_up_reaches_ground(self):
+        h = ham.build_model("zz_chain", {}, 6)
+        e = oracle.local_sweep_baseline(h, self.up_state(6), sweeps=1)
+        assert abs(e - oracle.exact_ground(h).e0) <= 1e-10
 
     def test_variational(self):
         h = ham.build_model("transverse_ising", {}, 5)
@@ -197,12 +237,9 @@ class TestLocalSweepBaseline:
         want = dense_sweep_baseline(h, start, 4)
         assert abs(oracle.local_sweep_baseline(h, start, 4) - want) <= 1e-10
 
-    def test_matches_dense_sweep_from_truncated_d2(self):
-        rng = np.random.default_rng(5)
+    def test_matches_dense_sweep_from_random_d2(self):
         h = ham.build_model("zz_chain", {}, 5)
-        v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        v /= np.linalg.norm(v)
-        start = mps.canonicalize(v, 5, 2, 2, 2, mode="truncate")
+        start = random_start(5, 2, 5)
         assert max(start.bond_dims) == 2
         want = dense_sweep_baseline(h, start, 3)
         assert abs(oracle.local_sweep_baseline(h, start, 3) - want) <= 1e-10
