@@ -28,7 +28,7 @@ from .errors import (ConfigError, ConvergenceError, EmptyNetError,
                      NetSizeError, NoAdmissibleSequenceError,
                      NoAdmissibleTransitionError, NoFeasibleEigenspaceError,
                      SizeGuardError)
-from .hamiltonian import build_model, group_boundaries, is_commuting
+from .hamiltonian import build_model, dense_dim, group_boundaries, is_commuting
 from .mps import canonicalize, mps_to_json, product_basis_state
 
 @dataclass
@@ -189,9 +189,7 @@ def _commuting(cfg: RunConfig, h0) -> dict:
             "commuting mode requires pairwise-commuting terms"
         )
     gt = oracle.exact_ground(h0)
-    omega = canonicalize(gt.ground_vector, h0.n, h0.dims[1], None,
-                         h0.dims[0])
-    rr = cm.refine_to_eigenstate(omega, h0)
+    rr = cm.refine_to_eigenstate(gt.ground_vector, h0)
     return {
         "energy": rr.energy, "e_exact": gt.e0,
         "chosen": [[t, j, c] for t, j, c in rr.chosen],
@@ -215,6 +213,7 @@ def _net_stats(cfg: RunConfig, h0) -> dict:
 
 
 def _baseline(cfg: RunConfig, h0) -> dict:
+    dense_dim(h0)           # the size guard, before the start state is built
     k = 0 if cfg.start == "all_up" else h0.dims[0] - 1
     v = product_basis_state(h0.n, h0.dims[1], h0.dims[0], [k] * h0.n)
     start = canonicalize(v, h0.n, h0.dims[1], cfg.D, h0.dims[0])

@@ -7,11 +7,11 @@ left-to-right pass the state is an exact eigenstate of every term and its
 energy is the sum of the chosen eigenvalues.  A projection onto an
 eigenspace with weight c multiplies the energy surplus by at most
 (1 + 1/n) when c >= 1/(k n^2), which telescopes to a factor below e.
-The pass holds the state as one dense vector, applies projectors and terms
-to it by reshape (`hamiltonian.apply_term`), so no 2^n x 2^n matrix is
-formed, and canonicalizes the result once at the end.  Each distinct term
-is diagonalized once, and the final eigen-residual check reuses those
-decompositions.
+The pass takes and returns one dense state vector over the chain's site
+dimensions and applies projectors and terms to it by reshape
+(`hamiltonian.apply_term`), so no 2^n x 2^n matrix is formed.  Each
+distinct term is diagonalized once, and the final eigen-residual check
+reuses those decompositions.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoFeasibleEigenspaceError
-from .hamiltonian import NnHamiltonian, apply_hamiltonian, apply_term
-from .mps import CanonicalMps, canonicalize, to_dense
+from .errors import NoFeasibleEigenspaceError, ShapeMismatchError
+from .hamiltonian import (NnHamiltonian, _check_hermitian, apply_hamiltonian,
+                          apply_term)
 
 
 @dataclass
@@ -31,7 +31,6 @@ class EigDecomp:
 
     projectors: list
     eigenvalues: list
-    k: int
     spectrum: np.ndarray      # every eigenvalue of the term, ascending
 
 
@@ -39,7 +38,7 @@ class EigDecomp:
 class RefineResult:
     """Outcome of the sequential projection pass."""
 
-    state: CanonicalMps
+    vector: np.ndarray    # the refined unit state vector over h.dims
     energy: float
     chosen: list          # (term index, eigenspace index, weight c)
     residuals: list       # per-term eigen-residual of the final state
@@ -49,8 +48,7 @@ def eig_projectors(hterm: np.ndarray, cluster_tol: float = 1e-8) -> EigDecomp:
     """Eigendecompose a Hermitian term and cluster nearby eigenvalues into
     joint eigenspaces; cluster_tol is relative to the spectral range."""
     t = np.asarray(hterm, dtype=complex)
-    if np.abs(t - t.conj().T).max() > 1e-10:
-        raise ValueError("term is not Hermitian")
+    _check_hermitian(t)
     vals, vecs = np.linalg.eigh(t)
     scale = max(float(vals[-1] - vals[0]), 1.0)
     groups = [[0]]
@@ -65,43 +63,46 @@ def eig_projectors(hterm: np.ndarray, cluster_tol: float = 1e-8) -> EigDecomp:
         projectors.append(v @ v.conj().T)
         eigenvalues.append(float(np.mean(vals[g])))
     return EigDecomp(projectors=projectors, eigenvalues=eigenvalues,
-                     k=len(groups), spectrum=vals)
+                     spectrum=vals)
 
 
 def _term_decomps(h: NnHamiltonian) -> list:
     """`eig_projectors` of every term, computed once per distinct term."""
-    cache, out = {}, []
-    for term in h.terms:
-        t = np.asarray(term, dtype=complex)
+    cache = {}
+    for t in h.terms:
         key = (t.shape, t.tobytes())
         if key not in cache:
             cache[key] = eig_projectors(t)
-        out.append(cache[key])
-    return out
+    return [cache[t.shape, t.tobytes()] for t in h.terms]
 
 
-def refine_to_eigenstate(omega: CanonicalMps, h: NnHamiltonian) -> RefineResult:
-    """Project the state through the eigenspaces of every term, left to
-    right, keeping per term the feasible eigenspace of minimal energy.
+def refine_to_eigenstate(v, h: NnHamiltonian) -> RefineResult:
+    """Project the unit state vector v over h.dims through the eigenspaces
+    of every term, left to right, keeping per term the feasible eigenspace
+    of minimal energy.
 
     Feasible means weight c_j >= 1/(k n^2); the commuting structure
     guarantees such an eigenspace exists whenever the input energy surplus
     is below a third of the gap.  Ties go to the lowest eigenspace index.
-    The state is held as one dense vector through the pass: the chosen
-    candidate's normalized projection becomes the next state, and the
-    result is canonicalized once at the end.
+    The chosen candidate's normalized projection becomes the next state.
     """
     n = h.n
-    v = to_dense(omega)
+    v = np.asarray(v, dtype=complex).ravel()
+    if v.size != h.total_dim:
+        raise ShapeMismatchError(f"state of size {v.size}, not {h.total_dim}")
+    nrm = np.linalg.norm(v)
+    if abs(nrm - 1.0) > 1e-8:
+        raise ValueError(f"input state norm {nrm} is not 1")
+    v = v / nrm
     decomps = _term_decomps(h)
     chosen = []
-    picked_eigenvalues = []
     for t, dec in enumerate(decomps):
+        k = len(dec.projectors)
         best = None
         for j, p in enumerate(dec.projectors):
-            w = apply_term(p, v, omega.dims, t)
+            w = apply_term(p, v, h.dims, t)
             c = float(np.vdot(v, w).real)
-            if c < 1.0 / (dec.k * n * n):
+            if c < 1.0 / (k * n * n):
                 continue
             wn = w / np.linalg.norm(w)
             e = float(np.vdot(wn, apply_hamiltonian(h, wn)).real)
@@ -110,30 +111,25 @@ def refine_to_eigenstate(omega: CanonicalMps, h: NnHamiltonian) -> RefineResult:
         if best is None:
             raise NoFeasibleEigenspaceError(
                 f"no eigenspace of term {t} has weight above "
-                f"1/(k n^2) = {1.0 / (dec.k * n * n):.3e}"
-            )
+                f"1/(k n^2) = {1.0 / (k * n * n):.3e}")
         _, j, c, v = best
         chosen.append((t, j, c))
-        picked_eigenvalues.append(dec.eigenvalues[j])
-    state = canonicalize(v, n, omega.d, None, omega.d_end, s=omega.s)
-    residuals = verify_eigenstate(state, h, decomps)
-    return RefineResult(state=state, energy=float(sum(picked_eigenvalues)),
-                        chosen=chosen, residuals=residuals)
+    energy = sum(decomps[t].eigenvalues[j] for t, j, _ in chosen)
+    return RefineResult(vector=v, energy=float(energy), chosen=chosen,
+                        residuals=verify_eigenstate(v, h, decomps))
 
 
-def verify_eigenstate(state: CanonicalMps, h: NnHamiltonian,
-                      decomps: list | None = None) -> list:
-    """Per term, the norm of H_term |psi> - e |psi> with e the term
-    eigenvalue nearest to the term expectation.  `decomps` are the terms'
-    `_term_decomps`; computed here when not given."""
+def verify_eigenstate(v, h: NnHamiltonian, decomps: list | None = None) -> list:
+    """Per term, the norm of H_term |v> - e |v> for the unit state vector v
+    over h.dims, with e the term eigenvalue nearest to the term
+    expectation.  `decomps` are the terms' `_term_decomps`; computed here
+    when not given."""
     if decomps is None:
         decomps = _term_decomps(h)
-    v = to_dense(state)
     out = []
     for t, (term, dec) in enumerate(zip(h.terms, decomps)):
-        w = apply_term(np.asarray(term, dtype=complex), v, state.dims, t)
+        w = apply_term(term, v, h.dims, t)
         expect = float(np.vdot(v, w).real)
-        vals = dec.spectrum
-        e = float(vals[np.argmin(np.abs(vals - expect))])
+        e = float(dec.spectrum[np.argmin(np.abs(dec.spectrum - expect))])
         out.append(float(np.linalg.norm(w - e * v)))
     return out

@@ -33,7 +33,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import hashlib
 import json
-import os
 import time
 
 import numpy as np
@@ -41,7 +40,7 @@ import numpy as np
 from .epsnet import (DEFAULT_CAP, BoundaryNet, PairNet, build_end_net,
                      build_pair_net, certified_epsilon)
 from .errors import NoAdmissibleTransitionError, SizeGuardError
-from .hamiltonian import NnHamiltonian
+from . import hamiltonian
 from .mps import CanonicalMps, expectation_full, left_gram, mu_of
 
 CHUNK = 256             # rows per transition-matrix chunk
@@ -238,13 +237,6 @@ def transition_size_guard(n_pairs: int, phys_bytes: int | None) -> None:
         )
 
 
-def _physical_memory() -> int | None:
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _boundary_energies(end_net: BoundaryNet, lam: np.ndarray, b: np.ndarray,
                        hterm, end_left: bool):
     """Windowed energies of a boundary term, in chunks of end tensors.
@@ -319,7 +311,7 @@ def _close_list(last: DpList, end_net: BoundaryNet, net: PairNet,
     return best_val, best_g, best_q
 
 
-def solve(h: NnHamiltonian, D: int, delta: float,
+def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
           epsilon_op: float | None = None, cap: int = DEFAULT_CAP,
           threads: int = 1,
           end_net: BoundaryNet | None = None,
@@ -341,7 +333,7 @@ def solve(h: NnHamiltonian, D: int, delta: float,
     t_net = time.perf_counter()
 
     if n > 3:               # only chains with interior sites need one
-        transition_size_guard(pair_net.size, _physical_memory())
+        transition_size_guard(pair_net.size, hamiltonian._physical_memory())
     lists = [initial_list(end_net, pair_net, h.terms[0])]
     mask = stitching_mask(pair_net, epsilon_op)
     e_trans, term_key = None, None

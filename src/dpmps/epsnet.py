@@ -227,7 +227,6 @@ class PairNet:
     lam_net: np.ndarray      # (K, D)
     lam_class: np.ndarray    # (N,) row of lam_net
     epsilon_cert: float
-    epsilon_op: float
     filtered_out: int = 0
 
     @property
@@ -295,7 +294,7 @@ def build_pair_net(D: int, d: int, delta: float, epsilon_op: float,
         lam=lam_fam[lam_idx], b=b_fam[np.concatenate(kept)],
         mu=np.concatenate(mu_parts), lam_net=lam_net,
         lam_class=fam_class[lam_idx],
-        epsilon_cert=certified_epsilon(d, D, delta), epsilon_op=epsilon_op,
+        epsilon_cert=certified_epsilon(d, D, delta),
         filtered_out=int(counts.size * len(b_fam) - counts.sum()),
     )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import os
 
 import numpy as np
 
@@ -47,14 +48,27 @@ class NnHamiltonian:
                 raise ShapeMismatchError(
                     f"term {j} has shape {t.shape}, expected ({want}, {want})"
                 )
-            if np.abs(t - t.conj().T).max() > HERMITICITY_TOL:
-                raise ValueError(f"term {j} is not Hermitian")
+            _check_hermitian(t, f"term {j}")
             self.terms[j] = t
         self.J = max_term_norm(self)
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
+
+
+def _check_hermitian(t: np.ndarray, what: str = "Hamiltonian term"):
+    """ValueError naming `what` if |t - t^dagger|max > HERMITICITY_TOL."""
+    if np.abs(t - t.conj().T).max() > HERMITICITY_TOL:
+        raise ValueError(f"{what} is not Hermitian")
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None when the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def max_term_norm(h) -> float:
@@ -101,17 +115,21 @@ def build_model(name: str, params: dict | None, n: int,
     dense terms), trap_model (bond penalty 2(I-Z(x)Z) plus folded up-spin
     penalty (I+Z)/2 per site), rotated_classical (diagonal_commuting
     conjugated by fixed random single-site unitaries), diagonal_commuting
-    (seeded random diagonal terms).
+    (seeded random diagonal terms).  SizeGuardError if the terms exceed memory.
     """
     params = dict(params or {})
     if n < 3:
         raise ConfigError(f"model {name!r} needs n >= 3, got {n}")
     rng = np.random.default_rng(seed)
     d = params.pop("d", 2)
-    if not (math.isfinite(d) and d == int(d) and d >= 2):
+    if not (isinstance(d, int) or math.isfinite(d)) or d != int(d) or d < 2:
         raise ConfigError(f"model {name!r}: param d must be an integer >= 2, "
                           f"got {d!r}")
     d = int(d)
+    # n-1 complex d^2 x d^2 terms, checked before the first is built
+    if 16 * (n - 1) * d**4 > (_physical_memory() or math.inf):
+        raise SizeGuardError(f"{n - 1} terms of dimension {d}^2 would not "
+                             "fit in physical memory")
     zz = np.kron(Z, Z)
 
     if name == "zz_chain":
@@ -240,7 +258,5 @@ def to_dense_hamiltonian(h: NnHamiltonian) -> np.ndarray:
     total = dense_dim(h)
     out = np.zeros((total, total), dtype=complex)
     for j, t in enumerate(h.terms):
-        left = int(np.prod(h.dims[:j], dtype=object)) if j else 1
-        right = int(np.prod(h.dims[j + 2:], dtype=object)) if j + 2 < h.n else 1
-        out += _embed(t, left, right)
+        out += _embed(t, math.prod(h.dims[:j]), math.prod(h.dims[j + 2:]))
     return out

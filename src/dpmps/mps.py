@@ -18,10 +18,12 @@ left-canonical filter, the DP defects and `check_canonical`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
 from .errors import SchmidtRankError, ShapeMismatchError, SizeGuardError
+from .hamiltonian import _check_hermitian
 
 DENSE_SIZE_GUARD = 2**24
 SVD_CUTOFF = 1e-12
@@ -105,8 +107,7 @@ def left_gram_offdiag(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
     return g.max(axis=(-2, -1))
 
 
-def canonicalize(state, n: int, d: int, D, d_end: int,
-                 s: int = 1) -> CanonicalMps:
+def canonicalize(state, n: int, d: int, D, d_end: int) -> CanonicalMps:
     """Decompose a normalized dense state into canonical form by SVD sweeps.
 
     Singular values below 1e-12 are treated as zero.  A cut of rank above
@@ -114,7 +115,7 @@ def canonicalize(state, n: int, d: int, D, d_end: int,
     """
     dims = [d_end] + [d] * (n - 2) + [d_end]
     v = np.asarray(state, dtype=complex).ravel()
-    if v.size != int(np.prod(dims)):
+    if v.size != math.prod(dims):
         raise ShapeMismatchError(
             f"state of size {v.size} does not match dims {tuple(dims)}"
         )
@@ -147,7 +148,7 @@ def canonicalize(state, n: int, d: int, D, d_end: int,
     return CanonicalMps(
         n=n, d=d, D=(D if D is not None else d_cap), d_end=d_end,
         gamma_left=gamma_left, lambda2=lam2.copy(),
-        b_tensors=b_tensors, gamma_right=gamma_right, s=s,
+        b_tensors=b_tensors, gamma_right=gamma_right,
     )
 
 
@@ -166,7 +167,7 @@ def contract(tensors) -> np.ndarray:
 
 def to_dense(m: CanonicalMps) -> np.ndarray:
     """Coefficient vector of the MPS, contracted left to right."""
-    total = int(np.prod(m.dims))
+    total = math.prod(m.dims)
     if total > DENSE_SIZE_GUARD:
         raise SizeGuardError(f"dense size {total} exceeds guard {DENSE_SIZE_GUARD}")
     return contract(m.site_tensors()).reshape(-1)
@@ -212,11 +213,6 @@ def check_canonical(m: CanonicalMps, tol: float = 1e-10) -> CanonicalReport:
         rep.right.append(float(np.abs(gram - np.eye(rl)).max()))
         rep.left.append(float(left_gram_offdiag(lam, b)))
     return rep
-
-
-def _check_hermitian(h: np.ndarray, tol: float = 1e-10):
-    if np.abs(h - h.conj().T).max() > tol:
-        raise ValueError("Hamiltonian term is not Hermitian")
 
 
 def local_energy(lam, b1, b2, hterm) -> float:
@@ -324,7 +320,7 @@ def align_phase(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
 def product_basis_state(n: int, d: int, d_end: int, indices) -> np.ndarray:
     """Dense computational basis state with the given per-site indices."""
     dims = [d_end] + [d] * (n - 2) + [d_end]
-    v = np.zeros(int(np.prod(dims)), dtype=complex)
+    v = np.zeros(math.prod(dims), dtype=complex)
     flat = 0
     for dim, k in zip(dims, indices):
         if not 0 <= k < dim:

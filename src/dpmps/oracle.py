@@ -126,7 +126,8 @@ def power_iteration_ground(h: NnHamiltonian, iters: int = 20000,
                            tol: float = 1e-12,
                            seed: int = 7) -> float:
     """Second opinion on the ground energy: power iteration on the shifted
-    matrix c*I - H with c a Gershgorin upper bound on the spectrum."""
+    matrix c*I - H with c a Gershgorin upper bound on the spectrum.  The
+    small-n dense reference kept for tests; no run mode calls it."""
     mat = to_dense_hamiltonian(h)
     shift = float(np.abs(mat).sum(axis=1).max())
     m = shift * np.eye(mat.shape[0]) - mat

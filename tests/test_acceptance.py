@@ -227,8 +227,7 @@ def test_criterion_8_commuting_refinement(capsys):
         vals, vecs = np.linalg.eigh(hd)
         v = vecs[:, 0] + 0.1 * vecs[:, 5]
         v /= np.linalg.norm(v)
-        m = mps.canonicalize(v, n, 2, None, 2)
-        rr = cm.refine_to_eigenstate(m, h)
+        rr = cm.refine_to_eigenstate(v, h)
         good = (abs(rr.energy - vals[0]) <= 1e-8
                 and max(rr.residuals) <= 1e-8)
         ok = ok and good
@@ -258,7 +257,7 @@ def test_criterion_9_projection_lemma(capsys):
                 pe = ham._embed(p, 2**t, 2**(n - t - 2))
                 w = pe @ v
                 c = float(np.vdot(v, w).real)
-                if c < 1.0 / (dec.k * n * n):
+                if c < 1.0 / (len(dec.projectors) * n * n):
                     continue
                 wn = w / np.linalg.norm(w)
                 e = float(np.vdot(wn, hd @ wn).real)

@@ -170,6 +170,33 @@ class TestMain:
         assert capsys.readouterr().err.startswith("infeasible:")
         assert not outp.exists()
 
+    @pytest.mark.parametrize("d", [1000, 10**400])
+    def test_huge_site_dimension_exit_3(self, tmp_path, capsys, d):
+        # d=1000 ended in numpy's allocation error ("Unable to allocate
+        # 7.28 TiB"), a 401-digit d in an OverflowError, each with exit 1
+        path = tmp_path / "cfg.json"
+        outp = tmp_path / "res.json"
+        path.write_text(json.dumps({
+            "model": {"name": "diagonal_commuting", "n": 3,
+                      "params": {"d": d}},
+            "run": {"mode": "oracle"}, "output": {"path": str(outp)}}))
+        assert cli.main(["--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("infeasible:")
+        assert not outp.exists()
+
+    @pytest.mark.parametrize("mode", ["oracle", "commuting", "baseline"])
+    def test_long_chain_dense_guard_exit_3(self, tmp_path, capsys, mode):
+        # 2^64 overflowed the int64 Hilbert dimension to 0, past the guard,
+        # and each mode exited 1 with an IndexError
+        path = tmp_path / "cfg.json"
+        outp = tmp_path / "res.json"
+        path.write_text(json.dumps({
+            "model": {"name": "zz_chain", "n": 64}, "run": {"mode": mode},
+            "output": {"path": str(outp)}}))
+        assert cli.main(["--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("infeasible:")
+        assert not outp.exists()
+
     def test_numerical_failure_exit_4(self, tmp_path, capsys, monkeypatch):
         from dpmps.errors import EmptyNetError
 

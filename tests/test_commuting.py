@@ -5,27 +5,28 @@ import math
 import numpy as np
 import pytest
 
+from dpmps import cli
 from dpmps import commuting as cm
 from dpmps import hamiltonian as ham
-from dpmps import mps, oracle
+from dpmps import dp, mps, oracle
+from dpmps.errors import ShapeMismatchError
 
 
 def perturbed_ground(h, amount, which=5):
     hd = ham.to_dense_hamiltonian(h)
     vals, vecs = np.linalg.eigh(hd)
     v = vecs[:, 0] + amount * vecs[:, which]
-    v /= np.linalg.norm(v)
-    return mps.canonicalize(v, h.n, h.dims[1], None, h.dims[0])
+    return v / np.linalg.norm(v)
 
 
-def dense_refine(m, h):
+def dense_refine(v, h):
     """The refinement's eigenspace choices and final state vector computed
     with dense matrices: identity-padded projectors, the full Hamiltonian
     and a canonicalization after every projection; the independent
     reference for the matrix-free, one-vector pass."""
-    n = h.n
+    n, d, d_end = h.n, h.dims[1], h.dims[0]
     hd = ham.to_dense_hamiltonian(h)
-    state, chosen = m, []
+    state, chosen = mps.canonicalize(v, n, d, None, d_end), []
     for t, term in enumerate(h.terms):
         dec = cm.eig_projectors(term)
         v = mps.to_dense(state)
@@ -33,7 +34,7 @@ def dense_refine(m, h):
         for j, p in enumerate(dec.projectors):
             w = ham._embed(p, 2**t, 2**(n - t - 2)) @ v
             c = float(np.vdot(v, w).real)
-            if c < 1.0 / (dec.k * n * n):
+            if c < 1.0 / (len(dec.projectors) * n * n):
                 continue
             wn = w / np.linalg.norm(w)
             e = float(np.vdot(wn, hd @ wn).real)
@@ -41,8 +42,7 @@ def dense_refine(m, h):
                 best = (e, j, c)
         _, j, c = best
         w = ham._embed(dec.projectors[j], 2**t, 2**(n - t - 2)) @ v
-        state = mps.canonicalize(w / np.linalg.norm(w), n, m.d, None, m.d_end,
-                                 s=m.s)
+        state = mps.canonicalize(w / np.linalg.norm(w), n, d, None, d_end)
         chosen.append((t, j, c))
     return chosen, mps.to_dense(state)
 
@@ -67,14 +67,14 @@ class TestApplyTerm:
 class TestEigProjectors:
     def test_zz_two_spaces(self):
         dec = cm.eig_projectors(np.kron(ham.Z, ham.Z))
-        assert dec.k == 2
+        assert len(dec.projectors) == 2
         assert sorted(np.round(dec.eigenvalues, 9)) == [-1.0, 1.0]
         for p in dec.projectors:
             assert np.isclose(np.trace(p).real, 2.0)
 
     def test_identity_single_space(self):
         dec = cm.eig_projectors(np.eye(4, dtype=complex))
-        assert dec.k == 1
+        assert len(dec.projectors) == 1
         assert np.abs(dec.projectors[0] - np.eye(4)).max() < 1e-12
 
     def test_completeness_orthogonality(self):
@@ -99,8 +99,7 @@ class TestRefine:
     def test_zz6_from_exact_ground(self):
         h = ham.build_model("zz_chain", {}, 6)
         gt = oracle.exact_ground(h)
-        m = mps.canonicalize(gt.ground_vector, 6, 2, None, 2)
-        rr = cm.refine_to_eigenstate(m, h)
+        rr = cm.refine_to_eigenstate(gt.ground_vector, h)
         assert np.isclose(rr.energy, -5.0)
         assert max(rr.residuals) <= 1e-10
         assert all(c >= 1 - 1e-9 for _, _, c in rr.chosen)
@@ -123,8 +122,7 @@ class TestRefine:
             h = ham.build_model(name, {}, n, seed=seed)
             hd = ham.to_dense_hamiltonian(h)
             e0 = oracle.exact_ground(h).e0
-            m = perturbed_ground(h, 0.1)
-            v = mps.to_dense(m)
+            v = perturbed_ground(h, 0.1)
             surplus = float(np.vdot(v, hd @ v).real) - e0
             for t, term in enumerate(h.terms):
                 dec = cm.eig_projectors(term)
@@ -133,7 +131,7 @@ class TestRefine:
                     pe = ham._embed(p, 2**t, 2**(n - t - 2))
                     w = pe @ v
                     c = float(np.vdot(v, w).real)
-                    if c < 1.0 / (dec.k * n * n):
+                    if c < 1.0 / (len(dec.projectors) * n * n):
                         continue
                     wn = w / np.linalg.norm(w)
                     e = float(np.vdot(wn, hd @ wn).real)
@@ -146,56 +144,77 @@ class TestRefine:
         h = ham.build_model("rotated_classical", {}, 5, seed=5)
         hd = ham.to_dense_hamiltonian(h)
         e0 = oracle.exact_ground(h).e0
-        m = perturbed_ground(h, 0.1)
-        v = mps.to_dense(m)
+        v = perturbed_ground(h, 0.1)
         surplus = float(np.vdot(v, hd @ v).real) - e0
-        rr = cm.refine_to_eigenstate(m, h)
+        rr = cm.refine_to_eigenstate(v, h)
         assert rr.energy - e0 <= np.e * surplus + 1e-10
 
     def test_bond_dimension_growth_bounded(self):
         h = ham.build_model("rotated_classical", {}, 5, seed=6)
-        m = perturbed_ground(h, 0.1)
-        base = max(m.bond_dims)
-        rr = cm.refine_to_eigenstate(m, h)
-        assert max(rr.state.bond_dims) <= base * 4
+        v = perturbed_ground(h, 0.1)
+
+        def bond_dims(vec):
+            return mps.canonicalize(vec, 5, 2, None, 2).bond_dims
+
+        base = max(bond_dims(v))
+        rr = cm.refine_to_eigenstate(v, h)
+        assert max(bond_dims(rr.vector)) <= base * 4
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_dense_loop(self, seed):
         h = ham.build_model("rotated_classical", {}, 8, seed=seed)
-        m = perturbed_ground(h, 0.1)
-        want, v_ref = dense_refine(m, h)
-        rr = cm.refine_to_eigenstate(m, h)
+        v = perturbed_ground(h, 0.1)
+        want, v_ref = dense_refine(v, h)
+        rr = cm.refine_to_eigenstate(v, h)
         got = rr.chosen
         assert [(t, j) for t, j, _ in got] == [(t, j) for t, j, _ in want]
         for (_, _, c), (_, _, c_ref) in zip(got, want):
             assert abs(c - c_ref) <= 1e-12
-        v = mps.to_dense(rr.state)
+        v = rr.vector
         assert np.linalg.norm(mps.align_phase(v, v_ref) - v_ref) <= 1e-10
 
-    def test_one_canonicalize_two_to_dense(self, monkeypatch):
-        h = ham.build_model("rotated_classical", {}, 6, seed=2)
-        m = perturbed_ground(h, 0.1)
+    def test_commuting_run_makes_no_canonical_round_trip(self, monkeypatch):
+        # the refinement takes the exact_ground vector as it is and returns
+        # a vector, so a commuting run neither canonicalizes nor contracts
         calls = {"canonicalize": 0, "to_dense": 0}
 
-        def counting(name):
-            original = getattr(cm, name)
-
+        def counting(name, original):
             def wrapped(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
             return wrapped
 
-        for name in calls:
-            monkeypatch.setattr(cm, name, counting(name))
-        cm.refine_to_eigenstate(m, h)
-        assert calls == {"canonicalize": 1, "to_dense": 2}
+        # every binding of the two functions in the package, wherever a
+        # module imported them by name
+        originals = {name: getattr(mps, name) for name in calls}
+        for mod in (mps, cli, cm, oracle, dp):
+            for name, original in originals.items():
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counting(name, original))
+        cfg = cli.parse_config(
+            '{"model": {"name": "rotated_classical", "n": 6, "seed": 2},'
+            ' "run": {"mode": "commuting"}}')
+        res = cli.execute(cfg)
+        assert res["matched_exact"]
+        assert calls == {"canonicalize": 0, "to_dense": 0}
 
+    def test_wrong_size_rejected(self):
+        h = ham.build_model("zz_chain", {}, 5)
+        with pytest.raises(ShapeMismatchError):
+            cm.refine_to_eigenstate(np.ones(16) / 4, h)
+
+    def test_non_unit_norm_rejected(self):
+        h = ham.build_model("zz_chain", {}, 5)
+        v = perturbed_ground(h, 0.1)
+        cm.refine_to_eigenstate(v * (1 + 5e-9), h)
+        with pytest.raises(ValueError):
+            cm.refine_to_eigenstate(v * (1 + 1e-6), h)
 
     def test_one_eigh_per_distinct_term(self, monkeypatch):
         # zz_chain has one distinct term; refinement and verification share
         # its decomposition
         h = ham.build_model("zz_chain", {}, 8)
-        m = perturbed_ground(h, 0.1)
+        v = perturbed_ground(h, 0.1)
         calls = {"eigh": 0, "eigvalsh": 0}
 
         def counting(name):
@@ -208,7 +227,7 @@ class TestRefine:
 
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counting(name))
-        rr = cm.refine_to_eigenstate(m, h)
+        rr = cm.refine_to_eigenstate(v, h)
         assert calls == {"eigh": 1, "eigvalsh": 0}
         assert max(rr.residuals) <= 1e-12
 
@@ -217,13 +236,11 @@ class TestVerifyEigenstate:
     def test_basis_eigenstate(self):
         h = ham.build_model("zz_chain", {}, 5)
         v = mps.product_basis_state(5, 2, 2, [0, 1, 0, 1, 0])
-        m = mps.canonicalize(v, 5, 2, None, 2)
-        assert max(cm.verify_eigenstate(m, h)) <= 1e-12
+        assert max(cm.verify_eigenstate(v, h)) <= 1e-12
 
     def test_non_eigenstate_flagged(self):
         rng = np.random.default_rng(2)
         h = ham.build_model("zz_chain", {}, 5)
         v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         v /= np.linalg.norm(v)
-        m = mps.canonicalize(v, 5, 2, None, 2)
-        assert max(cm.verify_eigenstate(m, h)) > 0.1
+        assert max(cm.verify_eigenstate(v, h)) > 0.1

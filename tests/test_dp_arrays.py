@@ -138,7 +138,7 @@ class TestSizeGuard:
             raise AssertionError("transition matrix attempted")
 
         # 1,500 pairs need 18 MB per transition matrix
-        monkeypatch.setattr(dp, "_physical_memory", lambda: 2**20)
+        monkeypatch.setattr(ham, "_physical_memory", lambda: 2**20)
         monkeypatch.setattr(dp, "transition_energies", never)
         monkeypatch.setattr(dp, "initial_list", never)
         h = ham.group_boundaries(ham.build_model("heisenberg", {}, 6), 2)

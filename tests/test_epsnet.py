@@ -9,9 +9,12 @@ from dpmps import epsnet as en
 from dpmps.errors import EmptyNetError, NetSizeError
 
 
+D2_EPSILON_OP = 0.05
+
+
 @pytest.fixture(scope="module")
 def d2_net():
-    return en.build_pair_net(2, 2, 0.25, epsilon_op=0.05)
+    return en.build_pair_net(2, 2, 0.25, epsilon_op=D2_EPSILON_OP)
 
 
 class TestGrids:
@@ -138,7 +141,7 @@ class TestPairNet:
     def test_left_canonical_filter_enforced(self, d2_net):
         off = en.left_gram_offdiag(d2_net.lam, d2_net.b)
         assert off.shape == (d2_net.size,)
-        assert off.max() <= 3 * d2_net.epsilon_op + 1e-12
+        assert off.max() <= 3 * D2_EPSILON_OP + 1e-12
 
     def test_empty_net_error(self, monkeypatch):
         # the coarse grids always contain some exactly left-canonical pair,

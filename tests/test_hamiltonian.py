@@ -51,6 +51,20 @@ class TestBuildModel:
         with pytest.raises(ConfigError, match="param d"):
             ham.build_model("random_hermitian", {"d": d}, 4)
 
+    @pytest.mark.parametrize("name", ["diagonal_commuting",
+                                      "random_hermitian"])
+    def test_huge_site_dimension(self, name):
+        # two terms of 16 d^4 bytes at d=1000 need 32 TB
+        with pytest.raises(SizeGuardError, match="physical memory"):
+            ham.build_model(name, {"d": 1000}, 3)
+
+    def test_long_chain_beyond_memory(self, monkeypatch):
+        # 4,999 zz terms of 256 bytes each exceed a 1 MB memory; 3,906 fit
+        monkeypatch.setattr(ham, "_physical_memory", lambda: 10**6)
+        assert len(ham.build_model("zz_chain", {}, 3907).terms) == 3906
+        with pytest.raises(SizeGuardError, match="physical memory"):
+            ham.build_model("zz_chain", {}, 5000)
+
     def test_random_hermitian_seeded(self):
         h1 = ham.build_model("random_hermitian", {}, 4, seed=5)
         h2 = ham.build_model("random_hermitian", {}, 4, seed=5)
@@ -89,6 +103,21 @@ class TestGroupBoundaries:
         with pytest.raises(ValueError):
             ham.grouping_count(1, 2)
         assert ham.grouping_count(1, 1) == 1
+
+
+class TestNnHamiltonian:
+    def test_non_hermitian_term_rejected(self):
+        bad = np.eye(4, dtype=complex)
+        bad[0, 1] = 0.5
+        with pytest.raises(ValueError, match="term 1 is not Hermitian"):
+            ham.NnHamiltonian(n=3, dims=[2, 2, 2],
+                              terms=[np.eye(4, dtype=complex), bad])
+
+    def test_hermitian_within_tolerance_accepted(self):
+        near = np.eye(4, dtype=complex)
+        near[0, 1] = 0.5 * ham.HERMITICITY_TOL
+        h = ham.NnHamiltonian(n=3, dims=[2, 2, 2], terms=[near, near.copy()])
+        assert h.J > 0
 
 
 class TestNormsAndChecks:

@@ -341,7 +341,7 @@ class TestStructuralProperties:
 class TestJsonFormat:
     def test_writer_encodes_every_tensor(self):
         rng = np.random.default_rng(11)
-        m = mps.canonicalize(random_state(rng, 64), 6, 2, 8, 2, s=1)
+        m = mps.canonicalize(random_state(rng, 64), 6, 2, 8, 2)
         doc = json.loads(json.dumps(mps.mps_to_json(m)))
 
         def decode(obj):
