@@ -17,10 +17,14 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass
+from decimal import Decimal
+
+from numpy.linalg import LinAlgError
 
 from . import commuting as cm
 from . import dp, epsnet, oracle
@@ -62,6 +66,15 @@ def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
+def _finite_float(val) -> float:
+    """val as a finite float, else NaN, which fails every range check."""
+    try:
+        x = float(val) if _is_number(val) else math.nan
+    except OverflowError:
+        x = math.nan
+    return x if math.isfinite(x) else math.nan
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document."""
     try:
@@ -95,16 +108,18 @@ def parse_config(text: str) -> RunConfig:
     D = solver.get("D", 1)
     if not _is_int(D) or D < 1:
         raise ConfigError("solver.D must be an integer >= 1")
-    delta = solver.get("delta", 0.25)
-    if not _is_number(delta) or not 0.0 < delta <= 0.5:
+    delta = _finite_float(solver.get("delta", 0.25))
+    if not 0.0 < delta <= 0.5:
         raise ConfigError("solver.delta must lie in (0, 0.5]")
     cap = solver.get("cap", epsnet.DEFAULT_CAP)
     if not _is_int(cap) or cap < 1:
         raise ConfigError("solver.cap must be a positive integer")
+    eps = {}
     for key in ("epsilon_op", "target_error", "epsilon"):
         val = solver.get(key)
-        if val is not None and (not _is_number(val) or val <= 0):
-            raise ConfigError(f"solver.{key} must be a positive number")
+        eps[key] = None if val is None else _finite_float(val)
+        if val is not None and not eps[key] > 0.0:
+            raise ConfigError(f"solver.{key} must be a positive finite number")
 
     mode = run.get("mode")
     if mode not in MODES:
@@ -118,11 +133,7 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(
         model_name=name, model_params=params,
-        n=n, seed=seed, D=D, delta=float(delta),
-        epsilon_op=solver.get("epsilon_op"),
-        target_error=solver.get("target_error"),
-        epsilon=solver.get("epsilon"),
-        cap=cap, mode=mode,
+        n=n, seed=seed, D=D, delta=delta, cap=cap, **eps, mode=mode,
         out_path=output.get("path"), emit_mps=bool(output.get("emit_mps")),
         start=start, sweeps=sweeps,
     )
@@ -135,7 +146,10 @@ def _epsilon_op_for(cfg: RunConfig, hg, default=None) -> float:
     if cfg.epsilon_op is not None:
         return cfg.epsilon_op
     if cfg.target_error is not None:
-        return dp.epsilon_for_target(cfg.target_error, hg.J, cfg.D, hg.n)
+        eps = dp.epsilon_for_target(cfg.target_error, hg.J, cfg.D, hg.n)
+        if eps > 0.0:
+            return eps
+        raise ConfigError("solver.target_error gives an epsilon_op of 0")
     if default is not None:
         return default
     return epsnet.certified_epsilon(hg.dims[1], cfg.D, cfg.delta)
@@ -203,10 +217,11 @@ def _net_stats(cfg: RunConfig, h0) -> dict:
     pn, en = _nets(cfg, hg, _epsilon_op_for(cfg, hg, cfg.epsilon))
     # solver.epsilon sizes the paper's bound; it defaults to the certified one
     eps = cfg.epsilon if cfg.epsilon is not None else pn.epsilon_cert
-    bound = epsnet.net_size_estimate(cfg.D, hg.dims[1], eps)
+    # Decimal prints past the int-to-str digit limit a tiny epsilon reaches
+    bound = str(Decimal(epsnet.net_size_estimate(cfg.D, hg.dims[1], eps)))
     return {
-        "paper_bound": str(bound),
-        "paper_bound_log10": len(str(bound)) - 1,
+        "paper_bound": bound,
+        "paper_bound_log10": len(bound) - 1,
         "N": pn.size, "end_net_size": en.size,
         "epsilon": eps, "epsilon_cert": pn.epsilon_cert,
     }
@@ -291,7 +306,8 @@ def main(argv=None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except (ConvergenceError, EmptyNetError, NoAdmissibleSequenceError,
-            NoAdmissibleTransitionError, NoFeasibleEigenspaceError) as exc:
+            NoAdmissibleTransitionError, NoFeasibleEigenspaceError,
+            LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except ConfigError as exc:

@@ -358,13 +358,12 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
     for lst in reversed(lists):
         chosen.append(int(lst.pair_index[ei]))
         ei = int(lst.tail[ei])
-    gamma1_idx = ei
     chosen.reverse()
-    assignment = [gamma1_idx] + chosen + [best_g]
+    assignment = [ei] + chosen + [best_g]
 
     omega = CanonicalMps(
         n=n, d=d, D=D, d_end=d_end, s=h.s,
-        gamma_left=end_net.tensors[gamma1_idx].copy(),
+        gamma_left=end_net.tensors[ei].copy(),
         lambda2=pair_net.lam[chosen[0]].copy(),
         b_tensors=[pair_net.b[c].copy() for c in chosen],
         gamma_right=end_net.tensors[best_g].copy(),

@@ -33,17 +33,21 @@ DEFAULT_CAP = 10**7
 GS_DEGENERATE_TOL = 1e-7
 
 
+def _grid_count(delta: float):
+    """ceil(1/(2 delta)) - 1, or math.inf when 1/(2 delta) overflows."""
+    if not 0.0 < delta <= 0.5:
+        raise ValueError(f"delta must be in (0, 0.5], got {delta}")
+    half = 1.0 / (2.0 * delta)
+    return math.ceil(half) - 1 if math.isfinite(half) else math.inf
+
+
 def real_grid(delta: float) -> np.ndarray:
     """Points {(2j+1)*delta : j = 0..ceil(1/(2 delta))-2} plus {1-delta}.
 
     Every x in [0, 1] is within delta of some point.
     """
-    if not 0.0 < delta <= 0.5:
-        raise ValueError(f"delta must be in (0, 0.5], got {delta}")
-    count = math.ceil(1.0 / (2.0 * delta)) - 1
-    pts = [(2 * j + 1) * delta for j in range(count)]
-    pts.append(1.0 - delta)
-    return np.array(sorted(set(pts)), dtype=float)
+    pts = {(2 * j + 1) * delta for j in range(_grid_count(delta))}
+    return np.array(sorted(pts | {1.0 - delta}), dtype=float)
 
 
 def complex_grid(delta: float) -> np.ndarray:
@@ -54,12 +58,8 @@ def complex_grid(delta: float) -> np.ndarray:
 
 @dataclass
 class NetCertificate:
-    """Provenance and certified covering radius of one generated family."""
+    """Filter funnel and certified covering radius of one generated family."""
 
-    a: int
-    b: int
-    delta: float
-    real_nonneg: bool
     nu_cert: float
     candidate_count: int
     survivors_norm_filter: int
@@ -141,6 +141,11 @@ def orthonormal_family(a: int, b: int, delta: float, real_nonneg: bool = False,
         raise ValueError(f"need row count a <= column count b, got {a} > {b}")
     if real_nonneg and a != 1:
         raise ValueError("real nonnegative generation requires a = 1")
+    # a lower bound on the candidate count, checked before any grid is built
+    if _grid_count(delta) ** (a * b * (1 if real_nonneg else 2)) > cap:
+        raise NetSizeError(
+            f"grid candidates for a={a}, b={b}, delta={delta} exceed cap {cap}"
+        )
     grid = real_grid(delta) if real_nonneg else complex_grid(delta)
     cands = _enumerate_candidates(grid.astype(complex), a, b, cap)
     total = cands.shape[0]
@@ -164,7 +169,6 @@ def orthonormal_family(a: int, b: int, delta: float, real_nonneg: bool = False,
     if real_nonneg:
         out = out.real.astype(complex)
     cert = NetCertificate(
-        a=a, b=b, delta=delta, real_nonneg=real_nonneg,
         nu_cert=_radius(b, delta), candidate_count=total,
         survivors_norm_filter=n1, survivors_overlap_filter=n3,
         dropped_degenerate=n3 - out.shape[0], size=out.shape[0],
@@ -300,11 +304,12 @@ def build_pair_net(D: int, d: int, delta: float, epsilon_op: float,
 
 
 def net_size_estimate(D: int, d: int, epsilon: float) -> int:
-    """The theoretical net-size bound (144 d D / epsilon)^(D + 2 d D^2),
-    evaluated overflow-safe as a big integer."""
+    """The paper's net-size bound (144 d D / epsilon)^(D + 2 d D^2) as a big
+    integer; epsilon is limited to denominator 10^9 unless that gives 0."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    base = Fraction(144 * d * D) / Fraction(epsilon).limit_denominator(10**9)
+    eps = Fraction(epsilon).limit_denominator(10**9) or Fraction(epsilon)
+    base = Fraction(144 * d * D) / eps
     k = D + 2 * d * D * D
     val = base**k
     return int(val) if val >= 1 else 0

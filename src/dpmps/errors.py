@@ -3,7 +3,7 @@
 The CLI maps these onto exit codes: infeasibility guards (net caps,
 enumeration explosion, dense-size guards) exit with 3, numerical failures
 (empty nets or DP lists, no admissible enumerated sequence, infeasible
-eigenspace selection, an eigensolver that does not converge) exit with 4.
+eigenspace selection, a failed eigensolver or numpy LinAlgError) exit with 4.
 """
 
 
@@ -24,7 +24,7 @@ class EmptyNetError(RuntimeError):
 
 
 class SchmidtRankError(RuntimeError):
-    """A cut of the input state exceeds the bond-dimension cap in strict mode."""
+    """A cut of the input state exceeds the bond-dimension cap."""
 
 
 class NoAdmissibleTransitionError(RuntimeError):

@@ -73,12 +73,7 @@ def _physical_memory() -> int | None:
 
 def max_term_norm(h) -> float:
     """Largest singular value over all terms."""
-    best = 0.0
-    for t in h.terms:
-        sv = np.linalg.svd(np.asarray(t, dtype=complex), compute_uv=False)
-        if sv.size:
-            best = max(best, float(sv[0]))
-    return best
+    return max(float(np.linalg.norm(t, 2)) for t in h.terms)
 
 
 def _fold_fields(bond_terms, fields, d):
@@ -202,13 +197,12 @@ def group_boundaries(h: NnHamiltonian, D: int) -> NnHamiltonian:
     d_end = d**s
     n_new = h.n - 2 * s + 2
     dims = [d_end] + [d] * (n_new - 2) + [d_end]
-    # New first term on (block, site s+1): old terms i=1..s embedded.
+    # New first term on (block, site s+1): old terms i=1..s embedded; new
+    # last term on (site n-s, block): old terms i=n-s..n-1.
     first = np.zeros((d_end * d, d_end * d), dtype=complex)
-    for i in range(s):
-        first += _embed(h.terms[i], d**i, d ** (s - 1 - i))
-    # New last term on (site n-s, block): old terms i=n-s..n-1.
     last = np.zeros((d * d_end, d * d_end), dtype=complex)
     for i in range(s):
+        first += _embed(h.terms[i], d**i, d ** (s - 1 - i))
         last += _embed(h.terms[h.n - 1 - s + i], d**i, d ** (s - 1 - i))
     middle = [h.terms[j].copy() for j in range(s, h.n - 1 - s)]
     return NnHamiltonian(n=n_new, dims=dims, terms=[first] + middle + [last],

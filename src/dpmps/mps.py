@@ -255,36 +255,18 @@ def windowed_energy_sum(m: CanonicalMps, h) -> float:
                for j, term in enumerate(h.terms))
 
 
-def _transfer_envs(tensors):
-    """Left and right bond environments of <psi|psi>."""
-    left = [np.ones((1, 1), dtype=complex)]
-    for t in tensors[:-1]:
-        e = left[-1]
-        e = np.einsum("ab,aic,bid->cd", e, t.conj(), t, optimize=True)
-        left.append(e)
-    right = [np.ones((1, 1), dtype=complex)]
-    for t in reversed(tensors[1:]):
-        e = right[0]
-        e = np.einsum("aic,bid,cd->ab", t.conj(), t, e, optimize=True)
-        right.insert(0, e)
-    return left, right
-
-
-def _two_site_value(tensors, left_env, right_env, op, site):
-    """<psi| op on (site, site+1) |psi> without normalization (0-based site)."""
-    t1, t2 = tensors[site], tensors[site + 1]
-    d1, d2 = t1.shape[1], t2.shape[1]
-    o = np.asarray(op).reshape(d1, d2, d1, d2)
-    w = np.einsum("aib,bjc->aijc", t1, t2, optimize=True)
-    return np.einsum("ab,aijc,ijkl,bklf,cf->", left_env, w.conj(), o, w,
-                     right_env, optimize=True)
+def _transfer(env, bra, ket):
+    """env[a, b] of <bra|...|ket> carried over one site of (r_left, dim,
+    r_right) tensors: sum_{a,b,i} env[a,b] conj(bra[a,i,c]) ket[b,i,d]."""
+    x = np.tensordot(env, ket, axes=([1], [0]))
+    return np.tensordot(bra.conj(), x, axes=([0, 1], [0, 1]))
 
 
 def expectation_full(m: CanonicalMps, h) -> float:
-    """True energy <psi|H|psi>/<psi|psi> via transfer-matrix contraction.
-
-    Makes no canonical assumption about the state.
-    """
+    """True energy <psi|H|psi>/<psi|psi> in one left-to-right sweep with the
+    norm environment and the environment of the terms already closed; term
+    j-1 is closed at site j from its window (a, d_{j-1} d_j, c) of sites
+    j-1, j.  Makes no canonical assumption about the state."""
     tensors = m.site_tensors()
     if len(h.terms) != m.n - 1:
         raise ShapeMismatchError("term count does not match site count")
@@ -294,13 +276,16 @@ def expectation_full(m: CanonicalMps, h) -> float:
                 f"site {j} has physical dimension {t.shape[1]}, "
                 f"Hamiltonian expects {h.dims[j]}"
             )
-    left, right = _transfer_envs(tensors)
-    overlap = np.einsum("ab,aic,bic->", left[-1], tensors[-1].conj(),
-                        tensors[-1], optimize=True)
-    num = 0.0 + 0.0j
-    for j, term in enumerate(h.terms):
-        num += _two_site_value(tensors, left[j], right[j + 1], term, j)
-    val = num / overlap
+    norm = before = np.ones((1, 1), dtype=complex)
+    energy = np.zeros((1, 1), dtype=complex)
+    for j, t in enumerate(tensors):
+        energy = _transfer(energy, t, t)
+        if j:
+            w = contract(tensors[j - 1:j + 1]).reshape(
+                tensors[j - 1].shape[0], -1, t.shape[2])
+            energy += _transfer(before, w, h.terms[j - 1] @ w)
+        before, norm = norm, _transfer(norm, t, t)
+    val = energy[0, 0] / norm[0, 0]
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise ValueError(f"energy has non-negligible imaginary part {val.imag}")
     return float(val.real)

@@ -1,9 +1,12 @@
 """Tests for config parsing and the CLI run modes."""
 
 import json
+import math
 import os
 import tempfile
+from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -80,6 +83,17 @@ class TestExecute:
             run={"mode": "net-stats"})))
         assert int(res["paper_bound"]) == 288 ** 5
         assert res["N"] == 16
+
+    @pytest.mark.parametrize("D,solver", [
+        (1, {}), (2, {"D": 2, "epsilon_op": 0.05})])
+    def test_net_stats_tiny_epsilon(self, D, solver):
+        # 1e-320 limited to the fraction 0 and raised ZeroDivisionError; at
+        # D=2 the bound has more digits than Python prints from an int
+        res = cli.execute(cli.parse_config(cfg_text(
+            solver=dict(solver, epsilon=1e-320), run={"mode": "net-stats"})))
+        bound = en.net_size_estimate(D, 2, 1e-320)
+        assert Decimal(res["paper_bound"]) == bound
+        assert res["paper_bound_log10"] == math.floor(math.log10(bound))
 
     def test_commuting_mode(self):
         res = cli.execute(cli.parse_config(cfg_text(
@@ -197,6 +211,35 @@ class TestMain:
         assert capsys.readouterr().err.startswith("infeasible:")
         assert not outp.exists()
 
+    @pytest.mark.parametrize("delta", [1e-6, 1e-320])
+    def test_tiny_delta_exit_3(self, tmp_path, capsys, delta):
+        # 1e-6 ended in numpy's allocation error ("Unable to allocate
+        # 3.64 TiB") for the complex grid, 1e-320 in an OverflowError while
+        # building the real grid, each with exit 1
+        path = tmp_path / "cfg.json"
+        outp = tmp_path / "res.json"
+        doc = json.loads(cfg_text(solver={"delta": delta},
+                                  run={"mode": "net-stats"}))
+        doc["output"] = {"path": str(outp)}
+        path.write_text(json.dumps(doc))
+        assert cli.main(["--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("infeasible:")
+        assert not outp.exists()
+
+    def test_linalg_error_exit_4(self, tmp_path, capsys):
+        # eigh on a Krylov matrix of entries near 1e308 does not converge;
+        # its LinAlgError exited 1
+        path = tmp_path / "cfg.json"
+        outp = tmp_path / "res.json"
+        path.write_text(json.dumps({
+            "model": {"name": "transverse_ising", "n": 4,
+                      "params": {"g": 1e308}},
+            "run": {"mode": "oracle"}, "output": {"path": str(outp)}}))
+        with np.errstate(all="ignore"):
+            assert cli.main(["--config", str(path)]) == 4
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not outp.exists()
+
     def test_numerical_failure_exit_4(self, tmp_path, capsys, monkeypatch):
         from dpmps.errors import EmptyNetError
 
@@ -295,6 +338,22 @@ class TestBadInputExit2:
                  model={"name": "random_hermitian", "params": {"d": d}},
                  solver={"D": D}, run={"mode": mode})
 
+    @pytest.mark.parametrize("key,val", [
+        ("epsilon_op", 10**400), ("target_error", 10**400),
+        ("epsilon", 10**400), ("epsilon", float("inf"))],
+        ids=["epsilon_op-1e400", "target_error-1e400", "epsilon-1e400",
+             "epsilon-inf"])
+    def test_solver_number_not_a_finite_float(self, tmp_path, capsys, key,
+                                              val):
+        # each exited 1 with an OverflowError, Infinity inside Fraction
+        self.run(tmp_path, capsys, solver={key: val},
+                 run={"mode": "net-stats"})
+
+    def test_target_error_underflow(self, tmp_path, capsys):
+        # target_error / (2 J D^2 n^2) rounded to 0.0, and the pair net
+        # raised ValueError (exit 1)
+        self.run(tmp_path, capsys, solver={"target_error": 5e-324})
+
     def test_section_not_an_object(self, tmp_path, capsys):
         doc = json.loads(cfg_text())
         doc["solver"] = "x"
@@ -332,6 +391,10 @@ def _section(required, optional):
         optional={k: _field(v) for k, v in optional.items()}))
 
 
+# a float-sized epsilon, or one that overflows, is infinite or is subnormal
+EPSILON = st.one_of(st.floats(1e-3, 10.0),
+                    st.sampled_from((10**400, float("inf"), 1e-320)))
+
 CONFIGS = st.fixed_dictionaries({
     "model": _section(
         {"name": st.sampled_from(MODELS + ("no_such_model",)),
@@ -345,10 +408,10 @@ CONFIGS = st.fixed_dictionaries({
     # cap is always given, so no net grows past 10^4 candidates
     "solver": _section({"cap": st.integers(-1, 10**4)}, {
         "D": st.integers(0, 2),
-        "delta": st.sampled_from((0.25, 0.5, 0.0, -0.1, 0.9)),
-        "epsilon_op": st.floats(1e-3, 10.0),
-        "target_error": st.floats(1e-3, 10.0),
-        "epsilon": st.floats(1e-3, 10.0)}),
+        "delta": st.sampled_from((0.25, 0.5, 0.0, -0.1, 0.9, 1e-6, 1e-320)),
+        "epsilon_op": EPSILON,
+        "target_error": EPSILON,
+        "epsilon": EPSILON}),
     "run": _section({"mode": st.sampled_from(cli.MODES)},
                     {"sweeps": st.integers(-1, 2),
                      "start": st.sampled_from(("all_up", "all_down"))}),

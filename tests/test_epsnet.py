@@ -1,6 +1,7 @@
 """Tests for the grid nets and the orthonormal-family generator."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +82,15 @@ class TestOrthonormalFamily:
     def test_cap_error(self):
         with pytest.raises(NetSizeError):
             en.orthonormal_family(2, 4, 0.1, cap=10**6)
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-320])
+    def test_cap_checked_before_grid(self, delta):
+        # 1e-6 failed to allocate a 2.5e11-point complex grid, 1e-320
+        # overflowed while counting the real grid
+        with pytest.raises(NetSizeError):
+            en.orthonormal_family(1, 2, delta)
+        with pytest.raises(NetSizeError):
+            en.orthonormal_family(1, 2, delta, real_nonneg=True)
 
     def test_bad_shape(self):
         with pytest.raises(ValueError):
@@ -248,6 +258,12 @@ class TestNetSizeEstimate:
 
     def test_monotone_in_epsilon(self):
         assert en.net_size_estimate(1, 2, 0.5) > en.net_size_estimate(1, 2, 1.0)
+
+    def test_tiny_epsilon_enters_exactly(self):
+        # 1e-320 limits to the fraction 0 at denominator 10^9; it raised
+        # ZeroDivisionError
+        val = en.net_size_estimate(1, 2, 1e-320)
+        assert val == int((Fraction(288) / Fraction(1e-320)) ** 5)
 
 
 class TestFilterSoundness:

@@ -314,6 +314,29 @@ class TestExpectationFull:
             ref = (np.vdot(w, hd @ w) / np.vdot(w, w)).real
             assert abs(mps.expectation_full(m, h) - ref) < 1e-8
 
+    @pytest.mark.parametrize("n,D,dims", [(6, 1, [2] * 6),
+                                          (7, 3, [4, 2, 2, 2, 4])])
+    def test_non_canonical_unnormalized(self, n, D, dims):
+        # raw random site tensors with bond 3 and a random lambda: neither
+        # canonical nor of norm 1; D=3 groups the chain ends into d=4 sites
+        rng = np.random.default_rng(12)
+        h = ham.group_boundaries(
+            ham.build_model("random_hermitian", {}, n, seed=5), D)
+        assert list(h.dims) == dims
+        r = [1] + [3] * (len(dims) - 1) + [1]
+        ts = [rng.standard_normal((r[j], dim, r[j + 1]))
+              + 1j * rng.standard_normal((r[j], dim, r[j + 1]))
+              for j, dim in enumerate(dims)]
+        m = mps.CanonicalMps(
+            n=len(dims), d=2, D=3, d_end=dims[0], gamma_left=ts[0][0].T,
+            lambda2=rng.uniform(0.1, 2.0, 3), b_tensors=ts[1:-1],
+            gamma_right=ts[-1][:, :, 0])
+        w = mps.to_dense(m)
+        assert abs(np.linalg.norm(w) - 1.0) > 1.0
+        hd = ham.to_dense_hamiltonian(h)
+        ref = (np.vdot(w, hd @ w) / np.vdot(w, w)).real
+        assert abs(mps.expectation_full(m, h) - ref) <= 1e-12 * abs(ref)
+
 
 class TestStructuralProperties:
     def test_block_norm_vector_contracts_distances(self):
