@@ -8,7 +8,8 @@ the warnings (bounds vacuous whenever the document's `epsilon_cert` is at
 least 1), timings and digest.
 
 Exit codes: 0 success, 2 config error or unwritable output, 3 infeasible
-size guard, 4 numerical failure.
+size guard, 4 numerical failure, which includes a result value that is not
+finite (documents are strict JSON, without NaN or Infinity).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from numpy.linalg import LinAlgError
 
 from . import commuting as cm
 from . import dp, epsnet, oracle
-from .errors import (ConfigError, ConvergenceError, EmptyNetError,
-                     NetSizeError, NoAdmissibleSequenceError,
+from .errors import (ComplexEnergyError, ConfigError, ConvergenceError,
+                     EmptyNetError, NetSizeError, NoAdmissibleSequenceError,
                      NoAdmissibleTransitionError, NoFeasibleEigenspaceError,
                      SizeGuardError)
 from .hamiltonian import build_model, dense_dim, group_boundaries, is_commuting
@@ -305,9 +306,9 @@ def main(argv=None) -> int:
     except (NetSizeError, SizeGuardError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ConvergenceError, EmptyNetError, NoAdmissibleSequenceError,
-            NoAdmissibleTransitionError, NoFeasibleEigenspaceError,
-            LinAlgError) as exc:
+    except (ComplexEnergyError, ConvergenceError, EmptyNetError,
+            NoAdmissibleSequenceError, NoAdmissibleTransitionError,
+            NoFeasibleEigenspaceError, LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except ConfigError as exc:
@@ -315,13 +316,20 @@ def main(argv=None) -> int:
         return 2
 
     mps_doc = res.pop("mps", None)
-    text = json.dumps(res, indent=2, default=float)
+    try:
+        text = json.dumps(res, indent=2, default=float, allow_nan=False)
+        mps_text = None if mps_doc is None else json.dumps(mps_doc,
+                                                           allow_nan=False)
+    except ValueError as exc:
+        print(f"numerical failure: result is not finite: {exc}",
+              file=sys.stderr)
+        return 4
     if not cfg.out_path:
         print(text)
         return 0
     files = [(cfg.out_path, text + "\n")]
-    if mps_doc is not None:
-        files.append((cfg.out_path + ".mps.json", json.dumps(mps_doc)))
+    if mps_text is not None:
+        files.append((cfg.out_path + ".mps.json", mps_text))
     try:
         _write_all(files)
     except OSError as exc:

@@ -22,7 +22,14 @@ that walks the end net in chunks.  `initial_list` keeps a running
 pairs of the last list only, so no (end net) x N array is formed.  At
 D=1 both are bitwise equal to the per-end-tensor einsum loop they
 replaced, and the transition matrix is bitwise the transpose of the
-q x p product.  The returned sandwich bounds are
+q x p product.  A screen decides which end tensors reach that kernel:
+the energy is bilinear in conj(Gamma) (x) Gamma and a per-pair factor,
+so one real GEMM per chunk of pairs gives every energy to within a
+margin tol far above the rounding of either evaluation.  Only end
+tensors within 2 tol of a minimum are evaluated exactly.  Every other
+one is strictly above the exact minimum, so it can neither win nor tie,
+and the results are bitwise those of evaluating all of them.  The
+returned sandwich bounds are
 
     e_alg - 6 J n eps  <=  e_exact  <=  e_true  <=  e_alg + 1.5 J D^2 n^2 eps.
 """
@@ -278,36 +285,97 @@ def _boundary_energies(end_net: BoundaryNet, lam: np.ndarray, b: np.ndarray,
         yield lo, val.reshape(g, P).real
 
 
+def _candidate_rows(end_net: BoundaryNet, lam: np.ndarray, b: np.ndarray,
+                    hterm, end_left: bool, offset=None) -> np.ndarray:
+    """Sorted indices of the end tensors that can hold a boundary minimum.
+
+    The energy is bilinear, e[g, p] = Re sum_k F[g, k] Q[p, k] with
+    F[g] = conj(Gamma_g) (x) Gamma_g and Q[p] = (lam B)_p^dag h (lam B)_p
+    summed over the pair's physical index and far bond, so one real GEMM
+    per chunk of pairs screens every (g, p).  The screen and
+    `_boundary_energies` each sum products whose absolute sum is at most
+    D ||h||_F (orthonormal end rows, unit lambda), so they differ by far
+    less than tol = 1e-10 D (1 + ||h||_F), times (1 + max|offset|) at the
+    right end.  Left end (offset None): g is kept when it is within 2 tol
+    of the column minimum for some pair.  Right end (offset = energies of
+    the last list): g is kept when min_q(offset[q] + e[g, q]) is within
+    2 tol of the overall minimum.  A dropped row is strictly above the
+    exact minimum everywhere, so it can neither win nor tie.  NaN keeps a
+    row; when 1e11 tol, which bounds every partial sum, is not finite,
+    every row is kept.
+    """
+    ends = end_net.tensors                               # (G, D, d_end)
+    G, D, d_end = ends.shape
+    d = b.shape[2]
+    h = np.asarray(hterm)
+    tol = 1e-10 * D * (1.0 + np.linalg.norm(h))
+    if offset is not None:
+        tol *= 1.0 + np.abs(offset).max(initial=0.0)
+    if not np.isfinite(1e11 * tol):
+        return np.arange(G)
+    f = ends.reshape(G, -1)
+    f = (f.conj()[:, :, None] * f[:, None, :]).reshape(G, -1)
+    f = np.concatenate([f.real, -f.imag], axis=1)        # (G, 2K)
+    # Q[p] is indexed like F[g]: (bond, physical) of the end tensor, twice
+    if end_left:
+        h4, spec = h.reshape(d_end, d, d_end, d), "pasc,tsuv,pbvc->patbu"
+    else:
+        h4, spec = h.reshape(d, d_end, d, d_end), "pasc,stuv,paud->pctdv"
+    keep = np.zeros(G, dtype=bool)
+    row_min = np.full(G, np.inf)
+    step = max(1, 8 * BLOCK_ELEMENTS // G)   # screen block of G x step
+    path = np.einsum_path(spec, b[:1], h4, b[:1], optimize=True)[0]
+    for lo in range(0, b.shape[0], step):
+        lb = b[lo:lo + step] * lam[lo:lo + step, :, None, None]
+        q = np.einsum(spec, lb.conj(), h4, lb,
+                      optimize=path).reshape(len(lb), -1)
+        a = f @ np.concatenate([q.real, q.imag], axis=1).T  # (G, chunk)
+        if offset is None:
+            keep |= ~(a > a.min(axis=0) + 2.0 * tol).all(axis=1)
+        else:
+            a += offset[lo:lo + step]
+            row_min = np.minimum(row_min, a.min(axis=1))
+    if offset is not None:
+        keep = ~(row_min > row_min.min() + 2.0 * tol)
+    return np.flatnonzero(keep)
+
+
 def initial_list(end_net: BoundaryNet, net: PairNet, hterm) -> DpList:
-    """First DP list: each pair keeps its best boundary tensor.  A running
-    (min, argmin) over chunks of end tensors, updated on strict
+    """First DP list: each pair keeps its best boundary tensor.  Only the
+    candidate rows of the screen are evaluated exactly, in index order.  A
+    running (min, argmin) over chunks of them, updated on strict
     improvement, so ties go to the lowest end tensor index."""
+    rows = _candidate_rows(end_net, net.lam, net.b, hterm, True)
     energy = np.full(net.size, np.inf)
     tail = np.zeros(net.size, dtype=np.intp)
-    for lo, e in _boundary_energies(end_net, net.lam, net.b, hterm, True):
+    for lo, e in _boundary_energies(BoundaryNet(end_net.tensors[rows]),
+                                    net.lam, net.b, hterm, True):
         arg = e.argmin(axis=0)
         val = e[arg, np.arange(net.size)]
         better = val < energy
         energy[better] = val[better]
-        tail[better] = lo + arg[better]
+        tail[better] = rows[lo + arg[better]]
     return DpList(pair_index=np.arange(net.size), tail=tail, energy=energy)
 
 
 def _close_list(last: DpList, end_net: BoundaryNet, net: PairNet,
                 hterm) -> tuple:
     """(e_alg, g, q): the best total over boundary tensors g and positions
-    q of the last list.  Only the live pairs of `last` are evaluated.  Per
-    g the best q, then g in index order with strict improvement, so ties
-    go to the lowest (g, q)."""
+    q of the last list.  Only the live pairs of `last` and the candidate
+    rows of the screen are evaluated exactly.  Per g the best q, then g in
+    index order with strict improvement, so ties go to the lowest (g, q)."""
+    lam, b = net.lam[last.pair_index], net.b[last.pair_index]
+    rows = _candidate_rows(end_net, lam, b, hterm, False, last.energy)
     best_val, best_g, best_q = np.inf, -1, -1
-    for lo, e in _boundary_energies(end_net, net.lam[last.pair_index],
-                                    net.b[last.pair_index], hterm, False):
+    for lo, e in _boundary_energies(BoundaryNet(end_net.tensors[rows]),
+                                    lam, b, hterm, False):
         total = last.energy + e
         arg = total.argmin(axis=1)
         val = total[np.arange(arg.size), arg]
         gi = int(val.argmin())
         if val[gi] < best_val:
-            best_val, best_g, best_q = float(val[gi]), lo + gi, int(arg[gi])
+            best_val, best_g, best_q = (float(val[gi]), int(rows[lo + gi]),
+                                        int(arg[gi]))
     return best_val, best_g, best_q
 
 

@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: infeasibility guards (net caps,
 enumeration explosion, dense-size guards) exit with 3, numerical failures
 (empty nets or DP lists, no admissible enumerated sequence, infeasible
-eigenspace selection, a failed eigensolver or numpy LinAlgError) exit with 4.
+eigenspace selection, a failed eigensolver or numpy LinAlgError, an energy
+that is not real, a result that is not finite) exit with 4.
 """
 
 
@@ -41,6 +42,10 @@ class NoFeasibleEigenspaceError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """An iterative eigensolver did not reach its residual tolerance."""
+
+
+class ComplexEnergyError(ValueError):
+    """An energy came out with a non-negligible imaginary part."""
 
 
 class ConfigError(ValueError):

@@ -12,17 +12,18 @@ the left bond; boundary tensors are indexed [alpha, i].
 Each MPS job has one implementation: `contract` (site tensors multiplied
 out left to right), `local_energy` (the window kernel every windowed
 energy calls) and `left_gram` (the (lambda B) Gram matrix behind the
-left-canonical filter, the DP defects and `check_canonical`).
+left-canonical filter and the DP defects).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from .errors import SchmidtRankError, ShapeMismatchError, SizeGuardError
+from .errors import (ComplexEnergyError, SchmidtRankError,
+                     ShapeMismatchError, SizeGuardError)
 from .hamiltonian import _check_hermitian
 
 DENSE_SIZE_GUARD = 2**24
@@ -173,48 +174,6 @@ def to_dense(m: CanonicalMps) -> np.ndarray:
     return contract(m.site_tensors()).reshape(-1)
 
 
-@dataclass
-class CanonicalReport:
-    """Max deviations from the canonical conditions, per bond."""
-
-    left: list = field(default_factory=list)      # per interior pair j=2..n-1
-    right: list = field(default_factory=list)     # per B tensor
-    boundary: list = field(default_factory=list)  # [left gamma, right gamma]
-    norm: list = field(default_factory=list)      # per lambda^[j], j=2..n
-    tol: float = 1e-10
-
-    @property
-    def max_residual(self) -> float:
-        parts = self.left + self.right + self.boundary + self.norm
-        return max(parts) if parts else 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.max_residual <= self.tol
-
-
-def check_canonical(m: CanonicalMps, tol: float = 1e-10) -> CanonicalReport:
-    """Evaluate left/right/boundary/normalization residuals.
-
-    The left-canonical residual of a (lambda, B) pair is the largest
-    off-diagonal Gram entry of the (lambda B) columns.
-    """
-    rep = CanonicalReport(tol=tol)
-    for g in (m.gamma_left, m.gamma_right):
-        gram = g.conj() @ g.T
-        rep.boundary.append(float(np.abs(gram - np.eye(g.shape[0])).max()))
-    lams = m.derived_lambdas()
-    for lam in lams:
-        rep.norm.append(abs(float(np.linalg.norm(lam)) - 1.0))
-    for lam, b in zip(lams, m.b_tensors):
-        rl = b.shape[0]
-        flat = b.reshape(rl, -1)
-        gram = flat.conj() @ flat.T
-        rep.right.append(float(np.abs(gram - np.eye(rl)).max()))
-        rep.left.append(float(left_gram_offdiag(lam, b)))
-    return rep
-
-
 def local_energy(lam, b1, b2, hterm) -> float:
     """Energy of one term from the window lambda^[j-1] B^[j-1] B^[j],
     assuming canonical collapse on both sides of the window: the window
@@ -228,7 +187,8 @@ def local_energy(lam, b1, b2, hterm) -> float:
     val = np.einsum("aijb,ijkl,aklb->", w.conj(),
                     hterm.reshape(d1, d2, d1, d2), w, optimize=True)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ValueError(f"energy has non-negligible imaginary part {val.imag}")
+        raise ComplexEnergyError(
+            f"energy has non-negligible imaginary part {val.imag}")
     return float(val.real)
 
 
@@ -241,18 +201,6 @@ def local_energy_left(gamma1, lam2, b2, hterm) -> float:
 def local_energy_right(lam, b1, gamma_n, hterm) -> float:
     """Boundary variant for H_{n-1,n} from the window lambda^[n-1] B^[n-1] Gamma^[n]."""
     return local_energy(lam, b1, np.asarray(gamma_n)[:, :, None], hterm)
-
-
-def windowed_energy_sum(m: CanonicalMps, h) -> float:
-    """Sum of windowed local energies over all terms, with lambda^[j] for
-    j >= 3 recovered via mu chains.  Equals the true energy when the state
-    is exactly canonical."""
-    if len(h.terms) != m.n - 1:
-        raise ShapeMismatchError("term count does not match site count")
-    ts = m.site_tensors()
-    lams = [np.ones(1)] + m.derived_lambdas()
-    return sum(local_energy(lams[j], ts[j], ts[j + 1], term)
-               for j, term in enumerate(h.terms))
 
 
 def _transfer(env, bra, ket):
@@ -287,19 +235,9 @@ def expectation_full(m: CanonicalMps, h) -> float:
         before, norm = norm, _transfer(norm, t, t)
     val = energy[0, 0] / norm[0, 0]
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-        raise ValueError(f"energy has non-negligible imaginary part {val.imag}")
+        raise ComplexEnergyError(
+            f"energy has non-negligible imaginary part {val.imag}")
     return float(val.real)
-
-
-def align_phase(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Rotate v by a global phase so its largest-overlap alignment with ref
-    is real positive; used for phase-insensitive dense comparisons."""
-    ov = np.vdot(ref, v)
-    if abs(ov) < 1e-14:
-        k = int(np.argmax(np.abs(v)))
-        ph = v[k] / abs(v[k]) if abs(v[k]) > 0 else 1.0
-        return v / ph
-    return v * (ov.conjugate() / abs(ov))
 
 
 def product_basis_state(n: int, d: int, d_end: int, indices) -> np.ndarray:

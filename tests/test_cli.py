@@ -240,6 +240,23 @@ class TestMain:
         assert capsys.readouterr().err.startswith("numerical failure:")
         assert not outp.exists()
 
+    @pytest.mark.parametrize("mode",
+                             ["solve", "baseline", "enumerate", "oracle"])
+    def test_huge_param_exit_4(self, tmp_path, capsys, mode):
+        # solve and baseline exited 0 and wrote the non-JSON token
+        # -Infinity; enumerate exited 1 with a ValueError from the
+        # imaginary-part check of mps.local_energy
+        path = tmp_path / "cfg.json"
+        outp = tmp_path / "res.json"
+        path.write_text(json.dumps({
+            "model": {"name": "transverse_ising", "n": 4,
+                      "params": {"g": 1e308}},
+            "run": {"mode": mode}, "output": {"path": str(outp)}}))
+        with np.errstate(all="ignore"):
+            assert cli.main(["--config", str(path)]) == 4
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
     def test_numerical_failure_exit_4(self, tmp_path, capsys, monkeypatch):
         from dpmps.errors import EmptyNetError
 
@@ -403,7 +420,8 @@ CONFIGS = st.fixed_dictionaries({
          "params": st.dictionaries(
              st.sampled_from(("g", "d", "x")),
              st.one_of(st.integers(-1, 4),
-                       st.floats(allow_nan=True, allow_infinity=True)),
+                       st.floats(allow_nan=True, allow_infinity=True),
+                       st.sampled_from((1e308, -1e308))),
              max_size=2)}),
     # cap is always given, so no net grows past 10^4 candidates
     "solver": _section({"cap": st.integers(-1, 10**4)}, {
@@ -419,10 +437,15 @@ CONFIGS = st.fixed_dictionaries({
 })
 
 
+def _reject_constant(token):
+    raise AssertionError(f"non-JSON token {token} in a written document")
+
+
 @settings(max_examples=50, deadline=None, database=None)
 @given(doc=CONFIGS)
 def test_fuzzed_config_keeps_exit_contract(doc):
-    """Any config exits 0, 2, 3 or 4, and a failed run leaves no file."""
+    """Any config exits 0, 2, 3 or 4, a failed run leaves no file, and a
+    successful one writes strict JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         outp = os.path.join(tmp, "res.json")
         if isinstance(doc.get("output"), dict):
@@ -434,3 +457,9 @@ def test_fuzzed_config_keeps_exit_contract(doc):
         assert code in (0, 2, 3, 4)
         if code != 0:
             assert os.listdir(tmp) == ["cfg.json"]
+            return
+        # the result and the MPS document are strict JSON: no NaN or
+        # Infinity token
+        for name in set(os.listdir(tmp)) - {"cfg.json"}:
+            with open(os.path.join(tmp, name), encoding="utf-8") as f:
+                json.load(f, parse_constant=_reject_constant)

@@ -10,6 +10,8 @@ from dpmps import hamiltonian as ham
 from dpmps import mps
 from dpmps.errors import NoAdmissibleTransitionError
 
+import reference
+
 
 def grouped(name, n, D, **params):
     return ham.group_boundaries(ham.build_model(name, params, n), D)
@@ -70,14 +72,15 @@ class TestSolve:
 
     def test_omega_is_canonical(self):
         sr = dp.solve(grouped("transverse_ising", 5, 1), 1, 0.25)
-        rep = mps.check_canonical(sr.omega)
+        rep = reference.check_canonical(sr.omega)
         assert rep.max_residual <= 1e-10
 
     def test_e_alg_is_windowed_sum_of_omega(self):
         # at D=1 the derived Schmidt vectors coincide with the net ones
         h = grouped("zz_chain", 5, 1)
         sr = dp.solve(h, 1, 0.25)
-        assert abs(mps.windowed_energy_sum(sr.omega, h) - sr.e_alg) <= 1e-10
+        e_win = reference.windowed_energy_sum(sr.omega, h)
+        assert abs(e_win - sr.e_alg) <= 1e-10
 
     def test_trap_model_escapes_local_minimum(self):
         h = grouped("trap_model", 6, 1)
@@ -94,7 +97,9 @@ class TestSolve:
 
 
 # (model, n, delta, seed) -> (assignment, repr(e_alg), digest), recorded
-# from the dense N x N DP step before the DP lists became arrays
+# from the dense N x N DP step before the DP lists became arrays; the
+# delta=0.05 solve (N = 3400, the benchmark's fine-grid config) was
+# recorded before the boundary screen and equals perfbench/golden.json
 GOLDEN_SOLVES = [
     (("transverse_ising", 12, 0.25, None),
      ([9, 3, 9, 3, 9, 3, 9, 3, 9, 3, 9, 3], "-14.239999999999997",
@@ -105,11 +110,17 @@ GOLDEN_SOLVES = [
     (("trap_model", 6, 0.1, None),
      ([12, 5, 0, 7, 7, 2], "0.5550267697798928",
       "1f65aa48282f06e0829fe4eb7165c652141313371a844148f8f77cca5e4f33ad")),
+    (("random_hermitian", 12, 0.05, 1),
+     ([1198, 1669, 415, 954, 2445, 2141, 683, 3368, 1619, 3024, 2119, 1322],
+      "-18.323536134399763",
+      "b34a886aa956061a56d33009e7da3231267c0e48a03d3f18d99f1771e64bcf58")),
 ]
 
 
-@pytest.mark.parametrize("config,expect", GOLDEN_SOLVES,
-                         ids=[c[0] for c, _ in GOLDEN_SOLVES])
+@pytest.mark.parametrize(
+    "config,expect", GOLDEN_SOLVES,
+    ids=[name if delta >= 0.1 else f"{name}-delta{delta}"
+         for (name, _, delta, _), _ in GOLDEN_SOLVES])
 def test_golden_solve_results(config, expect):
     name, n, delta, seed = config
     h = ham.group_boundaries(ham.build_model(name, {}, n, seed), 1)

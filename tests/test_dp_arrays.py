@@ -1,8 +1,9 @@
 """Tests for the array DP step: equivalence with the dense N x N step, tie
-rule, empty steps, the transition memo and the transition size guard; and
-for the batched boundary energies and the p-major transition matrix
-against the per-tensor einsum loops and the q-major formula they
-replaced."""
+rule, empty steps, the transition memo and the transition size guard; for
+the batched boundary energies and the p-major transition matrix against
+the per-tensor einsum loops and the q-major formula they replaced; and for
+the boundary screen, which must keep every end tensor that reaches an
+exact minimum."""
 
 import dataclasses
 
@@ -224,6 +225,13 @@ def kernel_left_energies(end_net, net, hterm):
     return out
 
 
+def kernel_right_energies(end_net, lam, b, hterm):
+    out = np.empty((end_net.size, len(lam)))
+    for lo, e in dp._boundary_energies(end_net, lam, b, hterm, False):
+        out[lo:lo + len(e)] = e
+    return out
+
+
 @pytest.fixture(scope="module")
 def d1_nets():
     """D=1 (pair net, end net) by delta.  At delta=0.05 every tenth end
@@ -270,6 +278,9 @@ def test_boundary_kernel_at_d2(sub_net):
     assert np.abs(e_left - e0).max() <= 1e-12 * np.abs(e0).max()
     first = dp.initial_list(end, net, h.terms[0])
     assert np.abs(first.energy - e0.min(axis=0)).max() <= 1e-12
+    # the screen re-evaluates its rows with the same kernel
+    assert np.array_equal(first.energy, e_left.min(axis=0))
+    assert np.array_equal(first.tail, e_left.argmin(axis=0))
     last = random_prev(net.size, np.random.default_rng(8))
     val, g, q = dp._close_list(last, end, net, h.terms[-1])
     ref_val, _, _ = einsum_close(last, end, net, h.terms[-1])
@@ -290,6 +301,54 @@ def test_boundary_ties_go_to_lowest_index(d1_nets):
     energy[[4, 9, 20]] = -1.0
     last = dp.DpList(pair_index=idx, tail=np.zeros_like(idx), energy=energy)
     assert dp._close_list(last, end, net, zero) == (-1.0, 0, 4)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("which", ["d1", "d2"])
+def test_screen_keeps_every_exact_minimum(d1_nets, sub_net, which, scale):
+    if which == "d1":
+        net, end = d1_nets(0.1)
+    else:
+        net, end = sub_net(10), en.build_end_net(2, 2, 0.25)
+    rng = np.random.default_rng(11)
+    h_left, h_right = scale * random_term(rng), scale * random_term(rng)
+    # left end: every row that reaches a column minimum is kept
+    e = kernel_left_energies(end, net, h_left)
+    rows = dp._candidate_rows(end, net.lam, net.b, h_left, True)
+    assert np.isin(np.flatnonzero((e == e.min(axis=0)).any(axis=1)),
+                   rows).all()
+    first = dp.initial_list(end, net, h_left)
+    assert np.array_equal(first.energy, e.min(axis=0))
+    assert np.array_equal(first.tail, e.argmin(axis=0))
+    # right end: every row that reaches the overall minimum is kept
+    last = random_prev(net.size, rng)
+    last.energy *= scale
+    lam, b = net.lam[last.pair_index], net.b[last.pair_index]
+    total = kernel_right_energies(end, lam, b, h_right) + last.energy
+    row_min = total.min(axis=1)
+    rows = dp._candidate_rows(end, lam, b, h_right, False, last.energy)
+    assert np.isin(np.flatnonzero(row_min == row_min.min()), rows).all()
+    g = int(row_min.argmin())
+    assert dp._close_list(last, end, net, h_right) == \
+        (float(row_min[g]), g, int(total[g].argmin()))
+
+
+def test_screen_evaluates_few_rows_exactly(monkeypatch):
+    # the benchmark's fine-grid config: N = 3400 pairs, 3400 end tensors
+    kept = []
+    screen = dp._candidate_rows
+
+    def recording(end_net, *args):
+        rows = screen(end_net, *args)
+        kept.append(rows.size / end_net.size)
+        return rows
+
+    monkeypatch.setattr(dp, "_candidate_rows", recording)
+    h = ham.group_boundaries(ham.build_model("random_hermitian", {}, 12, 1), 1)
+    dp.solve(h, 1, 0.05)
+    left, right = kept
+    assert left <= 0.10
+    assert right <= 0.01
 
 
 @pytest.mark.parametrize("which", ["d1", "d2"])

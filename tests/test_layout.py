@@ -35,13 +35,9 @@ def test_every_module_is_imported_by_another():
 
 # Public names whose only callers are tests, each kept on purpose.
 TEST_REFERENCES = {
-    "check_canonical": "the canonical-form residuals the tests assert on",
-    "windowed_energy_sum": "the windowed energy of a whole MPS, checked "
-                           "against expectation_full",
     "covering_chain": "the covering-proof stages behind the criterion-2 "
                       "xfail",
     "power_iteration_ground": "the dense second opinion on exact_ground",
-    "align_phase": "phase-insensitive comparison of dense states",
 }
 
 
