@@ -203,13 +203,13 @@ def _commuting(cfg: RunConfig, h0) -> dict:
             f"model {cfg.model_name!r} is not commuting; "
             "commuting mode requires pairwise-commuting terms"
         )
-    gt = oracle.exact_ground(h0)
-    rr = cm.refine_to_eigenstate(gt.ground_vector, h0)
+    e0, ground = oracle.ground_pair(h0)
+    rr = cm.refine_to_eigenstate(ground, h0)
     return {
-        "energy": rr.energy, "e_exact": gt.e0,
+        "energy": rr.energy, "e_exact": e0,
         "chosen": [[t, j, c] for t, j, c in rr.chosen],
         "residual_max": max(rr.residuals),
-        "matched_exact": bool(abs(rr.energy - gt.e0) <= 1e-8),
+        "matched_exact": bool(abs(rr.energy - e0) <= 1e-8),
     }
 
 

@@ -9,19 +9,24 @@ go to the predecessor with the lowest net index.
 
 Admissibility depends on p only through lambda_p, and the net holds few
 distinct lambda vectors, so `solve` builds it once per solve as an
-N x |lambda-net| matrix.  The transition energies depend only on the
-term, so `solve` recomputes them only when a term differs from the
-previous site's, and keeps at most one such matrix alive: a real N x N
-matrix E[p, q] in C order, which the DP step min-reduces in blocks of p
-rows.  Before the first one it raises SizeGuardError if that matrix
-(8 N^2 bytes) and one complex row chunk would not fit in physical memory.
+N x |lambda-net| matrix.  The transition energies E[p, q] come as real
+p-major blocks of CHUNK predecessors q, in q order, each one complex
+GEMM of two per-term factors.  The DP step min-reduces each block in
+sub-blocks of p rows and merges into a running (best, tail) on strict
+improvement, so ties go to the lowest q, and a NaN, once seen, stays,
+as in one argmin over the whole row.  `solve` picks the source of the
+blocks per term: a term equal to the next site's is assembled once into
+the full N x N matrix, taken as one block and reused while the term
+repeats; any other term is streamed, and no N x N array exists.  Before
+the first step it raises SizeGuardError if that matrix (8 N^2 bytes) and
+one complex block would not fit in physical memory.
 
 The boundary energies of the first and last terms come from one kernel
 that walks the end net in chunks.  `initial_list` keeps a running
 (min, argmin) over the chunks, and the right end evaluates the live
 pairs of the last list only, so no (end net) x N array is formed.  At
 D=1 both are bitwise equal to the per-end-tensor einsum loop they
-replaced, and the transition matrix is bitwise the transpose of the
+replaced, and each transition block is bitwise the transpose of the
 q x p product.  A screen decides which end tensors reach that kernel:
 the energy is bilinear in conj(Gamma) (x) Gamma and a per-pair factor,
 so one real GEMM per chunk of pairs gives every energy to within a
@@ -50,7 +55,7 @@ from .errors import NoAdmissibleTransitionError, SizeGuardError
 from . import hamiltonian
 from .mps import CanonicalMps, expectation_full, left_gram, mu_of
 
-CHUNK = 256             # rows per transition-matrix chunk
+CHUNK = 256             # predecessors q per transition block
 BLOCK_ELEMENTS = 1 << 15  # entries per boundary or min-reduce block
 
 
@@ -137,34 +142,9 @@ def left_defect(lam, b, lam_next) -> DefectMatrix:
     return DefectMatrix(delta=delta)
 
 
-def _chunked_matmul(a, b, threads: int) -> np.ndarray:
-    """Real part of (a @ b.T).T in C order.  Each fixed-size row chunk of a
-    gives one complex product a[chunk] @ b.T, written transposed into its
-    column block, so only one chunk per worker is alive at a time.  The
-    products are those of the unchunked q x p layout (a p x q product
-    rounds differently in BLAS edge tiles), and the chunk boundaries do
-    not depend on the thread count, so results are bitwise identical."""
-    rows = a.shape[0]
-    out = np.empty((b.shape[0], rows))
-    spans = [(i, min(i + CHUNK, rows)) for i in range(0, rows, CHUNK)]
-
-    def work(span):
-        lo, hi = span
-        out[:, lo:hi] = (a[lo:hi] @ b.T).real.T
-
-    if threads <= 1 or len(spans) == 1:
-        for sp in spans:
-            work(sp)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, spans))
-    return out
-
-
-def transition_energies(net: PairNet, hterm: np.ndarray,
-                        threads: int = 1) -> np.ndarray:
-    """Real matrix E[p, q], C order: windowed energy of the term between a
-    pair q at the left site and a pair p at the right site."""
+def _transition_factors(net: PairNet, hterm) -> tuple:
+    """(G, T2), each N x K: the transition energy of a pair q at the left
+    site and a pair p at the right site is Re (G @ T2.T)[q, p]."""
     lam, b = net.lam, net.b
     d = b.shape[2]
     h = np.asarray(hterm).reshape(d, d, d, d)
@@ -172,8 +152,44 @@ def transition_energies(net: PairNet, hterm: np.ndarray,
     t1 = np.einsum("qaix,qaky->qxiyk", m.conj(), m, optimize=True)
     t2 = np.einsum("pxjb,pylb->pxjyl", b.conj(), b, optimize=True)
     g = np.einsum("qxiyk,ijkl->qxjyl", t1, h, optimize=True)
-    return _chunked_matmul(g.reshape(net.size, -1), t2.reshape(net.size, -1),
-                           threads)
+    return g.reshape(net.size, -1), t2.reshape(net.size, -1)
+
+
+def _transition_blocks(g: np.ndarray, t2: np.ndarray, threads: int):
+    """Yield (lo, E[:, lo:hi]) for the CHUNK-row q-chunks in q order, each
+    block real and p-major.  A block is the product G[lo:hi] @ T2.T of the
+    unchunked q x p layout (a p x q product rounds differently in BLAS
+    edge tiles), and the chunk boundaries do not depend on the thread
+    count, so blocks are bitwise identical for any `threads`.  With
+    threads > 1 the products run in waves of `threads` chunks, so at most
+    that many are alive."""
+    spans = [(lo, min(lo + CHUNK, len(g))) for lo in range(0, len(g), CHUNK)]
+
+    def product(span):
+        lo, hi = span
+        return np.ascontiguousarray((g[lo:hi] @ t2.T).real.T)
+
+    if threads <= 1 or len(spans) == 1:
+        for span in spans:
+            yield span[0], product(span)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        for w in range(0, len(spans), threads):
+            wave = spans[w:w + threads]
+            futures = [ex.submit(product, span) for span in wave]
+            for span, fut in zip(wave, futures):
+                yield span[0], fut.result()
+
+
+def transition_energies(net: PairNet, hterm: np.ndarray,
+                        threads: int = 1) -> np.ndarray:
+    """Real matrix E[p, q], C order: windowed energy of the term between a
+    pair q at the left site and a pair p at the right site."""
+    out = np.empty((net.size, net.size))
+    for lo, blk in _transition_blocks(*_transition_factors(net, hterm),
+                                      threads):
+        out[:, lo:lo + blk.shape[1]] = blk
+    return out
 
 
 def stitching_mask(net: PairNet, epsilon_op: float) -> np.ndarray:
@@ -190,38 +206,61 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
                 mask: np.ndarray | None = None) -> DpList:
     """One DP step: best admissible predecessor for every net pair.
 
-    `e_trans` (p-major, as `transition_energies` returns it) and `mask` are
-    the site-independent inputs from `transition_energies` and
-    `stitching_mask`; either not given is computed here.  For each lambda
-    class (`net.lam_class`) the min-reduce runs over the live predecessors
-    admissible for that class only, in blocks of at most BLOCK_ELEMENTS
-    costs.  Ties at the argmin go to the predecessor with the lowest list
-    index, which is the lowest net index since lists are index-sorted.
+    `e_trans` (p-major, as `transition_energies` returns it) is taken as
+    one block; without it the step streams the q-chunk blocks of
+    `_transition_blocks`, so no N x N array exists.  `mask` is the
+    site-independent admissibility from `stitching_mask`, computed here
+    when not given.  For each block and each lambda class
+    (`net.lam_class`) the min-reduce runs over the live predecessors in
+    the block admissible for that class only, in sub-blocks of at most
+    BLOCK_ELEMENTS costs, and merges into a running (best, tail) on strict
+    improvement.  Blocks come in q order, so ties go to the predecessor
+    with the lowest list index, which is the lowest net index since lists
+    are index-sorted.  A NaN cost, once seen, is kept, so every result
+    equals one argmin over the whole row.
     """
     if len(prev) == 0:
         raise NoAdmissibleTransitionError("previous DP list is empty")
-    if e_trans is None:
-        e_trans = transition_energies(net, hterm, threads)
     if mask is None:
         mask = stitching_mask(net, epsilon_op)
-    size = net.size
-    best = np.full(size, np.inf)
-    tails = np.zeros(size, dtype=np.intp)
+    if e_trans is None:
+        blocks = _transition_blocks(*_transition_factors(net, hterm), threads)
+    else:
+        blocks = [(0, e_trans)]
+    best = np.full(net.size, np.inf)
+    tails = np.zeros(net.size, dtype=np.intp)
+    # per lambda class: admissible list positions, their net indices, and
+    # the class's pairs p
+    classes = []
     for k in range(mask.shape[1]):
         rows = np.flatnonzero(mask[prev.pair_index, k])
-        if rows.size == 0:
-            continue
-        cols = np.flatnonzero(net.lam_class == k)
-        q = prev.pair_index[rows]
-        step = max(1, BLOCK_ELEMENTS // q.size)
-        for lo in range(0, cols.size, step):
-            p = cols[lo:lo + step]
-            # blk[i, r] = E[p_i, q_r] + e_prev[r]
-            blk = e_trans[p] if q.size == size else e_trans[np.ix_(p, q)]
-            blk += prev.energy[rows]
-            arg = blk.argmin(axis=1)
-            tails[p] = rows[arg]
-            best[p] = blk[np.arange(p.size), arg]
+        if rows.size:
+            classes.append((rows, prev.pair_index[rows],
+                            np.flatnonzero(net.lam_class == k)))
+    for lo, e_blk in blocks:
+        width = e_blk.shape[1]
+        for rows, q_all, cols in classes:
+            start, stop = np.searchsorted(q_all, (lo, lo + width))
+            if start == stop:
+                continue
+            r, q = rows[start:stop], q_all[start:stop] - lo
+            e_prev = prev.energy[r]
+            step = max(1, BLOCK_ELEMENTS // q.size)
+            for p_lo in range(0, cols.size, step):
+                p = cols[p_lo:p_lo + step]
+                # blk[i, s] = E[p_i, q_s] + e_prev[s]
+                blk = e_blk[p] if q.size == width else e_blk[np.ix_(p, q)]
+                blk += e_prev
+                arg = blk.argmin(axis=1)
+                val, tail = blk[np.arange(p.size), arg], r[arg]
+                if start > 0:
+                    # an earlier block holds some of this class's rows:
+                    # strict improvement, and a NaN wins once and sticks
+                    old = best[p]
+                    better = ~(val >= old) & ~np.isnan(old)
+                    p, val, tail = p[better], val[better], tail[better]
+                best[p] = val
+                tails[p] = tail
     live = np.flatnonzero(np.isfinite(best))
     if live.size == 0:
         raise NoAdmissibleTransitionError(
@@ -409,9 +448,12 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
         hterm = h.terms[j - 2]
         key = hterm.tobytes()   # terms are complex arrays of one shape
         if key != term_key:
-            e_trans = None      # free the previous matrix before the next
-            e_trans = transition_energies(pair_net, hterm, threads)
-            term_key = key
+            e_trans = term_key = None   # free the previous matrix first
+            # only a term that repeats at the next site keeps its matrix;
+            # extend_list streams every other one
+            if j < n - 1 and h.terms[j - 1].tobytes() == key:
+                e_trans = transition_energies(pair_net, hterm, threads)
+                term_key = key
         lists.append(extend_list(lists[-1], pair_net, hterm, epsilon_op,
                                  threads, e_trans=e_trans, mask=mask))
     e_trans = None          # not needed past the last interior site

@@ -210,12 +210,14 @@ def group_boundaries(h: NnHamiltonian, D: int) -> NnHamiltonian:
 
 
 def is_commuting(h: NnHamiltonian, tol: float = 1e-10) -> bool:
-    """True iff every adjacent pair of terms commutes on the 3-site space."""
+    """True iff every adjacent pair of terms commutes on the 3-site space;
+    a commutator that is not finite does not count as commuting."""
     for j in range(h.n - 2):
         d1, d2, d3 = h.dims[j], h.dims[j + 1], h.dims[j + 2]
         a = np.kron(h.terms[j], np.eye(d3, dtype=complex))
         b = np.kron(np.eye(d1, dtype=complex), h.terms[j + 1])
-        if np.linalg.norm(a @ b - b @ a, 2) > tol:
+        c = a @ b - b @ a
+        if not np.isfinite(c).all() or np.linalg.norm(c, 2) > tol:
             return False
     return True
 
@@ -244,13 +246,3 @@ def dense_dim(h: NnHamiltonian) -> int:
     if total > DENSE_DIM_GUARD:
         raise SizeGuardError(f"Hilbert dimension {total} exceeds {DENSE_DIM_GUARD}")
     return total
-
-
-def to_dense_hamiltonian(h: NnHamiltonian) -> np.ndarray:
-    """Sum of identity-padded terms as one dense Hermitian matrix; the small-n
-    reference for the matrix-free `apply_hamiltonian`."""
-    total = dense_dim(h)
-    out = np.zeros((total, total), dtype=complex)
-    for j, t in enumerate(h.terms):
-        out += _embed(t, math.prod(h.dims[:j]), math.prod(h.dims[j + 2:]))
-    return out

@@ -1,11 +1,11 @@
 """Ground-truth computations the solver is checked against.
 
-A matrix-free Lanczos eigensolver (H applied term by term) and an
-independent dense power-iteration eigensolver give reference energies;
-brute-force enumeration over net assignments realizes the DP's search
-space directly, with the window energies of `mps`; a greedy single-site
-sweep, also matrix-free, provides the local-minimum baseline that the
-trap instances defeat; it optimizes over the true single-site subspace.
+A matrix-free Lanczos eigensolver (H applied term by term) gives reference
+energies; brute-force enumeration over net assignments realizes the DP's
+search space directly, with the window energies of `mps`; a greedy
+single-site sweep, also matrix-free, provides the local-minimum baseline
+that the trap instances defeat; it optimizes over the true single-site
+subspace.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import numpy as np
 from .epsnet import BoundaryNet, PairNet
 from .errors import (ConvergenceError, NoAdmissibleSequenceError,
                      SizeGuardError)
-from .hamiltonian import (NnHamiltonian, apply_hamiltonian, dense_dim,
-                          to_dense_hamiltonian)
+from .hamiltonian import NnHamiltonian, apply_hamiltonian, dense_dim
 from .mps import (CanonicalMps, contract, local_energy, local_energy_left,
                   local_energy_right)
 
@@ -40,24 +39,33 @@ class GroundTruth:
     gap: float
 
 
+def ground_pair(h: NnHamiltonian, rng=None) -> tuple:
+    """(e0, ground vector) by Lanczos with H applied term by term: the
+    first pass of `exact_ground`, without its degeneracy and gap search.
+    `rng` gives the start vector; by default a generator seeded with
+    LANCZOS_SEED, as `exact_ground` uses."""
+    if rng is None:
+        rng = np.random.default_rng(LANCZOS_SEED)
+    return _lowest_eigenpair(h, np.empty((0, dense_dim(h)), dtype=complex),
+                             rng)
+
+
 def exact_ground(h: NnHamiltonian) -> GroundTruth:
     """Ground energy, its degeneracy and the gap above it, by Lanczos with H
     applied term by term (no dense matrix).
 
-    The ground vector is found first.  Each further eigenvector is sought in
-    the orthogonal complement of those already found (they are locked),
-    until the first eigenvalue above e0 + DEGENERACY_TOL, which sets the
-    gap; the gap is 0 when every eigenvalue lies within the tolerance.
+    The ground vector is found first (`ground_pair`).  Each further
+    eigenvector is sought in the orthogonal complement of those already
+    found (they are locked), until the first eigenvalue above
+    e0 + DEGENERACY_TOL, which sets the gap; the gap is 0 when every
+    eigenvalue lies within the tolerance.
     """
-    dim = dense_dim(h)
-    scale = max(1.0, h.J * (h.n - 1))       # bounds the norm of H
     rng = np.random.default_rng(LANCZOS_SEED)
-    e0, ground = _lowest_eigenpair(h, np.empty((0, dim), dtype=complex),
-                                   rng, scale)
+    e0, ground = ground_pair(h, rng)
     locked = ground[None, :]
     gap = 0.0
-    while len(locked) < dim:
-        e, x = _lowest_eigenpair(h, locked, rng, scale)
+    while len(locked) < h.total_dim:
+        e, x = _lowest_eigenpair(h, locked, rng)
         if e > e0 + DEGENERACY_TOL:
             gap = e - e0
             break
@@ -66,8 +74,7 @@ def exact_ground(h: NnHamiltonian) -> GroundTruth:
                        gap=gap)
 
 
-def _lowest_eigenpair(h: NnHamiltonian, locked: np.ndarray, rng,
-                      scale: float) -> tuple:
+def _lowest_eigenpair(h: NnHamiltonian, locked: np.ndarray, rng) -> tuple:
     """Lowest eigenpair of H on the orthogonal complement of the locked rows.
 
     Lanczos from a random complex start, every new vector orthogonalised
@@ -75,10 +82,16 @@ def _lowest_eigenpair(h: NnHamiltonian, locked: np.ndarray, rng,
     KRYLOV_DIM vectors it is restarted from its lowest half of Ritz vectors
     (a thick restart, which separates close eigenvalues that a restart from
     one Ritz vector resolves only slowly).  Returns once the lowest Ritz pair
-    has ||H x - theta x|| <= LANCZOS_TOL * scale, the part along the locked
-    rows left out; raises ConvergenceError after LANCZOS_MAX_RESTARTS
-    restarts.
+    has ||H x - theta x|| <= LANCZOS_TOL * scale, with scale = max(1, J (n-1))
+    a bound on ||H||, the part along the locked rows left out.  Raises
+    ConvergenceError when that bound is not finite, since every residual
+    would pass it, and after LANCZOS_MAX_RESTARTS restarts.
     """
+    scale = max(1.0, h.J * (h.n - 1))
+    if not np.isfinite(LANCZOS_TOL * scale):
+        raise ConvergenceError(
+            f"Lanczos residual bound {LANCZOS_TOL * scale} is not finite"
+        )
     dim = h.total_dim
     steps = min(KRYLOV_DIM, dim - len(locked))
     basis = np.empty((steps, dim), dtype=complex)
@@ -120,31 +133,6 @@ def _project_out(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for _ in range(2):
         w = w - (rows @ w.conj()).conj() @ rows
     return w
-
-
-def power_iteration_ground(h: NnHamiltonian, iters: int = 20000,
-                           tol: float = 1e-12,
-                           seed: int = 7) -> float:
-    """Second opinion on the ground energy: power iteration on the shifted
-    matrix c*I - H with c a Gershgorin upper bound on the spectrum.  The
-    small-n dense reference kept for tests; no run mode calls it."""
-    mat = to_dense_hamiltonian(h)
-    shift = float(np.abs(mat).sum(axis=1).max())
-    m = shift * np.eye(mat.shape[0]) - mat
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(mat.shape[0]) + 1j * rng.standard_normal(mat.shape[0])
-    v /= np.linalg.norm(v)
-    last = np.inf
-    for _ in range(iters):
-        w = m @ v
-        lam = float(np.vdot(v, w).real)
-        nrm = np.linalg.norm(w)
-        v = w / nrm
-        if abs(lam - last) < tol * max(1.0, abs(lam)):
-            last = lam
-            break
-        last = lam
-    return shift - last
 
 
 def enumerate_net_optimum(h: NnHamiltonian, end_net: BoundaryNet,

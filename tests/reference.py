@@ -1,12 +1,15 @@
-"""Reference checks on MPS states that only the tests use: canonical-form
-residuals, the windowed energy of a whole chain, and a phase-insensitive
-alignment of dense states."""
+"""Reference checks that only the tests use: canonical-form residuals, the
+windowed energy of a whole chain, a phase-insensitive alignment of dense
+states, the dense Hamiltonian matrix and a dense power-iteration ground
+energy."""
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
 from dpmps.errors import ShapeMismatchError
+from dpmps.hamiltonian import NnHamiltonian, dense_dim
 from dpmps.mps import CanonicalMps, left_gram_offdiag, local_energy
 
 
@@ -73,3 +76,40 @@ def align_phase(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
         ph = v[k] / abs(v[k]) if abs(v[k]) > 0 else 1.0
         return v / ph
     return v * (ov.conjugate() / abs(ov))
+
+
+def to_dense_hamiltonian(h: NnHamiltonian) -> np.ndarray:
+    """Sum of identity-padded terms as one dense Hermitian matrix; the small-n
+    reference for the matrix-free `apply_hamiltonian`."""
+    total = dense_dim(h)
+    out = np.zeros((total, total), dtype=complex)
+    for j, t in enumerate(h.terms):
+        left = np.eye(math.prod(h.dims[:j]), dtype=complex)
+        right = np.eye(math.prod(h.dims[j + 2:]), dtype=complex)
+        out += np.kron(np.kron(left, t), right)
+    return out
+
+
+def power_iteration_ground(h: NnHamiltonian, iters: int = 20000,
+                           tol: float = 1e-12,
+                           seed: int = 7) -> float:
+    """Second opinion on the ground energy: power iteration on the shifted
+    matrix c*I - H with c a Gershgorin upper bound on the spectrum."""
+    mat = to_dense_hamiltonian(h)
+    dim = mat.shape[0]
+    shift = float(np.abs(mat).sum(axis=1).max())
+    m = shift * np.eye(dim) - mat
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    last = np.inf
+    for _ in range(iters):
+        w = m @ v
+        lam = float(np.vdot(v, w).real)
+        nrm = np.linalg.norm(w)
+        v = w / nrm
+        if abs(lam - last) < tol * max(1.0, abs(lam)):
+            last = lam
+            break
+        last = lam
+    return shift - last

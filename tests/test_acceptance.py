@@ -172,7 +172,7 @@ def test_criterion_6_energy_consistency(capsys):
     models = [ham.build_model(nm, {}, 6, seed=13) for nm in
               ("zz_chain", "transverse_ising", "heisenberg",
                "random_hermitian", "trap_model")]
-    dense = [ham.to_dense_hamiltonian(h) for h in models]
+    dense = [reference.to_dense_hamiltonian(h) for h in models]
     worst_full, worst_win = 0.0, 0.0
     for k in range(50):
         # a random state of exact bond rank <= 4, so canonicalization is
@@ -225,7 +225,7 @@ def test_criterion_8_commuting_refinement(capsys):
                                        for s in (1, 2, 3)]
     for name, n, seed in cases:
         h = ham.build_model(name, {}, n, seed=seed)
-        hd = ham.to_dense_hamiltonian(h)
+        hd = reference.to_dense_hamiltonian(h)
         vals, vecs = np.linalg.eigh(hd)
         v = vecs[:, 0] + 0.1 * vecs[:, 5]
         v /= np.linalg.norm(v)
@@ -246,7 +246,7 @@ def test_criterion_9_projection_lemma(capsys):
                                        for s in (1, 2, 3)]
     for name, n, seed in cases:
         h = ham.build_model(name, {}, n, seed=seed)
-        hd = ham.to_dense_hamiltonian(h)
+        hd = reference.to_dense_hamiltonian(h)
         vals, vecs = np.linalg.eigh(hd)
         e0 = float(vals[0])
         v = vecs[:, 0] + 0.1 * vecs[:, 5]

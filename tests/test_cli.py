@@ -245,17 +245,34 @@ class TestMain:
     def test_huge_param_exit_4(self, tmp_path, capsys, mode):
         # solve and baseline exited 0 and wrote the non-JSON token
         # -Infinity; enumerate exited 1 with a ValueError from the
-        # imaginary-part check of mps.local_energy
+        # imaginary-part check of mps.local_energy; oracle at n=6 exited 0
+        # with e_exact 3.33e307, every Lanczos residual under an infinite
+        # bound
+        path = tmp_path / "cfg.json"
+        outp = tmp_path / "res.json"
+        for n in (4, 6):
+            path.write_text(json.dumps({
+                "model": {"name": "transverse_ising", "n": n,
+                          "params": {"g": 1e308}},
+                "run": {"mode": mode}, "output": {"path": str(outp)}}))
+            with np.errstate(all="ignore"):
+                assert cli.main(["--config", str(path)]) == 4
+            assert capsys.readouterr().err.startswith("numerical failure:")
+            assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    def test_huge_param_not_commuting_exit_2(self, tmp_path, capsys):
+        # the overflowing commutator made the SVD in is_commuting raise,
+        # which exited 4
         path = tmp_path / "cfg.json"
         outp = tmp_path / "res.json"
         path.write_text(json.dumps({
-            "model": {"name": "transverse_ising", "n": 4,
+            "model": {"name": "transverse_ising", "n": 6,
                       "params": {"g": 1e308}},
-            "run": {"mode": mode}, "output": {"path": str(outp)}}))
+            "run": {"mode": "commuting"}, "output": {"path": str(outp)}}))
         with np.errstate(all="ignore"):
-            assert cli.main(["--config", str(path)]) == 4
-        assert capsys.readouterr().err.startswith("numerical failure:")
-        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+            assert cli.main(["--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not outp.exists()
 
     def test_numerical_failure_exit_4(self, tmp_path, capsys, monkeypatch):
         from dpmps.errors import EmptyNetError

@@ -15,7 +15,7 @@ import reference
 
 
 def perturbed_ground(h, amount, which=5):
-    hd = ham.to_dense_hamiltonian(h)
+    hd = reference.to_dense_hamiltonian(h)
     vals, vecs = np.linalg.eigh(hd)
     v = vecs[:, 0] + amount * vecs[:, which]
     return v / np.linalg.norm(v)
@@ -27,7 +27,7 @@ def dense_refine(v, h):
     and a canonicalization after every projection; the independent
     reference for the matrix-free, one-vector pass."""
     n, d, d_end = h.n, h.dims[1], h.dims[0]
-    hd = ham.to_dense_hamiltonian(h)
+    hd = reference.to_dense_hamiltonian(h)
     state, chosen = mps.canonicalize(v, n, d, None, d_end), []
     for t, term in enumerate(h.terms):
         dec = cm.eig_projectors(term)
@@ -62,7 +62,7 @@ class TestApplyTerm:
                             math.prod(h.dims[t + 2:]))
             got = ham.apply_term(term, v, h.dims, t)
             assert np.abs(got - pe @ v).max() <= 1e-12
-        ref = ham.to_dense_hamiltonian(h) @ v
+        ref = reference.to_dense_hamiltonian(h) @ v
         assert np.abs(ham.apply_hamiltonian(h, v) - ref).max() <= 1e-12
 
 
@@ -122,7 +122,7 @@ class TestRefine:
         for name, n, seed in (("zz_chain", 6, None),
                               ("rotated_classical", 5, 3)):
             h = ham.build_model(name, {}, n, seed=seed)
-            hd = ham.to_dense_hamiltonian(h)
+            hd = reference.to_dense_hamiltonian(h)
             e0 = oracle.exact_ground(h).e0
             v = perturbed_ground(h, 0.1)
             surplus = float(np.vdot(v, hd @ v).real) - e0
@@ -144,7 +144,7 @@ class TestRefine:
 
     def test_energy_telescoping(self):
         h = ham.build_model("rotated_classical", {}, 5, seed=5)
-        hd = ham.to_dense_hamiltonian(h)
+        hd = reference.to_dense_hamiltonian(h)
         e0 = oracle.exact_ground(h).e0
         v = perturbed_ground(h, 0.1)
         surplus = float(np.vdot(v, hd @ v).real) - e0

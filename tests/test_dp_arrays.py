@@ -1,11 +1,14 @@
-"""Tests for the array DP step: equivalence with the dense N x N step, tie
-rule, empty steps, the transition memo and the transition size guard; for
-the batched boundary energies and the p-major transition matrix against
+"""Tests for the array DP step: equivalence with the dense N x N step, from
+the full matrix and streamed, tie rule (also across a block boundary), NaN
+costs, empty steps, the transition memo and the transition size guard; for
+a streamed solve, independence of the thread count and a memory peak below
+one N x N matrix; for the batched boundary energies and the p-major transition matrix against
 the per-tensor einsum loops and the q-major formula they replaced; and for
 the boundary screen, which must keep every end tensor that reaches an
 exact minimum."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,7 +62,16 @@ def dense_extend(prev, net, e_trans, epsilon_op):
     return live, tails[live], best[live]
 
 
-@pytest.mark.parametrize("seed,epsilon_op", [(0, 0.02), (1, 0.05), (2, 0.02)])
+def assert_same_step(out, dense):
+    live, tails, best = dense
+    assert len(out) == live.size
+    assert np.array_equal(out.pair_index, live)
+    assert np.array_equal(out.tail, tails)
+    assert np.array_equal(out.energy, best)
+
+
+@pytest.mark.parametrize("seed,epsilon_op", [(0, 0.02), (1, 0.05), (2, 0.02),
+                                             (8, 0.05)])
 def test_matches_dense_step_on_d2_sub_nets(sub_net, seed, epsilon_op):
     net = sub_net(seed)
     rng = np.random.default_rng(100 + seed)
@@ -68,13 +80,15 @@ def test_matches_dense_step_on_d2_sub_nets(sub_net, seed, epsilon_op):
     mask = dp.stitching_mask(net, epsilon_op)
     assert mask.shape[1] == 3 and 0.0 < mask.mean() < 1.0
     e_trans = dp.transition_energies(net, hterm)
-    # p-major, as `solve` passes it; the dense step reads E[q, p]
-    out = dp.extend_list(prev, net, hterm, epsilon_op, e_trans=e_trans)
-    live, tails, best = dense_extend(prev, net, e_trans.T, epsilon_op)
-    assert len(out) == live.size
-    assert np.array_equal(out.pair_index, live)
-    assert np.array_equal(out.tail, tails)
-    assert np.array_equal(out.energy, best)
+    # the dense step reads E[q, p]
+    dense = dense_extend(prev, net, e_trans.T, epsilon_op)
+    # the p-major matrix as one block, as `solve` passes a repeated term
+    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
+                                    e_trans=e_trans), dense)
+    # streamed: 1,500 pairs make six q-chunks
+    for threads in (1, 2):
+        assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
+                                        threads), dense)
 
 
 def test_tie_goes_to_lowest_index(sub_net):
@@ -96,6 +110,48 @@ def test_tie_goes_to_lowest_index(sub_net):
     assert np.array_equal(out.tail, tails)
 
 
+def test_tie_across_chunk_boundary_goes_to_lowest_index(sub_net):
+    net = sub_net(3)
+    epsilon_op = 0.05
+    mask = dp.stitching_mask(net, epsilon_op)
+    # two predecessors admissible for the same classes, in q-chunks 1 and 3
+    q1 = next(q for q in range(dp.CHUNK, 2 * dp.CHUNK) if mask[q].any())
+    q2 = next(q for q in range(3 * dp.CHUNK, net.size)
+              if np.array_equal(mask[q], mask[q1]))
+    energy = np.ones(net.size)
+    energy[[q1, q2]] = -1.0
+    prev = dp.DpList(pair_index=np.arange(net.size),
+                     tail=np.zeros(net.size, dtype=np.intp), energy=energy)
+    # a zero term: every cost is its predecessor's energy, exactly
+    out = dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op)
+    won = mask[q1][net.lam_class[out.pair_index]]
+    assert won.any()
+    assert (out.tail[won] == q1).all() and (out.energy[won] == -1.0).all()
+    assert_same_step(out, dense_extend(prev, net, np.zeros((net.size,) * 2),
+                                       epsilon_op))
+
+
+def test_nan_cost_in_later_chunk_matches_dense(sub_net):
+    net = sub_net(9)
+    epsilon_op = 0.05
+    rng = np.random.default_rng(109)
+    hterm = random_term(rng)
+    energy = rng.standard_normal(net.size)
+    q_nan = 4 * dp.CHUNK + 17
+    energy[q_nan] = np.nan
+    prev = dp.DpList(pair_index=np.arange(net.size),
+                     tail=np.zeros(net.size, dtype=np.intp), energy=energy)
+    e_trans = dp.transition_energies(net, hterm)
+    dense = dense_extend(prev, net, e_trans.T, epsilon_op)
+    # every pair that q_nan may precede has a NaN cost and drops out, even
+    # where a finite minimum came in an earlier chunk
+    hit = dp.stitching_mask(net, epsilon_op)[q_nan][net.lam_class]
+    assert hit.any() and not np.isin(np.flatnonzero(hit), dense[0]).any()
+    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op), dense)
+    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
+                                    e_trans=e_trans), dense)
+
+
 def test_all_inadmissible_step_raises(sub_net):
     net = sub_net(4)
     epsilon_op = 0.001
@@ -111,17 +167,25 @@ def test_all_inadmissible_step_raises(sub_net):
                                           ("random_hermitian", 8, 5)])
 def test_transitions_reused_across_identical_terms(monkeypatch, name, n,
                                                    calls):
-    count = []
-    original = dp.transition_energies
+    # factors once per run of equal terms; the Ising terms all repeat, so
+    # they keep one full matrix, while random terms never repeat and every
+    # step streams
+    count = {"factors": 0, "matrix": 0}
 
-    def counting(*args, **kwargs):
-        count.append(1)
-        return original(*args, **kwargs)
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            count[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(dp, "transition_energies", counting)
+    monkeypatch.setattr(dp, "_transition_factors",
+                        counting("factors", dp._transition_factors))
+    monkeypatch.setattr(dp, "transition_energies",
+                        counting("matrix", dp.transition_energies))
     h = ham.group_boundaries(ham.build_model(name, {}, n, 0), 1)
     dp.solve(h, 1, 0.25)
-    assert len(count) == calls
+    assert count["factors"] == calls
+    assert count["matrix"] == (1 if name == "transverse_ising" else 0)
 
 
 class TestSizeGuard:
@@ -141,6 +205,7 @@ class TestSizeGuard:
         # 1,500 pairs need 18 MB per transition matrix
         monkeypatch.setattr(ham, "_physical_memory", lambda: 2**20)
         monkeypatch.setattr(dp, "transition_energies", never)
+        monkeypatch.setattr(dp, "_transition_factors", never)
         monkeypatch.setattr(dp, "initial_list", never)
         h = ham.group_boundaries(ham.build_model("heisenberg", {}, 6), 2)
         with pytest.raises(SizeGuardError):
@@ -358,3 +423,32 @@ def test_transitions_bitwise_p_major(d1_nets, sub_net, which):
     e_trans = dp.transition_energies(net, hterm)
     assert e_trans.flags.c_contiguous and e_trans.dtype == float
     assert np.array_equal(e_trans, q_major_transitions(net, hterm).T)
+
+
+def fine_grid_solve(d1_nets, threads):
+    """A random_hermitian solve on the delta=0.05 net (N = 3400): every
+    term differs, so all three interior steps stream."""
+    net, end = d1_nets(0.05)
+    h = ham.group_boundaries(ham.build_model("random_hermitian", {}, 6, 1), 1)
+    return net, dp.solve(h, 1, 0.05, threads=threads, end_net=end,
+                         pair_net=net)
+
+
+def test_streamed_solve_independent_of_threads(d1_nets):
+    _, one = fine_grid_solve(d1_nets, 1)
+    _, two = fine_grid_solve(d1_nets, 2)
+    assert one.e_alg == two.e_alg
+    assert one.assignment == two.assignment
+    assert one.digest == two.digest
+
+
+def test_streamed_solve_never_holds_transition_matrix(d1_nets):
+    d1_nets(0.05)           # build the nets before tracing
+    tracemalloc.start()
+    try:
+        net, _ = fine_grid_solve(d1_nets, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one real N x N matrix alone is 8 N^2 bytes
+    assert peak < 4 * net.size ** 2

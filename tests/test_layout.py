@@ -37,7 +37,6 @@ def test_every_module_is_imported_by_another():
 TEST_REFERENCES = {
     "covering_chain": "the covering-proof stages behind the criterion-2 "
                       "xfail",
-    "power_iteration_ground": "the dense second opinion on exact_ground",
 }
 
 

@@ -309,7 +309,7 @@ class TestExpectationFull:
     def test_matches_dense(self):
         rng = np.random.default_rng(8)
         h = ham.build_model("random_hermitian", {}, 6, seed=11)
-        hd = ham.to_dense_hamiltonian(h)
+        hd = reference.to_dense_hamiltonian(h)
         for _ in range(5):
             v = random_state(rng, 64)
             m = mps.canonicalize(v, 6, 2, 8, 2)
@@ -336,7 +336,7 @@ class TestExpectationFull:
             gamma_right=ts[-1][:, :, 0])
         w = mps.to_dense(m)
         assert abs(np.linalg.norm(w) - 1.0) > 1.0
-        hd = ham.to_dense_hamiltonian(h)
+        hd = reference.to_dense_hamiltonian(h)
         ref = (np.vdot(w, hd @ w) / np.vdot(w, w)).real
         assert abs(mps.expectation_full(m, h) - ref) <= 1e-12 * abs(ref)
 

@@ -9,6 +9,8 @@ from dpmps import mps
 from dpmps.errors import (ConvergenceError, NoAdmissibleSequenceError,
                           SizeGuardError)
 
+import reference
+
 CATALOG = ("zz_chain", "transverse_ising", "heisenberg", "random_hermitian",
            "trap_model", "rotated_classical", "diagonal_commuting")
 
@@ -16,7 +18,7 @@ CATALOG = ("zz_chain", "transverse_ising", "heisenberg", "random_hermitian",
 def assert_matches_dense(h):
     """Lanczos exact_ground against a dense eigh of the full matrix."""
     gt = oracle.exact_ground(h)
-    vals, vecs = np.linalg.eigh(ham.to_dense_hamiltonian(h))
+    vals, vecs = np.linalg.eigh(reference.to_dense_hamiltonian(h))
     deg = int((vals <= vals[0] + oracle.DEGENERACY_TOL).sum())
     gap = float(vals[deg] - vals[0]) if deg < len(vals) else 0.0
     assert abs(gt.e0 - vals[0]) <= 1e-10
@@ -44,12 +46,21 @@ class TestExactGround:
                         ("trap_model", 6)):
             h = ham.build_model(name, {}, n, seed=3)
             e_dense = oracle.exact_ground(h).e0
-            e_power = oracle.power_iteration_ground(h)
+            e_power = reference.power_iteration_ground(h)
             assert abs(e_dense - e_power) < 1e-8
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             oracle.exact_ground(ham.build_model("zz_chain", {}, 16))
+
+    def test_ground_pair_is_the_first_pass(self):
+        for name, n in (("rotated_classical", 8), ("zz_chain", 6),
+                        ("random_hermitian", 7)):
+            h = ham.build_model(name, {}, n, seed=2)
+            e0, ground = oracle.ground_pair(h)
+            gt = oracle.exact_ground(h)
+            assert e0 == gt.e0
+            assert np.array_equal(ground, gt.ground_vector)
 
 
 class TestLanczos:
@@ -149,7 +160,7 @@ def dense_sweep_baseline(h, start, sweeps):
     """The greedy sweep with the dense Hamiltonian and each site's columns
     built by contracting the chain with a unit site tensor; the independent
     reference for the matrix-free sweep."""
-    mat = ham.to_dense_hamiltonian(h)
+    mat = reference.to_dense_hamiltonian(h)
     tensors = [t.copy() for t in start.site_tensors()]
 
     def energy_of(ts):
