@@ -4,37 +4,38 @@ Site by site, the solver keeps one best-so-far entry per surviving net
 pair, held as a `DpList` of parallel arrays ordered by net index.  A
 transition from pair q at site j-1 to pair p at site j is admissible when
 the cached right Schmidt vector mu_q is within 2*epsilon_op of lambda_p;
-its cost is the windowed energy of the term between the two sites.  Ties
-go to the predecessor with the lowest net index.
+its cost is the windowed energy of the term between the two sites.
+`_window_factors` is the one factorization of that energy, Re(G @ T2.T).
+Every minimum follows one rule, that of one argmin over the candidates in
+index order: ties go to the lowest index, and a NaN, once seen, stays.
+`_merge_min` applies it to the running minima of the steps and of the
+first list; `_close_list` takes one argmin over the g-major totals, so a
+NaN there gives a NaN e_alg with in-range indices.
 
 Admissibility depends on p only through lambda_p, and the net holds few
 distinct lambda vectors, so `solve` builds it once per solve as an
 N x |lambda-net| matrix.  The transition energies E[p, q] come as real
-p-major blocks of CHUNK predecessors q, in q order, each one complex
-GEMM of two per-term factors.  The DP step min-reduces each block in
-sub-blocks of p rows and merges into a running (best, tail) on strict
-improvement, so ties go to the lowest q, and a NaN, once seen, stays,
-as in one argmin over the whole row.  `solve` picks the source of the
-blocks per term: a term equal to the next site's is assembled once into
-the full N x N matrix, taken as one block and reused while the term
+p-major blocks of CHUNK predecessors q, in q order, each one complex GEMM
+of the factors of (lambda B, B).  The DP step min-reduces each block in
+sub-blocks of p rows and merges the results.  `solve` picks the source of
+the blocks per term: a term equal to the next site's is assembled once
+into the full N x N matrix, taken as one block and reused while the term
 repeats; any other term is streamed, and no N x N array exists.  Before
 the first step it raises SizeGuardError if that matrix (8 N^2 bytes) and
 one complex block would not fit in physical memory.
 
 The boundary energies of the first and last terms come from one kernel
-that walks the end net in chunks.  `initial_list` keeps a running
-(min, argmin) over the chunks, and the right end evaluates the live
-pairs of the last list only, so no (end net) x N array is formed.  At
-D=1 both are bitwise equal to the per-end-tensor einsum loop they
-replaced, and each transition block is bitwise the transpose of the
-q x p product.  A screen decides which end tensors reach that kernel:
-the energy is bilinear in conj(Gamma) (x) Gamma and a per-pair factor,
-so one real GEMM per chunk of pairs gives every energy to within a
-margin tol far above the rounding of either evaluation.  Only end
-tensors within 2 tol of a minimum are evaluated exactly.  Every other
-one is strictly above the exact minimum, so it can neither win nor tie,
-and the results are bitwise those of evaluating all of them.  The
-returned sandwich bounds are
+that walks the end net in chunks, merged as they come, so no
+(end net) x N array is formed.  At D=1 both are bitwise equal to the
+per-end-tensor einsum loop they replaced, and each transition block is
+bitwise the transpose of the q x p product.  A screen decides which end
+tensors reach that kernel: the same factors, with an end tensor as a
+one-row left or one-column right site, give every boundary energy by one
+real GEMM per chunk of pairs, to within a margin tol far above the
+rounding of either evaluation.  Only end tensors within 2 tol of a
+minimum are evaluated exactly.  Every other one is strictly above the
+exact minimum, so it can neither win nor tie, and the results are
+bitwise those of evaluating all of them.  The returned sandwich bounds are
 
     e_alg - 6 J n eps  <=  e_exact  <=  e_true  <=  e_alg + 1.5 J D^2 n^2 eps.
 """
@@ -74,19 +75,6 @@ class DpList:
 
     def __len__(self) -> int:
         return len(self.pair_index)
-
-
-@dataclass
-class DefectMatrix:
-    """Left-canonical defect Delta of (lambda, B, lambda_next) triplets:
-    the off-diagonal Gram matrix of the (lambda B) columns plus the
-    diagonal mismatch |lambda_next|^2 - |mu|^2, over any leading axes."""
-
-    delta: np.ndarray
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.abs(self.delta).max(initial=0.0))
 
 
 @dataclass
@@ -130,29 +118,37 @@ def epsilon_for_target(target_error: float, J: float, D: int, n: int) -> float:
     return target_error / (2.0 * J * D * D * n * n)
 
 
-def left_defect(lam, b, lam_next) -> DefectMatrix:
-    """Defect matrices of DP junctions, over the leading axes of lam
-    (..., D), b (..., D, d, D) and lam_next (..., D)."""
+def left_defect(lam, b, lam_next) -> np.ndarray:
+    """Left-canonical defect Delta of DP junctions (lambda, B,
+    lambda_next): the off-diagonal Gram matrix of the (lambda B) columns
+    plus the diagonal mismatch |lambda_next|^2 - |mu|^2, over the leading
+    axes of lam (..., D), b (..., D, d, D) and lam_next (..., D)."""
     lam = np.asarray(lam, dtype=float)
     b = np.asarray(b)
     lam_next = np.asarray(lam_next, dtype=float)
     delta = left_gram(lam, b)
     diag = np.arange(b.shape[-1])
     delta[..., diag, diag] = lam_next**2 - mu_of(lam, b)**2
-    return DefectMatrix(delta=delta)
+    return delta
 
 
-def _transition_factors(net: PairNet, hterm) -> tuple:
-    """(G, T2), each N x K: the transition energy of a pair q at the left
-    site and a pair p at the right site is Re (G @ T2.T)[q, p]."""
-    lam, b = net.lam, net.b
-    d = b.shape[2]
-    h = np.asarray(hterm).reshape(d, d, d, d)
-    m = lam[:, :, None, None] * b
+def _window_factors(m: np.ndarray, b: np.ndarray, hterm) -> tuple:
+    """(G, T2), Q x K and P x K: the window energy of a left site m[q]
+    (Q, Dl, d1, Dm) and a right site b[p] (P, Dm, d2, Dr), with the term
+    between them and both outer bonds traced, is Re (G @ T2.T)[q, p].
+    G carries the term, T2 = conj(b) (x) b summed over the right bond."""
+    h = np.asarray(hterm).reshape(m.shape[2], b.shape[2],
+                                  m.shape[2], b.shape[2])
     t1 = np.einsum("qaix,qaky->qxiyk", m.conj(), m, optimize=True)
     t2 = np.einsum("pxjb,pylb->pxjyl", b.conj(), b, optimize=True)
     g = np.einsum("qxiyk,ijkl->qxjyl", t1, h, optimize=True)
-    return g.reshape(net.size, -1), t2.reshape(net.size, -1)
+    return g.reshape(len(m), -1), t2.reshape(len(b), -1)
+
+
+def _transition_factors(net: PairNet, hterm) -> tuple:
+    """(G, T2) of `_window_factors` for a pair q at the left site and a
+    pair p at the right site."""
+    return _window_factors(net.lam[:, :, None, None] * net.b, net.b, hterm)
 
 
 def _transition_blocks(g: np.ndarray, t2: np.ndarray, threads: int):
@@ -201,6 +197,20 @@ def stitching_mask(net: PairNet, epsilon_op: float) -> np.ndarray:
     return dist <= 2.0 * epsilon_op + 1e-14
 
 
+def _merge_min(best: np.ndarray, tails: np.ndarray, idx: np.ndarray,
+               val: np.ndarray, tail: np.ndarray) -> None:
+    """Fold candidates (val, tail) for the entries idx into the running
+    (best, tails), which hold the minima of earlier candidates in index
+    order.  An entry takes a candidate on strict improvement, so ties keep
+    the earlier one, and a NaN candidate wins once and then stays, so the
+    result equals one argmin over all candidates in order."""
+    old = best[idx]
+    take = ~(val >= old) & ~np.isnan(old)
+    idx = idx[take]
+    best[idx] = val[take]
+    tails[idx] = tail[take]
+
+
 def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
                 threads: int = 1, *, e_trans: np.ndarray | None = None,
                 mask: np.ndarray | None = None) -> DpList:
@@ -213,11 +223,11 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
     when not given.  For each block and each lambda class
     (`net.lam_class`) the min-reduce runs over the live predecessors in
     the block admissible for that class only, in sub-blocks of at most
-    BLOCK_ELEMENTS costs, and merges into a running (best, tail) on strict
-    improvement.  Blocks come in q order, so ties go to the predecessor
-    with the lowest list index, which is the lowest net index since lists
-    are index-sorted.  A NaN cost, once seen, is kept, so every result
-    equals one argmin over the whole row.
+    BLOCK_ELEMENTS costs; a class's first block sets its running
+    (best, tail), and `_merge_min` folds in each later one.  Blocks come in
+    q order, so ties go to the predecessor with the lowest list index,
+    which is the lowest net index since lists are index-sorted, and every
+    result, NaN included, equals one argmin over the whole row.
     """
     if len(prev) == 0:
         raise NoAdmissibleTransitionError("previous DP list is empty")
@@ -253,14 +263,11 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
                 blk += e_prev
                 arg = blk.argmin(axis=1)
                 val, tail = blk[np.arange(p.size), arg], r[arg]
-                if start > 0:
-                    # an earlier block holds some of this class's rows:
-                    # strict improvement, and a NaN wins once and sticks
-                    old = best[p]
-                    better = ~(val >= old) & ~np.isnan(old)
-                    p, val, tail = p[better], val[better], tail[better]
-                best[p] = val
-                tails[p] = tail
+                if start > 0:   # an earlier block holds some of the rows
+                    _merge_min(best, tails, p, val, tail)
+                else:
+                    best[p] = val
+                    tails[p] = tail
     live = np.flatnonzero(np.isfinite(best))
     if live.size == 0:
         raise NoAdmissibleTransitionError(
@@ -328,47 +335,45 @@ def _candidate_rows(end_net: BoundaryNet, lam: np.ndarray, b: np.ndarray,
                     hterm, end_left: bool, offset=None) -> np.ndarray:
     """Sorted indices of the end tensors that can hold a boundary minimum.
 
-    The energy is bilinear, e[g, p] = Re sum_k F[g, k] Q[p, k] with
-    F[g] = conj(Gamma_g) (x) Gamma_g and Q[p] = (lam B)_p^dag h (lam B)_p
-    summed over the pair's physical index and far bond, so one real GEMM
-    per chunk of pairs screens every (g, p).  The screen and
-    `_boundary_energies` each sum products whose absolute sum is at most
-    D ||h||_F (orthonormal end rows, unit lambda), so they differ by far
-    less than tol = 1e-10 D (1 + ||h||_F), times (1 + max|offset|) at the
-    right end.  Left end (offset None): g is kept when it is within 2 tol
-    of the column minimum for some pair.  Right end (offset = energies of
-    the last list): g is kept when min_q(offset[q] + e[g, q]) is within
-    2 tol of the overall minimum.  A dropped row is strictly above the
-    exact minimum everywhere, so it can neither win nor tie.  NaN keeps a
-    row; when 1e11 tol, which bounds every partial sum, is not finite,
-    every row is kept.
+    The energy is the window energy of `_window_factors`: at the left end
+    of Gamma_g^T as a one-row left site and the pair (lam B)_p, at the
+    right end of (lam B)_p and Gamma_g as a one-column right site.  So
+    e[g, p] = Re sum_k F[g, k] Q[p, k], with F the end tensors' factor and
+    Q the pairs', and one real GEMM per chunk of pairs screens every
+    (g, p).  Both this and `_boundary_energies` sum the products
+    h[ij,kl] conj(Gamma (lam B))[ij] (Gamma (lam B))[kl], in different
+    orders.  By Cauchy-Schwarz (orthonormal end rows, unit-norm lambda,
+    orthonormal rows of B) their absolute values sum to at most
+    D ||h||_F, so each evaluation rounds by at most a few hundred ulps of
+    that, and the two differ by far less than tol = 1e-10 D (1 + ||h||_F),
+    times (1 + max|offset|) at the right end.  Left end (offset None): g is
+    kept when it is within 2 tol of the column minimum for some pair.
+    Right end (offset = energies of the last list): g is kept when
+    min_q(offset[q] + e[g, q]) is within 2 tol of the overall minimum.  A
+    dropped row is strictly above the exact minimum everywhere, so it can
+    neither win nor tie.  NaN keeps a row; when 1e11 tol, which bounds
+    every partial sum, is not finite, every row is kept.
     """
     ends = end_net.tensors                               # (G, D, d_end)
-    G, D, d_end = ends.shape
-    d = b.shape[2]
+    G, D, _ = ends.shape
     h = np.asarray(hterm)
     tol = 1e-10 * D * (1.0 + np.linalg.norm(h))
     if offset is not None:
         tol *= 1.0 + np.abs(offset).max(initial=0.0)
     if not np.isfinite(1e11 * tol):
         return np.arange(G)
-    f = ends.reshape(G, -1)
-    f = (f.conj()[:, :, None] * f[:, None, :]).reshape(G, -1)
-    f = np.concatenate([f.real, -f.imag], axis=1)        # (G, 2K)
-    # Q[p] is indexed like F[g]: (bond, physical) of the end tensor, twice
+    lb = b * lam[:, :, None, None]
     if end_left:
-        h4, spec = h.reshape(d_end, d, d_end, d), "pasc,tsuv,pbvc->patbu"
+        f, q = _window_factors(ends.transpose(0, 2, 1)[:, None], lb, h)
     else:
-        h4, spec = h.reshape(d, d_end, d, d_end), "pasc,stuv,paud->pctdv"
+        q, f = _window_factors(lb, ends[..., None], h)
+    f = np.concatenate([f.real, -f.imag], axis=1)        # (G, 2K)
+    q = np.concatenate([q.real, q.imag], axis=1)         # (P, 2K)
     keep = np.zeros(G, dtype=bool)
     row_min = np.full(G, np.inf)
     step = max(1, 8 * BLOCK_ELEMENTS // G)   # screen block of G x step
-    path = np.einsum_path(spec, b[:1], h4, b[:1], optimize=True)[0]
-    for lo in range(0, b.shape[0], step):
-        lb = b[lo:lo + step] * lam[lo:lo + step, :, None, None]
-        q = np.einsum(spec, lb.conj(), h4, lb,
-                      optimize=path).reshape(len(lb), -1)
-        a = f @ np.concatenate([q.real, q.imag], axis=1).T  # (G, chunk)
+    for lo in range(0, len(q), step):
+        a = f @ q[lo:lo + step].T                        # (G, chunk)
         if offset is None:
             keep |= ~(a > a.min(axis=0) + 2.0 * tol).all(axis=1)
         else:
@@ -381,41 +386,40 @@ def _candidate_rows(end_net: BoundaryNet, lam: np.ndarray, b: np.ndarray,
 
 def initial_list(end_net: BoundaryNet, net: PairNet, hterm) -> DpList:
     """First DP list: each pair keeps its best boundary tensor.  Only the
-    candidate rows of the screen are evaluated exactly, in index order.  A
-    running (min, argmin) over chunks of them, updated on strict
-    improvement, so ties go to the lowest end tensor index."""
+    candidate rows of the screen are evaluated exactly, in index order,
+    and `_merge_min` folds in each chunk of them, so ties go to the lowest
+    end tensor index and a NaN energy is kept, as in one argmin."""
     rows = _candidate_rows(end_net, net.lam, net.b, hterm, True)
     energy = np.full(net.size, np.inf)
     tail = np.zeros(net.size, dtype=np.intp)
+    p = np.arange(net.size)
     for lo, e in _boundary_energies(BoundaryNet(end_net.tensors[rows]),
                                     net.lam, net.b, hterm, True):
         arg = e.argmin(axis=0)
-        val = e[arg, np.arange(net.size)]
-        better = val < energy
-        energy[better] = val[better]
-        tail[better] = rows[lo + arg[better]]
-    return DpList(pair_index=np.arange(net.size), tail=tail, energy=energy)
+        _merge_min(energy, tail, p, e[arg, p], rows[lo + arg])
+    return DpList(pair_index=p, tail=tail, energy=energy)
 
 
 def _close_list(last: DpList, end_net: BoundaryNet, net: PairNet,
                 hterm) -> tuple:
     """(e_alg, g, q): the best total over boundary tensors g and positions
     q of the last list.  Only the live pairs of `last` and the candidate
-    rows of the screen are evaluated exactly.  Per g the best q, then g in
-    index order with strict improvement, so ties go to the lowest (g, q)."""
+    rows of the screen are evaluated exactly.  Each row keeps its best q,
+    then one argmin over the rows, so the result is one argmin over the
+    g-major (g, q) totals: ties go to the lowest (g, q), and a NaN total
+    gives a NaN e_alg at the first NaN's in-range (g, q)."""
     lam, b = net.lam[last.pair_index], net.b[last.pair_index]
     rows = _candidate_rows(end_net, lam, b, hterm, False, last.energy)
-    best_val, best_g, best_q = np.inf, -1, -1
+    row_val = np.empty(rows.size)
+    row_q = np.empty(rows.size, dtype=np.intp)
     for lo, e in _boundary_energies(BoundaryNet(end_net.tensors[rows]),
                                     lam, b, hterm, False):
         total = last.energy + e
         arg = total.argmin(axis=1)
-        val = total[np.arange(arg.size), arg]
-        gi = int(val.argmin())
-        if val[gi] < best_val:
-            best_val, best_g, best_q = (float(val[gi]), int(rows[lo + gi]),
-                                        int(arg[gi]))
-    return best_val, best_g, best_q
+        row_q[lo:lo + arg.size] = arg
+        row_val[lo:lo + arg.size] = total[np.arange(arg.size), arg]
+    gi = int(row_val.argmin())
+    return float(row_val[gi]), int(rows[gi]), int(row_q[gi])
 
 
 def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
@@ -489,7 +493,7 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
         lower_bound=lower, upper_slack=upper_slack,
         epsilon_used=eps_cert, epsilon_op=epsilon_op,
         N=pair_net.size, n_end=end_net.size, assignment=assignment,
-        omega_defect_max=defect.max_abs,
+        omega_defect_max=float(np.abs(defect).max(initial=0.0)),
         timings={
             "net_ms": 1e3 * (t_net - t0),
             "dp_ms": 1e3 * (t_dp - t_net),

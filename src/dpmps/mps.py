@@ -48,27 +48,12 @@ class CanonicalMps:
     def dims(self) -> tuple:
         return (self.d_end,) + (self.d,) * (self.n - 2) + (self.d_end,)
 
-    @property
-    def bond_dims(self) -> tuple:
-        """Effective bond ranks at cuts 2..n."""
-        ranks = [self.gamma_left.shape[0]]
-        for b in self.b_tensors:
-            ranks.append(b.shape[2])
-        return tuple(ranks)
-
     def site_tensors(self) -> list:
         """Uniform site-tensor view [(r_left, dim, r_right)] with lambda2
         absorbed into the first tensor."""
         m1 = (self.gamma_left * self.lambda2[:, None]).T[None, :, :]
         mn = self.gamma_right[:, :, None]
         return [m1] + list(self.b_tensors) + [mn]
-
-    def derived_lambdas(self) -> list:
-        """[lambda^[2], ..., lambda^[n]] with j >= 3 recovered via mu chains."""
-        lams = [self.lambda2]
-        for b in self.b_tensors:
-            lams.append(mu_of(lams[-1], b))
-        return lams
 
 
 def mu_of(lam: np.ndarray, b: np.ndarray) -> np.ndarray:

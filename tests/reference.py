@@ -1,4 +1,5 @@
 """Reference checks that only the tests use: canonical-form residuals, the
+Schmidt vectors of a chain recovered from its (lambda, B) pairs, the
 windowed energy of a whole chain, a phase-insensitive alignment of dense
 states, the dense Hamiltonian matrix and a dense power-iteration ground
 energy."""
@@ -10,7 +11,7 @@ import numpy as np
 
 from dpmps.errors import ShapeMismatchError
 from dpmps.hamiltonian import NnHamiltonian, dense_dim
-from dpmps.mps import CanonicalMps, left_gram_offdiag, local_energy
+from dpmps.mps import CanonicalMps, left_gram_offdiag, local_energy, mu_of
 
 
 @dataclass
@@ -33,6 +34,14 @@ class CanonicalReport:
         return self.max_residual <= self.tol
 
 
+def derived_lambdas(m: CanonicalMps) -> list:
+    """[lambda^[2], ..., lambda^[n]] with j >= 3 recovered via mu chains."""
+    lams = [m.lambda2]
+    for b in m.b_tensors:
+        lams.append(mu_of(lams[-1], b))
+    return lams
+
+
 def check_canonical(m: CanonicalMps, tol: float = 1e-10) -> CanonicalReport:
     """Evaluate left/right/boundary/normalization residuals.
 
@@ -43,7 +52,7 @@ def check_canonical(m: CanonicalMps, tol: float = 1e-10) -> CanonicalReport:
     for g in (m.gamma_left, m.gamma_right):
         gram = g.conj() @ g.T
         rep.boundary.append(float(np.abs(gram - np.eye(g.shape[0])).max()))
-    lams = m.derived_lambdas()
+    lams = derived_lambdas(m)
     for lam in lams:
         rep.norm.append(abs(float(np.linalg.norm(lam)) - 1.0))
     for lam, b in zip(lams, m.b_tensors):
@@ -62,7 +71,7 @@ def windowed_energy_sum(m: CanonicalMps, h) -> float:
     if len(h.terms) != m.n - 1:
         raise ShapeMismatchError("term count does not match site count")
     ts = m.site_tensors()
-    lams = [np.ones(1)] + m.derived_lambdas()
+    lams = [np.ones(1)] + derived_lambdas(m)
     return sum(local_energy(lams[j], ts[j], ts[j + 1], term)
                for j, term in enumerate(h.terms))
 

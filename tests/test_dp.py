@@ -154,13 +154,14 @@ class TestOmegaDefect:
         batched = dp.left_defect(lam, b, lam_next)
         for k in range(5):
             one = dp.left_defect(lam[k], b[k], lam_next[k])
-            assert np.array_equal(batched.delta[k], one.delta)
+            assert np.array_equal(batched[k], one)
 
     def test_solve_reports_max_over_junctions(self, d2_solve):
         sr, net, eps = d2_solve
         chosen = sr.assignment[1:-1]
-        per_junction = [dp.left_defect(net.lam[q], net.b[q], net.lam[p])
-                        .max_abs for q, p in zip(chosen, chosen[1:])]
+        per_junction = [np.abs(dp.left_defect(net.lam[q], net.b[q],
+                                              net.lam[p])).max()
+                        for q, p in zip(chosen, chosen[1:])]
         assert sr.omega_defect_max == max(per_junction)
         assert 0.0 < sr.omega_defect_max <= 3 * eps + 4 * eps + 1e-12
 
@@ -205,14 +206,14 @@ class TestLeftDefect:
         b_rot = np.tensordot(b, vh.conj().T, axes=([2], [0]))
         mu_rot = mps.mu_of(lam, b_rot)
         d = dp.left_defect(lam, b_rot, mu_rot)
-        assert d.max_abs < 1e-12
+        assert np.abs(d).max() < 1e-12
 
     def test_d1_diagonal_only(self):
         b = np.zeros((1, 2, 1), dtype=complex)
         b[0, 0, 0] = 1.0
         d = dp.left_defect(np.array([1.0]), b, np.array([0.8]))
-        assert d.delta.shape == (1, 1)
-        assert np.isclose(d.delta[0, 0].real, 0.8**2 - 1.0)
+        assert d.shape == (1, 1)
+        assert np.isclose(d[0, 0].real, 0.8**2 - 1.0)
 
     def test_dp_admissible_bound(self):
         eps = 0.05
@@ -229,6 +230,6 @@ class TestLeftDefect:
                 d = dp.left_defect(eq.lam, eq.b, ep.lam)
                 # off-diagonal part bounded by the filter, diagonal part by
                 # the stitching distance: |l^2 - m^2| <= |l - m|(l + m) <= 4eps
-                assert d.max_abs <= 3 * eps + 4 * eps + 1e-12
+                assert np.abs(d).max() <= 3 * eps + 4 * eps + 1e-12
                 checked += 1
         assert checked > 0

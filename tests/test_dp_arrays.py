@@ -3,9 +3,10 @@ the full matrix and streamed, tie rule (also across a block boundary), NaN
 costs, empty steps, the transition memo and the transition size guard; for
 a streamed solve, independence of the thread count and a memory peak below
 one N x N matrix; for the batched boundary energies and the p-major transition matrix against
-the per-tensor einsum loops and the q-major formula they replaced; and for
-the boundary screen, which must keep every end tensor that reaches an
-exact minimum."""
+the per-tensor einsum loops and the q-major formula they replaced, and
+with a NaN at either end against one argmin; and for the boundary screen,
+whose factors must agree with the exact kernel far inside its margin and
+which must keep every end tensor that reaches an exact minimum."""
 
 import dataclasses
 import tracemalloc
@@ -254,17 +255,17 @@ def einsum_right_energies(net, end_net, hterm):
     return out
 
 
+def flat_argmin(total):
+    """(value, g, q) of one argmin over a g-major (g, q) total matrix."""
+    g, q = np.unravel_index(int(total.argmin()), total.shape)
+    return float(total[g, q]), int(g), int(q)
+
+
 def einsum_close(last, end_net, net, hterm):
-    """The right-end scan over the full q x g energy matrix."""
+    """The right-end minimum over the full g x q total matrix."""
     e_right = einsum_right_energies(net, end_net, hterm)
-    total = last.energy[:, None] + e_right[last.pair_index]
-    best_val, best_g, best_q = np.inf, -1, -1
-    for gi in range(end_net.size):
-        col = total[:, gi]
-        qi = int(col.argmin())
-        if col[qi] < best_val:
-            best_val, best_g, best_q = float(col[qi]), gi, qi
-    return best_val, best_g, best_q
+    return flat_argmin((last.energy[:, None]
+                        + e_right[last.pair_index]).T)
 
 
 def q_major_transitions(net, hterm):
@@ -377,8 +378,14 @@ def test_screen_keeps_every_exact_minimum(d1_nets, sub_net, which, scale):
         net, end = sub_net(10), en.build_end_net(2, 2, 0.25)
     rng = np.random.default_rng(11)
     h_left, h_right = scale * random_term(rng), scale * random_term(rng)
-    # left end: every row that reaches a column minimum is kept
+    # the screen's factors agree with the exact kernel far inside its tol
+    lb = net.b * net.lam[:, :, None, None]
+    f, q = dp._window_factors(end.tensors.transpose(0, 2, 1)[:, None], lb,
+                              h_left)
     e = kernel_left_energies(end, net, h_left)
+    tol = 1e-10 * end.tensors.shape[1] * (1.0 + np.linalg.norm(h_left))
+    assert np.abs((f @ q.T).real - e).max() < 1e-3 * tol
+    # left end: every row that reaches a column minimum is kept
     rows = dp._candidate_rows(end, net.lam, net.b, h_left, True)
     assert np.isin(np.flatnonzero((e == e.min(axis=0)).any(axis=1)),
                    rows).all()
@@ -389,13 +396,57 @@ def test_screen_keeps_every_exact_minimum(d1_nets, sub_net, which, scale):
     last = random_prev(net.size, rng)
     last.energy *= scale
     lam, b = net.lam[last.pair_index], net.b[last.pair_index]
-    total = kernel_right_energies(end, lam, b, h_right) + last.energy
+    e = kernel_right_energies(end, lam, b, h_right)
+    q, f = dp._window_factors(b * lam[:, :, None, None],
+                              end.tensors[..., None], h_right)
+    tol = 1e-10 * end.tensors.shape[1] * (1.0 + np.linalg.norm(h_right))
+    assert np.abs((q @ f.T).real.T - e).max() < 1e-3 * tol
+    total = e + last.energy
     row_min = total.min(axis=1)
     rows = dp._candidate_rows(end, lam, b, h_right, False, last.energy)
     assert np.isin(np.flatnonzero(row_min == row_min.min()), rows).all()
-    g = int(row_min.argmin())
-    assert dp._close_list(last, end, net, h_right) == \
-        (float(row_min[g]), g, int(total[g].argmin()))
+    assert dp._close_list(last, end, net, h_right) == flat_argmin(total)
+
+
+def nan_at(cells, kernel):
+    """`kernel` (a `_boundary_energies`) with NaN at the (g, p) cells."""
+    def patched(end_net, *args):
+        for lo, e in kernel(end_net, *args):
+            e = e.copy()
+            for g, p in cells:
+                if lo <= g < lo + len(e):
+                    e[g - lo, p] = np.nan
+            yield lo, e
+    return patched
+
+
+def test_nan_boundary_energy_in_first_list(d1_nets, monkeypatch):
+    net, end = d1_nets(0.1)
+    h = ham.group_boundaries(ham.build_model("random_hermitian", {}, 6, 2), 1)
+    last_g = end.size - 1
+    # a NaN in the first chunk of end tensors, one later in the same
+    # column, and one in the last chunk only
+    monkeypatch.setattr(dp, "_boundary_energies", nan_at(
+        [(3, 5), (last_g, 5), (last_g, 9)], dp._boundary_energies))
+    monkeypatch.setattr(dp, "_candidate_rows",
+                        lambda end_net, *args: np.arange(end_net.size))
+    e = kernel_left_energies(end, net, h.terms[0])
+    first = dp.initial_list(end, net, h.terms[0])
+    np.testing.assert_array_equal(first.energy, e.min(axis=0))
+    assert np.array_equal(first.tail, e.argmin(axis=0))
+    assert first.tail[5] == 3 and first.tail[9] == last_g
+
+
+def test_nan_in_last_list_closes_as_one_argmin(d1_nets):
+    net, end = d1_nets(0.1)
+    h = ham.group_boundaries(ham.build_model("random_hermitian", {}, 6, 3), 1)
+    last = random_prev(net.size, np.random.default_rng(12))
+    last.energy[[17, 40]] = np.nan
+    lam, b = net.lam[last.pair_index], net.b[last.pair_index]
+    total = kernel_right_energies(end, lam, b, h.terms[-1]) + last.energy
+    got = dp._close_list(last, end, net, h.terms[-1])
+    assert np.array_equal(got, flat_argmin(total), equal_nan=True)
+    assert got[1:] == (0, 17)
 
 
 def test_screen_evaluates_few_rows_exactly(monkeypatch):
