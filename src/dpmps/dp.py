@@ -14,15 +14,33 @@ NaN there gives a NaN e_alg with in-range indices.
 
 Admissibility depends on p only through lambda_p, and the net holds few
 distinct lambda vectors, so `solve` builds it once per solve as an
-N x |lambda-net| matrix.  The transition energies E[p, q] come as real
-p-major blocks of CHUNK predecessors q, in q order, each one complex GEMM
-of the factors of (lambda B, B).  The DP step min-reduces each block in
-sub-blocks of p rows and merges the results.  `solve` picks the source of
-the blocks per term: a term equal to the next site's is assembled once
-into the full N x N matrix, taken as one block and reused while the term
-repeats; any other term is streamed, and no N x N array exists.  Before
-the first step it raises SizeGuardError if that matrix (8 N^2 bytes) and
-one complex block would not fit in physical memory.
+N x |lambda-net| matrix.  `solve` picks the source of the transition
+energies E[p, q] per term: a term equal to the next site's is assembled
+once into the full real p-major N x N matrix, min-reduced in sub-blocks
+of p rows and reused while the term repeats; any other term is streamed,
+and no N x N array exists.  Before the first step it raises
+SizeGuardError if that matrix (8 N^2 bytes) and one complex block would
+not fit in physical memory.
+
+A streamed step first drops, per lambda class, the predecessors that
+provably cannot win.  E[q, p] = tr(H_q P_p^T), with H_q the Hermitian part
+of row q of G and P_p row p of T2, both as dD x dD matrices; P_p is PSD
+with trace ||B_p||^2.  So for an anchor a, E[a, p] - E[q, p] =
+tr((H_a - H_q) P_p^T) <= lambda_max(H_a - H_q) tr P_p, and a row whose
+previous energy exceeds an anchor's by more than the Gershgorin bound of
+that times the class's largest trace (its smallest when the bound is
+negative), plus a rounding margin, is strictly above the anchor at every
+pair of the class: it can neither win nor tie.  The anchors are the
+ANCHORS lowest previous energies.  The union of the remaining rows is
+multiplied in CHUNK-row blocks, each one complex GEMM of gathered rows of
+G against all of T2 into a reused buffer, and each class's p-major cost
+block is min-reduced in reused pieces of BLOCK_ELEMENTS.  Two BLAS facts
+keep every bit: a product over a subset of the columns rounds differently
+in the edge tiles, so rows are gathered and columns never are; and a
+one-row product takes the gemv path, which rounds differently too, so it
+is padded to two rows.  Chunks of two or more gathered rows are bitwise
+rows of the full product, so the lists are bitwise those of the dense
+step on the full matrix.
 
 The boundary energies of the first and last terms come from one kernel
 that walks the end net in chunks, merged as they come, so no
@@ -56,7 +74,8 @@ from .errors import NoAdmissibleTransitionError, SizeGuardError
 from . import hamiltonian
 from .mps import CanonicalMps, expectation_full, left_gram, mu_of
 
-CHUNK = 256             # predecessors q per transition block
+CHUNK = 64              # predecessors q per transition block
+ANCHORS = 4             # lowest-energy predecessors that prune the others
 BLOCK_ELEMENTS = 1 << 15  # entries per boundary or min-reduce block
 
 
@@ -151,28 +170,35 @@ def _transition_factors(net: PairNet, hterm) -> tuple:
     return _window_factors(net.lam[:, :, None, None] * net.b, net.b, hterm)
 
 
-def _transition_blocks(g: np.ndarray, t2: np.ndarray, threads: int):
-    """Yield (lo, E[:, lo:hi]) for the CHUNK-row q-chunks in q order, each
-    block real and p-major.  A block is the product G[lo:hi] @ T2.T of the
-    unchunked q x p layout (a p x q product rounds differently in BLAS
-    edge tiles), and the chunk boundaries do not depend on the thread
-    count, so blocks are bitwise identical for any `threads`.  With
-    threads > 1 the products run in waves of `threads` chunks, so at most
-    that many are alive."""
-    spans = [(lo, min(lo + CHUNK, len(g))) for lo in range(0, len(g), CHUNK)]
+def _transition_blocks(g: np.ndarray, t2: np.ndarray, rows: np.ndarray,
+                       threads: int):
+    """Yield (lo, C) for the CHUNK-row chunks of `rows` in order, C the
+    complex q-major product G[rows[lo:hi]] @ T2.T over every column p, in
+    a reused buffer that is valid until the next item is asked for.  Rows
+    are gathered and a lone row is padded to two (see the module
+    docstring), so C is bitwise rows of the unchunked product.  The
+    chunks do not depend on the thread count; with threads > 1 the
+    products run in waves of `threads` chunks, one buffer per slot."""
+    spans = [(lo, min(lo + CHUNK, len(rows)))
+             for lo in range(0, len(rows), CHUNK)]
+    slots = max(1, min(threads, len(spans)))
+    bufs = [np.empty((CHUNK, len(t2)), dtype=complex) for _ in range(slots)]
 
-    def product(span):
+    def product(span, buf):
         lo, hi = span
-        return np.ascontiguousarray((g[lo:hi] @ t2.T).real.T)
+        idx = rows[lo:hi] if hi - lo > 1 else rows[[lo, lo]]
+        np.matmul(g[idx], t2.T, out=buf[:idx.size])
+        return buf[:hi - lo]
 
-    if threads <= 1 or len(spans) == 1:
+    if slots == 1:
         for span in spans:
-            yield span[0], product(span)
+            yield span[0], product(span, bufs[0])
         return
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        for w in range(0, len(spans), threads):
-            wave = spans[w:w + threads]
-            futures = [ex.submit(product, span) for span in wave]
+    with ThreadPoolExecutor(max_workers=slots) as ex:
+        for w in range(0, len(spans), slots):
+            wave = spans[w:w + slots]
+            futures = [ex.submit(product, span, buf)
+                       for span, buf in zip(wave, bufs)]
             for span, fut in zip(wave, futures):
                 yield span[0], fut.result()
 
@@ -182,9 +208,9 @@ def transition_energies(net: PairNet, hterm: np.ndarray,
     """Real matrix E[p, q], C order: windowed energy of the term between a
     pair q at the left site and a pair p at the right site."""
     out = np.empty((net.size, net.size))
-    for lo, blk in _transition_blocks(*_transition_factors(net, hterm),
-                                      threads):
-        out[:, lo:lo + blk.shape[1]] = blk
+    g, t2 = _transition_factors(net, hterm)
+    for lo, c in _transition_blocks(g, t2, np.arange(net.size), threads):
+        out[:, lo:lo + len(c)] = c.real.T
     return out
 
 
@@ -211,63 +237,119 @@ def _merge_min(best: np.ndarray, tails: np.ndarray, idx: np.ndarray,
     tails[idx] = tail[take]
 
 
+def _as_slice(idx: np.ndarray):
+    """The sorted, distinct indices idx as a slice when they form one run,
+    so indexing with them gives a view instead of a copy."""
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(idx[0], idx[-1] + 1)
+    return idx
+
+
+def _gershgorin_max(x: np.ndarray) -> np.ndarray:
+    """Upper bound max_i (Re x_ii + sum_{j != i} |x_ij|) on the largest
+    eigenvalue of each Hermitian matrix x[..., :, :]."""
+    diag = np.diagonal(x, axis1=-2, axis2=-1)
+    return (diag.real + np.abs(x).sum(axis=-1) - np.abs(diag)).max(axis=-1)
+
+
+def _viable_rows(e_prev: np.ndarray, h: np.ndarray, trace: np.ndarray,
+                 finite: bool) -> np.ndarray:
+    """Mask over one lambda class's admissible predecessors q that keeps
+    every q that can win or tie at some pair p of the class, from their
+    previous energies e_prev, the Hermitian parts h[q] (dD x dD) of their
+    rows of G, and the traces tr P_p of the class's pairs.  Row q is
+    dropped when e_prev[q] - e_prev[a] > lam+(h_a - h_q) t + tol for one of
+    the ANCHORS lowest-energy rows a (the bound is in the module
+    docstring); tol covers the rounding of both sides.  Every row is kept
+    when an input is not finite (`finite` False) or when tol, which bounds
+    every partial sum of an energy, overflows."""
+    keep = np.ones(e_prev.size, dtype=bool)
+    if not finite or e_prev.size <= 1:
+        return keep
+    t_hi, t_lo = trace.max(), trace.min()
+    tol = 1e-10 * (1.0 + np.abs(e_prev).max()
+                   + t_hi * np.abs(h).max() * h.shape[-1])
+    if not np.isfinite(1e11 * tol):
+        return keep
+    for a in np.argsort(e_prev, kind="stable")[:ANCHORS]:
+        lam = _gershgorin_max(h[a] - h)
+        bound = np.where(lam < 0.0, lam * t_lo, lam * t_hi)
+        keep &= ~(e_prev - e_prev[a] > bound + tol)
+    return keep
+
+
 def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
                 threads: int = 1, *, e_trans: np.ndarray | None = None,
                 mask: np.ndarray | None = None) -> DpList:
     """One DP step: best admissible predecessor for every net pair.
 
-    `e_trans` (p-major, as `transition_energies` returns it) is taken as
-    one block; without it the step streams the q-chunk blocks of
-    `_transition_blocks`, so no N x N array exists.  `mask` is the
-    site-independent admissibility from `stitching_mask`, computed here
-    when not given.  For each block and each lambda class
-    (`net.lam_class`) the min-reduce runs over the live predecessors in
-    the block admissible for that class only, in sub-blocks of at most
-    BLOCK_ELEMENTS costs; a class's first block sets its running
-    (best, tail), and `_merge_min` folds in each later one.  Blocks come in
-    q order, so ties go to the predecessor with the lowest list index,
-    which is the lowest net index since lists are index-sorted, and every
-    result, NaN included, equals one argmin over the whole row.
+    `mask` is the site-independent admissibility from `stitching_mask`,
+    computed here when not given; per lambda class (`net.lam_class`) only
+    the live predecessors admissible for that class compete.  `e_trans`
+    (p-major, as `transition_energies` returns it) is min-reduced in
+    sub-blocks of at most BLOCK_ELEMENTS costs.  Without it the step
+    streams the viable rows of `_viable_rows` through
+    `_transition_blocks`, in q order, and `_merge_min` folds in each
+    class's cost sub-blocks.  Ties go to the predecessor with the lowest
+    list index, which is the lowest net index since lists are
+    index-sorted, and every result, NaN included, equals one argmin over
+    the whole row.
     """
     if len(prev) == 0:
         raise NoAdmissibleTransitionError("previous DP list is empty")
     if mask is None:
         mask = stitching_mask(net, epsilon_op)
-    if e_trans is None:
-        blocks = _transition_blocks(*_transition_factors(net, hterm), threads)
-    else:
-        blocks = [(0, e_trans)]
     best = np.full(net.size, np.inf)
     tails = np.zeros(net.size, dtype=np.intp)
-    # per lambda class: admissible list positions, their net indices, and
-    # the class's pairs p
+    # per lambda class: admissible list positions and the class's pairs p
     classes = []
     for k in range(mask.shape[1]):
         rows = np.flatnonzero(mask[prev.pair_index, k])
         if rows.size:
-            classes.append((rows, prev.pair_index[rows],
-                            np.flatnonzero(net.lam_class == k)))
-    for lo, e_blk in blocks:
-        width = e_blk.shape[1]
-        for rows, q_all, cols in classes:
-            start, stop = np.searchsorted(q_all, (lo, lo + width))
-            if start == stop:
-                continue
-            r, q = rows[start:stop], q_all[start:stop] - lo
-            e_prev = prev.energy[r]
+            classes.append((rows, np.flatnonzero(net.lam_class == k)))
+    if e_trans is not None:
+        for r, cols in classes:
+            q, e_prev = prev.pair_index[r], prev.energy[r]
             step = max(1, BLOCK_ELEMENTS // q.size)
             for p_lo in range(0, cols.size, step):
                 p = cols[p_lo:p_lo + step]
                 # blk[i, s] = E[p_i, q_s] + e_prev[s]
-                blk = e_blk[p] if q.size == width else e_blk[np.ix_(p, q)]
+                blk = e_trans[p] if q.size == net.size \
+                    else e_trans[np.ix_(p, q)]
                 blk += e_prev
                 arg = blk.argmin(axis=1)
-                val, tail = blk[np.arange(p.size), arg], r[arg]
-                if start > 0:   # an earlier block holds some of the rows
-                    _merge_min(best, tails, p, val, tail)
-                else:
-                    best[p] = val
-                    tails[p] = tail
+                best[p] = blk[np.arange(p.size), arg]
+                tails[p] = r[arg]
+    elif classes:
+        g, t2 = _transition_factors(net, hterm)
+        dd = net.b.shape[1] * net.b.shape[2]      # h and P are dd x dd
+        g_prev = g[prev.pair_index].reshape(-1, dd, dd)
+        h = 0.5 * (g_prev + g_prev.conj().transpose(0, 2, 1))
+        trace = np.einsum("pii->p", t2.reshape(-1, dd, dd)).real
+        finite = bool(np.isfinite(prev.energy).all() and np.isfinite(g).all()
+                      and np.isfinite(t2).all())
+        classes = [(r[_viable_rows(prev.energy[r], h[r], trace[cols],
+                                   finite)], cols) for r, cols in classes]
+        union = np.unique(np.concatenate([r for r, _ in classes]))
+        at = [np.searchsorted(union, r) for r, _ in classes]
+        buf = np.empty(BLOCK_ELEMENTS)
+        for lo, c in _transition_blocks(g, t2, prev.pair_index[union],
+                                        threads):
+            for (r, cols), pos in zip(classes, at):
+                start, stop = np.searchsorted(pos, (lo, lo + len(c)))
+                if start == stop:
+                    continue
+                q = _as_slice(pos[start:stop] - lo)    # rows of c
+                r_blk, e_prev = r[start:stop], prev.energy[r[start:stop]]
+                step = BLOCK_ELEMENTS // r_blk.size
+                for p_lo in range(0, cols.size, step):
+                    p = cols[p_lo:p_lo + step]
+                    # cost[i, s] = E[p_i, q_s] + e_prev[s]
+                    cost = buf[:p.size * r_blk.size].reshape(p.size, -1)
+                    np.add(c.real[:, _as_slice(p)][q].T, e_prev, out=cost)
+                    arg = cost.argmin(axis=1)
+                    _merge_min(best, tails, p, cost[np.arange(p.size), arg],
+                               r_blk[arg])
     live = np.flatnonzero(np.isfinite(best))
     if live.size == 0:
         raise NoAdmissibleTransitionError(

@@ -51,6 +51,8 @@ class NnHamiltonian:
             _check_hermitian(t, f"term {j}")
             self.terms[j] = t
         self.J = max_term_norm(self)
+        if not math.isfinite(self.J):
+            raise ValueError(f"largest term norm is not finite ({self.J})")
 
     @property
     def total_dim(self) -> int:
@@ -72,8 +74,13 @@ def _physical_memory() -> int | None:
 
 
 def max_term_norm(h) -> float:
-    """Largest singular value over all terms."""
-    return max(float(np.linalg.norm(t, 2)) for t in h.terms)
+    """Largest singular value over all terms, by one batched SVD per term
+    shape (a boundary-grouped chain has two)."""
+    by_shape = {}
+    for t in h.terms:
+        by_shape.setdefault(t.shape, []).append(t)
+    return max(float(np.linalg.norm(np.stack(ts), 2, axis=(1, 2)).max())
+               for ts in by_shape.values())
 
 
 def _fold_fields(bond_terms, fields, d):
@@ -182,7 +189,8 @@ def _embed(term, left_dim: int, right_dim: int) -> np.ndarray:
 def group_boundaries(h: NnHamiltonian, D: int) -> NnHamiltonian:
     """Merge s sites at each chain end into single boundary sites of
     dimension d_end = d^s, embedding the absorbed terms with identities.
-    The energy spectrum is preserved exactly."""
+    The energy spectrum is preserved exactly.  At s = 1 nothing merges and
+    h itself is returned, already validated; no caller mutates its terms."""
     d = h.dims[0]
     if any(dim != d for dim in h.dims):
         raise ConfigError("grouping expects a uniform ungrouped chain")
@@ -192,8 +200,7 @@ def group_boundaries(h: NnHamiltonian, D: int) -> NnHamiltonian:
             f"chain of {h.n} sites too short for boundary grouping s={s}"
         )
     if s == 1:
-        return NnHamiltonian(n=h.n, dims=list(h.dims),
-                             terms=[t.copy() for t in h.terms], s=1)
+        return h
     d_end = d**s
     n_new = h.n - 2 * s + 2
     dims = [d_end] + [d] * (n_new - 2) + [d_end]

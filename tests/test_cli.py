@@ -274,6 +274,22 @@ class TestMain:
         assert capsys.readouterr().err.startswith("config error:")
         assert not outp.exists()
 
+    @pytest.mark.parametrize("mode",
+                             ["solve", "net-stats", "oracle", "commuting"])
+    def test_non_finite_term_norm_exit_2(self, tmp_path, capsys, mode):
+        # J = inf: solve ran the whole DP and exited 4 with "no admissible
+        # transition", net-stats wrote a document
+        path = tmp_path / "cfg.json"
+        outp = tmp_path / "res.json"
+        path.write_text(json.dumps({
+            "model": {"name": "transverse_ising", "n": 6,
+                      "params": {"g": 1.79e308}},
+            "run": {"mode": mode}, "output": {"path": str(outp)}}))
+        with np.errstate(all="ignore"):
+            assert cli.main(["--config", str(path)]) == 2
+        assert "term norm is not finite" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
     def test_numerical_failure_exit_4(self, tmp_path, capsys, monkeypatch):
         from dpmps.errors import EmptyNetError
 

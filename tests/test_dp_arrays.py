@@ -1,12 +1,15 @@
 """Tests for the array DP step: equivalence with the dense N x N step, from
-the full matrix and streamed, tie rule (also across a block boundary), NaN
-costs, empty steps, the transition memo and the transition size guard; for
-a streamed solve, independence of the thread count and a memory peak below
-one N x N matrix; for the batched boundary energies and the p-major transition matrix against
-the per-tensor einsum loops and the q-major formula they replaced, and
-with a NaN at either end against one argmin; and for the boundary screen,
-whose factors must agree with the exact kernel far inside its margin and
-which must keep every end tensor that reaches an exact minimum."""
+the full matrix and streamed with predecessors pruned (over several D=1
+steps, at D=2, on 1 and 2 threads, and with one viable row left), the
+dominance bound behind the pruning, tie rule (also across a block
+boundary), NaN costs, empty steps, the transition memo and the transition
+size guard; for a streamed solve, independence of the thread count and a
+memory peak below one N x N matrix; for the batched boundary energies and
+the p-major transition matrix against the per-tensor einsum loops and the
+q-major formula they replaced, and with a NaN at either end against one
+argmin; and for the boundary screen, whose factors must agree with the
+exact kernel far inside its margin and which must keep every end tensor
+that reaches an exact minimum."""
 
 import dataclasses
 import tracemalloc
@@ -63,6 +66,22 @@ def dense_extend(prev, net, e_trans, epsilon_op):
     return live, tails[live], best[live]
 
 
+@pytest.fixture
+def keep_fractions(monkeypatch):
+    """Fraction of a class's admissible predecessors that each call of
+    `dp._viable_rows` keeps, in call order."""
+    kept = []
+    viable = dp._viable_rows
+
+    def recording(*args):
+        keep = viable(*args)
+        kept.append(keep.mean())
+        return keep
+
+    monkeypatch.setattr(dp, "_viable_rows", recording)
+    return kept
+
+
 def assert_same_step(out, dense):
     live, tails, best = dense
     assert len(out) == live.size
@@ -73,7 +92,8 @@ def assert_same_step(out, dense):
 
 @pytest.mark.parametrize("seed,epsilon_op", [(0, 0.02), (1, 0.05), (2, 0.02),
                                              (8, 0.05)])
-def test_matches_dense_step_on_d2_sub_nets(sub_net, seed, epsilon_op):
+def test_matches_dense_step_on_d2_sub_nets(sub_net, keep_fractions, seed,
+                                          epsilon_op):
     net = sub_net(seed)
     rng = np.random.default_rng(100 + seed)
     hterm = random_term(rng)
@@ -86,10 +106,78 @@ def test_matches_dense_step_on_d2_sub_nets(sub_net, seed, epsilon_op):
     # the p-major matrix as one block, as `solve` passes a repeated term
     assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
                                     e_trans=e_trans), dense)
-    # streamed: 1,500 pairs make six q-chunks
+    # streamed: the viable rows of 1,500 pairs make several q-chunks
     for threads in (1, 2):
         assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
                                         threads), dense)
+    assert min(keep_fractions) < 1.0
+
+
+def window_hermitian_parts(net, hterm):
+    """(h, trace): the Hermitian parts h[q] of the rows of G and the traces
+    tr P_p of the rows of T2, both as dD x dD matrices."""
+    g, t2 = dp._transition_factors(net, hterm)
+    dd = net.b.shape[1] * net.b.shape[2]
+    g = g.reshape(-1, dd, dd)
+    trace = np.einsum("pii->p", t2.reshape(-1, dd, dd)).real
+    return 0.5 * (g + g.conj().transpose(0, 2, 1)), trace
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("which", ["d1", "d2"])
+def test_dominance_bound_holds(d1_nets, sub_net, which, scale):
+    net = d1_nets(0.1)[0] if which == "d1" else sub_net(11)
+    rng = np.random.default_rng(13)
+    hterm = scale * random_term(rng)
+    e = dp.transition_energies(net, hterm)      # E[p, q]
+    h, trace = window_hermitian_parts(net, hterm)
+    slack = 1e-12 * np.abs(e).max()
+    for a in rng.choice(net.size, size=8, replace=False):
+        lam = dp._gershgorin_max(h[a] - h)
+        assert (lam >= np.linalg.eigvalsh(h[a] - h)[:, -1] - slack).all()
+        for k in np.unique(net.lam_class):
+            p = np.flatnonzero(net.lam_class == k)
+            t = np.where(lam < 0.0, trace[p].min(), trace[p].max())
+            # E[a, p] - E[q, p] <= lam+(h_a - h_q) t for every q and p
+            gap = (e[p, a][:, None] - e[p]).max(axis=0)
+            assert (gap <= lam * t + slack).all()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pruned_steps_match_dense_at_d1(d1_nets, keep_fractions, threads):
+    net, end = d1_nets(0.1)
+    epsilon_op = en.certified_epsilon(2, 1, 0.1)
+    h = ham.group_boundaries(ham.build_model("random_hermitian", {}, 12, 1),
+                             1)
+    prev = dp.initial_list(end, net, h.terms[0])
+    for hterm in h.terms[1:-1]:
+        dense = dense_extend(prev, net, dp.transition_energies(net, hterm).T,
+                             epsilon_op)
+        prev = dp.extend_list(prev, net, hterm, epsilon_op, threads)
+        assert_same_step(prev, dense)
+    assert len(keep_fractions) == 9 and min(keep_fractions) < 0.5
+
+
+@pytest.mark.parametrize("which", ["d1", "d2"])
+def test_single_viable_row_matches_dense(d1_nets, sub_net, keep_fractions,
+                                         which):
+    net = d1_nets(0.1)[0] if which == "d1" else sub_net(12)
+    epsilon_op = 0.05
+    mask = dp.stitching_mask(net, epsilon_op)
+    # predecessors admissible for the same classes as q0, q0 far below
+    q0 = next(q for q in range(net.size) if mask[q].any())
+    idx = np.flatnonzero((mask == mask[q0]).all(axis=1))
+    energy = np.zeros(idx.size)
+    energy[idx == q0] = -1e3
+    prev = dp.DpList(pair_index=idx, tail=np.zeros_like(idx), energy=energy)
+    hterm = random_term(np.random.default_rng(14))
+    out = dp.extend_list(prev, net, hterm, epsilon_op)
+    # every class keeps q0 alone, so the transition product has one row
+    assert idx.size > 1
+    assert keep_fractions == [1.0 / idx.size] * int(mask[q0].sum())
+    assert (idx[out.tail] == q0).all()
+    assert_same_step(out, dense_extend(
+        prev, net, dp.transition_energies(net, hterm).T, epsilon_op))
 
 
 def test_tie_goes_to_lowest_index(sub_net):
@@ -138,7 +226,10 @@ def test_nan_cost_in_later_chunk_matches_dense(sub_net):
     rng = np.random.default_rng(109)
     hterm = random_term(rng)
     energy = rng.standard_normal(net.size)
-    q_nan = 4 * dp.CHUNK + 17
+    mask = dp.stitching_mask(net, epsilon_op)
+    # the first predecessor past four q-chunks that precedes some pair
+    q_nan = next(q for q in range(4 * dp.CHUNK + 17, net.size)
+                 if mask[q].any())
     energy[q_nan] = np.nan
     prev = dp.DpList(pair_index=np.arange(net.size),
                      tail=np.zeros(net.size, dtype=np.intp), energy=energy)
@@ -146,7 +237,7 @@ def test_nan_cost_in_later_chunk_matches_dense(sub_net):
     dense = dense_extend(prev, net, e_trans.T, epsilon_op)
     # every pair that q_nan may precede has a NaN cost and drops out, even
     # where a finite minimum came in an earlier chunk
-    hit = dp.stitching_mask(net, epsilon_op)[q_nan][net.lam_class]
+    hit = mask[q_nan][net.lam_class]
     assert hit.any() and not np.isin(np.flatnonzero(hit), dense[0]).any()
     assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op), dense)
     assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,

@@ -75,12 +75,13 @@ class TestBuildModel:
 
 
 class TestGroupBoundaries:
-    def test_s1_identity(self):
+    def test_s1_identity(self, monkeypatch):
         h = ham.build_model("zz_chain", {}, 5)
+        # nothing merges, so the validated chain is returned as it is
+        monkeypatch.setattr(ham, "max_term_norm", None)
         g = ham.group_boundaries(h, 2)
+        assert g is h
         assert g.s == 1 and g.n == 5 and g.dims == [2] * 5
-        for a, b in zip(h.terms, g.terms):
-            assert np.abs(a - b).max() == 0.0
 
     def test_spectrum_preserved(self):
         h = ham.build_model("transverse_ising", {}, 6)
@@ -131,6 +132,21 @@ class TestNormsAndChecks:
         h = ham.build_model("random_hermitian", {}, 4, seed=9)
         want = max(np.abs(np.linalg.eigvalsh(t)).max() for t in h.terms)
         assert abs(ham.max_term_norm(h) - want) < 1e-10
+
+    def test_max_term_norm_over_two_term_shapes(self):
+        # a grouped chain's end terms are 8 x 8, its middle terms 4 x 4
+        g = ham.group_boundaries(
+            ham.build_model("random_hermitian", {}, 8, seed=4), 4)
+        assert {t.shape for t in g.terms} == {(8, 8), (4, 4)}
+        want = max(float(np.linalg.norm(t, 2)) for t in g.terms)
+        assert ham.max_term_norm(g) == want
+
+    def test_non_finite_term_norm_rejected(self):
+        # entries of 1.79e308 are finite, but the largest singular value
+        # overflows
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="term norm is not finite"):
+            ham.build_model("transverse_ising", {"g": 1.79e308}, 4)
 
     def test_is_commuting(self):
         assert ham.is_commuting(ham.build_model("zz_chain", {}, 5))

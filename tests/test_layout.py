@@ -1,6 +1,7 @@
 """Package layout: every module, every public function or class and every
 public method or property of a package class has a caller inside the
-package."""
+package.  A caller is a loaded name that no enclosing function binds, an
+attribute, or an import alias."""
 
 import ast
 import pathlib
@@ -57,23 +58,47 @@ def public_definitions(tree):
     return {name for name in found if not name.startswith("_")}
 
 
+def bound_names(func):
+    """Names a function binds: its parameters and every name it stores to,
+    nested scopes included."""
+    args = func.args
+    found = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    found.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif node is not func and isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
 def referenced_names(tree):
-    """Names a module uses as a Name, an Attribute or an import alias,
-    leaving out a definition's references to itself."""
+    """Names a module uses: a Name it loads that no enclosing function
+    binds (so a local or parameter of the same name is no caller), an
+    Attribute, or an import alias, leaving out a definition's references
+    to itself."""
     found = set()
+
+    def visit(node, owner, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            local = local | bound_names(node)
+        if isinstance(node, ast.Name):
+            name = None if (not isinstance(node.ctx, ast.Load)
+                            or node.id in local) else node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            name = None
+        if name is not None and name != owner:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, local)
+
     for stmt in tree.body:
-        owner = getattr(stmt, "name", None)
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
-            if name != owner:
-                found.add(name)
+        visit(stmt, getattr(stmt, "name", None), frozenset())
     return found
 
 
@@ -85,3 +110,13 @@ def test_every_public_name_has_a_caller():
     assert sorted(defined - used - set(TEST_REFERENCES)) == []
     # an exemption whose name has gained a caller in the package is stale
     assert sorted(set(TEST_REFERENCES) & used) == []
+
+
+def test_a_local_or_parameter_is_no_caller():
+    tree = ast.parse("def pub():\n    pass\n\n"
+                     "def shadow(x):\n    pub = x\n    return pub\n\n"
+                     "def param(pub):\n    return pub\n")
+    assert "pub" not in referenced_names(tree)
+    tree = ast.parse("def pub():\n    pass\n\n"
+                     "def call():\n    return pub()\n")
+    assert "pub" in referenced_names(tree)
