@@ -24,6 +24,8 @@ from .errors import NoFeasibleEigenspaceError, ShapeMismatchError
 from .hamiltonian import (NnHamiltonian, _check_hermitian, apply_hamiltonian,
                           apply_term)
 
+CLUSTER_TOL = 1e-8      # eigenvalue gap, relative to the spectral range
+
 
 @dataclass
 class EigDecomp:
@@ -44,16 +46,16 @@ class RefineResult:
     residuals: list       # per-term eigen-residual of the final state
 
 
-def eig_projectors(hterm: np.ndarray, cluster_tol: float = 1e-8) -> EigDecomp:
-    """Eigendecompose a Hermitian term and cluster nearby eigenvalues into
-    joint eigenspaces; cluster_tol is relative to the spectral range."""
+def eig_projectors(hterm: np.ndarray) -> EigDecomp:
+    """Eigendecompose a Hermitian term and cluster eigenvalues within
+    CLUSTER_TOL of the spectral range into joint eigenspaces."""
     t = np.asarray(hterm, dtype=complex)
     _check_hermitian(t)
     vals, vecs = np.linalg.eigh(t)
     scale = max(float(vals[-1] - vals[0]), 1.0)
     groups = [[0]]
     for i in range(1, len(vals)):
-        if vals[i] - vals[groups[-1][-1]] <= cluster_tol * scale:
+        if vals[i] - vals[groups[-1][-1]] <= CLUSTER_TOL * scale:
             groups[-1].append(i)
         else:
             groups.append([i])

@@ -252,8 +252,8 @@ def _gershgorin_max(x: np.ndarray) -> np.ndarray:
     return (diag.real + np.abs(x).sum(axis=-1) - np.abs(diag)).max(axis=-1)
 
 
-def _viable_rows(e_prev: np.ndarray, h: np.ndarray, trace: np.ndarray,
-                 finite: bool) -> np.ndarray:
+def _viable_rows(e_prev: np.ndarray, h: np.ndarray,
+                 trace: np.ndarray) -> np.ndarray:
     """Mask over one lambda class's admissible predecessors q that keeps
     every q that can win or tie at some pair p of the class, from their
     previous energies e_prev, the Hermitian parts h[q] (dD x dD) of their
@@ -261,10 +261,10 @@ def _viable_rows(e_prev: np.ndarray, h: np.ndarray, trace: np.ndarray,
     dropped when e_prev[q] - e_prev[a] > lam+(h_a - h_q) t + tol for one of
     the ANCHORS lowest-energy rows a (the bound is in the module
     docstring); tol covers the rounding of both sides.  Every row is kept
-    when an input is not finite (`finite` False) or when tol, which bounds
-    every partial sum of an energy, overflows."""
+    when 1e11 tol, which bounds every partial sum of an energy, is not
+    finite, as it is whenever an input is not."""
     keep = np.ones(e_prev.size, dtype=bool)
-    if not finite or e_prev.size <= 1:
+    if e_prev.size <= 1:
         return keep
     t_hi, t_lo = trace.max(), trace.min()
     tol = 1e-10 * (1.0 + np.abs(e_prev).max()
@@ -326,10 +326,8 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
         g_prev = g[prev.pair_index].reshape(-1, dd, dd)
         h = 0.5 * (g_prev + g_prev.conj().transpose(0, 2, 1))
         trace = np.einsum("pii->p", t2.reshape(-1, dd, dd)).real
-        finite = bool(np.isfinite(prev.energy).all() and np.isfinite(g).all()
-                      and np.isfinite(t2).all())
-        classes = [(r[_viable_rows(prev.energy[r], h[r], trace[cols],
-                                   finite)], cols) for r, cols in classes]
+        classes = [(r[_viable_rows(prev.energy[r], h[r], trace[cols])], cols)
+                   for r, cols in classes]
         union = np.unique(np.concatenate([r for r, _ in classes]))
         at = [np.searchsorted(union, r) for r, _ in classes]
         buf = np.empty(BLOCK_ELEMENTS)

@@ -3,8 +3,10 @@
 A Hamiltonian on n sites is a list of n-1 Hermitian two-site terms, term j
 acting on sites (j, j+1), together with per-site physical dimensions.
 Single-site fields are folded into bond terms so the two-site term list is
-the complete description.  `apply_hamiltonian` applies H to a state vector
-term by term, so the eigensolvers never build the dense 2^n x 2^n matrix.
+the complete description.  Equal terms may be one array (a uniform chain
+holds at most three distinct ones), so no code writes to a term in place.
+`apply_hamiltonian` applies H to a state vector term by term, so the
+eigensolvers never build the dense 2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 DENSE_DIM_GUARD = 2**14
 HERMITICITY_TOL = 1e-10
+COMMUTATOR_TOL = 1e-10
 
 
 @dataclass
@@ -83,23 +86,17 @@ def max_term_norm(h) -> float:
                for ts in by_shape.values())
 
 
-def _fold_fields(bond_terms, fields, d):
-    """Add single-site field terms to adjacent bond terms, half each for
-    interior sites, whole for boundary sites."""
-    n = len(fields)
-    out = [t.copy() for t in bond_terms]
-    eye = np.eye(d, dtype=complex)
-    for i, f in enumerate(fields):
-        if f is None:
-            continue
-        if i == 0:
-            out[0] += np.kron(f, eye)
-        elif i == n - 1:
-            out[-1] += np.kron(eye, f)
-        else:
-            out[i - 1] += 0.5 * np.kron(eye, f)
-            out[i] += 0.5 * np.kron(f, eye)
-    return out
+def _uniform_terms(bond: np.ndarray, n: int, f: np.ndarray | None = None):
+    """The n-1 terms of a uniform chain with two-site term `bond` and site
+    field f, folded into the adjacent bonds: whole at the two end sites,
+    half each in between.  Every interior bond is one shared array."""
+    if f is None:
+        return [bond] * (n - 1)
+    eye = np.eye(f.shape[0], dtype=complex)
+    left, right = np.kron(f, eye), np.kron(eye, f)
+    first = bond + left + 0.5 * right
+    last = bond + 0.5 * left + right
+    return [first] + [bond + 0.5 * left + 0.5 * right] * (n - 3) + [last]
 
 
 def _random_unitary(rng, d: int) -> np.ndarray:
@@ -135,14 +132,11 @@ def build_model(name: str, params: dict | None, n: int,
     zz = np.kron(Z, Z)
 
     if name == "zz_chain":
-        terms = [zz.copy() for _ in range(n - 1)]
+        terms = _uniform_terms(zz, n)
     elif name == "transverse_ising":
-        g = float(params.pop("g", 1.0))
-        bonds = [zz.copy() for _ in range(n - 1)]
-        terms = _fold_fields(bonds, [g * X] * n, 2)
+        terms = _uniform_terms(zz, n, float(params.pop("g", 1.0)) * X)
     elif name == "heisenberg":
-        hh = np.kron(X, X) + np.kron(Y, Y) + np.kron(Z, Z)
-        terms = [hh.copy() for _ in range(n - 1)]
+        terms = _uniform_terms(np.kron(X, X) + np.kron(Y, Y) + zz, n)
     elif name == "random_hermitian":
         terms = []
         for _ in range(n - 1):
@@ -150,9 +144,8 @@ def build_model(name: str, params: dict | None, n: int,
                 + 1j * rng.standard_normal((d * d, d * d))
             terms.append((m + m.conj().T) / 2)
     elif name == "trap_model":
-        up = (I2 + Z) / 2
-        bonds = [2.0 * (np.eye(4, dtype=complex) - zz) for _ in range(n - 1)]
-        terms = _fold_fields(bonds, [up] * n, 2)
+        terms = _uniform_terms(2.0 * (np.eye(4, dtype=complex) - zz), n,
+                               (I2 + Z) / 2)
     elif name == "diagonal_commuting":
         terms = [np.diag(rng.standard_normal(d * d)).astype(complex)
                  for _ in range(n - 1)]
@@ -190,7 +183,8 @@ def group_boundaries(h: NnHamiltonian, D: int) -> NnHamiltonian:
     """Merge s sites at each chain end into single boundary sites of
     dimension d_end = d^s, embedding the absorbed terms with identities.
     The energy spectrum is preserved exactly.  At s = 1 nothing merges and
-    h itself is returned, already validated; no caller mutates its terms."""
+    h itself is returned, already validated; the middle terms are h's own
+    arrays."""
     d = h.dims[0]
     if any(dim != d for dim in h.dims):
         raise ConfigError("grouping expects a uniform ungrouped chain")
@@ -211,20 +205,21 @@ def group_boundaries(h: NnHamiltonian, D: int) -> NnHamiltonian:
     for i in range(s):
         first += _embed(h.terms[i], d**i, d ** (s - 1 - i))
         last += _embed(h.terms[h.n - 1 - s + i], d**i, d ** (s - 1 - i))
-    middle = [h.terms[j].copy() for j in range(s, h.n - 1 - s)]
+    middle = h.terms[s:h.n - 1 - s]
     return NnHamiltonian(n=n_new, dims=dims, terms=[first] + middle + [last],
                          s=s)
 
 
-def is_commuting(h: NnHamiltonian, tol: float = 1e-10) -> bool:
-    """True iff every adjacent pair of terms commutes on the 3-site space;
-    a commutator that is not finite does not count as commuting."""
+def is_commuting(h: NnHamiltonian) -> bool:
+    """True iff every adjacent pair of terms commutes on the 3-site space,
+    to a commutator norm of COMMUTATOR_TOL; a commutator that is not finite
+    does not count as commuting."""
     for j in range(h.n - 2):
         d1, d2, d3 = h.dims[j], h.dims[j + 1], h.dims[j + 2]
         a = np.kron(h.terms[j], np.eye(d3, dtype=complex))
         b = np.kron(np.eye(d1, dtype=complex), h.terms[j + 1])
         c = a @ b - b @ a
-        if not np.isfinite(c).all() or np.linalg.norm(c, 2) > tol:
+        if not np.isfinite(c).all() or np.linalg.norm(c, 2) > COMMUTATOR_TOL:
             return False
     return True
 

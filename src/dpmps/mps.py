@@ -241,11 +241,9 @@ def product_basis_state(n: int, d: int, d_end: int, indices) -> np.ndarray:
 MPS_FORMAT_VERSION = 1
 
 
-def _tensor_to_json(a: np.ndarray):
-    if a.ndim == 0:
-        z = complex(a)
-        return [z.real, z.imag]
-    return [_tensor_to_json(x) for x in a]
+def _tensor_to_json(a: np.ndarray) -> list:
+    """Nested lists of a's entries, each entry as [real, imag]."""
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def mps_to_json(m: CanonicalMps) -> dict:
@@ -254,7 +252,7 @@ def mps_to_json(m: CanonicalMps) -> dict:
         "version": MPS_FORMAT_VERSION,
         "n": m.n, "d": m.d, "D": m.D, "d_end": m.d_end, "s": m.s,
         "gamma_left": _tensor_to_json(m.gamma_left),
-        "lambda2": _tensor_to_json(m.lambda2.astype(complex)),
+        "lambda2": _tensor_to_json(m.lambda2),
         "b_tensors": [_tensor_to_json(b) for b in m.b_tensors],
         "gamma_right": _tensor_to_json(m.gamma_right),
     }

@@ -1,8 +1,8 @@
 """Reference checks that only the tests use: canonical-form residuals, the
 Schmidt vectors of a chain recovered from its (lambda, B) pairs, the
 windowed energy of a whole chain, a phase-insensitive alignment of dense
-states, the dense Hamiltonian matrix and a dense power-iteration ground
-energy."""
+states, the dense Hamiltonian matrix, a uniform chain's terms folded site
+by site, and a dense power-iteration ground energy."""
 
 from dataclasses import dataclass, field
 import math
@@ -96,6 +96,25 @@ def to_dense_hamiltonian(h: NnHamiltonian) -> np.ndarray:
         left = np.eye(math.prod(h.dims[:j]), dtype=complex)
         right = np.eye(math.prod(h.dims[j + 2:]), dtype=complex)
         out += np.kron(np.kron(left, t), right)
+    return out
+
+
+def folded_terms(bond: np.ndarray, n: int, f: np.ndarray | None):
+    """The n-1 terms of a uniform chain, one copy of `bond` per bond with the
+    site field f added site by site: whole at the two end sites, half to
+    each adjacent bond in between."""
+    out = [bond.copy() for _ in range(n - 1)]
+    if f is None:
+        return out
+    eye = np.eye(f.shape[0], dtype=complex)
+    for i in range(n):
+        if i == 0:
+            out[0] += np.kron(f, eye)
+        elif i == n - 1:
+            out[-1] += np.kron(eye, f)
+        else:
+            out[i - 1] += 0.5 * np.kron(eye, f)
+            out[i] += 0.5 * np.kron(f, eye)
     return out
 
 

@@ -1,15 +1,15 @@
 """Tests for the array DP step: equivalence with the dense N x N step, from
 the full matrix and streamed with predecessors pruned (over several D=1
 steps, at D=2, on 1 and 2 threads, and with one viable row left), the
-dominance bound behind the pruning, tie rule (also across a block
-boundary), NaN costs, empty steps, the transition memo and the transition
-size guard; for a streamed solve, independence of the thread count and a
-memory peak below one N x N matrix; for the batched boundary energies and
-the p-major transition matrix against the per-tensor einsum loops and the
-q-major formula they replaced, and with a NaN at either end against one
-argmin; and for the boundary screen, whose factors must agree with the
-exact kernel far inside its margin and which must keep every end tensor
-that reaches an exact minimum."""
+dominance bound behind the pruning, no pruning after a non-finite input,
+tie rule (also across a block boundary), NaN costs, empty steps, the
+transition memo and the transition size guard; for a streamed solve,
+independence of the thread count and a memory peak below one N x N matrix;
+for the batched boundary energies and the p-major transition matrix
+against the per-tensor einsum loops and the q-major formula they replaced,
+and with a NaN at either end against one argmin; and for the boundary
+screen, whose factors must agree with the exact kernel far inside its
+margin and which must keep every end tensor that reaches an exact minimum."""
 
 import dataclasses
 import tracemalloc
@@ -178,6 +178,25 @@ def test_single_viable_row_matches_dense(d1_nets, sub_net, keep_fractions,
     assert (idx[out.tail] == q0).all()
     assert_same_step(out, dense_extend(
         prev, net, dp.transition_energies(net, hterm).T, epsilon_op))
+
+
+@pytest.mark.parametrize("where,value", [("e_prev", np.inf),
+                                         ("e_prev", np.nan),
+                                         ("e_prev", 1e308),
+                                         ("h", np.inf)])
+def test_non_finite_input_keeps_every_row(where, value):
+    # 1e308 is finite, but 1e11 tol, the bound on a partial sum, is not
+    e_prev = np.arange(6.0)
+    h = np.zeros((6, 2, 2), dtype=complex)
+    trace = np.ones(3)
+    # finite: equal rows of H, so the lowest energy dominates the others
+    assert dp._viable_rows(e_prev, h, trace).tolist() == [True] + [False] * 5
+    if where == "e_prev":
+        e_prev[4] = value
+    else:
+        h[4, 1, 1] = value
+    with np.errstate(over="ignore"):
+        assert dp._viable_rows(e_prev, h, trace).all()
 
 
 def test_tie_goes_to_lowest_index(sub_net):

@@ -1,7 +1,7 @@
-"""Package layout: every module, every public function or class and every
-public method or property of a package class has a caller inside the
-package.  A caller is a loaded name that no enclosing function binds, an
-attribute, or an import alias."""
+"""Package layout: every module, every module-level function (private ones
+too), every public class and every public method or property of a package
+class has a caller inside the package.  A caller is a loaded name that no
+enclosing function binds, an attribute, or an import alias."""
 
 import ast
 import pathlib
@@ -35,7 +35,7 @@ def test_every_module_is_imported_by_another():
     assert orphans == []
 
 
-# Public names whose only callers are outside the package, each kept on
+# Checked names whose only callers are outside the package, each kept on
 # purpose.
 TEST_REFERENCES = {
     "covering_chain": "the covering-proof stages behind the criterion-2 "
@@ -45,17 +45,20 @@ TEST_REFERENCES = {
 }
 
 
-def public_definitions(tree):
-    """Public top-level functions and classes of a module, and the public
-    methods and properties of its classes."""
+def checked_definitions(tree):
+    """Top-level functions of a module, private ones included, its public
+    classes, and the public methods and properties of its classes."""
     found = set()
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             found.update(item.name for item in node.body
-                         if isinstance(item, ast.FunctionDef))
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                         if isinstance(item, ast.FunctionDef)
+                         and not item.name.startswith("_"))
+            if not node.name.startswith("_"):
+                found.add(node.name)
+        elif isinstance(node, ast.FunctionDef):
             found.add(node.name)
-    return {name for name in found if not name.startswith("_")}
+    return found
 
 
 def bound_names(func):
@@ -105,11 +108,18 @@ def referenced_names(tree):
 def test_every_public_name_has_a_caller():
     trees = [ast.parse(p.read_text(encoding="utf-8"))
              for p in PACKAGE.glob("*.py")]
-    defined = set().union(*(public_definitions(t) for t in trees))
+    defined = set().union(*(checked_definitions(t) for t in trees))
     used = set().union(*(referenced_names(t) for t in trees))
     assert sorted(defined - used - set(TEST_REFERENCES)) == []
     # an exemption whose name has gained a caller in the package is stale
     assert sorted(set(TEST_REFERENCES) & used) == []
+
+
+def test_private_module_functions_are_checked():
+    tree = ast.parse("def _helper():\n    pass\n\n"
+                     "class Box:\n    def _inner(self):\n        pass\n")
+    assert checked_definitions(tree) == {"_helper", "Box"}
+    assert "_helper" not in referenced_names(tree)
 
 
 def test_a_local_or_parameter_is_no_caller():
