@@ -69,13 +69,10 @@ def eig_projectors(hterm: np.ndarray) -> EigDecomp:
 
 
 def _term_decomps(h: NnHamiltonian) -> list:
-    """`eig_projectors` of every term, computed once per distinct term."""
-    cache = {}
-    for t in h.terms:
-        key = (t.shape, t.tobytes())
-        if key not in cache:
-            cache[key] = eig_projectors(t)
-    return [cache[t.shape, t.tobytes()] for t in h.terms]
+    """`eig_projectors` of every term, computed once per distinct array."""
+    decomps = {id(t): eig_projectors(t)
+               for t in {id(t): t for t in h.terms}.values()}
+    return [decomps[id(t)] for t in h.terms]
 
 
 def refine_to_eigenstate(v, h: NnHamiltonian) -> RefineResult:

@@ -15,12 +15,13 @@ NaN there gives a NaN e_alg with in-range indices.
 Admissibility depends on p only through lambda_p, and the net holds few
 distinct lambda vectors, so `solve` builds it once per solve as an
 N x |lambda-net| matrix.  `solve` picks the source of the transition
-energies E[p, q] per term: a term equal to the next site's is assembled
-once into the full real p-major N x N matrix, min-reduced in sub-blocks
-of p rows and reused while the term repeats; any other term is streamed,
-and no N x N array exists.  Before the first step it raises
-SizeGuardError if that matrix (8 N^2 bytes) and one complex block would
-not fit in physical memory.
+energies E[p, q] per term.  `NnHamiltonian` makes equal terms one array,
+so a run of equal terms is a run of one array: when that array is also
+the next site's term and its full real p-major N x N matrix fits in
+physical memory, the matrix is assembled once, min-reduced in sub-blocks
+of p rows and reused while the run lasts.  Any other term is streamed,
+and no N x N array exists.  Before the first list `transition_size_guard`
+raises SizeGuardError if what a streamed step holds would not fit.
 
 A streamed step first drops, per lambda class, the predecessors that
 provably cannot win.  E[q, p] = tr(H_q P_p^T), with H_q the Hermitian part
@@ -356,33 +357,38 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
     return DpList(pair_index=live, tail=tails[live], energy=best[live])
 
 
-def transition_size_guard(n_pairs: int, phys_bytes: int | None) -> None:
-    """Raise SizeGuardError when what one transition matrix allocates, the
-    real N x N matrix (8 N^2 bytes) plus one complex row chunk of CHUNK
-    rows (16 CHUNK N bytes), would exceed `phys_bytes` of physical
-    memory; None (memory size unknown) passes."""
-    need = 8 * n_pairs * n_pairs + 16 * min(CHUNK, n_pairs) * n_pairs
-    if phys_bytes is not None and need > phys_bytes:
+def transition_size_guard(n_pairs: int, k: int, threads: int,
+                          phys_bytes: int | None) -> bool:
+    """Raise SizeGuardError when what a streamed step of N = n_pairs pairs
+    holds would exceed `phys_bytes` of physical memory: G and T2, the
+    gathered rows of G and their Hermitian parts (N x k complex each at
+    most) and one complex CHUNK-row buffer per thread, 16 (threads CHUNK
+    + 4 k) N bytes.  Return whether the real N x N matrix of a repeated
+    term (8 N^2 bytes) fits beside them.  None (memory size unknown)
+    passes and fits."""
+    streamed = 16 * (max(1, threads) * CHUNK + 4 * k) * n_pairs
+    if phys_bytes is None:
+        return True
+    if streamed > phys_bytes:
         raise SizeGuardError(
-            f"N={n_pairs} needs {need} bytes per transition matrix and "
-            f"its row chunk, more than the {phys_bytes} bytes of physical "
-            "memory"
+            f"N={n_pairs} needs {streamed} bytes per streamed step, more "
+            f"than the {phys_bytes} bytes of physical memory"
         )
+    return streamed + 8 * n_pairs * n_pairs <= phys_bytes
 
 
-def _boundary_energies(end_net: BoundaryNet, lam: np.ndarray, b: np.ndarray,
+def _boundary_energies(ends: np.ndarray, lam: np.ndarray, b: np.ndarray,
                        hterm, end_left: bool):
     """Windowed energies of a boundary term, in chunks of end tensors.
 
-    Yields (lo, E) with E[g - lo, p] the energy of boundary tensor g and
-    pair p = (lam[p], b[p]); the end site is the left site of the term
-    when `end_left`, else the right one.  Each chunk holds at most about
-    BLOCK_ELEMENTS product entries.  The steps are those numpy's
-    optimized einsum takes for one end tensor, with the end tensors as a
-    batch axis and in the same operand order, so at D=1 the energies are
-    bitwise those of a per-tensor einsum loop.
+    Yields (lo, E) with E[g - lo, p] the energy of boundary tensor ends[g]
+    (ends is G x D x d_end) and pair p = (lam[p], b[p]); the end site is
+    the left site of the term when `end_left`, else the right one.  Each
+    chunk holds at most about BLOCK_ELEMENTS product entries.  The steps
+    are those numpy's optimized einsum takes for one end tensor, with the
+    end tensors as a batch axis and in the same operand order, so at D=1
+    the energies are bitwise those of a per-tensor einsum loop.
     """
-    ends = end_net.tensors                               # (G, D, d_end)
     P, D, d, _ = b.shape
     ij = ends.shape[2] * d
     lb = b * lam[:, :, None, None]                       # (P, a, s, c)
@@ -473,8 +479,8 @@ def initial_list(end_net: BoundaryNet, net: PairNet, hterm) -> DpList:
     energy = np.full(net.size, np.inf)
     tail = np.zeros(net.size, dtype=np.intp)
     p = np.arange(net.size)
-    for lo, e in _boundary_energies(BoundaryNet(end_net.tensors[rows]),
-                                    net.lam, net.b, hterm, True):
+    for lo, e in _boundary_energies(end_net.tensors[rows], net.lam, net.b,
+                                    hterm, True):
         arg = e.argmin(axis=0)
         _merge_min(energy, tail, p, e[arg, p], rows[lo + arg])
     return DpList(pair_index=p, tail=tail, energy=energy)
@@ -492,8 +498,8 @@ def _close_list(last: DpList, end_net: BoundaryNet, net: PairNet,
     rows = _candidate_rows(end_net, lam, b, hterm, False, last.energy)
     row_val = np.empty(rows.size)
     row_q = np.empty(rows.size, dtype=np.intp)
-    for lo, e in _boundary_energies(BoundaryNet(end_net.tensors[rows]),
-                                    lam, b, hterm, False):
+    for lo, e in _boundary_energies(end_net.tensors[rows], lam, b, hterm,
+                                    False):
         total = last.energy + e
         arg = total.argmin(axis=1)
         row_q[lo:lo + arg.size] = arg
@@ -523,21 +529,21 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
         end_net = build_end_net(D, d_end, delta, cap)
     t_net = time.perf_counter()
 
-    if n > 3:               # only chains with interior sites need one
-        transition_size_guard(pair_net.size, hamiltonian._physical_memory())
+    # only chains with interior sites take a step; G has (dD)^2 columns
+    full_fits = n > 3 and transition_size_guard(
+        pair_net.size, (pair_net.b.shape[1] * pair_net.b.shape[2]) ** 2,
+        threads, hamiltonian._physical_memory())
     lists = [initial_list(end_net, pair_net, h.terms[0])]
     mask = stitching_mask(pair_net, epsilon_op)
-    e_trans, term_key = None, None
+    e_trans = None          # the matrix of the previous step's term
     for j in range(3, n):
         hterm = h.terms[j - 2]
-        key = hterm.tobytes()   # terms are complex arrays of one shape
-        if key != term_key:
-            e_trans = term_key = None   # free the previous matrix first
-            # only a term that repeats at the next site keeps its matrix;
-            # extend_list streams every other one
-            if j < n - 1 and h.terms[j - 1].tobytes() == key:
-                e_trans = transition_energies(pair_net, hterm, threads)
-                term_key = key
+        if h.terms[j - 3] is not hterm:
+            e_trans = None      # free the previous matrix first
+        # only a term that repeats at the next site builds its matrix
+        if (e_trans is None and full_fits and j < n - 1
+                and h.terms[j - 1] is hterm):
+            e_trans = transition_energies(pair_net, hterm, threads)
         lists.append(extend_list(lists[-1], pair_net, hterm, epsilon_op,
                                  threads, e_trans=e_trans, mask=mask))
     e_trans = None          # not needed past the last interior site

@@ -3,8 +3,13 @@
 A Hamiltonian on n sites is a list of n-1 Hermitian two-site terms, term j
 acting on sites (j, j+1), together with per-site physical dimensions.
 Single-site fields are folded into bond terms so the two-site term list is
-the complete description.  Equal terms may be one array (a uniform chain
-holds at most three distinct ones), so no code writes to a term in place.
+the complete description.  `NnHamiltonian` is the one place that decides
+which terms are equal: terms of the same shape and the same bytes as
+complex arrays become one array, the first occurrence, so a uniform chain
+holds at most three.  Every per-term computation (the Hermiticity check,
+the norm, the commutator check, the eigendecompositions, a DP transition
+matrix) runs once per distinct array and finds equal terms by identity,
+and no code writes to a term in place.
 `apply_hamiltonian` applies H to a state vector term by term, so the
 eigensolvers never build the dense 2^n x 2^n matrix.
 """
@@ -44,15 +49,19 @@ class NnHamiltonian:
             raise ShapeMismatchError("dims length must equal site count")
         if len(self.terms) != self.n - 1:
             raise ShapeMismatchError("need exactly n-1 terms")
+        given, first = {}, {}   # id -> (term, array); value -> (j, array)
         for j, t in enumerate(self.terms):
+            if id(t) not in given:  # holding t keeps its id from being reused
+                a = np.asarray(t, dtype=complex)
+                key = (a.shape, a.tobytes())
+                given[id(t)] = t, first.setdefault(key, (j, a))[1]
+            a = self.terms[j] = given[id(t)][1]
             want = self.dims[j] * self.dims[j + 1]
-            t = np.asarray(t, dtype=complex)
-            if t.shape != (want, want):
-                raise ShapeMismatchError(
-                    f"term {j} has shape {t.shape}, expected ({want}, {want})"
-                )
-            _check_hermitian(t, f"term {j}")
-            self.terms[j] = t
+            if a.shape != (want, want):
+                raise ShapeMismatchError(f"term {j} has shape {a.shape}, "
+                                         f"expected ({want}, {want})")
+        for j, a in first.values():
+            _check_hermitian(a, f"term {j}")
         self.J = max_term_norm(self)
         if not math.isfinite(self.J):
             raise ValueError(f"largest term norm is not finite ({self.J})")
@@ -77,10 +86,10 @@ def _physical_memory() -> int | None:
 
 
 def max_term_norm(h) -> float:
-    """Largest singular value over all terms, by one batched SVD per term
-    shape (a boundary-grouped chain has two)."""
+    """Largest singular value over the distinct term arrays, by one batched
+    SVD per term shape (a boundary-grouped chain has two)."""
     by_shape = {}
-    for t in h.terms:
+    for t in {id(t): t for t in h.terms}.values():
         by_shape.setdefault(t.shape, []).append(t)
     return max(float(np.linalg.norm(np.stack(ts), 2, axis=(1, 2)).max())
                for ts in by_shape.values())
@@ -212,12 +221,13 @@ def group_boundaries(h: NnHamiltonian, D: int) -> NnHamiltonian:
 
 def is_commuting(h: NnHamiltonian) -> bool:
     """True iff every adjacent pair of terms commutes on the 3-site space,
-    to a commutator norm of COMMUTATOR_TOL; a commutator that is not finite
-    does not count as commuting."""
-    for j in range(h.n - 2):
-        d1, d2, d3 = h.dims[j], h.dims[j + 1], h.dims[j + 2]
-        a = np.kron(h.terms[j], np.eye(d3, dtype=complex))
-        b = np.kron(np.eye(d1, dtype=complex), h.terms[j + 1])
+    to a commutator norm of COMMUTATOR_TOL (a non-finite commutator fails),
+    checked once per distinct (left term, right term, site dims) triple."""
+    ids = list(map(id, h.terms))
+    triples = zip(ids, ids[1:], h.dims, h.dims[1:], h.dims[2:])
+    for j in dict(zip(triples, range(h.n - 2))).values():
+        a = np.kron(h.terms[j], np.eye(h.dims[j + 2], dtype=complex))
+        b = np.kron(np.eye(h.dims[j], dtype=complex), h.terms[j + 1])
         c = a @ b - b @ a
         if not np.isfinite(c).all() or np.linalg.norm(c, 2) > COMMUTATOR_TOL:
             return False
@@ -246,5 +256,7 @@ def dense_dim(h: NnHamiltonian) -> int:
     or matrices over it; raises SizeGuardError above DENSE_DIM_GUARD."""
     total = h.total_dim
     if total > DENSE_DIM_GUARD:
-        raise SizeGuardError(f"Hilbert dimension {total} exceeds {DENSE_DIM_GUARD}")
+        # a log10, since a long chain's dimension has too many digits to print
+        raise SizeGuardError(f"Hilbert dimension 10^{math.log10(total):.1f} "
+                             f"exceeds {DENSE_DIM_GUARD}")
     return total

@@ -10,9 +10,12 @@ capped at D.  Interior B tensors are indexed [alpha, i, beta] with alpha
 the left bond; boundary tensors are indexed [alpha, i].
 
 Each MPS job has one implementation: `contract` (site tensors multiplied
-out left to right), `local_energy` (the window kernel every windowed
-energy calls) and `left_gram` (the (lambda B) Gram matrix behind the
-left-canonical filter and the DP defects).
+out left to right), `local_energy` (the window kernel of one windowed
+energy, which the oracle, the reference checks and the benchmark checks
+call; the DP takes its energies from the batched kernels
+`dp._window_factors` and `dp._boundary_energies`) and `left_gram` (the
+(lambda B) Gram matrix behind the left-canonical filter and the DP
+defects).
 """
 
 from __future__ import annotations
@@ -155,7 +158,9 @@ def to_dense(m: CanonicalMps) -> np.ndarray:
     """Coefficient vector of the MPS, contracted left to right."""
     total = math.prod(m.dims)
     if total > DENSE_SIZE_GUARD:
-        raise SizeGuardError(f"dense size {total} exceeds guard {DENSE_SIZE_GUARD}")
+        # a log10, since a long chain's size has too many digits to print
+        raise SizeGuardError(f"dense size 10^{math.log10(total):.1f} exceeds "
+                             f"guard {DENSE_SIZE_GUARD}")
     return contract(m.site_tensors()).reshape(-1)
 
 

@@ -11,6 +11,7 @@ subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -147,7 +148,9 @@ def enumerate_net_optimum(h: NnHamiltonian, end_net: BoundaryNet,
     ne, npair = end_net.size, pair_net.size
     total = ne * ne * npair ** (n - 2)
     if total > ENUM_GUARD:
-        raise SizeGuardError(f"{total} net sequences exceed guard {ENUM_GUARD}")
+        # a log10, since a long chain's count has too many digits to print
+        raise SizeGuardError(f"10^{math.log10(total):.1f} net sequences "
+                             f"exceed guard {ENUM_GUARD}")
 
     # pairwise tables from the scalar window-energy evaluators
     lam, b, mu = pair_net.lam, pair_net.b, pair_net.mu

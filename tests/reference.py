@@ -2,7 +2,8 @@
 Schmidt vectors of a chain recovered from its (lambda, B) pairs, the
 windowed energy of a whole chain, a phase-insensitive alignment of dense
 states, the dense Hamiltonian matrix, a uniform chain's terms folded site
-by site, and a dense power-iteration ground energy."""
+by site, the largest term norm and the commutation check term by term,
+and a dense power-iteration ground energy."""
 
 from dataclasses import dataclass, field
 import math
@@ -10,7 +11,7 @@ import math
 import numpy as np
 
 from dpmps.errors import ShapeMismatchError
-from dpmps.hamiltonian import NnHamiltonian, dense_dim
+from dpmps.hamiltonian import COMMUTATOR_TOL, NnHamiltonian, dense_dim
 from dpmps.mps import CanonicalMps, left_gram_offdiag, local_energy, mu_of
 
 
@@ -116,6 +117,24 @@ def folded_terms(bond: np.ndarray, n: int, f: np.ndarray | None):
             out[i - 1] += 0.5 * np.kron(eye, f)
             out[i] += 0.5 * np.kron(f, eye)
     return out
+
+
+def max_term_norm_per_term(h: NnHamiltonian) -> float:
+    """The largest singular value of the terms, one term at a time."""
+    return max(float(np.linalg.norm(t, 2)) for t in h.terms)
+
+
+def is_commuting_per_pair(h: NnHamiltonian) -> bool:
+    """Whether every adjacent pair of terms commutes on the 3-site space,
+    checked for every pair, repeated ones too."""
+    for j in range(h.n - 2):
+        d1, d3 = h.dims[j], h.dims[j + 2]
+        a = np.kron(h.terms[j], np.eye(d3, dtype=complex))
+        b = np.kron(np.eye(d1, dtype=complex), h.terms[j + 1])
+        c = a @ b - b @ a
+        if not np.isfinite(c).all() or np.linalg.norm(c, 2) > COMMUTATOR_TOL:
+            return False
+    return True
 
 
 def power_iteration_ground(h: NnHamiltonian, iters: int = 20000,

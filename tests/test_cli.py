@@ -211,6 +211,21 @@ class TestMain:
         assert capsys.readouterr().err.startswith("infeasible:")
         assert not outp.exists()
 
+    @pytest.mark.parametrize("mode", ["oracle", "commuting", "baseline",
+                                      "enumerate"])
+    def test_guard_count_past_int_str_limit_exit_3(self, tmp_path, capsys,
+                                                   mode):
+        # 2^15000 has 4,516 digits: formatting it for the guard message
+        # raised ValueError past Python's int-to-str limit, with exit 1
+        path = tmp_path / "cfg.json"
+        outp = tmp_path / "res.json"
+        path.write_text(json.dumps({
+            "model": {"name": "zz_chain", "n": 15_000}, "run": {"mode": mode},
+            "output": {"path": str(outp)}}))
+        assert cli.main(["--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("infeasible:")
+        assert not outp.exists()
+
     @pytest.mark.parametrize("delta", [1e-6, 1e-320])
     def test_tiny_delta_exit_3(self, tmp_path, capsys, delta):
         # 1e-6 ended in numpy's allocation error ("Unable to allocate

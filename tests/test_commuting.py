@@ -234,6 +234,27 @@ class TestRefine:
         assert calls == {"eigh": 1, "eigvalsh": 0}
         assert max(rr.residuals) <= 1e-12
 
+    @pytest.mark.parametrize("name,distinct", [("zz_chain", 1),
+                                               ("trap_model", 3),
+                                               ("diagonal_commuting", 7)])
+    def test_one_decomposition_per_distinct_array(self, monkeypatch, name,
+                                                  distinct):
+        # built from equal but separate copies of the terms
+        built = ham.build_model(name, {}, 8, 2)
+        h = ham.NnHamiltonian(n=8, dims=built.dims,
+                              terms=[t.copy() for t in built.terms])
+        seen = []
+        original = cm.eig_projectors
+
+        def counting(term):
+            seen.append(id(term))
+            return original(term)
+
+        monkeypatch.setattr(cm, "eig_projectors", counting)
+        rr = cm.refine_to_eigenstate(perturbed_ground(h, 0.0), h)
+        assert len(seen) == len(set(seen)) == distinct
+        assert max(rr.residuals) <= 1e-10
+
 
 class TestVerifyEigenstate:
     def test_basis_eigenstate(self):

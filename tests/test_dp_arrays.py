@@ -3,7 +3,9 @@ the full matrix and streamed with predecessors pruned (over several D=1
 steps, at D=2, on 1 and 2 threads, and with one viable row left), the
 dominance bound behind the pruning, no pruning after a non-finite input,
 tie rule (also across a block boundary), NaN costs, empty steps, the
-transition memo and the transition size guard; for a streamed solve,
+transition memo (which steps take the full matrix, against the rule of
+comparing term bytes that it replaced) and the size guard, under which a
+repeated term whose matrix does not fit streams; for a streamed solve,
 independence of the thread count and a memory peak below one N x N matrix;
 for the batched boundary energies and the p-major transition matrix
 against the per-tensor einsum loops and the q-major formula they replaced,
@@ -294,26 +296,118 @@ def test_transitions_reused_across_identical_terms(monkeypatch, name, n,
     monkeypatch.setattr(dp, "transition_energies",
                         counting("matrix", dp.transition_energies))
     h = ham.group_boundaries(ham.build_model(name, {}, n, 0), 1)
-    dp.solve(h, 1, 0.25)
-    assert count["factors"] == calls
-    assert count["matrix"] == (1 if name == "transverse_ising" else 0)
+    # equal but separate copies of the terms become one array per value
+    copies = ham.NnHamiltonian(n=h.n, dims=h.dims,
+                               terms=[t.copy() for t in h.terms])
+    distinct = 3 if name == "transverse_ising" else n - 1
+    for chain in (h, copies):
+        assert len({id(t) for t in chain.terms}) == distinct
+        count.update(factors=0, matrix=0)
+        dp.solve(chain, 1, 0.25)
+        assert count["factors"] == calls
+        assert count["matrix"] == (1 if name == "transverse_ising" else 0)
+
+
+def bytes_rule_full_steps(terms, n):
+    """Per step j = 3..n-1, whether the step takes the full matrix by the
+    rule of comparing term bytes: a term keeps its matrix while its bytes
+    repeat, and builds one when the next site's term has the same bytes."""
+    full, held = [], None
+    for j in range(3, n):
+        key = terms[j - 2].tobytes()
+        if key != held:
+            held = None
+            if j < n - 1 and terms[j - 1].tobytes() == key:
+                held = key
+        full.append(held is not None)
+    return full
+
+
+@pytest.mark.parametrize("n,D", [(3, 1), (12, 1), (800, 1), (12, 4),
+                                 (800, 4)])
+@pytest.mark.parametrize("name", ["zz_chain", "transverse_ising",
+                                  "heisenberg", "random_hermitian",
+                                  "trap_model", "rotated_classical",
+                                  "diagonal_commuting"])
+def test_full_matrix_steps_follow_bytes_rule(monkeypatch, name, n, D):
+    # the steps themselves are stubbed out: only the choice is checked
+    h = ham.group_boundaries(ham.build_model(name, {}, n, 1), D)
+    full = []
+
+    def recording(prev, net, hterm, epsilon_op, threads=1, *, e_trans=None,
+                  mask=None):
+        full.append(e_trans is not None)
+        return dataclasses.replace(prev, tail=np.arange(len(prev)))
+
+    monkeypatch.setattr(dp, "extend_list", recording)
+    monkeypatch.setattr(dp, "transition_energies",
+                        lambda net, hterm, threads=1: np.zeros(0))
+    net = en.build_pair_net(1, 2, 0.25, 0.05)
+    dp.solve(h, 1, 0.25, epsilon_op=0.05, pair_net=net)
+    assert full == bytes_rule_full_steps(h.terms, h.n)
+    assert any(full) == (h.n > 4 and name in ("zz_chain", "transverse_ising",
+                                              "heisenberg", "trap_model"))
 
 
 class TestSizeGuard:
     def test_d2_net_exceeds_memory(self):
+        # the full D=2 net: a streamed step holds 252 MB, its N x N
+        # matrix would add 121 GB
         with pytest.raises(SizeGuardError):
-            dp.transition_size_guard(123_264, 8 * 2**30)
+            dp.transition_size_guard(123_264, 16, 1, 2**27)
+        assert dp.transition_size_guard(123_264, 16, 1, 8 * 2**30) is False
 
     def test_small_net_passes(self):
-        dp.transition_size_guard(3400, 8 * 2**30)
-        dp.transition_size_guard(1000, 16 * 1000 * 1000)
-        dp.transition_size_guard(10**6, None)
+        assert dp.transition_size_guard(3400, 4, 1, 8 * 2**30)
+        assert dp.transition_size_guard(1000, 4, 1, 16 * 1000 * 1000)
+        assert dp.transition_size_guard(10**6, 16, 1, None)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_bounds_are_exact(self, threads):
+        # one CHUNK-row complex buffer per thread, G, T2, the gathered
+        # rows of G and their Hermitian parts; then the real N x N matrix
+        n_pairs, k = 1000, 16
+        streamed = 16 * (threads * dp.CHUNK + 4 * k) * n_pairs
+        full = streamed + 8 * n_pairs**2
+        with pytest.raises(SizeGuardError):
+            dp.transition_size_guard(n_pairs, k, threads, streamed - 1)
+        assert dp.transition_size_guard(n_pairs, k, threads,
+                                        streamed) is False
+        assert dp.transition_size_guard(n_pairs, k, threads, full - 1) \
+            is False
+        assert dp.transition_size_guard(n_pairs, k, threads, full) is True
+
+    def test_uniform_chain_streams_when_matrix_does_not_fit(self, sub_net,
+                                                            monkeypatch):
+        # memory between a streamed step's need and that plus 8 N^2: every
+        # step of the repeated heisenberg term streams, to the same result
+        net, end = sub_net(5), en.build_end_net(2, 2, 0.25)
+        h = ham.group_boundaries(ham.build_model("heisenberg", {}, 6), 2)
+        calls = []
+        full_matrix = dp.transition_energies
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return full_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(dp, "transition_energies", counting)
+        ample = dp.solve(h, 2, 0.25, epsilon_op=0.05, end_net=end,
+                         pair_net=net)
+        assert calls == [1]
+        streamed = 16 * (dp.CHUNK + 4 * 16) * net.size
+        assert streamed + 8 * net.size**2 > 4 * streamed
+        monkeypatch.setattr(ham, "_physical_memory", lambda: 4 * streamed)
+        tight = dp.solve(h, 2, 0.25, epsilon_op=0.05, end_net=end,
+                         pair_net=net)
+        assert calls == [1]
+        assert tight.digest == ample.digest
+        assert tight.assignment == ample.assignment
 
     def test_solve_stops_before_transitions(self, sub_net, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("transition matrix attempted")
 
-        # 1,500 pairs need 18 MB per transition matrix
+        # 1,500 pairs need 2.7 MB per streamed step
         monkeypatch.setattr(ham, "_physical_memory", lambda: 2**20)
         monkeypatch.setattr(dp, "transition_energies", never)
         monkeypatch.setattr(dp, "_transition_factors", never)
@@ -396,14 +490,16 @@ def q_major_transitions(net, hterm):
 
 def kernel_left_energies(end_net, net, hterm):
     out = np.empty((end_net.size, net.size))
-    for lo, e in dp._boundary_energies(end_net, net.lam, net.b, hterm, True):
+    for lo, e in dp._boundary_energies(end_net.tensors, net.lam, net.b, hterm,
+                                       True):
         out[lo:lo + len(e)] = e
     return out
 
 
 def kernel_right_energies(end_net, lam, b, hterm):
     out = np.empty((end_net.size, len(lam)))
-    for lo, e in dp._boundary_energies(end_net, lam, b, hterm, False):
+    for lo, e in dp._boundary_energies(end_net.tensors, lam, b, hterm,
+                                       False):
         out[lo:lo + len(e)] = e
     return out
 
@@ -520,8 +616,8 @@ def test_screen_keeps_every_exact_minimum(d1_nets, sub_net, which, scale):
 
 def nan_at(cells, kernel):
     """`kernel` (a `_boundary_energies`) with NaN at the (g, p) cells."""
-    def patched(end_net, *args):
-        for lo, e in kernel(end_net, *args):
+    def patched(ends, *args):
+        for lo, e in kernel(ends, *args):
             e = e.copy()
             for g, p in cells:
                 if lo <= g < lo + len(e):

@@ -155,6 +155,73 @@ class TestNnHamiltonian:
         assert h.J > 0
 
 
+    def test_equal_terms_become_one_array(self):
+        # equal but separate copies, one of them real, and an unequal term
+        zz, xx = np.diag([1.0, -1.0, -1.0, 1.0]), np.kron(ham.X, ham.X)
+        terms = [zz.astype(complex), zz, xx, zz.astype(complex), xx.copy()]
+        h = ham.NnHamiltonian(n=6, dims=[2] * 6, terms=terms)
+        assert [id(t) for t in h.terms] == [id(h.terms[k])
+                                           for k in (0, 0, 2, 0, 2)]
+        assert all(t.dtype == complex for t in h.terms)
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_non_hermitian_term_named_at_any_position(self, k):
+        bad = np.kron(ham.Z, ham.Z)
+        bad[0, 1] = 0.5
+        terms = ham.build_model("zz_chain", {}, 8).terms
+        terms[k] = bad
+        with pytest.raises(ValueError, match=f"term {k} is not Hermitian"):
+            ham.NnHamiltonian(n=8, dims=[2] * 8, terms=terms)
+
+    @pytest.mark.parametrize("k,src", [(0, 1), (2, 0), (4, 1)])
+    def test_mis_shaped_term_named_at_any_position(self, k, src):
+        # a grouped chain's end terms are 8 x 8 and its middle ones 4 x 4;
+        # term src's array, of the wrong shape at position k, is one the
+        # chain already holds when k > src
+        g = ham.group_boundaries(ham.build_model("zz_chain", {}, 8), 4)
+        terms = list(g.terms)
+        terms[k] = g.terms[src]
+        with pytest.raises(ham.ShapeMismatchError, match=f"term {k} has shape"):
+            ham.NnHamiltonian(n=g.n, dims=g.dims, terms=terms, s=g.s)
+
+
+MODELS = ("zz_chain", "transverse_ising", "heisenberg", "random_hermitian",
+          "trap_model", "rotated_classical", "diagonal_commuting")
+
+
+def xx_chain():
+    """zz_chain at n=12 with one interior term replaced by X (x) X."""
+    terms = ham.build_model("zz_chain", {}, 12).terms
+    terms[5] = np.kron(ham.X, ham.X)
+    return ham.NnHamiltonian(n=12, dims=[2] * 12, terms=terms)
+
+
+def catalog_and_mixed_chains():
+    """Every catalog model at n = 5 and 12 and grouped at D=4, and
+    `xx_chain`."""
+    out = [pytest.param(xx_chain(), id="zz_chain-xx")]
+    for name in MODELS:
+        for n in (5, 12):
+            out.append(pytest.param(ham.build_model(name, {}, n, 3),
+                                    id=f"{name}-{n}"))
+        out.append(pytest.param(ham.group_boundaries(
+            ham.build_model(name, {}, 12, 3), 4), id=f"{name}-D4"))
+    return out
+
+
+@pytest.mark.parametrize("h", catalog_and_mixed_chains())
+def test_checks_once_per_distinct_array_match_per_term(h):
+    assert ham.max_term_norm(h) == reference.max_term_norm_per_term(h)
+    assert ham.is_commuting(h) == reference.is_commuting_per_pair(h)
+
+
+def test_one_interior_xx_term_breaks_commuting():
+    # every other pair is the one (zz, zz) triple, which commutes
+    h = xx_chain()
+    assert len({id(t) for t in h.terms}) == 2
+    assert not ham.is_commuting(h)
+
+
 class TestNormsAndChecks:
     def test_max_term_norm_zz(self):
         h = ham.build_model("zz_chain", {}, 4)

@@ -115,6 +115,30 @@ def test_every_public_name_has_a_caller():
     assert sorted(set(TEST_REFERENCES) & used) == []
 
 
+def byte_comparers(trees):
+    """Modules, of (name, tree) pairs, that call a `.tobytes()` method."""
+    return sorted(name for name, tree in trees
+                  if any(isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Attribute)
+                         and node.func.attr == "tobytes"
+                         for node in ast.walk(tree)))
+
+
+def test_only_hamiltonian_compares_term_bytes():
+    # NnHamiltonian makes equal terms one array; every other module finds
+    # equal terms by identity
+    trees = [(p.stem, ast.parse(p.read_text(encoding="utf-8")))
+             for p in PACKAGE.glob("*.py")]
+    assert byte_comparers(trees) == ["hamiltonian"]
+
+
+def test_a_tobytes_call_is_found():
+    tree = ast.parse("def key(t):\n    return t.tobytes()\n")
+    assert byte_comparers([("dp", tree)]) == ["dp"]
+    tree = ast.parse("def key(t):\n    return t.tobytes\n")
+    assert byte_comparers([("dp", tree)]) == []
+
+
 def test_private_module_functions_are_checked():
     tree = ast.parse("def _helper():\n    pass\n\n"
                      "class Box:\n    def _inner(self):\n        pass\n")
