@@ -4,7 +4,7 @@ Modules: mps (canonical form and energy evaluation), hamiltonian (model
 catalog, boundary grouping and matrix-free application), epsnet (grid nets
 of canonical tensors), dp (the stitched dynamic program and its
 certificates), oracle (ground truth), commuting (exact eigenstate
-refinement), errors (exception types), cli (config-driven runner).
+refinement), errors (exception types and exit codes), cli (runner).
 """
 
 from .dp import SolveResult, solve

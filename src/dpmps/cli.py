@@ -7,9 +7,8 @@ calls the handler, and adds what every document shares: the model echo,
 the warnings (bounds vacuous whenever the document's `epsilon_cert` is at
 least 1), timings and digest.
 
-Exit codes: 0 success, 2 config error or unwritable output, 3 infeasible
-size guard, 4 numerical failure, which includes a result value that is not
-finite (documents are strict JSON, without NaN or Infinity).
+`main` maps each failure onto its exit code by the error's base type; the
+exit codes and their causes are listed once, in the `errors` docstring.
 """
 
 from __future__ import annotations
@@ -29,10 +28,7 @@ from numpy.linalg import LinAlgError
 
 from . import commuting as cm
 from . import dp, epsnet, oracle
-from .errors import (ComplexEnergyError, ConfigError, ConvergenceError,
-                     EmptyNetError, NetSizeError, NoAdmissibleSequenceError,
-                     NoAdmissibleTransitionError, NoFeasibleEigenspaceError,
-                     SizeGuardError)
+from .errors import ConfigError, InfeasibleError, NumericalError
 from .hamiltonian import build_model, dense_dim, group_boundaries, is_commuting
 from .mps import canonicalize, mps_to_json, product_basis_state
 
@@ -261,7 +257,7 @@ def execute(cfg: RunConfig) -> dict:
         h0 = build_model(cfg.model_name, cfg.model_params, cfg.n, cfg.seed)
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"model {cfg.model_name!r}: {exc}") from exc
     res.update(_HANDLERS[cfg.mode](cfg, h0))
     if res.get("epsilon_cert", 0.0) >= 1.0:
@@ -291,29 +287,24 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config, "r", encoding="utf-8") as f:
-            cfg = parse_config(f.read())
+            config_text = f.read()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
+    try:
+        cfg = parse_config(config_text)
+        cfg.threads = max(1, args.threads)
+        cfg.verbose = args.verbose
+        res = execute(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    cfg.threads = max(1, args.threads)
-    cfg.verbose = args.verbose
-
-    try:
-        res = execute(cfg)
-    except (NetSizeError, SizeGuardError) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ComplexEnergyError, ConvergenceError, EmptyNetError,
-            NoAdmissibleSequenceError, NoAdmissibleTransitionError,
-            NoFeasibleEigenspaceError, LinAlgError) as exc:
+    except (NumericalError, LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
     mps_doc = res.pop("mps", None)
     try:

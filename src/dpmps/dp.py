@@ -21,7 +21,7 @@ the next site's term and its full real p-major N x N matrix fits in
 physical memory, the matrix is assembled once, min-reduced in sub-blocks
 of p rows and reused while the run lasts.  Any other term is streamed,
 and no N x N array exists.  Before the first list `transition_size_guard`
-raises SizeGuardError if what a streamed step holds would not fit.
+raises SizeGuardError if a streamed step and the stored lists would not fit.
 
 A streamed step first drops, per lambda class, the predecessors that
 provably cannot win.  E[q, p] = tr(H_q P_p^T), with H_q the Hermitian part
@@ -71,7 +71,7 @@ import numpy as np
 
 from .epsnet import (DEFAULT_CAP, BoundaryNet, PairNet, build_end_net,
                      build_pair_net, certified_epsilon)
-from .errors import NoAdmissibleTransitionError, SizeGuardError
+from .errors import NoAdmissibleTransitionError, check_size
 from . import hamiltonian
 from .mps import CanonicalMps, expectation_full, left_gram, mu_of
 
@@ -358,23 +358,19 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
 
 
 def transition_size_guard(n_pairs: int, k: int, threads: int,
-                          phys_bytes: int | None) -> bool:
+                          phys_bytes: int | None, n_lists: int) -> bool:
     """Raise SizeGuardError when what a streamed step of N = n_pairs pairs
-    holds would exceed `phys_bytes` of physical memory: G and T2, the
-    gathered rows of G and their Hermitian parts (N x k complex each at
-    most) and one complex CHUNK-row buffer per thread, 16 (threads CHUNK
-    + 4 k) N bytes.  Return whether the real N x N matrix of a repeated
-    term (8 N^2 bytes) fits beside them.  None (memory size unknown)
-    passes and fits."""
-    streamed = 16 * (max(1, threads) * CHUNK + 4 * k) * n_pairs
-    if phys_bytes is None:
-        return True
-    if streamed > phys_bytes:
-        raise SizeGuardError(
-            f"N={n_pairs} needs {streamed} bytes per streamed step, more "
-            f"than the {phys_bytes} bytes of physical memory"
-        )
-    return streamed + 8 * n_pairs * n_pairs <= phys_bytes
+    holds beside the n_lists stored DP lists would exceed `phys_bytes` of
+    physical memory: G, T2, the gathered rows of G and their Hermitian
+    parts (N x k complex each at most), a complex CHUNK-row buffer per
+    thread and the lists' index, tail and energy arrays, 16 (threads CHUNK
+    + 4 k) N + 24 n_lists N bytes.  Return whether the real N x N matrix
+    of a repeated term (8 N^2 bytes) fits beside them.  None (memory size
+    unknown) passes and fits."""
+    held = (16 * (max(1, threads) * CHUNK + 4 * k) + 24 * n_lists) * n_pairs
+    check_size(held, phys_bytes, f"bytes of a streamed DP step at "
+               f"N={n_pairs} and {n_lists} stored lists", "physical memory")
+    return phys_bytes is None or held + 8 * n_pairs * n_pairs <= phys_bytes
 
 
 def _boundary_energies(ends: np.ndarray, lam: np.ndarray, b: np.ndarray,
@@ -532,7 +528,7 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
     # only chains with interior sites take a step; G has (dD)^2 columns
     full_fits = n > 3 and transition_size_guard(
         pair_net.size, (pair_net.b.shape[1] * pair_net.b.shape[2]) ** 2,
-        threads, hamiltonian._physical_memory())
+        threads, hamiltonian._physical_memory(), n - 2)
     lists = [initial_list(end_net, pair_net, h.terms[0])]
     mask = stitching_mask(pair_net, epsilon_op)
     e_trans = None          # the matrix of the previous step's term

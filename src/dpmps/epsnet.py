@@ -26,7 +26,8 @@ import math
 
 import numpy as np
 
-from .errors import EmptyNetError, NetSizeError
+from . import hamiltonian
+from .errors import EmptyNetError, NetSizeError, check_size
 from .mps import left_gram_offdiag, mu_of
 
 DEFAULT_CAP = 10**7
@@ -89,11 +90,11 @@ def _enumerate_candidates(grid: np.ndarray, a: int, b: int,
                           cap: int) -> np.ndarray:
     """All a x b matrices over the grid, lexicographic over entry indices."""
     m = len(grid)
-    total = m ** (a * b)
-    if total > cap:
-        raise NetSizeError(
-            f"{total} grid candidates for a={a}, b={b} exceed cap {cap}"
-        )
+    what = f"grid candidates for a={a}, b={b}"
+    total = check_size(m ** (a * b), cap, what, "cap", NetSizeError)
+    # the peak: the index vector, the a b entry columns and their stack
+    check_size(total * (8 + 32 * a * b), hamiltonian._physical_memory(),
+               f"bytes of the {what}", "physical memory")
     idx = np.arange(total)
     cols = []
     for k in range(a * b):
@@ -142,10 +143,9 @@ def orthonormal_family(a: int, b: int, delta: float, real_nonneg: bool = False,
     if real_nonneg and a != 1:
         raise ValueError("real nonnegative generation requires a = 1")
     # a lower bound on the candidate count, checked before any grid is built
-    if _grid_count(delta) ** (a * b * (1 if real_nonneg else 2)) > cap:
-        raise NetSizeError(
-            f"grid candidates for a={a}, b={b}, delta={delta} exceed cap {cap}"
-        )
+    check_size(_grid_count(delta) ** (a * b * (1 if real_nonneg else 2)), cap,
+               f"grid candidates for a={a}, b={b}, delta={delta}, at least",
+               "cap", NetSizeError)
     grid = real_grid(delta) if real_nonneg else complex_grid(delta)
     cands = _enumerate_candidates(grid.astype(complex), a, b, cap)
     total = cands.shape[0]

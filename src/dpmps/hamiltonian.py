@@ -22,7 +22,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatchError, SizeGuardError
+from .errors import ConfigError, ShapeMismatchError, check_size
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -135,9 +135,8 @@ def build_model(name: str, params: dict | None, n: int,
                           f"got {d!r}")
     d = int(d)
     # n-1 complex d^2 x d^2 terms, checked before the first is built
-    if 16 * (n - 1) * d**4 > (_physical_memory() or math.inf):
-        raise SizeGuardError(f"{n - 1} terms of dimension {d}^2 would not "
-                             "fit in physical memory")
+    check_size(16 * (n - 1) * d**4, _physical_memory(),
+               f"bytes of {n - 1} terms of dimension {d}^2", "physical memory")
     zz = np.kron(Z, Z)
 
     if name == "zz_chain":
@@ -254,9 +253,5 @@ def apply_hamiltonian(h: NnHamiltonian, v: np.ndarray) -> np.ndarray:
 def dense_dim(h: NnHamiltonian) -> int:
     """The Hilbert dimension of h, for code that holds whole state vectors
     or matrices over it; raises SizeGuardError above DENSE_DIM_GUARD."""
-    total = h.total_dim
-    if total > DENSE_DIM_GUARD:
-        # a log10, since a long chain's dimension has too many digits to print
-        raise SizeGuardError(f"Hilbert dimension 10^{math.log10(total):.1f} "
-                             f"exceeds {DENSE_DIM_GUARD}")
-    return total
+    return check_size(h.total_dim, DENSE_DIM_GUARD, "Hilbert dimension",
+                      "guard")

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import (ComplexEnergyError, SchmidtRankError,
-                     ShapeMismatchError, SizeGuardError)
+                     ShapeMismatchError, check_size)
 from .hamiltonian import _check_hermitian
 
 DENSE_SIZE_GUARD = 2**24
@@ -156,11 +156,7 @@ def contract(tensors) -> np.ndarray:
 
 def to_dense(m: CanonicalMps) -> np.ndarray:
     """Coefficient vector of the MPS, contracted left to right."""
-    total = math.prod(m.dims)
-    if total > DENSE_SIZE_GUARD:
-        # a log10, since a long chain's size has too many digits to print
-        raise SizeGuardError(f"dense size 10^{math.log10(total):.1f} exceeds "
-                             f"guard {DENSE_SIZE_GUARD}")
+    check_size(math.prod(m.dims), DENSE_SIZE_GUARD, "dense size", "guard")
     return contract(m.site_tensors()).reshape(-1)
 
 

@@ -11,13 +11,11 @@ subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
 from .epsnet import BoundaryNet, PairNet
-from .errors import (ConvergenceError, NoAdmissibleSequenceError,
-                     SizeGuardError)
+from .errors import ConvergenceError, NoAdmissibleSequenceError, check_size
 from .hamiltonian import NnHamiltonian, apply_hamiltonian, dense_dim
 from .mps import (CanonicalMps, contract, local_energy, local_energy_left,
                   local_energy_right)
@@ -146,11 +144,8 @@ def enumerate_net_optimum(h: NnHamiltonian, end_net: BoundaryNet,
     """
     n = h.n
     ne, npair = end_net.size, pair_net.size
-    total = ne * ne * npair ** (n - 2)
-    if total > ENUM_GUARD:
-        # a log10, since a long chain's count has too many digits to print
-        raise SizeGuardError(f"10^{math.log10(total):.1f} net sequences "
-                             f"exceed guard {ENUM_GUARD}")
+    check_size(ne * ne * npair ** (n - 2), ENUM_GUARD, "net sequences",
+               "guard")
 
     # pairwise tables from the scalar window-energy evaluators
     lam, b, mu = pair_net.lam, pair_net.b, pair_net.mu
@@ -163,25 +158,25 @@ def enumerate_net_optimum(h: NnHamiltonian, end_net: BoundaryNet,
         for gi, gam in enumerate(end_net.tensors):
             e_right[q, gi] = local_energy_right(lam[q], b[q], gam,
                                                 h.terms[-1])
-    e_mid = []
     admissible = np.empty((npair, npair), dtype=bool)
     for q in range(npair):
         for p in range(npair):
             admissible[q, p] = (np.linalg.norm(mu[q] - lam[p])
                                 <= 2.0 * epsilon_op + 1e-14)
-    for t in range(1, n - 2):
+    e_mid = {}      # one table per distinct interior term array
+    for term in {id(t): t for t in h.terms[1:n - 2]}.values():
         tab = np.empty((npair, npair))
         for q in range(npair):
             for p in range(npair):
-                tab[q, p] = local_energy(lam[q], b[q], b[p], h.terms[t])
-        e_mid.append(np.where(admissible, tab, np.inf))
+                tab[q, p] = local_energy(lam[q], b[q], b[p], term)
+        e_mid[id(term)] = np.where(admissible, tab, np.inf)
 
     # broadcast-sum over the assignment axes (g1, p2, ..., p_{n-1}, gn)
     axes = n
     cost = np.zeros((1,) * axes)
     cost = cost + _expand(e_left, 0, 1, axes)
-    for t, tab in enumerate(e_mid):
-        cost = cost + _expand(tab, t + 1, t + 2, axes)
+    for t, term in enumerate(h.terms[1:n - 2]):
+        cost = cost + _expand(e_mid[id(term)], t + 1, t + 2, axes)
     cost = cost + _expand(e_right, axes - 2, axes - 1, axes)
     flat = int(np.argmin(cost))
     best = float(cost.reshape(-1)[flat])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpmps import cli
+from dpmps import cli, errors
 from dpmps import epsnet as en
 from dpmps.errors import ConfigError
 
@@ -241,6 +241,55 @@ class TestMain:
         assert capsys.readouterr().err.startswith("infeasible:")
         assert not outp.exists()
 
+    def test_candidate_bytes_beyond_memory_exit_3(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # cap 10^100 passes 6.25e10 B-family candidates at delta=0.001,
+        # whose index vector alone is 466 GiB: np.arange raised
+        # numpy's allocation error, with exit 1
+        arange = np.arange
+
+        def small_arange(*args, **kwargs):
+            assert args[0] < 10**8, "candidate enumeration allocated"
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", small_arange)
+        path = tmp_path / "cfg.json"
+        outp = tmp_path / "res.json"
+        doc = json.loads(cfg_text(solver={"delta": 0.001, "cap": 10**100},
+                                  run={"mode": "net-stats"}))
+        doc["output"] = {"path": str(outp)}
+        path.write_text(json.dumps(doc))
+        assert cli.main(["--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: bytes of the grid candidates")
+        assert "physical memory" in err
+        assert not outp.exists()
+
+    def test_dp_lists_beyond_memory_exit_3(self, tmp_path, capsys,
+                                           monkeypatch):
+        # transverse_ising at n=2 10^6, delta=0.1 needs 16.8 GB of DP lists
+        # and passed every guard, to run out of memory minutes later; at
+        # n=10^4 the 84 MB of lists do not fit in 50 MB
+        from dpmps import dp
+        from dpmps import hamiltonian as ham
+
+        def never(*args, **kwargs):
+            raise AssertionError("DP list built")
+
+        monkeypatch.setattr(ham, "_physical_memory", lambda: 5 * 10**7)
+        monkeypatch.setattr(dp, "initial_list", never)
+        path = tmp_path / "cfg.json"
+        outp = tmp_path / "res.json"
+        doc = json.loads(cfg_text(
+            model={"name": "transverse_ising", "n": 10_000},
+            solver={"delta": 0.1}))
+        doc["output"] = {"path": str(outp)}
+        path.write_text(json.dumps(doc))
+        assert cli.main(["--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible:") and "stored lists" in err
+        assert not outp.exists()
+
     def test_linalg_error_exit_4(self, tmp_path, capsys):
         # eigh on a Krylov matrix of entries near 1e308 does not converge;
         # its LinAlgError exited 1
@@ -316,6 +365,34 @@ class TestMain:
         path.write_text(cfg_text())
         assert cli.main(["--config", str(path)]) == 4
         capsys.readouterr()
+
+
+def _exit_code_of(cls):
+    """The exit code the base type of an error class names."""
+    codes = [code for base, code in ((errors.ConfigError, 2),
+                                     (errors.InfeasibleError, 3),
+                                     (errors.NumericalError, 4))
+             if issubclass(cls, base)]
+    assert len(codes) == 1, cls
+    return codes[0]
+
+
+@pytest.mark.parametrize("cls", [
+    obj for obj in vars(errors).values()
+    if isinstance(obj, type) and issubclass(obj, Exception)
+    and obj.__module__ == errors.__name__], ids=lambda cls: cls.__name__)
+def test_every_error_exits_by_its_base(tmp_path, capsys, monkeypatch, cls):
+    def fail(cfg, h0):
+        raise cls("raised by the mode handler")
+
+    monkeypatch.setitem(cli._HANDLERS, "solve", fail)
+    path = tmp_path / "cfg.json"
+    doc = json.loads(cfg_text())
+    doc["output"] = {"path": str(tmp_path / "res.json"), "emit_mps": True}
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--config", str(path)]) == _exit_code_of(cls)
+    assert "raised by the mode handler" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 class TestOutputFiles:
@@ -413,6 +490,11 @@ class TestBadInputExit2:
         # each exited 1 with an OverflowError, Infinity inside Fraction
         self.run(tmp_path, capsys, solver={key: val},
                  run={"mode": "net-stats"})
+
+    def test_model_param_not_a_finite_float(self, tmp_path, capsys):
+        # float(g) raised OverflowError, with exit 1
+        self.run(tmp_path, capsys,
+                 model={"name": "transverse_ising", "params": {"g": 10**400}})
 
     def test_target_error_underflow(self, tmp_path, capsys):
         # target_error / (2 J D^2 n^2) rounded to 0.0, and the pair net

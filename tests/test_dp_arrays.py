@@ -351,31 +351,55 @@ def test_full_matrix_steps_follow_bytes_rule(monkeypatch, name, n, D):
 
 class TestSizeGuard:
     def test_d2_net_exceeds_memory(self):
-        # the full D=2 net: a streamed step holds 252 MB, its N x N
+        # the full D=2 net at n=6: a streamed step holds 252 MB, its N x N
         # matrix would add 121 GB
         with pytest.raises(SizeGuardError):
-            dp.transition_size_guard(123_264, 16, 1, 2**27)
-        assert dp.transition_size_guard(123_264, 16, 1, 8 * 2**30) is False
+            dp.transition_size_guard(123_264, 16, 1, 2**27, 4)
+        assert dp.transition_size_guard(123_264, 16, 1, 8 * 2**30, 4) \
+            is False
 
     def test_small_net_passes(self):
-        assert dp.transition_size_guard(3400, 4, 1, 8 * 2**30)
-        assert dp.transition_size_guard(1000, 4, 1, 16 * 1000 * 1000)
-        assert dp.transition_size_guard(10**6, 16, 1, None)
+        assert dp.transition_size_guard(3400, 4, 1, 8 * 2**30, 10)
+        assert dp.transition_size_guard(1000, 4, 1, 16 * 1000 * 1000, 10)
+        assert dp.transition_size_guard(10**6, 16, 1, None, 10**6)
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_bounds_are_exact(self, threads):
         # one CHUNK-row complex buffer per thread, G, T2, the gathered
-        # rows of G and their Hermitian parts; then the real N x N matrix
+        # rows of G and their Hermitian parts, and the stored lists'
+        # index, tail and energy arrays; then the real N x N matrix
         n_pairs, k = 1000, 16
-        streamed = 16 * (threads * dp.CHUNK + 4 * k) * n_pairs
-        full = streamed + 8 * n_pairs**2
-        with pytest.raises(SizeGuardError):
-            dp.transition_size_guard(n_pairs, k, threads, streamed - 1)
-        assert dp.transition_size_guard(n_pairs, k, threads,
-                                        streamed) is False
-        assert dp.transition_size_guard(n_pairs, k, threads, full - 1) \
-            is False
-        assert dp.transition_size_guard(n_pairs, k, threads, full) is True
+        for n_lists in (1, 50):
+            held = (16 * (threads * dp.CHUNK + 4 * k)
+                    + 24 * n_lists) * n_pairs
+            full = held + 8 * n_pairs**2
+            with pytest.raises(SizeGuardError, match="physical memory"):
+                dp.transition_size_guard(n_pairs, k, threads, held - 1,
+                                         n_lists)
+            assert dp.transition_size_guard(n_pairs, k, threads, held,
+                                            n_lists) is False
+            assert dp.transition_size_guard(n_pairs, k, threads, full - 1,
+                                            n_lists) is False
+            assert dp.transition_size_guard(n_pairs, k, threads, full,
+                                            n_lists) is True
+
+    def test_long_chain_lists_exceed_memory(self, monkeypatch):
+        # transverse_ising at D=1 delta=0.1 (N=350): a streamed step holds
+        # 0.45 MB, the n - 2 stored lists 24 N (n - 2) bytes, 16.8 GB at
+        # n = 2 10^6; at n = 10^4 with 50 MB of memory the terms, the nets
+        # and the step fit and the 84 MB of lists do not
+        def never(*args, **kwargs):
+            raise AssertionError("DP list built")
+
+        h = ham.build_model("transverse_ising", {}, 10_000)
+        net = en.build_pair_net(1, 2, 0.1, 0.05)
+        streamed = 16 * (dp.CHUNK + 4 * 4) * net.size
+        lists = 24 * net.size * (h.n - 2)
+        assert (net.size, streamed, lists) == (350, 448_000, 83_983_200)
+        monkeypatch.setattr(ham, "_physical_memory", lambda: 5 * 10**7)
+        monkeypatch.setattr(dp, "initial_list", never)
+        with pytest.raises(SizeGuardError, match="9998 stored lists"):
+            dp.solve(h, 1, 0.1, epsilon_op=0.05, pair_net=net)
 
     def test_uniform_chain_streams_when_matrix_does_not_fit(self, sub_net,
                                                             monkeypatch):

@@ -139,6 +139,41 @@ def test_a_tobytes_call_is_found():
     assert byte_comparers([("dp", tree)]) == []
 
 
+GUARD_ERRORS = {"SizeGuardError", "NetSizeError"}
+
+
+def guard_raisers(trees):
+    """Modules, of (name, tree) pairs, with a `raise` of a size-guard error
+    class, by name or as a module attribute, or of an instance made by
+    calling one."""
+    def raised(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = exc.id if isinstance(exc, ast.Name) \
+            else getattr(exc, "attr", None)
+        return name in GUARD_ERRORS
+
+    return sorted(name for name, tree in trees
+                  if any(isinstance(node, ast.Raise) and node.exc is not None
+                         and raised(node) for node in ast.walk(tree)))
+
+
+def test_only_errors_raises_size_guard_errors():
+    # every size guard goes through errors.check_size
+    trees = [(p.stem, ast.parse(p.read_text(encoding="utf-8")))
+             for p in PACKAGE.glob("*.py") if p.stem != "errors"]
+    assert guard_raisers(trees) == []
+
+
+def test_a_guard_raise_is_found():
+    for stmt in ("raise SizeGuardError('too big')", "raise NetSizeError",
+                 "raise SizeGuardError('x') from None",
+                 "raise errors.NetSizeError('cap')"):
+        assert guard_raisers([("dp", ast.parse(stmt))]) == ["dp"]
+    for stmt in ("raise EmptyNetError('none')", "raise",
+                 "check_size(1, 0, 'x', 'y', NetSizeError)"):
+        assert guard_raisers([("dp", ast.parse(stmt))]) == []
+
+
 def test_private_module_functions_are_checked():
     tree = ast.parse("def _helper():\n    pass\n\n"
                      "class Box:\n    def _inner(self):\n        pass\n")
