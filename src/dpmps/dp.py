@@ -43,6 +43,43 @@ is padded to two rows.  Chunks of two or more gathered rows are bitwise
 rows of the full product, so the lists are bitwise those of the dense
 step on the full matrix.
 
+A full-matrix step also reuses its own work.  Repeating one min-plus
+matrix drives the lists into a periodic regime up to a constant shift
+(the cyclicity theorem of Cohen, Dubois, Quadrat and Viot, 1985), where
+each pair p is won among a few candidate predecessors.  So a full step
+on e_trans records a reuse anchor (unrelated to the pruning anchors
+above): its input energies e_ref, the tolerance
+K = 1e-9 (1 + max|e_ref| + max|E|), and for every live pair p the
+candidate set C_p of admissible list positions whose cost is within K of
+p's minimum, stored in position order with E gathered at them.  A later
+step on the same matrix reuses the anchor when its input list has the
+anchor's pair_index and its energies e_prev satisfy
+spread(e_prev - e_ref) + 8 u (max|e_prev| + max|e_ref| + max|E|) < K,
+u the machine epsilon; it then costs only C_p for each p.  Proof that
+the result is bitwise the full step's: let delta_s = e_prev[s] - e_ref[s]
+lie in [lo, hi]; each float sum E + e rounds by at most u/2 of
+max|E| + max|e|.  A position s outside C_p had a reference cost above
+fl(m_p + K) at p, m_p the winner's, so its new cost is at least
+m_p + K + lo; the winner's new cost is at most m_p + hi.  Each bound is
+off by the rounding of the two steps' costs, of the threshold and of the
+spread's subtractions: about 2.5 u (max|e_prev| + max|e_ref| + max|E|) + u K,
+which the check's 8 u term covers whenever the spread exceeds K/2 (then
+max|e_prev| + max|e_ref| > K/4) and the remaining K/2 covers otherwise.
+So every position outside C_p is strictly above the winner and can
+neither win nor tie.  Each candidate's cost is the same float add the
+full step does, and C_p is in position order and padded by repeating
+its last entry, so one argmin per row picks the full step's winner and
+value.  The pair_index and the matrix fix which pairs have an admissible
+predecessor, and every cost is finite, so the live set is the anchor's.
+An anchor is recorded only when K is finite, so a non-finite input or
+matrix never reuses, and only when no pair has more than
+max(REUSE_CANDIDATES, N/16) candidates: a reused step then costs at most
+a sixteenth of a full one past N = 1024, and two anchors hold at most
+max(2048 N, 2 N^2) bytes, a quarter of the matrix they serve past that
+size.  `solve` keeps the two most recent anchors of the current run of
+one term, newest tried first, so period-2 chains reuse too, and drops
+both when the term changes.
+
 The boundary energies of the first and last terms come from one kernel
 that walks the end net in chunks, merged as they come, so no
 (end net) x N array is formed.  At D=1 both are bitwise equal to the
@@ -61,6 +98,7 @@ bitwise those of evaluating all of them.  The returned sandwich bounds are
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import hashlib
@@ -78,6 +116,8 @@ from .mps import CanonicalMps, expectation_full, left_gram, mu_of
 CHUNK = 64              # predecessors q per transition block
 ANCHORS = 4             # lowest-energy predecessors that prune the others
 BLOCK_ELEMENTS = 1 << 15  # entries per boundary or min-reduce block
+REUSE_CANDIDATES = CHUNK  # candidates per pair an anchor may keep at any N
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -87,14 +127,48 @@ class DpList:
     Entry k is net pair `pair_index[k]` with its best accumulated energy
     `energy[k]`; `tail[k]` is the position of its chosen predecessor in
     the previous list, or the boundary tensor index in the first list.
+    `reused` tells whether the step reused an anchor's candidates.
     """
 
     pair_index: np.ndarray
     tail: np.ndarray
     energy: np.ndarray
+    reused: bool = False
 
     def __len__(self) -> int:
         return len(self.pair_index)
+
+
+@dataclass(eq=False)
+class _Anchor:
+    """What a full step on a repeated term's matrix E keeps for reuse: its
+    input list's pair_index and energies e_ref, scale =
+    max|e_ref| + max|E|, the tolerance K = 1e-9 (1 + scale), and per live
+    output pair (in order, `live`) the candidate positions `cand` and E at
+    them, live x c, padded by repeating the last entry."""
+
+    pair_index: np.ndarray
+    e_ref: np.ndarray
+    scale: float
+    tol: float
+    live: np.ndarray
+    cand: np.ndarray
+    e_cand: np.ndarray
+
+    def reuse(self, prev: DpList) -> DpList | None:
+        """The step from prev by the candidates alone when the certificate
+        of the module docstring holds, else None."""
+        if not np.array_equal(prev.pair_index, self.pair_index):
+            return None
+        shift = prev.energy - self.e_ref
+        margin = 8.0 * EPS * (np.abs(prev.energy).max() + self.scale)
+        if not shift.max() - shift.min() + margin < self.tol:
+            return None
+        cost = self.e_cand + prev.energy[self.cand]
+        arg = cost.argmin(axis=1)
+        rows = np.arange(arg.size)
+        return DpList(pair_index=self.live, tail=self.cand[rows, arg],
+                      energy=cost[rows, arg], reused=True)
 
 
 @dataclass
@@ -112,6 +186,7 @@ class SolveResult:
     n_end: int
     assignment: list
     omega_defect_max: float     # largest junction defect entry of omega
+    dp_steps: dict = field(default_factory=dict)   # {"full": k, "reused": m}
     timings: dict = field(default_factory=dict)
 
     @property
@@ -171,19 +246,24 @@ def _transition_factors(net: PairNet, hterm) -> tuple:
     return _window_factors(net.lam[:, :, None, None] * net.b, net.b, hterm)
 
 
+def _chunk_buffers(n_cols: int, threads: int) -> list:
+    """One complex CHUNK x n_cols product buffer per thread."""
+    return [np.empty((CHUNK, n_cols), dtype=complex)
+            for _ in range(max(1, threads))]
+
+
 def _transition_blocks(g: np.ndarray, t2: np.ndarray, rows: np.ndarray,
-                       threads: int):
+                       bufs: list):
     """Yield (lo, C) for the CHUNK-row chunks of `rows` in order, C the
     complex q-major product G[rows[lo:hi]] @ T2.T over every column p, in
-    a reused buffer that is valid until the next item is asked for.  Rows
-    are gathered and a lone row is padded to two (see the module
-    docstring), so C is bitwise rows of the unchunked product.  The
-    chunks do not depend on the thread count; with threads > 1 the
-    products run in waves of `threads` chunks, one buffer per slot."""
+    one of the caller's `_chunk_buffers`, valid until the next item is
+    asked for.  Rows are gathered and a lone row is padded to two (see
+    the module docstring), so C is bitwise rows of the unchunked product.
+    The chunks do not depend on the thread count; with more than one
+    buffer the products run in waves of one chunk per buffer."""
     spans = [(lo, min(lo + CHUNK, len(rows)))
              for lo in range(0, len(rows), CHUNK)]
-    slots = max(1, min(threads, len(spans)))
-    bufs = [np.empty((CHUNK, len(t2)), dtype=complex) for _ in range(slots)]
+    slots = max(1, min(len(bufs), len(spans)))
 
     def product(span, buf):
         lo, hi = span
@@ -210,7 +290,8 @@ def transition_energies(net: PairNet, hterm: np.ndarray,
     pair q at the left site and a pair p at the right site."""
     out = np.empty((net.size, net.size))
     g, t2 = _transition_factors(net, hterm)
-    for lo, c in _transition_blocks(g, t2, np.arange(net.size), threads):
+    for lo, c in _transition_blocks(g, t2, np.arange(net.size),
+                                    _chunk_buffers(net.size, threads)):
         out[:, lo:lo + len(c)] = c.real.T
     return out
 
@@ -281,7 +362,8 @@ def _viable_rows(e_prev: np.ndarray, h: np.ndarray,
 
 def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
                 threads: int = 1, *, e_trans: np.ndarray | None = None,
-                mask: np.ndarray | None = None) -> DpList:
+                mask: np.ndarray | None = None,
+                anchors: deque | None = None) -> DpList:
     """One DP step: best admissible predecessor for every net pair.
 
     `mask` is the site-independent admissibility from `stitching_mask`,
@@ -295,9 +377,19 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
     list index, which is the lowest net index since lists are
     index-sorted, and every result, NaN included, equals one argmin over
     the whole row.
+
+    `anchors`, used with `e_trans` only, holds the anchors of earlier
+    steps on this e_trans, net and mask, newest last.  The step tries
+    them newest first and returns the reuse of the first that certifies
+    it; otherwise it takes the full step and appends its own anchor when
+    one can be recorded (see the module docstring).
     """
     if len(prev) == 0:
         raise NoAdmissibleTransitionError("previous DP list is empty")
+    for anchor in reversed(anchors or ()):
+        out = anchor.reuse(prev)
+        if out is not None:
+            return out
     if mask is None:
         mask = stitching_mask(net, epsilon_op)
     best = np.full(net.size, np.inf)
@@ -308,7 +400,15 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
         rows = np.flatnonzero(mask[prev.pair_index, k])
         if rows.size:
             classes.append((rows, np.flatnonzero(net.lam_class == k)))
+    near = None         # an anchor's (pair, position) candidate parts
     if e_trans is not None:
+        if anchors is not None:
+            most = max(REUSE_CANDIDATES, net.size // 16)
+            scale = np.abs(prev.energy).max() \
+                + max(e_trans.max(), -e_trans.min())
+            tol = 1e-9 * (1.0 + scale)
+            if np.isfinite(tol):
+                near = []
         for r, cols in classes:
             q, e_prev = prev.pair_index[r], prev.energy[r]
             step = max(1, BLOCK_ELEMENTS // q.size)
@@ -321,7 +421,16 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
                 arg = blk.argmin(axis=1)
                 best[p] = blk[np.arange(p.size), arg]
                 tails[p] = r[arg]
+                if near is not None:
+                    i, s = np.nonzero(blk <= (best[p] + tol)[:, None])
+                    if np.bincount(i).max() > most:
+                        near = None
+                    else:
+                        near.append((p[i], r[s]))
     elif classes:
+        # the product buffers come first, so each streamed step takes the
+        # memory the last one freed, whatever its smaller temporaries do
+        bufs = _chunk_buffers(net.size, threads)
         g, t2 = _transition_factors(net, hterm)
         dd = net.b.shape[1] * net.b.shape[2]      # h and P are dd x dd
         g_prev = g[prev.pair_index].reshape(-1, dd, dd)
@@ -333,7 +442,7 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
         at = [np.searchsorted(union, r) for r, _ in classes]
         buf = np.empty(BLOCK_ELEMENTS)
         for lo, c in _transition_blocks(g, t2, prev.pair_index[union],
-                                        threads):
+                                        bufs):
             for (r, cols), pos in zip(classes, at):
                 start, stop = np.searchsorted(pos, (lo, lo + len(c)))
                 if start == stop:
@@ -354,7 +463,28 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
         raise NoAdmissibleTransitionError(
             f"no admissible transition at epsilon_op={epsilon_op}"
         )
+    if near is not None:
+        anchors.append(_record_anchor(prev, live, near, e_trans, scale,
+                                      tol))
     return DpList(pair_index=live, tail=tails[live], energy=best[live])
+
+
+def _record_anchor(prev: DpList, live: np.ndarray, near: list,
+                   e_trans: np.ndarray, scale: float,
+                   tol: float) -> _Anchor:
+    """The anchor of a full step from prev on e_trans, from its (pair,
+    list position) candidate parts in block order, each sorted by pair and
+    then position; every live pair has at least its winner."""
+    p = np.concatenate([pp for pp, _ in near])
+    order = np.argsort(p, kind="stable")        # by pair, then position
+    pos = np.concatenate([s for _, s in near])[order]
+    count = np.bincount(p, minlength=live[-1] + 1)[live]
+    start = np.cumsum(count) - count
+    cand = pos[start[:, None]
+               + np.minimum(np.arange(count.max()), count[:, None] - 1)]
+    return _Anchor(pair_index=prev.pair_index, e_ref=prev.energy,
+                   scale=scale, tol=tol, live=live, cand=cand,
+                   e_cand=e_trans[live[:, None], prev.pair_index[cand]])
 
 
 def transition_size_guard(n_pairs: int, k: int, threads: int,
@@ -531,18 +661,22 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
         threads, hamiltonian._physical_memory(), n - 2)
     lists = [initial_list(end_net, pair_net, h.terms[0])]
     mask = stitching_mask(pair_net, epsilon_op)
-    e_trans = None          # the matrix of the previous step's term
+    # the matrix of the previous step's term and its two newest anchors
+    e_trans = anchors = None
     for j in range(3, n):
         hterm = h.terms[j - 2]
         if h.terms[j - 3] is not hterm:
-            e_trans = None      # free the previous matrix first
+            e_trans = anchors = None    # free the previous matrix first
         # only a term that repeats at the next site builds its matrix
         if (e_trans is None and full_fits and j < n - 1
                 and h.terms[j - 1] is hterm):
             e_trans = transition_energies(pair_net, hterm, threads)
+            anchors = deque(maxlen=2)
         lists.append(extend_list(lists[-1], pair_net, hterm, epsilon_op,
-                                 threads, e_trans=e_trans, mask=mask))
-    e_trans = None          # not needed past the last interior site
+                                 threads, e_trans=e_trans, mask=mask,
+                                 anchors=anchors))
+    e_trans = anchors = None    # not needed past the last interior site
+    reused = sum(lst.reused for lst in lists)
 
     best_val, best_g, best_q = _close_list(lists[-1], end_net, pair_net,
                                            h.terms[-1])
@@ -576,6 +710,7 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
         epsilon_used=eps_cert, epsilon_op=epsilon_op,
         N=pair_net.size, n_end=end_net.size, assignment=assignment,
         omega_defect_max=float(np.abs(defect).max(initial=0.0)),
+        dp_steps={"full": len(lists) - 1 - reused, "reused": reused},
         timings={
             "net_ms": 1e3 * (t_net - t0),
             "dp_ms": 1e3 * (t_dp - t_net),

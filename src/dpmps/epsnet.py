@@ -86,15 +86,25 @@ def _radius(b: int, delta: float) -> float:
     return 59.0 * b * delta
 
 
+def _family_peak_bytes(total: int, a: int, b: int) -> int:
+    """Peak bytes of `orthonormal_family` over `total` candidates, when
+    every candidate survives the filters.  It comes in Gram-Schmidt's
+    second sweep, which holds the candidates, the sweep's output and its
+    input copy (16 a b bytes each per candidate), the row norms (8 a),
+    the overlap Gram matrix and its deviation (24 a^2) and the per-row
+    temporaries (48 b + 40), plus 1 MiB of allocations that do not grow
+    with the family.  Enumeration peaks lower, at 8 + 32 a b."""
+    return total * (48 * a * b + 8 * a + 24 * a * a + 48 * b + 40) + (1 << 20)
+
+
 def _enumerate_candidates(grid: np.ndarray, a: int, b: int,
                           cap: int) -> np.ndarray:
     """All a x b matrices over the grid, lexicographic over entry indices."""
     m = len(grid)
     what = f"grid candidates for a={a}, b={b}"
     total = check_size(m ** (a * b), cap, what, "cap", NetSizeError)
-    # the peak: the index vector, the a b entry columns and their stack
-    check_size(total * (8 + 32 * a * b), hamiltonian._physical_memory(),
-               f"bytes of the {what}", "physical memory")
+    check_size(_family_peak_bytes(total, a, b), hamiltonian._physical_memory(),
+               f"bytes of the {what} and their filters", "physical memory")
     idx = np.arange(total)
     cols = []
     for k in range(a * b):

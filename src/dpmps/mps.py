@@ -192,8 +192,8 @@ def local_energy_right(lam, b1, gamma_n, hterm) -> float:
 def _transfer(env, bra, ket):
     """env[a, b] of <bra|...|ket> carried over one site of (r_left, dim,
     r_right) tensors: sum_{a,b,i} env[a,b] conj(bra[a,i,c]) ket[b,i,d]."""
-    x = np.tensordot(env, ket, axes=([1], [0]))
-    return np.tensordot(bra.conj(), x, axes=([0, 1], [0, 1]))
+    x = (env @ ket.reshape(ket.shape[0], -1)).reshape(-1, ket.shape[2])
+    return bra.conj().reshape(-1, bra.shape[2]).T @ x
 
 
 def expectation_full(m: CanonicalMps, h) -> float:

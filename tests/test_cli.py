@@ -62,6 +62,12 @@ class TestExecute:
         res = cli.execute(cli.parse_config(cfg_text(model={"n": 5})))
         assert 0.0 <= res["omega_defect_max"] <= 1e-12
 
+    def test_solve_reports_dp_steps(self):
+        # zz_chain is uniform, so most of its 27 steps reuse an anchor
+        res = cli.execute(cli.parse_config(cfg_text(model={"n": 30})))
+        steps = res["dp_steps"]
+        assert steps["full"] + steps["reused"] == 27 and steps["reused"] > 0
+
     def test_oracle_heisenberg(self):
         res = cli.execute(cli.parse_config(cfg_text(
             model={"name": "heisenberg", "n": 3}, run={"mode": "oracle"})))
@@ -263,6 +269,29 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("infeasible: bytes of the grid candidates")
         assert "physical memory" in err
+        assert not outp.exists()
+
+    def test_family_filters_beyond_memory_exit_3(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # delta=0.05 at D=1: the 1 x 2 families enumerate 10^4 candidates
+        # in 720 kB, and their filters need more than twice that; with
+        # memory in between, the guard once passed
+        from dpmps import hamiltonian as ham
+
+        enumerated = 10**4 * (8 + 32 * 2)
+        memory = 2 * 10**6
+        assert enumerated < memory < en._family_peak_bytes(10**4, 1, 2)
+        monkeypatch.setattr(ham, "_physical_memory", lambda: memory)
+        path = tmp_path / "cfg.json"
+        outp = tmp_path / "res.json"
+        doc = json.loads(cfg_text(solver={"delta": 0.05},
+                                  run={"mode": "net-stats"}))
+        doc["output"] = {"path": str(outp)}
+        path.write_text(json.dumps(doc))
+        assert cli.main(["--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: bytes of the grid candidates "
+                              "for a=1, b=2")
         assert not outp.exists()
 
     def test_dp_lists_beyond_memory_exit_3(self, tmp_path, capsys,

@@ -11,9 +11,15 @@ for the batched boundary energies and the p-major transition matrix
 against the per-tensor einsum loops and the q-major formula they replaced,
 and with a NaN at either end against one argmin; and for the boundary
 screen, whose factors must agree with the exact kernel far inside its
-margin and which must keep every end tensor that reaches an exact minimum."""
+margin and which must keep every end tensor that reaches an exact minimum;
+and for anchor reuse on a repeated term's matrix: lists bitwise those of
+the full steps on four uniform models, reuse through the older of two
+anchors, the full step when the certificate fails (a nudged energy, other
+pairs) or the matrix holds a NaN, and the counts `solve` reports."""
 
+from collections import deque
 import dataclasses
+import random
 import tracemalloc
 
 import numpy as np
@@ -335,7 +341,7 @@ def test_full_matrix_steps_follow_bytes_rule(monkeypatch, name, n, D):
     full = []
 
     def recording(prev, net, hterm, epsilon_op, threads=1, *, e_trans=None,
-                  mask=None):
+                  mask=None, anchors=None):
         full.append(e_trans is not None)
         return dataclasses.replace(prev, tail=np.arange(len(prev)))
 
@@ -733,3 +739,159 @@ def test_streamed_solve_never_holds_transition_matrix(d1_nets):
         tracemalloc.stop()
     # one real N x N matrix alone is 8 N^2 bytes
     assert peak < 4 * net.size ** 2
+
+
+def assert_same_list(a, b):
+    # bitwise, NaN included
+    assert np.array_equal(a.pair_index, b.pair_index)
+    assert np.array_equal(a.tail, b.tail)
+    assert np.array_equal(a.energy.view(np.int64), b.energy.view(np.int64))
+
+
+def uniform_chain(name, n):
+    h = ham.group_boundaries(ham.build_model(name, {}, n), 1)
+    assert all(t is h.terms[1] for t in h.terms[1:-1])
+    return h
+
+
+def uniform_steps(d1_nets, h, delta, anchors=None, e_trans=None):
+    """The D=1 lists of a chain whose interior terms are one array, each
+    step on that term's full matrix (or on e_trans), with anchors (a deque
+    as `solve` keeps it) or without."""
+    net, end = d1_nets(delta)
+    epsilon_op = en.certified_epsilon(2, 1, delta)
+    mask = dp.stitching_mask(net, epsilon_op)
+    if e_trans is None:
+        e_trans = dp.transition_energies(net, h.terms[1])
+    lists = [dp.initial_list(end, net, h.terms[0])]
+    for hterm in h.terms[1:-1]:
+        lists.append(dp.extend_list(lists[-1], net, hterm, epsilon_op,
+                                    e_trans=e_trans, mask=mask,
+                                    anchors=anchors))
+    return lists
+
+
+REUSE_CASES = [(name, n, delta)
+               for name in ("zz_chain", "transverse_ising", "heisenberg",
+                            "trap_model")
+               for n in (12, 200) for delta in (0.25, 0.1)]
+
+
+@pytest.mark.parametrize("name,n,delta",
+                         REUSE_CASES + [("transverse_ising", 800, 0.1)])
+def test_anchor_reuse_matches_full_steps(d1_nets, name, n, delta):
+    h = uniform_chain(name, n)
+    full = uniform_steps(d1_nets, h, delta)
+    anchors = deque(maxlen=2)
+    reused = uniform_steps(d1_nets, h, delta, anchors)
+    for a, b in zip(full, reused):
+        assert_same_list(a, b)
+    assert not any(lst.reused for lst in full)
+    if n >= 200:
+        assert sum(lst.reused for lst in reused) > n // 2
+    assert 1 <= len(anchors) <= 2
+
+
+def stepper(d1_nets, h, delta):
+    """(step, the lists of `uniform_steps`): step(prev, anchors) is one
+    step on the matrix of h's interior term."""
+    net, _ = d1_nets(delta)
+    e_trans = dp.transition_energies(net, h.terms[1])
+    epsilon_op = en.certified_epsilon(2, 1, delta)
+    mask = dp.stitching_mask(net, epsilon_op)
+
+    def step(prev, anchors):
+        return dp.extend_list(prev, net, h.terms[1], epsilon_op,
+                              e_trans=e_trans, mask=mask, anchors=anchors)
+
+    return step, uniform_steps(d1_nets, h, delta, e_trans=e_trans)
+
+
+def nudged(prev, tol):
+    energy = prev.energy.copy()
+    energy[len(energy) // 2] += 10.0 * tol
+    return dataclasses.replace(prev, energy=energy)
+
+
+def shifted(prev):
+    return dataclasses.replace(prev, energy=prev.energy + 1.0)
+
+
+@pytest.mark.parametrize("change", ["nudged", "other_pairs"])
+def test_failed_check_takes_full_step(d1_nets, change):
+    step, lists = stepper(d1_nets, uniform_chain("transverse_ising", 40), 0.1)
+    prev = lists[-1]
+    anchors = deque(maxlen=2)
+    assert not step(prev, anchors).reused
+    (anchor,) = anchors
+    assert step(shifted(prev), anchors).reused
+    if change == "nudged":
+        other = nudged(prev, anchor.tol)
+    else:
+        other = dp.DpList(pair_index=prev.pair_index[1:], tail=prev.tail[1:],
+                          energy=prev.energy[1:])
+    out = step(other, anchors)
+    assert not out.reused
+    assert len(anchors) == 2 and anchors[0] is anchor
+    assert_same_list(out, step(other, None))
+
+
+def test_trap_model_reuses_through_second_anchor(d1_nets):
+    # inputs alternate between a list of the periodic regime and a copy
+    # with one energy nudged by 10 K: the copy fails the first anchor and
+    # records a second; the shifted list then fails the newest anchor and
+    # reuses the older one
+    step, lists = stepper(d1_nets, uniform_chain("trap_model", 60), 0.1)
+    prev = lists[-1]
+    anchors = deque(maxlen=2)
+    step(prev, anchors)
+    assert not step(nudged(prev, anchors[0].tol), anchors).reused
+    older, newest = anchors
+    out = step(shifted(prev), anchors)
+    assert out.reused and anchors[0] is older and anchors[1] is newest
+    alone = step(shifted(prev), deque([newest], maxlen=2))
+    assert not alone.reused
+    assert_same_list(out, alone)
+    assert_same_list(out, step(shifted(prev), None))
+
+
+def test_period_two_chain_reuses_through_older_anchor(d1_nets):
+    # Z(x)Z bonds with a field on the first site: the lists alternate
+    # between two patterns, so every other step matches the older anchor
+    z = np.diag([1.0, -1.0]).astype(complex)
+    zz, n = np.kron(z, z), 50
+    terms = [zz + np.kron(z, np.eye(2))] + [zz] * (n - 3) + [zz.copy()]
+    step, full = stepper(d1_nets, ham.NnHamiltonian(n=n, dims=[2] * n,
+                                                    terms=terms), 0.25)
+    anchors, lists, older = deque(maxlen=2), full[:1], 0
+    for _ in range(n - 3):
+        newest = anchors[-1] if anchors else None
+        lists.append(step(lists[-1], anchors))
+        older += lists[-1].reused and newest.reuse(lists[-2]) is None
+    for a, b in zip(full, lists):
+        assert_same_list(a, b)
+    assert older > n // 4
+
+
+def test_nan_in_matrix_never_reuses(d1_nets):
+    net, _ = d1_nets(0.1)
+    h = uniform_chain("transverse_ising", 30)
+    e_trans = dp.transition_energies(net, h.terms[1])
+    e_trans[7, 11] = np.nan
+    anchors = deque(maxlen=2)
+    lists = uniform_steps(d1_nets, h, 0.1, anchors, e_trans)
+    assert not anchors and not any(lst.reused for lst in lists)
+    for a, b in zip(uniform_steps(d1_nets, h, 0.1, e_trans=e_trans), lists):
+        assert_same_list(a, b)
+
+
+@pytest.mark.parametrize("name,n,delta", [("transverse_ising", 800, 0.1),
+                                          ("random_hermitian", 12, 0.25)])
+def test_solve_reports_dp_steps(name, n, delta):
+    # the first is the benchmark's dp-long-uniform config at seed 1
+    params = {"g": 0.5 + random.Random(1).random()} \
+        if name == "transverse_ising" else {}
+    h = ham.group_boundaries(ham.build_model(name, params, n, 1), 1)
+    steps = dp.solve(h, 1, delta).dp_steps
+    assert steps["full"] + steps["reused"] == n - 3
+    assert (steps["reused"] > 0) == (name == "transverse_ising")

@@ -1,6 +1,7 @@
 """Tests for the grid nets and the orthonormal-family generator."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -82,6 +83,21 @@ class TestOrthonormalFamily:
     def test_cap_error(self):
         with pytest.raises(NetSizeError):
             en.orthonormal_family(2, 4, 0.1, cap=10**6)
+
+    @pytest.mark.parametrize("a,b,delta", [(1, 2, 0.1), (1, 4, 0.25),
+                                           (2, 4, 0.25)])
+    def test_memory_guard_counts_the_filters(self, a, b, delta):
+        # the filters and Gram-Schmidt peak 1.7-3.0 times above the
+        # enumeration, which was all the guard counted
+        total = len(en.complex_grid(delta)) ** (a * b)
+        tracemalloc.start()
+        try:
+            en.orthonormal_family(a, b, delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total * (8 + 32 * a * b) < peak
+        assert peak <= en._family_peak_bytes(total, a, b)
 
     @pytest.mark.parametrize("delta", [1e-6, 1e-320])
     def test_cap_checked_before_grid(self, delta):
