@@ -18,8 +18,9 @@ N x |lambda-net| matrix.  `solve` picks the source of the transition
 energies E[p, q] per term.  `NnHamiltonian` makes equal terms one array,
 so a run of equal terms is a run of one array: when that array is also
 the next site's term and its full real p-major N x N matrix fits in
-physical memory, the matrix is assembled once, min-reduced in sub-blocks
-of p rows and reused while the run lasts.  Any other term is streamed,
+physical memory with its reuse anchors (below), the matrix is assembled
+once, min-reduced in sub-blocks of p rows and reused while the run
+lasts.  Any other term is streamed,
 and no N x N array exists.  Before the first list `transition_size_guard`
 raises SizeGuardError if a streamed step and the stored lists would not fit.
 
@@ -73,12 +74,13 @@ value.  The pair_index and the matrix fix which pairs have an admissible
 predecessor, and every cost is finite, so the live set is the anchor's.
 An anchor is recorded only when K is finite, so a non-finite input or
 matrix never reuses, and only when no pair has more than
-max(REUSE_CANDIDATES, N/16) candidates: a reused step then costs at most
-a sixteenth of a full one past N = 1024, and two anchors hold at most
-max(2048 N, 2 N^2) bytes, a quarter of the matrix they serve past that
-size.  `solve` keeps the two most recent anchors of the current run of
-one term, newest tried first, so period-2 chains reuse too, and drops
-both when the term changes.
+c = max(REUSE_CANDIDATES, N/16) candidates, so a reused step costs at
+most a sixteenth of a full one past N = 1024.  `solve` keeps one anchor
+per run of one term, that of the run's last full step: a step that the
+anchor does not certify drops it before its full step records the next,
+and the anchor goes with the matrix when the term changes.  Recording or
+reusing an anchor holds at most 24 N c bytes beside the matrix, which
+`transition_size_guard` counts (`_reuse_bytes`).
 
 The boundary energies of the first and last terms come from one kernel
 that walks the end net in chunks, merged as they come, so no
@@ -98,7 +100,6 @@ bitwise those of evaluating all of them.  The returned sandwich bounds are
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import hashlib
@@ -164,7 +165,8 @@ class _Anchor:
         margin = 8.0 * EPS * (np.abs(prev.energy).max() + self.scale)
         if not shift.max() - shift.min() + margin < self.tol:
             return None
-        cost = self.e_cand + prev.energy[self.cand]
+        cost = prev.energy[self.cand]
+        cost += self.e_cand
         arg = cost.argmin(axis=1)
         rows = np.arange(arg.size)
         return DpList(pair_index=self.live, tail=self.cand[rows, arg],
@@ -246,24 +248,19 @@ def _transition_factors(net: PairNet, hterm) -> tuple:
     return _window_factors(net.lam[:, :, None, None] * net.b, net.b, hterm)
 
 
-def _chunk_buffers(n_cols: int, threads: int) -> list:
-    """One complex CHUNK x n_cols product buffer per thread."""
-    return [np.empty((CHUNK, n_cols), dtype=complex)
-            for _ in range(max(1, threads))]
-
-
 def _transition_blocks(g: np.ndarray, t2: np.ndarray, rows: np.ndarray,
-                       bufs: list):
+                       threads: int):
     """Yield (lo, C) for the CHUNK-row chunks of `rows` in order, C the
     complex q-major product G[rows[lo:hi]] @ T2.T over every column p, in
-    one of the caller's `_chunk_buffers`, valid until the next item is
-    asked for.  Rows are gathered and a lone row is padded to two (see
-    the module docstring), so C is bitwise rows of the unchunked product.
-    The chunks do not depend on the thread count; with more than one
-    buffer the products run in waves of one chunk per buffer."""
+    a reused buffer that is valid until the next item is asked for.  Rows
+    are gathered and a lone row is padded to two (see the module
+    docstring), so C is bitwise rows of the unchunked product.  The
+    chunks do not depend on the thread count; with threads > 1 the
+    products run in waves of `threads` chunks, one buffer per slot."""
     spans = [(lo, min(lo + CHUNK, len(rows)))
              for lo in range(0, len(rows), CHUNK)]
-    slots = max(1, min(len(bufs), len(spans)))
+    slots = max(1, min(threads, len(spans)))
+    bufs = [np.empty((CHUNK, len(t2)), dtype=complex) for _ in range(slots)]
 
     def product(span, buf):
         lo, hi = span
@@ -290,8 +287,7 @@ def transition_energies(net: PairNet, hterm: np.ndarray,
     pair q at the left site and a pair p at the right site."""
     out = np.empty((net.size, net.size))
     g, t2 = _transition_factors(net, hterm)
-    for lo, c in _transition_blocks(g, t2, np.arange(net.size),
-                                    _chunk_buffers(net.size, threads)):
+    for lo, c in _transition_blocks(g, t2, np.arange(net.size), threads):
         out[:, lo:lo + len(c)] = c.real.T
     return out
 
@@ -363,7 +359,7 @@ def _viable_rows(e_prev: np.ndarray, h: np.ndarray,
 def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
                 threads: int = 1, *, e_trans: np.ndarray | None = None,
                 mask: np.ndarray | None = None,
-                anchors: deque | None = None) -> DpList:
+                anchors: list | None = None) -> DpList:
     """One DP step: best admissible predecessor for every net pair.
 
     `mask` is the site-independent admissibility from `stitching_mask`,
@@ -378,18 +374,19 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
     index-sorted, and every result, NaN included, equals one argmin over
     the whole row.
 
-    `anchors`, used with `e_trans` only, holds the anchors of earlier
-    steps on this e_trans, net and mask, newest last.  The step tries
-    them newest first and returns the reuse of the first that certifies
-    it; otherwise it takes the full step and appends its own anchor when
-    one can be recorded (see the module docstring).
+    `anchors`, used with `e_trans` only, is a list that holds at most
+    one anchor, that of the last full step on this e_trans, net and mask.
+    The step returns its reuse when the anchor certifies it; otherwise it
+    drops the anchor, takes the full step and records its own when it
+    can (see the module docstring).
     """
     if len(prev) == 0:
         raise NoAdmissibleTransitionError("previous DP list is empty")
-    for anchor in reversed(anchors or ()):
-        out = anchor.reuse(prev)
+    if anchors:
+        out = anchors[0].reuse(prev)
         if out is not None:
             return out
+        anchors.clear()     # free it before the full step records anew
     if mask is None:
         mask = stitching_mask(net, epsilon_op)
     best = np.full(net.size, np.inf)
@@ -400,15 +397,17 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
         rows = np.flatnonzero(mask[prev.pair_index, k])
         if rows.size:
             classes.append((rows, np.flatnonzero(net.lam_class == k)))
-    near = None         # an anchor's (pair, position) candidate parts
+    # per pair, an anchor's candidate positions in order, then -1s
+    cand = None
     if e_trans is not None:
         if anchors is not None:
-            most = max(REUSE_CANDIDATES, net.size // 16)
+            most = _reuse_width(net.size)
             scale = np.abs(prev.energy).max() \
                 + max(e_trans.max(), -e_trans.min())
             tol = 1e-9 * (1.0 + scale)
             if np.isfinite(tol):
-                near = []
+                cand = np.full((net.size, most), -1, dtype=np.intp)
+                count = np.zeros(net.size, dtype=np.intp)
         for r, cols in classes:
             q, e_prev = prev.pair_index[r], prev.energy[r]
             step = max(1, BLOCK_ELEMENTS // q.size)
@@ -421,16 +420,17 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
                 arg = blk.argmin(axis=1)
                 best[p] = blk[np.arange(p.size), arg]
                 tails[p] = r[arg]
-                if near is not None:
+                if cand is not None:
+                    # i is sorted and s sorted within each row
                     i, s = np.nonzero(blk <= (best[p] + tol)[:, None])
-                    if np.bincount(i).max() > most:
-                        near = None
+                    n_i = np.bincount(i, minlength=p.size)
+                    if n_i.max() > most:
+                        cand = None
                     else:
-                        near.append((p[i], r[s]))
+                        count[p] = n_i
+                        rank = np.arange(i.size) - (np.cumsum(n_i) - n_i)[i]
+                        cand[p[i], rank] = r[s]
     elif classes:
-        # the product buffers come first, so each streamed step takes the
-        # memory the last one freed, whatever its smaller temporaries do
-        bufs = _chunk_buffers(net.size, threads)
         g, t2 = _transition_factors(net, hterm)
         dd = net.b.shape[1] * net.b.shape[2]      # h and P are dd x dd
         g_prev = g[prev.pair_index].reshape(-1, dd, dd)
@@ -442,7 +442,7 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
         at = [np.searchsorted(union, r) for r, _ in classes]
         buf = np.empty(BLOCK_ELEMENTS)
         for lo, c in _transition_blocks(g, t2, prev.pair_index[union],
-                                        bufs):
+                                        threads):
             for (r, cols), pos in zip(classes, at):
                 start, stop = np.searchsorted(pos, (lo, lo + len(c)))
                 if start == stop:
@@ -463,28 +463,32 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
         raise NoAdmissibleTransitionError(
             f"no admissible transition at epsilon_op={epsilon_op}"
         )
-    if near is not None:
-        anchors.append(_record_anchor(prev, live, near, e_trans, scale,
-                                      tol))
+    if cand is not None:
+        # the running maximum pads each row with its last entry
+        cand = np.maximum.accumulate(cand[live, :count[live].max()], axis=1)
+        anchors.append(_Anchor(
+            pair_index=prev.pair_index, e_ref=prev.energy, scale=scale,
+            tol=tol, live=live, cand=cand,
+            e_cand=e_trans[live[:, None], prev.pair_index[cand]]))
     return DpList(pair_index=live, tail=tails[live], energy=best[live])
 
 
-def _record_anchor(prev: DpList, live: np.ndarray, near: list,
-                   e_trans: np.ndarray, scale: float,
-                   tol: float) -> _Anchor:
-    """The anchor of a full step from prev on e_trans, from its (pair,
-    list position) candidate parts in block order, each sorted by pair and
-    then position; every live pair has at least its winner."""
-    p = np.concatenate([pp for pp, _ in near])
-    order = np.argsort(p, kind="stable")        # by pair, then position
-    pos = np.concatenate([s for _, s in near])[order]
-    count = np.bincount(p, minlength=live[-1] + 1)[live]
-    start = np.cumsum(count) - count
-    cand = pos[start[:, None]
-               + np.minimum(np.arange(count.max()), count[:, None] - 1)]
-    return _Anchor(pair_index=prev.pair_index, e_ref=prev.energy,
-                   scale=scale, tol=tol, live=live, cand=cand,
-                   e_cand=e_trans[live[:, None], prev.pair_index[cand]])
+def _reuse_width(n_pairs: int) -> int:
+    """The most candidates per pair an anchor may keep."""
+    return max(REUSE_CANDIDATES, n_pairs // 16)
+
+
+def _reuse_bytes(n_pairs: int) -> int:
+    """Bytes that anchor reuse adds at most to a full-matrix step of N =
+    n_pairs pairs, at most c = `_reuse_width` candidates each: recording
+    holds a per-pair N x c position array, then the anchor's positions, a
+    temporary and E at them; a reused step holds the anchor and its
+    costs; each is 24 N c bytes at most.  Add the per-pair counts and the
+    reused step's argmin, 24 N bytes, and the recording's per-block
+    temporaries, 64 bytes per entry of a block of at most
+    max(BLOCK_ELEMENTS, N) entries."""
+    return 24 * n_pairs * (_reuse_width(n_pairs) + 1) \
+        + 64 * max(BLOCK_ELEMENTS, n_pairs)
 
 
 def transition_size_guard(n_pairs: int, k: int, threads: int,
@@ -495,12 +499,14 @@ def transition_size_guard(n_pairs: int, k: int, threads: int,
     parts (N x k complex each at most), a complex CHUNK-row buffer per
     thread and the lists' index, tail and energy arrays, 16 (threads CHUNK
     + 4 k) N + 24 n_lists N bytes.  Return whether the real N x N matrix
-    of a repeated term (8 N^2 bytes) fits beside them.  None (memory size
-    unknown) passes and fits."""
+    of a repeated term (8 N^2 bytes) and what its anchors add
+    (`_reuse_bytes`) fit beside them.  None (memory size unknown) passes
+    and fits."""
     held = (16 * (max(1, threads) * CHUNK + 4 * k) + 24 * n_lists) * n_pairs
     check_size(held, phys_bytes, f"bytes of a streamed DP step at "
                f"N={n_pairs} and {n_lists} stored lists", "physical memory")
-    return phys_bytes is None or held + 8 * n_pairs * n_pairs <= phys_bytes
+    return phys_bytes is None \
+        or held + 8 * n_pairs * n_pairs + _reuse_bytes(n_pairs) <= phys_bytes
 
 
 def _boundary_energies(ends: np.ndarray, lam: np.ndarray, b: np.ndarray,
@@ -661,7 +667,7 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
         threads, hamiltonian._physical_memory(), n - 2)
     lists = [initial_list(end_net, pair_net, h.terms[0])]
     mask = stitching_mask(pair_net, epsilon_op)
-    # the matrix of the previous step's term and its two newest anchors
+    # the matrix of the previous step's term and its anchor
     e_trans = anchors = None
     for j in range(3, n):
         hterm = h.terms[j - 2]
@@ -671,7 +677,7 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
         if (e_trans is None and full_fits and j < n - 1
                 and h.terms[j - 1] is hterm):
             e_trans = transition_energies(pair_net, hterm, threads)
-            anchors = deque(maxlen=2)
+            anchors = []
         lists.append(extend_list(lists[-1], pair_net, hterm, epsilon_op,
                                  threads, e_trans=e_trans, mask=mask,
                                  anchors=anchors))

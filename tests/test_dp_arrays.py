@@ -13,11 +13,11 @@ and with a NaN at either end against one argmin; and for the boundary
 screen, whose factors must agree with the exact kernel far inside its
 margin and which must keep every end tensor that reaches an exact minimum;
 and for anchor reuse on a repeated term's matrix: lists bitwise those of
-the full steps on four uniform models, reuse through the older of two
-anchors, the full step when the certificate fails (a nudged energy, other
-pairs) or the matrix holds a NaN, and the counts `solve` reports."""
+the full steps on four uniform models, the full step when the
+certificate fails (a nudged energy, other pairs) or the matrix holds a
+NaN, the memory it adds against the size guard's count, and the counts
+`solve` reports."""
 
-from collections import deque
 import dataclasses
 import random
 import tracemalloc
@@ -373,12 +373,13 @@ class TestSizeGuard:
     def test_bounds_are_exact(self, threads):
         # one CHUNK-row complex buffer per thread, G, T2, the gathered
         # rows of G and their Hermitian parts, and the stored lists'
-        # index, tail and energy arrays; then the real N x N matrix
+        # index, tail and energy arrays; then the real N x N matrix and
+        # what its anchors add
         n_pairs, k = 1000, 16
         for n_lists in (1, 50):
             held = (16 * (threads * dp.CHUNK + 4 * k)
                     + 24 * n_lists) * n_pairs
-            full = held + 8 * n_pairs**2
+            full = held + 8 * n_pairs**2 + dp._reuse_bytes(n_pairs)
             with pytest.raises(SizeGuardError, match="physical memory"):
                 dp.transition_size_guard(n_pairs, k, threads, held - 1,
                                          n_lists)
@@ -432,6 +433,34 @@ class TestSizeGuard:
         assert calls == [1]
         assert tight.digest == ample.digest
         assert tight.assignment == ample.assignment
+
+    def test_matrix_streams_without_room_for_anchors(self, monkeypatch):
+        # memory between a streamed step plus the 8 N^2 matrix and that
+        # plus what anchors add: the matrix is no longer built, and every
+        # step streams to the same result
+        h = ham.group_boundaries(ham.build_model("transverse_ising", {}, 30),
+                                 1)
+        net = en.build_pair_net(1, 2, 0.25, 0.05)
+        ample = dp.solve(h, 1, 0.25, epsilon_op=0.05, pair_net=net)
+        assert ample.dp_steps["reused"] > 0
+        held = (16 * (dp.CHUNK + 4 * 4) + 24 * (h.n - 2)) * net.size
+        matrix = held + 8 * net.size**2
+        calls = []
+        full_matrix = dp.transition_energies
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return full_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(dp, "transition_energies", counting)
+        for memory, built in ((matrix + dp._reuse_bytes(net.size) - 1, []),
+                              (matrix + dp._reuse_bytes(net.size), [1])):
+            monkeypatch.setattr(ham, "_physical_memory", lambda: memory)
+            res = dp.solve(h, 1, 0.25, epsilon_op=0.05, pair_net=net)
+            assert calls == built
+            assert (res.dp_steps["reused"] > 0) == bool(built)
+            assert res.digest == ample.digest
+            assert res.assignment == ample.assignment
 
     def test_solve_stops_before_transitions(self, sub_net, monkeypatch):
         def never(*args, **kwargs):
@@ -756,7 +785,7 @@ def uniform_chain(name, n):
 
 def uniform_steps(d1_nets, h, delta, anchors=None, e_trans=None):
     """The D=1 lists of a chain whose interior terms are one array, each
-    step on that term's full matrix (or on e_trans), with anchors (a deque
+    step on that term's full matrix (or on e_trans), with anchors (a list
     as `solve` keeps it) or without."""
     net, end = d1_nets(delta)
     epsilon_op = en.certified_epsilon(2, 1, delta)
@@ -782,14 +811,14 @@ REUSE_CASES = [(name, n, delta)
 def test_anchor_reuse_matches_full_steps(d1_nets, name, n, delta):
     h = uniform_chain(name, n)
     full = uniform_steps(d1_nets, h, delta)
-    anchors = deque(maxlen=2)
+    anchors = []
     reused = uniform_steps(d1_nets, h, delta, anchors)
     for a, b in zip(full, reused):
         assert_same_list(a, b)
     assert not any(lst.reused for lst in full)
     if n >= 200:
         assert sum(lst.reused for lst in reused) > n // 2
-    assert 1 <= len(anchors) <= 2
+    assert len(anchors) == 1
 
 
 def stepper(d1_nets, h, delta):
@@ -821,7 +850,7 @@ def shifted(prev):
 def test_failed_check_takes_full_step(d1_nets, change):
     step, lists = stepper(d1_nets, uniform_chain("transverse_ising", 40), 0.1)
     prev = lists[-1]
-    anchors = deque(maxlen=2)
+    anchors = []
     assert not step(prev, anchors).reused
     (anchor,) = anchors
     assert step(shifted(prev), anchors).reused
@@ -832,45 +861,9 @@ def test_failed_check_takes_full_step(d1_nets, change):
                           energy=prev.energy[1:])
     out = step(other, anchors)
     assert not out.reused
-    assert len(anchors) == 2 and anchors[0] is anchor
+    # the full step replaced the anchor with its own
+    assert len(anchors) == 1 and anchors[0] is not anchor
     assert_same_list(out, step(other, None))
-
-
-def test_trap_model_reuses_through_second_anchor(d1_nets):
-    # inputs alternate between a list of the periodic regime and a copy
-    # with one energy nudged by 10 K: the copy fails the first anchor and
-    # records a second; the shifted list then fails the newest anchor and
-    # reuses the older one
-    step, lists = stepper(d1_nets, uniform_chain("trap_model", 60), 0.1)
-    prev = lists[-1]
-    anchors = deque(maxlen=2)
-    step(prev, anchors)
-    assert not step(nudged(prev, anchors[0].tol), anchors).reused
-    older, newest = anchors
-    out = step(shifted(prev), anchors)
-    assert out.reused and anchors[0] is older and anchors[1] is newest
-    alone = step(shifted(prev), deque([newest], maxlen=2))
-    assert not alone.reused
-    assert_same_list(out, alone)
-    assert_same_list(out, step(shifted(prev), None))
-
-
-def test_period_two_chain_reuses_through_older_anchor(d1_nets):
-    # Z(x)Z bonds with a field on the first site: the lists alternate
-    # between two patterns, so every other step matches the older anchor
-    z = np.diag([1.0, -1.0]).astype(complex)
-    zz, n = np.kron(z, z), 50
-    terms = [zz + np.kron(z, np.eye(2))] + [zz] * (n - 3) + [zz.copy()]
-    step, full = stepper(d1_nets, ham.NnHamiltonian(n=n, dims=[2] * n,
-                                                    terms=terms), 0.25)
-    anchors, lists, older = deque(maxlen=2), full[:1], 0
-    for _ in range(n - 3):
-        newest = anchors[-1] if anchors else None
-        lists.append(step(lists[-1], anchors))
-        older += lists[-1].reused and newest.reuse(lists[-2]) is None
-    for a, b in zip(full, lists):
-        assert_same_list(a, b)
-    assert older > n // 4
 
 
 def test_nan_in_matrix_never_reuses(d1_nets):
@@ -878,7 +871,7 @@ def test_nan_in_matrix_never_reuses(d1_nets):
     h = uniform_chain("transverse_ising", 30)
     e_trans = dp.transition_energies(net, h.terms[1])
     e_trans[7, 11] = np.nan
-    anchors = deque(maxlen=2)
+    anchors = []
     lists = uniform_steps(d1_nets, h, 0.1, anchors, e_trans)
     assert not anchors and not any(lst.reused for lst in lists)
     for a, b in zip(uniform_steps(d1_nets, h, 0.1, e_trans=e_trans), lists):
@@ -895,3 +888,41 @@ def test_solve_reports_dp_steps(name, n, delta):
     steps = dp.solve(h, 1, delta).dp_steps
     assert steps["full"] + steps["reused"] == n - 3
     assert (steps["reused"] > 0) == (name == "transverse_ising")
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_reuse_memory_within_guard_count(d1_nets, ties):
+    # a full step that records an anchor, then a step that reuses it,
+    # against two full steps; with ties, every sixth predecessor ties for
+    # each pair, near the widest anchor allowed
+    net, _ = d1_nets(0.1)
+    epsilon_op = en.certified_epsilon(2, 1, 0.1)
+    mask = dp.stitching_mask(net, epsilon_op)
+    hterm = uniform_chain("transverse_ising", 12).terms[1]
+    if ties:
+        e_trans = np.where(np.arange(net.size) % 6 == 0, 0.0, 1.0) \
+            * np.ones((net.size, 1))
+        prev = dp.DpList(pair_index=np.arange(net.size),
+                         tail=np.zeros(net.size, dtype=np.intp),
+                         energy=np.zeros(net.size))
+    else:
+        _, lists = stepper(d1_nets, uniform_chain("transverse_ising", 40),
+                           0.1)
+        e_trans, prev = dp.transition_energies(net, hterm), lists[-1]
+
+    def peak(anchors):
+        tracemalloc.start()
+        try:
+            for energy in (prev, shifted(prev)):
+                dp.extend_list(energy, net, hterm, epsilon_op,
+                               e_trans=e_trans, mask=mask, anchors=anchors)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    anchors = []
+    extra = peak(anchors) - peak(None)
+    (anchor,) = anchors
+    assert anchor.cand.shape[1] > (dp.REUSE_CANDIDATES * 3 // 4 if ties
+                                   else 1)
+    assert 0 < extra <= dp._reuse_bytes(net.size)
