@@ -35,8 +35,9 @@ negative), plus a rounding margin, is strictly above the anchor at every
 pair of the class: it can neither win nor tie.  The anchors are the
 ANCHORS lowest previous energies.  The union of the remaining rows is
 multiplied in CHUNK-row blocks, each one complex GEMM of gathered rows of
-G against all of T2 into a reused buffer, and each class's p-major cost
-block is min-reduced in reused pieces of BLOCK_ELEMENTS.  Two BLAS facts
+G against all of T2 into a reused buffer on pages of its own (see
+`_mapped_empty`), and each class's p-major cost block is min-reduced in
+reused pieces of BLOCK_ELEMENTS.  Two BLAS facts
 keep every bit: a product over a subset of the columns rounds differently
 in the edge tiles, so rows are gathered and columns never are; and a
 one-row product takes the gemv path, which rounds differently too, so it
@@ -104,6 +105,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import hashlib
 import json
+import math
+import mmap
 import time
 
 import numpy as np
@@ -248,6 +251,23 @@ def _transition_factors(net: PairNet, hterm) -> tuple:
     return _window_factors(net.lam[:, :, None, None] * net.b, net.b, hterm)
 
 
+def _mapped_empty(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialized array on an anonymous memory map of its own, unmapped
+    when the array is freed.  The streamed step's chunk buffer, its one
+    allocation of megabytes, lives here and not in malloc: once glibc
+    frees a mapped block it raises its mmap threshold past that size, so
+    later buffers land on the heap, where whether they reuse a freed
+    region or grow the heap depends on where small long-lived arrays fell.
+    The same solve then peaked up to a buffer's size higher in one
+    checkout directory than in another."""
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") \
+        else {}
+    pages = mmap.mmap(-1, max(1, count * dtype.itemsize), **private)
+    return np.frombuffer(pages, dtype=dtype, count=count).reshape(shape)
+
+
 def _transition_blocks(g: np.ndarray, t2: np.ndarray, rows: np.ndarray,
                        threads: int):
     """Yield (lo, C) for the CHUNK-row chunks of `rows` in order, C the
@@ -260,7 +280,7 @@ def _transition_blocks(g: np.ndarray, t2: np.ndarray, rows: np.ndarray,
     spans = [(lo, min(lo + CHUNK, len(rows)))
              for lo in range(0, len(rows), CHUNK)]
     slots = max(1, min(threads, len(spans)))
-    bufs = [np.empty((CHUNK, len(t2)), dtype=complex) for _ in range(slots)]
+    bufs = [_mapped_empty((CHUNK, len(t2)), complex) for _ in range(slots)]
 
     def product(span, buf):
         lo, hi = span
