@@ -14,15 +14,10 @@ NaN there gives a NaN e_alg with in-range indices.
 
 Admissibility depends on p only through lambda_p, and the net holds few
 distinct lambda vectors, so `solve` builds it once per solve as an
-N x |lambda-net| matrix.  `solve` picks the source of the transition
-energies E[p, q] per term.  `NnHamiltonian` makes equal terms one array,
-so a run of equal terms is a run of one array: when that array is also
-the next site's term and its full real p-major N x N matrix fits in
-physical memory with its reuse anchors (below), the matrix is assembled
-once, min-reduced in sub-blocks of p rows and reused while the run
-lasts.  Any other term is streamed,
-and no N x N array exists.  Before the first list `transition_size_guard`
-raises SizeGuardError if a streamed step and the stored lists would not fit.
+N x |lambda-net| matrix.  Every interior step is streamed, and no N x N
+array exists.  Before the first list `transition_size_guard` raises
+SizeGuardError if a streamed step and the stored lists would not fit, and
+tells whether reuse anchors (below) fit beside them.
 
 A streamed step first drops, per lambda class, the predecessors that
 provably cannot win.  E[q, p] = tr(H_q P_p^T), with H_q the Hermitian part
@@ -43,19 +38,21 @@ in the edge tiles, so rows are gathered and columns never are; and a
 one-row product takes the gemv path, which rounds differently too, so it
 is padded to two rows.  Chunks of two or more gathered rows are bitwise
 rows of the full product, so the lists are bitwise those of the dense
-step on the full matrix.
+step on the full N x N matrix.
 
-A full-matrix step also reuses its own work.  Repeating one min-plus
-matrix drives the lists into a periodic regime up to a constant shift
-(the cyclicity theorem of Cohen, Dubois, Quadrat and Viot, 1985), where
-each pair p is won among a few candidate predecessors.  So a full step
-on e_trans records a reuse anchor (unrelated to the pruning anchors
-above): its input energies e_ref, the tolerance
-K = 1e-9 (1 + max|e_ref| + max|E|), and for every live pair p the
-candidate set C_p of admissible list positions whose cost is within K of
-p's minimum, stored in position order with E gathered at them.  A later
-step on the same matrix reuses the anchor when its input list has the
-anchor's pair_index and its energies e_prev satisfy
+A step on a repeated term also reuses its own work.  Repeating one
+min-plus matrix drives the lists into a periodic regime up to a constant
+shift (the cyclicity theorem of Cohen, Dubois, Quadrat and Viot, 1985),
+where each pair p is won among a few candidate predecessors.  So a full
+step given an anchor list records a reuse anchor (unrelated to the
+pruning anchors above) in two passes over the same chunks: the first, over
+every admissible row unpruned, gives the minima m_p and max|E| over the
+admissible transitions; the second collects for each live pair p the
+candidate set C_p of admissible list positions whose cost is within
+K = 1e-9 (1 + max|e_ref| + max|E|) of m_p, e_ref the step's input
+energies, in position order with E at them.  A later step on the same
+term reuses the anchor when its input list has the anchor's pair_index
+and its energies e_prev satisfy
 spread(e_prev - e_ref) + 8 u (max|e_prev| + max|e_ref| + max|E|) < K,
 u the machine epsilon; it then costs only C_p for each p.  Proof that
 the result is bitwise the full step's: let delta_s = e_prev[s] - e_ref[s]
@@ -69,25 +66,24 @@ which the check's 8 u term covers whenever the spread exceeds K/2 (then
 max|e_prev| + max|e_ref| > K/4) and the remaining K/2 covers otherwise.
 So every position outside C_p is strictly above the winner and can
 neither win nor tie.  Each candidate's cost is the same float add the
-full step does, and C_p is in position order and padded by repeating
-its last entry, so one argmin per row picks the full step's winner and
-value.  The pair_index and the matrix fix which pairs have an admissible
-predecessor, and every cost is finite, so the live set is the anchor's.
-An anchor is recorded only when K is finite, so a non-finite input or
-matrix never reuses, and only when no pair has more than
-c = max(REUSE_CANDIDATES, N/16) candidates, so a reused step costs at
-most a sixteenth of a full one past N = 1024.  `solve` keeps one anchor
-per run of one term, that of the run's last full step: a step that the
-anchor does not certify drops it before its full step records the next,
-and the anchor goes with the matrix when the term changes.  Recording or
-reusing an anchor holds at most 24 N c bytes beside the matrix, which
-`transition_size_guard` counts (`_reuse_bytes`).
+full step does, and C_p is in position order and padded with E = +inf,
+whose cost never wins against the finite ones, so one argmin per row
+picks the full step's winner and value.  The pair_index and the mask fix
+which pairs have an admissible predecessor, and every cost is finite, so
+the live set is the anchor's.  An anchor is recorded only when K is
+finite, so a non-finite input or term energy never reuses, and only when
+no pair has more than c = max(REUSE_CANDIDATES, N/16) candidates, so a
+reused step costs at most a sixteenth of a full one past N = 1024.
+`solve` keeps one anchor per run of one term, that of the run's last full
+step: a step that the anchor does not certify drops it before its full
+step records the next, and the anchor is dropped when the term changes.
+Recording or reusing an anchor holds at most 24 N c bytes beside a
+streamed step, which `transition_size_guard` counts (`_reuse_bytes`).
 
 The boundary energies of the first and last terms come from one kernel
 that walks the end net in chunks, merged as they come, so no
 (end net) x N array is formed.  At D=1 both are bitwise equal to the
-per-end-tensor einsum loop they replaced, and each transition block is
-bitwise the transpose of the q x p product.  A screen decides which end
+per-end-tensor einsum loop they replaced.  A screen decides which end
 tensors reach that kernel: the same factors, with an end tensor as a
 one-row left or one-column right site, give every boundary energy by one
 real GEMM per chunk of pairs, to within a margin tol far above the
@@ -145,11 +141,11 @@ class DpList:
 
 @dataclass(eq=False)
 class _Anchor:
-    """What a full step on a repeated term's matrix E keeps for reuse: its
-    input list's pair_index and energies e_ref, scale =
+    """What a full step on a repeated term with energies E keeps for reuse:
+    its input list's pair_index and energies e_ref, scale =
     max|e_ref| + max|E|, the tolerance K = 1e-9 (1 + scale), and per live
     output pair (in order, `live`) the candidate positions `cand` and E at
-    them, live x c, padded by repeating the last entry."""
+    them, live x c, padded with position 0 and E = +inf."""
 
     pair_index: np.ndarray
     e_ref: np.ndarray
@@ -301,17 +297,6 @@ def _transition_blocks(g: np.ndarray, t2: np.ndarray, rows: np.ndarray,
                 yield span[0], fut.result()
 
 
-def transition_energies(net: PairNet, hterm: np.ndarray,
-                        threads: int = 1) -> np.ndarray:
-    """Real matrix E[p, q], C order: windowed energy of the term between a
-    pair q at the left site and a pair p at the right site."""
-    out = np.empty((net.size, net.size))
-    g, t2 = _transition_factors(net, hterm)
-    for lo, c in _transition_blocks(g, t2, np.arange(net.size), threads):
-        out[:, lo:lo + len(c)] = c.real.T
-    return out
-
-
 def stitching_mask(net: PairNet, epsilon_op: float) -> np.ndarray:
     """Admissibility A[q, k]: ||mu_q - lambda_k|| <= 2*epsilon_op for each
     distinct lambda vector lambda_k = net.lam_net[k].  A transition q -> p
@@ -376,29 +361,94 @@ def _viable_rows(e_prev: np.ndarray, h: np.ndarray,
     return keep
 
 
+def _cost_blocks(prev: DpList, classes: list, g: np.ndarray, t2: np.ndarray,
+                 threads: int):
+    """Yield (p, r, e, cost) over the CHUNK-row chunks of `_transition_blocks`
+    on the union of the rows of `classes`, (list positions of admissible
+    predecessors, pairs p) per lambda class, in q order, and per class and
+    sub-block of at most BLOCK_ELEMENTS costs: e[i, s] = E[p_i, q_s] for
+    the predecessors at list positions r, and cost = e + e_prev[r] in a
+    reused buffer."""
+    keep = np.zeros(len(prev), dtype=bool)
+    for r, _ in classes:
+        keep[r] = True
+    union = np.flatnonzero(keep)
+    at = [np.searchsorted(union, r) for r, _ in classes]
+    buf = np.empty(BLOCK_ELEMENTS)
+    for lo, c in _transition_blocks(g, t2, prev.pair_index[union], threads):
+        for (r, cols), pos in zip(classes, at):
+            start, stop = np.searchsorted(pos, (lo, lo + len(c)))
+            if start == stop:
+                continue
+            q = _as_slice(pos[start:stop] - lo)    # rows of c
+            r_blk = r[start:stop]
+            step = BLOCK_ELEMENTS // r_blk.size
+            for p_lo in range(0, cols.size, step):
+                p = cols[p_lo:p_lo + step]
+                e = c.real[:, _as_slice(p)][q].T
+                cost = buf[:e.size].reshape(e.shape)
+                np.add(e, prev.energy[r_blk], out=cost)
+                yield p, r_blk, e, cost
+
+
+def _record_anchor(prev: DpList, classes: list, g: np.ndarray,
+                   t2: np.ndarray, threads: int, best: np.ndarray,
+                   live: np.ndarray, e_abs: float):
+    """The reuse anchor of a step whose minima over every admissible
+    predecessor are `best` and whose admissible transitions have
+    max|E| = e_abs, or None when K is not finite or some pair has more
+    than `_reuse_width` candidates.  A second pass collects, per live pair
+    in position order, the predecessors within K of its final minimum and
+    E at them (against the first pass's running minimum, far more would
+    pass the cap)."""
+    scale = np.abs(prev.energy).max() + e_abs
+    tol = 1e-9 * (1.0 + scale)
+    if not np.isfinite(tol):
+        return None
+    most = _reuse_width(len(best))
+    cand = np.zeros((live.size, most), dtype=np.intp)
+    e_cand = np.full((live.size, most), np.inf)
+    count = np.zeros(live.size, dtype=np.intp)
+    # K is finite, so every cost is and every pair of a class is live
+    for p, r, e, cost in _cost_blocks(prev, classes, g, t2, threads):
+        # i is sorted and s sorted within each row
+        i, s = np.nonzero(cost <= (best[p] + tol)[:, None])
+        slot = np.searchsorted(live, p)
+        n_i = np.bincount(i, minlength=p.size)
+        first = count[slot]     # the next free slot of each row
+        if (first + n_i).max() > most:
+            return None
+        rank = np.arange(i.size) + (first - np.cumsum(n_i) + n_i)[i]
+        cand[slot[i], rank] = r[s]
+        e_cand[slot[i], rank] = e[i, s]
+        count[slot] = first + n_i
+    # contiguous copies, one at a time: a reused step gathers faster
+    width = count.max()
+    cand = cand[:, :width].copy()
+    e_cand = e_cand[:, :width].copy()
+    return _Anchor(pair_index=prev.pair_index, e_ref=prev.energy,
+                   scale=scale, tol=tol, live=live, cand=cand, e_cand=e_cand)
+
+
 def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
-                threads: int = 1, *, e_trans: np.ndarray | None = None,
-                mask: np.ndarray | None = None,
+                threads: int = 1, *, mask: np.ndarray | None = None,
                 anchors: list | None = None) -> DpList:
     """One DP step: best admissible predecessor for every net pair.
 
     `mask` is the site-independent admissibility from `stitching_mask`,
     computed here when not given; per lambda class (`net.lam_class`) only
-    the live predecessors admissible for that class compete.  `e_trans`
-    (p-major, as `transition_energies` returns it) is min-reduced in
-    sub-blocks of at most BLOCK_ELEMENTS costs.  Without it the step
-    streams the viable rows of `_viable_rows` through
-    `_transition_blocks`, in q order, and `_merge_min` folds in each
-    class's cost sub-blocks.  Ties go to the predecessor with the lowest
-    list index, which is the lowest net index since lists are
-    index-sorted, and every result, NaN included, equals one argmin over
-    the whole row.
+    the live predecessors admissible for that class compete.  The step
+    streams the viable rows of `_viable_rows` through `_transition_blocks`,
+    in q order, and `_merge_min` folds in each class's cost sub-blocks.
+    Ties go to the predecessor with the lowest list index, which is the
+    lowest net index since lists are index-sorted, and every result, NaN
+    included, equals one argmin over the whole row.
 
-    `anchors`, used with `e_trans` only, is a list that holds at most
-    one anchor, that of the last full step on this e_trans, net and mask.
-    The step returns its reuse when the anchor certifies it; otherwise it
-    drops the anchor, takes the full step and records its own when it
-    can (see the module docstring).
+    `anchors` is a list that holds at most one anchor, that of the last
+    full step on this term, net and mask.  The step returns its reuse when
+    the anchor certifies it; otherwise it drops the anchor, takes the full
+    step unpruned and records its own when it can (see the module
+    docstring).
     """
     if len(prev) == 0:
         raise NoAdmissibleTransitionError("previous DP list is empty")
@@ -417,79 +467,31 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
         rows = np.flatnonzero(mask[prev.pair_index, k])
         if rows.size:
             classes.append((rows, np.flatnonzero(net.lam_class == k)))
-    # per pair, an anchor's candidate positions in order, then -1s
-    cand = None
-    if e_trans is not None:
-        if anchors is not None:
-            most = _reuse_width(net.size)
-            scale = np.abs(prev.energy).max() \
-                + max(e_trans.max(), -e_trans.min())
-            tol = 1e-9 * (1.0 + scale)
-            if np.isfinite(tol):
-                cand = np.full((net.size, most), -1, dtype=np.intp)
-                count = np.zeros(net.size, dtype=np.intp)
-        for r, cols in classes:
-            q, e_prev = prev.pair_index[r], prev.energy[r]
-            step = max(1, BLOCK_ELEMENTS // q.size)
-            for p_lo in range(0, cols.size, step):
-                p = cols[p_lo:p_lo + step]
-                # blk[i, s] = E[p_i, q_s] + e_prev[s]
-                blk = e_trans[p] if q.size == net.size \
-                    else e_trans[np.ix_(p, q)]
-                blk += e_prev
-                arg = blk.argmin(axis=1)
-                best[p] = blk[np.arange(p.size), arg]
-                tails[p] = r[arg]
-                if cand is not None:
-                    # i is sorted and s sorted within each row
-                    i, s = np.nonzero(blk <= (best[p] + tol)[:, None])
-                    n_i = np.bincount(i, minlength=p.size)
-                    if n_i.max() > most:
-                        cand = None
-                    else:
-                        count[p] = n_i
-                        rank = np.arange(i.size) - (np.cumsum(n_i) - n_i)[i]
-                        cand[p[i], rank] = r[s]
-    elif classes:
+    e_abs = 0.0     # max|E| over admissible transitions, when recording
+    if classes:
         g, t2 = _transition_factors(net, hterm)
-        dd = net.b.shape[1] * net.b.shape[2]      # h and P are dd x dd
-        g_prev = g[prev.pair_index].reshape(-1, dd, dd)
-        h = 0.5 * (g_prev + g_prev.conj().transpose(0, 2, 1))
-        trace = np.einsum("pii->p", t2.reshape(-1, dd, dd)).real
-        classes = [(r[_viable_rows(prev.energy[r], h[r], trace[cols])], cols)
-                   for r, cols in classes]
-        union = np.unique(np.concatenate([r for r, _ in classes]))
-        at = [np.searchsorted(union, r) for r, _ in classes]
-        buf = np.empty(BLOCK_ELEMENTS)
-        for lo, c in _transition_blocks(g, t2, prev.pair_index[union],
-                                        threads):
-            for (r, cols), pos in zip(classes, at):
-                start, stop = np.searchsorted(pos, (lo, lo + len(c)))
-                if start == stop:
-                    continue
-                q = _as_slice(pos[start:stop] - lo)    # rows of c
-                r_blk, e_prev = r[start:stop], prev.energy[r[start:stop]]
-                step = BLOCK_ELEMENTS // r_blk.size
-                for p_lo in range(0, cols.size, step):
-                    p = cols[p_lo:p_lo + step]
-                    # cost[i, s] = E[p_i, q_s] + e_prev[s]
-                    cost = buf[:p.size * r_blk.size].reshape(p.size, -1)
-                    np.add(c.real[:, _as_slice(p)][q].T, e_prev, out=cost)
-                    arg = cost.argmin(axis=1)
-                    _merge_min(best, tails, p, cost[np.arange(p.size), arg],
-                               r_blk[arg])
+        if anchors is None:     # an anchor's candidates need every row
+            dd = net.b.shape[1] * net.b.shape[2]      # h and P are dd x dd
+            g_prev = g[prev.pair_index].reshape(-1, dd, dd)
+            h = 0.5 * (g_prev + g_prev.conj().transpose(0, 2, 1))
+            trace = np.einsum("pii->p", t2.reshape(-1, dd, dd)).real
+            classes = [(r[_viable_rows(prev.energy[r], h[r], trace[cols])],
+                        cols) for r, cols in classes]
+        for p, r, e, cost in _cost_blocks(prev, classes, g, t2, threads):
+            if anchors is not None:
+                e_abs = np.max([e_abs, e.max(), -e.min()])
+            arg = cost.argmin(axis=1)
+            _merge_min(best, tails, p, cost[np.arange(p.size), arg], r[arg])
     live = np.flatnonzero(np.isfinite(best))
     if live.size == 0:
         raise NoAdmissibleTransitionError(
             f"no admissible transition at epsilon_op={epsilon_op}"
         )
-    if cand is not None:
-        # the running maximum pads each row with its last entry
-        cand = np.maximum.accumulate(cand[live, :count[live].max()], axis=1)
-        anchors.append(_Anchor(
-            pair_index=prev.pair_index, e_ref=prev.energy, scale=scale,
-            tol=tol, live=live, cand=cand,
-            e_cand=e_trans[live[:, None], prev.pair_index[cand]]))
+    if anchors is not None:
+        anchor = _record_anchor(prev, classes, g, t2, threads, best, live,
+                                e_abs)
+        if anchor is not None:
+            anchors.append(anchor)
     return DpList(pair_index=live, tail=tails[live], energy=best[live])
 
 
@@ -499,16 +501,15 @@ def _reuse_width(n_pairs: int) -> int:
 
 
 def _reuse_bytes(n_pairs: int) -> int:
-    """Bytes that anchor reuse adds at most to a full-matrix step of N =
-    n_pairs pairs, at most c = `_reuse_width` candidates each: recording
-    holds a per-pair N x c position array, then the anchor's positions, a
-    temporary and E at them; a reused step holds the anchor and its
-    costs; each is 24 N c bytes at most.  Add the per-pair counts and the
-    reused step's argmin, 24 N bytes, and the recording's per-block
-    temporaries, 64 bytes per entry of a block of at most
-    max(BLOCK_ELEMENTS, N) entries."""
-    return 24 * n_pairs * (_reuse_width(n_pairs) + 1) \
-        + 64 * max(BLOCK_ELEMENTS, n_pairs)
+    """Bytes that anchor reuse adds at most to a streamed step of N =
+    n_pairs pairs, at most c = `_reuse_width` candidates each.  Recording
+    holds an N x c position array and E at them, 16 N c bytes, and trims
+    them one at a time, 8 N c more; beside them its per-pair counts, 8 N,
+    and its per-block temporaries, 64 bytes per entry of a block of at
+    most BLOCK_ELEMENTS entries.  A reused step holds the anchor and its
+    costs, 24 N c bytes, and its argmin, rows, tails and energies, 32 N."""
+    return 24 * n_pairs * _reuse_width(n_pairs) + 32 * n_pairs \
+        + 64 * BLOCK_ELEMENTS
 
 
 def transition_size_guard(n_pairs: int, k: int, threads: int,
@@ -518,15 +519,13 @@ def transition_size_guard(n_pairs: int, k: int, threads: int,
     physical memory: G, T2, the gathered rows of G and their Hermitian
     parts (N x k complex each at most), a complex CHUNK-row buffer per
     thread and the lists' index, tail and energy arrays, 16 (threads CHUNK
-    + 4 k) N + 24 n_lists N bytes.  Return whether the real N x N matrix
-    of a repeated term (8 N^2 bytes) and what its anchors add
-    (`_reuse_bytes`) fit beside them.  None (memory size unknown) passes
+    + 4 k) N + 24 n_lists N bytes.  Return whether what reuse anchors add
+    (`_reuse_bytes`) fits beside them.  None (memory size unknown) passes
     and fits."""
     held = (16 * (max(1, threads) * CHUNK + 4 * k) + 24 * n_lists) * n_pairs
     check_size(held, phys_bytes, f"bytes of a streamed DP step at "
                f"N={n_pairs} and {n_lists} stored lists", "physical memory")
-    return phys_bytes is None \
-        or held + 8 * n_pairs * n_pairs + _reuse_bytes(n_pairs) <= phys_bytes
+    return phys_bytes is None or held + _reuse_bytes(n_pairs) <= phys_bytes
 
 
 def _boundary_energies(ends: np.ndarray, lam: np.ndarray, b: np.ndarray,
@@ -682,26 +681,23 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
     t_net = time.perf_counter()
 
     # only chains with interior sites take a step; G has (dD)^2 columns
-    full_fits = n > 3 and transition_size_guard(
+    anchors_fit = n > 3 and transition_size_guard(
         pair_net.size, (pair_net.b.shape[1] * pair_net.b.shape[2]) ** 2,
         threads, hamiltonian._physical_memory(), n - 2)
     lists = [initial_list(end_net, pair_net, h.terms[0])]
     mask = stitching_mask(pair_net, epsilon_op)
-    # the matrix of the previous step's term and its anchor
-    e_trans = anchors = None
+    anchors = None      # the reuse anchor of the current term run
     for j in range(3, n):
         hterm = h.terms[j - 2]
         if h.terms[j - 3] is not hterm:
-            e_trans = anchors = None    # free the previous matrix first
-        # only a term that repeats at the next site builds its matrix
-        if (e_trans is None and full_fits and j < n - 1
+            anchors = None
+        # only a term that repeats at the next site records anchors
+        if (anchors is None and anchors_fit and j < n - 1
                 and h.terms[j - 1] is hterm):
-            e_trans = transition_energies(pair_net, hterm, threads)
             anchors = []
         lists.append(extend_list(lists[-1], pair_net, hterm, epsilon_op,
-                                 threads, e_trans=e_trans, mask=mask,
-                                 anchors=anchors))
-    e_trans = anchors = None    # not needed past the last interior site
+                                 threads, mask=mask, anchors=anchors))
+    anchors = None      # not needed past the last interior site
     reused = sum(lst.reused for lst in lists)
 
     best_val, best_g, best_q = _close_list(lists[-1], end_net, pair_net,

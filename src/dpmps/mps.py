@@ -150,7 +150,7 @@ def contract(tensors) -> np.ndarray:
         return np.eye(1, dtype=complex)
     acc = tensors[0].reshape(-1, tensors[0].shape[2])
     for t in tensors[1:]:
-        acc = np.tensordot(acc, t, axes=([1], [0])).reshape(-1, t.shape[2])
+        acc = (acc @ t.reshape(t.shape[0], -1)).reshape(-1, t.shape[2])
     return acc
 
 

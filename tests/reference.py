@@ -3,7 +3,8 @@ Schmidt vectors of a chain recovered from its (lambda, B) pairs, the
 windowed energy of a whole chain, a phase-insensitive alignment of dense
 states, the dense Hamiltonian matrix, a uniform chain's terms folded site
 by site, the largest term norm and the commutation check term by term,
-and a dense power-iteration ground energy."""
+a dense power-iteration ground energy, and the DP's whole N x N
+transition matrix."""
 
 from dataclasses import dataclass, field
 import math
@@ -160,3 +161,21 @@ def power_iteration_ground(h: NnHamiltonian, iters: int = 20000,
             break
         last = lam
     return shift - last
+
+
+def q_major_transitions(net, hterm):
+    """E[q, p], the windowed energy of the term between a pair q at the left
+    site and a pair p at the right site, as the whole N x N matrix: complex
+    products in q x p order, in row chunks of 256, real part."""
+    lam, b = net.lam, net.b
+    d = b.shape[2]
+    h = np.asarray(hterm).reshape(d, d, d, d)
+    m = lam[:, :, None, None] * b
+    t1 = np.einsum("qaix,qaky->qxiyk", m.conj(), m, optimize=True)
+    t2 = np.einsum("pxjb,pylb->pxjyl", b.conj(), b, optimize=True)
+    g = np.einsum("qxiyk,ijkl->qxjyl", t1, h, optimize=True)
+    g, t2 = g.reshape(net.size, -1), t2.reshape(net.size, -1)
+    e = np.empty((net.size, net.size), dtype=complex)
+    for lo in range(0, net.size, 256):
+        e[lo:lo + 256] = g[lo:lo + 256] @ t2.T
+    return e.real

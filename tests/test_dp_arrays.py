@@ -1,26 +1,30 @@
-"""Tests for the array DP step: equivalence with the dense N x N step, from
-the full matrix and streamed with predecessors pruned (over several D=1
-steps, at D=2, on 1 and 2 threads, and with one viable row left), the
-dominance bound behind the pruning, no pruning after a non-finite input,
-tie rule (also across a block boundary), NaN costs, empty steps, the
-transition memo (which steps take the full matrix, against the rule of
-comparing term bytes that it replaced) and the size guard, under which a
-repeated term whose matrix does not fit streams; for a streamed solve,
-independence of the thread count and a memory peak below one N x N matrix,
-with the chunk buffer on a map of its own;
-for the batched boundary energies and the p-major transition matrix
-against the per-tensor einsum loops and the q-major formula they replaced,
-and with a NaN at either end against one argmin; and for the boundary
-screen, whose factors must agree with the exact kernel far inside its
-margin and which must keep every end tensor that reaches an exact minimum;
-and for anchor reuse on a repeated term's matrix: lists bitwise those of
-the full steps on four uniform models, the full step when the
-certificate fails (a nudged energy, other pairs) or the matrix holds a
-NaN, the memory it adds against the size guard's count, and the counts
-`solve` reports."""
+"""Tests for the array DP step: equivalence with the dense N x N step of
+the reference matrix, streamed with predecessors pruned and unpruned
+while it records a reuse anchor (over several D=1 steps, at D=2, on 1 and
+2 threads, and with one viable row left), the dominance bound behind the
+pruning, no pruning after a non-finite input, tie rule (also across a
+block boundary), NaN costs, empty steps, one factor build per full step,
+which steps are offered anchors (against the rule of comparing term
+bytes) and the size guard, under which a repeated term whose anchors do
+not fit takes only full steps; for a streamed solve, independence of the
+thread count, a memory peak below one N x N matrix, the chunk buffer on
+a map of its own and no import of numpy.ma;
+for the batched boundary energies against the per-tensor einsum loops
+they replaced, and with a NaN at either end against one argmin; and for
+the boundary screen, whose factors must agree with the exact kernel far
+inside its margin and which must keep every end tensor that reaches an
+exact minimum; and for anchor reuse on a repeated term: lists bitwise
+those of the full steps on four uniform models and those of the dense
+reference steps on a D=2 sub-net, candidates exactly the dense
+reference's, the full step when the certificate fails (a nudged energy,
+other pairs) or the input holds a NaN, the memory it adds against the
+size guard's count, and the counts `solve` reports."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,6 +33,7 @@ import pytest
 from dpmps import dp, epsnet as en
 from dpmps import hamiltonian as ham
 from dpmps.errors import NoAdmissibleTransitionError, SizeGuardError
+from reference import q_major_transitions
 
 SUB_NET_SIZE = 1500
 
@@ -62,10 +67,17 @@ def random_prev(size, rng):
                      energy=rng.standard_normal(idx.size))
 
 
-def dense_extend(prev, net, e_trans, epsilon_op):
-    """The dense step the array step replaced: full N x N mask and cost."""
+def dense_mask(net, epsilon_op):
+    """The full N x N admissibility of pair q before pair p."""
     dist = np.linalg.norm(net.mu[:, None, :] - net.lam[None, :, :], axis=2)
-    mask = dist <= 2.0 * epsilon_op + 1e-14
+    return dist <= 2.0 * epsilon_op + 1e-14
+
+
+def dense_extend(prev, net, e_trans, epsilon_op, mask=None):
+    """The dense step the array step replaced: full N x N mask and cost,
+    from E[q, p] (`q_major_transitions`)."""
+    if mask is None:
+        mask = dense_mask(net, epsilon_op)
     q_idx = prev.pair_index
     cost = prev.energy[:, None] + e_trans[q_idx]
     cost = np.where(mask[q_idx], cost, np.inf)
@@ -109,16 +121,15 @@ def test_matches_dense_step_on_d2_sub_nets(sub_net, keep_fractions, seed,
     prev = random_prev(net.size, rng)
     mask = dp.stitching_mask(net, epsilon_op)
     assert mask.shape[1] == 3 and 0.0 < mask.mean() < 1.0
-    e_trans = dp.transition_energies(net, hterm)
-    # the dense step reads E[q, p]
-    dense = dense_extend(prev, net, e_trans.T, epsilon_op)
-    # the p-major matrix as one block, as `solve` passes a repeated term
-    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
-                                    e_trans=e_trans), dense)
-    # streamed: the viable rows of 1,500 pairs make several q-chunks
+    dense = dense_extend(prev, net, q_major_transitions(net, hterm),
+                         epsilon_op)
+    # the viable rows of 1,500 pairs make several q-chunks; with an anchor
+    # list, as `solve` passes a repeated term, every admissible row streams
     for threads in (1, 2):
         assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
                                         threads), dense)
+        assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
+                                        threads, anchors=[]), dense)
     assert min(keep_fractions) < 1.0
 
 
@@ -138,7 +149,7 @@ def test_dominance_bound_holds(d1_nets, sub_net, which, scale):
     net = d1_nets(0.1)[0] if which == "d1" else sub_net(11)
     rng = np.random.default_rng(13)
     hterm = scale * random_term(rng)
-    e = dp.transition_energies(net, hterm)      # E[p, q]
+    e = q_major_transitions(net, hterm).T       # E[p, q]
     h, trace = window_hermitian_parts(net, hterm)
     slack = 1e-12 * np.abs(e).max()
     for a in rng.choice(net.size, size=8, replace=False):
@@ -160,7 +171,7 @@ def test_pruned_steps_match_dense_at_d1(d1_nets, keep_fractions, threads):
                              1)
     prev = dp.initial_list(end, net, h.terms[0])
     for hterm in h.terms[1:-1]:
-        dense = dense_extend(prev, net, dp.transition_energies(net, hterm).T,
+        dense = dense_extend(prev, net, q_major_transitions(net, hterm),
                              epsilon_op)
         prev = dp.extend_list(prev, net, hterm, epsilon_op, threads)
         assert_same_step(prev, dense)
@@ -186,7 +197,7 @@ def test_single_viable_row_matches_dense(d1_nets, sub_net, keep_fractions,
     assert keep_fractions == [1.0 / idx.size] * int(mask[q0].sum())
     assert (idx[out.tail] == q0).all()
     assert_same_step(out, dense_extend(
-        prev, net, dp.transition_energies(net, hterm).T, epsilon_op))
+        prev, net, q_major_transitions(net, hterm), epsilon_op))
 
 
 @pytest.mark.parametrize("where,value", [("e_prev", np.inf),
@@ -261,15 +272,18 @@ def test_nan_cost_in_later_chunk_matches_dense(sub_net):
     energy[q_nan] = np.nan
     prev = dp.DpList(pair_index=np.arange(net.size),
                      tail=np.zeros(net.size, dtype=np.intp), energy=energy)
-    e_trans = dp.transition_energies(net, hterm)
-    dense = dense_extend(prev, net, e_trans.T, epsilon_op)
+    dense = dense_extend(prev, net, q_major_transitions(net, hterm),
+                         epsilon_op)
     # every pair that q_nan may precede has a NaN cost and drops out, even
     # where a finite minimum came in an earlier chunk
     hit = mask[q_nan][net.lam_class]
     assert hit.any() and not np.isin(np.flatnonzero(hit), dense[0]).any()
     assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op), dense)
+    # unpruned, and no anchor is recorded from a NaN input
+    anchors = []
     assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
-                                    e_trans=e_trans), dense)
+                                    anchors=anchors), dense)
+    assert anchors == []
 
 
 def test_all_inadmissible_step_raises(sub_net):
@@ -283,42 +297,38 @@ def test_all_inadmissible_step_raises(sub_net):
         dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op)
 
 
-@pytest.mark.parametrize("name,n,calls", [("transverse_ising", 12, 1),
-                                          ("random_hermitian", 8, 5)])
+@pytest.mark.parametrize("name,n,runs", [("transverse_ising", 12, 1),
+                                         ("random_hermitian", 8, 5)])
 def test_transitions_reused_across_identical_terms(monkeypatch, name, n,
-                                                   calls):
-    # factors once per run of equal terms; the Ising terms all repeat, so
-    # they keep one full matrix, while random terms never repeat and every
-    # step streams
-    count = {"factors": 0, "matrix": 0}
+                                                   runs):
+    # one factor build per full step; the Ising interior terms are one run
+    # of one array, whose steps reuse an anchor, while random terms never
+    # repeat and every step is a full one
+    count = {"factors": 0}
+    factors = dp._transition_factors
 
-    def counting(key, original):
-        def wrapper(*args, **kwargs):
-            count[key] += 1
-            return original(*args, **kwargs)
-        return wrapper
+    def counting(*args, **kwargs):
+        count["factors"] += 1
+        return factors(*args, **kwargs)
 
-    monkeypatch.setattr(dp, "_transition_factors",
-                        counting("factors", dp._transition_factors))
-    monkeypatch.setattr(dp, "transition_energies",
-                        counting("matrix", dp.transition_energies))
+    monkeypatch.setattr(dp, "_transition_factors", counting)
     h = ham.group_boundaries(ham.build_model(name, {}, n, 0), 1)
     # equal but separate copies of the terms become one array per value
     copies = ham.NnHamiltonian(n=h.n, dims=h.dims,
                                terms=[t.copy() for t in h.terms])
-    distinct = 3 if name == "transverse_ising" else n - 1
     for chain in (h, copies):
-        assert len({id(t) for t in chain.terms}) == distinct
-        count.update(factors=0, matrix=0)
-        dp.solve(chain, 1, 0.25)
-        assert count["factors"] == calls
-        assert count["matrix"] == (1 if name == "transverse_ising" else 0)
+        assert len({id(t) for t in chain.terms[1:-1]}) == runs
+        count.update(factors=0)
+        steps = dp.solve(chain, 1, 0.25).dp_steps
+        assert count["factors"] == steps["full"]
+        assert (steps["reused"] > 0) == (name == "transverse_ising")
 
 
-def bytes_rule_full_steps(terms, n):
-    """Per step j = 3..n-1, whether the step takes the full matrix by the
-    rule of comparing term bytes: a term keeps its matrix while its bytes
-    repeat, and builds one when the next site's term has the same bytes."""
+def bytes_rule_anchor_steps(terms, n):
+    """Per step j = 3..n-1, whether the step is offered a reuse anchor list
+    by the rule of comparing term bytes: a term keeps its list while its
+    bytes repeat, and opens one when the next site's term has the same
+    bytes."""
     full, held = [], None
     for j in range(3, n):
         key = terms[j - 2].tobytes()
@@ -337,29 +347,28 @@ def bytes_rule_full_steps(terms, n):
                                   "trap_model", "rotated_classical",
                                   "diagonal_commuting"])
 def test_full_matrix_steps_follow_bytes_rule(monkeypatch, name, n, D):
-    # the steps themselves are stubbed out: only the choice is checked
+    # the steps that are offered anchors; the steps themselves are stubbed
+    # out, so only the choice is checked
     h = ham.group_boundaries(ham.build_model(name, {}, n, 1), D)
-    full = []
+    offered = []
 
-    def recording(prev, net, hterm, epsilon_op, threads=1, *, e_trans=None,
-                  mask=None, anchors=None):
-        full.append(e_trans is not None)
+    def recording(prev, net, hterm, epsilon_op, threads=1, *, mask=None,
+                  anchors=None):
+        offered.append(anchors is not None)
         return dataclasses.replace(prev, tail=np.arange(len(prev)))
 
     monkeypatch.setattr(dp, "extend_list", recording)
-    monkeypatch.setattr(dp, "transition_energies",
-                        lambda net, hterm, threads=1: np.zeros(0))
     net = en.build_pair_net(1, 2, 0.25, 0.05)
     dp.solve(h, 1, 0.25, epsilon_op=0.05, pair_net=net)
-    assert full == bytes_rule_full_steps(h.terms, h.n)
-    assert any(full) == (h.n > 4 and name in ("zz_chain", "transverse_ising",
-                                              "heisenberg", "trap_model"))
+    assert offered == bytes_rule_anchor_steps(h.terms, h.n)
+    assert any(offered) == (h.n > 4 and name in (
+        "zz_chain", "transverse_ising", "heisenberg", "trap_model"))
 
 
 class TestSizeGuard:
     def test_d2_net_exceeds_memory(self):
-        # the full D=2 net at n=6: a streamed step holds 252 MB, its N x N
-        # matrix would add 121 GB
+        # the full D=2 net at n=6: a streamed step holds 252 MB, anchors of
+        # c = N/16 candidates per pair would add 23 GB
         with pytest.raises(SizeGuardError):
             dp.transition_size_guard(123_264, 16, 1, 2**27, 4)
         assert dp.transition_size_guard(123_264, 16, 1, 8 * 2**30, 4) \
@@ -374,13 +383,14 @@ class TestSizeGuard:
     def test_bounds_are_exact(self, threads):
         # one CHUNK-row complex buffer per thread, G, T2, the gathered
         # rows of G and their Hermitian parts, and the stored lists'
-        # index, tail and energy arrays; then the real N x N matrix and
-        # what its anchors add
+        # index, tail and energy arrays; then what anchors add
         n_pairs, k = 1000, 16
+        assert dp._reuse_bytes(n_pairs) \
+            == 24 * n_pairs * 64 + 32 * n_pairs + 64 * dp.BLOCK_ELEMENTS
         for n_lists in (1, 50):
             held = (16 * (threads * dp.CHUNK + 4 * k)
                     + 24 * n_lists) * n_pairs
-            full = held + 8 * n_pairs**2 + dp._reuse_bytes(n_pairs)
+            full = held + dp._reuse_bytes(n_pairs)
             with pytest.raises(SizeGuardError, match="physical memory"):
                 dp.transition_size_guard(n_pairs, k, threads, held - 1,
                                          n_lists)
@@ -411,55 +421,47 @@ class TestSizeGuard:
 
     def test_uniform_chain_streams_when_matrix_does_not_fit(self, sub_net,
                                                             monkeypatch):
-        # memory between a streamed step's need and that plus 8 N^2: every
-        # step of the repeated heisenberg term streams, to the same result
+        # memory between a streamed step's need and that plus what anchors
+        # add: no step of the repeated heisenberg term records an anchor,
+        # and the result is the same
         net, end = sub_net(5), en.build_end_net(2, 2, 0.25)
         h = ham.group_boundaries(ham.build_model("heisenberg", {}, 6), 2)
         calls = []
-        full_matrix = dp.transition_energies
+        record = dp._record_anchor
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return full_matrix(*args, **kwargs)
+            return record(*args, **kwargs)
 
-        monkeypatch.setattr(dp, "transition_energies", counting)
+        monkeypatch.setattr(dp, "_record_anchor", counting)
         ample = dp.solve(h, 2, 0.25, epsilon_op=0.05, end_net=end,
                          pair_net=net)
-        assert calls == [1]
-        streamed = 16 * (dp.CHUNK + 4 * 16) * net.size
-        assert streamed + 8 * net.size**2 > 4 * streamed
-        monkeypatch.setattr(ham, "_physical_memory", lambda: 4 * streamed)
+        assert calls == [1] * ample.dp_steps["full"]
+        held = (16 * (dp.CHUNK + 4 * 16) + 24 * (h.n - 2)) * net.size
+        assert held + dp._reuse_bytes(net.size) > 2 * held
+        monkeypatch.setattr(ham, "_physical_memory", lambda: 2 * held)
+        calls.clear()
         tight = dp.solve(h, 2, 0.25, epsilon_op=0.05, end_net=end,
                          pair_net=net)
-        assert calls == [1]
+        assert calls == []
         assert tight.digest == ample.digest
         assert tight.assignment == ample.assignment
 
     def test_matrix_streams_without_room_for_anchors(self, monkeypatch):
-        # memory between a streamed step plus the 8 N^2 matrix and that
-        # plus what anchors add: the matrix is no longer built, and every
-        # step streams to the same result
+        # memory one byte below a streamed step plus what anchors add: no
+        # anchor is offered, and every step is a full one, to the same
+        # result; at that count the steps reuse
         h = ham.group_boundaries(ham.build_model("transverse_ising", {}, 30),
                                  1)
         net = en.build_pair_net(1, 2, 0.25, 0.05)
         ample = dp.solve(h, 1, 0.25, epsilon_op=0.05, pair_net=net)
         assert ample.dp_steps["reused"] > 0
         held = (16 * (dp.CHUNK + 4 * 4) + 24 * (h.n - 2)) * net.size
-        matrix = held + 8 * net.size**2
-        calls = []
-        full_matrix = dp.transition_energies
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return full_matrix(*args, **kwargs)
-
-        monkeypatch.setattr(dp, "transition_energies", counting)
-        for memory, built in ((matrix + dp._reuse_bytes(net.size) - 1, []),
-                              (matrix + dp._reuse_bytes(net.size), [1])):
+        fits = held + dp._reuse_bytes(net.size)
+        for memory in (fits - 1, fits):
             monkeypatch.setattr(ham, "_physical_memory", lambda: memory)
             res = dp.solve(h, 1, 0.25, epsilon_op=0.05, pair_net=net)
-            assert calls == built
-            assert (res.dp_steps["reused"] > 0) == bool(built)
+            assert (res.dp_steps["reused"] > 0) == (memory == fits)
             assert res.digest == ample.digest
             assert res.assignment == ample.assignment
 
@@ -469,7 +471,6 @@ class TestSizeGuard:
 
         # 1,500 pairs need 2.7 MB per streamed step
         monkeypatch.setattr(ham, "_physical_memory", lambda: 2**20)
-        monkeypatch.setattr(dp, "transition_energies", never)
         monkeypatch.setattr(dp, "_transition_factors", never)
         monkeypatch.setattr(dp, "initial_list", never)
         h = ham.group_boundaries(ham.build_model("heisenberg", {}, 6), 2)
@@ -477,8 +478,7 @@ class TestSizeGuard:
             dp.solve(h, 2, 0.25, epsilon_op=0.05, pair_net=sub_net(5))
 
 
-# --- the per-tensor einsum loops and the q-major formula replaced by the
-# batched boundary kernel and the p-major transition matrix
+# --- the per-tensor einsum loops replaced by the batched boundary kernel
 
 def einsum_left_energies(end_net, net, hterm):
     """E[g, p] by one einsum pair per boundary tensor."""
@@ -530,22 +530,6 @@ def einsum_close(last, end_net, net, hterm):
     e_right = einsum_right_energies(net, end_net, hterm)
     return flat_argmin((last.energy[:, None]
                         + e_right[last.pair_index]).T)
-
-
-def q_major_transitions(net, hterm):
-    """E[q, p], complex products in q x p order, in row chunks of 256."""
-    lam, b = net.lam, net.b
-    d = b.shape[2]
-    h = np.asarray(hterm).reshape(d, d, d, d)
-    m = lam[:, :, None, None] * b
-    t1 = np.einsum("qaix,qaky->qxiyk", m.conj(), m, optimize=True)
-    t2 = np.einsum("pxjb,pylb->pxjyl", b.conj(), b, optimize=True)
-    g = np.einsum("qxiyk,ijkl->qxjyl", t1, h, optimize=True)
-    g, t2 = g.reshape(net.size, -1), t2.reshape(net.size, -1)
-    e = np.empty((net.size, net.size), dtype=complex)
-    for lo in range(0, net.size, 256):
-        e[lo:lo + 256] = g[lo:lo + 256] @ t2.T
-    return e.real
 
 
 def kernel_left_energies(end_net, net, hterm):
@@ -733,15 +717,6 @@ def test_screen_evaluates_few_rows_exactly(monkeypatch):
     assert right <= 0.01
 
 
-@pytest.mark.parametrize("which", ["d1", "d2"])
-def test_transitions_bitwise_p_major(d1_nets, sub_net, which):
-    net = d1_nets(0.1)[0] if which == "d1" else sub_net(7)
-    hterm = random_term(np.random.default_rng(9))
-    e_trans = dp.transition_energies(net, hterm)
-    assert e_trans.flags.c_contiguous and e_trans.dtype == float
-    assert np.array_equal(e_trans, q_major_transitions(net, hterm).T)
-
-
 def fine_grid_solve(d1_nets, threads):
     """A random_hermitian solve on the delta=0.05 net (N = 3400): every
     term differs, so all three interior steps stream."""
@@ -799,20 +774,19 @@ def uniform_chain(name, n):
     return h
 
 
-def uniform_steps(d1_nets, h, delta, anchors=None, e_trans=None):
-    """The D=1 lists of a chain whose interior terms are one array, each
-    step on that term's full matrix (or on e_trans), with anchors (a list
-    as `solve` keeps it) or without."""
+def uniform_steps(d1_nets, h, delta, anchors=None, energy=None):
+    """The D=1 lists of a chain whose interior terms are one array, with
+    anchors (a list as `solve` keeps it) or without; `energy` replaces the
+    first list's energies."""
     net, end = d1_nets(delta)
     epsilon_op = en.certified_epsilon(2, 1, delta)
     mask = dp.stitching_mask(net, epsilon_op)
-    if e_trans is None:
-        e_trans = dp.transition_energies(net, h.terms[1])
     lists = [dp.initial_list(end, net, h.terms[0])]
+    if energy is not None:
+        lists[0] = dataclasses.replace(lists[0], energy=energy)
     for hterm in h.terms[1:-1]:
         lists.append(dp.extend_list(lists[-1], net, hterm, epsilon_op,
-                                    e_trans=e_trans, mask=mask,
-                                    anchors=anchors))
+                                    mask=mask, anchors=anchors))
     return lists
 
 
@@ -837,19 +811,79 @@ def test_anchor_reuse_matches_full_steps(d1_nets, name, n, delta):
     assert len(anchors) == 1
 
 
+def dense_steps(net, h, epsilon_op, first):
+    """The lists of h's interior steps from the list `first` by the dense
+    reference step, on the reference matrix of h's one interior term."""
+    e_trans, mask = q_major_transitions(net, h.terms[1]), \
+        dense_mask(net, epsilon_op)
+    lists = [first]
+    for _ in h.terms[1:-1]:
+        prev = lists[-1]
+        live, tail, energy = dense_extend(prev, net, e_trans, epsilon_op,
+                                          mask)
+        lists.append(dp.DpList(pair_index=live, tail=tail, energy=energy))
+    return lists
+
+
+def test_d2_streamed_steps_record_and_reuse_anchors(sub_net):
+    # a sub-net on which heisenberg is period 1 from step 10 on; on most
+    # sub-nets it is period 2 or more, and the one anchor never certifies
+    net, epsilon_op = sub_net(10), 0.05
+    h = ham.group_boundaries(ham.build_model("heisenberg", {}, 24), 2)
+    end = en.build_end_net(2, h.dims[0], 0.25)
+    first = dp.initial_list(end, net, h.terms[0])
+    mask = dp.stitching_mask(net, epsilon_op)
+    lists, anchors = [first], []
+    for hterm in h.terms[1:-1]:
+        lists.append(dp.extend_list(lists[-1], net, hterm, epsilon_op,
+                                    mask=mask, anchors=anchors))
+    assert sum(lst.reused for lst in lists) >= 10 and len(anchors) == 1
+    for a, b in zip(lists, dense_steps(net, h, epsilon_op, first)):
+        assert_same_list(a, b)
+
+
+@pytest.mark.parametrize("which", ["d1", "d2"])
+def test_recorded_candidates_are_dense_positions_within_tol(d1_nets,
+                                                            sub_net, which):
+    if which == "d1":
+        h, delta = uniform_chain("transverse_ising", 16), 0.1
+        net, epsilon_op = d1_nets(delta)[0], en.certified_epsilon(2, 1, delta)
+        prev = uniform_steps(d1_nets, h, delta)[-1]
+    else:
+        h = ham.group_boundaries(ham.build_model("heisenberg", {}, 12), 2)
+        net, epsilon_op = sub_net(10), 0.05
+        prev = dp.initial_list(en.build_end_net(2, h.dims[0], 0.25), net,
+                               h.terms[0])
+    anchors = []
+    out = dp.extend_list(prev, net, h.terms[1], epsilon_op, anchors=anchors)
+    (anchor,) = anchors
+    e_trans = q_major_transitions(net, h.terms[1])[prev.pair_index]
+    admissible = dense_mask(net, epsilon_op)[prev.pair_index]
+    # K from the largest |E| of an admissible transition
+    assert anchor.tol == 1e-9 * (1.0 + np.abs(prev.energy).max()
+                                 + np.abs(e_trans[admissible]).max())
+    cost = np.where(admissible, prev.energy[:, None] + e_trans, np.inf)
+    assert np.array_equal(anchor.live, out.pair_index)
+    for k, p in enumerate(anchor.live):
+        near = np.flatnonzero(cost[:, p] <= out.energy[k] + anchor.tol)
+        used = np.isfinite(anchor.e_cand[k])
+        assert np.array_equal(anchor.cand[k, used], near)
+        assert np.array_equal(anchor.e_cand[k, used], e_trans[near, p])
+    assert anchor.cand.shape[1] > 1
+
+
 def stepper(d1_nets, h, delta):
     """(step, the lists of `uniform_steps`): step(prev, anchors) is one
-    step on the matrix of h's interior term."""
+    step on h's interior term."""
     net, _ = d1_nets(delta)
-    e_trans = dp.transition_energies(net, h.terms[1])
     epsilon_op = en.certified_epsilon(2, 1, delta)
     mask = dp.stitching_mask(net, epsilon_op)
 
     def step(prev, anchors):
-        return dp.extend_list(prev, net, h.terms[1], epsilon_op,
-                              e_trans=e_trans, mask=mask, anchors=anchors)
+        return dp.extend_list(prev, net, h.terms[1], epsilon_op, mask=mask,
+                              anchors=anchors)
 
-    return step, uniform_steps(d1_nets, h, delta, e_trans=e_trans)
+    return step, uniform_steps(d1_nets, h, delta)
 
 
 def nudged(prev, tol):
@@ -882,16 +916,34 @@ def test_failed_check_takes_full_step(d1_nets, change):
     assert_same_list(out, step(other, None))
 
 
-def test_nan_in_matrix_never_reuses(d1_nets):
-    net, _ = d1_nets(0.1)
-    h = uniform_chain("transverse_ising", 30)
-    e_trans = dp.transition_energies(net, h.terms[1])
-    e_trans[7, 11] = np.nan
+def test_nan_in_matrix_never_reuses(sub_net):
+    # a NaN in a step's input energies: the step neither reuses the anchor
+    # it is given nor records one, and its list is the plain step's; a D=2
+    # sub-net, since at D=1 every predecessor precedes every pair and the
+    # NaN would leave no pair
+    net, epsilon_op = sub_net(10), 0.05
+    h = ham.group_boundaries(ham.build_model("heisenberg", {}, 6), 2)
+    mask = dp.stitching_mask(net, epsilon_op)
+    prev = dp.initial_list(en.build_end_net(2, h.dims[0], 0.25), net,
+                           h.terms[0])
+
+    def step(prev, anchors):
+        return dp.extend_list(prev, net, h.terms[1], epsilon_op, mask=mask,
+                              anchors=anchors)
+
     anchors = []
-    lists = uniform_steps(d1_nets, h, 0.1, anchors, e_trans)
-    assert not anchors and not any(lst.reused for lst in lists)
-    for a, b in zip(uniform_steps(d1_nets, h, 0.1, e_trans=e_trans), lists):
-        assert_same_list(a, b)
+    step(prev, anchors)
+    assert step(shifted(prev), anchors).reused
+    # a predecessor that precedes some classes but not all
+    q = next(k for k, q in enumerate(prev.pair_index)
+             if 0 < mask[q].sum() < mask.shape[1])
+    energy = prev.energy.copy()
+    energy[q] = np.nan
+    bad = dataclasses.replace(prev, energy=energy)
+    out = step(bad, anchors)
+    assert not anchors and not out.reused
+    assert 0 < len(out) < len(step(prev, None))
+    assert_same_list(out, step(bad, None))
 
 
 @pytest.mark.parametrize("name,n,delta", [("transverse_ising", 800, 0.1),
@@ -909,29 +961,28 @@ def test_solve_reports_dp_steps(name, n, delta):
 @pytest.mark.parametrize("ties", [False, True])
 def test_reuse_memory_within_guard_count(d1_nets, ties):
     # a full step that records an anchor, then a step that reuses it,
-    # against two full steps; with ties, every sixth predecessor ties for
-    # each pair, near the widest anchor allowed
+    # against two full steps; with ties, a zero term and every sixth
+    # predecessor at zero energy, the rest at one, so each pair has a tie
+    # of every sixth admissible predecessor, near the widest anchor allowed
     net, _ = d1_nets(0.1)
     epsilon_op = en.certified_epsilon(2, 1, 0.1)
     mask = dp.stitching_mask(net, epsilon_op)
-    hterm = uniform_chain("transverse_ising", 12).terms[1]
     if ties:
-        e_trans = np.where(np.arange(net.size) % 6 == 0, 0.0, 1.0) \
-            * np.ones((net.size, 1))
+        hterm = np.zeros((4, 4))
         prev = dp.DpList(pair_index=np.arange(net.size),
                          tail=np.zeros(net.size, dtype=np.intp),
-                         energy=np.zeros(net.size))
+                         energy=np.where(np.arange(net.size) % 6 == 0,
+                                         0.0, 1.0))
     else:
-        _, lists = stepper(d1_nets, uniform_chain("transverse_ising", 40),
-                           0.1)
-        e_trans, prev = dp.transition_energies(net, hterm), lists[-1]
+        h = uniform_chain("transverse_ising", 40)
+        hterm, prev = h.terms[1], stepper(d1_nets, h, 0.1)[1][-1]
 
     def peak(anchors):
         tracemalloc.start()
         try:
             for energy in (prev, shifted(prev)):
-                dp.extend_list(energy, net, hterm, epsilon_op,
-                               e_trans=e_trans, mask=mask, anchors=anchors)
+                dp.extend_list(energy, net, hterm, epsilon_op, mask=mask,
+                               anchors=anchors)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -942,3 +993,21 @@ def test_reuse_memory_within_guard_count(d1_nets, ties):
     assert anchor.cand.shape[1] > (dp.REUSE_CANDIDATES * 3 // 4 if ties
                                    else 1)
     assert 0 < extra <= dp._reuse_bytes(net.size)
+
+
+def test_streamed_steps_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, 20-30 ms and about
+    # 1.5 MiB; a D=1 solve, anchored and pruned steps alike, needs neither
+    script = ("import sys\n"
+              "from dpmps import dp, hamiltonian as ham\n"
+              "for name in ('transverse_ising', 'random_hermitian'):\n"
+              "    h = ham.group_boundaries(ham.build_model(name, {}, 12, 1),"
+              " 1)\n"
+              "    dp.solve(h, 1, 0.25)\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(dp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
