@@ -814,13 +814,12 @@ def test_anchor_reuse_matches_full_steps(d1_nets, name, n, delta):
 def dense_steps(net, h, epsilon_op, first):
     """The lists of h's interior steps from the list `first` by the dense
     reference step, on the reference matrix of h's one interior term."""
-    e_trans, mask = q_major_transitions(net, h.terms[1]), \
-        dense_mask(net, epsilon_op)
+    e_trans = q_major_transitions(net, h.terms[1])
+    mask = dense_mask(net, epsilon_op)
     lists = [first]
     for _ in h.terms[1:-1]:
-        prev = lists[-1]
-        live, tail, energy = dense_extend(prev, net, e_trans, epsilon_op,
-                                          mask)
+        live, tail, energy = dense_extend(lists[-1], net, e_trans,
+                                          epsilon_op, mask)
         lists.append(dp.DpList(pair_index=live, tail=tail, energy=energy))
     return lists
 
