@@ -329,15 +329,15 @@ def bytes_rule_anchor_steps(terms, n):
     by the rule of comparing term bytes: a term keeps its list while its
     bytes repeat, and opens one when the next site's term has the same
     bytes."""
-    full, held = [], None
+    offered, held = [], None
     for j in range(3, n):
         key = terms[j - 2].tobytes()
         if key != held:
             held = None
             if j < n - 1 and terms[j - 1].tobytes() == key:
                 held = key
-        full.append(held is not None)
-    return full
+        offered.append(held is not None)
+    return offered
 
 
 @pytest.mark.parametrize("n,D", [(3, 1), (12, 1), (800, 1), (12, 4),
