@@ -51,7 +51,6 @@ class RunConfig:
     emit_mps: bool
     start: str
     sweeps: int
-    threads: int = 1
     verbose: bool = False
 
 
@@ -76,7 +75,9 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer past the int-to-str digit limit,
+        # or nesting past the recursion limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
@@ -127,11 +128,14 @@ def parse_config(text: str) -> RunConfig:
     start = run.get("start", "all_up")
     if start not in ("all_up", "all_down"):
         raise ConfigError("run.start must be 'all_up' or 'all_down'")
+    out_path = output.get("path")
+    if out_path is not None and not isinstance(out_path, str):
+        raise ConfigError("output.path must be a string or null")
 
     return RunConfig(
         model_name=name, model_params=params,
         n=n, seed=seed, D=D, delta=delta, cap=cap, **eps, mode=mode,
-        out_path=output.get("path"), emit_mps=bool(output.get("emit_mps")),
+        out_path=out_path, emit_mps=bool(output.get("emit_mps")),
         start=start, sweeps=sweeps,
     )
 
@@ -163,7 +167,7 @@ def _nets(cfg: RunConfig, hg, eps_op: float) -> tuple:
 def _solve(cfg: RunConfig, h0) -> dict:
     hg = group_boundaries(h0, cfg.D)
     sr = dp.solve(hg, cfg.D, cfg.delta, epsilon_op=_epsilon_op_for(cfg, hg),
-                  cap=cfg.cap, threads=cfg.threads)
+                  cap=cfg.cap)
     out = {
         "timings": sr.timings,
         "e_alg": sr.e_alg, "e_true": sr.e_true,
@@ -281,8 +285,6 @@ def main(argv=None) -> int:
         description="Net-based dynamic programming for MPS ground states",
     )
     ap.add_argument("--config", required=True, help="path to JSON run config")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads for the DP inner loop")
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
 
@@ -292,9 +294,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"config error: config is not UTF-8: {exc}", file=sys.stderr)
+        return 2
     try:
         cfg = parse_config(config_text)
-        cfg.threads = max(1, args.threads)
         cfg.verbose = args.verbose
         res = execute(cfg)
     except ConfigError as exc:

@@ -97,7 +97,6 @@ bitwise those of evaluating all of them.  The returned sandwich bounds are
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import hashlib
 import json
@@ -264,37 +263,18 @@ def _mapped_empty(shape: tuple, dtype) -> np.ndarray:
     return np.frombuffer(pages, dtype=dtype, count=count).reshape(shape)
 
 
-def _transition_blocks(g: np.ndarray, t2: np.ndarray, rows: np.ndarray,
-                       threads: int):
+def _transition_blocks(g: np.ndarray, t2: np.ndarray, rows: np.ndarray):
     """Yield (lo, C) for the CHUNK-row chunks of `rows` in order, C the
     complex q-major product G[rows[lo:hi]] @ T2.T over every column p, in
     a reused buffer that is valid until the next item is asked for.  Rows
     are gathered and a lone row is padded to two (see the module
-    docstring), so C is bitwise rows of the unchunked product.  The
-    chunks do not depend on the thread count; with threads > 1 the
-    products run in waves of `threads` chunks, one buffer per slot."""
-    spans = [(lo, min(lo + CHUNK, len(rows)))
-             for lo in range(0, len(rows), CHUNK)]
-    slots = max(1, min(threads, len(spans)))
-    bufs = [_mapped_empty((CHUNK, len(t2)), complex) for _ in range(slots)]
-
-    def product(span, buf):
-        lo, hi = span
+    docstring), so C is bitwise rows of the unchunked product."""
+    buf = _mapped_empty((CHUNK, len(t2)), complex)
+    for lo in range(0, len(rows), CHUNK):
+        hi = min(lo + CHUNK, len(rows))
         idx = rows[lo:hi] if hi - lo > 1 else rows[[lo, lo]]
         np.matmul(g[idx], t2.T, out=buf[:idx.size])
-        return buf[:hi - lo]
-
-    if slots == 1:
-        for span in spans:
-            yield span[0], product(span, bufs[0])
-        return
-    with ThreadPoolExecutor(max_workers=slots) as ex:
-        for w in range(0, len(spans), slots):
-            wave = spans[w:w + slots]
-            futures = [ex.submit(product, span, buf)
-                       for span, buf in zip(wave, bufs)]
-            for span, fut in zip(wave, futures):
-                yield span[0], fut.result()
+        yield lo, buf[:hi - lo]
 
 
 def stitching_mask(net: PairNet, epsilon_op: float) -> np.ndarray:
@@ -361,8 +341,7 @@ def _viable_rows(e_prev: np.ndarray, h: np.ndarray,
     return keep
 
 
-def _cost_blocks(prev: DpList, classes: list, g: np.ndarray, t2: np.ndarray,
-                 threads: int):
+def _cost_blocks(prev: DpList, classes: list, g: np.ndarray, t2: np.ndarray):
     """Yield (p, r, e, cost) over the CHUNK-row chunks of `_transition_blocks`
     on the union of the rows of `classes`, (list positions of admissible
     predecessors, pairs p) per lambda class, in q order, and per class and
@@ -375,7 +354,7 @@ def _cost_blocks(prev: DpList, classes: list, g: np.ndarray, t2: np.ndarray,
     union = np.flatnonzero(keep)
     at = [np.searchsorted(union, r) for r, _ in classes]
     buf = np.empty(BLOCK_ELEMENTS)
-    for lo, c in _transition_blocks(g, t2, prev.pair_index[union], threads):
+    for lo, c in _transition_blocks(g, t2, prev.pair_index[union]):
         for (r, cols), pos in zip(classes, at):
             start, stop = np.searchsorted(pos, (lo, lo + len(c)))
             if start == stop:
@@ -392,8 +371,8 @@ def _cost_blocks(prev: DpList, classes: list, g: np.ndarray, t2: np.ndarray,
 
 
 def _record_anchor(prev: DpList, classes: list, g: np.ndarray,
-                   t2: np.ndarray, threads: int, best: np.ndarray,
-                   live: np.ndarray, e_abs: float):
+                   t2: np.ndarray, best: np.ndarray, live: np.ndarray,
+                   e_abs: float):
     """The reuse anchor of a step whose minima over every admissible
     predecessor are `best` and whose admissible transitions have
     max|E| = e_abs, or None when K is not finite or some pair has more
@@ -410,7 +389,7 @@ def _record_anchor(prev: DpList, classes: list, g: np.ndarray,
     e_cand = np.full((live.size, most), np.inf)
     count = np.zeros(live.size, dtype=np.intp)
     # K is finite, so every cost is and every pair of a class is live
-    for p, r, e, cost in _cost_blocks(prev, classes, g, t2, threads):
+    for p, r, e, cost in _cost_blocks(prev, classes, g, t2):
         # i is sorted and s sorted within each row
         i, s = np.nonzero(cost <= (best[p] + tol)[:, None])
         slot = np.searchsorted(live, p)
@@ -430,8 +409,8 @@ def _record_anchor(prev: DpList, classes: list, g: np.ndarray,
                    scale=scale, tol=tol, live=live, cand=cand, e_cand=e_cand)
 
 
-def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
-                threads: int = 1, *, mask: np.ndarray | None = None,
+def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
+                mask: np.ndarray | None = None,
                 anchors: list | None = None) -> DpList:
     """One DP step: best admissible predecessor for every net pair.
 
@@ -477,7 +456,7 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
             trace = np.einsum("pii->p", t2.reshape(-1, dd, dd)).real
             classes = [(r[_viable_rows(prev.energy[r], h[r], trace[cols])],
                         cols) for r, cols in classes]
-        for p, r, e, cost in _cost_blocks(prev, classes, g, t2, threads):
+        for p, r, e, cost in _cost_blocks(prev, classes, g, t2):
             if anchors is not None:
                 e_abs = np.max([e_abs, e.max(), -e.min()])
             arg = cost.argmin(axis=1)
@@ -488,8 +467,7 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float,
             f"no admissible transition at epsilon_op={epsilon_op}"
         )
     if anchors is not None:
-        anchor = _record_anchor(prev, classes, g, t2, threads, best, live,
-                                e_abs)
+        anchor = _record_anchor(prev, classes, g, t2, best, live, e_abs)
         if anchor is not None:
             anchors.append(anchor)
     return DpList(pair_index=live, tail=tails[live], energy=best[live])
@@ -512,17 +490,17 @@ def _reuse_bytes(n_pairs: int) -> int:
         + 64 * BLOCK_ELEMENTS
 
 
-def transition_size_guard(n_pairs: int, k: int, threads: int,
-                          phys_bytes: int | None, n_lists: int) -> bool:
+def transition_size_guard(n_pairs: int, k: int, phys_bytes: int | None,
+                          n_lists: int) -> bool:
     """Raise SizeGuardError when what a streamed step of N = n_pairs pairs
     holds beside the n_lists stored DP lists would exceed `phys_bytes` of
     physical memory: G, T2, the gathered rows of G and their Hermitian
-    parts (N x k complex each at most), a complex CHUNK-row buffer per
-    thread and the lists' index, tail and energy arrays, 16 (threads CHUNK
-    + 4 k) N + 24 n_lists N bytes.  Return whether what reuse anchors add
+    parts (N x k complex each at most), one complex CHUNK-row buffer and
+    the lists' index, tail and energy arrays, 16 (CHUNK + 4 k) N
+    + 24 n_lists N bytes.  Return whether what reuse anchors add
     (`_reuse_bytes`) fits beside them.  None (memory size unknown) passes
     and fits."""
-    held = (16 * (max(1, threads) * CHUNK + 4 * k) + 24 * n_lists) * n_pairs
+    held = (16 * (CHUNK + 4 * k) + 24 * n_lists) * n_pairs
     check_size(held, phys_bytes, f"bytes of a streamed DP step at "
                f"N={n_pairs} and {n_lists} stored lists", "physical memory")
     return phys_bytes is None or held + _reuse_bytes(n_pairs) <= phys_bytes
@@ -661,7 +639,6 @@ def _close_list(last: DpList, end_net: BoundaryNet, net: PairNet,
 
 def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
           epsilon_op: float | None = None, cap: int = DEFAULT_CAP,
-          threads: int = 1,
           end_net: BoundaryNet | None = None,
           pair_net: PairNet | None = None) -> SolveResult:
     """Run the full dynamic program on a boundary-grouped Hamiltonian.
@@ -683,7 +660,7 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
     # only chains with interior sites take a step; G has (dD)^2 columns
     anchors_fit = n > 3 and transition_size_guard(
         pair_net.size, (pair_net.b.shape[1] * pair_net.b.shape[2]) ** 2,
-        threads, hamiltonian._physical_memory(), n - 2)
+        hamiltonian._physical_memory(), n - 2)
     lists = [initial_list(end_net, pair_net, h.terms[0])]
     mask = stitching_mask(pair_net, epsilon_op)
     anchors = None      # the reuse anchor of the current term run
@@ -696,7 +673,7 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
                 and h.terms[j - 1] is hterm):
             anchors = []
         lists.append(extend_list(lists[-1], pair_net, hterm, epsilon_op,
-                                 threads, mask=mask, anchors=anchors))
+                                 mask=mask, anchors=anchors))
     anchors = None      # not needed past the last interior site
     reused = sum(lst.reused for lst in lists)
 

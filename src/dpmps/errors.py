@@ -5,7 +5,8 @@ and `cli.main` catches the base types; the classes name the causes.
 A run exits 0 on success, and a run that fails writes no output file.
 
 - 2, `ConfigError`: an invalid config or model; also a config file that
-  cannot be read or an output path that cannot be written.
+  cannot be read, is not UTF-8 or cannot be decoded as JSON, or an
+  output path that cannot be written.
 - 3, `InfeasibleError`: an instance too large to run: a size guard
   (`check_size`, before the allocation it guards) or the Schmidt rank cap.
 - 4, `NumericalError`: a numerical failure; also numpy's `LinAlgError` and

@@ -173,6 +173,14 @@ class TestMain:
         assert cli.main(["--config", "/nonexistent.json"]) == 2
         capsys.readouterr()
 
+    def test_no_threads_option(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(path), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_cap_guard_exit_3(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(cfg_text(solver={"D": 2, "delta": 0.1}))
@@ -541,6 +549,45 @@ class TestBadInputExit2:
 
         monkeypatch.setattr(cli, "build_model", bad_model)
         self.run(tmp_path, capsys)
+
+    @pytest.mark.parametrize("poison", ["not-utf8", "deep", "long-int"])
+    def test_undecodable_config(self, tmp_path, capsys, poison):
+        # each exited 1 with a traceback: a UnicodeDecodeError, a
+        # RecursionError, and a ValueError past the int-to-str digit limit
+        doc = json.loads(cfg_text())
+        doc["output"] = {"path": str(tmp_path / "res.json")}
+        text = json.dumps(doc).encode()
+        if poison == "not-utf8":
+            text = b"\xff\xfe" + text
+        elif poison == "deep":
+            text = text[:-1] + b', "x": ' + b"[" * 200_000 + b"]" * 200_000 \
+                + b"}"
+        else:
+            text = text.replace(b'"delta": 0.25', b'"delta": ' + b"7" * 5000)
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        assert cli.main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("emit_mps", [False, True])
+    @pytest.mark.parametrize("out_path", [True, 7, ["a"]],
+                             ids=["true", "7", "list"])
+    def test_output_path_not_a_string(self, tmp_path, capsys, monkeypatch,
+                                      out_path, emit_mps):
+        # true wrote the result to file descriptor 1 and closed it, 7 wrote
+        # to file descriptor 7, and a list exited 1 with a TypeError
+        def no_write(files):
+            raise AssertionError(f"wrote {files[0][0]!r}")
+
+        monkeypatch.setattr(cli, "_write_all", no_write)
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(output={"path": out_path,
+                                         "emit_mps": emit_mps}))
+        assert cli.main(["--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: output.path")
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 # --- fuzzing `main` with generated configs

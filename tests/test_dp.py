@@ -87,14 +87,6 @@ class TestSolve:
         sr = dp.solve(h, 1, 0.1)
         assert sr.e_alg <= 1.0
 
-    def test_determinism_across_threads(self):
-        h = grouped("transverse_ising", 5, 1)
-        a = dp.solve(h, 1, 0.25, threads=1)
-        b = dp.solve(h, 1, 0.25, threads=8)
-        assert a.e_alg == b.e_alg
-        assert a.assignment == b.assignment
-        assert a.digest == b.digest
-
 
 # (model, n, delta, seed) -> (assignment, repr(e_alg), digest), recorded
 # from the dense N x N DP step before the DP lists became arrays; the

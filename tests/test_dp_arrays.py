@@ -1,14 +1,14 @@
 """Tests for the array DP step: equivalence with the dense N x N step of
 the reference matrix, streamed with predecessors pruned and unpruned
-while it records a reuse anchor (over several D=1 steps, at D=2, on 1 and
-2 threads, and with one viable row left), the dominance bound behind the
-pruning, no pruning after a non-finite input, tie rule (also across a
-block boundary), NaN costs, empty steps, one factor build per full step,
-which steps are offered anchors (against the rule of comparing term
-bytes) and the size guard, under which a repeated term whose anchors do
-not fit takes only full steps; for a streamed solve, independence of the
-thread count, a memory peak below one N x N matrix, the chunk buffer on
-a map of its own and no import of numpy.ma;
+while it records a reuse anchor (over several D=1 steps, at D=2, and with
+one viable row left), the dominance bound behind the pruning, no pruning
+after a non-finite input, tie rule (also across a block boundary), NaN
+costs, empty steps, one factor build per full step, which steps are
+offered anchors (against the rule of comparing term bytes) and the size
+guard, under which a repeated term whose anchors do not fit takes only
+full steps; for a streamed solve, a memory peak below one N x N matrix,
+the chunk buffer on a map of its own and no import of numpy.ma or
+concurrent.futures;
 for the batched boundary energies against the per-tensor einsum loops
 they replaced, and with a NaN at either end against one argmin; and for
 the boundary screen, whose factors must agree with the exact kernel far
@@ -125,11 +125,9 @@ def test_matches_dense_step_on_d2_sub_nets(sub_net, keep_fractions, seed,
                          epsilon_op)
     # the viable rows of 1,500 pairs make several q-chunks; with an anchor
     # list, as `solve` passes a repeated term, every admissible row streams
-    for threads in (1, 2):
-        assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
-                                        threads), dense)
-        assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
-                                        threads, anchors=[]), dense)
+    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op), dense)
+    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
+                                    anchors=[]), dense)
     assert min(keep_fractions) < 1.0
 
 
@@ -163,8 +161,7 @@ def test_dominance_bound_holds(d1_nets, sub_net, which, scale):
             assert (gap <= lam * t + slack).all()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_pruned_steps_match_dense_at_d1(d1_nets, keep_fractions, threads):
+def test_pruned_steps_match_dense_at_d1(d1_nets, keep_fractions):
     net, end = d1_nets(0.1)
     epsilon_op = en.certified_epsilon(2, 1, 0.1)
     h = ham.group_boundaries(ham.build_model("random_hermitian", {}, 12, 1),
@@ -173,7 +170,7 @@ def test_pruned_steps_match_dense_at_d1(d1_nets, keep_fractions, threads):
     for hterm in h.terms[1:-1]:
         dense = dense_extend(prev, net, q_major_transitions(net, hterm),
                              epsilon_op)
-        prev = dp.extend_list(prev, net, hterm, epsilon_op, threads)
+        prev = dp.extend_list(prev, net, hterm, epsilon_op)
         assert_same_step(prev, dense)
     assert len(keep_fractions) == 9 and min(keep_fractions) < 0.5
 
@@ -352,8 +349,7 @@ def test_full_matrix_steps_follow_bytes_rule(monkeypatch, name, n, D):
     h = ham.group_boundaries(ham.build_model(name, {}, n, 1), D)
     offered = []
 
-    def recording(prev, net, hterm, epsilon_op, threads=1, *, mask=None,
-                  anchors=None):
+    def recording(prev, net, hterm, epsilon_op, *, mask=None, anchors=None):
         offered.append(anchors is not None)
         return dataclasses.replace(prev, tail=np.arange(len(prev)))
 
@@ -370,36 +366,32 @@ class TestSizeGuard:
         # the full D=2 net at n=6: a streamed step holds 252 MB, anchors of
         # c = N/16 candidates per pair would add 23 GB
         with pytest.raises(SizeGuardError):
-            dp.transition_size_guard(123_264, 16, 1, 2**27, 4)
-        assert dp.transition_size_guard(123_264, 16, 1, 8 * 2**30, 4) \
-            is False
+            dp.transition_size_guard(123_264, 16, 2**27, 4)
+        assert dp.transition_size_guard(123_264, 16, 8 * 2**30, 4) is False
 
     def test_small_net_passes(self):
-        assert dp.transition_size_guard(3400, 4, 1, 8 * 2**30, 10)
-        assert dp.transition_size_guard(1000, 4, 1, 16 * 1000 * 1000, 10)
-        assert dp.transition_size_guard(10**6, 16, 1, None, 10**6)
+        assert dp.transition_size_guard(3400, 4, 8 * 2**30, 10)
+        assert dp.transition_size_guard(1000, 4, 16 * 1000 * 1000, 10)
+        assert dp.transition_size_guard(10**6, 16, None, 10**6)
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_bounds_are_exact(self, threads):
-        # one CHUNK-row complex buffer per thread, G, T2, the gathered
-        # rows of G and their Hermitian parts, and the stored lists'
-        # index, tail and energy arrays; then what anchors add
+    def test_bounds_are_exact(self):
+        # one CHUNK-row complex buffer, G, T2, the gathered rows of G and
+        # their Hermitian parts, and the stored lists' index, tail and
+        # energy arrays; then what anchors add
         n_pairs, k = 1000, 16
         assert dp._reuse_bytes(n_pairs) \
             == 24 * n_pairs * 64 + 32 * n_pairs + 64 * dp.BLOCK_ELEMENTS
         for n_lists in (1, 50):
-            held = (16 * (threads * dp.CHUNK + 4 * k)
-                    + 24 * n_lists) * n_pairs
+            held = (16 * (dp.CHUNK + 4 * k) + 24 * n_lists) * n_pairs
             full = held + dp._reuse_bytes(n_pairs)
             with pytest.raises(SizeGuardError, match="physical memory"):
-                dp.transition_size_guard(n_pairs, k, threads, held - 1,
-                                         n_lists)
-            assert dp.transition_size_guard(n_pairs, k, threads, held,
-                                            n_lists) is False
-            assert dp.transition_size_guard(n_pairs, k, threads, full - 1,
-                                            n_lists) is False
-            assert dp.transition_size_guard(n_pairs, k, threads, full,
-                                            n_lists) is True
+                dp.transition_size_guard(n_pairs, k, held - 1, n_lists)
+            assert dp.transition_size_guard(n_pairs, k, held, n_lists) \
+                is False
+            assert dp.transition_size_guard(n_pairs, k, full - 1, n_lists) \
+                is False
+            assert dp.transition_size_guard(n_pairs, k, full, n_lists) \
+                is True
 
     def test_long_chain_lists_exceed_memory(self, monkeypatch):
         # transverse_ising at D=1 delta=0.1 (N=350): a streamed step holds
@@ -717,28 +709,19 @@ def test_screen_evaluates_few_rows_exactly(monkeypatch):
     assert right <= 0.01
 
 
-def fine_grid_solve(d1_nets, threads):
+def fine_grid_solve(d1_nets):
     """A random_hermitian solve on the delta=0.05 net (N = 3400): every
     term differs, so all three interior steps stream."""
     net, end = d1_nets(0.05)
     h = ham.group_boundaries(ham.build_model("random_hermitian", {}, 6, 1), 1)
-    return net, dp.solve(h, 1, 0.05, threads=threads, end_net=end,
-                         pair_net=net)
-
-
-def test_streamed_solve_independent_of_threads(d1_nets):
-    _, one = fine_grid_solve(d1_nets, 1)
-    _, two = fine_grid_solve(d1_nets, 2)
-    assert one.e_alg == two.e_alg
-    assert one.assignment == two.assignment
-    assert one.digest == two.digest
+    return net, dp.solve(h, 1, 0.05, end_net=end, pair_net=net)
 
 
 def test_streamed_solve_never_holds_transition_matrix(d1_nets):
     d1_nets(0.05)           # build the nets before tracing
     tracemalloc.start()
     try:
-        net, _ = fine_grid_solve(d1_nets, 1)
+        net, _ = fine_grid_solve(d1_nets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -996,17 +979,19 @@ def test_reuse_memory_within_guard_count(d1_nets, ties):
 
 def test_streamed_steps_leave_numpy_ma_unimported():
     # np.unique imports numpy.ma on its first call, 20-30 ms and about
-    # 1.5 MiB; a D=1 solve, anchored and pruned steps alike, needs neither
+    # 1.5 MiB, and concurrent.futures costs about 9 ms and 0.7 MiB; a D=1
+    # solve, anchored and pruned steps alike, needs neither
     script = ("import sys\n"
               "from dpmps import dp, hamiltonian as ham\n"
               "for name in ('transverse_ising', 'random_hermitian'):\n"
               "    h = ham.group_boundaries(ham.build_model(name, {}, 12, 1),"
               " 1)\n"
               "    dp.solve(h, 1, 0.25)\n"
-              "print('numpy.ma' in sys.modules)\n")
+              "print([m for m in ('numpy.ma', 'concurrent.futures')\n"
+              "       if m in sys.modules])\n")
     src = os.path.dirname(os.path.dirname(dp.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
