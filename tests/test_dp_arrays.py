@@ -161,11 +161,12 @@ def test_dominance_bound_holds(d1_nets, sub_net, which, scale):
             assert (gap <= lam * t + slack).all()
 
 
-def test_pruned_steps_match_dense_at_d1(d1_nets, keep_fractions):
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pruned_steps_match_dense_at_d1(d1_nets, keep_fractions, seed):
     net, end = d1_nets(0.1)
     epsilon_op = en.certified_epsilon(2, 1, 0.1)
-    h = ham.group_boundaries(ham.build_model("random_hermitian", {}, 12, 1),
-                             1)
+    h = ham.group_boundaries(
+        ham.build_model("random_hermitian", {}, 12, seed), 1)
     prev = dp.initial_list(end, net, h.terms[0])
     for hterm in h.terms[1:-1]:
         dense = dense_extend(prev, net, q_major_transitions(net, hterm),
@@ -374,11 +375,12 @@ class TestSizeGuard:
         assert dp.transition_size_guard(1000, 4, 16 * 1000 * 1000, 10)
         assert dp.transition_size_guard(10**6, 16, None, 10**6)
 
-    def test_bounds_are_exact(self):
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_bounds_are_exact(self, k):
         # one CHUNK-row complex buffer, G, T2, the gathered rows of G and
         # their Hermitian parts, and the stored lists' index, tail and
         # energy arrays; then what anchors add
-        n_pairs, k = 1000, 16
+        n_pairs = 1000
         assert dp._reuse_bytes(n_pairs) \
             == 24 * n_pairs * 64 + 32 * n_pairs + 64 * dp.BLOCK_ELEMENTS
         for n_lists in (1, 50):
