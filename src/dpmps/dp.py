@@ -22,12 +22,15 @@ tells whether reuse anchors (below) fit beside them.
 A streamed step first drops, per lambda class, the predecessors that
 provably cannot win.  E[q, p] = tr(H_q P_p^T), with H_q the Hermitian part
 of row q of G and P_p row p of T2, both as dD x dD matrices; P_p is PSD
-with trace ||B_p||^2.  So for an anchor a, E[a, p] - E[q, p] =
-tr((H_a - H_q) P_p^T) <= lambda_max(H_a - H_q) tr P_p, and a row whose
+with trace ||B_p||^2.  So |E[q, p]| <= E_bound = dD max|H| max tr P, and
+a step has one tolerance, K = 1e-9 (1 + max|e_prev| + E_bound)
+(`_step_tolerance`), which the reuse anchors below share.  For an anchor
+a, E[a, p] - E[q, p] <= lambda_max(H_a - H_q) tr P_p, and a row whose
 previous energy exceeds an anchor's by more than the Gershgorin bound of
 that times the class's largest trace (its smallest when the bound is
-negative), plus a rounding margin, is strictly above the anchor at every
-pair of the class: it can neither win nor tie.  The anchors are the
+negative), plus 2K, costs more than the anchor plus K at every pair of the
+class (the test and E round by far less than K): it can neither win nor
+tie, nor come within K of a minimum.  The anchors are the
 ANCHORS lowest previous energies.  The union of the remaining rows is
 multiplied in CHUNK-row blocks, each one complex GEMM of gathered rows of
 G against all of T2 into a reused buffer on pages of its own (see
@@ -45,35 +48,36 @@ min-plus matrix drives the lists into a periodic regime up to a constant
 shift (the cyclicity theorem of Cohen, Dubois, Quadrat and Viot, 1985),
 where each pair p is won among a few candidate predecessors.  So a full
 step given an anchor list records a reuse anchor (unrelated to the
-pruning anchors above) in two passes over the same chunks: the first, over
-every admissible row unpruned, gives the minima m_p and max|E| over the
-admissible transitions; the second collects for each live pair p the
-candidate set C_p of admissible list positions whose cost is within
-K = 1e-9 (1 + max|e_ref| + max|E|) of m_p, e_ref the step's input
-energies, in position order with E at them.  A later step on the same
-term reuses the anchor when its input list has the anchor's pair_index
-and its energies e_prev satisfy
-spread(e_prev - e_ref) + 8 u (max|e_prev| + max|e_ref| + max|E|) < K,
-u the machine epsilon; it then costs only C_p for each p.  Proof that
-the result is bitwise the full step's: let delta_s = e_prev[s] - e_ref[s]
-lie in [lo, hi]; each float sum E + e rounds by at most u/2 of
-max|E| + max|e|.  A position s outside C_p had a reference cost above
-fl(m_p + K) at p, m_p the winner's, so its new cost is at least
-m_p + K + lo; the winner's new cost is at most m_p + hi.  Each bound is
-off by the rounding of the two steps' costs, of the threshold and of the
-spread's subtractions: about 2.5 u (max|e_prev| + max|e_ref| + max|E|) + u K,
-which the check's 8 u term covers whenever the spread exceeds K/2 (then
+pruning anchors above) in two passes over the same pruned chunks: the
+first gives the minima m_p; the second collects for each live pair p the
+candidate set C_p of admissible list positions whose cost is within K of
+m_p, in position order with E at them, and keeps the input energies
+e_ref.  No pruned row is within K, so C_p is that of the unpruned step.
+A later step on the same term reuses the anchor when its input list has
+the anchor's pair_index and its energies e_prev satisfy
+spread(e_prev - e_ref) + 8 u (max|e_prev| + scale) < K,
+u the machine epsilon and scale = max|e_ref| + E_bound; it then costs only
+C_p for each p.  Proof that the result is bitwise the full step's: let
+delta_s = e_prev[s] - e_ref[s] lie in [lo, hi]; each float sum E + e
+rounds by at most u/2 of E_bound + max|e|.  A position s outside C_p had
+a reference cost above fl(m_p + K) at p, m_p the winner's (a pruned one,
+never formed, by nearly K more, far past its rounding), so its new cost
+is at least m_p + K + lo; the winner's is at most m_p + hi.  Each bound
+is off by the rounding of the two steps' costs, of the threshold and of
+the spread's subtractions: about 2.5 u (max|e_prev| + scale) + u K, which
+the check's 8 u term covers whenever the spread exceeds K/2 (then
 max|e_prev| + max|e_ref| > K/4) and the remaining K/2 covers otherwise.
-So every position outside C_p is strictly above the winner and can
-neither win nor tie.  Each candidate's cost is the same float add the
-full step does, and C_p is in position order and padded with E = +inf,
-whose cost never wins against the finite ones, so one argmin per row
-picks the full step's winner and value.  The pair_index and the mask fix
-which pairs have an admissible predecessor, and every cost is finite, so
-the live set is the anchor's.  An anchor is recorded only when K is
-finite, so a non-finite input or term energy never reuses, and only when
-no pair has more than c = max(REUSE_CANDIDATES, N/16) candidates, so a
-reused step costs at most a sixteenth of a full one past N = 1024.
+So no position outside C_p can win or tie.  Each candidate's cost is the
+same float add the full step does, and C_p is in position order and
+padded with E = +inf, whose cost never wins against the finite ones, so
+one argmin per row picks the full step's winner and value.  The
+pair_index and the mask fix which pairs have an admissible predecessor,
+and every cost is finite, so the live set is the anchor's.  An anchor is
+recorded only when K is finite (K is inf, and no row is pruned, when
+1e10 K is not), so a non-finite input or term energy never reuses, and
+only when no pair has more than c = max(REUSE_CANDIDATES, N/16)
+candidates, so a reused step costs at most a sixteenth of a full one past
+N = 1024.
 `solve` keeps one anchor per run of one term, that of the run's last full
 step: a step that the anchor does not certify drops it before its full
 step records the next, and the anchor is dropped when the term changes.
@@ -142,7 +146,7 @@ class DpList:
 class _Anchor:
     """What a full step on a repeated term with energies E keeps for reuse:
     its input list's pair_index and energies e_ref, scale =
-    max|e_ref| + max|E|, the tolerance K = 1e-9 (1 + scale), and per live
+    max|e_ref| + E_bound, the tolerance K = 1e-9 (1 + scale), and per live
     output pair (in order, `live`) the candidate positions `cand` and E at
     them, live x c, padded with position 0 and E = +inf."""
 
@@ -315,29 +319,31 @@ def _gershgorin_max(x: np.ndarray) -> np.ndarray:
     return (diag.real + np.abs(x).sum(axis=-1) - np.abs(diag)).max(axis=-1)
 
 
-def _viable_rows(e_prev: np.ndarray, h: np.ndarray,
-                 trace: np.ndarray) -> np.ndarray:
+def _step_tolerance(e_prev: np.ndarray, h: np.ndarray, trace: np.ndarray):
+    """(K, scale = max|e_prev| + E_bound) of the module docstring for a
+    step, or K = inf when 1e10 K, ten times every cost, is not finite."""
+    scale = np.abs(e_prev).max() + h.shape[-1] * np.abs(h).max() * trace.max()
+    tol = 1e-9 * (1.0 + scale)
+    return (tol if np.isfinite(1e10 * tol) else np.inf), scale
+
+
+def _viable_rows(e_prev: np.ndarray, h: np.ndarray, trace: np.ndarray,
+                 tol: float) -> np.ndarray:
     """Mask over one lambda class's admissible predecessors q that keeps
-    every q that can win or tie at some pair p of the class, from their
-    previous energies e_prev, the Hermitian parts h[q] (dD x dD) of their
-    rows of G, and the traces tr P_p of the class's pairs.  Row q is
-    dropped when e_prev[q] - e_prev[a] > lam+(h_a - h_q) t + tol for one of
-    the ANCHORS lowest-energy rows a (the bound is in the module
-    docstring); tol covers the rounding of both sides.  Every row is kept
-    when 1e11 tol, which bounds every partial sum of an energy, is not
-    finite, as it is whenever an input is not."""
+    every q whose cost comes within K = tol of the minimum at some pair p
+    of the class, from their previous energies e_prev, the Hermitian parts
+    h[q] (dD x dD) of their rows of G, and the traces tr P_p of the class's
+    pairs.  Row q is dropped when e_prev[q] - e_prev[a] > lam+(h_a - h_q) t
+    + 2K for one of the ANCHORS lowest-energy rows a (module docstring),
+    and every row is kept when K is not finite."""
     keep = np.ones(e_prev.size, dtype=bool)
-    if e_prev.size <= 1:
+    if e_prev.size <= 1 or not np.isfinite(tol):
         return keep
     t_hi, t_lo = trace.max(), trace.min()
-    tol = 1e-10 * (1.0 + np.abs(e_prev).max()
-                   + t_hi * np.abs(h).max() * h.shape[-1])
-    if not np.isfinite(1e11 * tol):
-        return keep
     for a in np.argsort(e_prev, kind="stable")[:ANCHORS]:
         lam = _gershgorin_max(h[a] - h)
         bound = np.where(lam < 0.0, lam * t_lo, lam * t_hi)
-        keep &= ~(e_prev - e_prev[a] > bound + tol)
+        keep &= ~(e_prev - e_prev[a] > bound + 2.0 * tol)
     return keep
 
 
@@ -372,26 +378,22 @@ def _cost_blocks(prev: DpList, classes: list, g: np.ndarray, t2: np.ndarray):
 
 def _record_anchor(prev: DpList, classes: list, g: np.ndarray,
                    t2: np.ndarray, best: np.ndarray, live: np.ndarray,
-                   e_abs: float):
-    """The reuse anchor of a step whose minima over every admissible
-    predecessor are `best` and whose admissible transitions have
-    max|E| = e_abs, or None when K is not finite or some pair has more
-    than `_reuse_width` candidates.  A second pass collects, per live pair
-    in position order, the predecessors within K of its final minimum and
-    E at them (against the first pass's running minimum, far more would
-    pass the cap)."""
-    scale = np.abs(prev.energy).max() + e_abs
-    tol = 1e-9 * (1.0 + scale)
-    if not np.isfinite(tol):
-        return None
+                   tol: float, scale: float):
+    """The reuse anchor of a step whose minima over the rows of `classes`
+    are `best`, with a finite K = tol and scale from `_step_tolerance`, or
+    None when some pair has more than `_reuse_width` candidates.  A second
+    pass over the same rows collects, per live pair in position order, the
+    predecessors within K of its final minimum and E at them (against the
+    first pass's running minimum, far more would pass the cap)."""
     most = _reuse_width(len(best))
     cand = np.zeros((live.size, most), dtype=np.intp)
     e_cand = np.full((live.size, most), np.inf)
     count = np.zeros(live.size, dtype=np.intp)
     # K is finite, so every cost is and every pair of a class is live
     for p, r, e, cost in _cost_blocks(prev, classes, g, t2):
-        # i is sorted and s sorted within each row
-        i, s = np.nonzero(cost <= (best[p] + tol)[:, None])
+        # i sorted, s sorted in each row; flat search: 3x np.nonzero's speed
+        i, s = np.divmod(np.flatnonzero(cost <= (best[p] + tol)[:, None]),
+                         r.size)
         slot = np.searchsorted(live, p)
         n_i = np.bincount(i, minlength=p.size)
         first = count[slot]     # the next free slot of each row
@@ -417,17 +419,18 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
     `mask` is the site-independent admissibility from `stitching_mask`,
     computed here when not given; per lambda class (`net.lam_class`) only
     the live predecessors admissible for that class compete.  The step
-    streams the viable rows of `_viable_rows` through `_transition_blocks`,
-    in q order, and `_merge_min` folds in each class's cost sub-blocks.
-    Ties go to the predecessor with the lowest list index, which is the
-    lowest net index since lists are index-sorted, and every result, NaN
-    included, equals one argmin over the whole row.
+    streams the rows that `_viable_rows` keeps at its one K
+    (`_step_tolerance`) through `_transition_blocks`, in q order, and
+    `_merge_min` folds in each class's cost sub-blocks.  Ties go to the
+    predecessor with the lowest list index, which is the lowest net index
+    since lists are index-sorted, and every result, NaN included, equals
+    one argmin over the whole row.
 
     `anchors` is a list that holds at most one anchor, that of the last
     full step on this term, net and mask.  The step returns its reuse when
     the anchor certifies it; otherwise it drops the anchor, takes the full
-    step unpruned and records its own when it can (see the module
-    docstring).
+    step and records its own from the same pruned rows and K when it can
+    (see the module docstring).
     """
     if len(prev) == 0:
         raise NoAdmissibleTransitionError("previous DP list is empty")
@@ -446,19 +449,16 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
         rows = np.flatnonzero(mask[prev.pair_index, k])
         if rows.size:
             classes.append((rows, np.flatnonzero(net.lam_class == k)))
-    e_abs = 0.0     # max|E| over admissible transitions, when recording
     if classes:
         g, t2 = _transition_factors(net, hterm)
-        if anchors is None:     # an anchor's candidates need every row
-            dd = net.b.shape[1] * net.b.shape[2]      # h and P are dd x dd
-            g_prev = g[prev.pair_index].reshape(-1, dd, dd)
-            h = 0.5 * (g_prev + g_prev.conj().transpose(0, 2, 1))
-            trace = np.einsum("pii->p", t2.reshape(-1, dd, dd)).real
-            classes = [(r[_viable_rows(prev.energy[r], h[r], trace[cols])],
-                        cols) for r, cols in classes]
+        dd = net.b.shape[1] * net.b.shape[2]      # h and P are dd x dd
+        g_prev = g[prev.pair_index].reshape(-1, dd, dd)
+        h = 0.5 * (g_prev + g_prev.conj().transpose(0, 2, 1))
+        trace = np.einsum("pii->p", t2.reshape(-1, dd, dd)).real
+        tol, scale = _step_tolerance(prev.energy, h, trace)
+        classes = [(r[_viable_rows(prev.energy[r], h[r], trace[cols], tol)],
+                    cols) for r, cols in classes]
         for p, r, e, cost in _cost_blocks(prev, classes, g, t2):
-            if anchors is not None:
-                e_abs = np.max([e_abs, e.max(), -e.min()])
             arg = cost.argmin(axis=1)
             _merge_min(best, tails, p, cost[np.arange(p.size), arg], r[arg])
     live = np.flatnonzero(np.isfinite(best))
@@ -466,8 +466,8 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
         raise NoAdmissibleTransitionError(
             f"no admissible transition at epsilon_op={epsilon_op}"
         )
-    if anchors is not None:
-        anchor = _record_anchor(prev, classes, g, t2, best, live, e_abs)
+    if anchors is not None and np.isfinite(tol):
+        anchor = _record_anchor(prev, classes, g, t2, best, live, tol, scale)
         if anchor is not None:
             anchors.append(anchor)
     return DpList(pair_index=live, tail=tails[live], energy=best[live])

@@ -90,8 +90,11 @@ class TestSolve:
 
 # (model, n, delta, seed) -> (assignment, repr(e_alg), digest), recorded
 # from the dense N x N DP step before the DP lists became arrays; the
-# delta=0.05 solve (N = 3400, the benchmark's fine-grid config) was
-# recorded before the boundary screen and equals perfbench/golden.json
+# random_hermitian delta=0.05 solve (N = 3400, the benchmark's fine-grid
+# config) was recorded before the boundary screen and equals
+# perfbench/golden.json; the transverse_ising delta=0.05 solve, whose
+# full steps record reuse anchors (5 full, 4 reused), was recorded while
+# those steps streamed every admissible row unpruned
 GOLDEN_SOLVES = [
     (("transverse_ising", 12, 0.25, None),
      ([9, 3, 9, 3, 9, 3, 9, 3, 9, 3, 9, 3], "-14.239999999999997",
@@ -106,6 +109,10 @@ GOLDEN_SOLVES = [
      ([1198, 1669, 415, 954, 2445, 2141, 683, 3368, 1619, 3024, 2119, 1322],
       "-18.323536134399763",
       "b34a886aa956061a56d33009e7da3231267c0e48a03d3f18d99f1771e64bcf58")),
+    (("transverse_ising", 12, 0.05, None),
+     ([901, 2186, 315, 2947, 315, 2947, 315, 2825, 315, 2825, 421, 2906],
+      "-14.401054855060918",
+      "153843f774100862b932a4318832a25873c7c28ebfc2f02cac81ec57f38ff32c")),
 ]
 
 

@@ -1,7 +1,7 @@
 """Tests for the array DP step: equivalence with the dense N x N step of
-the reference matrix, streamed with predecessors pruned and unpruned
-while it records a reuse anchor (over several D=1 steps, at D=2, and with
-one viable row left), the dominance bound behind the pruning, no pruning
+the reference matrix, streamed with predecessors pruned, also while it
+records a reuse anchor (over several D=1 steps, at D=2, and with one
+viable row left), the dominance bound behind the pruning, no pruning
 after a non-finite input, tie rule (also across a block boundary), NaN
 costs, empty steps, one factor build per full step, which steps are
 offered anchors (against the rule of comparing term bytes) and the size
@@ -16,9 +16,10 @@ inside its margin and which must keep every end tensor that reaches an
 exact minimum; and for anchor reuse on a repeated term: lists bitwise
 those of the full steps on four uniform models and those of the dense
 reference steps on a D=2 sub-net, candidates exactly the dense
-reference's, the full step when the certificate fails (a nudged energy,
-other pairs) or the input holds a NaN, the memory it adds against the
-size guard's count, and the counts `solve` reports."""
+reference's (also one that a margin narrower than K would prune), the
+full step when the certificate fails (a nudged energy, other pairs) or
+the input holds a NaN, the memory it adds against the size guard's
+count, and the counts `solve` reports."""
 
 import dataclasses
 import os
@@ -123,9 +124,11 @@ def test_matches_dense_step_on_d2_sub_nets(sub_net, keep_fractions, seed,
     assert mask.shape[1] == 3 and 0.0 < mask.mean() < 1.0
     dense = dense_extend(prev, net, q_major_transitions(net, hterm),
                          epsilon_op)
-    # the viable rows of 1,500 pairs make several q-chunks; with an anchor
-    # list, as `solve` passes a repeated term, every admissible row streams
+    # the viable rows of 1,500 pairs make several q-chunks; a step given an
+    # anchor list, as `solve` passes a repeated term, prunes the same rows
     assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op), dense)
+    assert min(keep_fractions) < 1.0
+    keep_fractions.clear()
     assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
                                     anchors=[]), dense)
     assert min(keep_fractions) < 1.0
@@ -203,18 +206,23 @@ def test_single_viable_row_matches_dense(d1_nets, sub_net, keep_fractions,
                                          ("e_prev", 1e308),
                                          ("h", np.inf)])
 def test_non_finite_input_keeps_every_row(where, value):
-    # 1e308 is finite, but 1e11 tol, the bound on a partial sum, is not
+    # 1e308 is finite, but 1e10 K, ten times every cost, is not
     e_prev = np.arange(6.0)
     h = np.zeros((6, 2, 2), dtype=complex)
     trace = np.ones(3)
+
+    def viable():
+        tol, _ = dp._step_tolerance(e_prev, h, trace)
+        return dp._viable_rows(e_prev, h, trace, tol)
+
     # finite: equal rows of H, so the lowest energy dominates the others
-    assert dp._viable_rows(e_prev, h, trace).tolist() == [True] + [False] * 5
+    assert viable().tolist() == [True] + [False] * 5
     if where == "e_prev":
         e_prev[4] = value
     else:
         h[4, 1, 1] = value
     with np.errstate(over="ignore"):
-        assert dp._viable_rows(e_prev, h, trace).all()
+        assert viable().all()
 
 
 def test_tie_goes_to_lowest_index(sub_net):
@@ -413,8 +421,7 @@ class TestSizeGuard:
         with pytest.raises(SizeGuardError, match="9998 stored lists"):
             dp.solve(h, 1, 0.1, epsilon_op=0.05, pair_net=net)
 
-    def test_uniform_chain_streams_when_matrix_does_not_fit(self, sub_net,
-                                                            monkeypatch):
+    def test_no_anchor_recorded_without_room(self, sub_net, monkeypatch):
         # memory between a streamed step's need and that plus what anchors
         # add: no step of the repeated heisenberg term records an anchor,
         # and the result is the same
@@ -441,7 +448,7 @@ class TestSizeGuard:
         assert tight.digest == ample.digest
         assert tight.assignment == ample.assignment
 
-    def test_matrix_streams_without_room_for_anchors(self, monkeypatch):
+    def test_anchors_offered_exactly_when_they_fit(self, monkeypatch):
         # memory one byte below a streamed step plus what anchors add: no
         # anchor is offered, and every step is a full one, to the same
         # result; at that count the steps reuse
@@ -783,11 +790,16 @@ REUSE_CASES = [(name, n, delta)
 
 @pytest.mark.parametrize("name,n,delta",
                          REUSE_CASES + [("transverse_ising", 800, 0.1)])
-def test_anchor_reuse_matches_full_steps(d1_nets, name, n, delta):
+def test_anchor_reuse_matches_full_steps(d1_nets, keep_fractions, name, n,
+                                        delta):
     h = uniform_chain(name, n)
     full = uniform_steps(d1_nets, h, delta)
     anchors = []
+    keep_fractions.clear()
     reused = uniform_steps(d1_nets, h, delta, anchors)
+    if name == "transverse_ising":
+        # every full step of the anchored run records, and each prunes
+        assert keep_fractions and max(keep_fractions) < 1.0
     for a, b in zip(full, reused):
         assert_same_list(a, b)
     assert not any(lst.reused for lst in full)
@@ -826,26 +838,40 @@ def test_d2_streamed_steps_record_and_reuse_anchors(sub_net):
         assert_same_list(a, b)
 
 
-@pytest.mark.parametrize("which", ["d1", "d2"])
+@pytest.mark.parametrize("which", ["d1", "d2", "zero"])
 def test_recorded_candidates_are_dense_positions_within_tol(d1_nets,
                                                             sub_net, which):
     if which == "d1":
         h, delta = uniform_chain("transverse_ising", 16), 0.1
         net, epsilon_op = d1_nets(delta)[0], en.certified_epsilon(2, 1, delta)
-        prev = uniform_steps(d1_nets, h, delta)[-1]
-    else:
+        hterm, prev = h.terms[1], uniform_steps(d1_nets, h, delta)[-1]
+    elif which == "d2":
         h = ham.group_boundaries(ham.build_model("heisenberg", {}, 12), 2)
-        net, epsilon_op = sub_net(10), 0.05
+        net, epsilon_op, hterm = sub_net(10), 0.05, h.terms[1]
         prev = dp.initial_list(en.build_end_net(2, h.dims[0], 0.25), net,
                                h.terms[0])
+    else:
+        # a zero term; one predecessor 5 times 1e-10 (1 + max|e_prev|)
+        # above the minimum, inside K = 1e-9 (1 + max|e_prev|) but outside
+        # that narrower margin, must be kept to be a candidate
+        net, epsilon_op = d1_nets(0.1)[0], 0.05
+        hterm = np.zeros((4, 4))
+        energy = np.ones(net.size)
+        energy[0], energy[1] = 0.0, 5.0 * 1e-10 * 2.0
+        prev = dp.DpList(pair_index=np.arange(net.size),
+                         tail=np.zeros(net.size, dtype=np.intp),
+                         energy=energy)
     anchors = []
-    out = dp.extend_list(prev, net, h.terms[1], epsilon_op, anchors=anchors)
+    out = dp.extend_list(prev, net, hterm, epsilon_op, anchors=anchors)
     (anchor,) = anchors
-    e_trans = q_major_transitions(net, h.terms[1])[prev.pair_index]
+    e_trans = q_major_transitions(net, hterm)[prev.pair_index]
     admissible = dense_mask(net, epsilon_op)[prev.pair_index]
-    # K from the largest |E| of an admissible transition
-    assert anchor.tol == 1e-9 * (1.0 + np.abs(prev.energy).max()
-                                 + np.abs(e_trans[admissible]).max())
+    # K from E_bound = dD max|h| max tr P, which bounds every |E|
+    h_all, trace = window_hermitian_parts(net, hterm)
+    e_bound = h_all.shape[-1] * np.abs(h_all[prev.pair_index]).max() \
+        * trace.max()
+    assert np.abs(e_trans[admissible]).max() <= e_bound
+    assert anchor.tol == 1e-9 * (1.0 + np.abs(prev.energy).max() + e_bound)
     cost = np.where(admissible, prev.energy[:, None] + e_trans, np.inf)
     assert np.array_equal(anchor.live, out.pair_index)
     for k, p in enumerate(anchor.live):
