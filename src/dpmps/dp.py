@@ -24,19 +24,28 @@ provably cannot win.  E[q, p] = tr(H_q P_p^T), with H_q the Hermitian part
 of row q of G and P_p row p of T2, both as dD x dD matrices; P_p is PSD
 with trace ||B_p||^2.  So |E[q, p]| <= E_bound = dD max|H| max tr P, and
 a step has one tolerance, K = 1e-9 (1 + max|e_prev| + E_bound)
-(`_step_tolerance`), which the reuse anchors below share.  For an anchor
-a, E[a, p] - E[q, p] <= lambda_max(H_a - H_q) tr P_p, and a row whose
-previous energy exceeds an anchor's by more than the Gershgorin bound of
-that times the class's largest trace (its smallest when the bound is
-negative), plus 2K, costs more than the anchor plus K at every pair of the
-class (the test and E round by far less than K): it can neither win nor
-tie, nor come within K of a minimum.  The anchors are the
-ANCHORS lowest previous energies.  The union of the remaining rows is
-multiplied in CHUNK-row blocks, each one complex GEMM of gathered rows of
-G against all of T2 into a reused buffer on pages of its own (see
-`_mapped_empty`), and each class's p-major cost block is min-reduced in
-reused pieces of BLOCK_ELEMENTS.  Two BLAS facts
-keep every bit: a product over a subset of the columns rounds differently
+(`_step_tolerance`), which the reuse anchors below share.  As real
+vectors, f_q the entries of H_q and t_p those of conj(P_p) (real and
+imaginary parts interleaved), E[q, p] = f_q . t_p.  P_p depends on the
+net alone, so `pair_clusters` groups each class's pairs once per net
+into clusters, pairs whose T2 rows agree after a fixed rounding (the
+gauge copies of the grid nets), each with center t_c, its members' mean,
+and radius r_c, the largest member distance from it.  By Cauchy-Schwarz,
+every pair p of cluster c and every row q have
+    L[q, c] = e_prev[q] + f_q . t_c - ||f_q|| r_c <= e_prev[q] + E[q, p],
+so the minimum m_p over the class's rows is at most
+U[c] = min_q (e_prev[q] + f_q . t_c + ||f_q|| r_c).  A row with
+L[q, c] > U[c] + 2K at every cluster c of its class costs more than
+m_p + 2K at every pair of the class.  ||f_q|| ||t_p|| <= E_bound and
+r_c <= 2 max ||t_p||, so the test rounds by far less than K, and such a
+row can neither win nor tie, nor come within K of a minimum.
+`_viable_rows` drops these rows; L and U take one small real GEMM per
+block of at most BLOCK_ELEMENTS of their entries.  The union of the
+remaining rows is multiplied in CHUNK-row blocks, each one complex GEMM
+of gathered rows of G against all of T2 into a reused buffer on pages of
+its own (see `_mapped_empty`), and each class's p-major cost block is
+min-reduced in reused pieces of BLOCK_ELEMENTS.  Two BLAS facts keep
+every bit: a product over a subset of the columns rounds differently
 in the edge tiles, so rows are gathered and columns never are; and a
 one-row product takes the gemv path, which rounds differently too, so it
 is padded to two rows.  Chunks of two or more gathered rows are bitwise
@@ -47,8 +56,8 @@ A step on a repeated term also reuses its own work.  Repeating one
 min-plus matrix drives the lists into a periodic regime up to a constant
 shift (the cyclicity theorem of Cohen, Dubois, Quadrat and Viot, 1985),
 where each pair p is won among a few candidate predecessors.  So a full
-step given an anchor list records a reuse anchor (unrelated to the
-pruning anchors above) in two passes over the same pruned chunks: the
+step given an anchor list records a reuse anchor in two passes over the
+same pruned chunks: the
 first gives the minima m_p; the second collects for each live pair p the
 candidate set C_p of admissible list positions whose cost is within K of
 m_p, in position order with E at them, and keeps the input energies
@@ -117,7 +126,6 @@ from . import hamiltonian
 from .mps import CanonicalMps, expectation_full, left_gram, mu_of
 
 CHUNK = 64              # predecessors q per transition block
-ANCHORS = 4             # lowest-energy predecessors that prune the others
 BLOCK_ELEMENTS = 1 << 15  # entries per boundary or min-reduce block
 REUSE_CANDIDATES = CHUNK  # candidates per pair an anchor may keep at any N
 EPS = float(np.finfo(float).eps)
@@ -239,9 +247,16 @@ def _window_factors(m: np.ndarray, b: np.ndarray, hterm) -> tuple:
     h = np.asarray(hterm).reshape(m.shape[2], b.shape[2],
                                   m.shape[2], b.shape[2])
     t1 = np.einsum("qaix,qaky->qxiyk", m.conj(), m, optimize=True)
-    t2 = np.einsum("pxjb,pylb->pxjyl", b.conj(), b, optimize=True)
     g = np.einsum("qxiyk,ijkl->qxjyl", t1, h, optimize=True)
-    return g.reshape(len(m), -1), t2.reshape(len(b), -1)
+    return g.reshape(len(m), -1), _right_factor(b)
+
+
+def _right_factor(b: np.ndarray) -> np.ndarray:
+    """T2 of `_window_factors`, P x K, for right sites b (P, Dm, d2, Dr):
+    row p is the PSD matrix P_p = conj(b[p]) (x) b[p] summed over the
+    right bond, flattened."""
+    t2 = np.einsum("pxjb,pylb->pxjyl", b.conj(), b, optimize=True)
+    return t2.reshape(len(b), -1)
 
 
 def _transition_factors(net: PairNet, hterm) -> tuple:
@@ -312,11 +327,29 @@ def _as_slice(idx: np.ndarray):
     return idx
 
 
-def _gershgorin_max(x: np.ndarray) -> np.ndarray:
-    """Upper bound max_i (Re x_ii + sum_{j != i} |x_ij|) on the largest
-    eigenvalue of each Hermitian matrix x[..., :, :]."""
-    diag = np.diagonal(x, axis1=-2, axis2=-1)
-    return (diag.real + np.abs(x).sum(axis=-1) - np.abs(diag)).max(axis=-1)
+def pair_clusters(net: PairNet) -> tuple:
+    """(center, radius, first): the pair clusters of the module docstring
+    for `net`, ordered by lambda class.  Pairs of one class whose rows of
+    T2, as the real vectors t_p, agree after rounding to 12 decimals form
+    one cluster; center[c] is their mean t_c and radius[c] the largest
+    distance ||t_p - t_c|| of a member, measured.  The clusters of class k
+    are first[k]:first[k + 1].  Groups by one lexsort, not np.unique,
+    which imports numpy.ma."""
+    t = _right_factor(net.b)
+    t = np.conjugate(t, out=t).view(float)
+    key = np.round(t, 12)
+    order = np.lexsort((*key.T, net.lam_class))
+    key, cls = key[order], net.lam_class[order]
+    new = np.ones(len(t), dtype=bool)
+    new[1:] = (key[1:] != key[:-1]).any(axis=1) | (cls[1:] != cls[:-1])
+    del key                 # one sorted copy of the N x 2k reals at a time
+    t = t[order]
+    start = np.flatnonzero(new)
+    center = np.add.reduceat(t, start) / np.diff(start, append=len(t))[:, None]
+    t -= center[np.cumsum(new) - 1]     # each pair's offset from its center
+    radius = np.sqrt(np.maximum.reduceat(np.einsum("ij,ij->i", t, t), start))
+    first = np.searchsorted(cls[start], np.arange(len(net.lam_net) + 1))
+    return center, radius, first
 
 
 def _step_tolerance(e_prev: np.ndarray, h: np.ndarray, trace: np.ndarray):
@@ -327,23 +360,44 @@ def _step_tolerance(e_prev: np.ndarray, h: np.ndarray, trace: np.ndarray):
     return (tol if np.isfinite(1e10 * tol) else np.inf), scale
 
 
-def _viable_rows(e_prev: np.ndarray, h: np.ndarray, trace: np.ndarray,
+def _cluster_bounds(e_prev: np.ndarray, f: np.ndarray, center: np.ndarray,
+                    radius: np.ndarray, side: float) -> np.ndarray:
+    """e_prev[q] + f_q . t_c + side ||f_q|| r_c, rows x clusters, for rows q
+    with previous energies e_prev and real forms f (module docstring) and
+    clusters of centers t_c and radii r_c.  With side -1 it is L[q, c], at
+    most the cost of q at every pair of c; with side +1 its minimum over
+    the rows is U[c], at least the minimum cost at every pair of c."""
+    rows = np.column_stack([f, np.linalg.norm(f, axis=1), e_prev])
+    return rows @ np.column_stack([center, side * radius,
+                                   np.ones(len(radius))]).T
+
+
+def _viable_rows(rows: np.ndarray, e_prev: np.ndarray, f: np.ndarray,
+                 center: np.ndarray, radius: np.ndarray,
                  tol: float) -> np.ndarray:
-    """Mask over one lambda class's admissible predecessors q that keeps
-    every q whose cost comes within K = tol of the minimum at some pair p
-    of the class, from their previous energies e_prev, the Hermitian parts
-    h[q] (dD x dD) of their rows of G, and the traces tr P_p of the class's
-    pairs.  Row q is dropped when e_prev[q] - e_prev[a] > lam+(h_a - h_q) t
-    + 2K for one of the ANCHORS lowest-energy rows a (module docstring),
-    and every row is kept when K is not finite."""
-    keep = np.ones(e_prev.size, dtype=bool)
-    if e_prev.size <= 1 or not np.isfinite(tol):
+    """Mask over `rows`, one lambda class's admissible positions q in the
+    previous list, that keeps every q whose cost comes within K = tol of
+    the minimum at some pair of the class, from the list's energies e_prev,
+    the real forms f[q] of the Hermitian parts of its rows of G, and the
+    class's clusters.  Row q is dropped when L[q, c] > U[c] + 2K at every
+    cluster c (module docstring), with L and U from `_cluster_bounds` in
+    two passes over blocks of rows of at most BLOCK_ELEMENTS entries, and
+    every row is kept when K is not finite."""
+    keep = np.ones(rows.size, dtype=bool)
+    if rows.size <= 1 or not np.isfinite(tol):
         return keep
-    t_hi, t_lo = trace.max(), trace.min()
-    for a in np.argsort(e_prev, kind="stable")[:ANCHORS]:
-        lam = _gershgorin_max(h[a] - h)
-        bound = np.where(lam < 0.0, lam * t_lo, lam * t_hi)
-        keep &= ~(e_prev - e_prev[a] > bound + 2.0 * tol)
+    step = max(1, BLOCK_ELEMENTS // len(center))
+    blocks = [slice(lo, lo + step) for lo in range(0, rows.size, step)]
+    bound = np.full(len(center), np.inf)
+    for blk in blocks:          # U, then L against it, one block at a time
+        q = rows[blk]
+        np.minimum(bound, _cluster_bounds(e_prev[q], f[q], center, radius,
+                                          1.0).min(axis=0), out=bound)
+    bound += 2.0 * tol
+    for blk in blocks:
+        q = rows[blk]
+        keep[blk] = ~(_cluster_bounds(e_prev[q], f[q], center, radius, -1.0)
+                      > bound).all(axis=1)
     return keep
 
 
@@ -413,12 +467,14 @@ def _record_anchor(prev: DpList, classes: list, g: np.ndarray,
 
 def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
                 mask: np.ndarray | None = None,
+                clusters: tuple | None = None,
                 anchors: list | None = None) -> DpList:
     """One DP step: best admissible predecessor for every net pair.
 
-    `mask` is the site-independent admissibility from `stitching_mask`,
-    computed here when not given; per lambda class (`net.lam_class`) only
-    the live predecessors admissible for that class compete.  The step
+    `mask` is the site-independent admissibility from `stitching_mask`
+    and `clusters` the net's `pair_clusters`, each computed here when not
+    given; per lambda class (`net.lam_class`) with pairs only the live
+    predecessors admissible for that class compete.  The step
     streams the rows that `_viable_rows` keeps at its one K
     (`_step_tolerance`) through `_transition_blocks`, in q order, and
     `_merge_min` folds in each class's cost sub-blocks.  Ties go to the
@@ -443,21 +499,27 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
         mask = stitching_mask(net, epsilon_op)
     best = np.full(net.size, np.inf)
     tails = np.zeros(net.size, dtype=np.intp)
-    # per lambda class: admissible list positions and the class's pairs p
+    # per lambda class with pairs: admissible list positions and its pairs
     classes = []
     for k in range(mask.shape[1]):
         rows = np.flatnonzero(mask[prev.pair_index, k])
-        if rows.size:
-            classes.append((rows, np.flatnonzero(net.lam_class == k)))
+        cols = np.flatnonzero(net.lam_class == k)
+        if rows.size and cols.size:
+            classes.append((k, rows, cols))
     if classes:
+        center, radius, first = pair_clusters(net) if clusters is None \
+            else clusters
         g, t2 = _transition_factors(net, hterm)
         dd = net.b.shape[1] * net.b.shape[2]      # h and P are dd x dd
         g_prev = g[prev.pair_index].reshape(-1, dd, dd)
         h = 0.5 * (g_prev + g_prev.conj().transpose(0, 2, 1))
         trace = np.einsum("pii->p", t2.reshape(-1, dd, dd)).real
         tol, scale = _step_tolerance(prev.energy, h, trace)
-        classes = [(r[_viable_rows(prev.energy[r], h[r], trace[cols], tol)],
-                    cols) for r, cols in classes]
+        f = h.reshape(len(h), -1).view(float)   # the real forms f_q
+        classes = [(r[_viable_rows(r, prev.energy, f,
+                                   center[first[k]:first[k + 1]],
+                                   radius[first[k]:first[k + 1]], tol)],
+                    cols) for k, r, cols in classes]
         for p, r, e, cost in _cost_blocks(prev, classes, g, t2):
             arg = cost.argmin(axis=1)
             _merge_min(best, tails, p, cost[np.arange(p.size), arg], r[arg])
@@ -495,12 +557,13 @@ def transition_size_guard(n_pairs: int, k: int, phys_bytes: int | None,
     """Raise SizeGuardError when what a streamed step of N = n_pairs pairs
     holds beside the n_lists stored DP lists would exceed `phys_bytes` of
     physical memory: G, T2, the gathered rows of G and their Hermitian
-    parts (N x k complex each at most), one complex CHUNK-row buffer and
-    the lists' index, tail and energy arrays, 16 (CHUNK + 4 k) N
+    parts (N x k complex each at most), the `pair_clusters` centers and
+    radii (at most N x 2k and N reals), one complex CHUNK-row buffer and
+    the lists' index, tail and energy arrays, 16 (CHUNK + 5 k) N + 8 N
     + 24 n_lists N bytes.  Return whether what reuse anchors add
     (`_reuse_bytes`) fits beside them.  None (memory size unknown) passes
     and fits."""
-    held = (16 * (CHUNK + 4 * k) + 24 * n_lists) * n_pairs
+    held = (16 * (CHUNK + 5 * k) + 8 + 24 * n_lists) * n_pairs
     check_size(held, phys_bytes, f"bytes of a streamed DP step at "
                f"N={n_pairs} and {n_lists} stored lists", "physical memory")
     return phys_bytes is None or held + _reuse_bytes(n_pairs) <= phys_bytes
@@ -663,6 +726,7 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
         hamiltonian._physical_memory(), n - 2)
     lists = [initial_list(end_net, pair_net, h.terms[0])]
     mask = stitching_mask(pair_net, epsilon_op)
+    clusters = pair_clusters(pair_net) if n > 3 else None
     anchors = None      # the reuse anchor of the current term run
     for j in range(3, n):
         hterm = h.terms[j - 2]
@@ -673,7 +737,8 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
                 and h.terms[j - 1] is hterm):
             anchors = []
         lists.append(extend_list(lists[-1], pair_net, hterm, epsilon_op,
-                                 mask=mask, anchors=anchors))
+                                 mask=mask, clusters=clusters,
+                                 anchors=anchors))
     anchors = None      # not needed past the last interior site
     reused = sum(lst.reused for lst in lists)
 

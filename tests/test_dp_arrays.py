@@ -1,7 +1,8 @@
 """Tests for the array DP step: equivalence with the dense N x N step of
 the reference matrix, streamed with predecessors pruned, also while it
-records a reuse anchor (over several D=1 steps, at D=2, and with one
-viable row left), the dominance bound behind the pruning, no pruning
+records a reuse anchor (over several D=1 steps, at D=2, with one
+viable row left, with every cluster a single pair and with a lambda class
+that has no pairs), the per-cluster bound behind the pruning, no pruning
 after a non-finite input, tie rule (also across a block boundary), NaN
 costs, empty steps, one factor build per full step, which steps are
 offered anchors (against the rule of comparing term bytes) and the size
@@ -47,9 +48,12 @@ def sub_net():
     net = en.build_pair_net(2, 2, 0.25, 0.05)
 
     def make(seed):
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(net.size, size=SUB_NET_SIZE,
-                                  replace=False))
+        # seed None: the first pairs, which are all of lambda class 1
+        if seed is None:
+            keep = np.arange(SUB_NET_SIZE)
+        else:
+            keep = np.sort(np.random.default_rng(seed).choice(
+                net.size, size=SUB_NET_SIZE, replace=False))
         return dataclasses.replace(net, lam=net.lam[keep], b=net.b[keep],
                                    mu=net.mu[keep],
                                    lam_class=net.lam_class[keep])
@@ -144,24 +148,52 @@ def window_hermitian_parts(net, hterm):
     return 0.5 * (g + g.conj().transpose(0, 2, 1)), trace
 
 
+def cluster_members(net):
+    """The `pair_clusters` of net, per cluster (center, radius, pairs): each
+    pair goes to the nearest center of its class, which must hold it."""
+    center, radius, first = dp.pair_clusters(net)
+    t = dp._right_factor(net.b).conj().view(float)
+    members = [[] for _ in radius]
+    for p in range(net.size):
+        k = net.lam_class[p]
+        dist = np.linalg.norm(t[p] - center[first[k]:first[k + 1]], axis=1)
+        c = first[k] + dist.argmin()
+        assert dist.min() <= radius[c] + 1e-15
+        members[c].append(p)
+    assert all(members)
+    return [(center[c], radius[c], members[c]) for c in range(len(radius))]
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("which", ["d1", "d2"])
 def test_dominance_bound_holds(d1_nets, sub_net, which, scale):
     net = d1_nets(0.1)[0] if which == "d1" else sub_net(11)
     rng = np.random.default_rng(13)
     hterm = scale * random_term(rng)
-    e = q_major_transitions(net, hterm).T       # E[p, q]
-    h, trace = window_hermitian_parts(net, hterm)
+    e = q_major_transitions(net, hterm)         # E[q, p]
+    e_prev = scale * rng.standard_normal(net.size)
+    cost = e_prev[:, None] + e
+    h, _ = window_hermitian_parts(net, hterm)
+    f = np.ascontiguousarray(h).reshape(net.size, -1).view(float)
     slack = 1e-12 * np.abs(e).max()
-    for a in rng.choice(net.size, size=8, replace=False):
-        lam = dp._gershgorin_max(h[a] - h)
-        assert (lam >= np.linalg.eigvalsh(h[a] - h)[:, -1] - slack).all()
-        for k in np.unique(net.lam_class):
-            p = np.flatnonzero(net.lam_class == k)
-            t = np.where(lam < 0.0, trace[p].min(), trace[p].max())
-            # E[a, p] - E[q, p] <= lam+(h_a - h_q) t for every q and p
-            gap = (e[p, a][:, None] - e[p]).max(axis=0)
-            assert (gap <= lam * t + slack).all()
+    # the net's clusters, all but gauge copies, and one per class, whose
+    # radius is far from zero
+    t = dp._right_factor(net.b).conj().view(float)
+    whole = []
+    for k in np.unique(net.lam_class):
+        p = np.flatnonzero(net.lam_class == k)
+        mean = t[p].mean(axis=0)
+        whole.append((mean, np.linalg.norm(t[p] - mean, axis=1).max(), p))
+    clusters = cluster_members(net)
+    assert len(clusters) < len(cost)
+    assert max(r for _, r, _ in clusters) < 1e-14 < whole[0][1]
+    for center, radius, p in clusters + whole:
+        low, high = (dp._cluster_bounds(e_prev, f, center[None],
+                                        np.array([radius]), side)
+                     for side in (-1.0, 1.0))
+        # L[q, c] <= cost(q, p) and min_q cost(q, p) <= U[c] for p in c
+        assert (low <= cost[:, p] + slack).all()
+        assert cost[:, p].min(axis=0).max() <= high.min() + slack
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -176,7 +208,9 @@ def test_pruned_steps_match_dense_at_d1(d1_nets, keep_fractions, seed):
                              epsilon_op)
         prev = dp.extend_list(prev, net, hterm, epsilon_op)
         assert_same_step(prev, dense)
-    assert len(keep_fractions) == 9 and min(keep_fractions) < 0.5
+    # the per-cluster bound keeps 0.18 (seed 1) and 0.20 (seed 2) of the
+    # rows on average; one anchor/Gershgorin bound kept 0.61 and 0.74
+    assert len(keep_fractions) == 9 and np.mean(keep_fractions) < 0.25
 
 
 @pytest.mark.parametrize("which", ["d1", "d2"])
@@ -210,10 +244,12 @@ def test_non_finite_input_keeps_every_row(where, value):
     e_prev = np.arange(6.0)
     h = np.zeros((6, 2, 2), dtype=complex)
     trace = np.ones(3)
+    center, radius = np.ones((2, 8)), np.zeros(2)
 
     def viable():
         tol, _ = dp._step_tolerance(e_prev, h, trace)
-        return dp._viable_rows(e_prev, h, trace, tol)
+        f = h.reshape(6, -1).view(float)
+        return dp._viable_rows(np.arange(6), e_prev, f, center, radius, tol)
 
     # finite: equal rows of H, so the lowest energy dominates the others
     assert viable().tolist() == [True] + [False] * 5
@@ -223,6 +259,46 @@ def test_non_finite_input_keeps_every_row(where, value):
         h[4, 1, 1] = value
     with np.errstate(over="ignore"):
         assert viable().all()
+
+
+def test_single_pair_clusters_match_dense(sub_net, keep_fractions):
+    # one pair of each cluster: every T2 row is distinct, so every cluster
+    # is a single pair, of radius zero
+    net = sub_net(7)
+    t = dp._right_factor(net.b).conj().view(float)
+    _, one = np.unique(np.column_stack([net.lam_class, np.round(t, 12)]),
+                       axis=0, return_index=True)
+    one = np.sort(one)
+    net = dataclasses.replace(net, lam=net.lam[one], b=net.b[one],
+                              mu=net.mu[one], lam_class=net.lam_class[one])
+    center, radius, _ = dp.pair_clusters(net)
+    assert len(center) == net.size and not radius.any()
+    epsilon_op = 0.05
+    rng = np.random.default_rng(107)
+    hterm = random_term(rng)
+    prev = random_prev(net.size, rng)
+    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op),
+                     dense_extend(prev, net, q_major_transitions(net, hterm),
+                                  epsilon_op))
+    assert max(keep_fractions) < 1.0
+
+
+def test_class_without_pairs_matches_dense(sub_net):
+    # the first pairs of the D=2 net are all of lambda class 1, but the
+    # mask keeps a column, with admissible rows, for each of the 3 classes
+    net = sub_net(None)
+    epsilon_op = 0.05
+    mask = dp.stitching_mask(net, epsilon_op)
+    assert mask.shape[1] == 3 and (net.lam_class == 1).all()
+    assert mask[:, [0, 2]].any(axis=0).all()
+    rng = np.random.default_rng(110)
+    hterm = random_term(rng)
+    prev = dp.DpList(pair_index=np.arange(net.size),
+                     tail=np.zeros(net.size, dtype=np.intp),
+                     energy=rng.standard_normal(net.size))
+    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op),
+                     dense_extend(prev, net, q_major_transitions(net, hterm),
+                                  epsilon_op))
 
 
 def test_tie_goes_to_lowest_index(sub_net):
@@ -358,7 +434,8 @@ def test_full_matrix_steps_follow_bytes_rule(monkeypatch, name, n, D):
     h = ham.group_boundaries(ham.build_model(name, {}, n, 1), D)
     offered = []
 
-    def recording(prev, net, hterm, epsilon_op, *, mask=None, anchors=None):
+    def recording(prev, net, hterm, epsilon_op, *, mask=None, clusters=None,
+                  anchors=None):
         offered.append(anchors is not None)
         return dataclasses.replace(prev, tail=np.arange(len(prev)))
 
@@ -372,7 +449,7 @@ def test_full_matrix_steps_follow_bytes_rule(monkeypatch, name, n, D):
 
 class TestSizeGuard:
     def test_d2_net_exceeds_memory(self):
-        # the full D=2 net at n=6: a streamed step holds 252 MB, anchors of
+        # the full D=2 net at n=6: a streamed step holds 285 MB, anchors of
         # c = N/16 candidates per pair would add 23 GB
         with pytest.raises(SizeGuardError):
             dp.transition_size_guard(123_264, 16, 2**27, 4)
@@ -386,13 +463,13 @@ class TestSizeGuard:
     @pytest.mark.parametrize("k", [1, 3, 16])
     def test_bounds_are_exact(self, k):
         # one CHUNK-row complex buffer, G, T2, the gathered rows of G and
-        # their Hermitian parts, and the stored lists' index, tail and
-        # energy arrays; then what anchors add
+        # their Hermitian parts, the cluster centers and radii, and the
+        # stored lists' index, tail and energy arrays; then what anchors add
         n_pairs = 1000
         assert dp._reuse_bytes(n_pairs) \
             == 24 * n_pairs * 64 + 32 * n_pairs + 64 * dp.BLOCK_ELEMENTS
         for n_lists in (1, 50):
-            held = (16 * (dp.CHUNK + 4 * k) + 24 * n_lists) * n_pairs
+            held = (16 * (dp.CHUNK + 5 * k) + 8 + 24 * n_lists) * n_pairs
             full = held + dp._reuse_bytes(n_pairs)
             with pytest.raises(SizeGuardError, match="physical memory"):
                 dp.transition_size_guard(n_pairs, k, held - 1, n_lists)
@@ -405,7 +482,7 @@ class TestSizeGuard:
 
     def test_long_chain_lists_exceed_memory(self, monkeypatch):
         # transverse_ising at D=1 delta=0.1 (N=350): a streamed step holds
-        # 0.45 MB, the n - 2 stored lists 24 N (n - 2) bytes, 16.8 GB at
+        # 0.47 MB, the n - 2 stored lists 24 N (n - 2) bytes, 16.8 GB at
         # n = 2 10^6; at n = 10^4 with 50 MB of memory the terms, the nets
         # and the step fit and the 84 MB of lists do not
         def never(*args, **kwargs):
@@ -413,9 +490,9 @@ class TestSizeGuard:
 
         h = ham.build_model("transverse_ising", {}, 10_000)
         net = en.build_pair_net(1, 2, 0.1, 0.05)
-        streamed = 16 * (dp.CHUNK + 4 * 4) * net.size
+        streamed = (16 * (dp.CHUNK + 5 * 4) + 8) * net.size
         lists = 24 * net.size * (h.n - 2)
-        assert (net.size, streamed, lists) == (350, 448_000, 83_983_200)
+        assert (net.size, streamed, lists) == (350, 473_200, 83_983_200)
         monkeypatch.setattr(ham, "_physical_memory", lambda: 5 * 10**7)
         monkeypatch.setattr(dp, "initial_list", never)
         with pytest.raises(SizeGuardError, match="9998 stored lists"):
@@ -438,7 +515,7 @@ class TestSizeGuard:
         ample = dp.solve(h, 2, 0.25, epsilon_op=0.05, end_net=end,
                          pair_net=net)
         assert calls == [1] * ample.dp_steps["full"]
-        held = (16 * (dp.CHUNK + 4 * 16) + 24 * (h.n - 2)) * net.size
+        held = (16 * (dp.CHUNK + 5 * 16) + 8 + 24 * (h.n - 2)) * net.size
         assert held + dp._reuse_bytes(net.size) > 2 * held
         monkeypatch.setattr(ham, "_physical_memory", lambda: 2 * held)
         calls.clear()
@@ -457,7 +534,7 @@ class TestSizeGuard:
         net = en.build_pair_net(1, 2, 0.25, 0.05)
         ample = dp.solve(h, 1, 0.25, epsilon_op=0.05, pair_net=net)
         assert ample.dp_steps["reused"] > 0
-        held = (16 * (dp.CHUNK + 4 * 4) + 24 * (h.n - 2)) * net.size
+        held = (16 * (dp.CHUNK + 5 * 4) + 8 + 24 * (h.n - 2)) * net.size
         fits = held + dp._reuse_bytes(net.size)
         for memory in (fits - 1, fits):
             monkeypatch.setattr(ham, "_physical_memory", lambda: memory)
@@ -470,7 +547,7 @@ class TestSizeGuard:
         def never(*args, **kwargs):
             raise AssertionError("transition matrix attempted")
 
-        # 1,500 pairs need 2.7 MB per streamed step
+        # 1,500 pairs need 3.5 MB per streamed step
         monkeypatch.setattr(ham, "_physical_memory", lambda: 2**20)
         monkeypatch.setattr(dp, "_transition_factors", never)
         monkeypatch.setattr(dp, "initial_list", never)
@@ -976,7 +1053,9 @@ def test_reuse_memory_within_guard_count(d1_nets, ties):
     # of every sixth admissible predecessor, near the widest anchor allowed
     net, _ = d1_nets(0.1)
     epsilon_op = en.certified_epsilon(2, 1, 0.1)
+    # given, as `solve` gives them, so that their build is not traced
     mask = dp.stitching_mask(net, epsilon_op)
+    clusters = dp.pair_clusters(net)
     if ties:
         hterm = np.zeros((4, 4))
         prev = dp.DpList(pair_index=np.arange(net.size),
@@ -992,7 +1071,7 @@ def test_reuse_memory_within_guard_count(d1_nets, ties):
         try:
             for energy in (prev, shifted(prev)):
                 dp.extend_list(energy, net, hterm, epsilon_op, mask=mask,
-                               anchors=anchors)
+                               clusters=clusters, anchors=anchors)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
