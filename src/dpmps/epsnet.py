@@ -12,9 +12,12 @@ assembling the family output into canonical MPS building blocks.
 The interior pair net is held as arrays: `lam` (N, D), `b` (N, D, d, D)
 and `mu` (N, D), with pairs ordered lambda-major over the lambda family,
 plus the distinct lambda vectors `lam_net` and each pair's row in it,
-`lam_class`.  It is built by one batched left-canonical filter per lambda:
-the (lambda B) Gram matrices of the whole B family (`mps.left_gram`, by
-stacked `np.matmul`), and a keep mask on the largest off-diagonal entry.
+`lam_class`.  It is built by one left-canonical filter per distinct lambda
+over the whole B family (`_left_canonical_keep`): a per-row Gram factor,
+formed once per family, screens the largest off-diagonal (lambda B) Gram
+entry of every pair, and the exact kernel `mps.left_gram_offdiag` decides
+only the pairs whose screened value lies within 1e-12 of the threshold, so
+the kept set is the exact kernel's.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ from .mps import left_gram_offdiag, mu_of
 
 DEFAULT_CAP = 10**7
 GS_DEGENERATE_TOL = 1e-7
+# half-width of the band around the left-canonical threshold that the exact
+# Gram kernel decides; far above what either evaluation can round
+SCREEN_TOL = 1e-12
 
 
 def _grid_count(delta: float):
@@ -268,6 +274,48 @@ def certified_epsilon(d: int, D: int, delta: float) -> float:
     return 2.0 * _radius(d * D, delta)
 
 
+def _gram_factor(b_fam: np.ndarray) -> np.ndarray:
+    """Per-row factor M (N, D, D(D-1)/2) of the (lambda B) Gram matrices of
+    a B family (N, D, d, D): M[n, a, p] = sum_i conj(B^i_{a beta})
+    B^i_{a beta'} over the column pairs p = (beta < beta') in
+    `np.triu_indices` order, so that Gram entry (beta, beta') of
+    (lambda, B_n) is sum_a lambda_a^2 M[n, a, p]."""
+    rows, cols = np.triu_indices(b_fam.shape[-1], 1)
+    return (b_fam[..., rows].conj() * b_fam[..., cols]).sum(axis=-2)
+
+
+def _screen_offdiag(lam: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Largest off-diagonal (lambda B) Gram entry of every row of the
+    factor, |sum_a lambda_a^2 M[n, a, p]| maxed over p; 0 when D = 1 and
+    NaN wherever M is.  It is `left_gram_offdiag` summed in another order."""
+    g = np.abs(np.tensordot(lam * lam, factor, axes=(0, 1)))
+    return g.max(axis=-1, initial=0.0)
+
+
+def _left_canonical_keep(lams: np.ndarray, b_fam: np.ndarray,
+                         threshold: float) -> np.ndarray:
+    """Keep mask (K, N) of the pairs (lams[k], b_fam[n]):
+    ~(left_gram_offdiag(lams[k], b_fam) > threshold), so ties and NaN are
+    kept.
+
+    One Gram factor per family screens every lambda.  A pair is kept
+    outright below threshold - SCREEN_TOL and dropped outright above
+    threshold + SCREEN_TOL; the exact kernel decides the rest (NaN
+    included) on the gathered pairs.  For unit lambda and B with
+    orthonormal rows every Gram term is at most |col beta| |col beta'| <= 1,
+    so the two evaluations differ by rounding far below SCREEN_TOL
+    (1.7e-16 on the D=2 delta=0.25 family).
+    """
+    factor = _gram_factor(b_fam)
+    keep = np.empty((len(lams), len(b_fam)), dtype=bool)
+    for k, lam in enumerate(lams):
+        g = _screen_offdiag(lam, factor)
+        keep[k] = g < threshold - SCREEN_TOL
+        band = np.flatnonzero(~(keep[k] | (g > threshold + SCREEN_TOL)))
+        keep[k, band] = ~(left_gram_offdiag(lam, b_fam[band]) > threshold)
+    return keep
+
+
 def build_pair_net(D: int, d: int, delta: float, epsilon_op: float,
                    cap: int = DEFAULT_CAP) -> PairNet:
     """Cartesian product of the lambda net (real nonnegative unit vectors)
@@ -275,39 +323,39 @@ def build_pair_net(D: int, d: int, delta: float, epsilon_op: float,
     pairs that are approximately left canonical: those whose largest
     off-diagonal Gram entry is not above 3*epsilon_op (ties are kept).
 
-    The filter runs once per lambda over the whole B family, so pairs come
-    out lambda-major, each lambda's pairs in B family order.
+    The filter and `mu_of` run once per distinct lambda vector over the
+    whole B family; pairs come out lambda-major over the lambda family,
+    each lambda's pairs in B family order.
     """
-    if epsilon_op <= 0:
+    if not epsilon_op > 0:
         raise ValueError(f"epsilon_op must be positive, got {epsilon_op}")
     lam_mats, _ = orthonormal_family(1, D, delta, real_nonneg=True, cap=cap)
     b_mats, _ = orthonormal_family(D, d * D, delta, real_nonneg=False, cap=cap)
     lam_fam = np.ascontiguousarray(lam_mats[:, 0].real)
     # column index (i, beta) is row-major over the dD columns
     b_fam = b_mats.reshape(-1, D, d, D)
-    kept, mu_parts = [], []
-    for lam in lam_fam:
-        keep = np.flatnonzero(
-            ~(left_gram_offdiag(lam, b_fam) > 3.0 * epsilon_op))
-        kept.append(keep)
-        mu_parts.append(mu_of(lam, b_fam[keep]))
-    counts = np.array([k.size for k in kept])
+    # equal lambda vectors from different grid points share one class
+    lam_net, fam_class = np.unique(lam_fam, axis=0, return_inverse=True)
+    fam_class = fam_class.reshape(-1)
+    kept = [np.flatnonzero(k) for k in
+            _left_canonical_keep(lam_net, b_fam, 3.0 * epsilon_op)]
+    mu_net = [mu_of(lam, b_fam[k]) for lam, k in zip(lam_net, kept)]
+    net_counts = np.array([k.size for k in kept])
+    counts = net_counts[fam_class]
     if counts.sum() == 0:
         raise EmptyNetError(
             "left-canonical filter removed every pair; "
             f"epsilon_op={epsilon_op} too small for delta={delta}"
         )
     lam_idx = np.repeat(np.arange(len(lam_fam)), counts)
-    # equal lambda vectors from different grid points share one class
-    live = counts > 0
-    lam_net, live_class = np.unique(lam_fam[live], axis=0,
-                                    return_inverse=True)
-    fam_class = np.zeros(len(lam_fam), dtype=np.intp)
-    fam_class[live] = live_class.reshape(-1)
+    # classes without a kept pair leave lam_net
+    live = net_counts > 0
+    renumber = np.cumsum(live) - 1
     return PairNet(
-        lam=lam_fam[lam_idx], b=b_fam[np.concatenate(kept)],
-        mu=np.concatenate(mu_parts), lam_net=lam_net,
-        lam_class=fam_class[lam_idx],
+        lam=lam_fam[lam_idx],
+        b=b_fam[np.concatenate([kept[c] for c in fam_class])],
+        mu=np.concatenate([mu_net[c] for c in fam_class]),
+        lam_net=lam_net[live], lam_class=renumber[fam_class][lam_idx],
         epsilon_cert=certified_epsilon(d, D, delta),
         filtered_out=int(counts.size * len(b_fam) - counts.sum()),
     )

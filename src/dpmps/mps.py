@@ -89,7 +89,12 @@ def left_gram(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
 def left_gram_offdiag(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
     """max over beta != beta' of |<(lambda B)_beta | (lambda B)_beta'>|,
     the left-canonical defect of a (lambda, B) pair, over the leading axes
-    of lam (..., D) and b (..., D, d, D); 0 for a single column."""
+    of lam (..., D) and b (..., D, d, D); 0 for a single column.
+
+    It is the exact kernel of the pair net's left-canonical filter: the
+    net screens with a per-family Gram factor and falls back to this
+    kernel for the pairs near the threshold, so its rounding decides
+    the ties."""
     g = np.abs(left_gram(lam, b))
     diag = np.arange(b.shape[-1])
     g[..., diag, diag] = 0.0

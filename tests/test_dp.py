@@ -56,6 +56,11 @@ class TestSolve:
         sr = dp.solve(h, 1, 0.25)
         assert abs(sr.e_alg) < 1e-12
 
+    def test_nan_epsilon_rejected_before_the_dp(self):
+        h = grouped("zz_chain", 4, 1)
+        with pytest.raises(ValueError, match="epsilon_op must be positive"):
+            dp.solve(h, 1, 0.25, epsilon_op=float("nan"))
+
     def test_variational_and_d1_exact(self):
         for name in ("zz_chain", "transverse_ising"):
             h0 = ham.build_model(name, {}, 5)

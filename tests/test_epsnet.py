@@ -172,10 +172,16 @@ class TestPairNet:
     def test_empty_net_error(self, monkeypatch):
         # the coarse grids always contain some exactly left-canonical pair,
         # so force the filter to reject everything to exercise the error
-        monkeypatch.setattr(en, "left_gram_offdiag",
-                            lambda lam, b: np.ones(b.shape[:-3]))
+        monkeypatch.setattr(en, "_left_canonical_keep",
+                            lambda lams, b, threshold:
+                            np.zeros((len(lams), len(b)), dtype=bool))
         with pytest.raises(EmptyNetError):
             en.build_pair_net(1, 2, 0.25, epsilon_op=0.01)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_non_positive_or_nan_epsilon_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon_op must be positive"):
+            en.build_pair_net(1, 2, 0.25, epsilon_op=eps)
 
     def test_epsilon_cert_formula(self):
         net = en.build_pair_net(1, 2, 0.25, epsilon_op=1.0)
@@ -261,6 +267,77 @@ class TestBatchedFilter:
         net = en.build_pair_net(1, 2, delta, eps)
         assert_matches_reference(net, 1, 2, delta, eps)
         assert net.lam_net.shape == (1, 1)
+
+
+@pytest.fixture(scope="module")
+def d2_family():
+    lam_mats, _ = en.orthonormal_family(1, 2, 0.25, real_nonneg=True)
+    b_mats, _ = en.orthonormal_family(2, 4, 0.25)
+    return lam_mats[:, 0].real, b_mats.reshape(-1, 2, 2, 2)
+
+
+def exact_keep(lam, b_fam, threshold):
+    return ~(en.left_gram_offdiag(lam, b_fam) > threshold)
+
+
+class TestScreenedFilter:
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 10.0])
+    def test_matches_exact_kernel(self, d2_family, eps):
+        lams, b_fam = d2_family
+        keep = en._left_canonical_keep(lams, b_fam, 3.0 * eps)
+        assert keep.shape == (len(lams), len(b_fam))
+        for lam, row in zip(lams, keep):
+            assert np.array_equal(row, exact_keep(lam, b_fam, 3.0 * eps))
+
+    def test_screen_within_rounding_of_exact_kernel(self, d2_family):
+        lams, b_fam = d2_family
+        factor = en._gram_factor(b_fam)
+        for lam in lams:
+            gap = np.abs(en._screen_offdiag(lam, factor)
+                         - en.left_gram_offdiag(lam, b_fam))
+            assert gap.max() <= 1e-15
+
+    def test_tie_on_exact_value_kept(self, d2_family):
+        # a pair the screen puts above its exact Gram value; with the
+        # threshold set to that exact value, the tie is kept
+        lams, b_fam = d2_family
+        lam = lams[0]
+        exact = en.left_gram_offdiag(lam, b_fam)
+        above = np.flatnonzero(
+            en._screen_offdiag(lam, en._gram_factor(b_fam)) > exact)
+        assert above.size > 0
+        k = above[0]
+        keep = en._left_canonical_keep(lam[None], b_fam, exact[k])[0]
+        assert keep[k]
+        assert np.array_equal(keep, exact_keep(lam, b_fam, exact[k]))
+
+    def test_band_runs_exact_kernel(self, d2_family, monkeypatch):
+        lams, b_fam = d2_family
+        seen, exact = [], en.left_gram_offdiag
+        monkeypatch.setattr(en, "left_gram_offdiag",
+                            lambda lam, b: seen.append(len(b)) or exact(lam, b))
+        en._left_canonical_keep(lams, b_fam, 3.0 * D2_EPSILON_OP)
+        assert len(seen) == len(lams)
+        assert 0 < sum(seen) < len(b_fam)
+
+    def test_nan_entry_kept(self, d2_family):
+        lams, b_fam = d2_family
+        b = b_fam[:8].copy()
+        b[3, 0, 1, 1] = np.nan
+        keep = en._left_canonical_keep(lams, b, 3.0 * D2_EPSILON_OP)
+        assert keep[:, 3].all()
+        for lam, row in zip(lams, keep):
+            assert np.array_equal(row, exact_keep(lam, b, 3.0 * D2_EPSILON_OP))
+
+    def test_one_pass_per_distinct_lambda(self, monkeypatch):
+        calls = []
+        mu_of = en.mu_of
+        monkeypatch.setattr(en, "mu_of",
+                            lambda lam, b: calls.append(lam) or mu_of(lam, b))
+        net = en.build_pair_net(2, 2, 0.25, epsilon_op=10.0)
+        # the lambda family holds (1/sqrt 2, 1/sqrt 2) twice
+        assert len(calls) == len(net.lam_net) == 3
+        assert net.lam_class.max() == 2
 
 
 class TestNetSizeEstimate:
