@@ -56,12 +56,12 @@ A step on a repeated term also reuses its own work.  Repeating one
 min-plus matrix drives the lists into a periodic regime up to a constant
 shift (the cyclicity theorem of Cohen, Dubois, Quadrat and Viot, 1985),
 where each pair p is won among a few candidate predecessors.  So a full
-step given an anchor list records a reuse anchor in two passes over the
-same pruned chunks: the
-first gives the minima m_p; the second collects for each live pair p the
-candidate set C_p of admissible list positions whose cost is within K of
-m_p, in position order with E at them, and keeps the input energies
-e_ref.  No pruned row is within K, so C_p is that of the unpruned step.
+step given an anchor list records a reuse anchor in its one pass: it
+keeps the positions within K of a running minimum, E at them, and after
+the pass the same float test against the final minimum m_p leaves the
+candidate set C_p of each live pair p, in position order, since
+fl(running + K) >= fl(m_p + K).  It keeps the input energies e_ref.  No
+pruned row is within K, so C_p is that of the unpruned step.
 A later step on the same term reuses the anchor when its input list has
 the anchor's pair_index and its energies e_prev satisfy
 spread(e_prev - e_ref) + 8 u (max|e_prev| + scale) < K,
@@ -86,23 +86,19 @@ recorded only when K is finite (K is inf, and no row is pruned, when
 1e10 K is not), so a non-finite input or term energy never reuses, and
 only when no pair has more than c = max(REUSE_CANDIDATES, N/16)
 candidates, so a reused step costs at most a sixteenth of a full one past
-N = 1024.
+N = 1024, and the pass keeps at most N c positions once it drops those no
+longer within K of a running minimum.
 `solve` keeps one anchor per run of one term, that of the run's last full
 step: a step that the anchor does not certify drops it before its full
 step records the next, and the anchor is dropped when the term changes.
-Recording or reusing an anchor holds at most 24 N c bytes beside a
+Recording or reusing an anchor holds at most 32 N c bytes beside a
 streamed step, which `transition_size_guard` counts (`_reuse_bytes`).
 
 The boundary energies of the first and last terms come from one kernel
 that walks the end net in chunks, merged as they come, so no
-(end net) x N array is formed.  At D=1 both are bitwise equal to the
-per-end-tensor einsum loop they replaced.  A screen decides which end
-tensors reach that kernel: the same factors, with an end tensor as a
-one-row left or one-column right site, give every boundary energy by one
-real GEMM per chunk of pairs, to within a margin tol far above the
-rounding of either evaluation.  Only end tensors within 2 tol of a
-minimum are evaluated exactly.  Every other one is strictly above the
-exact minimum, so it can neither win nor tie, and the results are
+(end net) x N array is formed; at D=1 both are bitwise equal to the
+per-end-tensor einsum loop they replaced.  A screen, `_candidate_rows`,
+passes only the end tensors that can reach a minimum, so the results are
 bitwise those of evaluating all of them.  The returned sandwich bounds are
 
     e_alg - 6 J n eps  <=  e_exact  <=  e_true  <=  e_alg + 1.5 J D^2 n^2 eps.
@@ -120,7 +116,7 @@ import time
 import numpy as np
 
 from .epsnet import (DEFAULT_CAP, BoundaryNet, PairNet, build_end_net,
-                     build_pair_net, certified_epsilon)
+                     build_pair_net, certified_epsilon, check_epsilon_op)
 from .errors import NoAdmissibleTransitionError, check_size
 from . import hamiltonian
 from .mps import CanonicalMps, expectation_full, left_gram, mu_of
@@ -430,37 +426,34 @@ def _cost_blocks(prev: DpList, classes: list, g: np.ndarray, t2: np.ndarray):
                 yield p, r_blk, e, cost
 
 
-def _record_anchor(prev: DpList, classes: list, g: np.ndarray,
-                   t2: np.ndarray, best: np.ndarray, live: np.ndarray,
-                   tol: float, scale: float):
-    """The reuse anchor of a step whose minima over the rows of `classes`
-    are `best`, with a finite K = tol and scale from `_step_tolerance`, or
-    None when some pair has more than `_reuse_width` candidates.  A second
-    pass over the same rows collects, per live pair in position order, the
-    predecessors within K of its final minimum and E at them (against the
-    first pass's running minimum, far more would pass the cap)."""
-    most = _reuse_width(len(best))
-    cand = np.zeros((live.size, most), dtype=np.intp)
-    e_cand = np.full((live.size, most), np.inf)
-    count = np.zeros(live.size, dtype=np.intp)
-    # K is finite, so every cost is and every pair of a class is live
-    for p, r, e, cost in _cost_blocks(prev, classes, g, t2):
-        # i sorted, s sorted in each row; flat search: 3x np.nonzero's speed
-        i, s = np.divmod(np.flatnonzero(cost <= (best[p] + tol)[:, None]),
-                         r.size)
-        slot = np.searchsorted(live, p)
-        n_i = np.bincount(i, minlength=p.size)
-        first = count[slot]     # the next free slot of each row
-        if (first + n_i).max() > most:
-            return None
-        rank = np.arange(i.size) + (first - np.cumsum(n_i) + n_i)[i]
-        cand[slot[i], rank] = r[s]
-        e_cand[slot[i], rank] = e[i, s]
-        count[slot] = first + n_i
-    # contiguous copies, one at a time: a reused step gathers faster
-    width = count.max()
-    cand = cand[:, :width].copy()
-    e_cand = e_cand[:, :width].copy()
+def _trim_near(near: list, best: np.ndarray, e_prev: np.ndarray,
+               tol: float) -> np.ndarray:
+    """Keep in place the entries (p, r, k = i r.size + s, E at k) of `near`
+    within K = tol of `best` by the step's float test; count them by pair."""
+    count = np.zeros(best.size, dtype=np.intp)
+    for j, (p, r, k, e) in enumerate(near):
+        i, s = np.divmod(k, r.size)
+        ok = e + e_prev[r[s]] <= best[p[i]] + tol
+        near[j] = p, r, k[ok], e[ok]
+        count[p] += np.bincount(i[ok], minlength=p.size)
+    return count
+
+
+def _pack_anchor(prev: DpList, near: list, best: np.ndarray,
+                 live: np.ndarray, tol: float, scale: float):
+    """The reuse anchor of a step from its kept entries `near`, minima
+    `best`, finite K = tol and scale; None past `_reuse_width` candidates."""
+    count = _trim_near(near, best, prev.energy, tol)
+    if count.max() > _reuse_width(best.size):
+        return None
+    cand = np.zeros((live.size, count.max()), dtype=np.intp)
+    e_cand = np.full(cand.shape, np.inf)
+    slot = np.cumsum(np.isfinite(best)) - 1     # row of each live pair
+    for p, r, k, e in reversed(near):   # count[p] falls to a block's start
+        i, s = np.divmod(k, r.size)     # i sorted, s sorted in each row
+        count[p] -= np.bincount(i, minlength=p.size)
+        rank = count[p][i] + np.arange(i.size) - np.searchsorted(i, i)
+        cand[slot[p][i], rank], e_cand[slot[p][i], rank] = r[s], e
     return _Anchor(pair_index=prev.pair_index, e_ref=prev.energy,
                    scale=scale, tol=tol, live=live, cand=cand, e_cand=e_cand)
 
@@ -471,22 +464,15 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
                 anchors: list | None = None) -> DpList:
     """One DP step: best admissible predecessor for every net pair.
 
-    `mask` is the site-independent admissibility from `stitching_mask`
-    and `clusters` the net's `pair_clusters`, each computed here when not
-    given; per lambda class (`net.lam_class`) with pairs only the live
-    predecessors admissible for that class compete.  The step
-    streams the rows that `_viable_rows` keeps at its one K
-    (`_step_tolerance`) through `_transition_blocks`, in q order, and
-    `_merge_min` folds in each class's cost sub-blocks.  Ties go to the
-    predecessor with the lowest list index, which is the lowest net index
-    since lists are index-sorted, and every result, NaN included, equals
-    one argmin over the whole row.
-
-    `anchors` is a list that holds at most one anchor, that of the last
-    full step on this term, net and mask.  The step returns its reuse when
-    the anchor certifies it; otherwise it drops the anchor, takes the full
-    step and records its own from the same pruned rows and K when it can
-    (see the module docstring).
+    `mask` (`stitching_mask`) and `clusters` (`pair_clusters`) are built here
+    when not given.  Per lambda class with pairs, the predecessors admissible
+    for it that `_viable_rows` keeps at the step's one K (`_step_tolerance`)
+    stream through `_cost_blocks` in q order, and `_merge_min` folds in each
+    block: ties go to the lowest list index, which is the lowest net index
+    since lists are index-sorted, and every result, NaN included, equals one
+    argmin over the whole row.  `anchors` holds at most one anchor, that of the
+    last full step on this term, net and mask; the step reuses it when it
+    certifies, else drops it and records its own in the same pass if it can.
     """
     if len(prev) == 0:
         raise NoAdmissibleTransitionError("previous DP list is empty")
@@ -520,16 +506,25 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
                                    center[first[k]:first[k + 1]],
                                    radius[first[k]:first[k + 1]], tol)],
                     cols) for k, r, cols in classes]
+        near = [] if anchors is not None and np.isfinite(tol) else None
+        held, room = 0, net.size * _reuse_width(net.size)
         for p, r, e, cost in _cost_blocks(prev, classes, g, t2):
             arg = cost.argmin(axis=1)
             _merge_min(best, tails, p, cost[np.arange(p.size), arg], r[arg])
+            if near is not None:    # keep what is within K of a running min
+                k = np.flatnonzero(cost <= (best[p] + tol)[:, None])
+                near.append((p, r, k, e.flat[k]))
+                held += k.size
+                if held > room:     # drop what the minima left behind
+                    held = _trim_near(near, best, prev.energy, tol).sum()
+                    near = None if held > room else near
     live = np.flatnonzero(np.isfinite(best))
     if live.size == 0:
         raise NoAdmissibleTransitionError(
             f"no admissible transition at epsilon_op={epsilon_op}"
         )
-    if anchors is not None and np.isfinite(tol):
-        anchor = _record_anchor(prev, classes, g, t2, best, live, tol, scale)
+    if near is not None:
+        anchor = _pack_anchor(prev, near, best, live, tol, scale)
         if anchor is not None:
             anchors.append(anchor)
     return DpList(pair_index=live, tail=tails[live], energy=best[live])
@@ -541,14 +536,13 @@ def _reuse_width(n_pairs: int) -> int:
 
 
 def _reuse_bytes(n_pairs: int) -> int:
-    """Bytes that anchor reuse adds at most to a streamed step of N =
-    n_pairs pairs, at most c = `_reuse_width` candidates each.  Recording
-    holds an N x c position array and E at them, 16 N c bytes, and trims
-    them one at a time, 8 N c more; beside them its per-pair counts, 8 N,
-    and its per-block temporaries, 64 bytes per entry of a block of at
-    most BLOCK_ELEMENTS entries.  A reused step holds the anchor and its
-    costs, 24 N c bytes, and its argmin, rows, tails and energies, 32 N."""
-    return 24 * n_pairs * _reuse_width(n_pairs) + 32 * n_pairs \
+    """Bytes anchor reuse adds at most to a streamed step of N = n_pairs pairs,
+    c = `_reuse_width`.  Recording keeps at most N c positions and E at them,
+    16 N c bytes, packs them into the anchor, 16 N c, and holds per-pair counts
+    and slots, 16 N, and temporaries of 64 bytes per entry of a block of at
+    most BLOCK_ELEMENTS; a reused step holds the anchor and its costs, 24 N c,
+    and its argmin, rows, tails and energies, 32 N."""
+    return 32 * n_pairs * _reuse_width(n_pairs) + 32 * n_pairs \
         + 64 * BLOCK_ELEMENTS
 
 
@@ -714,6 +708,7 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
     d_end, d, n = h.dims[0], h.dims[1], h.n
     if epsilon_op is None:
         epsilon_op = certified_epsilon(d, D, delta)
+    check_epsilon_op(epsilon_op)
     if pair_net is None:
         pair_net = build_pair_net(D, d, delta, epsilon_op, cap)
     if end_net is None:

@@ -316,6 +316,12 @@ def _left_canonical_keep(lams: np.ndarray, b_fam: np.ndarray,
     return keep
 
 
+def check_epsilon_op(epsilon_op: float) -> None:
+    """Raise ValueError unless epsilon_op is positive (NaN is not)."""
+    if not epsilon_op > 0:
+        raise ValueError(f"epsilon_op must be positive, got {epsilon_op}")
+
+
 def build_pair_net(D: int, d: int, delta: float, epsilon_op: float,
                    cap: int = DEFAULT_CAP) -> PairNet:
     """Cartesian product of the lambda net (real nonnegative unit vectors)
@@ -327,8 +333,7 @@ def build_pair_net(D: int, d: int, delta: float, epsilon_op: float,
     whole B family; pairs come out lambda-major over the lambda family,
     each lambda's pairs in B family order.
     """
-    if not epsilon_op > 0:
-        raise ValueError(f"epsilon_op must be positive, got {epsilon_op}")
+    check_epsilon_op(epsilon_op)
     lam_mats, _ = orthonormal_family(1, D, delta, real_nonneg=True, cap=cap)
     b_mats, _ = orthonormal_family(D, d * D, delta, real_nonneg=False, cap=cap)
     lam_fam = np.ascontiguousarray(lam_mats[:, 0].real)

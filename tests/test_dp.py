@@ -61,6 +61,14 @@ class TestSolve:
         with pytest.raises(ValueError, match="epsilon_op must be positive"):
             dp.solve(h, 1, 0.25, epsilon_op=float("nan"))
 
+    @pytest.mark.parametrize("epsilon_op", [float("nan"), -1.0, 0.0])
+    def test_bad_epsilon_rejected_with_given_net(self, epsilon_op):
+        # a caller-supplied pair net skips build_pair_net, not the check
+        h = grouped("zz_chain", 4, 1)
+        net = en.build_pair_net(1, 2, 0.25, 0.05)
+        with pytest.raises(ValueError, match="epsilon_op must be positive"):
+            dp.solve(h, 1, 0.25, epsilon_op=epsilon_op, pair_net=net)
+
     def test_variational_and_d1_exact(self):
         for name in ("zz_chain", "transverse_ising"):
             h0 = ham.build_model(name, {}, 5)

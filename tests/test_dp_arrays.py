@@ -17,10 +17,12 @@ inside its margin and which must keep every end tensor that reaches an
 exact minimum; and for anchor reuse on a repeated term: lists bitwise
 those of the full steps on four uniform models and those of the dense
 reference steps on a D=2 sub-net, candidates exactly the dense
-reference's (also one that a margin narrower than K would prune), the
-full step when the certificate fails (a nudged energy, other pairs) or
-the input holds a NaN, the memory it adds against the size guard's
-count, and the counts `solve` reports."""
+reference's (also one that a margin narrower than K would prune, and
+after a running minimum falls by more than K), at most N c entries kept
+in the recording pass, which streams each chunk once, the full step when
+the certificate fails (a nudged energy, other pairs) or the input holds a
+NaN, the memory it adds against the size guard's count, and the counts
+`solve` reports."""
 
 import dataclasses
 import os
@@ -450,7 +452,7 @@ def test_full_matrix_steps_follow_bytes_rule(monkeypatch, name, n, D):
 class TestSizeGuard:
     def test_d2_net_exceeds_memory(self):
         # the full D=2 net at n=6: a streamed step holds 285 MB, anchors of
-        # c = N/16 candidates per pair would add 23 GB
+        # c = N/16 candidates per pair would add 30 GB
         with pytest.raises(SizeGuardError):
             dp.transition_size_guard(123_264, 16, 2**27, 4)
         assert dp.transition_size_guard(123_264, 16, 8 * 2**30, 4) is False
@@ -464,10 +466,11 @@ class TestSizeGuard:
     def test_bounds_are_exact(self, k):
         # one CHUNK-row complex buffer, G, T2, the gathered rows of G and
         # their Hermitian parts, the cluster centers and radii, and the
-        # stored lists' index, tail and energy arrays; then what anchors add
+        # stored lists' index, tail and energy arrays; then what anchors
+        # add, the kept positions and E at them beside the packed anchor
         n_pairs = 1000
         assert dp._reuse_bytes(n_pairs) \
-            == 24 * n_pairs * 64 + 32 * n_pairs + 64 * dp.BLOCK_ELEMENTS
+            == 32 * n_pairs * 64 + 32 * n_pairs + 64 * dp.BLOCK_ELEMENTS
         for n_lists in (1, 50):
             held = (16 * (dp.CHUNK + 5 * k) + 8 + 24 * n_lists) * n_pairs
             full = held + dp._reuse_bytes(n_pairs)
@@ -505,13 +508,14 @@ class TestSizeGuard:
         net, end = sub_net(5), en.build_end_net(2, 2, 0.25)
         h = ham.group_boundaries(ham.build_model("heisenberg", {}, 6), 2)
         calls = []
-        record = dp._record_anchor
+        anchor = dp._Anchor
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return record(*args, **kwargs)
+            return anchor(*args, **kwargs)
 
-        monkeypatch.setattr(dp, "_record_anchor", counting)
+        # every recorded anchor is built by one call of the class
+        monkeypatch.setattr(dp, "_Anchor", counting)
         ample = dp.solve(h, 2, 0.25, epsilon_op=0.05, end_net=end,
                          pair_net=net)
         assert calls == [1] * ample.dp_steps["full"]
@@ -915,7 +919,7 @@ def test_d2_streamed_steps_record_and_reuse_anchors(sub_net):
         assert_same_list(a, b)
 
 
-@pytest.mark.parametrize("which", ["d1", "d2", "zero"])
+@pytest.mark.parametrize("which", ["d1", "d2", "zero", "falls"])
 def test_recorded_candidates_are_dense_positions_within_tol(d1_nets,
                                                             sub_net, which):
     if which == "d1":
@@ -927,7 +931,7 @@ def test_recorded_candidates_are_dense_positions_within_tol(d1_nets,
         net, epsilon_op, hterm = sub_net(10), 0.05, h.terms[1]
         prev = dp.initial_list(en.build_end_net(2, h.dims[0], 0.25), net,
                                h.terms[0])
-    else:
+    elif which == "zero":
         # a zero term; one predecessor 5 times 1e-10 (1 + max|e_prev|)
         # above the minimum, inside K = 1e-9 (1 + max|e_prev|) but outside
         # that narrower margin, must be kept to be a candidate
@@ -935,6 +939,16 @@ def test_recorded_candidates_are_dense_positions_within_tol(d1_nets,
         hterm = np.zeros((4, 4))
         energy = np.ones(net.size)
         energy[0], energy[1] = 0.0, 5.0 * 1e-10 * 2.0
+    else:
+        # a zero term on a D=2 sub-net: the first chunk's rows are tied 1.5 K
+        # above the minimum, which later rows reach, so the running minimum
+        # falls by more than K and the rows kept near it must be trimmed
+        net, epsilon_op = sub_net(10), 0.05
+        hterm = np.zeros((4, 4))
+        energy = 1.0 + 1e-6 * np.arange(net.size)
+        tol = 1e-9 * (1.0 + energy.max())
+        energy[:160], energy[200:230] = 1.5 * tol, 0.0
+    if which in ("zero", "falls"):
         prev = dp.DpList(pair_index=np.arange(net.size),
                          tail=np.zeros(net.size, dtype=np.intp),
                          energy=energy)
@@ -957,6 +971,58 @@ def test_recorded_candidates_are_dense_positions_within_tol(d1_nets,
         assert np.array_equal(anchor.cand[k, used], near)
         assert np.array_equal(anchor.e_cand[k, used], e_trans[near, p])
     assert anchor.cand.shape[1] > 1
+
+
+@pytest.mark.parametrize("tied", [64, 128])
+def test_pass_keeps_at_most_n_c_entries(d1_nets, tied):
+    # a zero term at D=1, where every predecessor precedes every pair: the
+    # first `tied` positions sit 1.5 K above the minimum, which positions
+    # 200 and 201 reach.  The first chunk's 64 tied rows fill the N c
+    # entries the pass may keep; past them, dropping what the minimum has
+    # left behind makes room again.  With 128 tied rows the second chunk
+    # passes N c while all are still within K of the running minimum, so
+    # no anchor is recorded, though the final candidates would fit
+    net, epsilon_op = d1_nets(0.1)[0], 0.05
+    assert net.size * dp._reuse_width(net.size) == dp.CHUNK * net.size
+    energy = np.ones(net.size)
+    tol = 1e-9 * (1.0 + 1.0)    # K at a zero term and max|e_prev| = 1
+    energy[:tied], energy[200:202] = 1.5 * tol, 0.0
+    prev = dp.DpList(pair_index=np.arange(net.size),
+                     tail=np.zeros(net.size, dtype=np.intp), energy=energy)
+    anchors = []
+    out = dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op,
+                         anchors=anchors)
+    assert_same_list(out, dp.extend_list(prev, net, np.zeros((4, 4)),
+                                         epsilon_op))
+    assert len(anchors) == (tied == 64)
+    for anchor in anchors:
+        assert np.array_equal(anchor.cand, np.tile([200, 201], (len(out), 1)))
+
+
+def test_recording_step_streams_each_chunk_once(sub_net, monkeypatch):
+    # a step that records an anchor keeps its candidates in its one pass
+    # over the pruned rows, so it forms the same chunks as the plain step
+    net, epsilon_op = sub_net(10), 0.05
+    h = ham.group_boundaries(ham.build_model("heisenberg", {}, 12), 2)
+    prev = dp.initial_list(en.build_end_net(2, h.dims[0], 0.25), net,
+                           h.terms[0])
+    chunks = []
+    blocks = dp._transition_blocks
+
+    def counting(*args):
+        for item in blocks(*args):
+            chunks.append(item[0])
+            yield item
+
+    monkeypatch.setattr(dp, "_transition_blocks", counting)
+    plain = dp.extend_list(prev, net, h.terms[1], epsilon_op)
+    streamed = chunks[:]
+    chunks.clear()
+    anchors = []
+    out = dp.extend_list(prev, net, h.terms[1], epsilon_op, anchors=anchors)
+    assert len(anchors) == 1 and len(streamed) > 1
+    assert chunks == streamed
+    assert_same_list(out, plain)
 
 
 def stepper(d1_nets, h, delta):
