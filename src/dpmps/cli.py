@@ -214,6 +214,15 @@ def _commuting(cfg: RunConfig, h0) -> dict:
     }
 
 
+def _funnel(cert: epsnet.NetCertificate) -> dict:
+    """One family's filter funnel, in pipeline order."""
+    return {"candidates": cert.candidate_count,
+            "kept_norm_filter": cert.survivors_norm_filter,
+            "kept_overlap_filter": cert.survivors_overlap_filter,
+            "dropped_gram_schmidt": cert.dropped_degenerate,
+            "size": cert.size}
+
+
 def _net_stats(cfg: RunConfig, h0) -> dict:
     hg = group_boundaries(h0, cfg.D)
     pn, en = _nets(cfg, hg, _epsilon_op_for(cfg, hg, cfg.epsilon))
@@ -226,6 +235,12 @@ def _net_stats(cfg: RunConfig, h0) -> dict:
         "paper_bound_log10": len(bound) - 1,
         "N": pn.size, "end_net_size": en.size,
         "epsilon": eps, "epsilon_cert": pn.epsilon_cert,
+        "funnel": {
+            "lambda": _funnel(pn.lam_cert), "B": _funnel(pn.b_cert),
+            "pairs": {"candidates": pn.size + pn.filtered_out,
+                      "kept_left_canonical": pn.size},
+            "end": _funnel(en.cert),
+        },
     }
 
 

@@ -330,19 +330,28 @@ def pair_clusters(net: PairNet) -> tuple:
     one cluster; center[c] is their mean t_c and radius[c] the largest
     distance ||t_p - t_c|| of a member, measured.  The clusters of class k
     are first[k]:first[k + 1].  Groups by one lexsort, not np.unique,
-    which imports numpy.ma."""
+    which imports numpy.ma, and holds at most two N x 2k real arrays at a
+    time: t and its rounded key, t and its sorted copy, or the sorted t
+    and its key."""
     t = _right_factor(net.b)
     t = np.conjugate(t, out=t).view(float)
     key = np.round(t, 12)
     order = np.lexsort((*key.T, net.lam_class))
-    key, cls = key[order], net.lam_class[order]
+    del key
+    t, cls = t[order], net.lam_class[order]
+    # rounding is elementwise, so the sorted rows round to the sorted key
+    key = np.round(t, 12)
     new = np.ones(len(t), dtype=bool)
     new[1:] = (key[1:] != key[:-1]).any(axis=1) | (cls[1:] != cls[:-1])
-    del key                 # one sorted copy of the N x 2k reals at a time
-    t = t[order]
+    del key
     start = np.flatnonzero(new)
-    center = np.add.reduceat(t, start) / np.diff(start, append=len(t))[:, None]
-    t -= center[np.cumsum(new) - 1]     # each pair's offset from its center
+    center = np.add.reduceat(t, start)
+    center /= np.diff(start, append=len(t))[:, None]
+    # each pair's offset from its center, in blocks of BLOCK_ELEMENTS
+    label = np.cumsum(new) - 1
+    step = max(1, BLOCK_ELEMENTS // t.shape[1])
+    for lo in range(0, len(t), step):
+        t[lo:lo + step] -= center[label[lo:lo + step]]
     radius = np.sqrt(np.maximum.reduceat(np.einsum("ij,ij->i", t, t), start))
     first = np.searchsorted(cls[start], np.arange(len(net.lam_net) + 1))
     return center, radius, first

@@ -1,13 +1,19 @@
 """Grid-based nets of orthonormal-row matrices and the MPS tensor nets.
 
-The generator enumerates matrices over a finite grid of complex entries,
+The generator takes every matrix over a finite grid of complex entries,
 filters by row norm, renormalizes, filters by pairwise row inner products,
-and finishes with Gram-Schmidt.  The certified per-row covering radius of
-the output family is nu_cert = 59*b*delta for column count b; it and the
-two filter bounds each live in one helper (`_radius`, `_norm_band`,
-`_overlap_bound`), shared by the generator, `covering_chain` and
-`certified_epsilon`.  Boundary and interior tensor nets are thin wrappers
-assembling the family output into canonical MPS building blocks.
+and finishes with Gram-Schmidt.  It works in row-product form: the m^b grid
+rows are enumerated, norm-filtered and renormalized once, a table of row
+overlaps decides the overlap filter over the tuples of kept rows, and
+Gram-Schmidt takes each candidate's first row from a per-row table.  The
+family is bit for bit that of filtering every candidate whole
+(`orthonormal_family` gives the argument).  The certified per-row
+covering radius of the output family is nu_cert = 59*b*delta for column
+count b; it and the two filter bounds each live in one helper (`_radius`,
+`_norm_band`, `_overlap_bound`), shared by the generator,
+`covering_chain` and `certified_epsilon`.  Boundary and interior tensor
+nets are thin wrappers assembling the family output into canonical MPS
+building blocks, and keep the certificates of their families.
 
 The interior pair net is held as arrays: `lam` (N, D), `b` (N, D, d, D)
 and `mu` (N, D), with pairs ordered lambda-major over the lambda family,
@@ -25,6 +31,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+import itertools
 import math
 
 import numpy as np
@@ -93,64 +100,122 @@ def _radius(b: int, delta: float) -> float:
 
 
 def _family_peak_bytes(total: int, a: int, b: int) -> int:
-    """Peak bytes of `orthonormal_family` over `total` candidates, when
-    every candidate survives the filters.  It comes in Gram-Schmidt's
-    second sweep, which holds the candidates, the sweep's output and its
-    input copy (16 a b bytes each per candidate), the row norms (8 a),
-    the overlap Gram matrix and its deviation (24 a^2) and the per-row
-    temporaries (48 b + 40), plus 1 MiB of allocations that do not grow
-    with the family.  Enumeration peaks lower, at 8 + 32 a b."""
-    return total * (48 * a * b + 8 * a + 24 * a * a + 48 * b + 40) + (1 << 20)
+    """Peak bytes of `orthonormal_family` over `total` grid candidates,
+    when every candidate survives the filters.  It comes at the end of
+    Gram-Schmidt, which holds the swept rows and the output (16 a b bytes
+    each per candidate), one masked row (16 b), the index tuples (8 a),
+    the masks and their indices (under 40), and the renormalized grid rows
+    (16 b per row, at most one row per candidate), plus 1 MiB of
+    allocations that do not grow with the family.  The earlier steps peak
+    lower: the row-0 tables (64 b per row, with the swept rows but not the
+    output), the row filters (48 b + 17 per grid row) and the overlap
+    table with its tuple grid (16 b + 8 a + 26 per candidate)."""
+    return total * (32 * a * b + 32 * b + 8 * a + 40) + (1 << 20)
 
 
-def _enumerate_candidates(grid: np.ndarray, a: int, b: int,
-                          cap: int) -> np.ndarray:
-    """All a x b matrices over the grid, lexicographic over entry indices."""
-    m = len(grid)
-    what = f"grid candidates for a={a}, b={b}"
-    total = check_size(m ** (a * b), cap, what, "cap", NetSizeError)
-    check_size(_family_peak_bytes(total, a, b), hamiltonian._physical_memory(),
-               f"bytes of the {what} and their filters", "physical memory")
-    idx = np.arange(total)
-    cols = []
-    for k in range(a * b):
-        cols.append(grid[(idx // m ** (a * b - 1 - k)) % m])
-    return np.stack(cols, axis=1).reshape(total, a, b)
+def _grid_rows(grid: np.ndarray, b: int) -> np.ndarray:
+    """All m^b rows of b entries over the grid, lexicographic over entry
+    indices."""
+    return grid[np.indices((len(grid),) * b).reshape(b, -1).T]
 
 
-def _gram_schmidt_rows(c: np.ndarray):
-    """Vectorized Gram-Schmidt over the candidate axis.
+def _overlap_tuples(rows: np.ndarray, a: int, bound: float) -> tuple:
+    """Index arrays (idx[0], ..., idx[a-1]) of the a-row candidates over
+    the unit rows, lexicographic, whose row Gram matrix is within bound of
+    the identity in every entry: |<r_p, r_p> - 1| on the diagonal and
+    |<r_p, r_q>| off it.  Each entry reads two rows alone, so one R x R
+    overlap table, broadcast over the (R,)*a tuple grid, decides every
+    candidate."""
+    if a == 1:
+        return (np.arange(len(rows)),)
+    table = np.einsum("pj,qj->pq", rows.conj(), rows)
+    unit = np.abs(table.diagonal() - 1.0) <= bound
+    # with a >= 2 every row of a tuple sits in some pair of its rows
+    near = (np.abs(table) <= bound) & unit[:, None] & unit
+    del table
+    near &= near.T
+    keep = np.ones((len(rows),) * a, dtype=bool)
+    for i, k in itertools.combinations(range(a), 2):
+        keep &= np.expand_dims(near, [j for j in range(a) if j not in (i, k)])
+    return np.nonzero(keep)
 
-    Returns (orthonormalized candidates, mask of candidates where every
-    intermediate row kept norm above the degeneracy threshold).
+
+def _unit_rows(v: np.ndarray):
+    """(v with each row divided by its norm in place, mask of the rows
+    whose norm is above the degeneracy threshold); the other rows are left
+    as they are."""
+    nrm = np.linalg.norm(v, axis=1)
+    good = nrm > GS_DEGENERATE_TOL
+    return np.divide(v, np.where(good, nrm, 1.0)[:, None], out=v), good
+
+
+def _gram_schmidt_rows(rows: np.ndarray, idx: Sequence):
+    """Vectorized Gram-Schmidt of the a x b candidates whose row i is
+    rows[idx[i][n]], for n over the index tuples: idx holds a index arrays
+    of one length n.
+
+    Returns (the orthonormalized candidates whose every intermediate row
+    kept norm above the degeneracy threshold, (k, a, b); the mask (n,) of
+    those candidates).  Row 0 of a candidate depends on its own row alone,
+    so each sweep takes it from a table over `rows`.  Row i of every
+    candidate is one contiguous (n, b) array, which the second sweep
+    updates in place.
     """
-    a = c.shape[1]
-    z = np.empty_like(c)
-    ok = np.ones(c.shape[0], dtype=bool)
+    a, n = len(idx), len(idx[0])
+    z = [None] * a
+    ok = np.ones(n, dtype=bool)
+    first = rows.copy()
     # second pass reorthogonalizes to push residuals well below 1e-10
     for sweep in range(2):
-        src = c if sweep == 0 else z.copy()
-        for i in range(a):
-            v = src[:, i, :].copy()
+        z[0] = None             # freed before the table's norm temporaries
+        first, good = _unit_rows(first)
+        z[0] = first[idx[0]]
+        ok &= good[idx[0]]
+        for i in range(1, a):
+            v = rows[idx[i]] if sweep == 0 else z[i]
             for k in range(i):
-                ov = np.einsum("nj,nj->n", z[:, k, :].conj(), v)
-                v -= ov[:, None] * z[:, k, :]
-            nrm = np.linalg.norm(v, axis=1)
-            ok &= nrm > GS_DEGENERATE_TOL
-            nrm = np.where(nrm > GS_DEGENERATE_TOL, nrm, 1.0)
-            z[:, i, :] = v / nrm[:, None]
-    return z, ok
+                ov = np.einsum("nj,nj->n", z[k].conj(), v)
+                v -= ov[:, None] * z[k]
+            z[i], good = _unit_rows(v)
+            ok &= good
+    del first
+    out = np.empty((np.count_nonzero(ok), a, rows.shape[1]), dtype=rows.dtype)
+    for i in range(a):
+        out[:, i] = z[i][ok]
+        z[i] = None
+    return out, ok
 
 
 def orthonormal_family(a: int, b: int, delta: float, real_nonneg: bool = False,
                        cap: int = DEFAULT_CAP):
     """Generate the family of a x b orthonormal-row matrices over the grid.
 
-    Pipeline: enumerate grid matrices; drop any with a row norm outside
+    Pipeline: take every a x b grid matrix, lexicographic over its entry
+    indices; drop any with a row norm outside
     [1 - 2 sqrt(b) delta, 1 + 2 sqrt(b) delta]; renormalize rows; drop any
-    with an off-diagonal row inner product above 9 sqrt(b) delta in
-    magnitude; orthonormalize rows by Gram-Schmidt.  Candidates whose rows
-    become numerically dependent during Gram-Schmidt are dropped.
+    whose row Gram matrix is farther than 9 sqrt(b) delta from the
+    identity in some entry; orthonormalize rows by Gram-Schmidt.
+    Candidates whose rows become numerically dependent during Gram-Schmidt
+    are dropped.
+
+    It runs in row-product form.  A candidate's index is lexicographic in
+    its a row indices over the m^b grid rows, and a row's norm test and
+    renormalization read that row alone, so the candidates that pass the
+    norm filter, in order, are the a-tuples of the R kept rows in
+    lexicographic order, each row renormalized once.  Every Gram entry
+    reads two rows alone, so one R x R overlap table, with the same
+    products summed in the same order, decides the overlap filter over the
+    (R,)*a tuple grid (`_overlap_tuples`), whose C order is that
+    lexicographic order.  Gram-Schmidt (`_gram_schmidt_rows`) then
+    sweeps the kept tuples with each candidate's own arithmetic unchanged:
+    row 0 of either sweep is one normalization of one row, so a per-row
+    table gives it; rows i >= 1 go through the same projections and
+    divisions, row by row; and the second sweep reads each row before it
+    replaces it, so it needs no copy of the first sweep's output.  So the
+    family and its NetCertificate are bit for bit those of filtering every
+    candidate whole (`tests/reference.py` keeps that pipeline), while only
+    m^b rows are enumerated and filtered.  The certificate still counts
+    the m^(ab) grid candidates, of which R^a pass the norm filter.
 
     Returns (array of the matrices, shape (size, a, b); NetCertificate).
     """
@@ -163,25 +228,22 @@ def orthonormal_family(a: int, b: int, delta: float, real_nonneg: bool = False,
                f"grid candidates for a={a}, b={b}, delta={delta}, at least",
                "cap", NetSizeError)
     grid = real_grid(delta) if real_nonneg else complex_grid(delta)
-    cands = _enumerate_candidates(grid.astype(complex), a, b, cap)
-    total = cands.shape[0]
+    what = f"grid candidates for a={a}, b={b}"
+    total = check_size(len(grid) ** (a * b), cap, what, "cap", NetSizeError)
+    check_size(_family_peak_bytes(total, a, b), hamiltonian._physical_memory(),
+               f"bytes of the {what} and their filters", "physical memory")
 
+    rows = _grid_rows(grid.astype(complex), b)
     lo, hi = _norm_band(b, delta)
-    norms = np.linalg.norm(cands, axis=2)
-    keep = np.all((norms >= lo) & (norms <= hi), axis=1)
-    cands, norms = cands[keep], norms[keep]
-    n1 = cands.shape[0]
+    norms = np.linalg.norm(rows, axis=1)
+    keep = (norms >= lo) & (norms <= hi)
+    rows = rows[keep] / norms[keep, None]
+    n1 = len(rows) ** a
 
-    cands = cands / norms[:, :, None]
-    if a > 1:
-        gram = np.einsum("nij,nkj->nik", cands.conj(), cands)
-        off = np.abs(gram - np.eye(a)[None])
-        keep = off.max(axis=(1, 2)) <= _overlap_bound(b, delta)
-        cands = cands[keep]
-    n3 = cands.shape[0]
+    idx = _overlap_tuples(rows, a, _overlap_bound(b, delta))
+    n3 = len(idx[0])
 
-    out, ok = _gram_schmidt_rows(cands)
-    out = out[ok]
+    out, _ = _gram_schmidt_rows(rows, idx)
     if real_nonneg:
         out = out.real.astype(complex)
     cert = NetCertificate(
@@ -198,9 +260,11 @@ def orthonormal_family(a: int, b: int, delta: float, real_nonneg: bool = False,
 
 @dataclass
 class BoundaryNet:
-    """Net of D x d_end boundary tensors with orthonormal rows."""
+    """Net of D x d_end boundary tensors with orthonormal rows, and the
+    certificate of the family they come from."""
 
     tensors: np.ndarray      # (G, D, d_end)
+    cert: NetCertificate
 
     @property
     def size(self) -> int:
@@ -238,7 +302,8 @@ class PairNet:
 
     Pair k is (lam[k], b[k]) with right Schmidt vector mu[k] =
     mu_of(lam[k], b[k]); `lam_net` holds the distinct lambda vectors in
-    lexicographic order and lam_net[lam_class[k]] == lam[k].
+    lexicographic order and lam_net[lam_class[k]] == lam[k].  `lam_cert`
+    and `b_cert` are the certificates of the lambda and B families.
     """
 
     lam: np.ndarray          # (N, D) nonnegative, unit norm
@@ -247,6 +312,8 @@ class PairNet:
     lam_net: np.ndarray      # (K, D)
     lam_class: np.ndarray    # (N,) row of lam_net
     epsilon_cert: float
+    lam_cert: NetCertificate
+    b_cert: NetCertificate
     filtered_out: int = 0
 
     @property
@@ -264,8 +331,9 @@ def build_end_net(D: int, d_end: int, delta: float,
     = A[alpha, i]."""
     if D > d_end:
         raise ValueError(f"boundary net needs D <= d_end, got {D} > {d_end}")
-    mats, _ = orthonormal_family(D, d_end, delta, real_nonneg=False, cap=cap)
-    return BoundaryNet(tensors=mats)
+    mats, cert = orthonormal_family(D, d_end, delta, real_nonneg=False,
+                                    cap=cap)
+    return BoundaryNet(tensors=mats, cert=cert)
 
 
 def certified_epsilon(d: int, D: int, delta: float) -> float:
@@ -334,8 +402,10 @@ def build_pair_net(D: int, d: int, delta: float, epsilon_op: float,
     each lambda's pairs in B family order.
     """
     check_epsilon_op(epsilon_op)
-    lam_mats, _ = orthonormal_family(1, D, delta, real_nonneg=True, cap=cap)
-    b_mats, _ = orthonormal_family(D, d * D, delta, real_nonneg=False, cap=cap)
+    lam_mats, lam_cert = orthonormal_family(1, D, delta, real_nonneg=True,
+                                            cap=cap)
+    b_mats, b_cert = orthonormal_family(D, d * D, delta, real_nonneg=False,
+                                        cap=cap)
     lam_fam = np.ascontiguousarray(lam_mats[:, 0].real)
     # column index (i, beta) is row-major over the dD columns
     b_fam = b_mats.reshape(-1, D, d, D)
@@ -362,6 +432,7 @@ def build_pair_net(D: int, d: int, delta: float, epsilon_op: float,
         mu=np.concatenate([mu_net[c] for c in fam_class]),
         lam_net=lam_net[live], lam_class=renumber[fam_class][lam_idx],
         epsilon_cert=certified_epsilon(d, D, delta),
+        lam_cert=lam_cert, b_cert=b_cert,
         filtered_out=int(counts.size * len(b_fam) - counts.sum()),
     )
 
@@ -415,13 +486,12 @@ def covering_chain(a_mat: np.ndarray, delta: float,
     gram = y.conj() @ y.T
     over = np.abs(gram - np.eye(a)).max() if a > 1 else 0.0
     s3 = bool(over <= _overlap_bound(b, delta))
-    z, ok = _gram_schmidt_rows(y[None])
-    z = z[0]
+    z, ok = _gram_schmidt_rows(y, np.arange(a)[:, None])
     return CoveringChain(
         d_rounded=_max_row_dist(a_mat, x),
         d_renormalized=_max_row_dist(a_mat, y),
         max_overlap=float(over),
-        d_final=_max_row_dist(a_mat, z) if ok[0] else float("inf"),
+        d_final=_max_row_dist(a_mat, z[0]) if ok[0] else float("inf"),
         survived_norm_filter=s1,
         survived_overlap_filter=s3,
     )

@@ -3,14 +3,16 @@ Schmidt vectors of a chain recovered from its (lambda, B) pairs, the
 windowed energy of a whole chain, a phase-insensitive alignment of dense
 states, the dense Hamiltonian matrix, a uniform chain's terms folded site
 by site, the largest term norm and the commutation check term by term,
-a dense power-iteration ground energy, and the DP's whole N x N
-transition matrix."""
+a dense power-iteration ground energy, the DP's whole N x N
+transition matrix, and the orthonormal family by full enumeration of its
+grid candidates."""
 
 from dataclasses import dataclass, field
 import math
 
 import numpy as np
 
+from dpmps import epsnet
 from dpmps.errors import ShapeMismatchError
 from dpmps.hamiltonian import COMMUTATOR_TOL, NnHamiltonian, dense_dim
 from dpmps.mps import CanonicalMps, left_gram_offdiag, local_energy, mu_of
@@ -179,3 +181,56 @@ def q_major_transitions(net, hterm):
     for lo in range(0, net.size, 256):
         e[lo:lo + 256] = g[lo:lo + 256] @ t2.T
     return e.real
+
+
+def enumerated_family(a, b, delta, real_nonneg=False, chunk=1 << 18):
+    """(family, NetCertificate) of `epsnet.orthonormal_family`, from all
+    m^(ab) grid candidates: each candidate's rows are norm-filtered and
+    renormalized, its whole Gram matrix is formed, and Gram-Schmidt sweeps
+    whole candidates from a copy of the previous sweep.  The candidates go
+    through in slices of `chunk` indices, which changes no candidate's
+    arithmetic and bounds the memory.  The filter bounds and the
+    degeneracy threshold are read from `epsnet` when called."""
+    grid = (epsnet.real_grid(delta) if real_nonneg
+            else epsnet.complex_grid(delta)).astype(complex)
+    m = len(grid)
+    total = m ** (a * b)
+    lo, hi = epsnet._norm_band(b, delta)
+    tol = epsnet.GS_DEGENERATE_TOL
+    outs, n1, n3 = [], 0, 0
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        cands = np.stack([grid[(idx // m ** (a * b - 1 - k)) % m]
+                          for k in range(a * b)], axis=1).reshape(-1, a, b)
+        norms = np.linalg.norm(cands, axis=2)
+        keep = np.all((norms >= lo) & (norms <= hi), axis=1)
+        cands, norms = cands[keep], norms[keep]
+        n1 += cands.shape[0]
+        cands = cands / norms[:, :, None]
+        if a > 1:
+            gram = np.einsum("nij,nkj->nik", cands.conj(), cands)
+            off = np.abs(gram - np.eye(a)[None])
+            cands = cands[off.max(axis=(1, 2))
+                          <= epsnet._overlap_bound(b, delta)]
+        n3 += cands.shape[0]
+        z = np.empty_like(cands)
+        ok = np.ones(cands.shape[0], dtype=bool)
+        for sweep in range(2):
+            src = cands if sweep == 0 else z.copy()
+            for i in range(a):
+                v = src[:, i, :].copy()
+                for k in range(i):
+                    ov = np.einsum("nj,nj->n", z[:, k, :].conj(), v)
+                    v -= ov[:, None] * z[:, k, :]
+                nrm = np.linalg.norm(v, axis=1)
+                ok &= nrm > tol
+                nrm = np.where(nrm > tol, nrm, 1.0)
+                z[:, i, :] = v / nrm[:, None]
+        outs.append(z[ok])
+    out = np.concatenate(outs)
+    if real_nonneg:
+        out = out.real.astype(complex)
+    return out, epsnet.NetCertificate(
+        nu_cert=epsnet._radius(b, delta), candidate_count=total,
+        survivors_norm_filter=n1, survivors_overlap_filter=n3,
+        dropped_degenerate=n3 - out.shape[0], size=out.shape[0])

@@ -90,6 +90,28 @@ class TestExecute:
         assert int(res["paper_bound"]) == 288 ** 5
         assert res["N"] == 16
 
+    def test_net_stats_funnel(self):
+        res = cli.execute(cli.parse_config(cfg_text(
+            solver={"D": 2, "epsilon_op": 0.05}, run={"mode": "net-stats"})))
+        funnel = res["funnel"]
+        assert list(funnel) == ["lambda", "B", "pairs", "end"]
+        for name, (a, b, real) in (("lambda", (1, 2, True)),
+                                   ("B", (2, 4, False)),
+                                   ("end", (2, 2, False))):
+            _, cert = en.orthonormal_family(a, b, 0.25, real_nonneg=real)
+            assert list(funnel[name].values()) == [
+                cert.candidate_count, cert.survivors_norm_filter,
+                cert.survivors_overlap_filter, cert.dropped_degenerate,
+                cert.size]
+        assert funnel["B"] == {
+            "candidates": 65536, "kept_norm_filter": 65536,
+            "kept_overlap_filter": 65536, "dropped_gram_schmidt": 576,
+            "size": 64960}
+        assert funnel["pairs"] == {"candidates": 4 * 64960,
+                                   "kept_left_canonical": 123264}
+        assert res["N"] == 123264 and res["end_net_size"] == \
+            funnel["end"]["size"]
+
     @pytest.mark.parametrize("D,solver", [
         (1, {}), (2, {"D": 2, "epsilon_op": 0.05})])
     def test_net_stats_tiny_epsilon(self, D, solver):

@@ -2,7 +2,8 @@
 the reference matrix, streamed with predecessors pruned, also while it
 records a reuse anchor (over several D=1 steps, at D=2, with one
 viable row left, with every cluster a single pair and with a lambda class
-that has no pairs), the per-cluster bound behind the pruning, no pruning
+that has no pairs), the per-cluster bound behind the pruning and the
+memory peak of building the clusters, no pruning
 after a non-finite input, tie rule (also across a block boundary), NaN
 costs, empty steps, one factor build per full step, which steps are
 offered anchors (against the rule of comparing term bytes) and the size
@@ -49,13 +50,13 @@ def sub_net():
     full net."""
     net = en.build_pair_net(2, 2, 0.25, 0.05)
 
-    def make(seed):
+    def make(seed, size=SUB_NET_SIZE):
         # seed None: the first pairs, which are all of lambda class 1
         if seed is None:
-            keep = np.arange(SUB_NET_SIZE)
+            keep = np.arange(size)
         else:
             keep = np.sort(np.random.default_rng(seed).choice(
-                net.size, size=SUB_NET_SIZE, replace=False))
+                net.size, size=size, replace=False))
         return dataclasses.replace(net, lam=net.lam[keep], b=net.b[keep],
                                    mu=net.mu[keep],
                                    lam_class=net.lam_class[keep])
@@ -283,6 +284,20 @@ def test_single_pair_clusters_match_dense(sub_net, keep_fractions):
                      dense_extend(prev, net, q_major_transitions(net, hterm),
                                   epsilon_op))
     assert max(keep_fractions) < 1.0
+
+
+def test_pair_clusters_memory(sub_net):
+    # two N x 2k real arrays at a time, t and its rounded key or a sorted
+    # copy; holding t, the key and the key's sorted copy read 3.06 of them
+    net = sub_net(3, 12000)
+    nbytes = dp._right_factor(net.b).nbytes
+    tracemalloc.start()
+    try:
+        dp.pair_clusters(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * nbytes
 
 
 def test_class_without_pairs_matches_dense(sub_net):

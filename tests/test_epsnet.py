@@ -1,5 +1,6 @@
 """Tests for the grid nets and the orthonormal-family generator."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 from dpmps import epsnet as en
 from dpmps.errors import EmptyNetError, NetSizeError
+from reference import enumerated_family
 
 
 D2_EPSILON_OP = 0.05
@@ -85,18 +87,19 @@ class TestOrthonormalFamily:
             en.orthonormal_family(2, 4, 0.1, cap=10**6)
 
     @pytest.mark.parametrize("a,b,delta", [(1, 2, 0.1), (1, 4, 0.25),
-                                           (2, 4, 0.25)])
+                                           (2, 4, 0.25), (2, 2, 0.1)])
     def test_memory_guard_counts_the_filters(self, a, b, delta):
-        # the filters and Gram-Schmidt peak 1.7-3.0 times above the
-        # enumeration, which was all the guard counted
+        # Gram-Schmidt ends holding its swept rows and the output, 32 a b
+        # bytes per kept tuple, which a guard on the enumeration alone
+        # missed; at (2, 2, 0.1) the norm filter drops 69% of the candidates
         total = len(en.complex_grid(delta)) ** (a * b)
         tracemalloc.start()
         try:
-            en.orthonormal_family(a, b, delta)
+            _, cert = en.orthonormal_family(a, b, delta)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert total * (8 + 32 * a * b) < peak
+        assert cert.survivors_overlap_filter * 32 * a * b < peak
         assert peak <= en._family_peak_bytes(total, a, b)
 
     @pytest.mark.parametrize("delta", [1e-6, 1e-320])
@@ -122,6 +125,60 @@ class TestOrthonormalFamily:
     def test_certified_radius(self):
         _, cert = en.orthonormal_family(1, 2, 0.25)
         assert np.isclose(cert.nu_cert, 59 * 2 * 0.25)
+
+
+# (a, b, delta, real_nonneg): the families of the D=1 and D=2 nets at the
+# grids in use, a = 3, and grids where the norm filter drops rows
+FAMILY_CONFIGS = [
+    (2, 4, 0.25, False), (2, 2, 0.25, False), (2, 2, 0.1, False),
+    (2, 2, 0.08, False), (2, 3, 0.25, False), (1, 2, 0.25, True),
+    (1, 2, 0.05, False), (1, 1, 0.05, False), (1, 2, 0.1, False),
+    (1, 4, 0.25, False), (1, 3, 0.1, False), (1, 2, 0.5, False),
+    (1, 3, 0.25, False), (3, 3, 0.25, False),
+]
+
+
+def assert_same_family(got, want):
+    (mats, cert), (ref_mats, ref_cert) = got, want
+    assert cert == ref_cert
+    assert mats.dtype == ref_mats.dtype and mats.shape == ref_mats.shape
+    assert mats.tobytes() == ref_mats.tobytes()
+
+
+class TestRowProductFamily:
+    @pytest.mark.parametrize("a,b,delta,real", FAMILY_CONFIGS)
+    def test_bitwise_the_enumerated_pipeline(self, a, b, delta, real):
+        assert_same_family(en.orthonormal_family(a, b, delta, real),
+                           enumerated_family(a, b, delta, real))
+
+    def test_binding_overlap_filter(self, monkeypatch):
+        monkeypatch.setattr(en, "_overlap_bound", lambda b, delta: 0.6)
+        got = en.orthonormal_family(2, 3, 0.25)
+        assert_same_family(got, enumerated_family(2, 3, 0.25))
+        cert = got[1]
+        assert 0 < cert.survivors_overlap_filter < cert.survivors_norm_filter
+
+    @pytest.mark.parametrize("a,b", [(2, 3), (3, 3)])
+    def test_gram_schmidt_drops(self, a, b, monkeypatch):
+        base = en.orthonormal_family(a, b, 0.25)[1].dropped_degenerate
+        # a residual row norm below 0.5 is degenerate: overlaps above 0.87
+        monkeypatch.setattr(en, "GS_DEGENERATE_TOL", 0.5)
+        got = en.orthonormal_family(a, b, 0.25)
+        assert_same_family(got, enumerated_family(a, b, 0.25))
+        assert got[1].dropped_degenerate > base
+
+    def test_kernel_on_one_candidate(self):
+        # covering_chain runs Gram-Schmidt on one candidate's own rows; it
+        # must give the bits of the same candidate among many
+        rows = en._grid_rows(en.complex_grid(0.25).astype(complex), 4)
+        rows = rows / np.linalg.norm(rows, axis=1)[:, None]
+        idx = np.random.default_rng(5).integers(len(rows), size=(3, 40))
+        many, ok = en._gram_schmidt_rows(rows, idx)
+        assert ok.sum() == len(many) > 30
+        for n, m in zip(np.flatnonzero(ok), many):
+            one, one_ok = en._gram_schmidt_rows(rows[idx[:, n]],
+                                                np.arange(3)[:, None])
+            assert one_ok[0] and one[0].tobytes() == m.tobytes()
 
 
 class TestBoundaryNet:
@@ -267,6 +324,50 @@ class TestBatchedFilter:
         net = en.build_pair_net(1, 2, delta, eps)
         assert_matches_reference(net, 1, 2, delta, eps)
         assert net.lam_net.shape == (1, 1)
+
+
+# (D, d, delta, epsilon_op), None for the certified epsilon
+PAIR_CONFIGS = (
+    [(2, 2, 0.25, eps) for eps in (0.01, 0.05, 0.075, 0.1, 10.0, None)]
+    + [(1, 2, delta, eps) for delta in (0.25, 0.1, 0.05)
+       for eps in (1e-6, 1.0, None)]
+    + [(1, 3, 0.25, None)])
+
+
+@pytest.fixture(scope="module")
+def enumerated_families():
+    """`orthonormal_family` in the signature of the net builders, from
+    the enumerated pipeline, one build per family."""
+    cache = {}
+
+    def family(a, b, delta, real_nonneg=False, cap=en.DEFAULT_CAP):
+        key = (a, b, delta, real_nonneg)
+        if key not in cache:
+            cache[key] = enumerated_family(*key)
+        return cache[key]
+
+    return family
+
+
+class TestPairNetFromRowProductFamilies:
+    @pytest.mark.parametrize("D,d,delta,eps", PAIR_CONFIGS)
+    def test_every_field_bitwise(self, enumerated_families, monkeypatch,
+                                 D, d, delta, eps):
+        eps = en.certified_epsilon(d, D, delta) if eps is None else eps
+        net = en.build_pair_net(D, d, delta, eps)
+        monkeypatch.setattr(en, "orthonormal_family", enumerated_families)
+        ref = en.build_pair_net(D, d, delta, eps)
+        for f in dataclasses.fields(en.PairNet):
+            got, want = getattr(net, f.name), getattr(ref, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), f.name
+            else:
+                assert got == want, f.name
+        if (D, eps) == (2, 0.05):
+            assert (net.size, net.filtered_out) == (123264, 136576)
+        if D == 2 and eps == en.certified_epsilon(d, D, delta):
+            assert net.size == 259840
 
 
 @pytest.fixture(scope="module")
