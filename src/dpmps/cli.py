@@ -176,7 +176,7 @@ def _solve(cfg: RunConfig, h0) -> dict:
         "epsilon_cert": sr.epsilon_used, "epsilon_op": sr.epsilon_op,
         "assignment": sr.assignment, "digest": sr.digest,
         "omega_defect_max": sr.omega_defect_max,
-        "dp_steps": sr.dp_steps,
+        "dp_steps": sr.dp_steps, "dp_lists": sr.dp_lists,
     }
     if cfg.emit_mps and cfg.out_path:
         out["mps"] = mps_to_json(sr.omega)

@@ -15,9 +15,16 @@ NaN there gives a NaN e_alg with in-range indices.
 Admissibility depends on p only through lambda_p, and the net holds few
 distinct lambda vectors, so `solve` builds it once per solve as an
 N x |lambda-net| matrix.  Every interior step is streamed, and no N x N
-array exists.  Before the first list `transition_size_guard` raises
-SizeGuardError if a streamed step and the stored lists would not fit, and
-tells whether reuse anchors (below) fit beside them.
+array exists.  Of each past list `solve` keeps only what the backtrack
+reads, pair_index and tail as int32 arrays; only the newest list keeps
+its energies, which the next step or `_close_list` reads.  A full step
+whose live pairs are its input's holds its input's pair_index array, and
+a reused step (below) holds its anchor's, which is then that same array,
+and its input's tail when its winners are the input's; each makes one
+O(N) comparison for it.  So a periodic run of steps stores no new array.
+Before the first list `transition_size_guard` raises SizeGuardError if a
+streamed step and the stored lists, none shared, would not fit, and tells
+whether reuse anchors (below) fit beside them.
 
 A streamed step first drops, per lambda class, the predecessors that
 provably cannot win.  E[q, p] = tr(H_q P_p^T), with H_q the Hermitian part
@@ -91,6 +98,8 @@ longer within K of a running minimum.
 `solve` keeps one anchor per run of one term, that of the run's last full
 step: a step that the anchor does not certify drops it before its full
 step records the next, and the anchor is dropped when the term changes.
+An anchor holds its own e_ref, so the energies of the lists `solve`
+releases are never read again.
 Recording or reusing an anchor holds at most 32 N c bytes beside a
 streamed step, which `transition_size_guard` counts (`_reuse_bytes`).
 
@@ -134,6 +143,8 @@ class DpList:
     Entry k is net pair `pair_index[k]` with its best accumulated energy
     `energy[k]`; `tail[k]` is the position of its chosen predecessor in
     the previous list, or the boundary tensor index in the first list.
+    Both index arrays are int32.  A full step holds its input's pair_index
+    array when its own is equal, and a reused step its input's tail.
     `reused` tells whether the step reused an anchor's candidates.
     """
 
@@ -165,7 +176,8 @@ class _Anchor:
     def reuse(self, prev: DpList) -> DpList | None:
         """The step from prev by the candidates alone when the certificate
         of the module docstring holds, else None."""
-        if not np.array_equal(prev.pair_index, self.pair_index):
+        if prev.pair_index is not self.pair_index \
+                and not np.array_equal(prev.pair_index, self.pair_index):
             return None
         shift = prev.energy - self.e_ref
         margin = 8.0 * EPS * (np.abs(prev.energy).max() + self.scale)
@@ -175,7 +187,10 @@ class _Anchor:
         cost += self.e_cand
         arg = cost.argmin(axis=1)
         rows = np.arange(arg.size)
-        return DpList(pair_index=self.live, tail=self.cand[rows, arg],
+        tail = self.cand[rows, arg]
+        tail = prev.tail if np.array_equal(tail, prev.tail) \
+            else tail.astype(np.int32)
+        return DpList(pair_index=self.live, tail=tail,
                       energy=cost[rows, arg], reused=True)
 
 
@@ -195,6 +210,7 @@ class SolveResult:
     assignment: list
     omega_defect_max: float     # largest junction defect entry of omega
     dp_steps: dict = field(default_factory=dict)   # {"full": k, "reused": m}
+    dp_lists: dict = field(default_factory=dict)   # `_stored_stats`
     timings: dict = field(default_factory=dict)
 
     @property
@@ -493,7 +509,7 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
     if mask is None:
         mask = stitching_mask(net, epsilon_op)
     best = np.full(net.size, np.inf)
-    tails = np.zeros(net.size, dtype=np.intp)
+    tails = np.zeros(net.size, dtype=np.int32)
     # per lambda class with pairs: admissible list positions and its pairs
     classes = []
     for k in range(mask.shape[1]):
@@ -532,11 +548,14 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
         raise NoAdmissibleTransitionError(
             f"no admissible transition at epsilon_op={epsilon_op}"
         )
+    tail, energy = tails[live], best[live]
+    live = prev.pair_index if np.array_equal(live, prev.pair_index) \
+        else live.astype(np.int32)
     if near is not None:
         anchor = _pack_anchor(prev, near, best, live, tol, scale)
         if anchor is not None:
             anchors.append(anchor)
-    return DpList(pair_index=live, tail=tails[live], energy=best[live])
+    return DpList(pair_index=live, tail=tail, energy=energy)
 
 
 def _reuse_width(n_pairs: int) -> int:
@@ -561,12 +580,14 @@ def transition_size_guard(n_pairs: int, k: int, phys_bytes: int | None,
     holds beside the n_lists stored DP lists would exceed `phys_bytes` of
     physical memory: G, T2, the gathered rows of G and their Hermitian
     parts (N x k complex each at most), the `pair_clusters` centers and
-    radii (at most N x 2k and N reals), one complex CHUNK-row buffer and
-    the lists' index, tail and energy arrays, 16 (CHUNK + 5 k) N + 8 N
-    + 24 n_lists N bytes.  Return whether what reuse anchors add
-    (`_reuse_bytes`) fits beside them.  None (memory size unknown) passes
-    and fits."""
-    held = (16 * (CHUNK + 5 * k) + 8 + 24 * n_lists) * n_pairs
+    radii (at most N x 2k and N reals), one complex CHUNK-row buffer, the
+    energies of the step's input and output lists (2 N reals), and the
+    int32 pair_index and tail of every stored list, counted as if no two
+    lists shared an array, 16 (CHUNK + 5 k) N + 24 N + 8 n_lists N bytes.
+    A shared array is held once, so this bounds what sharing leaves.
+    Return whether what reuse anchors add (`_reuse_bytes`) fits beside
+    them.  None (memory size unknown) passes and fits."""
+    held = (16 * (CHUNK + 5 * k) + 24 + 8 * n_lists) * n_pairs
     check_size(held, phys_bytes, f"bytes of a streamed DP step at "
                f"N={n_pairs} and {n_lists} stored lists", "physical memory")
     return phys_bytes is None or held + _reuse_bytes(n_pairs) <= phys_bytes
@@ -672,13 +693,13 @@ def initial_list(end_net: BoundaryNet, net: PairNet, hterm) -> DpList:
     end tensor index and a NaN energy is kept, as in one argmin."""
     rows = _candidate_rows(end_net, net.lam, net.b, hterm, True)
     energy = np.full(net.size, np.inf)
-    tail = np.zeros(net.size, dtype=np.intp)
+    tail = np.zeros(net.size, dtype=np.int32)
     p = np.arange(net.size)
     for lo, e in _boundary_energies(end_net.tensors[rows], net.lam, net.b,
                                     hterm, True):
         arg = e.argmin(axis=0)
         _merge_min(energy, tail, p, e[arg, p], rows[lo + arg])
-    return DpList(pair_index=p, tail=tail, energy=energy)
+    return DpList(pair_index=p.astype(np.int32), tail=tail, energy=energy)
 
 
 def _close_list(last: DpList, end_net: BoundaryNet, net: PairNet,
@@ -701,6 +722,16 @@ def _close_list(last: DpList, end_net: BoundaryNet, net: PairNet,
         row_val[lo:lo + arg.size] = total[np.arange(arg.size), arg]
     gi = int(row_val.argmin())
     return float(row_val[gi]), int(rows[gi]), int(row_q[gi])
+
+
+def _stored_stats(pair_index: list, tails: list) -> dict:
+    """What the stored lists hold: their count, the distinct tail arrays
+    among them, and the bytes of their distinct pair_index and tail arrays,
+    each array counted once however many lists share it."""
+    index = {id(a): a.nbytes for a in pair_index}
+    tail = {id(a): a.nbytes for a in tails}
+    return {"stored": len(tails), "distinct_tails": len(tail),
+            "bytes": sum(index.values()) + sum(tail.values())}
 
 
 def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
@@ -728,10 +759,13 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
     anchors_fit = n > 3 and transition_size_guard(
         pair_net.size, (pair_net.b.shape[1] * pair_net.b.shape[2]) ** 2,
         hamiltonian._physical_memory(), n - 2)
-    lists = [initial_list(end_net, pair_net, h.terms[0])]
+    last = initial_list(end_net, pair_net, h.terms[0])
+    # what the backtrack reads of every list; only `last` keeps energies
+    pair_index, tails = [last.pair_index], [last.tail]
     mask = stitching_mask(pair_net, epsilon_op)
     clusters = pair_clusters(pair_net) if n > 3 else None
     anchors = None      # the reuse anchor of the current term run
+    reused = 0
     for j in range(3, n):
         hterm = h.terms[j - 2]
         if h.terms[j - 3] is not hterm:
@@ -740,35 +774,40 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
         if (anchors is None and anchors_fit and j < n - 1
                 and h.terms[j - 1] is hterm):
             anchors = []
-        lists.append(extend_list(lists[-1], pair_net, hterm, epsilon_op,
-                                 mask=mask, clusters=clusters,
-                                 anchors=anchors))
+        last = extend_list(last, pair_net, hterm, epsilon_op, mask=mask,
+                           clusters=clusters, anchors=anchors)
+        pair_index.append(last.pair_index)
+        tails.append(last.tail)
+        reused += last.reused
     anchors = None      # not needed past the last interior site
-    reused = sum(lst.reused for lst in lists)
 
-    best_val, best_g, best_q = _close_list(lists[-1], end_net, pair_net,
+    best_val, best_g, best_q = _close_list(last, end_net, pair_net,
                                            h.terms[-1])
     t_dp = time.perf_counter()
 
     # walk the back-pointers
     chosen = []
     ei = best_q
-    for lst in reversed(lists):
-        chosen.append(int(lst.pair_index[ei]))
-        ei = int(lst.tail[ei])
+    for idx, tail in zip(reversed(pair_index), reversed(tails)):
+        chosen.append(int(idx[ei]))
+        ei = int(tail[ei])
     chosen.reverse()
     assignment = [ei] + chosen + [best_g]
 
+    # one copy per distinct pair, shared by the sites that chose it
+    b_copy = {c: pair_net.b[c].copy() for c in set(chosen)}
     omega = CanonicalMps(
         n=n, d=d, D=D, d_end=d_end, s=h.s,
         gamma_left=end_net.tensors[ei].copy(),
         lambda2=pair_net.lam[chosen[0]].copy(),
-        b_tensors=[pair_net.b[c].copy() for c in chosen],
+        b_tensors=[b_copy[c] for c in chosen],
         gamma_right=end_net.tensors[best_g].copy(),
     )
     e_true = expectation_full(omega, h)
-    defect = left_defect(pair_net.lam[chosen[:-1]], pair_net.b[chosen[:-1]],
-                         pair_net.lam[chosen[1:]])
+    # each distinct junction once; the largest defect is that of them all
+    q, p = np.array(sorted(set(zip(chosen, chosen[1:]))),
+                    dtype=np.intp).reshape(-1, 2).T
+    defect = left_defect(pair_net.lam[q], pair_net.b[q], pair_net.lam[p])
     eps_cert = pair_net.epsilon_cert
     lower, upper_slack = error_bounds(best_val, h.J, n, D, eps_cert)
     t_end = time.perf_counter()
@@ -778,7 +817,8 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
         epsilon_used=eps_cert, epsilon_op=epsilon_op,
         N=pair_net.size, n_end=end_net.size, assignment=assignment,
         omega_defect_max=float(np.abs(defect).max(initial=0.0)),
-        dp_steps={"full": len(lists) - 1 - reused, "reused": reused},
+        dp_steps={"full": len(tails) - 1 - reused, "reused": reused},
+        dp_lists=_stored_stats(pair_index, tails),
         timings={
             "net_ms": 1e3 * (t_net - t0),
             "dp_ms": 1e3 * (t_dp - t_net),

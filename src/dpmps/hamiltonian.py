@@ -114,6 +114,9 @@ def _random_unitary(rng, d: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+_UNIFORM = ("zz_chain", "transverse_ising", "heisenberg", "trap_model")
+
+
 def build_model(name: str, params: dict | None, n: int,
                 seed: int | None = None) -> NnHamiltonian:
     """Construct a catalog Hamiltonian on n ungrouped sites of dimension d.
@@ -134,9 +137,11 @@ def build_model(name: str, params: dict | None, n: int,
         raise ConfigError(f"model {name!r}: param d must be an integer >= 2, "
                           f"got {d!r}")
     d = int(d)
-    # n-1 complex d^2 x d^2 terms, checked before the first is built
-    check_size(16 * (n - 1) * d**4, _physical_memory(),
-               f"bytes of {n - 1} terms of dimension {d}^2", "physical memory")
+    # the complex d^2 x d^2 term arrays the model holds, checked before the
+    # first is built: a uniform chain's (`_uniform_terms`) at most three
+    held = min(3, n - 1) if name in _UNIFORM else n - 1
+    check_size(16 * held * d**4, _physical_memory(),
+               f"bytes of {held} terms of dimension {d}^2", "physical memory")
     zz = np.kron(Z, Z)
 
     if name == "zz_chain":

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpmps import cli, errors
+from dpmps import cli, dp, errors
 from dpmps import epsnet as en
 from dpmps.errors import ConfigError
 
@@ -67,6 +67,21 @@ class TestExecute:
         res = cli.execute(cli.parse_config(cfg_text(model={"n": 30})))
         steps = res["dp_steps"]
         assert steps["full"] + steps["reused"] == 27 and steps["reused"] > 0
+
+    def test_solve_reports_stored_lists(self, monkeypatch):
+        # zz_chain's 28 lists share their pair_index, and the reused steps
+        # their tails; bytes counts each int32 array once, and the digest
+        # leaves the field out, as it does dp_steps
+        text = cfg_text(model={"n": 30})
+        res = cli.execute(cli.parse_config(text))
+        lists = res["dp_lists"]
+        assert set(lists) == {"stored", "distinct_tails", "bytes"}
+        assert lists["stored"] == 28
+        assert 0 < lists["distinct_tails"] < 28
+        assert lists["bytes"] == 4 * res["N"] * (lists["distinct_tails"] + 1)
+        monkeypatch.setattr(dp, "_stored_stats", lambda *args: {})
+        other = cli.execute(cli.parse_config(text))
+        assert other["dp_lists"] == {} and other["digest"] == res["digest"]
 
     def test_oracle_heisenberg(self):
         res = cli.execute(cli.parse_config(cfg_text(
@@ -220,6 +235,31 @@ class TestMain:
         assert capsys.readouterr().err.startswith("infeasible:")
         assert not outp.exists()
 
+    @pytest.mark.parametrize("name,code", [("transverse_ising", 0),
+                                           ("random_hermitian", 3)])
+    def test_model_terms_against_memory(self, tmp_path, capsys, monkeypatch,
+                                        name, code):
+        # 2 MB of memory holds 7,812 terms of 256 bytes, and the D=1
+        # delta=0.25 nets: a uniform chain of 10^4 sites holds three term
+        # arrays and passes, where counting its 9,999 terms would not; a
+        # random chain holds all 9,999
+        from dpmps import hamiltonian as ham
+
+        monkeypatch.setattr(ham, "_physical_memory", lambda: 2 * 10**6)
+        path = tmp_path / "cfg.json"
+        outp = tmp_path / "res.json"
+        doc = json.loads(cfg_text(model={"name": name, "n": 10_000},
+                                  run={"mode": "net-stats"}))
+        doc["output"] = {"path": str(outp)}
+        path.write_text(json.dumps(doc))
+        assert cli.main(["--config", str(path)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("infeasible: bytes of 9999 terms")
+            assert not outp.exists()
+        else:
+            assert json.loads(outp.read_text())["N"] > 0
+
     @pytest.mark.parametrize("d", [1000, 10**400])
     def test_huge_site_dimension_exit_3(self, tmp_path, capsys, d):
         # d=1000 ended in numpy's allocation error ("Unable to allocate
@@ -326,9 +366,9 @@ class TestMain:
 
     def test_dp_lists_beyond_memory_exit_3(self, tmp_path, capsys,
                                            monkeypatch):
-        # transverse_ising at n=2 10^6, delta=0.1 needs 16.8 GB of DP lists
-        # and passed every guard, to run out of memory minutes later; at
-        # n=10^4 the 84 MB of lists do not fit in 50 MB
+        # DP lists once passed every guard, to run out of memory minutes
+        # later; the guard counts 8 N bytes per stored list, so at delta=0.1
+        # (N=350) and n=2 10^4 the 56 MB of lists do not fit in 50 MB
         from dpmps import dp
         from dpmps import hamiltonian as ham
 
@@ -340,7 +380,7 @@ class TestMain:
         path = tmp_path / "cfg.json"
         outp = tmp_path / "res.json"
         doc = json.loads(cfg_text(
-            model={"name": "transverse_ising", "n": 10_000},
+            model={"name": "transverse_ising", "n": 20_000},
             solver={"delta": 0.1}))
         doc["output"] = {"path": str(outp)}
         path.write_text(json.dumps(doc))

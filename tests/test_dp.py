@@ -107,7 +107,9 @@ class TestSolve:
 # config) was recorded before the boundary screen and equals
 # perfbench/golden.json; the transverse_ising delta=0.05 solve, whose
 # full steps record reuse anchors (5 full, 4 reused), was recorded while
-# those steps streamed every admissible row unpruned
+# those steps streamed every admissible row unpruned; the transverse_ising
+# n=800 solve (12 full steps, 785 reused) was recorded while every list
+# was stored whole
 GOLDEN_SOLVES = [
     (("transverse_ising", 12, 0.25, None),
      ([9, 3, 9, 3, 9, 3, 9, 3, 9, 3, 9, 3], "-14.239999999999997",
@@ -126,18 +128,45 @@ GOLDEN_SOLVES = [
      ([901, 2186, 315, 2947, 315, 2947, 315, 2825, 315, 2825, 421, 2906],
       "-14.401054855060918",
       "153843f774100862b932a4318832a25873c7c28ebfc2f02cac81ec57f38ff32c")),
+    (("transverse_ising", 800, 0.1, None),
+     ([128, 60] + [227, 3] * 2 + [227, 2] * 396 + [232, 27],
+      "-902.8602897127106",
+      "22b2ff9061d890bbed9ec4ae466c62fd993f2ce9ce09eecbca2fc0cbc359324a")),
 ]
 
 
 @pytest.mark.parametrize(
     "config,expect", GOLDEN_SOLVES,
-    ids=[name if delta >= 0.1 else f"{name}-delta{delta}"
-         for (name, _, delta, _), _ in GOLDEN_SOLVES])
+    ids=[name + (f"-delta{delta}" if delta < 0.1 else "")
+         + (f"-n{n}" if n > 12 else "")
+         for (name, n, delta, _), _ in GOLDEN_SOLVES])
 def test_golden_solve_results(config, expect):
     name, n, delta, seed = config
     h = ham.group_boundaries(ham.build_model(name, {}, n, seed), 1)
     sr = dp.solve(h, 1, delta)
     assert (sr.assignment, repr(sr.e_alg), sr.digest) == expect
+
+
+@pytest.mark.parametrize("n,seed,expect", [
+    (3, 1, [1, 9, 3]), (3, 2, [3, 6, 8]),
+    (4, 1, [1, 4, 2, 3]), (4, 2, [3, 6, 0, 8])])
+def test_short_chains_match_enumeration(n, seed, expect):
+    # at n=3 the first list is also the last, and the close reads its
+    # energies; at n=4 one step's list is.  The assignments were recorded
+    # while every list was stored whole.  The enumeration takes the
+    # lexicographically first optimum, and at n=4 seed 2 it takes pair 5,
+    # a gauge copy of pair 0 whose total lies 2.2e-16 lower, so the
+    # assignment is checked against the enumerated optimum by its energy
+    h = ham.group_boundaries(ham.build_model("random_hermitian", {}, n,
+                                             seed), 1)
+    sr = dp.solve(h, 1, 0.25)
+    net = en.build_pair_net(1, 2, 0.25, sr.epsilon_op)
+    endn = en.build_end_net(1, 2, 0.25)
+    e_enum, _ = oracle.enumerate_net_optimum(h, endn, net, sr.epsilon_op)
+    assert sr.assignment == expect
+    assert abs(sr.e_alg - e_enum) <= 1e-12
+    assert abs(reference.windowed_energy_sum(sr.omega, h) - e_enum) <= 1e-12
+    assert sr.dp_lists["stored"] == n - 2
 
 
 class TestOmegaDefect:

@@ -464,6 +464,14 @@ def test_full_matrix_steps_follow_bytes_rule(monkeypatch, name, n, D):
         "zz_chain", "transverse_ising", "heisenberg", "trap_model"))
 
 
+def guard_bytes(n_pairs, k, n_lists):
+    """What `transition_size_guard` counts: one CHUNK-row complex buffer,
+    G, T2, the gathered rows of G and their Hermitian parts, the cluster
+    centers and radii, the energies of a step's input and output lists, and
+    the int32 pair_index and tail of every stored list, none shared."""
+    return (16 * (dp.CHUNK + 5 * k) + 8 + 16 + 8 * n_lists) * n_pairs
+
+
 class TestSizeGuard:
     def test_d2_net_exceeds_memory(self):
         # the full D=2 net at n=6: a streamed step holds 285 MB, anchors of
@@ -479,15 +487,13 @@ class TestSizeGuard:
 
     @pytest.mark.parametrize("k", [1, 3, 16])
     def test_bounds_are_exact(self, k):
-        # one CHUNK-row complex buffer, G, T2, the gathered rows of G and
-        # their Hermitian parts, the cluster centers and radii, and the
-        # stored lists' index, tail and energy arrays; then what anchors
-        # add, the kept positions and E at them beside the packed anchor
+        # `guard_bytes`; then what anchors add, the kept positions and E at
+        # them beside the packed anchor
         n_pairs = 1000
         assert dp._reuse_bytes(n_pairs) \
             == 32 * n_pairs * 64 + 32 * n_pairs + 64 * dp.BLOCK_ELEMENTS
         for n_lists in (1, 50):
-            held = (16 * (dp.CHUNK + 5 * k) + 8 + 24 * n_lists) * n_pairs
+            held = guard_bytes(n_pairs, k, n_lists)
             full = held + dp._reuse_bytes(n_pairs)
             with pytest.raises(SizeGuardError, match="physical memory"):
                 dp.transition_size_guard(n_pairs, k, held - 1, n_lists)
@@ -498,22 +504,33 @@ class TestSizeGuard:
             assert dp.transition_size_guard(n_pairs, k, full, n_lists) \
                 is True
 
+    def test_two_million_sites_fit_in_8_4_gb(self):
+        # transverse_ising at D=1 delta=0.1 (N=350, k=4), n = 2 10^6: the
+        # lists count 5.6 GB with no array shared, where whole lists of 24
+        # bytes per entry counted 16.8 GB
+        n_lists = 2 * 10**6 - 2
+        held = guard_bytes(350, 4, n_lists)
+        assert held == 5_600_473_200 < 8_400_000_000 < 24 * 350 * n_lists
+        assert dp.transition_size_guard(350, 4, 8_400_000_000, n_lists)
+        with pytest.raises(SizeGuardError, match="1999998 stored lists"):
+            dp.transition_size_guard(350, 4, held - 1, n_lists)
+
     def test_long_chain_lists_exceed_memory(self, monkeypatch):
         # transverse_ising at D=1 delta=0.1 (N=350): a streamed step holds
-        # 0.47 MB, the n - 2 stored lists 24 N (n - 2) bytes, 16.8 GB at
-        # n = 2 10^6; at n = 10^4 with 50 MB of memory the terms, the nets
-        # and the step fit and the 84 MB of lists do not
+        # 0.48 MB, the n - 2 stored lists 8 N (n - 2) bytes at most; at
+        # n = 2 10^4 with 50 MB of memory the terms, the nets and the step
+        # fit and the 56 MB of lists do not
         def never(*args, **kwargs):
             raise AssertionError("DP list built")
 
-        h = ham.build_model("transverse_ising", {}, 10_000)
+        h = ham.build_model("transverse_ising", {}, 20_000)
         net = en.build_pair_net(1, 2, 0.1, 0.05)
-        streamed = (16 * (dp.CHUNK + 5 * 4) + 8) * net.size
-        lists = 24 * net.size * (h.n - 2)
-        assert (net.size, streamed, lists) == (350, 473_200, 83_983_200)
+        streamed = guard_bytes(net.size, 4, 0)
+        lists = 8 * net.size * (h.n - 2)
+        assert (net.size, streamed, lists) == (350, 478_800, 55_994_400)
         monkeypatch.setattr(ham, "_physical_memory", lambda: 5 * 10**7)
         monkeypatch.setattr(dp, "initial_list", never)
-        with pytest.raises(SizeGuardError, match="9998 stored lists"):
+        with pytest.raises(SizeGuardError, match="19998 stored lists"):
             dp.solve(h, 1, 0.1, epsilon_op=0.05, pair_net=net)
 
     def test_no_anchor_recorded_without_room(self, sub_net, monkeypatch):
@@ -534,7 +551,7 @@ class TestSizeGuard:
         ample = dp.solve(h, 2, 0.25, epsilon_op=0.05, end_net=end,
                          pair_net=net)
         assert calls == [1] * ample.dp_steps["full"]
-        held = (16 * (dp.CHUNK + 5 * 16) + 8 + 24 * (h.n - 2)) * net.size
+        held = guard_bytes(net.size, 16, h.n - 2)
         assert held + dp._reuse_bytes(net.size) > 2 * held
         monkeypatch.setattr(ham, "_physical_memory", lambda: 2 * held)
         calls.clear()
@@ -553,7 +570,7 @@ class TestSizeGuard:
         net = en.build_pair_net(1, 2, 0.25, 0.05)
         ample = dp.solve(h, 1, 0.25, epsilon_op=0.05, pair_net=net)
         assert ample.dp_steps["reused"] > 0
-        held = (16 * (dp.CHUNK + 5 * 4) + 8 + 24 * (h.n - 2)) * net.size
+        held = guard_bytes(net.size, 4, h.n - 2)
         fits = held + dp._reuse_bytes(net.size)
         for memory in (fits - 1, fits):
             monkeypatch.setattr(ham, "_physical_memory", lambda: memory)
@@ -1124,6 +1141,78 @@ def test_solve_reports_dp_steps(name, n, delta):
     steps = dp.solve(h, 1, delta).dp_steps
     assert steps["full"] + steps["reused"] == n - 3
     assert (steps["reused"] > 0) == (name == "transverse_ising")
+
+
+def test_steps_share_equal_index_arrays(d1_nets):
+    # int32 index arrays; a step whose pairs are its input's holds the
+    # input's pair_index, and a reused step whose winners are its input's
+    # holds the input's tail, so the periodic regime adds no array
+    anchors = []
+    lists = uniform_steps(d1_nets, uniform_chain("transverse_ising", 200),
+                          0.1, anchors)
+    for lst in lists:
+        assert lst.pair_index.dtype == lst.tail.dtype == np.int32
+    for prev, lst in zip(lists, lists[1:]):
+        assert (lst.pair_index is prev.pair_index) \
+            == np.array_equal(lst.pair_index, prev.pair_index)
+        if lst.reused:
+            assert (lst.tail is prev.tail) \
+                == np.array_equal(lst.tail, prev.tail)
+    assert lists[-1].reused and lists[-1].tail is lists[-2].tail
+    assert len({id(lst.tail) for lst in lists}) < 40
+
+
+@pytest.mark.parametrize("name,n,delta",
+                         REUSE_CASES + [("transverse_ising", 800, 0.1)])
+def test_backtrack_over_shared_lists_matches_whole_lists(d1_nets, name, n,
+                                                         delta):
+    # the assignment `solve` walks from its shared (pair_index, tail)
+    # arrays is the one walked from the whole lists of full steps
+    net, end = d1_nets(delta)
+    h = uniform_chain(name, n)
+    lists = uniform_steps(d1_nets, h, delta)
+    e_alg, g, q = dp._close_list(lists[-1], end, net, h.terms[-1])
+    chosen = []
+    for lst in reversed(lists):
+        chosen.append(int(lst.pair_index[q]))
+        q = int(lst.tail[q])
+    res = dp.solve(h, 1, delta, end_net=end, pair_net=net)
+    assert res.assignment == [q] + chosen[::-1] + [g]
+    assert repr(res.e_alg) == repr(e_alg)
+    assert res.dp_lists["stored"] == len(lists)
+
+
+def test_stored_lists_hold_distinct_arrays_once(d1_nets, monkeypatch):
+    # a uniform chain at D=1 delta=0.1 (N = 350): what `solve` holds when
+    # the DP closes grows with the distinct arrays of its lists, not with
+    # n; whole lists held 24 N bytes each, 8.4 MB more at n = 2,000 than at
+    # n = 1,000
+    net, end = d1_nets(0.1)
+    close, held = dp._close_list, []
+
+    def traced_close(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return close(*args)
+
+    monkeypatch.setattr(dp, "_close_list", traced_close)
+    stats = []
+    for n in (1000, 2000):
+        h = uniform_chain("transverse_ising", n)
+        tracemalloc.start()
+        try:
+            stats.append(dp.solve(h, 1, 0.1, end_net=end,
+                                  pair_net=net).dp_lists)
+        finally:
+            tracemalloc.stop()
+    assert [s["stored"] for s in stats] == [998, 1998]
+    # the same distinct arrays, of at most N int32 entries each
+    assert stats[0]["distinct_tails"] == stats[1]["distinct_tails"] < 40
+    assert stats[0]["bytes"] == stats[1]["bytes"] \
+        <= 4 * net.size * (2 * stats[1]["distinct_tails"])
+    # 1,000 more lists cost two list slots each, not arrays, and all that
+    # is held is less than the index arrays of 100 unshared lists
+    assert held[1] - held[0] <= 32 * 1000
+    assert held[1] < 8 * net.size * 100
 
 
 @pytest.mark.parametrize("ties", [False, True])

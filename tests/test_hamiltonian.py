@@ -61,11 +61,17 @@ class TestBuildModel:
             ham.build_model(name, {"d": 1000}, 3)
 
     def test_long_chain_beyond_memory(self, monkeypatch):
-        # 4,999 zz terms of 256 bytes each exceed a 1 MB memory; 3,906 fit
+        # 4,999 random terms of 256 bytes each exceed a 1 MB memory; 3,906
+        # fit.  A uniform chain holds three term arrays at any length
         monkeypatch.setattr(ham, "_physical_memory", lambda: 10**6)
-        assert len(ham.build_model("zz_chain", {}, 3907).terms) == 3906
+        assert len(ham.build_model("random_hermitian", {}, 3907).terms) \
+            == 3906
         with pytest.raises(SizeGuardError, match="physical memory"):
-            ham.build_model("zz_chain", {}, 5000)
+            ham.build_model("random_hermitian", {}, 5000)
+        for name in ("zz_chain", "transverse_ising", "heisenberg",
+                     "trap_model"):
+            h = ham.build_model(name, {}, 5000)
+            assert len({id(t) for t in h.terms}) <= 3
 
     @pytest.mark.parametrize("n", [3, 4, 12, 800])
     @pytest.mark.parametrize("name,params,bond,field", [
