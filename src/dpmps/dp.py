@@ -5,7 +5,8 @@ pair, held as a `DpList` of parallel arrays ordered by net index.  A
 transition from pair q at site j-1 to pair p at site j is admissible when
 the cached right Schmidt vector mu_q is within 2*epsilon_op of lambda_p;
 its cost is the windowed energy of the term between the two sites.
-`_window_factors` is the one factorization of that energy, Re(G @ T2.T).
+`_left_factor` and `_right_factor` are the one factorization of that
+energy, Re(G @ T2.T).
 Every minimum follows one rule, that of one argmin over the candidates in
 index order: ties go to the lowest index, and a NaN, once seen, stays.
 `_merge_min` applies it to the running minima of the steps and of the
@@ -13,8 +14,9 @@ first list; `_close_list` takes one argmin over the g-major totals, so a
 NaN there gives a NaN e_alg with in-range indices.
 
 Admissibility depends on p only through lambda_p, and the net holds few
-distinct lambda vectors, so `solve` builds it once per solve as an
-N x |lambda-net| matrix.  Every interior step is streamed, and no N x N
+distinct lambda vectors, so it is an N x |lambda-net| matrix, which
+`solve` builds once per solve with all else a step reads from the net
+alone (`step_tables`).  Every interior step is streamed, and no N x N
 array exists.  Of each past list `solve` keeps only what the backtrack
 reads, pair_index and tail as int32 arrays; only the newest list keeps
 its energies, which the next step or `_close_list` reads.  A full step
@@ -34,10 +36,10 @@ a step has one tolerance, K = 1e-9 (1 + max|e_prev| + E_bound)
 (`_step_tolerance`), which the reuse anchors below share.  As real
 vectors, f_q the entries of H_q and t_p those of conj(P_p) (real and
 imaginary parts interleaved), E[q, p] = f_q . t_p.  P_p depends on the
-net alone, so `pair_clusters` groups each class's pairs once per net
-into clusters, pairs whose T2 rows agree after a fixed rounding (the
-gauge copies of the grid nets), each with center t_c, its members' mean,
-and radius r_c, the largest member distance from it.  By Cauchy-Schwarz,
+net alone, so `step_tables` groups each class's pairs once per net into
+clusters, pairs whose T2 rows agree after a fixed rounding (the gauge
+copies of the grid nets), each with center t_c, its members' mean, and
+radius r_c, the largest member distance from it.  By Cauchy-Schwarz,
 every pair p of cluster c and every row q have
     L[q, c] = e_prev[q] + f_q . t_c - ||f_q|| r_c <= e_prev[q] + E[q, p],
 so the minimum m_p over the class's rows is at most
@@ -46,9 +48,11 @@ L[q, c] > U[c] + 2K at every cluster c of its class costs more than
 m_p + 2K at every pair of the class.  ||f_q|| ||t_p|| <= E_bound and
 r_c <= 2 max ||t_p||, so the test rounds by far less than K, and such a
 row can neither win nor tie, nor come within K of a minimum.
-`_viable_rows` drops these rows; L and U take one small real GEMM per
-block of at most BLOCK_ELEMENTS of their entries.  The union of the
-remaining rows is multiplied in CHUNK-row blocks, each one complex GEMM
+`_viable_rows` drops these rows; L and U are the class's rows
+[f_q, ||f_q||, e_prev[q]], stacked once, times its cluster matrices
+[t_c, -r_c, 1] and [t_c, +r_c, 1], one real GEMM per block of at most
+BLOCK_ELEMENTS of their entries.  The union of the remaining rows is
+multiplied in CHUNK-row blocks, each one complex GEMM
 of gathered rows of G against all of T2 into a reused buffer on pages of
 its own (see `_mapped_empty`), and each class's p-major cost block is
 min-reduced in reused pieces of BLOCK_ELEMENTS.  Two BLAS facts keep
@@ -64,10 +68,11 @@ min-plus matrix drives the lists into a periodic regime up to a constant
 shift (the cyclicity theorem of Cohen, Dubois, Quadrat and Viot, 1985),
 where each pair p is won among a few candidate predecessors.  So a full
 step given an anchor list records a reuse anchor in its one pass: it
-keeps the positions within K of a running minimum, E at them, and after
-the pass the same float test against the final minimum m_p leaves the
-candidate set C_p of each live pair p, in position order, since
-fl(running + K) >= fl(m_p + K).  It keeps the input energies e_ref.  No
+keeps each cost within K of a running minimum as an entry (pair p,
+position, E), and after the pass the same float test against the final
+minimum m_p leaves the candidate set C_p of each live pair p, since
+fl(running + K) >= fl(m_p + K); one stable sort by pair keeps C_p in
+position order.  It keeps the input energies e_ref.  No
 pruned row is within K, so C_p is that of the unpruned step.
 A later step on the same term reuses the anchor when its input list has
 the anchor's pair_index and its energies e_prev satisfy
@@ -100,8 +105,8 @@ step: a step that the anchor does not certify drops it before its full
 step records the next, and the anchor is dropped when the term changes.
 An anchor holds its own e_ref, so the energies of the lists `solve`
 releases are never read again.
-Recording or reusing an anchor holds at most 32 N c bytes beside a
-streamed step, which `transition_size_guard` counts (`_reuse_bytes`).
+`transition_size_guard` counts what recording or reusing an anchor
+holds beside a streamed step (`_reuse_bytes`).
 
 The boundary energies of the first and last terms come from one kernel
 that walks the end net in chunks, merged as they come, so no
@@ -251,30 +256,28 @@ def left_defect(lam, b, lam_next) -> np.ndarray:
     return delta
 
 
-def _window_factors(m: np.ndarray, b: np.ndarray, hterm) -> tuple:
-    """(G, T2), Q x K and P x K: the window energy of a left site m[q]
-    (Q, Dl, d1, Dm) and a right site b[p] (P, Dm, d2, Dr), with the term
-    between them and both outer bonds traced, is Re (G @ T2.T)[q, p].
-    G carries the term, T2 = conj(b) (x) b summed over the right bond."""
-    h = np.asarray(hterm).reshape(m.shape[2], b.shape[2],
-                                  m.shape[2], b.shape[2])
+def _left_factor(m: np.ndarray, hterm, d2: int) -> np.ndarray:
+    """G, Q x K: the window energy of a left site m[q] (Q, Dl, d1, Dm) and
+    a right site b[p] (P, Dm, d2, Dr), with the term between them and both
+    outer bonds traced, is Re (G @ T2.T)[q, p], T2 = `_right_factor(b)`."""
+    h = np.asarray(hterm).reshape(m.shape[2], d2, m.shape[2], d2)
     t1 = np.einsum("qaix,qaky->qxiyk", m.conj(), m, optimize=True)
     g = np.einsum("qxiyk,ijkl->qxjyl", t1, h, optimize=True)
-    return g.reshape(len(m), -1), _right_factor(b)
+    return g.reshape(len(m), -1)
 
 
 def _right_factor(b: np.ndarray) -> np.ndarray:
-    """T2 of `_window_factors`, P x K, for right sites b (P, Dm, d2, Dr):
+    """T2 of `_left_factor`, P x K, for right sites b (P, Dm, d2, Dr):
     row p is the PSD matrix P_p = conj(b[p]) (x) b[p] summed over the
     right bond, flattened."""
     t2 = np.einsum("pxjb,pylb->pxjyl", b.conj(), b, optimize=True)
     return t2.reshape(len(b), -1)
 
 
-def _transition_factors(net: PairNet, hterm) -> tuple:
-    """(G, T2) of `_window_factors` for a pair q at the left site and a
-    pair p at the right site."""
-    return _window_factors(net.lam[:, :, None, None] * net.b, net.b, hterm)
+def _transition_factors(net: PairNet, hterm) -> np.ndarray:
+    """G of `_left_factor` for the pairs at the left site of a step."""
+    return _left_factor(net.lam[:, :, None, None] * net.b, hterm,
+                        net.b.shape[2])
 
 
 def _mapped_empty(shape: tuple, dtype) -> np.ndarray:
@@ -339,18 +342,31 @@ def _as_slice(idx: np.ndarray):
     return idx
 
 
-def pair_clusters(net: PairNet) -> tuple:
-    """(center, radius, first): the pair clusters of the module docstring
-    for `net`, ordered by lambda class.  Pairs of one class whose rows of
-    T2, as the real vectors t_p, agree after rounding to 12 decimals form
-    one cluster; center[c] is their mean t_c and radius[c] the largest
-    distance ||t_p - t_c|| of a member, measured.  The clusters of class k
-    are first[k]:first[k + 1].  Groups by one lexsort, not np.unique,
-    which imports numpy.ma, and holds at most two N x 2k real arrays at a
-    time: t and its rounded key, t and its sorted copy, or the sorted t
-    and its key."""
-    t = _right_factor(net.b)
-    t = np.conjugate(t, out=t).view(float)
+@dataclass(eq=False)
+class StepTables:
+    """What a DP step reads from the net alone (`step_tables`): the
+    stitching mask, T2 of `_left_factor`, the traces tr P_p of its rows,
+    and per lambda class its pairs (int32) and the cluster matrices
+    [t_c, -r_c, 1] and [t_c, +r_c, 1] of the module docstring."""
+
+    mask: np.ndarray
+    t2: np.ndarray
+    trace: np.ndarray
+    classes: list       # (pairs, lower, upper) per lambda class
+
+
+def step_tables(net: PairNet, epsilon_op: float) -> StepTables:
+    """The `StepTables` of `net`.  Pairs of one class whose T2 rows, as real
+    vectors t_p, agree after rounding to 12 decimals form a cluster of
+    center t_c, their mean, and radius r_c, the largest measured
+    ||t_p - t_c||.  Groups by one lexsort, not np.unique (which imports
+    numpy.ma), and holds beside T2 at most two N x 2k real arrays at a
+    time: t and its rounded key or its sorted copy."""
+    mask = stitching_mask(net, epsilon_op)
+    t2 = _right_factor(net.b)
+    dd = net.b.shape[1] * net.b.shape[2]        # P_p is dd x dd
+    trace = np.einsum("pii->p", t2.reshape(-1, dd, dd)).real.copy()
+    t = np.conjugate(t2).view(float)
     key = np.round(t, 12)
     order = np.lexsort((*key.T, net.lam_class))
     del key
@@ -369,8 +385,14 @@ def pair_clusters(net: PairNet) -> tuple:
     for lo in range(0, len(t), step):
         t[lo:lo + step] -= center[label[lo:lo + step]]
     radius = np.sqrt(np.maximum.reduceat(np.einsum("ij,ij->i", t, t), start))
+    del t
+    lower, upper = (np.column_stack([center, s * radius, np.ones_like(radius)])
+                    for s in (-1.0, 1.0))
     first = np.searchsorted(cls[start], np.arange(len(net.lam_net) + 1))
-    return center, radius, first
+    return StepTables(mask=mask, t2=t2, trace=trace, classes=[
+        (np.flatnonzero(net.lam_class == k).astype(np.int32),
+         lower[first[k]:first[k + 1]], upper[first[k]:first[k + 1]])
+        for k in range(len(net.lam_net))])
 
 
 def _step_tolerance(e_prev: np.ndarray, h: np.ndarray, trace: np.ndarray):
@@ -381,45 +403,28 @@ def _step_tolerance(e_prev: np.ndarray, h: np.ndarray, trace: np.ndarray):
     return (tol if np.isfinite(1e10 * tol) else np.inf), scale
 
 
-def _cluster_bounds(e_prev: np.ndarray, f: np.ndarray, center: np.ndarray,
-                    radius: np.ndarray, side: float) -> np.ndarray:
-    """e_prev[q] + f_q . t_c + side ||f_q|| r_c, rows x clusters, for rows q
-    with previous energies e_prev and real forms f (module docstring) and
-    clusters of centers t_c and radii r_c.  With side -1 it is L[q, c], at
-    most the cost of q at every pair of c; with side +1 its minimum over
-    the rows is U[c], at least the minimum cost at every pair of c."""
-    rows = np.column_stack([f, np.linalg.norm(f, axis=1), e_prev])
-    return rows @ np.column_stack([center, side * radius,
-                                   np.ones(len(radius))]).T
-
-
 def _viable_rows(rows: np.ndarray, e_prev: np.ndarray, f: np.ndarray,
-                 center: np.ndarray, radius: np.ndarray,
+                 lower: np.ndarray, upper: np.ndarray,
                  tol: float) -> np.ndarray:
     """Mask over `rows`, one lambda class's admissible positions q in the
     previous list, that keeps every q whose cost comes within K = tol of
     the minimum at some pair of the class, from the list's energies e_prev,
     the real forms f[q] of the Hermitian parts of its rows of G, and the
-    class's clusters.  Row q is dropped when L[q, c] > U[c] + 2K at every
-    cluster c (module docstring), with L and U from `_cluster_bounds` in
-    two passes over blocks of rows of at most BLOCK_ELEMENTS entries, and
-    every row is kept when K is not finite."""
-    keep = np.ones(rows.size, dtype=bool)
+    class's cluster matrices `lower` and `upper` (`StepTables`).  Row q is
+    dropped when L[q, c] > U[c] + 2K at every cluster c (module
+    docstring), and every row is kept when K is not finite."""
     if rows.size <= 1 or not np.isfinite(tol):
-        return keep
-    step = max(1, BLOCK_ELEMENTS // len(center))
-    blocks = [slice(lo, lo + step) for lo in range(0, rows.size, step)]
-    bound = np.full(len(center), np.inf)
-    for blk in blocks:          # U, then L against it, one block at a time
-        q = rows[blk]
-        np.minimum(bound, _cluster_bounds(e_prev[q], f[q], center, radius,
-                                          1.0).min(axis=0), out=bound)
+        return np.ones(rows.size, dtype=bool)
+    a = np.column_stack([f[rows], np.empty(rows.size), e_prev[rows]])
+    a[:, -2] = np.linalg.norm(a[:, :-2], axis=1)
+    step = max(1, BLOCK_ELEMENTS // len(lower))
+    starts = range(0, rows.size, step)
+    bound = np.full(len(upper), np.inf)
+    for lo in starts:           # U, then L against it, one block at a time
+        np.minimum(bound, (a[lo:lo + step] @ upper.T).min(axis=0), out=bound)
     bound += 2.0 * tol
-    for blk in blocks:
-        q = rows[blk]
-        keep[blk] = ~(_cluster_bounds(e_prev[q], f[q], center, radius, -1.0)
-                      > bound).all(axis=1)
-    return keep
+    return np.concatenate([~(a[lo:lo + step] @ lower.T > bound).all(axis=1)
+                           for lo in starts])
 
 
 def _cost_blocks(prev: DpList, classes: list, g: np.ndarray, t2: np.ndarray):
@@ -452,52 +457,53 @@ def _cost_blocks(prev: DpList, classes: list, g: np.ndarray, t2: np.ndarray):
 
 
 def _trim_near(near: list, best: np.ndarray, e_prev: np.ndarray,
-               tol: float) -> np.ndarray:
-    """Keep in place the entries (p, r, k = i r.size + s, E at k) of `near`
-    within K = tol of `best` by the step's float test; count them by pair."""
-    count = np.zeros(best.size, dtype=np.intp)
-    for j, (p, r, k, e) in enumerate(near):
-        i, s = np.divmod(k, r.size)
-        ok = e + e_prev[r[s]] <= best[p[i]] + tol
-        near[j] = p, r, k[ok], e[ok]
-        count[p] += np.bincount(i[ok], minlength=p.size)
-    return count
+               tol: float) -> tuple:
+    """The entries (p, r, E) of the blocks in `near`, which it empties,
+    within K = tol of `best` by the step's float test, in order."""
+    p, r, e = (np.concatenate(x) for x in zip(*near))
+    near.clear()
+    ok = e + e_prev[r] <= best[p] + tol
+    return p[ok], r[ok], e[ok]
 
 
 def _pack_anchor(prev: DpList, near: list, best: np.ndarray,
                  live: np.ndarray, tol: float, scale: float):
     """The reuse anchor of a step from its kept entries `near`, minima
-    `best`, finite K = tol and scale; None past `_reuse_width` candidates."""
-    count = _trim_near(near, best, prev.energy, tol)
+    `best`, finite K = tol and scale; None past `_reuse_width` candidates.
+    The entries of each pair come in position order, and a stable sort by
+    pair keeps it, so entry i is candidate i - (its pair's first entry)."""
+    p, r, e = _trim_near(near, best, prev.energy, tol)
+    order = np.argsort(p, kind="stable")
+    p, r, e = p[order], r[order], e[order]
+    del order
+    first = np.searchsorted(p, live)    # each live pair's first entry
+    count = np.diff(first, append=p.size)
     if count.max() > _reuse_width(best.size):
         return None
+    row = np.repeat(np.arange(live.size), count)
+    rank = np.arange(p.size) - first[row]
     cand = np.zeros((live.size, count.max()), dtype=np.intp)
     e_cand = np.full(cand.shape, np.inf)
-    slot = np.cumsum(np.isfinite(best)) - 1     # row of each live pair
-    for p, r, k, e in reversed(near):   # count[p] falls to a block's start
-        i, s = np.divmod(k, r.size)     # i sorted, s sorted in each row
-        count[p] -= np.bincount(i, minlength=p.size)
-        rank = count[p][i] + np.arange(i.size) - np.searchsorted(i, i)
-        cand[slot[p][i], rank], e_cand[slot[p][i], rank] = r[s], e
+    cand[row, rank], e_cand[row, rank] = r, e
     return _Anchor(pair_index=prev.pair_index, e_ref=prev.energy,
                    scale=scale, tol=tol, live=live, cand=cand, e_cand=e_cand)
 
 
 def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
-                mask: np.ndarray | None = None,
-                clusters: tuple | None = None,
+                tables: StepTables | None = None,
                 anchors: list | None = None) -> DpList:
     """One DP step: best admissible predecessor for every net pair.
 
-    `mask` (`stitching_mask`) and `clusters` (`pair_clusters`) are built here
-    when not given.  Per lambda class with pairs, the predecessors admissible
-    for it that `_viable_rows` keeps at the step's one K (`_step_tolerance`)
-    stream through `_cost_blocks` in q order, and `_merge_min` folds in each
-    block: ties go to the lowest list index, which is the lowest net index
-    since lists are index-sorted, and every result, NaN included, equals one
-    argmin over the whole row.  `anchors` holds at most one anchor, that of the
-    last full step on this term, net and mask; the step reuses it when it
-    certifies, else drops it and records its own in the same pass if it can.
+    `tables` (`step_tables`) is built here when not given.  Per lambda
+    class with pairs, the predecessors admissible for it that `_viable_rows`
+    keeps at the step's one K (`_step_tolerance`) stream through
+    `_cost_blocks` in q order, and `_merge_min` folds in each block: ties go
+    to the lowest list index, which is the lowest net index since lists are
+    index-sorted, and every result, NaN included, equals one argmin over
+    the whole row.  `anchors` holds at most one anchor, that of the last
+    full step on this term, net and tables; the step reuses it when it
+    certifies, else drops it and records its own in the same pass if it
+    can, from entries (pair, list position, E).
     """
     if len(prev) == 0:
         raise NoAdmissibleTransitionError("previous DP list is empty")
@@ -506,43 +512,36 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
         if out is not None:
             return out
         anchors.clear()     # free it before the full step records anew
-    if mask is None:
-        mask = stitching_mask(net, epsilon_op)
+    if tables is None:
+        tables = step_tables(net, epsilon_op)
+    g = _transition_factors(net, hterm)
+    dd = net.b.shape[1] * net.b.shape[2]      # h and P are dd x dd
+    g_prev = g[prev.pair_index].reshape(-1, dd, dd)
+    h = 0.5 * (g_prev + g_prev.conj().transpose(0, 2, 1))
+    tol, scale = _step_tolerance(prev.energy, h, tables.trace)
+    f = h.reshape(len(h), -1).view(float)   # the real forms f_q
+    # per lambda class with pairs: its viable list positions and its pairs
+    classes = []
+    for k, (cols, lower, upper) in enumerate(tables.classes):
+        r = np.flatnonzero(tables.mask[prev.pair_index, k]).astype(np.int32)
+        if r.size and cols.size:
+            classes.append((r[_viable_rows(r, prev.energy, f, lower, upper,
+                                           tol)], cols))
     best = np.full(net.size, np.inf)
     tails = np.zeros(net.size, dtype=np.int32)
-    # per lambda class with pairs: admissible list positions and its pairs
-    classes = []
-    for k in range(mask.shape[1]):
-        rows = np.flatnonzero(mask[prev.pair_index, k])
-        cols = np.flatnonzero(net.lam_class == k)
-        if rows.size and cols.size:
-            classes.append((k, rows, cols))
-    if classes:
-        center, radius, first = pair_clusters(net) if clusters is None \
-            else clusters
-        g, t2 = _transition_factors(net, hterm)
-        dd = net.b.shape[1] * net.b.shape[2]      # h and P are dd x dd
-        g_prev = g[prev.pair_index].reshape(-1, dd, dd)
-        h = 0.5 * (g_prev + g_prev.conj().transpose(0, 2, 1))
-        trace = np.einsum("pii->p", t2.reshape(-1, dd, dd)).real
-        tol, scale = _step_tolerance(prev.energy, h, trace)
-        f = h.reshape(len(h), -1).view(float)   # the real forms f_q
-        classes = [(r[_viable_rows(r, prev.energy, f,
-                                   center[first[k]:first[k + 1]],
-                                   radius[first[k]:first[k + 1]], tol)],
-                    cols) for k, r, cols in classes]
-        near = [] if anchors is not None and np.isfinite(tol) else None
-        held, room = 0, net.size * _reuse_width(net.size)
-        for p, r, e, cost in _cost_blocks(prev, classes, g, t2):
-            arg = cost.argmin(axis=1)
-            _merge_min(best, tails, p, cost[np.arange(p.size), arg], r[arg])
-            if near is not None:    # keep what is within K of a running min
-                k = np.flatnonzero(cost <= (best[p] + tol)[:, None])
-                near.append((p, r, k, e.flat[k]))
-                held += k.size
-                if held > room:     # drop what the minima left behind
-                    held = _trim_near(near, best, prev.energy, tol).sum()
-                    near = None if held > room else near
+    near = [] if anchors is not None and np.isfinite(tol) else None
+    held, room = 0, net.size * _reuse_width(net.size)
+    for p, r, e, cost in _cost_blocks(prev, classes, g, tables.t2):
+        arg = cost.argmin(axis=1)
+        _merge_min(best, tails, p, cost[np.arange(p.size), arg], r[arg])
+        if near is not None:    # keep what is within K of a running minimum
+            i, s = np.nonzero(cost <= (best[p] + tol)[:, None])
+            near.append((p[i], r[s], e[i, s]))
+            held += i.size
+            if held > room:     # drop what the minima left behind
+                kept = _trim_near(near, best, prev.energy, tol)
+                held = kept[0].size
+                near = [kept] if held <= room else None
     live = np.flatnonzero(np.isfinite(best))
     if live.size == 0:
         raise NoAdmissibleTransitionError(
@@ -564,30 +563,29 @@ def _reuse_width(n_pairs: int) -> int:
 
 
 def _reuse_bytes(n_pairs: int) -> int:
-    """Bytes anchor reuse adds at most to a streamed step of N = n_pairs pairs,
-    c = `_reuse_width`.  Recording keeps at most N c positions and E at them,
-    16 N c bytes, packs them into the anchor, 16 N c, and holds per-pair counts
-    and slots, 16 N, and temporaries of 64 bytes per entry of a block of at
-    most BLOCK_ELEMENTS; a reused step holds the anchor and its costs, 24 N c,
-    and its argmin, rows, tails and energies, 32 N."""
-    return 32 * n_pairs * _reuse_width(n_pairs) + 32 * n_pairs \
-        + 64 * BLOCK_ELEMENTS
+    """Bytes anchor reuse adds at most to a streamed step of N = n_pairs
+    pairs, c = `_reuse_width`: 64 per kept entry (p, r, E), 16 bytes, of at
+    most N c + BLOCK_ELEMENTS.  A trim holds the blocks and then their
+    concatenation, the test's temporaries and the kept entries, and packing
+    the sorted entries, their rows and ranks and the anchor's 16 bytes per
+    slot, at most 64 bytes an entry; a reused step holds 24 N c + 32 N."""
+    return 64 * (n_pairs * _reuse_width(n_pairs) + BLOCK_ELEMENTS)
 
 
 def transition_size_guard(n_pairs: int, k: int, phys_bytes: int | None,
                           n_lists: int) -> bool:
     """Raise SizeGuardError when what a streamed step of N = n_pairs pairs
     holds beside the n_lists stored DP lists would exceed `phys_bytes` of
-    physical memory: G, T2, the gathered rows of G and their Hermitian
-    parts (N x k complex each at most), the `pair_clusters` centers and
-    radii (at most N x 2k and N reals), one complex CHUNK-row buffer, the
-    energies of the step's input and output lists (2 N reals), and the
-    int32 pair_index and tail of every stored list, counted as if no two
-    lists shared an array, 16 (CHUNK + 5 k) N + 24 N + 8 n_lists N bytes.
-    A shared array is held once, so this bounds what sharing leaves.
-    Return whether what reuse anchors add (`_reuse_bytes`) fits beside
-    them.  None (memory size unknown) passes and fits."""
-    held = (16 * (CHUNK + 5 * k) + 24 + 8 * n_lists) * n_pairs
+    physical memory: the `StepTables` but the mask (T2, N x k complex, N
+    traces, N int32 pairs, two cluster matrices of at most N x (2k + 2)
+    reals), G, its gathered rows and their Hermitian parts (N x k complex
+    each), one class's stacked rows (N x (2k + 2) reals), a complex
+    CHUNK-row buffer, the input and output energies (2 N reals) and the
+    int32 pair_index and tail of every stored list, none shared:
+    16 (CHUNK + 7 k) N + 76 N + 8 n_lists N bytes.  Return whether what
+    reuse anchors add (`_reuse_bytes`) fits too; None (memory size
+    unknown) passes and fits."""
+    held = (16 * (CHUNK + 7 * k) + 76 + 8 * n_lists) * n_pairs
     check_size(held, phys_bytes, f"bytes of a streamed DP step at "
                f"N={n_pairs} and {n_lists} stored lists", "physical memory")
     return phys_bytes is None or held + _reuse_bytes(n_pairs) <= phys_bytes
@@ -637,7 +635,7 @@ def _candidate_rows(end_net: BoundaryNet, lam: np.ndarray, b: np.ndarray,
                     hterm, end_left: bool, offset=None) -> np.ndarray:
     """Sorted indices of the end tensors that can hold a boundary minimum.
 
-    The energy is the window energy of `_window_factors`: at the left end
+    The energy is the window energy of `_left_factor`: at the left end
     of Gamma_g^T as a one-row left site and the pair (lam B)_p, at the
     right end of (lam B)_p and Gamma_g as a one-column right site.  So
     e[g, p] = Re sum_k F[g, k] Q[p, k], with F the end tensors' factor and
@@ -666,9 +664,11 @@ def _candidate_rows(end_net: BoundaryNet, lam: np.ndarray, b: np.ndarray,
         return np.arange(G)
     lb = b * lam[:, :, None, None]
     if end_left:
-        f, q = _window_factors(ends.transpose(0, 2, 1)[:, None], lb, h)
+        f = _left_factor(ends.transpose(0, 2, 1)[:, None], h, lb.shape[2])
+        q = _right_factor(lb)
     else:
-        q, f = _window_factors(lb, ends[..., None], h)
+        q = _left_factor(lb, h, ends.shape[2])
+        f = _right_factor(ends[..., None])
     f = np.concatenate([f.real, -f.imag], axis=1)        # (G, 2K)
     q = np.concatenate([q.real, q.imag], axis=1)         # (P, 2K)
     keep = np.zeros(G, dtype=bool)
@@ -762,8 +762,7 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
     last = initial_list(end_net, pair_net, h.terms[0])
     # what the backtrack reads of every list; only `last` keeps energies
     pair_index, tails = [last.pair_index], [last.tail]
-    mask = stitching_mask(pair_net, epsilon_op)
-    clusters = pair_clusters(pair_net) if n > 3 else None
+    tables = step_tables(pair_net, epsilon_op) if n > 3 else None
     anchors = None      # the reuse anchor of the current term run
     reused = 0
     for j in range(3, n):
@@ -774,12 +773,12 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
         if (anchors is None and anchors_fit and j < n - 1
                 and h.terms[j - 1] is hterm):
             anchors = []
-        last = extend_list(last, pair_net, hterm, epsilon_op, mask=mask,
-                           clusters=clusters, anchors=anchors)
+        last = extend_list(last, pair_net, hterm, epsilon_op, tables=tables,
+                           anchors=anchors)
         pair_index.append(last.pair_index)
         tails.append(last.tail)
         reused += last.reused
-    anchors = None      # not needed past the last interior site
+    tables = anchors = None     # not needed past the last interior site
 
     best_val, best_g, best_q = _close_list(last, end_net, pair_net,
                                            h.terms[-1])

@@ -13,7 +13,7 @@ Each MPS job has one implementation: `contract` (site tensors multiplied
 out left to right), `local_energy` (the window kernel of one windowed
 energy, which the oracle, the reference checks and the benchmark checks
 call; the DP takes its energies from the batched kernels
-`dp._window_factors` and `dp._boundary_energies`) and `left_gram` (the
+`dp._left_factor` and `dp._boundary_energies`) and `left_gram` (the
 (lambda B) Gram matrix behind the left-canonical filter and the DP
 defects).
 """

@@ -263,12 +263,10 @@ class TestLeftDefect:
         sample = rng.choice(net.size, size=400, replace=False)
         checked = 0
         for q in sample:
-            eq = net.pairs[q]
             for p in sample[:20]:
-                ep = net.pairs[p]
-                if np.linalg.norm(eq.mu - ep.lam) > 2 * eps:
+                if np.linalg.norm(net.mu[q] - net.lam[p]) > 2 * eps:
                     continue
-                d = dp.left_defect(eq.lam, eq.b, ep.lam)
+                d = dp.left_defect(net.lam[q], net.b[q], net.lam[p])
                 # off-diagonal part bounded by the filter, diagonal part by
                 # the stitching distance: |l^2 - m^2| <= |l - m|(l + m) <= 4eps
                 assert np.abs(d).max() <= 3 * eps + 4 * eps + 1e-12

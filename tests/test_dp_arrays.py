@@ -7,10 +7,11 @@ memory peak of building the clusters, no pruning
 after a non-finite input, tie rule (also across a block boundary), NaN
 costs, empty steps, one factor build per full step, which steps are
 offered anchors (against the rule of comparing term bytes) and the size
-guard, under which a repeated term whose anchors do not fit takes only
-full steps; for a streamed solve, a memory peak below one N x N matrix,
-the chunk buffer on a map of its own and no import of numpy.ma or
-concurrent.futures;
+guard, whose count bounds a D=2 step's traced peak and under which a
+repeated term whose anchors do not fit takes only full steps; D=2 golden
+solves on sub-nets of three lambda classes; for a streamed solve, a
+memory peak below one N x N matrix, the chunk buffer on a map of its own
+and no import of numpy.ma or concurrent.futures;
 for the batched boundary energies against the per-tensor einsum loops
 they replaced, and with a NaN at either end against one argmin; and for
 the boundary screen, whose factors must agree with the exact kernel far
@@ -144,17 +145,31 @@ def test_matches_dense_step_on_d2_sub_nets(sub_net, keep_fractions, seed,
 def window_hermitian_parts(net, hterm):
     """(h, trace): the Hermitian parts h[q] of the rows of G and the traces
     tr P_p of the rows of T2, both as dD x dD matrices."""
-    g, t2 = dp._transition_factors(net, hterm)
+    g, t2 = dp._transition_factors(net, hterm), dp._right_factor(net.b)
     dd = net.b.shape[1] * net.b.shape[2]
     g = g.reshape(-1, dd, dd)
     trace = np.einsum("pii->p", t2.reshape(-1, dd, dd)).real
     return 0.5 * (g + g.conj().transpose(0, 2, 1)), trace
 
 
+def net_clusters(net):
+    """(center, radius, first) of the clusters in the `step_tables` of net,
+    ordered by lambda class, those of class k at first[k]:first[k + 1],
+    read from the cluster matrices [t_c, -r_c, 1] and [t_c, +r_c, 1]."""
+    classes = dp.step_tables(net, 0.05).classes
+    for _, lower, upper in classes:
+        assert np.array_equal(lower[:, :-2], upper[:, :-2])
+        assert np.array_equal(-lower[:, -2], upper[:, -2])
+        assert (lower[:, -1] == 1.0).all() and (upper[:, -1] == 1.0).all()
+    first = np.cumsum([0] + [len(lower) for _, lower, _ in classes])
+    return (np.concatenate([lower[:, :-2] for _, lower, _ in classes]),
+            np.concatenate([upper[:, -2] for _, _, upper in classes]), first)
+
+
 def cluster_members(net):
-    """The `pair_clusters` of net, per cluster (center, radius, pairs): each
-    pair goes to the nearest center of its class, which must hold it."""
-    center, radius, first = dp.pair_clusters(net)
+    """The clusters of net, per cluster (center, radius, pairs): each pair
+    goes to the nearest center of its class, which must hold it."""
+    center, radius, first = net_clusters(net)
     t = dp._right_factor(net.b).conj().view(float)
     members = [[] for _ in radius]
     for p in range(net.size):
@@ -165,6 +180,15 @@ def cluster_members(net):
         members[c].append(p)
     assert all(members)
     return [(center[c], radius[c], members[c]) for c in range(len(radius))]
+
+
+def cluster_bounds(e_prev, f, center, radius, side):
+    """e_prev[q] + f_q . t_c + side ||f_q|| r_c, rows x clusters: the
+    products of the stacked rows [f_q, ||f_q||, e_prev[q]] with the cluster
+    matrix [t_c, side r_c, 1] (module docstring of `dp`)."""
+    rows = np.column_stack([f, np.linalg.norm(f, axis=1), e_prev])
+    return rows @ np.column_stack([center, side * radius,
+                                   np.ones(len(radius))]).T
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -191,8 +215,8 @@ def test_dominance_bound_holds(d1_nets, sub_net, which, scale):
     assert len(clusters) < len(cost)
     assert max(r for _, r, _ in clusters) < 1e-14 < whole[0][1]
     for center, radius, p in clusters + whole:
-        low, high = (dp._cluster_bounds(e_prev, f, center[None],
-                                        np.array([radius]), side)
+        low, high = (cluster_bounds(e_prev, f, center[None],
+                                    np.array([radius]), side)
                      for side in (-1.0, 1.0))
         # L[q, c] <= cost(q, p) and min_q cost(q, p) <= U[c] for p in c
         assert (low <= cost[:, p] + slack).all()
@@ -247,12 +271,14 @@ def test_non_finite_input_keeps_every_row(where, value):
     e_prev = np.arange(6.0)
     h = np.zeros((6, 2, 2), dtype=complex)
     trace = np.ones(3)
-    center, radius = np.ones((2, 8)), np.zeros(2)
+    # two clusters of radius zero: [t_c, -r_c, 1] = [t_c, +r_c, 1]
+    clusters = np.column_stack([np.ones((2, 8)), np.zeros(2), np.ones(2)])
 
     def viable():
         tol, _ = dp._step_tolerance(e_prev, h, trace)
         f = h.reshape(6, -1).view(float)
-        return dp._viable_rows(np.arange(6), e_prev, f, center, radius, tol)
+        return dp._viable_rows(np.arange(6), e_prev, f, clusters, clusters,
+                               tol)
 
     # finite: equal rows of H, so the lowest energy dominates the others
     assert viable().tolist() == [True] + [False] * 5
@@ -274,7 +300,7 @@ def test_single_pair_clusters_match_dense(sub_net, keep_fractions):
     one = np.sort(one)
     net = dataclasses.replace(net, lam=net.lam[one], b=net.b[one],
                               mu=net.mu[one], lam_class=net.lam_class[one])
-    center, radius, _ = dp.pair_clusters(net)
+    center, radius, _ = net_clusters(net)
     assert len(center) == net.size and not radius.any()
     epsilon_op = 0.05
     rng = np.random.default_rng(107)
@@ -287,17 +313,18 @@ def test_single_pair_clusters_match_dense(sub_net, keep_fractions):
 
 
 def test_pair_clusters_memory(sub_net):
-    # two N x 2k real arrays at a time, t and its rounded key or a sorted
-    # copy; holding t, the key and the key's sorted copy read 3.06 of them
+    # beside T2, which the tables keep, two N x 2k real arrays at a time, t
+    # and its rounded key or a sorted copy; holding t, the key and the key's
+    # sorted copy read 3.06 of them
     net = sub_net(3, 12000)
     nbytes = dp._right_factor(net.b).nbytes
     tracemalloc.start()
     try:
-        dp.pair_clusters(net)
+        dp.step_tables(net, 0.05)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.3 * nbytes
+    assert peak <= nbytes + 2.3 * nbytes
 
 
 def test_class_without_pairs_matches_dense(sub_net):
@@ -445,14 +472,13 @@ def bytes_rule_anchor_steps(terms, n):
                                   "heisenberg", "random_hermitian",
                                   "trap_model", "rotated_classical",
                                   "diagonal_commuting"])
-def test_full_matrix_steps_follow_bytes_rule(monkeypatch, name, n, D):
+def test_anchor_offers_follow_bytes_rule(monkeypatch, name, n, D):
     # the steps that are offered anchors; the steps themselves are stubbed
     # out, so only the choice is checked
     h = ham.group_boundaries(ham.build_model(name, {}, n, 1), D)
     offered = []
 
-    def recording(prev, net, hterm, epsilon_op, *, mask=None, clusters=None,
-                  anchors=None):
+    def recording(prev, net, hterm, epsilon_op, *, tables=None, anchors=None):
         offered.append(anchors is not None)
         return dataclasses.replace(prev, tail=np.arange(len(prev)))
 
@@ -465,17 +491,20 @@ def test_full_matrix_steps_follow_bytes_rule(monkeypatch, name, n, D):
 
 
 def guard_bytes(n_pairs, k, n_lists):
-    """What `transition_size_guard` counts: one CHUNK-row complex buffer,
-    G, T2, the gathered rows of G and their Hermitian parts, the cluster
-    centers and radii, the energies of a step's input and output lists, and
-    the int32 pair_index and tail of every stored list, none shared."""
-    return (16 * (dp.CHUNK + 5 * k) + 8 + 16 + 8 * n_lists) * n_pairs
+    """What `transition_size_guard` counts: one CHUNK-row complex buffer;
+    G, the gathered rows of G and their Hermitian parts; the step tables'
+    T2, traces, int32 class pairs and two cluster matrices of 2k + 2 reals
+    a row; one class's stacked rows of 2k + 2 reals; the energies of a
+    step's input and output lists; and the int32 pair_index and tail of
+    every stored list, none shared."""
+    return (16 * (dp.CHUNK + 3 * k) + 16 * k + 8 + 4 + 2 * 8 * (2 * k + 2)
+            + 8 * (2 * k + 2) + 16 + 8 * n_lists) * n_pairs
 
 
 class TestSizeGuard:
     def test_d2_net_exceeds_memory(self):
-        # the full D=2 net at n=6: a streamed step holds 285 MB, anchors of
-        # c = N/16 candidates per pair would add 30 GB
+        # the full D=2 net at n=6: a streamed step holds 360 MB, anchors of
+        # c = N/16 candidates per pair would add 61 GB
         with pytest.raises(SizeGuardError):
             dp.transition_size_guard(123_264, 16, 2**27, 4)
         assert dp.transition_size_guard(123_264, 16, 8 * 2**30, 4) is False
@@ -487,11 +516,11 @@ class TestSizeGuard:
 
     @pytest.mark.parametrize("k", [1, 3, 16])
     def test_bounds_are_exact(self, k):
-        # `guard_bytes`; then what anchors add, the kept positions and E at
-        # them beside the packed anchor
+        # `guard_bytes`; then what anchors add, 64 bytes per kept entry
+        # (p, r, E) of at most N c + BLOCK_ELEMENTS
         n_pairs = 1000
         assert dp._reuse_bytes(n_pairs) \
-            == 32 * n_pairs * 64 + 32 * n_pairs + 64 * dp.BLOCK_ELEMENTS
+            == 64 * (n_pairs * 64 + dp.BLOCK_ELEMENTS)
         for n_lists in (1, 50):
             held = guard_bytes(n_pairs, k, n_lists)
             full = held + dp._reuse_bytes(n_pairs)
@@ -504,20 +533,41 @@ class TestSizeGuard:
             assert dp.transition_size_guard(n_pairs, k, full, n_lists) \
                 is True
 
+    def test_count_bounds_traced_step(self, sub_net):
+        # a D=2 step on 12,000 pairs, where the terms of N outweigh the
+        # fixed-size blocks: its tracemalloc peak, plus the tables built
+        # before it and the chunk buffer on its own map, stays within the
+        # count for no stored list (31.3 of 34.7 MB)
+        net = sub_net(3, 12000)
+        h = ham.group_boundaries(ham.build_model("heisenberg", {}, 6), 2)
+        tables = dp.step_tables(net, 0.05)
+        prev = dp.initial_list(en.build_end_net(2, h.dims[0], 0.25), net,
+                               h.terms[0])
+        tracemalloc.start()
+        try:
+            dp.extend_list(prev, net, h.terms[1], 0.05, tables=tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = tables.t2.nbytes + tables.trace.nbytes + sum(
+            a.nbytes for cls in tables.classes for a in cls)
+        buf = dp.CHUNK * 16 * net.size
+        assert peak + held + buf <= guard_bytes(net.size, 16, 0)
+
     def test_two_million_sites_fit_in_8_4_gb(self):
         # transverse_ising at D=1 delta=0.1 (N=350, k=4), n = 2 10^6: the
         # lists count 5.6 GB with no array shared, where whole lists of 24
         # bytes per entry counted 16.8 GB
         n_lists = 2 * 10**6 - 2
         held = guard_bytes(350, 4, n_lists)
-        assert held == 5_600_473_200 < 8_400_000_000 < 24 * 350 * n_lists
+        assert held == 5_600_536_200 < 8_400_000_000 < 24 * 350 * n_lists
         assert dp.transition_size_guard(350, 4, 8_400_000_000, n_lists)
         with pytest.raises(SizeGuardError, match="1999998 stored lists"):
             dp.transition_size_guard(350, 4, held - 1, n_lists)
 
     def test_long_chain_lists_exceed_memory(self, monkeypatch):
         # transverse_ising at D=1 delta=0.1 (N=350): a streamed step holds
-        # 0.48 MB, the n - 2 stored lists 8 N (n - 2) bytes at most; at
+        # 0.54 MB, the n - 2 stored lists 8 N (n - 2) bytes at most; at
         # n = 2 10^4 with 50 MB of memory the terms, the nets and the step
         # fit and the 56 MB of lists do not
         def never(*args, **kwargs):
@@ -527,7 +577,7 @@ class TestSizeGuard:
         net = en.build_pair_net(1, 2, 0.1, 0.05)
         streamed = guard_bytes(net.size, 4, 0)
         lists = 8 * net.size * (h.n - 2)
-        assert (net.size, streamed, lists) == (350, 478_800, 55_994_400)
+        assert (net.size, streamed, lists) == (350, 541_800, 55_994_400)
         monkeypatch.setattr(ham, "_physical_memory", lambda: 5 * 10**7)
         monkeypatch.setattr(dp, "initial_list", never)
         with pytest.raises(SizeGuardError, match="19998 stored lists"):
@@ -583,7 +633,7 @@ class TestSizeGuard:
         def never(*args, **kwargs):
             raise AssertionError("transition matrix attempted")
 
-        # 1,500 pairs need 3.5 MB per streamed step
+        # 1,500 pairs need 4.4 MB per streamed step
         monkeypatch.setattr(ham, "_physical_memory", lambda: 2**20)
         monkeypatch.setattr(dp, "_transition_factors", never)
         monkeypatch.setattr(dp, "initial_list", never)
@@ -744,8 +794,9 @@ def test_screen_keeps_every_exact_minimum(d1_nets, sub_net, which, scale):
     h_left, h_right = scale * random_term(rng), scale * random_term(rng)
     # the screen's factors agree with the exact kernel far inside its tol
     lb = net.b * net.lam[:, :, None, None]
-    f, q = dp._window_factors(end.tensors.transpose(0, 2, 1)[:, None], lb,
-                              h_left)
+    f = dp._left_factor(end.tensors.transpose(0, 2, 1)[:, None], h_left,
+                        lb.shape[2])
+    q = dp._right_factor(lb)
     e = kernel_left_energies(end, net, h_left)
     tol = 1e-10 * end.tensors.shape[1] * (1.0 + np.linalg.norm(h_left))
     assert np.abs((f @ q.T).real - e).max() < 1e-3 * tol
@@ -761,8 +812,9 @@ def test_screen_keeps_every_exact_minimum(d1_nets, sub_net, which, scale):
     last.energy *= scale
     lam, b = net.lam[last.pair_index], net.b[last.pair_index]
     e = kernel_right_energies(end, lam, b, h_right)
-    q, f = dp._window_factors(b * lam[:, :, None, None],
-                              end.tensors[..., None], h_right)
+    q = dp._left_factor(b * lam[:, :, None, None], h_right,
+                        end.tensors.shape[2])
+    f = dp._right_factor(end.tensors[..., None])
     tol = 1e-10 * end.tensors.shape[1] * (1.0 + np.linalg.norm(h_right))
     assert np.abs((q @ f.T).real.T - e).max() < 1e-3 * tol
     total = e + last.energy
@@ -885,13 +937,13 @@ def uniform_steps(d1_nets, h, delta, anchors=None, energy=None):
     first list's energies."""
     net, end = d1_nets(delta)
     epsilon_op = en.certified_epsilon(2, 1, delta)
-    mask = dp.stitching_mask(net, epsilon_op)
+    tables = dp.step_tables(net, epsilon_op)
     lists = [dp.initial_list(end, net, h.terms[0])]
     if energy is not None:
         lists[0] = dataclasses.replace(lists[0], energy=energy)
     for hterm in h.terms[1:-1]:
         lists.append(dp.extend_list(lists[-1], net, hterm, epsilon_op,
-                                    mask=mask, anchors=anchors))
+                                    tables=tables, anchors=anchors))
     return lists
 
 
@@ -941,14 +993,41 @@ def test_d2_streamed_steps_record_and_reuse_anchors(sub_net):
     h = ham.group_boundaries(ham.build_model("heisenberg", {}, 24), 2)
     end = en.build_end_net(2, h.dims[0], 0.25)
     first = dp.initial_list(end, net, h.terms[0])
-    mask = dp.stitching_mask(net, epsilon_op)
+    tables = dp.step_tables(net, epsilon_op)
     lists, anchors = [first], []
     for hterm in h.terms[1:-1]:
         lists.append(dp.extend_list(lists[-1], net, hterm, epsilon_op,
-                                    mask=mask, anchors=anchors))
+                                    tables=tables, anchors=anchors))
     assert sum(lst.reused for lst in lists) >= 10 and len(anchors) == 1
     for a, b in zip(lists, dense_steps(net, h, epsilon_op, first)):
         assert_same_list(a, b)
+
+
+# D=2 solves on sub-nets whose pairs span the three lambda classes, so
+# they pin each class's slice of what a step reads from the net; recorded
+# while each step still built its own T2 and cluster matrices.
+# (model, n, seed, sub-net seed) -> (dp_steps, assignment, digest)
+D2_GOLDEN_SOLVES = [
+    (("heisenberg", 24, None, 10),
+     ({"full": 9, "reused": 12},
+      [0] + [656, 585] * 8 + [656, 706, 919, 924, 852, 589, 12],
+      "9eb378f9fa730a4a1c9900675e045662f84f3f58b83330f80f612eb1165b9b6c")),
+    (("random_hermitian", 8, 1, 0),
+     ({"full": 5, "reused": 0}, [0, 594, 637, 495, 720, 543, 913, 105],
+      "c41cbb9f34f84572a68a8d9c32bf69dfc548499aec6b87806d95d1349dfd5d0c")),
+]
+
+
+@pytest.mark.parametrize("config,expect", D2_GOLDEN_SOLVES,
+                         ids=["heisenberg-n24", "random_hermitian-n8"])
+def test_d2_golden_solve_results(sub_net, config, expect):
+    name, n, seed, net_seed = config
+    h = ham.group_boundaries(ham.build_model(name, {}, n, seed), 2)
+    net = sub_net(net_seed)
+    assert set(net.lam_class.tolist()) == {0, 1, 2}
+    sr = dp.solve(h, 2, 0.25, epsilon_op=0.05,
+                  end_net=en.build_end_net(2, h.dims[0], 0.25), pair_net=net)
+    assert (sr.dp_steps, sr.assignment, sr.digest) == expect
 
 
 @pytest.mark.parametrize("which", ["d1", "d2", "zero", "falls"])
@@ -1062,11 +1141,11 @@ def stepper(d1_nets, h, delta):
     step on h's interior term."""
     net, _ = d1_nets(delta)
     epsilon_op = en.certified_epsilon(2, 1, delta)
-    mask = dp.stitching_mask(net, epsilon_op)
+    tables = dp.step_tables(net, epsilon_op)
 
     def step(prev, anchors):
-        return dp.extend_list(prev, net, h.terms[1], epsilon_op, mask=mask,
-                              anchors=anchors)
+        return dp.extend_list(prev, net, h.terms[1], epsilon_op,
+                              tables=tables, anchors=anchors)
 
     return step, uniform_steps(d1_nets, h, delta)
 
@@ -1108,13 +1187,14 @@ def test_nan_in_matrix_never_reuses(sub_net):
     # NaN would leave no pair
     net, epsilon_op = sub_net(10), 0.05
     h = ham.group_boundaries(ham.build_model("heisenberg", {}, 6), 2)
-    mask = dp.stitching_mask(net, epsilon_op)
+    tables = dp.step_tables(net, epsilon_op)
+    mask = tables.mask
     prev = dp.initial_list(en.build_end_net(2, h.dims[0], 0.25), net,
                            h.terms[0])
 
     def step(prev, anchors):
-        return dp.extend_list(prev, net, h.terms[1], epsilon_op, mask=mask,
-                              anchors=anchors)
+        return dp.extend_list(prev, net, h.terms[1], epsilon_op,
+                              tables=tables, anchors=anchors)
 
     anchors = []
     step(prev, anchors)
@@ -1224,8 +1304,7 @@ def test_reuse_memory_within_guard_count(d1_nets, ties):
     net, _ = d1_nets(0.1)
     epsilon_op = en.certified_epsilon(2, 1, 0.1)
     # given, as `solve` gives them, so that their build is not traced
-    mask = dp.stitching_mask(net, epsilon_op)
-    clusters = dp.pair_clusters(net)
+    tables = dp.step_tables(net, epsilon_op)
     if ties:
         hterm = np.zeros((4, 4))
         prev = dp.DpList(pair_index=np.arange(net.size),
@@ -1240,8 +1319,8 @@ def test_reuse_memory_within_guard_count(d1_nets, ties):
         tracemalloc.start()
         try:
             for energy in (prev, shifted(prev)):
-                dp.extend_list(energy, net, hterm, epsilon_op, mask=mask,
-                               clusters=clusters, anchors=anchors)
+                dp.extend_list(energy, net, hterm, epsilon_op,
+                               tables=tables, anchors=anchors)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

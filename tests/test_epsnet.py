@@ -199,10 +199,9 @@ class TestPairNet:
     def test_d1_degenerate(self):
         net = en.build_pair_net(1, 2, 0.25, epsilon_op=1.0)
         # the single lambda survivor is (1.0); every B is a unit vector
-        for el in net.pairs:
-            assert np.allclose(el.lam, [1.0])
-            assert abs(np.linalg.norm(el.b) - 1.0) < 1e-10
-            assert np.allclose(el.mu, [1.0])
+        assert np.allclose(net.lam, 1.0) and np.allclose(net.mu, 1.0)
+        norms = np.linalg.norm(net.b.reshape(net.size, -1), axis=1)
+        assert (abs(norms - 1.0) < 1e-10).all()
         assert net.size == 16
 
     def test_vacuous_filter_size(self):

@@ -40,8 +40,8 @@ def test_every_module_is_imported_by_another():
 TEST_REFERENCES = {
     "covering_chain": "the covering-proof stages behind the criterion-2 "
                       "xfail",
-    "pairs": "PairNet.pairs, read by perfbench/checks.py and "
-             "perfbench/layertrace.py until they read the net's arrays",
+    "pairs": "PairNet.pairs, the per-pair view that only perfbench/ "
+             "reads, until it reads the net's arrays",
 }
 
 

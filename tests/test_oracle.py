@@ -119,8 +119,8 @@ class TestEnumerateNetOptimum:
         net = en.build_pair_net(2, 2, 0.25, epsilon_op=0.2, cap=10**7)
         endn = en.build_end_net(2, 4, 0.25)
         h = ham.group_boundaries(ham.build_model("zz_chain", {}, 6), 2)
-        mu_lam = min(np.linalg.norm(q.mu - p.lam)
-                     for q in net.pairs[:50] for p in net.pairs[:50])
+        mu_lam = np.linalg.norm(net.mu[:50, None] - net.lam[None, :50],
+                                axis=2).min()
         if mu_lam > 2e-9:
             with pytest.raises(NoAdmissibleSequenceError):
                 oracle.enumerate_net_optimum(h, endn, net, 1e-9)
