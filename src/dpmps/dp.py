@@ -28,40 +28,37 @@ Before the first list `transition_size_guard` raises SizeGuardError if a
 streamed step and the stored lists, none shared, would not fit, and tells
 whether reuse anchors (below) fit beside them.
 
-A streamed step first drops, per lambda class, the predecessors that
-provably cannot win.  E[q, p] = tr(H_q P_p^T), with H_q the Hermitian part
-of row q of G and P_p row p of T2, both as dD x dD matrices; P_p is PSD
-with trace ||B_p||^2.  So |E[q, p]| <= E_bound = dD max|H| max tr P, and
-a step has one tolerance, K = 1e-9 (1 + max|e_prev| + E_bound)
-(`_step_tolerance`), which the reuse anchors below share.  As real
-vectors, f_q the entries of H_q and t_p those of conj(P_p) (real and
-imaginary parts interleaved), E[q, p] = f_q . t_p.  P_p depends on the
-net alone, so `step_tables` groups each class's pairs once per net into
-clusters, pairs whose T2 rows agree after a fixed rounding (the gauge
-copies of the grid nets), each with center t_c, its members' mean, and
-radius r_c, the largest member distance from it.  By Cauchy-Schwarz,
-every pair p of cluster c and every row q have
-    L[q, c] = e_prev[q] + f_q . t_c - ||f_q|| r_c <= e_prev[q] + E[q, p],
-so the minimum m_p over the class's rows is at most
-U[c] = min_q (e_prev[q] + f_q . t_c + ||f_q|| r_c).  A row with
-L[q, c] > U[c] + 2K at every cluster c of its class costs more than
-m_p + 2K at every pair of the class.  ||f_q|| ||t_p|| <= E_bound and
-r_c <= 2 max ||t_p||, so the test rounds by far less than K, and such a
-row can neither win nor tie, nor come within K of a minimum.
-`_viable_rows` drops these rows; L and U are the class's rows
-[f_q, ||f_q||, e_prev[q]], stacked once, times its cluster matrices
-[t_c, -r_c, 1] and [t_c, +r_c, 1], one real GEMM per block of at most
-BLOCK_ELEMENTS of their entries.  The union of the remaining rows is
-multiplied in CHUNK-row blocks, each one complex GEMM
-of gathered rows of G against all of T2 into a reused buffer on pages of
-its own (see `_mapped_empty`), and each class's p-major cost block is
-min-reduced in reused pieces of BLOCK_ELEMENTS.  Two BLAS facts keep
-every bit: a product over a subset of the columns rounds differently
-in the edge tiles, so rows are gathered and columns never are; and a
-one-row product takes the gemv path, which rounds differently too, so it
-is padded to two rows.  Chunks of two or more gathered rows are bitwise
-rows of the full product, so the lists are bitwise those of the dense
-step on the full N x N matrix.
+One pruning bound serves the steps and both ends.  E[q, p] = tr(H_q P_p^T),
+with H_q the Hermitian part of row q of G and P_p row p of T2, both as dD x dD
+matrices; P_p is PSD with trace ||B_p||^2.  As real vectors, f_q the entries
+of H_q and t_p those of conj(P_p) (real and imaginary parts interleaved),
+E[q, p] = f_q . t_p.  `_clusters` groups rows t_p that agree after a fixed
+rounding (the gauge copies of the grid nets) into clusters of center t_c,
+their mean, and radius r_c, the largest member distance from it.  By
+Cauchy-Schwarz, every p of cluster c and every row q of input energy e[q] have
+    L[q, c] = e[q] + f_q . t_c - ||f_q|| r_c <= e[q] + E[q, p],
+so the minimum m_p over the rows is at most
+U[c] = min_q (e[q] + f_q . t_c + ||f_q|| r_c).  A row with L[q, c] > U[c] + 2K
+at every cluster c costs more than m_p + 2K at every p.  K = 1e-9 (1 + scale)
+is the one tolerance (`_tolerance`), scale a bound on every |cost| and on
+||f_q|| ||t_p||; r_c <= 2 max ||t_p||, so the test rounds by far less than K,
+and such a row can neither win nor tie, nor come within K of a minimum.  K is
+inf, and nothing is pruned, when 1e10 K is not finite.  L and U are the rows
+[f_q, ||f_q||, e[q]], stacked once, times the cluster matrices [t_c, -r_c, 1]
+and [t_c, +r_c, 1], one real GEMM per block of at most BLOCK_ELEMENTS
+products.  A step's clusters are each lambda class's, grouped once per net
+(`step_tables`); |E[q, p]| <= E_bound = dD max|H| max tr P, so its scale is
+max|e_prev| + E_bound, and the reuse anchors below share its K.
+`_viable_rows` drops rows per class, and the union of the remaining rows is
+multiplied in CHUNK-row blocks, each one complex GEMM of gathered rows of G
+against all of T2 into a reused buffer on pages of its own (see
+`_mapped_empty`), and each class's p-major cost block is min-reduced in reused
+pieces of BLOCK_ELEMENTS.  Two BLAS facts keep every bit: a product over a
+subset of the columns rounds differently in the edge tiles, so rows are
+gathered and columns never are; and a one-row product takes the gemv path,
+which rounds differently too, so it is padded to two rows.  Chunks of two or
+more gathered rows are bitwise rows of the full product, so the lists are
+bitwise those of the dense step on the full N x N matrix.
 
 A step on a repeated term also reuses its own work.  Repeating one
 min-plus matrix drives the lists into a periodic regime up to a constant
@@ -94,9 +91,8 @@ padded with E = +inf, whose cost never wins against the finite ones, so
 one argmin per row picks the full step's winner and value.  The
 pair_index and the mask fix which pairs have an admissible predecessor,
 and every cost is finite, so the live set is the anchor's.  An anchor is
-recorded only when K is finite (K is inf, and no row is pruned, when
-1e10 K is not), so a non-finite input or term energy never reuses, and
-only when no pair has more than c = max(REUSE_CANDIDATES, N/16)
+recorded only when K is finite, so a non-finite input or term energy never
+reuses, and only when no pair has more than c = max(REUSE_CANDIDATES, N/16)
 candidates, so a reused step costs at most a sixteenth of a full one past
 N = 1024, and the pass keeps at most N c positions once it drops those no
 longer within K of a running minimum.
@@ -108,12 +104,19 @@ releases are never read again.
 `transition_size_guard` counts what recording or reusing an anchor
 holds beside a streamed step (`_reuse_bytes`).
 
-The boundary energies of the first and last terms come from one kernel
-that walks the end net in chunks, merged as they come, so no
-(end net) x N array is formed; at D=1 both are bitwise equal to the
-per-end-tensor einsum loop they replaced.  A screen, `_candidate_rows`,
-passes only the end tensors that can reach a minimum, so the results are
-bitwise those of evaluating all of them.  The returned sandwich bounds are
+The boundary energies of the first and last terms come from one kernel,
+`_boundary_energies`, over chunks of end tensors merged as they come, so no
+(end net) x N array is formed; at D=1 they are bitwise those of the
+per-end-tensor einsum loop it replaced.  It evaluates only the end tensors the
+bound keeps, so the results are bitwise those of all.  At the left end
+Gamma_g^T, a one-row left site, precedes (lambda B)_p, whose right factor is
+lambda_x lambda_y T2_p in p's class: so the forms of Gamma_g^T, scaled by it,
+meet the class's clusters at e = 0.  At the right end the last list's rows
+bound clusters of the end tensors as one-column right sites.  End rows and
+rows of B are orthonormal and lambda has unit norm, so by Cauchy-Schwarz the
+absolute products of a boundary energy, in either summation order, add up to
+at most D ||h||_F, which also bounds ||f|| ||t||: the scale is D ||h||_F, plus
+max|energy| of the last list at the right end.  The sandwich bounds are
 
     e_alg - 6 J n eps  <=  e_exact  <=  e_true  <=  e_alg + 1.5 J D^2 n^2 eps.
 """
@@ -344,7 +347,7 @@ def _as_slice(idx: np.ndarray):
 
 @dataclass(eq=False)
 class StepTables:
-    """What a DP step reads from the net alone (`step_tables`): the
+    """What the steps and the left end read from the net alone: the
     stitching mask, T2 of `_left_factor`, the traces tr P_p of its rows,
     and per lambda class its pairs (int32) and the cluster matrices
     [t_c, -r_c, 1] and [t_c, +r_c, 1] of the module docstring."""
@@ -355,22 +358,18 @@ class StepTables:
     classes: list       # (pairs, lower, upper) per lambda class
 
 
-def step_tables(net: PairNet, epsilon_op: float) -> StepTables:
-    """The `StepTables` of `net`.  Pairs of one class whose T2 rows, as real
-    vectors t_p, agree after rounding to 12 decimals form a cluster of
-    center t_c, their mean, and radius r_c, the largest measured
-    ||t_p - t_c||.  Groups by one lexsort, not np.unique (which imports
-    numpy.ma), and holds beside T2 at most two N x 2k real arrays at a
-    time: t and its rounded key or its sorted copy."""
-    mask = stitching_mask(net, epsilon_op)
-    t2 = _right_factor(net.b)
-    dd = net.b.shape[1] * net.b.shape[2]        # P_p is dd x dd
-    trace = np.einsum("pii->p", t2.reshape(-1, dd, dd)).real.copy()
-    t = np.conjugate(t2).view(float)
+def _clusters(t2: np.ndarray, cls: np.ndarray) -> tuple:
+    """(label, lower, upper, classes): the rows of T2 grouped into clusters,
+    rows of one class of `cls` whose t_p agree after rounding to 12
+    decimals, numbered by class, then by rounded t; each row's cluster, the
+    matrices [t_c, -r_c, 1] and [t_c, +r_c, 1], and each cluster's class.
+    Groups by one lexsort, not np.unique (which imports numpy.ma), and
+    holds beside T2 at most two N x 2k real arrays at a time."""
+    t = np.conjugate(np.ascontiguousarray(t2)).view(float)
     key = np.round(t, 12)
-    order = np.lexsort((*key.T, net.lam_class))
+    order = np.lexsort((*key.T, cls))
     del key
-    t, cls = t[order], net.lam_class[order]
+    t, cls = t[order], cls[order]
     # rounding is elementwise, so the sorted rows round to the sorted key
     key = np.round(t, 12)
     new = np.ones(len(t), dtype=bool)
@@ -379,52 +378,73 @@ def step_tables(net: PairNet, epsilon_op: float) -> StepTables:
     start = np.flatnonzero(new)
     center = np.add.reduceat(t, start)
     center /= np.diff(start, append=len(t))[:, None]
-    # each pair's offset from its center, in blocks of BLOCK_ELEMENTS
-    label = np.cumsum(new) - 1
+    # each row's offset from its center, in blocks of BLOCK_ELEMENTS
+    at = np.cumsum(new) - 1
     step = max(1, BLOCK_ELEMENTS // t.shape[1])
     for lo in range(0, len(t), step):
-        t[lo:lo + step] -= center[label[lo:lo + step]]
+        t[lo:lo + step] -= center[at[lo:lo + step]]
     radius = np.sqrt(np.maximum.reduceat(np.einsum("ij,ij->i", t, t), start))
     del t
+    label = np.empty_like(at)
+    label[order] = at
     lower, upper = (np.column_stack([center, s * radius, np.ones_like(radius)])
                     for s in (-1.0, 1.0))
-    first = np.searchsorted(cls[start], np.arange(len(net.lam_net) + 1))
-    return StepTables(mask=mask, t2=t2, trace=trace, classes=[
+    return label, lower, upper, cls[start]
+
+
+def step_tables(net: PairNet, epsilon_op: float) -> StepTables:
+    """The `StepTables` of `net`, its pairs grouped by `_clusters`."""
+    t2 = _right_factor(net.b)
+    dd = net.b.shape[1] * net.b.shape[2]        # P_p is dd x dd
+    trace = np.einsum("pii->p", t2.reshape(-1, dd, dd)).real.copy()
+    _, lower, upper, cls = _clusters(t2, net.lam_class)
+    first = np.searchsorted(cls, np.arange(len(net.lam_net) + 1))
+    return StepTables(stitching_mask(net, epsilon_op), t2, trace, classes=[
         (np.flatnonzero(net.lam_class == k).astype(np.int32),
          lower[first[k]:first[k + 1]], upper[first[k]:first[k + 1]])
         for k in range(len(net.lam_net))])
 
 
-def _step_tolerance(e_prev: np.ndarray, h: np.ndarray, trace: np.ndarray):
-    """(K, scale = max|e_prev| + E_bound) of the module docstring for a
-    step, or K = inf when 1e10 K, ten times every cost, is not finite."""
-    scale = np.abs(e_prev).max() + h.shape[-1] * np.abs(h).max() * trace.max()
+def _tolerance(scale) -> float:
+    """K = 1e-9 (1 + scale) of the module docstring, or inf when 1e10 K,
+    ten times every cost, is not finite."""
     tol = 1e-9 * (1.0 + scale)
-    return (tol if np.isfinite(1e10 * tol) else np.inf), scale
+    return tol if np.isfinite(1e10 * tol) else np.inf
+
+
+def _hermitian_parts(g: np.ndarray, dd: int) -> tuple:
+    """(H, f): the Hermitian parts of the rows of a left factor G, as
+    dd x dd matrices, and their real forms."""
+    g = np.ascontiguousarray(g).reshape(-1, dd, dd)
+    h = 0.5 * (g + g.conj().transpose(0, 2, 1))
+    return h, h.reshape(len(h), -1).view(float)
+
+
+def _least(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """min over the rows of a of a @ m.T, per row of m, one block of at most
+    BLOCK_ELEMENTS products at a time; NaN, once seen, stays."""
+    step = max(1, BLOCK_ELEMENTS // len(m))
+    out = np.full(len(m), np.inf)
+    for lo in range(0, len(a), step):
+        np.minimum(out, (a[lo:lo + step] @ m.T).min(axis=0), out=out)
+    return out
 
 
 def _viable_rows(rows: np.ndarray, e_prev: np.ndarray, f: np.ndarray,
-                 lower: np.ndarray, upper: np.ndarray,
-                 tol: float) -> np.ndarray:
-    """Mask over `rows`, one lambda class's admissible positions q in the
-    previous list, that keeps every q whose cost comes within K = tol of
-    the minimum at some pair of the class, from the list's energies e_prev,
-    the real forms f[q] of the Hermitian parts of its rows of G, and the
-    class's cluster matrices `lower` and `upper` (`StepTables`).  Row q is
-    dropped when L[q, c] > U[c] + 2K at every cluster c (module
-    docstring), and every row is kept when K is not finite."""
+                 lower: np.ndarray, upper: np.ndarray, tol: float):
+    """Mask over `rows` (positions q) that keeps every q whose cost can come
+    within K = tol of a minimum at some cluster of `lower`, `upper`, from
+    input energies e_prev[q] and real forms f[q]: q is dropped when
+    L[q, c] > U[c] + 2K at every cluster c (module docstring), and every
+    row is kept when K is not finite."""
     if rows.size <= 1 or not np.isfinite(tol):
         return np.ones(rows.size, dtype=bool)
     a = np.column_stack([f[rows], np.empty(rows.size), e_prev[rows]])
     a[:, -2] = np.linalg.norm(a[:, :-2], axis=1)
+    bound = _least(a, upper) + 2.0 * tol
     step = max(1, BLOCK_ELEMENTS // len(lower))
-    starts = range(0, rows.size, step)
-    bound = np.full(len(upper), np.inf)
-    for lo in starts:           # U, then L against it, one block at a time
-        np.minimum(bound, (a[lo:lo + step] @ upper.T).min(axis=0), out=bound)
-    bound += 2.0 * tol
     return np.concatenate([~(a[lo:lo + step] @ lower.T > bound).all(axis=1)
-                           for lo in starts])
+                           for lo in range(0, rows.size, step)])
 
 
 def _cost_blocks(prev: DpList, classes: list, g: np.ndarray, t2: np.ndarray):
@@ -456,23 +476,33 @@ def _cost_blocks(prev: DpList, classes: list, g: np.ndarray, t2: np.ndarray):
                 yield p, r_blk, e, cost
 
 
-def _trim_near(near: list, best: np.ndarray, e_prev: np.ndarray,
-               tol: float) -> tuple:
-    """The entries (p, r, E) of the blocks in `near`, which it empties,
-    within K = tol of `best` by the step's float test, in order."""
-    p, r, e = (np.concatenate(x) for x in zip(*near))
-    near.clear()
-    ok = e + e_prev[r] <= best[p] + tol
-    return p[ok], r[ok], e[ok]
+def _trim_near(near: tuple, best: np.ndarray, e_prev: np.ndarray,
+               tol: float) -> int:
+    """Trim `near`, the entries (p, r, E) as three lists of blocks, to one
+    block a field of those within K = tol of `best` by the step's float
+    test, in order; return how many remain.  One field at a time is
+    concatenated, or filtered, and its old blocks freed."""
+    for blocks in near:
+        blocks[:] = [np.concatenate(blocks)]
+    (p,), (r,), (e,) = near
+    ok = np.empty(p.size, dtype=bool)
+    for lo in range(0, p.size, BLOCK_ELEMENTS):
+        at = slice(lo, lo + BLOCK_ELEMENTS)
+        ok[at] = e[at] + e_prev[r[at]] <= best[p[at]] + tol
+    del p, r, e
+    for blocks in near:
+        blocks[0] = blocks[0][ok]
+    return int(ok.sum())
 
 
-def _pack_anchor(prev: DpList, near: list, best: np.ndarray,
+def _pack_anchor(prev: DpList, near: tuple, best: np.ndarray,
                  live: np.ndarray, tol: float, scale: float):
     """The reuse anchor of a step from its kept entries `near`, minima
     `best`, finite K = tol and scale; None past `_reuse_width` candidates.
     The entries of each pair come in position order, and a stable sort by
     pair keeps it, so entry i is candidate i - (its pair's first entry)."""
-    p, r, e = _trim_near(near, best, prev.energy, tol)
+    _trim_near(near, best, prev.energy, tol)
+    p, r, e = (blocks.pop() for blocks in near)
     order = np.argsort(p, kind="stable")
     p, r, e = p[order], r[order], e[order]
     del order
@@ -496,7 +526,7 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
 
     `tables` (`step_tables`) is built here when not given.  Per lambda
     class with pairs, the predecessors admissible for it that `_viable_rows`
-    keeps at the step's one K (`_step_tolerance`) stream through
+    keeps at the step's one K (module docstring) stream through
     `_cost_blocks` in q order, and `_merge_min` folds in each block: ties go
     to the lowest list index, which is the lowest net index since lists are
     index-sorted, and every result, NaN included, equals one argmin over
@@ -516,12 +546,11 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
         tables = step_tables(net, epsilon_op)
     g = _transition_factors(net, hterm)
     dd = net.b.shape[1] * net.b.shape[2]      # h and P are dd x dd
-    g_prev = g[prev.pair_index].reshape(-1, dd, dd)
-    h = 0.5 * (g_prev + g_prev.conj().transpose(0, 2, 1))
-    tol, scale = _step_tolerance(prev.energy, h, tables.trace)
-    f = h.reshape(len(h), -1).view(float)   # the real forms f_q
-    # per lambda class with pairs: its viable list positions and its pairs
-    classes = []
+    h, f = _hermitian_parts(g[prev.pair_index], dd)
+    scale = np.abs(prev.energy).max() + dd * np.abs(h).max() \
+        * tables.trace.max()                # max|e_prev| + E_bound
+    tol = _tolerance(scale)
+    classes = []    # per class with pairs: viable list positions, pairs
     for k, (cols, lower, upper) in enumerate(tables.classes):
         r = np.flatnonzero(tables.mask[prev.pair_index, k]).astype(np.int32)
         if r.size and cols.size:
@@ -529,19 +558,21 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
                                            tol)], cols))
     best = np.full(net.size, np.inf)
     tails = np.zeros(net.size, dtype=np.int32)
-    near = [] if anchors is not None and np.isfinite(tol) else None
+    # the kept entries (pair, list position, E), one list of blocks a field
+    near = ([], [], []) if anchors is not None and np.isfinite(tol) else None
     held, room = 0, net.size * _reuse_width(net.size)
     for p, r, e, cost in _cost_blocks(prev, classes, g, tables.t2):
         arg = cost.argmin(axis=1)
         _merge_min(best, tails, p, cost[np.arange(p.size), arg], r[arg])
         if near is not None:    # keep what is within K of a running minimum
             i, s = np.nonzero(cost <= (best[p] + tol)[:, None])
-            near.append((p[i], r[s], e[i, s]))
+            for blocks, x in zip(near, (p[i], r[s], e[i, s])):
+                blocks.append(x)
             held += i.size
             if held > room:     # drop what the minima left behind
-                kept = _trim_near(near, best, prev.energy, tol)
-                held = kept[0].size
-                near = [kept] if held <= room else None
+                held = _trim_near(near, best, prev.energy, tol)
+                if held > room:
+                    near = None
     live = np.flatnonzero(np.isfinite(best))
     if live.size == 0:
         raise NoAdmissibleTransitionError(
@@ -565,10 +596,10 @@ def _reuse_width(n_pairs: int) -> int:
 def _reuse_bytes(n_pairs: int) -> int:
     """Bytes anchor reuse adds at most to a streamed step of N = n_pairs
     pairs, c = `_reuse_width`: 64 per kept entry (p, r, E), 16 bytes, of at
-    most N c + BLOCK_ELEMENTS.  A trim holds the blocks and then their
-    concatenation, the test's temporaries and the kept entries, and packing
-    the sorted entries, their rows and ranks and the anchor's 16 bytes per
-    slot, at most 64 bytes an entry; a reused step holds 24 N c + 32 N."""
+    most N c + BLOCK_ELEMENTS.  A trim holds the blocks and one field's
+    concatenation, or the fields, their mask and one filtered field, 25
+    bytes an entry, and packing the sorted entries, their rows and ranks and
+    the anchor's 16 bytes per slot, 64; a reused step holds 24 N c + 32 N."""
     return 64 * (n_pairs * _reuse_width(n_pairs) + BLOCK_ELEMENTS)
 
 
@@ -631,72 +662,29 @@ def _boundary_energies(ends: np.ndarray, lam: np.ndarray, b: np.ndarray,
         yield lo, val.reshape(g, P).real
 
 
-def _candidate_rows(end_net: BoundaryNet, lam: np.ndarray, b: np.ndarray,
-                    hterm, end_left: bool, offset=None) -> np.ndarray:
-    """Sorted indices of the end tensors that can hold a boundary minimum.
-
-    The energy is the window energy of `_left_factor`: at the left end
-    of Gamma_g^T as a one-row left site and the pair (lam B)_p, at the
-    right end of (lam B)_p and Gamma_g as a one-column right site.  So
-    e[g, p] = Re sum_k F[g, k] Q[p, k], with F the end tensors' factor and
-    Q the pairs', and one real GEMM per chunk of pairs screens every
-    (g, p).  Both this and `_boundary_energies` sum the products
-    h[ij,kl] conj(Gamma (lam B))[ij] (Gamma (lam B))[kl], in different
-    orders.  By Cauchy-Schwarz (orthonormal end rows, unit-norm lambda,
-    orthonormal rows of B) their absolute values sum to at most
-    D ||h||_F, so each evaluation rounds by at most a few hundred ulps of
-    that, and the two differ by far less than tol = 1e-10 D (1 + ||h||_F),
-    times (1 + max|offset|) at the right end.  Left end (offset None): g is
-    kept when it is within 2 tol of the column minimum for some pair.
-    Right end (offset = energies of the last list): g is kept when
-    min_q(offset[q] + e[g, q]) is within 2 tol of the overall minimum.  A
-    dropped row is strictly above the exact minimum everywhere, so it can
-    neither win nor tie.  NaN keeps a row; when 1e11 tol, which bounds
-    every partial sum, is not finite, every row is kept.
-    """
+def initial_list(end_net: BoundaryNet, net: PairNet, hterm,
+                 tables: StepTables) -> DpList:
+    """First DP list: each pair keeps its best boundary tensor.  The end
+    tensors that `_viable_rows` keeps in some class of `tables` (module
+    docstring) are evaluated exactly, in index order, and `_merge_min`
+    folds in each chunk of them, so ties go to the lowest end tensor index
+    and a NaN energy is kept, as in one argmin."""
     ends = end_net.tensors                               # (G, D, d_end)
-    G, D, _ = ends.shape
-    h = np.asarray(hterm)
-    tol = 1e-10 * D * (1.0 + np.linalg.norm(h))
-    if offset is not None:
-        tol *= 1.0 + np.abs(offset).max(initial=0.0)
-    if not np.isfinite(1e11 * tol):
-        return np.arange(G)
-    lb = b * lam[:, :, None, None]
-    if end_left:
-        f = _left_factor(ends.transpose(0, 2, 1)[:, None], h, lb.shape[2])
-        q = _right_factor(lb)
-    else:
-        q = _left_factor(lb, h, ends.shape[2])
-        f = _right_factor(ends[..., None])
-    f = np.concatenate([f.real, -f.imag], axis=1)        # (G, 2K)
-    q = np.concatenate([q.real, q.imag], axis=1)         # (P, 2K)
-    keep = np.zeros(G, dtype=bool)
-    row_min = np.full(G, np.inf)
-    step = max(1, 8 * BLOCK_ELEMENTS // G)   # screen block of G x step
-    for lo in range(0, len(q), step):
-        a = f @ q[lo:lo + step].T                        # (G, chunk)
-        if offset is None:
-            keep |= ~(a > a.min(axis=0) + 2.0 * tol).all(axis=1)
-        else:
-            a += offset[lo:lo + step]
-            row_min = np.minimum(row_min, a.min(axis=1))
-    if offset is not None:
-        keep = ~(row_min > row_min.min() + 2.0 * tol)
-    return np.flatnonzero(keep)
-
-
-def initial_list(end_net: BoundaryNet, net: PairNet, hterm) -> DpList:
-    """First DP list: each pair keeps its best boundary tensor.  Only the
-    candidate rows of the screen are evaluated exactly, in index order,
-    and `_merge_min` folds in each chunk of them, so ties go to the lowest
-    end tensor index and a NaN energy is kept, as in one argmin."""
-    rows = _candidate_rows(end_net, net.lam, net.b, hterm, True)
+    d = net.b.shape[2]
+    tol = _tolerance(ends.shape[1] * np.linalg.norm(hterm))
+    _, f = _hermitian_parts(_left_factor(ends.transpose(0, 2, 1)[:, None],
+                                         hterm, d), ends.shape[1] * d)
+    keep, zero = np.zeros(len(ends), dtype=bool), np.zeros(len(ends))
+    for lam, (pairs, lower, upper) in zip(net.lam_net, tables.classes):
+        if pairs.size:  # within a class the right factor is lam_x lam_y T2
+            w = np.repeat(np.outer(np.repeat(lam, d), np.repeat(lam, d)), 2)
+            keep |= _viable_rows(np.arange(len(ends)), zero, f * w, lower,
+                                 upper, tol)
+    rows = np.flatnonzero(keep)
     energy = np.full(net.size, np.inf)
     tail = np.zeros(net.size, dtype=np.int32)
     p = np.arange(net.size)
-    for lo, e in _boundary_energies(end_net.tensors[rows], net.lam, net.b,
-                                    hterm, True):
+    for lo, e in _boundary_energies(ends[rows], net.lam, net.b, hterm, True):
         arg = e.argmin(axis=0)
         _merge_min(energy, tail, p, e[arg, p], rows[lo + arg])
     return DpList(pair_index=p.astype(np.int32), tail=tail, energy=energy)
@@ -705,17 +693,28 @@ def initial_list(end_net: BoundaryNet, net: PairNet, hterm) -> DpList:
 def _close_list(last: DpList, end_net: BoundaryNet, net: PairNet,
                 hterm) -> tuple:
     """(e_alg, g, q): the best total over boundary tensors g and positions
-    q of the last list.  Only the live pairs of `last` and the candidate
-    rows of the screen are evaluated exactly.  Each row keeps its best q,
-    then one argmin over the rows, so the result is one argmin over the
-    g-major (g, q) totals: ties go to the lowest (g, q), and a NaN total
-    gives a NaN e_alg at the first NaN's in-range (g, q)."""
+    q of the last list.  Only the live pairs of `last` and the end tensors
+    of the clusters the bound keeps (module docstring) are evaluated
+    exactly.  Each row keeps its best q, then one argmin over the rows, so
+    the result is one argmin over the g-major (g, q) totals: ties go to the
+    lowest (g, q), and a NaN total gives a NaN e_alg at the first NaN's
+    in-range (g, q)."""
     lam, b = net.lam[last.pair_index], net.b[last.pair_index]
-    rows = _candidate_rows(end_net, lam, b, hterm, False, last.energy)
+    ends = end_net.tensors                               # (G, D, d_end)
+    tol = _tolerance(ends.shape[1] * np.linalg.norm(hterm)
+                     + np.abs(last.energy).max())
+    label, lower, upper, _ = _clusters(_right_factor(ends[..., None]),
+                                       np.zeros(len(ends), dtype=int))
+    f = _hermitian_parts(_left_factor(b * lam[:, :, None, None], hterm,
+                                      ends.shape[2]), ends[0].size)[1]
+    a = np.column_stack([f, np.linalg.norm(f, axis=1), last.energy])
+    del f
+    drop = _least(a, lower) > _least(a, upper).min() + 2.0 * tol
+    del a
+    rows = np.flatnonzero(~drop[label])
     row_val = np.empty(rows.size)
     row_q = np.empty(rows.size, dtype=np.intp)
-    for lo, e in _boundary_energies(end_net.tensors[rows], lam, b, hterm,
-                                    False):
+    for lo, e in _boundary_energies(ends[rows], lam, b, hterm, False):
         total = last.energy + e
         arg = total.argmin(axis=1)
         row_q[lo:lo + arg.size] = arg
@@ -759,10 +758,10 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
     anchors_fit = n > 3 and transition_size_guard(
         pair_net.size, (pair_net.b.shape[1] * pair_net.b.shape[2]) ** 2,
         hamiltonian._physical_memory(), n - 2)
-    last = initial_list(end_net, pair_net, h.terms[0])
+    tables = step_tables(pair_net, epsilon_op)
+    last = initial_list(end_net, pair_net, h.terms[0], tables)
     # what the backtrack reads of every list; only `last` keeps energies
     pair_index, tails = [last.pair_index], [last.tail]
-    tables = step_tables(pair_net, epsilon_op) if n > 3 else None
     anchors = None      # the reuse anchor of the current term run
     reused = 0
     for j in range(3, n):

@@ -11,11 +11,11 @@ the left bond; boundary tensors are indexed [alpha, i].
 
 Each MPS job has one implementation: `contract` (site tensors multiplied
 out left to right), `local_energy` (the window kernel of one windowed
-energy, which the oracle, the reference checks and the benchmark checks
-call; the DP takes its energies from the batched kernels
-`dp._left_factor` and `dp._boundary_energies`) and `left_gram` (the
-(lambda B) Gram matrix behind the left-canonical filter and the DP
-defects).
+energy, which the oracle and the reference and benchmark checks call; the
+DP takes its step energies and every pruning bound from `dp._left_factor`
+and its exact boundary energies from `dp._boundary_energies`) and
+`left_gram` (the (lambda B) Gram matrix behind the left-canonical filter
+and the DP defects).
 """
 
 from __future__ import annotations

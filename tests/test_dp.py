@@ -109,7 +109,10 @@ class TestSolve:
 # full steps record reuse anchors (5 full, 4 reused), was recorded while
 # those steps streamed every admissible row unpruned; the transverse_ising
 # n=800 solve (12 full steps, 785 reused) was recorded while every list
-# was stored whole
+# was stored whole; the heisenberg and zz_chain delta=0.05 solves, where
+# ties are everywhere and the left screen keeps every end tensor (both do on
+# heisenberg), were recorded while the screens were one GEMM over every end
+# tensor and pair
 GOLDEN_SOLVES = [
     (("transverse_ising", 12, 0.25, None),
      ([9, 3, 9, 3, 9, 3, 9, 3, 9, 3, 9, 3], "-14.239999999999997",
@@ -132,6 +135,12 @@ GOLDEN_SOLVES = [
      ([128, 60] + [227, 3] * 2 + [227, 2] * 396 + [232, 27],
       "-902.8602897127106",
       "22b2ff9061d890bbed9ec4ae466c62fd993f2ce9ce09eecbca2fc0cbc359324a")),
+    (("heisenberg", 12, 0.05, None),
+     ([2105, 100] * 6, "-11.000000000000007",
+      "28962b6cfb6caa59fe1ef22854400ba9c368c4b91011e2d572d4df5319116355")),
+    (("zz_chain", 12, 0.05, None),
+     ([2920, 1] + [2860, 1] * 3 + [2860, 0] * 2, "-10.878788803760576",
+      "e60943d1fa17d30a06abdf170c87d56e35e189a35d51167f3f83295914b6a40d")),
 ]
 
 

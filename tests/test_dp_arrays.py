@@ -99,13 +99,15 @@ def dense_extend(prev, net, e_trans, epsilon_op, mask=None):
 @pytest.fixture
 def keep_fractions(monkeypatch):
     """Fraction of a class's admissible predecessors that each call of
-    `dp._viable_rows` keeps, in call order."""
+    `dp._viable_rows` from a DP step keeps, in call order."""
     kept = []
     viable = dp._viable_rows
 
     def recording(*args):
         keep = viable(*args)
-        kept.append(keep.mean())
+        # the boundary screen of `initial_list` calls it too
+        if sys._getframe(1).f_code.co_name == "extend_list":
+            kept.append(keep.mean())
         return keep
 
     monkeypatch.setattr(dp, "_viable_rows", recording)
@@ -229,7 +231,8 @@ def test_pruned_steps_match_dense_at_d1(d1_nets, keep_fractions, seed):
     epsilon_op = en.certified_epsilon(2, 1, 0.1)
     h = ham.group_boundaries(
         ham.build_model("random_hermitian", {}, 12, seed), 1)
-    prev = dp.initial_list(end, net, h.terms[0])
+    prev = dp.initial_list(end, net, h.terms[0],
+                           dp.step_tables(net, epsilon_op))
     for hterm in h.terms[1:-1]:
         dense = dense_extend(prev, net, q_major_transitions(net, hterm),
                              epsilon_op)
@@ -275,7 +278,9 @@ def test_non_finite_input_keeps_every_row(where, value):
     clusters = np.column_stack([np.ones((2, 8)), np.zeros(2), np.ones(2)])
 
     def viable():
-        tol, _ = dp._step_tolerance(e_prev, h, trace)
+        # a step's K, of scale max|e_prev| + dD max|h| max tr P
+        tol = dp._tolerance(np.abs(e_prev).max()
+                            + 2 * np.abs(h).max() * trace.max())
         f = h.reshape(6, -1).view(float)
         return dp._viable_rows(np.arange(6), e_prev, f, clusters, clusters,
                                tol)
@@ -542,7 +547,7 @@ class TestSizeGuard:
         h = ham.group_boundaries(ham.build_model("heisenberg", {}, 6), 2)
         tables = dp.step_tables(net, 0.05)
         prev = dp.initial_list(en.build_end_net(2, h.dims[0], 0.25), net,
-                               h.terms[0])
+                               h.terms[0], tables)
         tracemalloc.start()
         try:
             dp.extend_list(prev, net, h.terms[1], 0.05, tables=tables)
@@ -741,7 +746,8 @@ def test_boundary_kernel_bitwise_at_d1(d1_nets, delta, name, seed):
     net, end = d1_nets(delta)
     h = ham.group_boundaries(ham.build_model(name, {}, 6, seed), 1)
     e0 = einsum_left_energies(end, net, h.terms[0])
-    first = dp.initial_list(end, net, h.terms[0])
+    tables = dp.step_tables(net, en.certified_epsilon(2, 1, delta))
+    first = dp.initial_list(end, net, h.terms[0], tables)
     assert np.array_equal(first.energy, e0.min(axis=0))
     assert np.array_equal(first.tail, e0.argmin(axis=0))
     last = random_prev(net.size, np.random.default_rng(7))
@@ -756,7 +762,7 @@ def test_boundary_kernel_at_d2(sub_net):
     e0 = einsum_left_energies(end, net, h.terms[0])
     e_left = kernel_left_energies(end, net, h.terms[0])
     assert np.abs(e_left - e0).max() <= 1e-12 * np.abs(e0).max()
-    first = dp.initial_list(end, net, h.terms[0])
+    first = dp.initial_list(end, net, h.terms[0], dp.step_tables(net, 0.05))
     assert np.abs(first.energy - e0.min(axis=0)).max() <= 1e-12
     # the screen re-evaluates its rows with the same kernel
     assert np.array_equal(first.energy, e_left.min(axis=0))
@@ -773,7 +779,7 @@ def test_boundary_kernel_at_d2(sub_net):
 def test_boundary_ties_go_to_lowest_index(d1_nets):
     net, end = d1_nets(0.1)
     zero = np.zeros((4, 4))
-    first = dp.initial_list(end, net, zero)
+    first = dp.initial_list(end, net, zero, dp.step_tables(net, 0.05))
     assert np.array_equal(first.tail, np.zeros(net.size, dtype=np.intp))
     assert np.array_equal(first.energy, np.zeros(net.size))
     idx = np.arange(3, net.size, 2)
@@ -783,45 +789,91 @@ def test_boundary_ties_go_to_lowest_index(d1_nets):
     assert dp._close_list(last, end, net, zero) == (-1.0, 0, 4)
 
 
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The number of end tensors that each call of `dp._boundary_energies`
+    evaluates exactly, in call order."""
+    counts = []
+    kernel = dp._boundary_energies
+
+    def recording(ends, *args):
+        counts.append(len(ends))
+        return kernel(ends, *args)
+
+    monkeypatch.setattr(dp, "_boundary_energies", recording)
+    return counts
+
+
+def real_forms(g, dd):
+    """The real forms of the Hermitian parts of the rows of a left factor G,
+    as the boundary screens multiply them."""
+    g = np.ascontiguousarray(g).reshape(-1, dd, dd)
+    h = 0.5 * (g + g.conj().transpose(0, 2, 1))
+    return h.reshape(len(h), -1).view(float)
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 @pytest.mark.parametrize("which", ["d1", "d2"])
-def test_screen_keeps_every_exact_minimum(d1_nets, sub_net, which, scale):
+def test_screen_keeps_every_exact_minimum(d1_nets, sub_net, evaluated, which,
+                                          scale):
     if which == "d1":
         net, end = d1_nets(0.1)
     else:
         net, end = sub_net(10), en.build_end_net(2, 2, 0.25)
     rng = np.random.default_rng(11)
     h_left, h_right = scale * random_term(rng), scale * random_term(rng)
-    # the screen's factors agree with the exact kernel far inside its tol
-    lb = net.b * net.lam[:, :, None, None]
-    f = dp._left_factor(end.tensors.transpose(0, 2, 1)[:, None], h_left,
-                        lb.shape[2])
-    q = dp._right_factor(lb)
+    ends = end.tensors
+    D, d = ends.shape[1], net.b.shape[2]
+    # left end: the end tensors' forms f_g, scaled by lambda_x lambda_y of
+    # pair p, times t_p agree with the exact kernel far inside K
     e = kernel_left_energies(end, net, h_left)
-    tol = 1e-10 * end.tensors.shape[1] * (1.0 + np.linalg.norm(h_left))
-    assert np.abs((f @ q.T).real - e).max() < 1e-3 * tol
-    # left end: every row that reaches a column minimum is kept
-    rows = dp._candidate_rows(end, net.lam, net.b, h_left, True)
-    assert np.isin(np.flatnonzero((e == e.min(axis=0)).any(axis=1)),
-                   rows).all()
-    first = dp.initial_list(end, net, h_left)
+    f = real_forms(dp._left_factor(ends.transpose(0, 2, 1)[:, None], h_left,
+                                   d), D * d)
+    lam = np.repeat(net.lam, d, axis=1)
+    w = np.repeat((lam[:, :, None] * lam[:, None, :]).reshape(net.size, -1),
+                  2, axis=1)
+    t = dp._right_factor(net.b).conj().view(float)
+    tol = 1e-9 * (1.0 + D * np.linalg.norm(h_left))
+    assert np.abs(f @ (w * t).T - e).max() < 1e-3 * tol
+    # so every end tensor that reaches a minimum is evaluated exactly
+    first = dp.initial_list(end, net, h_left, dp.step_tables(net, 0.05))
     assert np.array_equal(first.energy, e.min(axis=0))
     assert np.array_equal(first.tail, e.argmin(axis=0))
-    # right end: every row that reaches the overall minimum is kept
+    # right end: the forms f_q of the last list's rows times the end
+    # tensors' t_g, against the exact kernel
     last = random_prev(net.size, rng)
     last.energy *= scale
     lam, b = net.lam[last.pair_index], net.b[last.pair_index]
     e = kernel_right_energies(end, lam, b, h_right)
-    q = dp._left_factor(b * lam[:, :, None, None], h_right,
-                        end.tensors.shape[2])
-    f = dp._right_factor(end.tensors[..., None])
-    tol = 1e-10 * end.tensors.shape[1] * (1.0 + np.linalg.norm(h_right))
-    assert np.abs((q @ f.T).real.T - e).max() < 1e-3 * tol
+    f = real_forms(dp._left_factor(b * lam[:, :, None, None], h_right,
+                                   ends.shape[2]), D * ends.shape[2])
+    t = np.ascontiguousarray(dp._right_factor(ends[..., None])).conj()
+    tol = 1e-9 * (1.0 + D * np.linalg.norm(h_right)
+                  + np.abs(last.energy).max())
+    assert np.abs((f @ t.view(float).T).T - e).max() < 1e-3 * tol
     total = e + last.energy
-    row_min = total.min(axis=1)
-    rows = dp._candidate_rows(end, lam, b, h_right, False, last.energy)
-    assert np.isin(np.flatnonzero(row_min == row_min.min()), rows).all()
     assert dp._close_list(last, end, net, h_right) == flat_argmin(total)
+    # the kernel calls above evaluate every end tensor; the screens prune
+    assert evaluated[::2] == [end.size] * 2
+    assert evaluated[3] < end.size
+    assert (evaluated[1] < end.size) == (which == "d1")
+
+
+def test_left_screen_scales_each_lambda_class(sub_net, evaluated):
+    # 20 pairs of the D=2 net in all three lambda classes: with few pairs
+    # many end tensors reach no minimum, and the screen drops them by each
+    # class's bound, whose end forms are scaled by its lambda_x lambda_y
+    # (unscaled or swapped forms drop a minimum for each of these terms)
+    net, end = sub_net(6, 20), en.build_end_net(2, 2, 0.25)
+    assert set(net.lam_class.tolist()) == {0, 1, 2}
+    tables = dp.step_tables(net, 0.05)
+    for seed in range(3):
+        hterm = random_term(np.random.default_rng(200 + seed))
+        e = kernel_left_energies(end, net, hterm)
+        first = dp.initial_list(end, net, hterm, tables)
+        assert np.array_equal(first.energy, e.min(axis=0))
+        assert np.array_equal(first.tail, e.argmin(axis=0))
+    assert len(evaluated) == 6 and max(evaluated[1::2]) < end.size
 
 
 def nan_at(cells, kernel):
@@ -841,13 +893,13 @@ def test_nan_boundary_energy_in_first_list(d1_nets, monkeypatch):
     h = ham.group_boundaries(ham.build_model("random_hermitian", {}, 6, 2), 1)
     last_g = end.size - 1
     # a NaN in the first chunk of end tensors, one later in the same
-    # column, and one in the last chunk only
+    # column, and one in the last chunk only; the screen keeps every row
     monkeypatch.setattr(dp, "_boundary_energies", nan_at(
         [(3, 5), (last_g, 5), (last_g, 9)], dp._boundary_energies))
-    monkeypatch.setattr(dp, "_candidate_rows",
-                        lambda end_net, *args: np.arange(end_net.size))
+    monkeypatch.setattr(dp, "_viable_rows",
+                        lambda rows, *args: np.ones(rows.size, dtype=bool))
     e = kernel_left_energies(end, net, h.terms[0])
-    first = dp.initial_list(end, net, h.terms[0])
+    first = dp.initial_list(end, net, h.terms[0], dp.step_tables(net, 0.05))
     np.testing.assert_array_equal(first.energy, e.min(axis=0))
     assert np.array_equal(first.tail, e.argmin(axis=0))
     assert first.tail[5] == 3 and first.tail[9] == last_g
@@ -865,20 +917,11 @@ def test_nan_in_last_list_closes_as_one_argmin(d1_nets):
     assert got[1:] == (0, 17)
 
 
-def test_screen_evaluates_few_rows_exactly(monkeypatch):
+def test_screen_evaluates_few_rows_exactly(evaluated):
     # the benchmark's fine-grid config: N = 3400 pairs, 3400 end tensors
-    kept = []
-    screen = dp._candidate_rows
-
-    def recording(end_net, *args):
-        rows = screen(end_net, *args)
-        kept.append(rows.size / end_net.size)
-        return rows
-
-    monkeypatch.setattr(dp, "_candidate_rows", recording)
     h = ham.group_boundaries(ham.build_model("random_hermitian", {}, 12, 1), 1)
-    dp.solve(h, 1, 0.05)
-    left, right = kept
+    n_end = dp.solve(h, 1, 0.05).n_end
+    left, right = (count / n_end for count in evaluated)
     assert left <= 0.10
     assert right <= 0.01
 
@@ -938,7 +981,7 @@ def uniform_steps(d1_nets, h, delta, anchors=None, energy=None):
     net, end = d1_nets(delta)
     epsilon_op = en.certified_epsilon(2, 1, delta)
     tables = dp.step_tables(net, epsilon_op)
-    lists = [dp.initial_list(end, net, h.terms[0])]
+    lists = [dp.initial_list(end, net, h.terms[0], tables)]
     if energy is not None:
         lists[0] = dataclasses.replace(lists[0], energy=energy)
     for hterm in h.terms[1:-1]:
@@ -992,8 +1035,8 @@ def test_d2_streamed_steps_record_and_reuse_anchors(sub_net):
     net, epsilon_op = sub_net(10), 0.05
     h = ham.group_boundaries(ham.build_model("heisenberg", {}, 24), 2)
     end = en.build_end_net(2, h.dims[0], 0.25)
-    first = dp.initial_list(end, net, h.terms[0])
     tables = dp.step_tables(net, epsilon_op)
+    first = dp.initial_list(end, net, h.terms[0], tables)
     lists, anchors = [first], []
     for hterm in h.terms[1:-1]:
         lists.append(dp.extend_list(lists[-1], net, hterm, epsilon_op,
@@ -1041,7 +1084,7 @@ def test_recorded_candidates_are_dense_positions_within_tol(d1_nets,
         h = ham.group_boundaries(ham.build_model("heisenberg", {}, 12), 2)
         net, epsilon_op, hterm = sub_net(10), 0.05, h.terms[1]
         prev = dp.initial_list(en.build_end_net(2, h.dims[0], 0.25), net,
-                               h.terms[0])
+                               h.terms[0], dp.step_tables(net, epsilon_op))
     elif which == "zero":
         # a zero term; one predecessor 5 times 1e-10 (1 + max|e_prev|)
         # above the minimum, inside K = 1e-9 (1 + max|e_prev|) but outside
@@ -1116,7 +1159,7 @@ def test_recording_step_streams_each_chunk_once(sub_net, monkeypatch):
     net, epsilon_op = sub_net(10), 0.05
     h = ham.group_boundaries(ham.build_model("heisenberg", {}, 12), 2)
     prev = dp.initial_list(en.build_end_net(2, h.dims[0], 0.25), net,
-                           h.terms[0])
+                           h.terms[0], dp.step_tables(net, epsilon_op))
     chunks = []
     blocks = dp._transition_blocks
 
@@ -1190,7 +1233,7 @@ def test_nan_in_matrix_never_reuses(sub_net):
     tables = dp.step_tables(net, epsilon_op)
     mask = tables.mask
     prev = dp.initial_list(en.build_end_net(2, h.dims[0], 0.25), net,
-                           h.terms[0])
+                           h.terms[0], tables)
 
     def step(prev, anchors):
         return dp.extend_list(prev, net, h.terms[1], epsilon_op,
@@ -1331,6 +1374,34 @@ def test_reuse_memory_within_guard_count(d1_nets, ties):
     assert anchor.cand.shape[1] > (dp.REUSE_CANDIDATES * 3 // 4 if ties
                                    else 1)
     assert 0 < extra <= dp._reuse_bytes(net.size)
+
+
+def test_saturated_trim_holds_entries_once(d1_nets):
+    # a zero term on the N = 3400 net, every 16th predecessor at zero
+    # energy: each pair ties 213 of them, past c = 212, so the recording
+    # pass trims at N c entries and then gives up the anchor.  A trim holds
+    # the blocks and one field's concatenation, 24 bytes an entry of 16;
+    # concatenating all three fields while the blocks were held peaked at
+    # 23.7 MB here, 31 bytes an entry
+    net, _ = d1_nets(0.05)
+    tables = dp.step_tables(net, en.certified_epsilon(2, 1, 0.05))
+    prev = dp.DpList(pair_index=np.arange(net.size),
+                     tail=np.zeros(net.size, dtype=np.intp),
+                     energy=np.where(np.arange(net.size) % 16 == 0, 0.0, 1.0))
+
+    def peak(anchors):
+        tracemalloc.start()
+        try:
+            dp.extend_list(prev, net, np.zeros((4, 4)), 0.05, tables=tables,
+                           anchors=anchors)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    anchors = []
+    extra = peak(anchors) - peak(None)
+    assert anchors == [] and dp._reuse_width(net.size) == 212
+    assert extra <= 25 * (net.size * 212 + dp.BLOCK_ELEMENTS)
 
 
 def test_streamed_steps_leave_numpy_ma_unimported():
