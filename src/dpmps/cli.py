@@ -328,7 +328,7 @@ def main(argv=None) -> int:
 
     mps_doc = res.pop("mps", None)
     try:
-        text = json.dumps(res, indent=2, default=float, allow_nan=False)
+        text = json.dumps(res, default=float, allow_nan=False)
         mps_text = None if mps_doc is None else json.dumps(mps_doc,
                                                            allow_nan=False)
     except ValueError as exc:

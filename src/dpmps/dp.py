@@ -51,14 +51,14 @@ products.  A step's clusters are each lambda class's, grouped once per net
 max|e_prev| + E_bound, and the reuse anchors below share its K.
 `_viable_rows` drops rows per class, and the union of the remaining rows is
 multiplied in CHUNK-row blocks, each one complex GEMM of gathered rows of G
-against all of T2 into a reused buffer on pages of its own (see
-`_mapped_empty`), and each class's p-major cost block is min-reduced in reused
-pieces of BLOCK_ELEMENTS.  Two BLAS facts keep every bit: a product over a
-subset of the columns rounds differently in the edge tiles, so rows are
-gathered and columns never are; and a one-row product takes the gemv path,
-which rounds differently too, so it is padded to two rows.  Chunks of two or
-more gathered rows are bitwise rows of the full product, so the lists are
-bitwise those of the dense step on the full N x N matrix.
+against all of T2 into a reused buffer, and each class's p-major cost block
+is min-reduced in reused pieces of BLOCK_ELEMENTS.  Two BLAS facts keep
+every bit: a product over a subset of the columns rounds differently in the
+edge tiles, so rows are gathered and columns never are; and a one-row
+product takes the gemv path, which rounds differently too, so it is padded
+to two rows.  Chunks of two or more gathered rows are bitwise rows of the
+full product, so the lists are bitwise those of the dense step on the full
+N x N matrix.
 
 A step on a repeated term also reuses its own work.  Repeating one
 min-plus matrix drives the lists into a periodic regime up to a constant
@@ -94,8 +94,8 @@ and every cost is finite, so the live set is the anchor's.  An anchor is
 recorded only when K is finite, so a non-finite input or term energy never
 reuses, and only when no pair has more than c = max(REUSE_CANDIDATES, N/16)
 candidates, so a reused step costs at most a sixteenth of a full one past
-N = 1024, and the pass keeps at most N c positions once it drops those no
-longer within K of a running minimum.
+N = 1024; the pass gives the anchor up as soon as it holds more than N c
+entries.
 `solve` keeps one anchor per run of one term, that of the run's last full
 step: a step that the anchor does not certify drops it before its full
 step records the next, and the anchor is dropped when the term changes.
@@ -126,8 +126,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import hashlib
 import json
-import math
-import mmap
 import time
 
 import numpy as np
@@ -283,30 +281,13 @@ def _transition_factors(net: PairNet, hterm) -> np.ndarray:
                         net.b.shape[2])
 
 
-def _mapped_empty(shape: tuple, dtype) -> np.ndarray:
-    """An uninitialized array on an anonymous memory map of its own, unmapped
-    when the array is freed.  The streamed step's chunk buffer, its one
-    allocation of megabytes, lives here and not in malloc: once glibc
-    frees a mapped block it raises its mmap threshold past that size, so
-    later buffers land on the heap, where whether they reuse a freed
-    region or grow the heap depends on where small long-lived arrays fell.
-    The same solve then peaked up to a buffer's size higher in one
-    checkout directory than in another."""
-    dtype = np.dtype(dtype)
-    count = math.prod(shape)
-    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") \
-        else {}
-    pages = mmap.mmap(-1, max(1, count * dtype.itemsize), **private)
-    return np.frombuffer(pages, dtype=dtype, count=count).reshape(shape)
-
-
 def _transition_blocks(g: np.ndarray, t2: np.ndarray, rows: np.ndarray):
     """Yield (lo, C) for the CHUNK-row chunks of `rows` in order, C the
     complex q-major product G[rows[lo:hi]] @ T2.T over every column p, in
     a reused buffer that is valid until the next item is asked for.  Rows
     are gathered and a lone row is padded to two (see the module
     docstring), so C is bitwise rows of the unchunked product."""
-    buf = _mapped_empty((CHUNK, len(t2)), complex)
+    buf = np.empty((CHUNK, len(t2)), complex)
     for lo in range(0, len(rows), CHUNK):
         hi = min(lo + CHUNK, len(rows))
         idx = rows[lo:hi] if hi - lo > 1 else rows[[lo, lo]]
@@ -476,33 +457,24 @@ def _cost_blocks(prev: DpList, classes: list, g: np.ndarray, t2: np.ndarray):
                 yield p, r_blk, e, cost
 
 
-def _trim_near(near: tuple, best: np.ndarray, e_prev: np.ndarray,
-               tol: float) -> int:
-    """Trim `near`, the entries (p, r, E) as three lists of blocks, to one
-    block a field of those within K = tol of `best` by the step's float
-    test, in order; return how many remain.  One field at a time is
-    concatenated, or filtered, and its old blocks freed."""
+def _pack_anchor(prev: DpList, near: tuple, best: np.ndarray,
+                 live: np.ndarray, tol: float, scale: float):
+    """The reuse anchor of a step from its kept entries `near`, (p, r, E) as
+    three lists of blocks, minima `best`, finite K = tol and scale; None
+    past `_reuse_width` candidates.  The entries within K of `best` by the
+    step's float test stay; one field at a time is concatenated, or
+    filtered, and its old blocks freed.  The entries of each pair come in
+    position order, and a stable sort by pair keeps it, so entry i is
+    candidate i - (its pair's first entry)."""
     for blocks in near:
         blocks[:] = [np.concatenate(blocks)]
     (p,), (r,), (e,) = near
     ok = np.empty(p.size, dtype=bool)
     for lo in range(0, p.size, BLOCK_ELEMENTS):
         at = slice(lo, lo + BLOCK_ELEMENTS)
-        ok[at] = e[at] + e_prev[r[at]] <= best[p[at]] + tol
+        ok[at] = e[at] + prev.energy[r[at]] <= best[p[at]] + tol
     del p, r, e
-    for blocks in near:
-        blocks[0] = blocks[0][ok]
-    return int(ok.sum())
-
-
-def _pack_anchor(prev: DpList, near: tuple, best: np.ndarray,
-                 live: np.ndarray, tol: float, scale: float):
-    """The reuse anchor of a step from its kept entries `near`, minima
-    `best`, finite K = tol and scale; None past `_reuse_width` candidates.
-    The entries of each pair come in position order, and a stable sort by
-    pair keeps it, so entry i is candidate i - (its pair's first entry)."""
-    _trim_near(near, best, prev.energy, tol)
-    p, r, e = (blocks.pop() for blocks in near)
+    p, r, e = (blocks.pop()[ok] for blocks in near)
     order = np.argsort(p, kind="stable")
     p, r, e = p[order], r[order], e[order]
     del order
@@ -520,20 +492,19 @@ def _pack_anchor(prev: DpList, near: tuple, best: np.ndarray,
 
 
 def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
-                tables: StepTables | None = None,
-                anchors: list | None = None) -> DpList:
+                tables: StepTables, anchors: list | None = None) -> DpList:
     """One DP step: best admissible predecessor for every net pair.
 
-    `tables` (`step_tables`) is built here when not given.  Per lambda
-    class with pairs, the predecessors admissible for it that `_viable_rows`
-    keeps at the step's one K (module docstring) stream through
-    `_cost_blocks` in q order, and `_merge_min` folds in each block: ties go
-    to the lowest list index, which is the lowest net index since lists are
-    index-sorted, and every result, NaN included, equals one argmin over
-    the whole row.  `anchors` holds at most one anchor, that of the last
-    full step on this term, net and tables; the step reuses it when it
-    certifies, else drops it and records its own in the same pass if it
-    can, from entries (pair, list position, E).
+    `tables` are the net's `step_tables`.  Per lambda class with pairs, the
+    predecessors admissible for it that `_viable_rows` keeps at the step's
+    one K (module docstring) stream through `_cost_blocks` in q order, and
+    `_merge_min` folds in each block: ties go to the lowest list index,
+    which is the lowest net index since lists are index-sorted, and every
+    result, NaN included, equals one argmin over the whole row.  `anchors`
+    holds at most one anchor, that of the last full step on this term, net
+    and tables; the step reuses it when it certifies, else drops it and
+    records its own in the same pass from entries (pair, list position, E),
+    unless the pass comes to hold more than N c of them.
     """
     if len(prev) == 0:
         raise NoAdmissibleTransitionError("previous DP list is empty")
@@ -542,8 +513,6 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
         if out is not None:
             return out
         anchors.clear()     # free it before the full step records anew
-    if tables is None:
-        tables = step_tables(net, epsilon_op)
     g = _transition_factors(net, hterm)
     dd = net.b.shape[1] * net.b.shape[2]      # h and P are dd x dd
     h, f = _hermitian_parts(g[prev.pair_index], dd)
@@ -569,10 +538,8 @@ def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
             for blocks, x in zip(near, (p[i], r[s], e[i, s])):
                 blocks.append(x)
             held += i.size
-            if held > room:     # drop what the minima left behind
-                held = _trim_near(near, best, prev.energy, tol)
-                if held > room:
-                    near = None
+            if held > room:     # more than N c entries: no anchor
+                near = None
     live = np.flatnonzero(np.isfinite(best))
     if live.size == 0:
         raise NoAdmissibleTransitionError(
@@ -596,10 +563,11 @@ def _reuse_width(n_pairs: int) -> int:
 def _reuse_bytes(n_pairs: int) -> int:
     """Bytes anchor reuse adds at most to a streamed step of N = n_pairs
     pairs, c = `_reuse_width`: 64 per kept entry (p, r, E), 16 bytes, of at
-    most N c + BLOCK_ELEMENTS.  A trim holds the blocks and one field's
-    concatenation, or the fields, their mask and one filtered field, 25
-    bytes an entry, and packing the sorted entries, their rows and ranks and
-    the anchor's 16 bytes per slot, 64; a reused step holds 24 N c + 32 N."""
+    most N c + BLOCK_ELEMENTS.  Packing first trims them, holding the blocks
+    and one field's concatenation, or the fields, their mask and one
+    filtered field, 25 bytes an entry, then the sorted entries, their rows
+    and ranks and the anchor's 16 bytes per slot, 64; a reused step holds
+    24 N c + 32 N."""
     return 64 * (n_pairs * _reuse_width(n_pairs) + BLOCK_ELEMENTS)
 
 

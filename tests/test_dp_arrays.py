@@ -10,8 +10,8 @@ offered anchors (against the rule of comparing term bytes) and the size
 guard, whose count bounds a D=2 step's traced peak and under which a
 repeated term whose anchors do not fit takes only full steps; D=2 golden
 solves on sub-nets of three lambda classes; for a streamed solve, a
-memory peak below one N x N matrix, the chunk buffer on a map of its own
-and no import of numpy.ma or concurrent.futures;
+memory peak below one N x N matrix and no import of numpy.ma or
+concurrent.futures;
 for the batched boundary energies against the per-tensor einsum loops
 they replaced, and with a NaN at either end against one argmin; and for
 the boundary screen, whose factors must agree with the exact kernel far
@@ -21,7 +21,8 @@ those of the full steps on four uniform models and those of the dense
 reference steps on a D=2 sub-net, candidates exactly the dense
 reference's (also one that a margin narrower than K would prune, and
 after a running minimum falls by more than K), at most N c entries kept
-in the recording pass, which streams each chunk once, the full step when
+in the recording pass, which records an anchor at exactly N c and streams
+each chunk once, the full step when
 the certificate fails (a nudged energy, other pairs) or the input holds a
 NaN, the memory it adds against the size guard's count, and the counts
 `solve` reports."""
@@ -130,17 +131,18 @@ def test_matches_dense_step_on_d2_sub_nets(sub_net, keep_fractions, seed,
     rng = np.random.default_rng(100 + seed)
     hterm = random_term(rng)
     prev = random_prev(net.size, rng)
-    mask = dp.stitching_mask(net, epsilon_op)
-    assert mask.shape[1] == 3 and 0.0 < mask.mean() < 1.0
+    tables = dp.step_tables(net, epsilon_op)
+    assert tables.mask.shape[1] == 3 and 0.0 < tables.mask.mean() < 1.0
     dense = dense_extend(prev, net, q_major_transitions(net, hterm),
                          epsilon_op)
     # the viable rows of 1,500 pairs make several q-chunks; a step given an
     # anchor list, as `solve` passes a repeated term, prunes the same rows
-    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op), dense)
+    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
+                                    tables=tables), dense)
     assert min(keep_fractions) < 1.0
     keep_fractions.clear()
     assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
-                                    anchors=[]), dense)
+                                    tables=tables, anchors=[]), dense)
     assert min(keep_fractions) < 1.0
 
 
@@ -231,12 +233,12 @@ def test_pruned_steps_match_dense_at_d1(d1_nets, keep_fractions, seed):
     epsilon_op = en.certified_epsilon(2, 1, 0.1)
     h = ham.group_boundaries(
         ham.build_model("random_hermitian", {}, 12, seed), 1)
-    prev = dp.initial_list(end, net, h.terms[0],
-                           dp.step_tables(net, epsilon_op))
+    tables = dp.step_tables(net, epsilon_op)
+    prev = dp.initial_list(end, net, h.terms[0], tables)
     for hterm in h.terms[1:-1]:
         dense = dense_extend(prev, net, q_major_transitions(net, hterm),
                              epsilon_op)
-        prev = dp.extend_list(prev, net, hterm, epsilon_op)
+        prev = dp.extend_list(prev, net, hterm, epsilon_op, tables=tables)
         assert_same_step(prev, dense)
     # the per-cluster bound keeps 0.18 (seed 1) and 0.20 (seed 2) of the
     # rows on average; one anchor/Gershgorin bound kept 0.61 and 0.74
@@ -248,7 +250,8 @@ def test_single_viable_row_matches_dense(d1_nets, sub_net, keep_fractions,
                                          which):
     net = d1_nets(0.1)[0] if which == "d1" else sub_net(12)
     epsilon_op = 0.05
-    mask = dp.stitching_mask(net, epsilon_op)
+    tables = dp.step_tables(net, epsilon_op)
+    mask = tables.mask
     # predecessors admissible for the same classes as q0, q0 far below
     q0 = next(q for q in range(net.size) if mask[q].any())
     idx = np.flatnonzero((mask == mask[q0]).all(axis=1))
@@ -256,7 +259,7 @@ def test_single_viable_row_matches_dense(d1_nets, sub_net, keep_fractions,
     energy[idx == q0] = -1e3
     prev = dp.DpList(pair_index=idx, tail=np.zeros_like(idx), energy=energy)
     hterm = random_term(np.random.default_rng(14))
-    out = dp.extend_list(prev, net, hterm, epsilon_op)
+    out = dp.extend_list(prev, net, hterm, epsilon_op, tables=tables)
     # every class keeps q0 alone, so the transition product has one row
     assert idx.size > 1
     assert keep_fractions == [1.0 / idx.size] * int(mask[q0].sum())
@@ -311,7 +314,8 @@ def test_single_pair_clusters_match_dense(sub_net, keep_fractions):
     rng = np.random.default_rng(107)
     hterm = random_term(rng)
     prev = random_prev(net.size, rng)
-    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op),
+    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
+                                    tables=dp.step_tables(net, epsilon_op)),
                      dense_extend(prev, net, q_major_transitions(net, hterm),
                                   epsilon_op))
     assert max(keep_fractions) < 1.0
@@ -345,7 +349,8 @@ def test_class_without_pairs_matches_dense(sub_net):
     prev = dp.DpList(pair_index=np.arange(net.size),
                      tail=np.zeros(net.size, dtype=np.intp),
                      energy=rng.standard_normal(net.size))
-    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op),
+    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
+                                    tables=dp.step_tables(net, epsilon_op)),
                      dense_extend(prev, net, q_major_transitions(net, hterm),
                                   epsilon_op))
 
@@ -357,7 +362,8 @@ def test_tie_goes_to_lowest_index(sub_net):
     prev = dp.DpList(pair_index=idx, tail=np.zeros_like(idx),
                      energy=np.zeros(idx.size))
     # every cost is exactly zero: the first admissible predecessor wins
-    out = dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op)
+    out = dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op,
+                         tables=dp.step_tables(net, epsilon_op))
     mu = net.mu[idx]
     for p, tail in zip(out.pair_index, out.tail):
         ok = np.linalg.norm(mu - net.lam[p], axis=1) \
@@ -372,7 +378,8 @@ def test_tie_goes_to_lowest_index(sub_net):
 def test_tie_across_chunk_boundary_goes_to_lowest_index(sub_net):
     net = sub_net(3)
     epsilon_op = 0.05
-    mask = dp.stitching_mask(net, epsilon_op)
+    tables = dp.step_tables(net, epsilon_op)
+    mask = tables.mask
     # two predecessors admissible for the same classes, in q-chunks 1 and 3
     q1 = next(q for q in range(dp.CHUNK, 2 * dp.CHUNK) if mask[q].any())
     q2 = next(q for q in range(3 * dp.CHUNK, net.size)
@@ -382,7 +389,8 @@ def test_tie_across_chunk_boundary_goes_to_lowest_index(sub_net):
     prev = dp.DpList(pair_index=np.arange(net.size),
                      tail=np.zeros(net.size, dtype=np.intp), energy=energy)
     # a zero term: every cost is its predecessor's energy, exactly
-    out = dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op)
+    out = dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op,
+                         tables=tables)
     won = mask[q1][net.lam_class[out.pair_index]]
     assert won.any()
     assert (out.tail[won] == q1).all() and (out.energy[won] == -1.0).all()
@@ -396,7 +404,8 @@ def test_nan_cost_in_later_chunk_matches_dense(sub_net):
     rng = np.random.default_rng(109)
     hterm = random_term(rng)
     energy = rng.standard_normal(net.size)
-    mask = dp.stitching_mask(net, epsilon_op)
+    tables = dp.step_tables(net, epsilon_op)
+    mask = tables.mask
     # the first predecessor past four q-chunks that precedes some pair
     q_nan = next(q for q in range(4 * dp.CHUNK + 17, net.size)
                  if mask[q].any())
@@ -409,23 +418,26 @@ def test_nan_cost_in_later_chunk_matches_dense(sub_net):
     # where a finite minimum came in an earlier chunk
     hit = mask[q_nan][net.lam_class]
     assert hit.any() and not np.isin(np.flatnonzero(hit), dense[0]).any()
-    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op), dense)
+    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
+                                    tables=tables), dense)
     # unpruned, and no anchor is recorded from a NaN input
     anchors = []
     assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
-                                    anchors=anchors), dense)
+                                    tables=tables, anchors=anchors), dense)
     assert anchors == []
 
 
 def test_all_inadmissible_step_raises(sub_net):
     net = sub_net(4)
     epsilon_op = 0.001
-    stranded = np.flatnonzero(~dp.stitching_mask(net, epsilon_op).any(axis=1))
+    tables = dp.step_tables(net, epsilon_op)
+    stranded = np.flatnonzero(~tables.mask.any(axis=1))
     assert stranded.size > 0
     prev = dp.DpList(pair_index=stranded, tail=np.zeros_like(stranded),
                      energy=np.zeros(stranded.size))
     with pytest.raises(NoAdmissibleTransitionError):
-        dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op)
+        dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op,
+                       tables=tables)
 
 
 @pytest.mark.parametrize("name,n,runs", [("transverse_ising", 12, 1),
@@ -483,7 +495,7 @@ def test_anchor_offers_follow_bytes_rule(monkeypatch, name, n, D):
     h = ham.group_boundaries(ham.build_model(name, {}, n, 1), D)
     offered = []
 
-    def recording(prev, net, hterm, epsilon_op, *, tables=None, anchors=None):
+    def recording(prev, net, hterm, epsilon_op, *, tables, anchors=None):
         offered.append(anchors is not None)
         return dataclasses.replace(prev, tail=np.arange(len(prev)))
 
@@ -541,8 +553,8 @@ class TestSizeGuard:
     def test_count_bounds_traced_step(self, sub_net):
         # a D=2 step on 12,000 pairs, where the terms of N outweigh the
         # fixed-size blocks: its tracemalloc peak, plus the tables built
-        # before it and the chunk buffer on its own map, stays within the
-        # count for no stored list (31.3 of 34.7 MB)
+        # before it, stays within the count for no stored list (31.3 of
+        # 34.7 MB)
         net = sub_net(3, 12000)
         h = ham.group_boundaries(ham.build_model("heisenberg", {}, 6), 2)
         tables = dp.step_tables(net, 0.05)
@@ -556,8 +568,7 @@ class TestSizeGuard:
             tracemalloc.stop()
         held = tables.t2.nbytes + tables.trace.nbytes + sum(
             a.nbytes for cls in tables.classes for a in cls)
-        buf = dp.CHUNK * 16 * net.size
-        assert peak + held + buf <= guard_bytes(net.size, 16, 0)
+        assert peak + held <= guard_bytes(net.size, 16, 0)
 
     def test_two_million_sites_fit_in_8_4_gb(self):
         # transverse_ising at D=1 delta=0.1 (N=350, k=4), n = 2 10^6: the
@@ -942,23 +953,8 @@ def test_streamed_solve_never_holds_transition_matrix(d1_nets):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one real N x N matrix alone is 8 N^2 bytes; the chunk buffer is on a
-    # map of its own, which tracemalloc does not see, so add it
-    assert peak + dp.CHUNK * 16 * net.size < 4 * net.size ** 2
-
-
-def test_mapped_buffer_bypasses_malloc():
-    tracemalloc.start()
-    try:
-        buf = dp._mapped_empty((dp.CHUNK, 1 << 13), complex)
-        buf[:] = 1.0
-        traced = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert buf.shape == (dp.CHUNK, 1 << 13) and buf.dtype == complex
-    assert buf.flags.c_contiguous and buf.flags.writeable
-    assert buf.sum() == buf.size
-    assert traced < buf.nbytes // 16
+    # one real N x N matrix alone is 8 N^2 bytes
+    assert peak < 4 * net.size ** 2
 
 
 def assert_same_list(a, b):
@@ -1107,7 +1103,9 @@ def test_recorded_candidates_are_dense_positions_within_tol(d1_nets,
                          tail=np.zeros(net.size, dtype=np.intp),
                          energy=energy)
     anchors = []
-    out = dp.extend_list(prev, net, hterm, epsilon_op, anchors=anchors)
+    out = dp.extend_list(prev, net, hterm, epsilon_op,
+                         tables=dp.step_tables(net, epsilon_op),
+                         anchors=anchors)
     (anchor,) = anchors
     e_trans = q_major_transitions(net, hterm)[prev.pair_index]
     admissible = dense_mask(net, epsilon_op)[prev.pair_index]
@@ -1132,12 +1130,12 @@ def test_pass_keeps_at_most_n_c_entries(d1_nets, tied):
     # a zero term at D=1, where every predecessor precedes every pair: the
     # first `tied` positions sit 1.5 K above the minimum, which positions
     # 200 and 201 reach.  The first chunk's 64 tied rows fill the N c
-    # entries the pass may keep; past them, dropping what the minimum has
-    # left behind makes room again.  With 128 tied rows the second chunk
-    # passes N c while all are still within K of the running minimum, so
-    # no anchor is recorded, though the final candidates would fit
+    # entries the pass may keep, and the fourth chunk's two minima pass
+    # them; with 128 tied rows the second chunk passes them.  Either way no
+    # anchor is recorded, though the final candidates would fit
     net, epsilon_op = d1_nets(0.1)[0], 0.05
     assert net.size * dp._reuse_width(net.size) == dp.CHUNK * net.size
+    tables = dp.step_tables(net, epsilon_op)
     energy = np.ones(net.size)
     tol = 1e-9 * (1.0 + 1.0)    # K at a zero term and max|e_prev| = 1
     energy[:tied], energy[200:202] = 1.5 * tol, 0.0
@@ -1145,12 +1143,57 @@ def test_pass_keeps_at_most_n_c_entries(d1_nets, tied):
                      tail=np.zeros(net.size, dtype=np.intp), energy=energy)
     anchors = []
     out = dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op,
-                         anchors=anchors)
+                         tables=tables, anchors=anchors)
     assert_same_list(out, dp.extend_list(prev, net, np.zeros((4, 4)),
-                                         epsilon_op))
-    assert len(anchors) == (tied == 64)
+                                         epsilon_op, tables=tables))
+    assert anchors == []
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_pass_records_anchor_at_n_c_entries(d1_nets, monkeypatch, extra):
+    # the edge of the N c rule, on the D=1 net with its last pair moved to
+    # a lambda class of its own, which only predecessors whose mu is that
+    # class's lambda precede: 64 rows of the first class and 64 + extra of
+    # the second tie at the minimum of a zero term.  The pass then holds
+    # 64 (N - 1) + 64 + extra entries, N c + extra, and records an anchor of
+    # the c tied rows per pair exactly when extra is 0; at one entry more
+    # it gives the anchor up before packing
+    net, epsilon_op = d1_nets(0.1)[0], 0.05
+    c = dp._reuse_width(net.size)
+    assert c == 64
+    lam_class = np.zeros(net.size, dtype=net.lam_class.dtype)
+    lam_class[-1] = 1
+    mu = np.ones_like(net.mu)
+    mu[c:2 * c + extra] = 3.0
+    net = dataclasses.replace(net, lam_net=np.array([[1.0], [3.0]]),
+                              lam_class=lam_class, mu=mu)
+    tables = dp.step_tables(net, epsilon_op)
+    assert tables.mask[:c, 0].all() and not tables.mask[:c, 1].any()
+    assert tables.mask[c:2 * c + extra, 1].all()
+    assert not tables.mask[c:2 * c + extra, 0].any()
+    energy = np.ones(net.size)
+    energy[:2 * c + extra] = 0.0
+    prev = dp.DpList(pair_index=np.arange(net.size),
+                     tail=np.zeros(net.size, dtype=np.intp), energy=energy)
+    packed = []
+    pack = dp._pack_anchor
+
+    def counting(*args):
+        packed.append(1)
+        return pack(*args)
+
+    monkeypatch.setattr(dp, "_pack_anchor", counting)
+    anchors = []
+    out = dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op,
+                         tables=tables, anchors=anchors)
+    assert_same_list(out, dp.extend_list(prev, net, np.zeros((4, 4)),
+                                         epsilon_op, tables=tables))
+    assert len(out) == net.size
+    assert packed == [1] * (extra == 0) and len(anchors) == (extra == 0)
     for anchor in anchors:
-        assert np.array_equal(anchor.cand, np.tile([200, 201], (len(out), 1)))
+        cand = np.tile(np.arange(c), (net.size, 1))
+        cand[-1] += c
+        assert np.array_equal(anchor.cand, cand)
 
 
 def test_recording_step_streams_each_chunk_once(sub_net, monkeypatch):
@@ -1158,8 +1201,9 @@ def test_recording_step_streams_each_chunk_once(sub_net, monkeypatch):
     # over the pruned rows, so it forms the same chunks as the plain step
     net, epsilon_op = sub_net(10), 0.05
     h = ham.group_boundaries(ham.build_model("heisenberg", {}, 12), 2)
+    tables = dp.step_tables(net, epsilon_op)
     prev = dp.initial_list(en.build_end_net(2, h.dims[0], 0.25), net,
-                           h.terms[0], dp.step_tables(net, epsilon_op))
+                           h.terms[0], tables)
     chunks = []
     blocks = dp._transition_blocks
 
@@ -1169,11 +1213,12 @@ def test_recording_step_streams_each_chunk_once(sub_net, monkeypatch):
             yield item
 
     monkeypatch.setattr(dp, "_transition_blocks", counting)
-    plain = dp.extend_list(prev, net, h.terms[1], epsilon_op)
+    plain = dp.extend_list(prev, net, h.terms[1], epsilon_op, tables=tables)
     streamed = chunks[:]
     chunks.clear()
     anchors = []
-    out = dp.extend_list(prev, net, h.terms[1], epsilon_op, anchors=anchors)
+    out = dp.extend_list(prev, net, h.terms[1], epsilon_op, tables=tables,
+                         anchors=anchors)
     assert len(anchors) == 1 and len(streamed) > 1
     assert chunks == streamed
     assert_same_list(out, plain)
@@ -1379,10 +1424,11 @@ def test_reuse_memory_within_guard_count(d1_nets, ties):
 def test_saturated_trim_holds_entries_once(d1_nets):
     # a zero term on the N = 3400 net, every 16th predecessor at zero
     # energy: each pair ties 213 of them, past c = 212, so the recording
-    # pass trims at N c entries and then gives up the anchor.  A trim holds
-    # the blocks and one field's concatenation, 24 bytes an entry of 16;
-    # concatenating all three fields while the blocks were held peaked at
-    # 23.7 MB here, 31 bytes an entry
+    # pass gives up the anchor once it holds more than N c entries.  It
+    # holds each entry once, 16 bytes (12.0 MB here, 15.9 bytes an entry of
+    # at most N c + BLOCK_ELEMENTS); a trim at N c entries, which held the
+    # blocks and one field's concatenation, peaked at 17.9 MB, and
+    # concatenating all three fields while the blocks were held at 23.7 MB
     net, _ = d1_nets(0.05)
     tables = dp.step_tables(net, en.certified_epsilon(2, 1, 0.05))
     prev = dp.DpList(pair_index=np.arange(net.size),
@@ -1401,7 +1447,7 @@ def test_saturated_trim_holds_entries_once(d1_nets):
     anchors = []
     extra = peak(anchors) - peak(None)
     assert anchors == [] and dp._reuse_width(net.size) == 212
-    assert extra <= 25 * (net.size * 212 + dp.BLOCK_ELEMENTS)
+    assert extra <= 17 * (net.size * 212 + dp.BLOCK_ELEMENTS)
 
 
 def test_streamed_steps_leave_numpy_ma_unimported():
