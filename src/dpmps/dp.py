@@ -64,15 +64,16 @@ A step on a repeated term also reuses its own work.  Repeating one
 min-plus matrix drives the lists into a periodic regime up to a constant
 shift (the cyclicity theorem of Cohen, Dubois, Quadrat and Viot, 1985),
 where each pair p is won among a few candidate predecessors.  So a full
-step given an anchor list records a reuse anchor in its one pass: it
+step asked to record one records a reuse anchor in its one pass: it
 keeps each cost within K of a running minimum as an entry (pair p,
 position, E), and after the pass the same float test against the final
 minimum m_p leaves the candidate set C_p of each live pair p, since
 fl(running + K) >= fl(m_p + K); one stable sort by pair keeps C_p in
-position order.  It keeps the input energies e_ref.  No
-pruned row is within K, so C_p is that of the unpruned step.
-A later step on the same term reuses the anchor when its input list has
-the anchor's pair_index and its energies e_prev satisfy
+position order.  It keeps the input energies e_ref and the term array
+and tables it ran on.  No pruned row is within K, so C_p is that of the
+unpruned step.  A later step on that same term array and those same
+tables reuses the anchor when its input list has the anchor's pair_index
+and its energies e_prev satisfy
 spread(e_prev - e_ref) + 8 u (max|e_prev| + scale) < K,
 u the machine epsilon and scale = max|e_ref| + E_bound; it then costs only
 C_p for each p.  Proof that the result is bitwise the full step's: let
@@ -96,11 +97,11 @@ reuses, and only when no pair has more than c = max(REUSE_CANDIDATES, N/16)
 candidates, so a reused step costs at most a sixteenth of a full one past
 N = 1024; the pass gives the anchor up as soon as it holds more than N c
 entries.
-`solve` keeps one anchor per run of one term, that of the run's last full
-step: a step that the anchor does not certify drops it before its full
-step records the next, and the anchor is dropped when the term changes.
-An anchor holds its own e_ref, so the energies of the lists `solve`
-releases are never read again.
+The anchor rides on the DP list that its full step or a step reusing it
+outputs; a step that it does not certify drops it from its input before
+its full step records the next.  `solve` asks a step to record only when
+the next step has its term.  An anchor holds its own e_ref, so the
+energies of the lists `solve` releases are never read again.
 `transition_size_guard` counts what recording or reusing an anchor
 holds beside a streamed step (`_reuse_bytes`).
 
@@ -151,13 +152,15 @@ class DpList:
     the previous list, or the boundary tensor index in the first list.
     Both index arrays are int32.  A full step holds its input's pair_index
     array when its own is equal, and a reused step its input's tail.
-    `reused` tells whether the step reused an anchor's candidates.
+    `reused` tells whether the step reused an anchor's candidates, and
+    `anchor` is the reuse anchor that a step from this list may try.
     """
 
     pair_index: np.ndarray
     tail: np.ndarray
     energy: np.ndarray
     reused: bool = False
+    anchor: _Anchor | None = None
 
     def __len__(self) -> int:
         return len(self.pair_index)
@@ -165,12 +168,14 @@ class DpList:
 
 @dataclass(eq=False)
 class _Anchor:
-    """What a full step on a repeated term with energies E keeps for reuse:
-    its input list's pair_index and energies e_ref, scale =
-    max|e_ref| + E_bound, the tolerance K = 1e-9 (1 + scale), and per live
-    output pair (in order, `live`) the candidate positions `cand` and E at
-    them, live x c, padded with position 0 and E = +inf."""
+    """What a full step on the term array `hterm` and `tables` with
+    energies E keeps for reuse: its input list's pair_index and energies
+    e_ref, scale = max|e_ref| + E_bound, the tolerance K = 1e-9 (1 + scale),
+    and per live output pair (in order, `live`) the candidate positions
+    `cand` and E at them, live x c, padded with position 0 and E = +inf."""
 
+    hterm: np.ndarray
+    tables: StepTables
     pair_index: np.ndarray
     e_ref: np.ndarray
     scale: float
@@ -179,11 +184,13 @@ class _Anchor:
     cand: np.ndarray
     e_cand: np.ndarray
 
-    def reuse(self, prev: DpList) -> DpList | None:
-        """The step from prev by the candidates alone when the certificate
-        of the module docstring holds, else None."""
-        if prev.pair_index is not self.pair_index \
-                and not np.array_equal(prev.pair_index, self.pair_index):
+    def reuse(self, prev: DpList, hterm, tables: StepTables) -> DpList | None:
+        """The step from prev by the candidates alone when hterm and tables
+        are the anchor's own and the module docstring's certificate holds,
+        else None."""
+        if hterm is not self.hterm or tables is not self.tables or (
+                prev.pair_index is not self.pair_index
+                and not np.array_equal(prev.pair_index, self.pair_index)):
             return None
         shift = prev.energy - self.e_ref
         margin = 8.0 * EPS * (np.abs(prev.energy).max() + self.scale)
@@ -197,7 +204,7 @@ class _Anchor:
         tail = prev.tail if np.array_equal(tail, prev.tail) \
             else tail.astype(np.int32)
         return DpList(pair_index=self.live, tail=tail,
-                      energy=cost[rows, arg], reused=True)
+                      energy=cost[rows, arg], reused=True, anchor=self)
 
 
 @dataclass
@@ -275,12 +282,6 @@ def _right_factor(b: np.ndarray) -> np.ndarray:
     return t2.reshape(len(b), -1)
 
 
-def _transition_factors(net: PairNet, hterm) -> np.ndarray:
-    """G of `_left_factor` for the pairs at the left site of a step."""
-    return _left_factor(net.lam[:, :, None, None] * net.b, hterm,
-                        net.b.shape[2])
-
-
 def _transition_blocks(g: np.ndarray, t2: np.ndarray, rows: np.ndarray):
     """Yield (lo, C) for the CHUNK-row chunks of `rows` in order, C the
     complex q-major product G[rows[lo:hi]] @ T2.T over every column p, in
@@ -329,14 +330,15 @@ def _as_slice(idx: np.ndarray):
 @dataclass(eq=False)
 class StepTables:
     """What the steps and the left end read from the net alone: the
-    stitching mask, T2 of `_left_factor`, the traces tr P_p of its rows,
-    and per lambda class its pairs (int32) and the cluster matrices
-    [t_c, -r_c, 1] and [t_c, +r_c, 1] of the module docstring."""
+    stitching mask at `epsilon_op`, T2 of `_left_factor`, the traces tr P_p
+    of its rows, and per lambda class its pairs (int32) and the cluster
+    matrices [t_c, -r_c, 1] and [t_c, +r_c, 1] of the module docstring."""
 
     mask: np.ndarray
     t2: np.ndarray
     trace: np.ndarray
     classes: list       # (pairs, lower, upper) per lambda class
+    epsilon_op: float
 
 
 def _clusters(t2: np.ndarray, cls: np.ndarray) -> tuple:
@@ -383,7 +385,7 @@ def step_tables(net: PairNet, epsilon_op: float) -> StepTables:
     return StepTables(stitching_mask(net, epsilon_op), t2, trace, classes=[
         (np.flatnonzero(net.lam_class == k).astype(np.int32),
          lower[first[k]:first[k + 1]], upper[first[k]:first[k + 1]])
-        for k in range(len(net.lam_net))])
+        for k in range(len(net.lam_net))], epsilon_op=epsilon_op)
 
 
 def _tolerance(scale) -> float:
@@ -428,44 +430,16 @@ def _viable_rows(rows: np.ndarray, e_prev: np.ndarray, f: np.ndarray,
                            for lo in range(0, rows.size, step)])
 
 
-def _cost_blocks(prev: DpList, classes: list, g: np.ndarray, t2: np.ndarray):
-    """Yield (p, r, e, cost) over the CHUNK-row chunks of `_transition_blocks`
-    on the union of the rows of `classes`, (list positions of admissible
-    predecessors, pairs p) per lambda class, in q order, and per class and
-    sub-block of at most BLOCK_ELEMENTS costs: e[i, s] = E[p_i, q_s] for
-    the predecessors at list positions r, and cost = e + e_prev[r] in a
-    reused buffer."""
-    keep = np.zeros(len(prev), dtype=bool)
-    for r, _ in classes:
-        keep[r] = True
-    union = np.flatnonzero(keep)
-    at = [np.searchsorted(union, r) for r, _ in classes]
-    buf = np.empty(BLOCK_ELEMENTS)
-    for lo, c in _transition_blocks(g, t2, prev.pair_index[union]):
-        for (r, cols), pos in zip(classes, at):
-            start, stop = np.searchsorted(pos, (lo, lo + len(c)))
-            if start == stop:
-                continue
-            q = _as_slice(pos[start:stop] - lo)    # rows of c
-            r_blk = r[start:stop]
-            step = BLOCK_ELEMENTS // r_blk.size
-            for p_lo in range(0, cols.size, step):
-                p = cols[p_lo:p_lo + step]
-                e = c.real[:, _as_slice(p)][q].T
-                cost = buf[:e.size].reshape(e.shape)
-                np.add(e, prev.energy[r_blk], out=cost)
-                yield p, r_blk, e, cost
-
-
 def _pack_anchor(prev: DpList, near: tuple, best: np.ndarray,
-                 live: np.ndarray, tol: float, scale: float):
-    """The reuse anchor of a step from its kept entries `near`, (p, r, E) as
-    three lists of blocks, minima `best`, finite K = tol and scale; None
-    past `_reuse_width` candidates.  The entries within K of `best` by the
-    step's float test stay; one field at a time is concatenated, or
-    filtered, and its old blocks freed.  The entries of each pair come in
-    position order, and a stable sort by pair keeps it, so entry i is
-    candidate i - (its pair's first entry)."""
+                 live: np.ndarray, tol: float, scale: float, hterm,
+                 tables: StepTables):
+    """The reuse anchor of a step on hterm and tables from its kept entries
+    `near`, (p, r, E) as three lists of blocks, minima `best`, finite
+    K = tol and scale; None past `_reuse_width` candidates.  The entries
+    within K of `best` by the step's float test stay; one field at a time
+    is concatenated, or filtered, and its old blocks freed.  The entries of
+    each pair come in position order, and a stable sort by pair keeps it,
+    so entry i is candidate i - (its pair's first entry)."""
     for blocks in near:
         blocks[:] = [np.concatenate(blocks)]
     (p,), (r,), (e,) = near
@@ -487,72 +461,84 @@ def _pack_anchor(prev: DpList, near: tuple, best: np.ndarray,
     cand = np.zeros((live.size, count.max()), dtype=np.intp)
     e_cand = np.full(cand.shape, np.inf)
     cand[row, rank], e_cand[row, rank] = r, e
-    return _Anchor(pair_index=prev.pair_index, e_ref=prev.energy,
-                   scale=scale, tol=tol, live=live, cand=cand, e_cand=e_cand)
+    return _Anchor(hterm=hterm, tables=tables, pair_index=prev.pair_index,
+                   e_ref=prev.energy, scale=scale, tol=tol, live=live,
+                   cand=cand, e_cand=e_cand)
 
 
-def extend_list(prev: DpList, net: PairNet, hterm, epsilon_op: float, *,
-                tables: StepTables, anchors: list | None = None) -> DpList:
+def extend_list(prev: DpList, net: PairNet, hterm, *, tables: StepTables,
+                record: bool = False) -> DpList:
     """One DP step: best admissible predecessor for every net pair.
 
-    `tables` are the net's `step_tables`.  Per lambda class with pairs, the
-    predecessors admissible for it that `_viable_rows` keeps at the step's
-    one K (module docstring) stream through `_cost_blocks` in q order, and
-    `_merge_min` folds in each block: ties go to the lowest list index,
-    which is the lowest net index since lists are index-sorted, and every
-    result, NaN included, equals one argmin over the whole row.  `anchors`
-    holds at most one anchor, that of the last full step on this term, net
-    and tables; the step reuses it when it certifies, else drops it and
-    records its own in the same pass from entries (pair, list position, E),
-    unless the pass comes to hold more than N c of them.
+    `tables` are the net's `step_tables`.  A step that the anchor of `prev`
+    does not certify drops it and is a full one (module docstring).  Per
+    lambda class, the admissible rows `_viable_rows` keeps at the step's K
+    go through `_transition_blocks` in q order, and `_merge_min` folds in
+    each piece of the class's p-major costs: ties go to the lowest list
+    index, which is the lowest net index, and every result, NaN included,
+    equals one argmin over the whole row.  With `record`, the full step
+    puts the anchor it records in the same pass on its output.
     """
     if len(prev) == 0:
         raise NoAdmissibleTransitionError("previous DP list is empty")
-    if anchors:
-        out = anchors[0].reuse(prev)
+    if prev.anchor is not None:
+        out = prev.anchor.reuse(prev, hterm, tables)
         if out is not None:
             return out
-        anchors.clear()     # free it before the full step records anew
-    g = _transition_factors(net, hterm)
+        prev.anchor = None      # free it before the full step records anew
+    g = _left_factor(net.lam[:, :, None, None] * net.b, hterm, net.b.shape[2])
     dd = net.b.shape[1] * net.b.shape[2]      # h and P are dd x dd
     h, f = _hermitian_parts(g[prev.pair_index], dd)
     scale = np.abs(prev.energy).max() + dd * np.abs(h).max() \
         * tables.trace.max()                # max|e_prev| + E_bound
     tol = _tolerance(scale)
-    classes = []    # per class with pairs: viable list positions, pairs
+    # per class with pairs: viable list positions, pairs; and their union
+    classes, keep = [], np.zeros(len(prev), dtype=bool)
     for k, (cols, lower, upper) in enumerate(tables.classes):
         r = np.flatnonzero(tables.mask[prev.pair_index, k]).astype(np.int32)
         if r.size and cols.size:
-            classes.append((r[_viable_rows(r, prev.energy, f, lower, upper,
-                                           tol)], cols))
-    best = np.full(net.size, np.inf)
-    tails = np.zeros(net.size, dtype=np.int32)
+            r = r[_viable_rows(r, prev.energy, f, lower, upper, tol)]
+            keep[r] = True
+            classes.append((r, cols))
+    union = np.flatnonzero(keep)
+    classes = [(r, cols, np.searchsorted(union, r)) for r, cols in classes]
+    best, tails = np.full(net.size, np.inf), np.zeros(net.size, np.int32)
     # the kept entries (pair, list position, E), one list of blocks a field
-    near = ([], [], []) if anchors is not None and np.isfinite(tol) else None
+    near = ([], [], []) if record and np.isfinite(tol) else None
     held, room = 0, net.size * _reuse_width(net.size)
-    for p, r, e, cost in _cost_blocks(prev, classes, g, tables.t2):
-        arg = cost.argmin(axis=1)
-        _merge_min(best, tails, p, cost[np.arange(p.size), arg], r[arg])
-        if near is not None:    # keep what is within K of a running minimum
-            i, s = np.nonzero(cost <= (best[p] + tol)[:, None])
-            for blocks, x in zip(near, (p[i], r[s], e[i, s])):
-                blocks.append(x)
-            held += i.size
-            if held > room:     # more than N c entries: no anchor
-                near = None
+    buf = np.empty(BLOCK_ELEMENTS)
+    for lo, c in _transition_blocks(g, tables.t2, prev.pair_index[union]):
+        for r, cols, pos in classes:
+            start, stop = np.searchsorted(pos, (lo, lo + len(c)))
+            if start == stop:
+                continue
+            q, r_blk = _as_slice(pos[start:stop] - lo), r[start:stop]
+            step = BLOCK_ELEMENTS // r_blk.size
+            for p_lo in range(0, cols.size, step):
+                p = cols[p_lo:p_lo + step]
+                e = c.real[:, _as_slice(p)][q].T
+                cost = buf[:e.size].reshape(e.shape)
+                np.add(e, prev.energy[r_blk], out=cost)
+                arg = cost.argmin(axis=1)
+                _merge_min(best, tails, p, cost[np.arange(p.size), arg],
+                           r_blk[arg])
+                if near is not None:  # entries near the running minima
+                    i, s = np.nonzero(cost <= (best[p] + tol)[:, None])
+                    for blocks, x in zip(near, (p[i], r_blk[s], e[i, s])):
+                        blocks.append(x)
+                    held += i.size
+                    if held > room:     # more than N c entries: no anchor
+                        near = None
     live = np.flatnonzero(np.isfinite(best))
     if live.size == 0:
         raise NoAdmissibleTransitionError(
-            f"no admissible transition at epsilon_op={epsilon_op}"
-        )
+            f"no admissible transition at epsilon_op={tables.epsilon_op}")
     tail, energy = tails[live], best[live]
     live = prev.pair_index if np.array_equal(live, prev.pair_index) \
         else live.astype(np.int32)
-    if near is not None:
-        anchor = _pack_anchor(prev, near, best, live, tol, scale)
-        if anchor is not None:
-            anchors.append(anchor)
-    return DpList(pair_index=live, tail=tail, energy=energy)
+    anchor = None if near is None else _pack_anchor(
+        prev, near, best, live, tol, scale, hterm, tables)
+    return DpList(pair_index=live, tail=tail, energy=energy, anchor=anchor)
 
 
 def _reuse_width(n_pairs: int) -> int:
@@ -583,7 +569,8 @@ def transition_size_guard(n_pairs: int, k: int, phys_bytes: int | None,
     int32 pair_index and tail of every stored list, none shared:
     16 (CHUNK + 7 k) N + 76 N + 8 n_lists N bytes.  Return whether what
     reuse anchors add (`_reuse_bytes`) fits too; None (memory size
-    unknown) passes and fits."""
+    unknown) passes and fits.  `solve` runs it before the tables at every
+    n; at n = 3, where no step runs, the count is conservative."""
     held = (16 * (CHUNK + 7 * k) + 76 + 8 * n_lists) * n_pairs
     check_size(held, phys_bytes, f"bytes of a streamed DP step at "
                f"N={n_pairs} and {n_lists} stored lists", "physical memory")
@@ -722,30 +709,25 @@ def solve(h: hamiltonian.NnHamiltonian, D: int, delta: float,
         end_net = build_end_net(D, d_end, delta, cap)
     t_net = time.perf_counter()
 
-    # only chains with interior sites take a step; G has (dD)^2 columns
-    anchors_fit = n > 3 and transition_size_guard(
+    # G has (dD)^2 columns
+    anchors_fit = transition_size_guard(
         pair_net.size, (pair_net.b.shape[1] * pair_net.b.shape[2]) ** 2,
         hamiltonian._physical_memory(), n - 2)
     tables = step_tables(pair_net, epsilon_op)
     last = initial_list(end_net, pair_net, h.terms[0], tables)
     # what the backtrack reads of every list; only `last` keeps energies
     pair_index, tails = [last.pair_index], [last.tail]
-    anchors = None      # the reuse anchor of the current term run
     reused = 0
     for j in range(3, n):
         hterm = h.terms[j - 2]
-        if h.terms[j - 3] is not hterm:
-            anchors = None
-        # only a term that repeats at the next site records anchors
-        if (anchors is None and anchors_fit and j < n - 1
-                and h.terms[j - 1] is hterm):
-            anchors = []
-        last = extend_list(last, pair_net, hterm, epsilon_op, tables=tables,
-                           anchors=anchors)
+        # a step records an anchor only for a next step on its term
+        last = extend_list(last, pair_net, hterm, tables=tables,
+                           record=anchors_fit and j < n - 1
+                           and h.terms[j - 1] is hterm)
         pair_index.append(last.pair_index)
         tails.append(last.tail)
         reused += last.reused
-    tables = anchors = None     # not needed past the last interior site
+    tables = last.anchor = None     # not needed past the last interior site
 
     best_val, best_g, best_q = _close_list(last, end_net, pair_net,
                                            h.terms[-1])

@@ -9,7 +9,8 @@ complex arrays become one array, the first occurrence, so a uniform chain
 holds at most three.  Every per-term computation (the Hermiticity check,
 the norm, the commutator check, the eigendecompositions, a DP transition
 matrix) runs once per distinct array and finds equal terms by identity,
-and no code writes to a term in place.
+and no code writes to a term in place.  Equal bytes are found by their
+SHA-256 digest, so no copy of them is kept.
 `apply_hamiltonian` applies H to a state vector term by term, so the
 eigensolvers never build the dense 2^n x 2^n matrix.
 """
@@ -17,6 +18,7 @@ eigensolvers never build the dense 2^n x 2^n matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import hashlib
 import math
 import os
 
@@ -30,6 +32,7 @@ Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 DENSE_DIM_GUARD = 2**14
+NORM_STACK_BYTES = 1 << 16  # bytes of a batched term-norm stack
 HERMITICITY_TOL = 1e-10
 COMMUTATOR_TOL = 1e-10
 
@@ -53,7 +56,7 @@ class NnHamiltonian:
         for j, t in enumerate(self.terms):
             if id(t) not in given:  # holding t keeps its id from being reused
                 a = np.asarray(t, dtype=complex)
-                key = (a.shape, a.tobytes())
+                key = (a.shape, hashlib.sha256(a.tobytes()).digest())
                 given[id(t)] = t, first.setdefault(key, (j, a))[1]
             a = self.terms[j] = given[id(t)][1]
             want = self.dims[j] * self.dims[j + 1]
@@ -86,13 +89,18 @@ def _physical_memory() -> int | None:
 
 
 def max_term_norm(h) -> float:
-    """Largest singular value over the distinct term arrays, by one batched
-    SVD per term shape (a boundary-grouped chain has two)."""
+    """Largest singular value over the distinct term arrays, by batched
+    SVDs over stacks of one term shape (a boundary-grouped chain has two)
+    of at most NORM_STACK_BYTES, or of one term."""
     by_shape = {}
     for t in {id(t): t for t in h.terms}.values():
         by_shape.setdefault(t.shape, []).append(t)
-    return max(float(np.linalg.norm(np.stack(ts), 2, axis=(1, 2)).max())
-               for ts in by_shape.values())
+    norms = []
+    for ts in by_shape.values():
+        step = max(1, NORM_STACK_BYTES // ts[0].nbytes)
+        norms += [np.linalg.norm(np.stack(ts[lo:lo + step]), 2, axis=(1, 2))
+                  for lo in range(0, len(ts), step)]
+    return float(np.concatenate(norms).max())
 
 
 def _uniform_terms(bond: np.ndarray, n: int, f: np.ndarray | None = None):
@@ -112,6 +120,13 @@ def _random_unitary(rng, d: int) -> np.ndarray:
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(m)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _conjugated_diagonal(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u diag(v) u^dagger, holding beside u at most two matrices of its
+    size: u is conjugated in place."""
+    t = u @ np.diag(v).astype(complex)
+    return t @ np.conjugate(u, out=u).T
 
 
 _UNIFORM = ("zz_chain", "transverse_ising", "heisenberg", "trap_model")
@@ -138,10 +153,12 @@ def build_model(name: str, params: dict | None, n: int,
                           f"got {d!r}")
     d = int(d)
     # the complex d^2 x d^2 term arrays the model holds, checked before the
-    # first is built: a uniform chain's (`_uniform_terms`) at most three
+    # first is built (a uniform chain's at most three), and two more that
+    # building one or its Hermiticity check (`NnHamiltonian`) takes
     held = min(3, n - 1) if name in _UNIFORM else n - 1
-    check_size(16 * held * d**4, _physical_memory(),
-               f"bytes of {held} terms of dimension {d}^2", "physical memory")
+    check_size(16 * (held + 2) * d**4, _physical_memory(),
+               f"bytes of {held} terms of dimension {d}^2 and two to build "
+               f"or check one", "physical memory")
     zz = np.kron(Z, Z)
 
     if name == "zz_chain":
@@ -155,7 +172,9 @@ def build_model(name: str, params: dict | None, n: int,
         for _ in range(n - 1):
             m = rng.standard_normal((d * d, d * d)) \
                 + 1j * rng.standard_normal((d * d, d * d))
-            terms.append((m + m.conj().T) / 2)
+            m += m.conj().T     # (m + m^dagger) / 2, in place
+            m /= 2
+            terms.append(m)
     elif name == "trap_model":
         terms = _uniform_terms(2.0 * (np.eye(4, dtype=complex) - zz), n,
                                (I2 + Z) / 2)
@@ -163,13 +182,10 @@ def build_model(name: str, params: dict | None, n: int,
         terms = [np.diag(rng.standard_normal(d * d)).astype(complex)
                  for _ in range(n - 1)]
     elif name == "rotated_classical":
-        diag_terms = [np.diag(rng.standard_normal(d * d)).astype(complex)
-                      for _ in range(n - 1)]
+        diags = [rng.standard_normal(d * d) for _ in range(n - 1)]
         us = [_random_unitary(rng, d) for _ in range(n)]
-        terms = []
-        for j, t in enumerate(diag_terms):
-            u = np.kron(us[j], us[j + 1])
-            terms.append(u @ t @ u.conj().T)
+        terms = [_conjugated_diagonal(np.kron(us[j], us[j + 1]), v)
+                 for j, v in enumerate(diags)]
     else:
         raise ConfigError(f"unknown model name {name!r}")
     if params:

@@ -29,8 +29,7 @@ class TestExtendList:
         idx = np.arange(net.size)
         prev = dp.DpList(pair_index=idx, tail=np.zeros_like(idx),
                          energy=np.where(idx == 2, 0.0, 5.0))
-        out = dp.extend_list(prev, net, zero, 1.0,
-                             tables=dp.step_tables(net, 1.0))
+        out = dp.extend_list(prev, net, zero, tables=dp.step_tables(net, 1.0))
         assert all(t == 2 for t in out.tail)
         assert all(np.isclose(e, 0.0) for e in out.energy)
 
@@ -39,7 +38,7 @@ class TestExtendList:
         empty = dp.DpList(pair_index=np.array([], dtype=int),
                           tail=np.array([], dtype=int), energy=np.array([]))
         with pytest.raises(NoAdmissibleTransitionError):
-            dp.extend_list(empty, net, np.zeros((4, 4)), 1.0,
+            dp.extend_list(empty, net, np.zeros((4, 4)),
                            tables=dp.step_tables(net, 1.0))
 
     def test_tables_match_enumeration(self):

@@ -5,10 +5,11 @@ viable row left, with every cluster a single pair and with a lambda class
 that has no pairs), the per-cluster bound behind the pruning and the
 memory peak of building the clusters, no pruning
 after a non-finite input, tie rule (also across a block boundary), NaN
-costs, empty steps, one factor build per full step, which steps are
-offered anchors (against the rule of comparing term bytes) and the size
-guard, whose count bounds a D=2 step's traced peak and under which a
-repeated term whose anchors do not fit takes only full steps; D=2 golden
+costs, empty steps, one factor build per full step, which steps record
+anchors (against the rule of comparing term bytes) and the size guard,
+which runs before the step tables at every n, whose count bounds a D=2
+step's traced peak and under which a repeated term whose anchors do not
+fit takes only full steps; D=2 golden
 solves on sub-nets of three lambda classes; for a streamed solve, a
 memory peak below one N x N matrix and no import of numpy.ma or
 concurrent.futures;
@@ -23,9 +24,10 @@ reference's (also one that a margin narrower than K would prune, and
 after a running minimum falls by more than K), at most N c entries kept
 in the recording pass, which records an anchor at exactly N c and streams
 each chunk once, the full step when
-the certificate fails (a nudged energy, other pairs) or the input holds a
-NaN, the memory it adds against the size guard's count, and the counts
-`solve` reports."""
+the certificate fails (a nudged energy, other pairs, an equal copy of
+the term or of the tables) or the input holds a NaN, no anchor across a
+term change, the memory it adds against the size guard's count, and the
+counts `solve` reports."""
 
 import dataclasses
 import os
@@ -135,21 +137,22 @@ def test_matches_dense_step_on_d2_sub_nets(sub_net, keep_fractions, seed,
     assert tables.mask.shape[1] == 3 and 0.0 < tables.mask.mean() < 1.0
     dense = dense_extend(prev, net, q_major_transitions(net, hterm),
                          epsilon_op)
-    # the viable rows of 1,500 pairs make several q-chunks; a step given an
-    # anchor list, as `solve` passes a repeated term, prunes the same rows
-    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
-                                    tables=tables), dense)
+    # the viable rows of 1,500 pairs make several q-chunks; a step that
+    # records an anchor, as on a repeated term, prunes the same rows
+    assert_same_step(dp.extend_list(prev, net, hterm, tables=tables), dense)
     assert min(keep_fractions) < 1.0
     keep_fractions.clear()
-    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
-                                    tables=tables, anchors=[]), dense)
+    assert_same_step(dp.extend_list(prev, net, hterm, tables=tables,
+                                    record=True), dense)
     assert min(keep_fractions) < 1.0
 
 
 def window_hermitian_parts(net, hterm):
     """(h, trace): the Hermitian parts h[q] of the rows of G and the traces
     tr P_p of the rows of T2, both as dD x dD matrices."""
-    g, t2 = dp._transition_factors(net, hterm), dp._right_factor(net.b)
+    g = dp._left_factor(net.lam[:, :, None, None] * net.b, hterm,
+                        net.b.shape[2])
+    t2 = dp._right_factor(net.b)
     dd = net.b.shape[1] * net.b.shape[2]
     g = g.reshape(-1, dd, dd)
     trace = np.einsum("pii->p", t2.reshape(-1, dd, dd)).real
@@ -238,7 +241,7 @@ def test_pruned_steps_match_dense_at_d1(d1_nets, keep_fractions, seed):
     for hterm in h.terms[1:-1]:
         dense = dense_extend(prev, net, q_major_transitions(net, hterm),
                              epsilon_op)
-        prev = dp.extend_list(prev, net, hterm, epsilon_op, tables=tables)
+        prev = dp.extend_list(prev, net, hterm, tables=tables)
         assert_same_step(prev, dense)
     # the per-cluster bound keeps 0.18 (seed 1) and 0.20 (seed 2) of the
     # rows on average; one anchor/Gershgorin bound kept 0.61 and 0.74
@@ -259,7 +262,7 @@ def test_single_viable_row_matches_dense(d1_nets, sub_net, keep_fractions,
     energy[idx == q0] = -1e3
     prev = dp.DpList(pair_index=idx, tail=np.zeros_like(idx), energy=energy)
     hterm = random_term(np.random.default_rng(14))
-    out = dp.extend_list(prev, net, hterm, epsilon_op, tables=tables)
+    out = dp.extend_list(prev, net, hterm, tables=tables)
     # every class keeps q0 alone, so the transition product has one row
     assert idx.size > 1
     assert keep_fractions == [1.0 / idx.size] * int(mask[q0].sum())
@@ -314,7 +317,7 @@ def test_single_pair_clusters_match_dense(sub_net, keep_fractions):
     rng = np.random.default_rng(107)
     hterm = random_term(rng)
     prev = random_prev(net.size, rng)
-    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
+    assert_same_step(dp.extend_list(prev, net, hterm,
                                     tables=dp.step_tables(net, epsilon_op)),
                      dense_extend(prev, net, q_major_transitions(net, hterm),
                                   epsilon_op))
@@ -349,7 +352,7 @@ def test_class_without_pairs_matches_dense(sub_net):
     prev = dp.DpList(pair_index=np.arange(net.size),
                      tail=np.zeros(net.size, dtype=np.intp),
                      energy=rng.standard_normal(net.size))
-    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
+    assert_same_step(dp.extend_list(prev, net, hterm,
                                     tables=dp.step_tables(net, epsilon_op)),
                      dense_extend(prev, net, q_major_transitions(net, hterm),
                                   epsilon_op))
@@ -362,7 +365,7 @@ def test_tie_goes_to_lowest_index(sub_net):
     prev = dp.DpList(pair_index=idx, tail=np.zeros_like(idx),
                      energy=np.zeros(idx.size))
     # every cost is exactly zero: the first admissible predecessor wins
-    out = dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op,
+    out = dp.extend_list(prev, net, np.zeros((4, 4)),
                          tables=dp.step_tables(net, epsilon_op))
     mu = net.mu[idx]
     for p, tail in zip(out.pair_index, out.tail):
@@ -389,8 +392,7 @@ def test_tie_across_chunk_boundary_goes_to_lowest_index(sub_net):
     prev = dp.DpList(pair_index=np.arange(net.size),
                      tail=np.zeros(net.size, dtype=np.intp), energy=energy)
     # a zero term: every cost is its predecessor's energy, exactly
-    out = dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op,
-                         tables=tables)
+    out = dp.extend_list(prev, net, np.zeros((4, 4)), tables=tables)
     won = mask[q1][net.lam_class[out.pair_index]]
     assert won.any()
     assert (out.tail[won] == q1).all() and (out.energy[won] == -1.0).all()
@@ -418,13 +420,11 @@ def test_nan_cost_in_later_chunk_matches_dense(sub_net):
     # where a finite minimum came in an earlier chunk
     hit = mask[q_nan][net.lam_class]
     assert hit.any() and not np.isin(np.flatnonzero(hit), dense[0]).any()
-    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
-                                    tables=tables), dense)
+    assert_same_step(dp.extend_list(prev, net, hterm, tables=tables), dense)
     # unpruned, and no anchor is recorded from a NaN input
-    anchors = []
-    assert_same_step(dp.extend_list(prev, net, hterm, epsilon_op,
-                                    tables=tables, anchors=anchors), dense)
-    assert anchors == []
+    out = dp.extend_list(prev, net, hterm, tables=tables, record=True)
+    assert_same_step(out, dense)
+    assert out.anchor is None
 
 
 def test_all_inadmissible_step_raises(sub_net):
@@ -436,8 +436,7 @@ def test_all_inadmissible_step_raises(sub_net):
     prev = dp.DpList(pair_index=stranded, tail=np.zeros_like(stranded),
                      energy=np.zeros(stranded.size))
     with pytest.raises(NoAdmissibleTransitionError):
-        dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op,
-                       tables=tables)
+        dp.extend_list(prev, net, np.zeros((4, 4)), tables=tables)
 
 
 @pytest.mark.parametrize("name,n,runs", [("transverse_ising", 12, 1),
@@ -448,13 +447,14 @@ def test_transitions_reused_across_identical_terms(monkeypatch, name, n,
     # of one array, whose steps reuse an anchor, while random terms never
     # repeat and every step is a full one
     count = {"factors": 0}
-    factors = dp._transition_factors
+    factors = dp._left_factor
 
     def counting(*args, **kwargs):
-        count["factors"] += 1
+        # the boundary screens and kernels build left factors too
+        count["factors"] += sys._getframe(1).f_code.co_name == "extend_list"
         return factors(*args, **kwargs)
 
-    monkeypatch.setattr(dp, "_transition_factors", counting)
+    monkeypatch.setattr(dp, "_left_factor", counting)
     h = ham.group_boundaries(ham.build_model(name, {}, n, 0), 1)
     # equal but separate copies of the terms become one array per value
     copies = ham.NnHamiltonian(n=h.n, dims=h.dims,
@@ -467,20 +467,12 @@ def test_transitions_reused_across_identical_terms(monkeypatch, name, n,
         assert (steps["reused"] > 0) == (name == "transverse_ising")
 
 
-def bytes_rule_anchor_steps(terms, n):
-    """Per step j = 3..n-1, whether the step is offered a reuse anchor list
-    by the rule of comparing term bytes: a term keeps its list while its
-    bytes repeat, and opens one when the next site's term has the same
-    bytes."""
-    offered, held = [], None
-    for j in range(3, n):
-        key = terms[j - 2].tobytes()
-        if key != held:
-            held = None
-            if j < n - 1 and terms[j - 1].tobytes() == key:
-                held = key
-        offered.append(held is not None)
-    return offered
+def bytes_rule_record_steps(terms, n):
+    """Per step j = 3..n-1, whether the step records a reuse anchor by the
+    rule of comparing term bytes: when the next step, not the closing
+    one, has a term of the same bytes."""
+    return [j < n - 1 and terms[j - 1].tobytes() == terms[j - 2].tobytes()
+            for j in range(3, n)]
 
 
 @pytest.mark.parametrize("n,D", [(3, 1), (12, 1), (800, 1), (12, 4),
@@ -490,19 +482,20 @@ def bytes_rule_anchor_steps(terms, n):
                                   "trap_model", "rotated_classical",
                                   "diagonal_commuting"])
 def test_anchor_offers_follow_bytes_rule(monkeypatch, name, n, D):
-    # the steps that are offered anchors; the steps themselves are stubbed
-    # out, so only the choice is checked
+    # the steps asked to record an anchor; the steps themselves are
+    # stubbed out, so only the choice is checked.  A run's last step
+    # records none, since no step on another term could reuse it
     h = ham.group_boundaries(ham.build_model(name, {}, n, 1), D)
     offered = []
 
-    def recording(prev, net, hterm, epsilon_op, *, tables, anchors=None):
-        offered.append(anchors is not None)
+    def recording(prev, net, hterm, *, tables, record=False):
+        offered.append(record)
         return dataclasses.replace(prev, tail=np.arange(len(prev)))
 
     monkeypatch.setattr(dp, "extend_list", recording)
     net = en.build_pair_net(1, 2, 0.25, 0.05)
     dp.solve(h, 1, 0.25, epsilon_op=0.05, pair_net=net)
-    assert offered == bytes_rule_anchor_steps(h.terms, h.n)
+    assert offered == bytes_rule_record_steps(h.terms, h.n)
     assert any(offered) == (h.n > 4 and name in (
         "zz_chain", "transverse_ising", "heisenberg", "trap_model"))
 
@@ -562,7 +555,7 @@ class TestSizeGuard:
                                h.terms[0], tables)
         tracemalloc.start()
         try:
-            dp.extend_list(prev, net, h.terms[1], 0.05, tables=tables)
+            dp.extend_list(prev, net, h.terms[1], tables=tables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -612,11 +605,12 @@ class TestSizeGuard:
             calls.append(1)
             return anchor(*args, **kwargs)
 
-        # every recorded anchor is built by one call of the class
+        # every recorded anchor is built by one call of the class; each full
+        # step records but the last, whose anchor no later step could reuse
         monkeypatch.setattr(dp, "_Anchor", counting)
         ample = dp.solve(h, 2, 0.25, epsilon_op=0.05, end_net=end,
                          pair_net=net)
-        assert calls == [1] * ample.dp_steps["full"]
+        assert ample.dp_steps["full"] == 3 and calls == [1, 1]
         held = guard_bytes(net.size, 16, h.n - 2)
         assert held + dp._reuse_bytes(net.size) > 2 * held
         monkeypatch.setattr(ham, "_physical_memory", lambda: 2 * held)
@@ -649,13 +643,30 @@ class TestSizeGuard:
         def never(*args, **kwargs):
             raise AssertionError("transition matrix attempted")
 
-        # 1,500 pairs need 4.4 MB per streamed step
-        monkeypatch.setattr(ham, "_physical_memory", lambda: 2**20)
-        monkeypatch.setattr(dp, "_transition_factors", never)
-        monkeypatch.setattr(dp, "initial_list", never)
+        # 1,500 pairs need 4.4 MB per streamed step; both nets are given,
+        # so the end net's own guard does not raise first
         h = ham.group_boundaries(ham.build_model("heisenberg", {}, 6), 2)
-        with pytest.raises(SizeGuardError):
-            dp.solve(h, 2, 0.25, epsilon_op=0.05, pair_net=sub_net(5))
+        end = en.build_end_net(2, h.dims[0], 0.25)
+        monkeypatch.setattr(ham, "_physical_memory", lambda: 2**20)
+        monkeypatch.setattr(dp, "step_tables", never)
+        monkeypatch.setattr(dp, "initial_list", never)
+        with pytest.raises(SizeGuardError, match="4 stored lists"):
+            dp.solve(h, 2, 0.25, epsilon_op=0.05, end_net=end,
+                     pair_net=sub_net(5))
+
+    def test_solve_stops_before_tables_at_n3(self, sub_net, monkeypatch):
+        # n = 3 takes no step, yet builds T2 and the cluster matrices for
+        # the left screen: the guard runs before them at every n
+        def never(*args, **kwargs):
+            raise AssertionError("step tables built")
+
+        h = ham.group_boundaries(ham.build_model("heisenberg", {}, 3), 2)
+        end = en.build_end_net(2, h.dims[0], 0.25)
+        monkeypatch.setattr(ham, "_physical_memory", lambda: 2**20)
+        monkeypatch.setattr(dp, "step_tables", never)
+        with pytest.raises(SizeGuardError, match="1 stored lists"):
+            dp.solve(h, 2, 0.25, epsilon_op=0.05, end_net=end,
+                     pair_net=sub_net(5))
 
 
 # --- the per-tensor einsum loops replaced by the batched boundary kernel
@@ -970,10 +981,10 @@ def uniform_chain(name, n):
     return h
 
 
-def uniform_steps(d1_nets, h, delta, anchors=None, energy=None):
-    """The D=1 lists of a chain whose interior terms are one array, with
-    anchors (a list as `solve` keeps it) or without; `energy` replaces the
-    first list's energies."""
+def uniform_steps(d1_nets, h, delta, record=False, energy=None):
+    """The D=1 lists of a chain whose interior terms are one array, each
+    step recording an anchor or none; `energy` replaces the first list's
+    energies."""
     net, end = d1_nets(delta)
     epsilon_op = en.certified_epsilon(2, 1, delta)
     tables = dp.step_tables(net, epsilon_op)
@@ -981,8 +992,8 @@ def uniform_steps(d1_nets, h, delta, anchors=None, energy=None):
     if energy is not None:
         lists[0] = dataclasses.replace(lists[0], energy=energy)
     for hterm in h.terms[1:-1]:
-        lists.append(dp.extend_list(lists[-1], net, hterm, epsilon_op,
-                                    tables=tables, anchors=anchors))
+        lists.append(dp.extend_list(lists[-1], net, hterm, tables=tables,
+                                    record=record))
     return lists
 
 
@@ -998,9 +1009,8 @@ def test_anchor_reuse_matches_full_steps(d1_nets, keep_fractions, name, n,
                                         delta):
     h = uniform_chain(name, n)
     full = uniform_steps(d1_nets, h, delta)
-    anchors = []
     keep_fractions.clear()
-    reused = uniform_steps(d1_nets, h, delta, anchors)
+    reused = uniform_steps(d1_nets, h, delta, record=True)
     if name == "transverse_ising":
         # every full step of the anchored run records, and each prunes
         assert keep_fractions and max(keep_fractions) < 1.0
@@ -1009,7 +1019,7 @@ def test_anchor_reuse_matches_full_steps(d1_nets, keep_fractions, name, n,
     assert not any(lst.reused for lst in full)
     if n >= 200:
         assert sum(lst.reused for lst in reused) > n // 2
-    assert len(anchors) == 1
+    assert full[-1].anchor is None and reused[-1].anchor is not None
 
 
 def dense_steps(net, h, epsilon_op, first):
@@ -1033,11 +1043,12 @@ def test_d2_streamed_steps_record_and_reuse_anchors(sub_net):
     end = en.build_end_net(2, h.dims[0], 0.25)
     tables = dp.step_tables(net, epsilon_op)
     first = dp.initial_list(end, net, h.terms[0], tables)
-    lists, anchors = [first], []
+    lists = [first]
     for hterm in h.terms[1:-1]:
-        lists.append(dp.extend_list(lists[-1], net, hterm, epsilon_op,
-                                    tables=tables, anchors=anchors))
-    assert sum(lst.reused for lst in lists) >= 10 and len(anchors) == 1
+        lists.append(dp.extend_list(lists[-1], net, hterm, tables=tables,
+                                    record=True))
+    assert sum(lst.reused for lst in lists) >= 10
+    assert lists[-1].anchor is not None
     for a, b in zip(lists, dense_steps(net, h, epsilon_op, first)):
         assert_same_list(a, b)
 
@@ -1102,11 +1113,10 @@ def test_recorded_candidates_are_dense_positions_within_tol(d1_nets,
         prev = dp.DpList(pair_index=np.arange(net.size),
                          tail=np.zeros(net.size, dtype=np.intp),
                          energy=energy)
-    anchors = []
-    out = dp.extend_list(prev, net, hterm, epsilon_op,
-                         tables=dp.step_tables(net, epsilon_op),
-                         anchors=anchors)
-    (anchor,) = anchors
+    tables = dp.step_tables(net, epsilon_op)
+    out = dp.extend_list(prev, net, hterm, tables=tables, record=True)
+    anchor = out.anchor
+    assert anchor.hterm is hterm and anchor.tables is tables
     e_trans = q_major_transitions(net, hterm)[prev.pair_index]
     admissible = dense_mask(net, epsilon_op)[prev.pair_index]
     # K from E_bound = dD max|h| max tr P, which bounds every |E|
@@ -1141,12 +1151,11 @@ def test_pass_keeps_at_most_n_c_entries(d1_nets, tied):
     energy[:tied], energy[200:202] = 1.5 * tol, 0.0
     prev = dp.DpList(pair_index=np.arange(net.size),
                      tail=np.zeros(net.size, dtype=np.intp), energy=energy)
-    anchors = []
-    out = dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op,
-                         tables=tables, anchors=anchors)
+    out = dp.extend_list(prev, net, np.zeros((4, 4)), tables=tables,
+                         record=True)
     assert_same_list(out, dp.extend_list(prev, net, np.zeros((4, 4)),
-                                         epsilon_op, tables=tables))
-    assert anchors == []
+                                         tables=tables))
+    assert out.anchor is None
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -1183,17 +1192,17 @@ def test_pass_records_anchor_at_n_c_entries(d1_nets, monkeypatch, extra):
         return pack(*args)
 
     monkeypatch.setattr(dp, "_pack_anchor", counting)
-    anchors = []
-    out = dp.extend_list(prev, net, np.zeros((4, 4)), epsilon_op,
-                         tables=tables, anchors=anchors)
+    out = dp.extend_list(prev, net, np.zeros((4, 4)), tables=tables,
+                         record=True)
     assert_same_list(out, dp.extend_list(prev, net, np.zeros((4, 4)),
-                                         epsilon_op, tables=tables))
+                                         tables=tables))
     assert len(out) == net.size
-    assert packed == [1] * (extra == 0) and len(anchors) == (extra == 0)
-    for anchor in anchors:
+    assert packed == [1] * (extra == 0)
+    assert (out.anchor is not None) == (extra == 0)
+    if extra == 0:
         cand = np.tile(np.arange(c), (net.size, 1))
         cand[-1] += c
-        assert np.array_equal(anchor.cand, cand)
+        assert np.array_equal(out.anchor.cand, cand)
 
 
 def test_recording_step_streams_each_chunk_once(sub_net, monkeypatch):
@@ -1213,59 +1222,63 @@ def test_recording_step_streams_each_chunk_once(sub_net, monkeypatch):
             yield item
 
     monkeypatch.setattr(dp, "_transition_blocks", counting)
-    plain = dp.extend_list(prev, net, h.terms[1], epsilon_op, tables=tables)
+    plain = dp.extend_list(prev, net, h.terms[1], tables=tables)
     streamed = chunks[:]
     chunks.clear()
-    anchors = []
-    out = dp.extend_list(prev, net, h.terms[1], epsilon_op, tables=tables,
-                         anchors=anchors)
-    assert len(anchors) == 1 and len(streamed) > 1
+    out = dp.extend_list(prev, net, h.terms[1], tables=tables, record=True)
+    assert out.anchor is not None and len(streamed) > 1
     assert chunks == streamed
     assert_same_list(out, plain)
 
 
 def stepper(d1_nets, h, delta):
-    """(step, the lists of `uniform_steps`): step(prev, anchors) is one
+    """(step, the lists of `uniform_steps`): step(prev, record) is one
     step on h's interior term."""
     net, _ = d1_nets(delta)
-    epsilon_op = en.certified_epsilon(2, 1, delta)
-    tables = dp.step_tables(net, epsilon_op)
+    tables = dp.step_tables(net, en.certified_epsilon(2, 1, delta))
 
-    def step(prev, anchors):
-        return dp.extend_list(prev, net, h.terms[1], epsilon_op,
-                              tables=tables, anchors=anchors)
+    def step(prev, record=False, hterm=h.terms[1], tables=tables):
+        return dp.extend_list(prev, net, hterm, tables=tables, record=record)
 
     return step, uniform_steps(d1_nets, h, delta)
 
 
-def nudged(prev, tol):
+def nudged(prev, tol, anchor):
     energy = prev.energy.copy()
     energy[len(energy) // 2] += 10.0 * tol
-    return dataclasses.replace(prev, energy=energy)
+    return dataclasses.replace(prev, energy=energy, anchor=anchor)
 
 
-def shifted(prev):
-    return dataclasses.replace(prev, energy=prev.energy + 1.0)
+def shifted(prev, anchor):
+    return dataclasses.replace(prev, energy=prev.energy + 1.0, anchor=anchor)
 
 
-@pytest.mark.parametrize("change", ["nudged", "other_pairs"])
+@pytest.mark.parametrize("change", ["nudged", "other_pairs", "term_copy",
+                                    "tables_copy"])
 def test_failed_check_takes_full_step(d1_nets, change):
+    # the copies are equal to the anchor's own term and tables, but the
+    # anchor certifies only for its own objects
     step, lists = stepper(d1_nets, uniform_chain("transverse_ising", 40), 0.1)
     prev = lists[-1]
-    anchors = []
-    assert not step(prev, anchors).reused
-    (anchor,) = anchors
-    assert step(shifted(prev), anchors).reused
+    first = step(prev, record=True)
+    anchor = first.anchor
+    assert not first.reused and anchor is not None
+    assert step(shifted(prev, anchor)).reused
     if change == "nudged":
-        other = nudged(prev, anchor.tol)
-    else:
+        other = nudged(prev, anchor.tol, anchor)
+    elif change == "other_pairs":
         other = dp.DpList(pair_index=prev.pair_index[1:], tail=prev.tail[1:],
-                          energy=prev.energy[1:])
-    out = step(other, anchors)
+                          energy=prev.energy[1:], anchor=anchor)
+    else:
+        other = shifted(prev, anchor)
+    given = {"term_copy": {"hterm": anchor.hterm.copy()},
+             "tables_copy": {"tables": dataclasses.replace(anchor.tables)}}
+    out = step(other, record=True, **given.get(change, {}))
     assert not out.reused
-    # the full step replaced the anchor with its own
-    assert len(anchors) == 1 and anchors[0] is not anchor
-    assert_same_list(out, step(other, None))
+    # the full step dropped the anchor from its input and recorded its own
+    assert other.anchor is None
+    assert out.anchor is not None and out.anchor is not anchor
+    assert_same_list(out, step(other))
 
 
 def test_nan_in_matrix_never_reuses(sub_net):
@@ -1280,23 +1293,63 @@ def test_nan_in_matrix_never_reuses(sub_net):
     prev = dp.initial_list(en.build_end_net(2, h.dims[0], 0.25), net,
                            h.terms[0], tables)
 
-    def step(prev, anchors):
-        return dp.extend_list(prev, net, h.terms[1], epsilon_op,
-                              tables=tables, anchors=anchors)
+    def step(prev, record=False):
+        return dp.extend_list(prev, net, h.terms[1], tables=tables,
+                              record=record)
 
-    anchors = []
-    step(prev, anchors)
-    assert step(shifted(prev), anchors).reused
+    anchor = step(prev, record=True).anchor
+    assert step(shifted(prev, anchor)).reused
     # a predecessor that precedes some classes but not all
     q = next(k for k, q in enumerate(prev.pair_index)
              if 0 < mask[q].sum() < mask.shape[1])
     energy = prev.energy.copy()
     energy[q] = np.nan
-    bad = dataclasses.replace(prev, energy=energy)
-    out = step(bad, anchors)
-    assert not anchors and not out.reused
-    assert 0 < len(out) < len(step(prev, None))
-    assert_same_list(out, step(bad, None))
+    bad = dataclasses.replace(prev, energy=energy, anchor=anchor)
+    out = step(bad, record=True)
+    assert bad.anchor is None and out.anchor is None and not out.reused
+    assert 0 < len(out) < len(step(prev))
+    assert_same_list(out, step(bad))
+
+
+def two_run_chain(second):
+    """transverse_ising at n = 83 with its interior term A in two runs of
+    40 sites: A, then `second`."""
+    h = ham.build_model("transverse_ising", {}, 83)
+    return ham.NnHamiltonian(n=h.n, dims=h.dims, terms=[h.terms[0]]
+                             + [h.terms[1]] * 40 + [second(h.terms[1])] * 40
+                             + [h.terms[-1]])
+
+
+@pytest.mark.parametrize("second", [
+    lambda a: a + 0.5 * np.eye(4),
+    lambda a: ham.build_model("transverse_ising", {"g": 0.8}, 4).terms[1]],
+    ids=["shifted", "field"])
+def test_anchors_never_cross_a_term_change(d1_nets, monkeypatch, second):
+    # A + 0.5 I adds 0.5 to every cost of a step, so an anchor of A passes
+    # the energy check on it and would return A's costs, e_alg 20 too low;
+    # a field of 0.8 changes the matrix.  Each list must be bitwise that of
+    # the solve in which no anchor fits
+    h = two_run_chain(second)
+    net, end = d1_nets(0.1)
+    fits = guard_bytes(net.size, 4, h.n - 2) + dp._reuse_bytes(net.size)
+    extend, lists, results = dp.extend_list, [], []
+
+    def recording(*args, **kwargs):
+        lists[-1].append(extend(*args, **kwargs))
+        return lists[-1][-1]
+
+    monkeypatch.setattr(dp, "extend_list", recording)
+    for memory in (fits, fits - 1):
+        monkeypatch.setattr(ham, "_physical_memory", lambda: memory)
+        lists.append([])
+        results.append(dp.solve(h, 1, 0.1, end_net=end, pair_net=net))
+    anchored, plain = results
+    assert anchored.dp_steps["reused"] > 0 == plain.dp_steps["reused"]
+    assert len(lists[0]) == len(lists[1]) == 80
+    for a, b in zip(*lists):
+        assert_same_list(a, b)
+    assert repr(anchored.e_alg) == repr(plain.e_alg)
+    assert anchored.assignment == plain.assignment
 
 
 @pytest.mark.parametrize("name,n,delta", [("transverse_ising", 800, 0.1),
@@ -1315,9 +1368,8 @@ def test_steps_share_equal_index_arrays(d1_nets):
     # int32 index arrays; a step whose pairs are its input's holds the
     # input's pair_index, and a reused step whose winners are its input's
     # holds the input's tail, so the periodic regime adds no array
-    anchors = []
     lists = uniform_steps(d1_nets, uniform_chain("transverse_ising", 200),
-                          0.1, anchors)
+                          0.1, record=True)
     for lst in lists:
         assert lst.pair_index.dtype == lst.tail.dtype == np.int32
     for prev, lst in zip(lists, lists[1:]):
@@ -1403,19 +1455,20 @@ def test_reuse_memory_within_guard_count(d1_nets, ties):
         h = uniform_chain("transverse_ising", 40)
         hterm, prev = h.terms[1], stepper(d1_nets, h, 0.1)[1][-1]
 
-    def peak(anchors):
+    def peak(record):
         tracemalloc.start()
         try:
-            for energy in (prev, shifted(prev)):
-                dp.extend_list(energy, net, hterm, epsilon_op,
-                               tables=tables, anchors=anchors)
-            return tracemalloc.get_traced_memory()[1]
+            out = dp.extend_list(prev, net, hterm, tables=tables,
+                                 record=record)
+            again = dp.extend_list(shifted(prev, out.anchor), net, hterm,
+                                   tables=tables)
+            assert again.reused == record
+            return out.anchor, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    anchors = []
-    extra = peak(anchors) - peak(None)
-    (anchor,) = anchors
+    (anchor, recorded), (_, plain) = peak(True), peak(False)
+    extra = recorded - plain
     assert anchor.cand.shape[1] > (dp.REUSE_CANDIDATES * 3 // 4 if ties
                                    else 1)
     assert 0 < extra <= dp._reuse_bytes(net.size)
@@ -1435,18 +1488,18 @@ def test_saturated_trim_holds_entries_once(d1_nets):
                      tail=np.zeros(net.size, dtype=np.intp),
                      energy=np.where(np.arange(net.size) % 16 == 0, 0.0, 1.0))
 
-    def peak(anchors):
+    def peak(record):
         tracemalloc.start()
         try:
-            dp.extend_list(prev, net, np.zeros((4, 4)), 0.05, tables=tables,
-                           anchors=anchors)
-            return tracemalloc.get_traced_memory()[1]
+            out = dp.extend_list(prev, net, np.zeros((4, 4)), tables=tables,
+                                 record=record)
+            return out.anchor, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    anchors = []
-    extra = peak(anchors) - peak(None)
-    assert anchors == [] and dp._reuse_width(net.size) == 212
+    (anchor, recorded), (_, plain) = peak(True), peak(False)
+    extra = recorded - plain
+    assert anchor is None and dp._reuse_width(net.size) == 212
     assert extra <= 17 * (net.size * 212 + dp.BLOCK_ELEMENTS)
 
 

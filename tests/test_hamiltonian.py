@@ -1,5 +1,7 @@
 """Tests for the Hamiltonian catalog, grouping, and structural checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,11 +63,14 @@ class TestBuildModel:
             ham.build_model(name, {"d": 1000}, 3)
 
     def test_long_chain_beyond_memory(self, monkeypatch):
-        # 4,999 random terms of 256 bytes each exceed a 1 MB memory; 3,906
-        # fit.  A uniform chain holds three term arrays at any length
+        # 4,999 random terms of 256 bytes each exceed a 1 MB memory; 3,904
+        # fit, beside two of working space.  A uniform chain holds three
+        # term arrays at any length
         monkeypatch.setattr(ham, "_physical_memory", lambda: 10**6)
-        assert len(ham.build_model("random_hermitian", {}, 3907).terms) \
-            == 3906
+        assert len(ham.build_model("random_hermitian", {}, 3905).terms) \
+            == 3904
+        with pytest.raises(SizeGuardError, match="physical memory"):
+            ham.build_model("random_hermitian", {}, 3906)
         with pytest.raises(SizeGuardError, match="physical memory"):
             ham.build_model("random_hermitian", {}, 5000)
         for name in ("zz_chain", "transverse_ising", "heisenberg",
@@ -110,6 +115,33 @@ class TestBuildModel:
         h2 = ham.build_model("random_hermitian", {}, 4, seed=5)
         for a, b in zip(h1.terms, h2.terms):
             assert np.abs(a - b).max() == 0.0
+
+
+    @pytest.mark.parametrize("name", ["random_hermitian",
+                                      "diagonal_commuting",
+                                      "rotated_classical"])
+    def test_guard_bounds_traced_peak(self, monkeypatch, name):
+        # nine terms of 1 MiB at d=16, n=10, counted with two more of working
+        # space.  A bytes key per term, held while the norm stacked every
+        # term, peaked at 29.4 MB (28.3 MB diagonal_commuting), and
+        # rotated_classical's full diagonal matrices at 39.6 MB
+        counts = []
+        check = ham.check_size
+
+        def counting(count, *args):
+            counts.append(count)
+            return check(count, *args)
+
+        ham.build_model(name, {"d": 2}, 3, 1)     # first-use imports, untraced
+        monkeypatch.setattr(ham, "check_size", counting)
+        tracemalloc.start()
+        try:
+            h = ham.build_model(name, {"d": 16}, 10, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == [16 * 11 * 16**4] and len(h.terms) == 9
+        assert peak <= counts[0] + 2**20
 
 
 class TestGroupBoundaries:
@@ -237,6 +269,12 @@ class TestNormsAndChecks:
         h = ham.build_model("random_hermitian", {}, 4, seed=9)
         want = max(np.abs(np.linalg.eigvalsh(t)).max() for t in h.terms)
         assert abs(ham.max_term_norm(h) - want) < 1e-10
+
+    def test_max_term_norm_over_several_stacks(self):
+        # 599 distinct 4 x 4 terms take three stacks of at most 64 KiB
+        h = ham.build_model("random_hermitian", {}, 600, 2)
+        assert 599 * 256 > 2 * ham.NORM_STACK_BYTES
+        assert ham.max_term_norm(h) == reference.max_term_norm_per_term(h)
 
     def test_max_term_norm_over_two_term_shapes(self):
         # a grouped chain's end terms are 8 x 8, its middle terms 4 x 4
