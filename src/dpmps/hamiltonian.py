@@ -75,9 +75,13 @@ class NnHamiltonian:
 
 
 def _check_hermitian(t: np.ndarray, what: str = "Hamiltonian term"):
-    """ValueError naming `what` if |t - t^dagger|max > HERMITICITY_TOL."""
-    if np.abs(t - t.conj().T).max() > HERMITICITY_TOL:
-        raise ValueError(f"{what} is not Hermitian")
+    """ValueError naming `what` unless |t - t^dagger|max <= HERMITICITY_TOL,
+    which a term holding a NaN or an infinity fails."""
+    with np.errstate(invalid="ignore"):     # inf - inf is NaN, and fails
+        dev = np.abs(t - t.conj().T).max()
+    if not dev <= HERMITICITY_TOL:
+        raise ValueError(f"{what} is not Hermitian" if math.isfinite(dev)
+                         else f"{what} is not finite")
 
 
 def _physical_memory() -> int | None:
@@ -142,11 +146,16 @@ def build_model(name: str, params: dict | None, n: int,
     penalty (I+Z)/2 per site), rotated_classical (diagonal_commuting
     conjugated by fixed random single-site unitaries), diagonal_commuting
     (seeded random diagonal terms).  SizeGuardError if the terms exceed memory.
+    The seed must be a nonnegative integer or None for every model; only the
+    seeded models draw from it, so the others never import numpy.random.
     """
     params = dict(params or {})
     if n < 3:
         raise ConfigError(f"model {name!r} needs n >= 3, got {n}")
-    rng = np.random.default_rng(seed)
+    if seed is not None and not (isinstance(seed, (int, np.integer))
+                                 and seed >= 0):
+        raise ConfigError(f"model {name!r}: seed must be a nonnegative "
+                          f"integer, got {seed!r}")
     d = params.pop("d", 2)
     if not (isinstance(d, int) or math.isfinite(d)) or d != int(d) or d < 2:
         raise ConfigError(f"model {name!r}: param d must be an integer >= 2, "
@@ -168,6 +177,7 @@ def build_model(name: str, params: dict | None, n: int,
     elif name == "heisenberg":
         terms = _uniform_terms(np.kron(X, X) + np.kron(Y, Y) + zz, n)
     elif name == "random_hermitian":
+        rng = np.random.default_rng(seed)
         terms = []
         for _ in range(n - 1):
             m = rng.standard_normal((d * d, d * d)) \
@@ -179,9 +189,11 @@ def build_model(name: str, params: dict | None, n: int,
         terms = _uniform_terms(2.0 * (np.eye(4, dtype=complex) - zz), n,
                                (I2 + Z) / 2)
     elif name == "diagonal_commuting":
+        rng = np.random.default_rng(seed)
         terms = [np.diag(rng.standard_normal(d * d)).astype(complex)
                  for _ in range(n - 1)]
     elif name == "rotated_classical":
+        rng = np.random.default_rng(seed)
         diags = [rng.standard_normal(d * d) for _ in range(n - 1)]
         us = [_random_unitary(rng, d) for _ in range(n)]
         terms = [_conjugated_diagonal(np.kron(us[j], us[j + 1]), v)

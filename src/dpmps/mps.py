@@ -21,6 +21,7 @@ and the DP defects).
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 import math
 
 import numpy as np
@@ -195,17 +196,77 @@ def local_energy_right(lam, b1, gamma_n, hterm) -> float:
 
 
 def _transfer(env, bra, ket):
-    """env[a, b] of <bra|...|ket> carried over one site of (r_left, dim,
-    r_right) tensors: sum_{a,b,i} env[a,b] conj(bra[a,i,c]) ket[b,i,d]."""
-    x = (env @ ket.reshape(ket.shape[0], -1)).reshape(-1, ket.shape[2])
+    """env[..., a, b] of <bra|...|ket> carried over one site of (r_left,
+    dim, r_right) tensors: sum_{a,b,i} env[..., a,b] conj(bra[a,i,c])
+    ket[b,i,d], over the leading axes of env."""
+    x = (env @ ket.reshape(ket.shape[0], -1)).reshape(
+        env.shape[:-2] + (-1, ket.shape[2]))
     return bra.conj().reshape(-1, bra.shape[2]).T @ x
 
 
+def _window(left, right):
+    """The two-site tensor (a, d_left d_right, c) of adjacent sites."""
+    return contract([left, right]).reshape(left.shape[0], -1, right.shape[2])
+
+
+def _transfer_map(bra, ket):
+    """The matrix of `_transfer(., bra, ket)` on row-major flattened
+    environments."""
+    out = np.einsum("aic,bid->cdab", bra.conj(), ket)
+    return out.reshape(bra.shape[2] * ket.shape[2], -1)
+
+
+def _window_map(left, right, term):
+    """The block map of one step of `expectation_full`'s sweep on the flat
+    state (E, N, P): the energy environment E and the norm environment N
+    after site `left`, and P, the norm environment before it.  With T the
+    transfer map of `right` and W that of the window under `term`, it is
+    [[T, 0, W], [0, T, 0], [0, I, 0]]."""
+    w = _window(left, right)
+    t, wt = _transfer_map(right, right), _transfer_map(w, term @ w)
+    q, p = t.shape
+    out = np.zeros((2 * q + p, 2 * p + wt.shape[1]), dtype=complex)
+    out[:q, :p] = out[q:2 * q, p:2 * p] = t
+    out[:q, 2 * p:] = wt
+    out[2 * q:, p:2 * p] = np.eye(p)
+    return out
+
+
+RESCALE_SITES = 16    # sites between two rescalings of the sweep's state
+WINDOW_MAPS = 64      # the recent windows whose block maps the sweep keeps
+# the largest bond dimension of a window with a block map: at 4 a map has
+# at most 48 x 48 entries and is applied in about 1 us against the updates'
+# 20 us, while at 8 its 192 x 192 entries cost more to stream than the
+# updates, once a few dozen maps no longer fit in cache
+MAP_BOND = 4
+
+
+def _scale(norm_diag) -> float:
+    """The power of two that brings the trace of a norm block with diagonal
+    `norm_diag` into [1/2, 1): the block is positive semidefinite, so its
+    trace bounds every entry, and a power of two rescales exactly.  1 for
+    a zero or non-finite trace."""
+    tr = float(norm_diag.real.sum())
+    if tr > 0.0 and math.isfinite(tr):
+        return math.ldexp(1.0, -math.frexp(tr)[1])
+    return 1.0
+
+
 def expectation_full(m: CanonicalMps, h) -> float:
-    """True energy <psi|H|psi>/<psi|psi> in one left-to-right sweep with the
-    norm environment and the environment of the terms already closed; term
-    j-1 is closed at site j from its window (a, d_{j-1} d_j, c) of sites
-    j-1, j.  Makes no canonical assumption about the state."""
+    """True energy <psi|H|psi>/<psi|psi> in one left-to-right sweep.  Its
+    state after site j is the energy environment E of the terms closed so
+    far, the norm environment N, and the norm environment P one site back;
+    term j-1 is closed at site j from its window (a, d_{j-1} d_j, c) of
+    sites j-1, j.  Each step is linear in the state and fixed by its
+    window (left tensor, right tensor, term), compared by identity: a
+    window seen for the first time is carried by `_transfer` updates, and
+    one seen again by one product with its cached `_window_map`, if its
+    bond dimensions are at most MAP_BOND.  The sweep remembers the
+    WINDOW_MAPS distinct windows it met last, so its memory does not grow
+    with n.  Every RESCALE_SITES sites the state is multiplied by
+    `_scale`'s power of two, which leaves the energy unchanged and keeps
+    long unnormalized chains finite.  Makes no canonical assumption about
+    the state."""
     tensors = m.site_tensors()
     if len(h.terms) != m.n - 1:
         raise ShapeMismatchError("term count does not match site count")
@@ -215,16 +276,50 @@ def expectation_full(m: CanonicalMps, h) -> float:
                 f"site {j} has physical dimension {t.shape[1]}, "
                 f"Hamiltonian expects {h.dims[j]}"
             )
-    norm = before = np.ones((1, 1), dtype=complex)
-    energy = np.zeros((1, 1), dtype=complex)
-    for j, t in enumerate(tensors):
-        energy = _transfer(energy, t, t)
-        if j:
-            w = contract(tensors[j - 1:j + 1]).reshape(
-                tensors[j - 1].shape[0], -1, t.shape[2])
-            energy += _transfer(before, w, h.terms[j - 1] @ w)
-        before, norm = norm, _transfer(norm, t, t)
-    val = energy[0, 0] / norm[0, 0]
+    # (E, N) stacked and P as matrices, or, while maps apply, the flat state
+    before = np.ones((1, 1), dtype=complex)
+    r = tensors[0].shape[2]
+    en = np.stack((np.zeros((r, r), dtype=complex),
+                   _transfer(before, tensors[0], tensors[0])))
+    flat = None
+    maps = {}       # window -> its block map, or None while seen once;
+                    # in the order first seen, the oldest dropped
+    windows = zip(map(id, tensors), map(id, itertools.islice(tensors, 1, None)),
+                  map(id, h.terms))
+    for j, key in enumerate(windows, 1):
+        wmap = maps.get(key)
+        if wmap is None:
+            left, right, term = tensors[j - 1], tensors[j], h.terms[j - 1]
+            small = max(left.shape[0], left.shape[2],
+                        right.shape[2]) <= MAP_BOND
+            if small and key in maps:
+                wmap = maps[key] = _window_map(left, right, term)
+            else:
+                if small:
+                    maps[key] = None
+                    if len(maps) > WINDOW_MAPS:
+                        del maps[next(iter(maps))]
+                if flat is not None:
+                    r, q = left.shape[0], 2 * left.shape[2] ** 2
+                    en = flat[:q].reshape(2, left.shape[2], -1)
+                    before, flat = flat[q:].reshape(r, r), None
+                w = _window(left, right)
+                nxt = _transfer(en, right, right)
+                nxt[0] += _transfer(before, w, term @ w)
+                en, before = nxt, en[1]
+        if wmap is not None:
+            if flat is None:
+                flat = np.concatenate((en.ravel(), before.ravel()))
+            flat = wmap.dot(flat)
+        if not (j + 1) % RESCALE_SITES:
+            if flat is None:
+                c = _scale(np.diagonal(en[1]))
+                en, before = en * c, before * c
+            else:
+                r = tensors[j].shape[2]
+                flat *= _scale(flat[r * r:2 * r * r:r + 1])   # N's diagonal
+    energy, norm = en.reshape(2) if flat is None else flat[:2]
+    val = energy / norm
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise ComplexEnergyError(
             f"energy has non-negligible imaginary part {val.imag}")

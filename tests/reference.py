@@ -4,8 +4,8 @@ windowed energy of a whole chain, a phase-insensitive alignment of dense
 states, the dense Hamiltonian matrix, a uniform chain's terms folded site
 by site, the largest term norm and the commutation check term by term,
 a dense power-iteration ground energy, the DP's whole N x N
-transition matrix, and the orthonormal family by full enumeration of its
-grid candidates."""
+transition matrix, the orthonormal family by full enumeration of its
+grid candidates, and the true energy of an MPS by a site-by-site sweep."""
 
 from dataclasses import dataclass, field
 import math
@@ -15,7 +15,8 @@ import numpy as np
 from dpmps import epsnet
 from dpmps.errors import ShapeMismatchError
 from dpmps.hamiltonian import COMMUTATOR_TOL, NnHamiltonian, dense_dim
-from dpmps.mps import CanonicalMps, left_gram_offdiag, local_energy, mu_of
+from dpmps.mps import (CanonicalMps, contract, left_gram_offdiag,
+                       local_energy, mu_of)
 
 
 @dataclass
@@ -234,3 +235,29 @@ def enumerated_family(a, b, delta, real_nonneg=False, chunk=1 << 18):
         nu_cert=epsnet._radius(b, delta), candidate_count=total,
         survivors_norm_filter=n1, survivors_overlap_filter=n3,
         dropped_degenerate=n3 - out.shape[0], size=out.shape[0])
+
+
+def _transfer(env, bra, ket):
+    """env[a, b] of <bra|...|ket> carried over one site of (r_left, dim,
+    r_right) tensors: sum_{a,b,i} env[a,b] conj(bra[a,i,c]) ket[b,i,d]."""
+    x = (env @ ket.reshape(ket.shape[0], -1)).reshape(-1, ket.shape[2])
+    return bra.conj().reshape(-1, bra.shape[2]).T @ x
+
+
+def expectation_sweep(m: CanonicalMps, h) -> float:
+    """<psi|H|psi>/<psi|psi> in one left-to-right sweep of `_transfer`
+    updates at every site, with the norm environment and the environment
+    of the terms already closed; term j-1 is closed at site j from its
+    window of sites j-1, j.  No rescaling, so a long chain whose norm
+    leaves the float range gives NaN."""
+    tensors = m.site_tensors()
+    norm = before = np.ones((1, 1), dtype=complex)
+    energy = np.zeros((1, 1), dtype=complex)
+    for j, t in enumerate(tensors):
+        energy = _transfer(energy, t, t)
+        if j:
+            w = contract(tensors[j - 1:j + 1]).reshape(
+                tensors[j - 1].shape[0], -1, t.shape[2])
+            energy += _transfer(before, w, h.terms[j - 1] @ w)
+        before, norm = norm, _transfer(norm, t, t)
+    return float((energy[0, 0] / norm[0, 0]).real)

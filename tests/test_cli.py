@@ -570,6 +570,12 @@ class TestBadInputExit2:
     def test_bool_integer_field(self, tmp_path, capsys, section, key):
         self.run(tmp_path, capsys, **{section: {key: True}})
 
+    @pytest.mark.parametrize("name", ["zz_chain", "random_hermitian"])
+    def test_negative_seed(self, tmp_path, capsys, name):
+        # a deterministic model draws no random numbers, yet a negative
+        # seed is refused for every model
+        self.run(tmp_path, capsys, model={"name": name, "seed": -1})
+
     @pytest.mark.parametrize("d,D,mode", [(1, 2, "solve"), (-1, 1, "oracle"),
                                           (2.5, 1, "solve")])
     def test_bad_site_dimension(self, tmp_path, capsys, d, D, mode):

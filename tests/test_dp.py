@@ -96,6 +96,12 @@ class TestSolve:
         e_win = reference.windowed_energy_sum(sr.omega, h)
         assert abs(e_win - sr.e_alg) <= 1e-10
 
+    def test_long_uniform_chain_true_energy_is_e_alg(self):
+        # D=1 states are products, so e_true and e_alg agree up to
+        # rounding; the site-by-site sweep lay 3.7e-12 off at n=10^5
+        sr = dp.solve(grouped("transverse_ising", 10_000, 1), 1, 0.1)
+        assert abs(sr.e_true - sr.e_alg) <= 1e-12 * abs(sr.e_alg)
+
     def test_trap_model_escapes_local_minimum(self):
         h = grouped("trap_model", 6, 1)
         sr = dp.solve(h, 1, 0.1)

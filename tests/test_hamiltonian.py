@@ -1,5 +1,8 @@
 """Tests for the Hamiltonian catalog, grouping, and structural checks."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -49,6 +52,22 @@ class TestBuildModel:
     def test_unknown_param(self):
         with pytest.raises(ConfigError):
             ham.build_model("zz_chain", {"bogus": 1}, 4)
+
+    @pytest.mark.parametrize("name", ["zz_chain", "random_hermitian"])
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_not_a_nonnegative_integer(self, name, seed):
+        with pytest.raises(ConfigError, match="seed must be a nonnegative"):
+            ham.build_model(name, {}, 4, seed=seed)
+
+    def test_deterministic_model_does_not_import_numpy_random(self):
+        code = ("import sys\n"
+                "from dpmps.hamiltonian import build_model\n"
+                "build_model('heisenberg', {}, 6, seed=3)\n"
+                "assert 'numpy.random' not in sys.modules\n"
+                "build_model('random_hermitian', {}, 6, seed=3)\n"
+                "assert 'numpy.random' in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     @pytest.mark.parametrize("d", [1, 0, -1, 2.5, float("nan")])
     def test_bad_site_dimension(self, d):
@@ -185,6 +204,20 @@ class TestNnHamiltonian:
         with pytest.raises(ValueError, match="term 1 is not Hermitian"):
             ham.NnHamiltonian(n=3, dims=[2, 2, 2],
                               terms=[np.eye(4, dtype=complex), bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_term_named(self, bad):
+        # a NaN entry once passed the Hermiticity check, and the term norm
+        # then failed with numpy's "SVD did not converge"
+        # inf * X holds inf * 0 = NaN; numpy warns about it
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="term 0 is not finite"):
+            ham.build_model("transverse_ising", {"g": bad}, 4)
+        t = np.eye(4, dtype=complex)
+        t[1, 1] = bad
+        with pytest.raises(ValueError, match="term 2 is not finite"):
+            ham.NnHamiltonian(n=4, dims=[2] * 4,
+                              terms=[np.eye(4, dtype=complex)] * 2 + [t])
 
     def test_hermitian_within_tolerance_accepted(self):
         near = np.eye(4, dtype=complex)

@@ -298,6 +298,28 @@ class TestLocalEnergy:
             assert abs(reference.windowed_energy_sum(m, h) - full) < 1e-8
 
 
+def random_sites(rng, bonds, dims):
+    """Random complex site tensors (bonds[j], dims[j], bonds[j+1])."""
+    return [rng.standard_normal((bonds[j], dim, bonds[j + 1]))
+            + 1j * rng.standard_normal((bonds[j], dim, bonds[j + 1]))
+            for j, dim in enumerate(dims)]
+
+
+def chain_of(ts):
+    """The MPS whose `site_tensors` are ts, interior arrays shared as
+    given: lambda2 is all ones."""
+    return mps.CanonicalMps(
+        n=len(ts), d=ts[1].shape[1], D=max(t.shape[2] for t in ts),
+        d_end=ts[0].shape[1], gamma_left=ts[0][0].T,
+        lambda2=np.ones(ts[0].shape[2]), b_tensors=ts[1:-1],
+        gamma_right=ts[-1][:, :, 0])
+
+
+def assert_matches_sweep(m, h):
+    ref = reference.expectation_sweep(m, h)
+    assert abs(mps.expectation_full(m, h) - ref) <= 1e-12 * abs(ref)
+
+
 class TestExpectationFull:
     def test_zero_hamiltonian(self):
         rng = np.random.default_rng(7)
@@ -316,6 +338,7 @@ class TestExpectationFull:
             w = mps.to_dense(m)
             ref = (np.vdot(w, hd @ w) / np.vdot(w, w)).real
             assert abs(mps.expectation_full(m, h) - ref) < 1e-8
+            assert_matches_sweep(m, h)
 
     @pytest.mark.parametrize("n,D,dims", [(6, 1, [2] * 6),
                                           (7, 3, [4, 2, 2, 2, 4])])
@@ -339,6 +362,66 @@ class TestExpectationFull:
         hd = reference.to_dense_hamiltonian(h)
         ref = (np.vdot(w, hd @ w) / np.vdot(w, w)).real
         assert abs(mps.expectation_full(m, h) - ref) <= 1e-12 * abs(ref)
+        assert_matches_sweep(m, h)
+
+    @pytest.mark.parametrize("D", [2, mps.MAP_BOND + 1])
+    @pytest.mark.parametrize("name", ["heisenberg", "random_hermitian"])
+    def test_period_two_shared_tensors(self, name, D):
+        # one shared term makes the two windows (A, B) and (B, A) repeat,
+        # so the sweep applies their block maps up to MAP_BOND; distinct
+        # terms never repeat
+        rng = np.random.default_rng(13)
+        first, a, b, last = random_sites(rng, [1, D, D, D, 1], [2] * 4)
+        ts = [first] + [a, b] * 99 + [last]
+        h = ham.build_model(name, {}, len(ts), seed=2)
+        assert_matches_sweep(chain_of(ts), h)
+
+    def test_non_uniform_chain(self):
+        rng = np.random.default_rng(14)
+        ts = random_sites(rng, [1] + [3] * 59 + [1], [2] * 60)
+        assert_matches_sweep(chain_of(ts),
+                             ham.build_model("random_hermitian", {}, 60,
+                                             seed=3))
+
+    def test_windows_past_the_cache_and_back(self):
+        # runs of one window (maps) between cycles over more distinct
+        # windows than the sweep remembers (first sightings only), and a
+        # short cycle that recurs within the cache
+        rng = np.random.default_rng(15)
+        pool = random_sites(rng, [2] * (mps.WINDOW_MAPS + 7),
+                            [2] * (mps.WINDOW_MAPS + 6))
+        first, last = random_sites(rng, [1, 2, 2, 1], [2] * 3)[::2]
+        mid = ([pool[0]] * 30 + pool * 2 + [pool[0]] * 30 + pool[:5] * 8
+               + [pool[1]] * 20)
+        ts = [first] + mid + [last]
+        h = ham.build_model("transverse_ising", {"g": 0.7}, len(ts))
+        assert_matches_sweep(chain_of(ts), h)
+
+    @pytest.mark.parametrize("shared,n", [(True, 20_000), (False, 2_000)])
+    @pytest.mark.parametrize("scale", [10.0, 0.1])
+    def test_scale_invariant_where_unscaled_overflows(self, shared, n, scale):
+        # a normalized product state with every site tensor scaled: the
+        # norm leaves the float range after ~160 sites, and the unscaled
+        # sweep gives NaN
+        rng = np.random.default_rng(16)
+        ends = [t / np.linalg.norm(t)
+                for t in random_sites(rng, [1, 1, 1], [2, 2])]
+        site = random_sites(rng, [1, 1], [2])[0]
+        site /= np.linalg.norm(site)
+        mid = [site] * (n - 2) if shared else [site.copy()
+                                               for _ in range(n - 2)]
+        ts = [ends[0]] + mid + [ends[1]]
+        big = [scale * t for t in ts]
+        if shared:
+            big[1:-1] = [big[1]] * (n - 2)
+        h = ham.build_model("transverse_ising", {"g": 0.7}, n)
+        e = mps.expectation_full(chain_of(ts), h)
+        assert abs(mps.expectation_full(chain_of(big), h) - e) <= 1e-12 * abs(e)
+        if not shared:
+            assert abs(reference.expectation_sweep(chain_of(ts), h) - e) \
+                <= 1e-12 * abs(e)
+            with np.errstate(all="ignore"):
+                assert np.isnan(reference.expectation_sweep(chain_of(big), h))
 
 
 class TestStructuralProperties:
