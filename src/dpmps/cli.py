@@ -95,9 +95,7 @@ def parse_config(text: str) -> RunConfig:
     n = model.get("n")
     if not _is_int(n) or n < 3:
         raise ConfigError("model.n must be an integer >= 3")
-    seed = model.get("seed")
-    if seed is not None and not _is_int(seed):
-        raise ConfigError("model.seed must be an integer")
+    seed = model.get("seed")   # checked by build_model
     params = {} if model.get("params") is None else model["params"]
     if not isinstance(params, dict) or not all(
             _is_number(v) for v in params.values()):

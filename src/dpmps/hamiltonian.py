@@ -152,8 +152,8 @@ def build_model(name: str, params: dict | None, n: int,
     params = dict(params or {})
     if n < 3:
         raise ConfigError(f"model {name!r} needs n >= 3, got {n}")
-    if seed is not None and not (isinstance(seed, (int, np.integer))
-                                 and seed >= 0):
+    if seed is not None and (isinstance(seed, bool) or not (
+            isinstance(seed, (int, np.integer)) and seed >= 0)):
         raise ConfigError(f"model {name!r}: seed must be a nonnegative "
                           f"integer, got {seed!r}")
     d = params.pop("d", 2)

@@ -234,11 +234,6 @@ def _window_map(left, right, term):
 
 RESCALE_SITES = 16    # sites between two rescalings of the sweep's state
 WINDOW_MAPS = 64      # the recent windows whose block maps the sweep keeps
-# the largest bond dimension of a window with a block map: at 4 a map has
-# at most 48 x 48 entries and is applied in about 1 us against the updates'
-# 20 us, while at 8 its 192 x 192 entries cost more to stream than the
-# updates, once a few dozen maps no longer fit in cache
-MAP_BOND = 4
 
 
 def _scale(norm_diag) -> float:
@@ -260,10 +255,9 @@ def expectation_full(m: CanonicalMps, h) -> float:
     sites j-1, j.  Each step is linear in the state and fixed by its
     window (left tensor, right tensor, term), compared by identity: a
     window seen for the first time is carried by `_transfer` updates, and
-    one seen again by one product with its cached `_window_map`, if its
-    bond dimensions are at most MAP_BOND.  The sweep remembers the
-    WINDOW_MAPS distinct windows it met last, so its memory does not grow
-    with n.  Every RESCALE_SITES sites the state is multiplied by
+    one seen again by one product with its cached `_window_map`.  The
+    sweep remembers the WINDOW_MAPS distinct windows it met last, so its
+    memory does not grow with n.  Every RESCALE_SITES sites the state is multiplied by
     `_scale`'s power of two, which leaves the energy unchanged and keeps
     long unnormalized chains finite.  Makes no canonical assumption about
     the state."""
@@ -290,15 +284,12 @@ def expectation_full(m: CanonicalMps, h) -> float:
         wmap = maps.get(key)
         if wmap is None:
             left, right, term = tensors[j - 1], tensors[j], h.terms[j - 1]
-            small = max(left.shape[0], left.shape[2],
-                        right.shape[2]) <= MAP_BOND
-            if small and key in maps:
+            if key in maps:
                 wmap = maps[key] = _window_map(left, right, term)
             else:
-                if small:
-                    maps[key] = None
-                    if len(maps) > WINDOW_MAPS:
-                        del maps[next(iter(maps))]
+                maps[key] = None
+                if len(maps) > WINDOW_MAPS:
+                    del maps[next(iter(maps))]
                 if flat is not None:
                     r, q = left.shape[0], 2 * left.shape[2] ** 2
                     en = flat[:q].reshape(2, left.shape[2], -1)

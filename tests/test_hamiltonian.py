@@ -54,7 +54,7 @@ class TestBuildModel:
             ham.build_model("zz_chain", {"bogus": 1}, 4)
 
     @pytest.mark.parametrize("name", ["zz_chain", "random_hermitian"])
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
     def test_seed_not_a_nonnegative_integer(self, name, seed):
         with pytest.raises(ConfigError, match="seed must be a nonnegative"):
             ham.build_model(name, {}, 4, seed=seed)
