@@ -8,10 +8,11 @@ energy is the sum of the chosen eigenvalues.  A projection onto an
 eigenspace with weight c multiplies the energy surplus by at most
 (1 + 1/n) when c >= 1/(k n^2), which telescopes to a factor below e.
 The pass takes and returns one dense state vector over the chain's site
-dimensions and applies projectors and terms to it by reshape
-(`hamiltonian.apply_term`), so no 2^n x 2^n matrix is formed.  Each
-distinct term is diagonalized once, and the final eigen-residual check
-reuses those decompositions.
+dimensions.  Projectors and single terms are applied to it by
+`hamiltonian.apply_term`, and H by `hamiltonian.apply_hamiltonian`; both
+use one kernel, a small operator times the state viewed as a matrix, so no
+2^n x 2^n matrix is formed.  Each distinct term is diagonalized once, and
+the final eigen-residual check reuses those decompositions.
 """
 
 from __future__ import annotations

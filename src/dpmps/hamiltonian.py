@@ -11,13 +11,17 @@ the norm, the commutator check, the eigendecompositions, a DP transition
 matrix) runs once per distinct array and finds equal terms by identity,
 and no code writes to a term in place.  Equal bytes are found by their
 SHA-256 digest, so no copy of them is kept.
-`apply_hamiltonian` applies H to a state vector term by term, so the
-eigensolvers never build the dense 2^n x 2^n matrix.
+`apply_hamiltonian` applies H to a state vector without the dense
+2^n x 2^n matrix: the bonds are cut, left to right, into runs whose sites
+span at most RUN_DIM states, each run's terms are summed into one small
+operator (built once per Hamiltonian), and each run is applied with one
+matrix product (`apply_term`'s kernel).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import hashlib
 import math
 import os
@@ -35,6 +39,7 @@ DENSE_DIM_GUARD = 2**14
 NORM_STACK_BYTES = 1 << 16  # bytes of a batched term-norm stack
 HERMITICITY_TOL = 1e-10
 COMMUTATOR_TOL = 1e-10
+RUN_DIM = 16    # states spanned by the sites of one run of bonds
 
 
 @dataclass
@@ -72,6 +77,24 @@ class NnHamiltonian:
     @property
     def total_dim(self) -> int:
         return math.prod(self.dims)
+
+    @cached_property
+    def runs(self) -> list:
+        """(states left of the run, run operator) per run of bonds, left to
+        right, as `apply_hamiltonian` applies them.  A run is grown one bond
+        at a time while its sites span at most RUN_DIM states; a term larger
+        than that is a run by itself.  Built on first use; the terms are
+        never written, so it cannot go stale."""
+        out, j = [], 0
+        while j < self.n - 1:
+            end, span = j + 1, self.dims[j] * self.dims[j + 1]
+            while end < self.n - 1 and span * self.dims[end + 1] <= RUN_DIM:
+                span *= self.dims[end + 1]
+                end += 1
+            out.append((math.prod(self.dims[:j]),
+                        _run_operator(self.terms[j:end], self.dims[j:end + 1])))
+            j = end
+        return out
 
 
 def _check_hermitian(t: np.ndarray, what: str = "Hamiltonian term"):
@@ -220,6 +243,17 @@ def _embed(term, left_dim: int, right_dim: int) -> np.ndarray:
                    np.eye(right_dim, dtype=complex))
 
 
+def _run_operator(terms, dims) -> np.ndarray:
+    """The terms of consecutive bonds, term i on sites (i, i+1) of sites
+    with dimensions dims, as one operator on all of them: their sum, each
+    embedded with identities, added in order."""
+    k = math.prod(dims)
+    out = np.zeros((k, k), dtype=complex)
+    for i, t in enumerate(terms):
+        out += _embed(t, math.prod(dims[:i]), math.prod(dims[i + 2:]))
+    return out
+
+
 def group_boundaries(h: NnHamiltonian, D: int) -> NnHamiltonian:
     """Merge s sites at each chain end into single boundary sites of
     dimension d_end = d^s, embedding the absorbed terms with identities.
@@ -239,13 +273,10 @@ def group_boundaries(h: NnHamiltonian, D: int) -> NnHamiltonian:
     d_end = d**s
     n_new = h.n - 2 * s + 2
     dims = [d_end] + [d] * (n_new - 2) + [d_end]
-    # New first term on (block, site s+1): old terms i=1..s embedded; new
-    # last term on (site n-s, block): old terms i=n-s..n-1.
-    first = np.zeros((d_end * d, d_end * d), dtype=complex)
-    last = np.zeros((d * d_end, d * d_end), dtype=complex)
-    for i in range(s):
-        first += _embed(h.terms[i], d**i, d ** (s - 1 - i))
-        last += _embed(h.terms[h.n - 1 - s + i], d**i, d ** (s - 1 - i))
+    # New first term on (block, site s+1): old terms i=1..s as one operator;
+    # new last term on (site n-s, block): old terms i=n-s..n-1.
+    first = _run_operator(h.terms[:s], [d] * (s + 1))
+    last = _run_operator(h.terms[h.n - 1 - s:], [d] * (s + 1))
     middle = h.terms[s:h.n - 1 - s]
     return NnHamiltonian(n=n_new, dims=dims, terms=[first] + middle + [last],
                          s=s)
@@ -266,20 +297,29 @@ def is_commuting(h: NnHamiltonian) -> bool:
     return True
 
 
+def _apply_block(op: np.ndarray, v: np.ndarray, left: int) -> np.ndarray:
+    """op applied to the k = len(op) states after the first `left` of v
+    (1-D or 2-D, any layout), as a (left, k, rest) view: one matrix product
+    with v viewed as (k, left * rest)."""
+    k = len(op)
+    x = v.reshape(left, k, -1).transpose(1, 0, 2).reshape(k, -1)
+    return (op @ x).reshape(k, left, -1).transpose(1, 0, 2)
+
+
 def apply_term(term: np.ndarray, v: np.ndarray, dims, site: int) -> np.ndarray:
     """The two-site operator `term` on (site, site+1), 0-based, applied to
     the state vector v over per-site dimensions dims, without forming the
-    identity-padded matrix: v is viewed as (left, d_site d_site+1, right)
-    and the term multiplies the middle axis."""
-    x = v.reshape(math.prod(dims[:site]), dims[site] * dims[site + 1], -1)
-    return np.matmul(term, x).reshape(v.shape)
+    identity-padded matrix; a C-ordered array of v's shape."""
+    return _apply_block(term, v, math.prod(dims[:site])).reshape(v.shape)
 
 
 def apply_hamiltonian(h: NnHamiltonian, v: np.ndarray) -> np.ndarray:
-    """H v as the sum of the terms applied one by one."""
-    out = apply_term(h.terms[0], v, h.dims, 0)
-    for j in range(1, h.n - 1):
-        out += apply_term(h.terms[j], v, h.dims, j)
+    """H v, a complex C-ordered array of v's shape, as the sum over h.runs
+    of one run operator applied each."""
+    out = np.zeros(v.shape, dtype=complex)
+    for left, op in h.runs:
+        part = out.reshape(left, len(op), -1)   # a view of out
+        part += _apply_block(op, v, left)
     return out
 
 

@@ -1,11 +1,11 @@
 """Ground-truth computations the solver is checked against.
 
-A matrix-free Lanczos eigensolver (H applied term by term) gives reference
-energies; brute-force enumeration over net assignments realizes the DP's
-search space directly, with the window energies of `mps`; a greedy
-single-site sweep, also matrix-free, provides the local-minimum baseline
-that the trap instances defeat; it optimizes over the true single-site
-subspace.
+A matrix-free Lanczos eigensolver (H applied one run of bonds at a time
+by `hamiltonian.apply_hamiltonian`) gives reference energies; brute-force
+enumeration over net assignments realizes the DP's search space directly,
+with the window energies of `mps`; a greedy single-site sweep, also
+matrix-free, provides the local-minimum baseline that the trap instances
+defeat; it optimizes over the true single-site subspace.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class GroundTruth:
 
 
 def ground_pair(h: NnHamiltonian, rng=None) -> tuple:
-    """(e0, ground vector) by Lanczos with H applied term by term: the
+    """(e0, ground vector) by matrix-free Lanczos (`apply_hamiltonian`): the
     first pass of `exact_ground`, without its degeneracy and gap search.
     `rng` gives the start vector; by default a generator seeded with
     LANCZOS_SEED, as `exact_ground` uses."""
@@ -51,7 +51,7 @@ def ground_pair(h: NnHamiltonian, rng=None) -> tuple:
 
 def exact_ground(h: NnHamiltonian) -> GroundTruth:
     """Ground energy, its degeneracy and the gap above it, by Lanczos with H
-    applied term by term (no dense matrix).
+    applied by `apply_hamiltonian` (no dense matrix).
 
     The ground vector is found first (`ground_pair`).  Each further
     eigenvector is sought in the orthogonal complement of those already
@@ -128,7 +128,9 @@ def _lowest_eigenpair(h: NnHamiltonian, locked: np.ndarray, rng) -> tuple:
 
 def _project_out(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """w minus its components along the orthonormal rows, by classical
-    Gram-Schmidt applied twice."""
+    Gram-Schmidt applied twice; w itself when there are no rows."""
+    if not len(rows):
+        return w
     for _ in range(2):
         w = w - (rows @ w.conj()).conj() @ rows
     return w
@@ -214,8 +216,8 @@ def local_sweep_baseline(h: NnHamiltonian, start: CanonicalMps,
     fixed, via the generalized eigenproblem on the site subspace, and
     accepts the move only when it strictly lowers the energy.  The returned
     energy is monotonically non-increasing in the number of sweeps.  H is
-    applied term by term to the state and to the site isometry's columns,
-    so no dense 2^n x 2^n matrix is formed.
+    applied by `apply_hamiltonian` to the state and to the site isometry's
+    columns, so no dense 2^n x 2^n matrix is formed.
     """
     dense_dim(h)
     tensors = [t.copy() for t in start.site_tensors()]

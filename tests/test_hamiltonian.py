@@ -1,5 +1,8 @@
-"""Tests for the Hamiltonian catalog, grouping, and structural checks."""
+"""Tests for the Hamiltonian catalog, grouping, structural checks and the
+matrix-free application of H."""
 
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -190,6 +193,23 @@ class TestGroupBoundaries:
         with pytest.raises(ConfigError):
             ham.group_boundaries(ham.build_model("zz_chain", {}, 4), 4)
 
+    @pytest.mark.parametrize("name,n,D", [("transverse_ising", 7, 3),
+                                          ("random_hermitian", 9, 5),
+                                          ("heisenberg", 8, 8)])
+    def test_end_terms_bitwise_as_embedded_sums(self, name, n, D):
+        # the end terms as the identity-embedded sums were built inline,
+        # zeros first and then term by term from the left
+        h = ham.build_model(name, {}, n, seed=4)
+        g = ham.group_boundaries(h, D)
+        s, d = g.s, 2
+        first = np.zeros((d**s * d, d**s * d), dtype=complex)
+        last = np.zeros_like(first)
+        for i in range(s):
+            first += ham._embed(h.terms[i], d**i, d ** (s - 1 - i))
+            last += ham._embed(h.terms[n - 1 - s + i], d**i, d ** (s - 1 - i))
+        assert g.terms[0].tobytes() == first.tobytes()
+        assert g.terms[-1].tobytes() == last.tobytes()
+
     def test_site_dimension_one_cannot_reach_d2(self):
         # this loop never ended for d=1
         with pytest.raises(ValueError):
@@ -366,3 +386,97 @@ class TestNormsAndChecks:
         h = ham.build_model("zz_chain", {}, 16)
         with pytest.raises(SizeGuardError):
             reference.to_dense_hamiltonian(h)
+
+
+def _random_state(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestApplyHamiltonian:
+    @pytest.mark.parametrize("name", ["zz_chain", "transverse_ising",
+                                      "heisenberg", "random_hermitian",
+                                      "trap_model", "diagonal_commuting",
+                                      "rotated_classical"])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_dense_on_catalog(self, name, n):
+        h = ham.build_model(name, {}, n, seed=n)
+        v = _random_state(h.total_dim)
+        got = ham.apply_hamiltonian(h, v)
+        ref = reference.to_dense_hamiltonian(h) @ v
+        assert np.abs(got - ref).max() <= 1e-12
+
+    def test_grouped_chain(self):
+        h = ham.group_boundaries(
+            ham.build_model("random_hermitian", {}, 6, seed=3), 3)
+        assert h.dims == [4, 2, 2, 4]
+        # bonds 0 and 1 span 4*2*2 = 16 states; bond 2 alone
+        assert [(left, op.shape) for left, op in h.runs] == \
+            [(1, (16, 16)), (8, (8, 8))]
+        v = _random_state(h.total_dim)
+        ref = reference.to_dense_hamiltonian(h) @ v
+        assert np.abs(ham.apply_hamiltonian(h, v) - ref).max() <= 1e-12
+
+    def test_no_bonds_merge_at_d3(self):
+        h = ham.build_model("random_hermitian", {"d": 3}, 5, seed=2)
+        assert len(h.runs) == h.n - 1
+        for (left, op), t, j in zip(h.runs, h.terms, range(h.n)):
+            assert left == 3**j and op.tobytes() == t.tobytes()
+        v = _random_state(h.total_dim)
+        ref = reference.to_dense_hamiltonian(h) @ v
+        assert np.abs(ham.apply_hamiltonian(h, v) - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("name,params,n", [
+        ("heisenberg", {}, 10), ("random_hermitian", {"d": 3}, 6),
+        ("random_hermitian", {"d": 5}, 4)])
+    def test_runs_span_at_most_run_dim(self, name, params, n):
+        h = ham.build_model(name, params, n, seed=1)
+        biggest = max(t.shape[0] for t in h.terms)
+        for _, op in h.runs:
+            assert op.shape[0] <= max(ham.RUN_DIM, biggest)
+        # at d=5 every 25x25 term is a run by itself
+        if params.get("d") == 5:
+            assert [op.shape for _, op in h.runs] == [(25, 25)] * (n - 1)
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "transposed", "real",
+                                        "real_1d"])
+    def test_input_layouts(self, layout):
+        h = ham.build_model("rotated_classical", {}, 7, seed=5)
+        hd = reference.to_dense_hamiltonian(h)
+        v = {"c": _random_state((h.total_dim, 3)),
+             "fortran": np.asfortranarray(_random_state((h.total_dim, 3))),
+             "transposed": _random_state((4, h.total_dim)).T,
+             "real": _random_state((h.total_dim, 2)).real,
+             "real_1d": _random_state(h.total_dim).real}[layout]
+        got = ham.apply_hamiltonian(h, v)
+        assert got.shape == v.shape and got.dtype == complex
+        assert got.flags.c_contiguous
+        assert np.abs(got - hd @ v).max() <= 1e-12
+
+    def test_runs_belong_to_their_hamiltonian(self):
+        a = ham.build_model("random_hermitian", {}, 6, seed=1)
+        b = ham.build_model("random_hermitian", {}, 6, seed=2)
+        v = _random_state(a.total_dim)
+        assert a.runs is a.runs        # built once
+        c = dataclasses.replace(a, terms=list(b.terms))
+        for h in (a, b, c, a):
+            ref = reference.to_dense_hamiltonian(h) @ v
+            assert np.abs(ham.apply_hamiltonian(h, v) - ref).max() <= 1e-12
+        assert np.abs(ham.apply_hamiltonian(a, v)
+                      - ham.apply_hamiltonian(c, v)).max() > 1e-3
+
+    @pytest.mark.parametrize("shape", ["1d", "2d"])
+    def test_apply_term_every_site(self, shape):
+        h = ham.group_boundaries(
+            ham.build_model("random_hermitian", {}, 8, seed=6), 3)
+        v = _random_state(h.total_dim if shape == "1d" else (h.total_dim, 2))
+        for t, term in enumerate(h.terms):
+            # the batched two-site product the kernel replaced
+            x = v.reshape(math.prod(h.dims[:t]), term.shape[0], -1)
+            old = np.matmul(term, x).reshape(v.shape)
+            pe = ham._embed(term, math.prod(h.dims[:t]),
+                            math.prod(h.dims[t + 2:]))
+            got = ham.apply_term(term, v, h.dims, t)
+            assert got.shape == v.shape and got.flags.c_contiguous
+            assert np.abs(got - old).max() <= 1e-12
+            assert np.abs(got - pe @ v).max() <= 1e-12

@@ -98,6 +98,10 @@ class TestLanczos:
         assert (a.e0, a.degeneracy, a.gap) == (b.e0, b.degeneracy, b.gap)
         assert np.array_equal(a.ground_vector, b.ground_vector)
 
+    def test_project_out_without_rows_returns_w(self):
+        w = np.arange(6) + 1j
+        assert oracle._project_out(w, np.empty((0, 6), dtype=complex)) is w
+
     def test_not_converged_raises(self, monkeypatch):
         # one Krylov pass is not enough for this instance
         monkeypatch.setattr(oracle, "LANCZOS_MAX_RESTARTS", 0)
