@@ -168,7 +168,9 @@ def build_model(name: str, params: dict | None, n: int,
     dense terms), trap_model (bond penalty 2(I-Z(x)Z) plus folded up-spin
     penalty (I+Z)/2 per site), rotated_classical (diagonal_commuting
     conjugated by fixed random single-site unitaries), diagonal_commuting
-    (seeded random diagonal terms).  SizeGuardError if the terms exceed memory.
+    (seeded random diagonal terms).  zz_chain, transverse_ising, heisenberg
+    and trap_model have qubit terms and take only d=2.  SizeGuardError if
+    the terms exceed memory.
     The seed must be a nonnegative integer or None for every model; only the
     seeded models draw from it, so the others never import numpy.random.
     """
@@ -184,6 +186,9 @@ def build_model(name: str, params: dict | None, n: int,
         raise ConfigError(f"model {name!r}: param d must be an integer >= 2, "
                           f"got {d!r}")
     d = int(d)
+    if name in _UNIFORM and d != 2:
+        raise ConfigError(f"model {name!r} has qubit terms: param d must be "
+                          f"2, got {d}")
     # the complex d^2 x d^2 term arrays the model holds, checked before the
     # first is built (a uniform chain's at most three), and two more that
     # building one or its Hermiticity check (`NnHamiltonian`) takes

@@ -13,9 +13,11 @@ Each MPS job has one implementation: `contract` (site tensors multiplied
 out left to right), `local_energy` (the window kernel of one windowed
 energy, which the oracle and the reference and benchmark checks call; the
 DP takes its step energies and every pruning bound from `dp._left_factor`
-and its exact boundary energies from `dp._boundary_energies`) and
+and its exact boundary energies from `dp._boundary_energies`),
 `left_gram` (the (lambda B) Gram matrix behind the left-canonical filter
-and the DP defects).
+and the DP defects) and `_step` (one linear step of the true-energy sweep
+of `expectation_full`; the cached matrix of a repeated window is that
+step applied to the identity).
 """
 
 from __future__ import annotations
@@ -204,36 +206,25 @@ def _transfer(env, bra, ket):
     return bra.conj().reshape(-1, bra.shape[2]).T @ x
 
 
-def _window(left, right):
-    """The two-site tensor (a, d_left d_right, c) of adjacent sites."""
-    return contract([left, right]).reshape(left.shape[0], -1, right.shape[2])
-
-
-def _transfer_map(bra, ket):
-    """The matrix of `_transfer(., bra, ket)` on row-major flattened
-    environments."""
-    out = np.einsum("aic,bid->cdab", bra.conj(), ket)
-    return out.reshape(bra.shape[2] * ket.shape[2], -1)
-
-
-def _window_map(left, right, term):
-    """The block map of one step of `expectation_full`'s sweep on the flat
-    state (E, N, P): the energy environment E and the norm environment N
-    after site `left`, and P, the norm environment before it.  With T the
-    transfer map of `right` and W that of the window under `term`, it is
-    [[T, 0, W], [0, T, 0], [0, I, 0]]."""
-    w = _window(left, right)
-    t, wt = _transfer_map(right, right), _transfer_map(w, term @ w)
-    q, p = t.shape
-    out = np.zeros((2 * q + p, 2 * p + wt.shape[1]), dtype=complex)
-    out[:q, :p] = out[q:2 * q, p:2 * p] = t
-    out[:q, 2 * p:] = wt
-    out[2 * q:, p:2 * p] = np.eye(p)
-    return out
+def _step(state, left, right, term):
+    """One step of `expectation_full`'s sweep on the flat state (E, N, P),
+    over its leading axes: E and N, the energy and norm environments after
+    site `left`, and P, the norm environment before it, are carried past
+    site `right`, and `term` is closed on the window of the two sites.
+    The step is linear, so `_step(eye, ...).T` is its matrix."""
+    r, c = left.shape[0], left.shape[2]
+    lead, q = state.shape[:-1], c * c
+    en = state[..., :2 * q].reshape(lead + (2, c, c))
+    before = state[..., 2 * q:].reshape(lead + (r, r))
+    w = contract([left, right]).reshape(r, -1, right.shape[2])
+    nxt = _transfer(en, right, right)
+    nxt[..., 0, :, :] += _transfer(before, w, term @ w)
+    return np.concatenate((nxt.reshape(lead + (-1,)), state[..., q:2 * q]),
+                          axis=-1)
 
 
 RESCALE_SITES = 16    # sites between two rescalings of the sweep's state
-WINDOW_MAPS = 64      # the recent windows whose block maps the sweep keeps
+WINDOW_MAPS = 64      # the recent windows whose matrices the sweep keeps
 
 
 def _scale(norm_diag) -> float:
@@ -251,16 +242,16 @@ def expectation_full(m: CanonicalMps, h) -> float:
     """True energy <psi|H|psi>/<psi|psi> in one left-to-right sweep.  Its
     state after site j is the energy environment E of the terms closed so
     far, the norm environment N, and the norm environment P one site back;
-    term j-1 is closed at site j from its window (a, d_{j-1} d_j, c) of
-    sites j-1, j.  Each step is linear in the state and fixed by its
-    window (left tensor, right tensor, term), compared by identity: a
-    window seen for the first time is carried by `_transfer` updates, and
-    one seen again by one product with its cached `_window_map`.  The
-    sweep remembers the WINDOW_MAPS distinct windows it met last, so its
-    memory does not grow with n.  Every RESCALE_SITES sites the state is multiplied by
-    `_scale`'s power of two, which leaves the energy unchanged and keeps
-    long unnormalized chains finite.  Makes no canonical assumption about
-    the state."""
+    term j-1 is closed at site j from the window of sites j-1, j.  Each
+    step is `_step`, linear in the state and fixed by its window (left
+    tensor, right tensor, term), compared by identity: a window seen for
+    the first time runs `_step` on the state, and one seen again is
+    applied as one product with the step's cached matrix.  The sweep
+    remembers the WINDOW_MAPS distinct windows it met last, so its memory
+    does not grow with n.  Every RESCALE_SITES sites the state is
+    multiplied by `_scale`'s power of two, which leaves the energy
+    unchanged and keeps long unnormalized chains finite.  Makes no
+    canonical assumption about the state."""
     tensors = m.site_tensors()
     if len(h.terms) != m.n - 1:
         raise ShapeMismatchError("term count does not match site count")
@@ -270,46 +261,33 @@ def expectation_full(m: CanonicalMps, h) -> float:
                 f"site {j} has physical dimension {t.shape[1]}, "
                 f"Hamiltonian expects {h.dims[j]}"
             )
-    # (E, N) stacked and P as matrices, or, while maps apply, the flat state
-    before = np.ones((1, 1), dtype=complex)
+    one = np.ones((1, 1), dtype=complex)
     r = tensors[0].shape[2]
-    en = np.stack((np.zeros((r, r), dtype=complex),
-                   _transfer(before, tensors[0], tensors[0])))
-    flat = None
-    maps = {}       # window -> its block map, or None while seen once;
-                    # in the order first seen, the oldest dropped
+    state = np.concatenate((np.zeros(r * r),
+                            _transfer(one, tensors[0], tensors[0]).ravel(),
+                            one.ravel()))
+    maps = {}       # window -> its matrix, or None while seen once; in
+                    # the order first seen, the oldest dropped
     windows = zip(map(id, tensors), map(id, itertools.islice(tensors, 1, None)),
                   map(id, h.terms))
     for j, key in enumerate(windows, 1):
         wmap = maps.get(key)
         if wmap is None:
-            left, right, term = tensors[j - 1], tensors[j], h.terms[j - 1]
+            window = tensors[j - 1], tensors[j], h.terms[j - 1]
             if key in maps:
-                wmap = maps[key] = _window_map(left, right, term)
+                wmap = maps[key] = _step(np.eye(state.size, dtype=complex),
+                                         *window).T
             else:
                 maps[key] = None
                 if len(maps) > WINDOW_MAPS:
                     del maps[next(iter(maps))]
-                if flat is not None:
-                    r, q = left.shape[0], 2 * left.shape[2] ** 2
-                    en = flat[:q].reshape(2, left.shape[2], -1)
-                    before, flat = flat[q:].reshape(r, r), None
-                w = _window(left, right)
-                nxt = _transfer(en, right, right)
-                nxt[0] += _transfer(before, w, term @ w)
-                en, before = nxt, en[1]
+                state = _step(state, *window)
         if wmap is not None:
-            if flat is None:
-                flat = np.concatenate((en.ravel(), before.ravel()))
-            flat = wmap.dot(flat)
+            state = wmap.dot(state)
         if not (j + 1) % RESCALE_SITES:
-            if flat is None:
-                c = _scale(np.diagonal(en[1]))
-                en, before = en * c, before * c
-            else:
-                r = tensors[j].shape[2]
-                flat *= _scale(flat[r * r:2 * r * r:r + 1])   # N's diagonal
-    energy, norm = en.reshape(2) if flat is None else flat[:2]
+            r = tensors[j].shape[2]
+            state *= _scale(state[r * r:2 * r * r:r + 1])   # N's diagonal
+    energy, norm = state[:2]
     val = energy / norm
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise ComplexEnergyError(

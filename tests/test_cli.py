@@ -555,6 +555,7 @@ class TestBadInputExit2:
         assert code == 2
         assert err.startswith("config error:")
         assert not outp.exists()
+        return err
 
     def test_non_numeric_param(self, tmp_path, capsys):
         self.run(tmp_path, capsys,
@@ -584,6 +585,17 @@ class TestBadInputExit2:
         self.run(tmp_path, capsys,
                  model={"name": "random_hermitian", "params": {"d": d}},
                  solver={"D": D}, run={"mode": mode})
+
+    @pytest.mark.parametrize("d", [3, 1000])
+    @pytest.mark.parametrize("name", ["zz_chain", "transverse_ising",
+                                      "heisenberg", "trap_model"])
+    def test_qubit_model_other_site_dimension(self, tmp_path, capsys, name,
+                                              d):
+        # d=3 exited 2 naming a (4, 4) term where (9, 9) was expected, and
+        # d=1000 exited 3 on the size of terms the model never builds
+        err = self.run(tmp_path, capsys,
+                       model={"name": name, "params": {"d": d}})
+        assert "param d must be 2" in err
 
     @pytest.mark.parametrize("key,val", [
         ("epsilon_op", 10**400), ("target_error", 10**400),

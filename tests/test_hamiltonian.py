@@ -77,6 +77,17 @@ class TestBuildModel:
         with pytest.raises(ConfigError, match="param d"):
             ham.build_model("random_hermitian", {"d": d}, 4)
 
+    @pytest.mark.parametrize("d", [3, 1000])
+    @pytest.mark.parametrize("name", ["zz_chain", "transverse_ising",
+                                      "heisenberg", "trap_model"])
+    def test_qubit_model_rejects_other_site_dimension(self, name, d):
+        # these build 4 x 4 terms whatever d is: d=3 failed the term shape
+        # check, d=1000 the size guard for terms of a dimension never used
+        with pytest.raises(ConfigError, match="param d must be 2"):
+            ham.build_model(name, {"d": d}, 4)
+        h = ham.build_model(name, {"d": 2}, 4)
+        assert h.dims == [2] * 4 and h.terms[0].shape == (4, 4)
+
     @pytest.mark.parametrize("name", ["diagonal_commuting",
                                       "random_hermitian"])
     def test_huge_site_dimension(self, name):

@@ -1,7 +1,8 @@
 """Package layout: every module, every module-level function (private ones
 too), every public class and every public method or property of a package
 class has a caller inside the package.  A caller is a loaded name that no
-enclosing function binds, an attribute, or an import alias."""
+enclosing function binds, an attribute, or an import alias.  Every name a
+module imports is used in it or listed in its `__all__`."""
 
 import ast
 import pathlib
@@ -189,3 +190,38 @@ def test_a_local_or_parameter_is_no_caller():
     tree = ast.parse("def pub():\n    pass\n\n"
                      "def call():\n    return pub()\n")
     assert "pub" in referenced_names(tree)
+
+
+def unused_imports(tree):
+    """Names a module's imports bind (`from __future__` aside) that it
+    never loads and does not list in its `__all__`."""
+    imported, exported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name
+                            for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - loaded - exported)
+
+
+def test_every_imported_name_is_used():
+    unused = {p.stem: unused_imports(ast.parse(p.read_text(encoding="utf-8")))
+              for p in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_an_unused_import_is_found():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os\nimport numpy as np\nimport os.path\n"
+                     "from . import dp\nfrom .mps import a, b as c\n"
+                     "__all__ = ['a']\n\n"
+                     "def f():\n    return np.zeros(dp.N)\n")
+    assert unused_imports(tree) == ["c", "os"]

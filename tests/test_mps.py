@@ -368,13 +368,33 @@ class TestExpectationFull:
     @pytest.mark.parametrize("name", ["heisenberg", "random_hermitian"])
     def test_period_two_shared_tensors(self, name, D):
         # one shared term makes the two windows (A, B) and (B, A) repeat,
-        # so the sweep applies their block maps; distinct terms never
+        # so the sweep applies their cached matrices; distinct terms never
         # repeat
         rng = np.random.default_rng(13)
         first, a, b, last = random_sites(rng, [1, D, D, D, 1], [2] * 4)
         ts = [first] + [a, b] * 99 + [last]
         h = ham.build_model(name, {}, len(ts), seed=2)
         assert_matches_sweep(chain_of(ts), h)
+
+    @pytest.mark.parametrize("name", ["heisenberg", "transverse_ising"])
+    def test_period_two_non_square_windows(self, monkeypatch, name):
+        # bonds alternate 2, 3: the windows (A, B) and (B, A) map states of
+        # 22 entries to 17 and back, so each cached matrix is not square
+        rng = np.random.default_rng(17)
+        first, a, b, last = random_sites(rng, [1, 2, 3, 2, 1], [2] * 4)
+        ts = [first] + [a, b] * 99 + [last]
+        h = ham.build_model(name, {}, len(ts))
+        step, shapes = mps._step, set()
+
+        def recording(state, *window):
+            out = step(state, *window)
+            if state.ndim == 2:
+                shapes.add(out.T.shape)
+            return out
+
+        monkeypatch.setattr(mps, "_step", recording)
+        assert_matches_sweep(chain_of(ts), h)
+        assert shapes == {(17, 22), (22, 17)}
 
     def test_non_uniform_chain(self):
         rng = np.random.default_rng(14)
@@ -422,6 +442,31 @@ class TestExpectationFull:
                 <= 1e-12 * abs(e)
             with np.errstate(all="ignore"):
                 assert np.isnan(reference.expectation_sweep(chain_of(big), h))
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 5])
+@pytest.mark.parametrize("bonds,dims", [((0, 1, 2), (2, 2)),
+                                        ((2, 0, 1), (4, 2)),
+                                        ((1, 2, 0), (2, 3))])
+def test_step_matrix_is_the_step(bonds, dims, D):
+    # the cached matrix of a window is _step on the identity, transposed:
+    # it must act on any state as the step itself does, for bonds
+    # (r_left, r_mid, r_right) of D, D-1 and 1 in three rotations, an end
+    # site of d_end=4 and a mixed d=3 window
+    rng = np.random.default_rng(18 + D)
+    r = [(D, max(D - 1, 1), 1)[k] for k in bonds]
+    left, right = random_sites(rng, r, dims)
+    k = dims[0] * dims[1]
+    term = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    term += term.conj().T
+    size = 2 * r[1] ** 2 + r[0] ** 2
+    matrix = mps._step(np.eye(size, dtype=complex), left, right, term).T
+    assert matrix.shape == (2 * r[2] ** 2 + r[1] ** 2, size)
+    for _ in range(4):
+        state = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        want = mps._step(state, left, right, term)
+        assert np.linalg.norm(matrix @ state - want) \
+            <= 1e-13 * np.linalg.norm(want)
 
 
 class TestStructuralProperties:
