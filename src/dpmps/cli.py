@@ -129,11 +129,14 @@ def parse_config(text: str) -> RunConfig:
     out_path = output.get("path")
     if out_path is not None and not isinstance(out_path, str):
         raise ConfigError("output.path must be a string or null")
+    emit_mps = output.get("emit_mps")
+    if emit_mps is not None and not isinstance(emit_mps, bool):
+        raise ConfigError("output.emit_mps must be true, false or null")
 
     return RunConfig(
         model_name=name, model_params=params,
         n=n, seed=seed, D=D, delta=delta, cap=cap, **eps, mode=mode,
-        out_path=out_path, emit_mps=bool(output.get("emit_mps")),
+        out_path=out_path, emit_mps=bool(emit_mps),
         start=start, sweeps=sweeps,
     )
 

@@ -170,7 +170,7 @@ def build_model(name: str, params: dict | None, n: int,
     conjugated by fixed random single-site unitaries), diagonal_commuting
     (seeded random diagonal terms).  zz_chain, transverse_ising, heisenberg
     and trap_model have qubit terms and take only d=2.  SizeGuardError if
-    the terms exceed memory.
+    the terms and the site lists exceed memory.
     The seed must be a nonnegative integer or None for every model; only the
     seeded models draw from it, so the others never import numpy.random.
     """
@@ -190,12 +190,13 @@ def build_model(name: str, params: dict | None, n: int,
         raise ConfigError(f"model {name!r} has qubit terms: param d must be "
                           f"2, got {d}")
     # the complex d^2 x d^2 term arrays the model holds, checked before the
-    # first is built (a uniform chain's at most three), and two more that
-    # building one or its Hermiticity check (`NnHamiltonian`) takes
+    # first is built (a uniform chain's at most three), two more that
+    # building one or its Hermiticity check (`NnHamiltonian`) takes, and
+    # the n-long lists of terms and dims, 8 bytes an entry each
     held = min(3, n - 1) if name in _UNIFORM else n - 1
-    check_size(16 * (held + 2) * d**4, _physical_memory(),
-               f"bytes of {held} terms of dimension {d}^2 and two to build "
-               f"or check one", "physical memory")
+    check_size(16 * (held + 2) * d**4 + 16 * n, _physical_memory(),
+               f"bytes of {held} terms of dimension {d}^2, two to build or "
+               f"check one and the {n}-site lists", "physical memory")
     zz = np.kron(Z, Z)
 
     if name == "zz_chain":

@@ -1,11 +1,12 @@
 """Ground-truth computations the solver is checked against.
 
-A matrix-free Lanczos eigensolver (H applied one run of bonds at a time
-by `hamiltonian.apply_hamiltonian`) gives reference energies; brute-force
-enumeration over net assignments realizes the DP's search space directly,
-with the window energies of `mps`; a greedy single-site sweep, also
-matrix-free, provides the local-minimum baseline that the trap instances
-defeat; it optimizes over the true single-site subspace.
+Reference energies come from thick-restart Lanczos on one array of basis
+vectors, its Rayleigh matrix read off their reorthogonalisation and H
+applied one run of bonds at a time (`hamiltonian.apply_hamiltonian`).
+Brute-force enumeration over net assignments realizes the DP's search
+space with the window energies of `mps`.  A greedy single-site sweep, also
+matrix-free, over the true single-site subspace is the local-minimum
+baseline that the trap instances defeat.
 """
 
 from __future__ import annotations
@@ -76,64 +77,62 @@ def exact_ground(h: NnHamiltonian) -> GroundTruth:
 def _lowest_eigenpair(h: NnHamiltonian, locked: np.ndarray, rng) -> tuple:
     """Lowest eigenpair of H on the orthogonal complement of the locked rows.
 
-    Lanczos from a random complex start, every new vector orthogonalised
-    against all earlier ones and the locked rows.  When the basis holds
-    KRYLOV_DIM vectors it is restarted from its lowest half of Ritz vectors
-    (a thick restart, which separates close eigenvalues that a restart from
-    one Ritz vector resolves only slowly).  Returns once the lowest Ritz pair
-    has ||H x - theta x|| <= LANCZOS_TOL * scale, with scale = max(1, J (n-1))
-    a bound on ||H||, the part along the locked rows left out.  Raises
+    Thick-restart Lanczos on one array: the locked rows, then Krylov vectors
+    b_j from a random complex start.  One `_project_out` takes H b_j off the
+    whole array; its first-pass components along the b_i are column j of
+    the Rayleigh matrix <b_i|H|b_j>, and its rest, normalised, is b_(j+1).
+    At KRYLOV_DIM vectors the lowest half of the Ritz vectors replace them,
+    their Ritz values their block of the matrix, and Lanczos goes on from
+    the last residual.  Returns once the lowest Ritz pair has
+    ||P (H x - theta x)|| <= LANCZOS_TOL * scale, P projecting off the
+    locked rows and scale = max(1, J (n-1)) bounding ||H||; raises
     ConvergenceError when that bound is not finite, since every residual
     would pass it, and after LANCZOS_MAX_RESTARTS restarts.
     """
-    scale = max(1.0, h.J * (h.n - 1))
-    if not np.isfinite(LANCZOS_TOL * scale):
-        raise ConvergenceError(
-            f"Lanczos residual bound {LANCZOS_TOL * scale} is not finite"
-        )
-    dim = h.total_dim
-    steps = min(KRYLOV_DIM, dim - len(locked))
-    basis = np.empty((steps, dim), dtype=complex)
-    hbasis = np.empty((steps, dim), dtype=complex)      # H applied to basis
-    x = _project_out(rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
-                     locked)
-    basis[0] = x / np.linalg.norm(x)
-    hbasis[0] = apply_hamiltonian(h, basis[0])
-    k, resid = 1, np.inf
+    tol = LANCZOS_TOL * max(1.0, h.J * (h.n - 1))
+    if not np.isfinite(tol):
+        raise ConvergenceError(f"Lanczos residual bound {tol} is not finite")
+    dim, nl = h.total_dim, len(locked)
+    steps = min(KRYLOV_DIM, dim - nl)
+    rows = np.empty((nl + steps, dim), dtype=complex)
+    rows[:nl] = locked
+    rayleigh = np.zeros((steps, steps), dtype=complex)  # <b_i|H|b_j>, i <= j
+    w = _project_out(rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
+                     locked)[0]
+    k, resid = 0, np.inf
     for _ in range(LANCZOS_MAX_RESTARTS + 1):
         while k < steps:
-            w = _project_out(_project_out(hbasis[k - 1], basis[:k]), locked)
             nrm = np.linalg.norm(w)
-            if nrm <= LANCZOS_TOL * scale:      # invariant Krylov space
+            if k and nrm <= tol:                # invariant Krylov space
                 break
-            basis[k] = w / nrm
-            hbasis[k] = apply_hamiltonian(h, basis[k])
+            rows[nl + k] = w / nrm
             k += 1
-        vals, vecs = np.linalg.eigh(basis[:k].conj() @ hbasis[:k].T)
-        x = vecs[:, 0] @ basis[:k]
+            w, col = _project_out(apply_hamiltonian(h, rows[nl + k - 1]),
+                                  rows[:nl + k])
+            rayleigh[:k, k - 1] = col[nl:]
+        vals, vecs = np.linalg.eigh(rayleigh[:k, :k], UPLO="U")
+        x = vecs[:, 0] @ rows[nl:nl + k]
         x /= np.linalg.norm(x)
-        hx = apply_hamiltonian(h, x)
-        resid = float(np.linalg.norm(_project_out(hx - vals[0] * x, locked)))
-        if resid <= LANCZOS_TOL * scale:
+        r = apply_hamiltonian(h, x) - vals[0] * x
+        resid = float(np.linalg.norm(_project_out(r, locked)[0]))
+        if resid <= tol:
             return float(vals[0]), x
         keep = max(1, k // 2)
-        basis[:keep] = vecs[:, :keep].T @ basis[:k]
-        hbasis[:keep] = vecs[:, :keep].T @ hbasis[:k]
+        rows[nl:nl + keep] = vecs[:, :keep].T @ rows[nl:nl + k]
+        rayleigh[:keep, :keep] = np.diag(vals[:keep])
         k = keep
-    raise ConvergenceError(
-        f"Lanczos residual {resid:.3e} above {LANCZOS_TOL * scale:.3e} "
-        f"after {LANCZOS_MAX_RESTARTS} restarts"
-    )
+    raise ConvergenceError(f"Lanczos residual {resid:.3e} above {tol:.3e} "
+                           f"after {LANCZOS_MAX_RESTARTS} restarts")
 
 
-def _project_out(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """w minus its components along the orthonormal rows, by classical
-    Gram-Schmidt applied twice; w itself when there are no rows."""
+def _project_out(w: np.ndarray, rows: np.ndarray) -> tuple:
+    """(w less its parts along the orthonormal rows, by classical Gram-Schmidt
+    twice; the first pass's <row_i|w>), or (w itself, none) without rows."""
     if not len(rows):
-        return w
-    for _ in range(2):
-        w = w - (rows @ w.conj()).conj() @ rows
-    return w
+        return w, np.empty(0, dtype=complex)
+    first = (rows @ w.conj()).conj()
+    w = w - first @ rows
+    return w - (rows @ w.conj()).conj() @ rows, first
 
 
 def enumerate_net_optimum(h: NnHamiltonian, end_net: BoundaryNet,

@@ -239,10 +239,11 @@ class TestMain:
                                            ("random_hermitian", 3)])
     def test_model_terms_against_memory(self, tmp_path, capsys, monkeypatch,
                                         name, code):
-        # 2 MB of memory holds 7,812 terms of 256 bytes, and the D=1
-        # delta=0.25 nets: a uniform chain of 10^4 sites holds three term
-        # arrays and passes, where counting its 9,999 terms would not; a
-        # random chain holds all 9,999
+        # 2 MB of memory holds a random chain of 7,351 sites (a term of 256
+        # bytes and 16 bytes of lists a site), and the D=1 delta=0.25
+        # nets: a uniform chain of 10^4 sites holds three term arrays and
+        # passes, where counting its 9,999 terms would not; a random chain
+        # holds all 9,999
         from dpmps import hamiltonian as ham
 
         monkeypatch.setattr(ham, "_physical_memory", lambda: 2 * 10**6)
@@ -259,6 +260,26 @@ class TestMain:
             assert not outp.exists()
         else:
             assert json.loads(outp.read_text())["N"] > 0
+
+    def test_model_lists_against_memory(self, tmp_path, capsys, monkeypatch):
+        # a uniform chain of 2 10^6 sites holds three term arrays but 32 MB
+        # of term and dimension lists, more than 10 MiB; they were once
+        # built before any guard counted them
+        from dpmps import hamiltonian as ham
+
+        monkeypatch.setattr(ham, "_physical_memory", lambda: 10 * 2**20)
+        path = tmp_path / "cfg.json"
+        outp = tmp_path / "res.json"
+        doc = json.loads(cfg_text(model={"name": "transverse_ising",
+                                         "n": 2 * 10**6},
+                                  run={"mode": "net-stats"}))
+        doc["output"] = {"path": str(outp)}
+        path.write_text(json.dumps(doc))
+        assert cli.main(["--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: bytes of 3 terms") and \
+            "2000000-site lists" in err
+        assert not outp.exists()
 
     @pytest.mark.parametrize("d", [1000, 10**400])
     def test_huge_site_dimension_exit_3(self, tmp_path, capsys, d):
@@ -668,6 +689,26 @@ class TestBadInputExit2:
         assert cli.main(["--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: output.path")
         assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("emit_mps", ["false", 1, []],
+                             ids=["string", "1", "list"])
+    def test_emit_mps_not_a_bool(self, tmp_path, capsys, emit_mps):
+        # "false" wrote an MPS document beside the result and exited 0
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(output={"path": str(tmp_path / "r.json"),
+                                         "emit_mps": emit_mps}))
+        assert cli.main(["--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: output.emit_mps")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("emit_mps", [None, False])
+    def test_emit_mps_null_or_false_writes_no_mps(self, tmp_path, emit_mps):
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg_text(output={"path": str(tmp_path / "r.json"),
+                                         "emit_mps": emit_mps}))
+        assert cli.main(["--config", str(path)]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "r.json"]
 
 
 # --- fuzzing `main` with generated configs

@@ -96,14 +96,15 @@ class TestBuildModel:
             ham.build_model(name, {"d": 1000}, 3)
 
     def test_long_chain_beyond_memory(self, monkeypatch):
-        # 4,999 random terms of 256 bytes each exceed a 1 MB memory; 3,904
-        # fit, beside two of working space.  A uniform chain holds three
-        # term arrays at any length
+        # 4,999 random terms of 256 bytes each exceed a 1 MB memory; 3,674
+        # fit, beside two of working space and 16 bytes a site for the
+        # term and dimension lists.  A uniform chain holds three term
+        # arrays at any length
         monkeypatch.setattr(ham, "_physical_memory", lambda: 10**6)
-        assert len(ham.build_model("random_hermitian", {}, 3905).terms) \
-            == 3904
+        assert len(ham.build_model("random_hermitian", {}, 3675).terms) \
+            == 3674
         with pytest.raises(SizeGuardError, match="physical memory"):
-            ham.build_model("random_hermitian", {}, 3906)
+            ham.build_model("random_hermitian", {}, 3676)
         with pytest.raises(SizeGuardError, match="physical memory"):
             ham.build_model("random_hermitian", {}, 5000)
         for name in ("zz_chain", "transverse_ising", "heisenberg",
@@ -150,14 +151,19 @@ class TestBuildModel:
             assert np.abs(a - b).max() == 0.0
 
 
-    @pytest.mark.parametrize("name", ["random_hermitian",
-                                      "diagonal_commuting",
-                                      "rotated_classical"])
-    def test_guard_bounds_traced_peak(self, monkeypatch, name):
+    @pytest.mark.parametrize("name,d,n,count", [
+        pytest.param(name, 16, 10, 16 * 11 * 16**4 + 16 * 10, id=name)
+        for name in ("random_hermitian", "diagonal_commuting",
+                     "rotated_classical")
+    ] + [pytest.param("transverse_ising", 2, 10**6,
+                      16 * 5 * 2**4 + 16 * 10**6, id="transverse_ising-1e6")])
+    def test_guard_bounds_traced_peak(self, monkeypatch, name, d, n, count):
         # nine terms of 1 MiB at d=16, n=10, counted with two more of working
         # space.  A bytes key per term, held while the norm stacked every
         # term, peaked at 29.4 MB (28.3 MB diagonal_commuting), and
-        # rotated_classical's full diagonal matrices at 39.6 MB
+        # rotated_classical's full diagonal matrices at 39.6 MB.  A uniform
+        # chain at n=10^6 holds three terms but n-long lists of terms and
+        # dims: 16.0 MB traced, when the guard counted 1,280 bytes
         counts = []
         check = ham.check_size
 
@@ -169,11 +175,11 @@ class TestBuildModel:
         monkeypatch.setattr(ham, "check_size", counting)
         tracemalloc.start()
         try:
-            h = ham.build_model(name, {"d": 16}, 10, 1)
+            h = ham.build_model(name, {"d": d}, n, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert counts == [16 * 11 * 16**4] and len(h.terms) == 9
+        assert counts == [count] and len(h.terms) == n - 1
         assert peak <= counts[0] + 2**20
 
 

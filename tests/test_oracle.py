@@ -1,5 +1,7 @@
 """Tests for the ground-truth oracles and the greedy sweep baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ def assert_matches_dense(h):
     assert abs(gt.gap - gap) <= 1e-8
     if deg == 1:
         assert abs(np.vdot(vecs[:, 0], gt.ground_vector)) ** 2 >= 1 - 1e-10
+    return gt
 
 
 class TestExactGround:
@@ -91,6 +94,17 @@ class TestLanczos:
             assert_matches_dense(ham.NnHamiltonian(n=2, dims=[2, 2],
                                                    terms=[term]))
 
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_heavily_degenerate_ground_space(self, n):
+        # Z(x)Z on the first bond and zero elsewhere: ground degeneracy
+        # 2^(n-1) (8 and 128) and gap 2, so many locked rows lead the basis
+        # and the Krylov space left beside them is shorter than KRYLOV_DIM
+        zero = np.zeros((4, 4), dtype=complex)
+        h = ham.NnHamiltonian(n=n, dims=[2] * n,
+                              terms=[np.kron(ham.Z, ham.Z)] + [zero] * (n - 2))
+        gt = assert_matches_dense(h)
+        assert gt.degeneracy == 2 ** (n - 1) and abs(gt.gap - 2.0) <= 1e-8
+
     @pytest.mark.parametrize("name", ["random_hermitian", "zz_chain"])
     def test_repeat_calls_bitwise_identical(self, name):
         h = ham.build_model(name, {}, 8, seed=2)
@@ -98,9 +112,33 @@ class TestLanczos:
         assert (a.e0, a.degeneracy, a.gap) == (b.e0, b.degeneracy, b.gap)
         assert np.array_equal(a.ground_vector, b.ground_vector)
 
+    @pytest.mark.parametrize("name,pair_calls,calls", [
+        ("transverse_ising", 98, 196), ("heisenberg", 65, 130)])
+    def test_work_and_memory_pinned(self, monkeypatch, name, pair_calls,
+                                    calls):
+        # products of H at n=12 as counted while a second array held H times
+        # the basis; exact_ground's traced peak was then 198 state vectors
+        h = ham.build_model(name, {}, 12)
+        counted = []
+        apply = oracle.apply_hamiltonian
+        monkeypatch.setattr(oracle, "apply_hamiltonian",
+                            lambda h, v: counted.append(1) or apply(h, v))
+        oracle.ground_pair(h)       # also builds H's cached runs, untraced
+        assert len(counted) <= pair_calls
+        counted.clear()
+        tracemalloc.start()
+        try:
+            oracle.exact_ground(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(counted) <= calls
+        assert peak < 120 * 16 * h.total_dim
+
     def test_project_out_without_rows_returns_w(self):
         w = np.arange(6) + 1j
-        assert oracle._project_out(w, np.empty((0, 6), dtype=complex)) is w
+        out, first = oracle._project_out(w, np.empty((0, 6), dtype=complex))
+        assert out is w and first.shape == (0,)
 
     def test_not_converged_raises(self, monkeypatch):
         # one Krylov pass is not enough for this instance
