@@ -157,14 +157,6 @@ def _epsilon_op_for(cfg: RunConfig, hg, default=None) -> float:
     return epsnet.certified_epsilon(hg.dims[1], cfg.D, cfg.delta)
 
 
-def _nets(cfg: RunConfig, hg, eps_op: float) -> tuple:
-    """(pair net, end net) of the run's D, delta and cap for the
-    boundary-grouped chain hg."""
-    return (epsnet.build_pair_net(cfg.D, hg.dims[1], cfg.delta, eps_op,
-                                  cfg.cap),
-            epsnet.build_end_net(cfg.D, hg.dims[0], cfg.delta, cfg.cap))
-
-
 def _solve(cfg: RunConfig, h0) -> dict:
     hg = group_boundaries(h0, cfg.D)
     sr = dp.solve(hg, cfg.D, cfg.delta, epsilon_op=_epsilon_op_for(cfg, hg),
@@ -192,7 +184,8 @@ def _oracle(cfg: RunConfig, h0) -> dict:
 def _enumerate(cfg: RunConfig, h0) -> dict:
     hg = group_boundaries(h0, cfg.D)
     eps_op = _epsilon_op_for(cfg, hg)
-    pn, en = _nets(cfg, hg, eps_op)
+    pn = epsnet.build_pair_net(cfg.D, hg.dims[1], cfg.delta, eps_op, cfg.cap)
+    en = epsnet.build_end_net(cfg.D, hg.dims[0], cfg.delta, cfg.cap)
     e_alg, assignment = oracle.enumerate_net_optimum(hg, en, pn, eps_op)
     return {"e_alg": e_alg, "assignment": assignment,
             "N": pn.size, "end_net_size": en.size,
@@ -226,20 +219,24 @@ def _funnel(cert: epsnet.NetCertificate) -> dict:
 
 def _net_stats(cfg: RunConfig, h0) -> dict:
     hg = group_boundaries(h0, cfg.D)
-    pn, en = _nets(cfg, hg, _epsilon_op_for(cfg, hg, cfg.epsilon))
+    # the pairs are counted from the filter's keep mask, never formed
+    pf = epsnet.filter_pair_net(cfg.D, hg.dims[1], cfg.delta,
+                                _epsilon_op_for(cfg, hg, cfg.epsilon),
+                                cfg.cap)
+    en = epsnet.build_end_net(cfg.D, hg.dims[0], cfg.delta, cfg.cap)
     # solver.epsilon sizes the paper's bound; it defaults to the certified one
-    eps = cfg.epsilon if cfg.epsilon is not None else pn.epsilon_cert
+    eps = cfg.epsilon if cfg.epsilon is not None else pf.epsilon_cert
     # Decimal prints past the int-to-str digit limit a tiny epsilon reaches
     bound = str(Decimal(epsnet.net_size_estimate(cfg.D, hg.dims[1], eps)))
     return {
         "paper_bound": bound,
         "paper_bound_log10": len(bound) - 1,
-        "N": pn.size, "end_net_size": en.size,
-        "epsilon": eps, "epsilon_cert": pn.epsilon_cert,
+        "N": pf.size, "end_net_size": en.size,
+        "epsilon": eps, "epsilon_cert": pf.epsilon_cert,
         "funnel": {
-            "lambda": _funnel(pn.lam_cert), "B": _funnel(pn.b_cert),
-            "pairs": {"candidates": pn.size + pn.filtered_out,
-                      "kept_left_canonical": pn.size},
+            "lambda": _funnel(pf.lam_cert), "B": _funnel(pf.b_cert),
+            "pairs": {"candidates": pf.size + pf.filtered_out,
+                      "kept_left_canonical": pf.size},
             "end": _funnel(en.cert),
         },
     }

@@ -18,12 +18,13 @@ building blocks, and keep the certificates of their families.
 The interior pair net is held as arrays: `lam` (N, D), `b` (N, D, d, D)
 and `mu` (N, D), with pairs ordered lambda-major over the lambda family,
 plus the distinct lambda vectors `lam_net` and each pair's row in it,
-`lam_class`.  It is built by one left-canonical filter per distinct lambda
-over the whole B family (`_left_canonical_keep`): a per-row Gram factor,
-formed once per family, screens the largest off-diagonal (lambda B) Gram
-entry of every pair, and the exact kernel `mps.left_gram_offdiag` decides
-only the pairs whose screened value lies within 1e-12 of the threshold, so
-the kept set is the exact kernel's.
+`lam_class`.  Its keep mask comes first (`filter_pair_net`, which alone
+gives the net's counts): one left-canonical filter per distinct lambda
+over the whole B family (`_left_canonical_keep`), where a per-row Gram
+factor, formed once per family, screens the largest off-diagonal (lambda
+B) Gram entry of every pair, and the exact kernel `mps.left_gram_offdiag`
+decides only the pairs whose screened value lies within 1e-12 of the
+threshold, so the kept set is the exact kernel's.
 """
 
 from __future__ import annotations
@@ -390,17 +391,37 @@ def check_epsilon_op(epsilon_op: float) -> None:
         raise ValueError(f"epsilon_op must be positive, got {epsilon_op}")
 
 
-def build_pair_net(D: int, d: int, delta: float, epsilon_op: float,
-                   cap: int = DEFAULT_CAP) -> PairNet:
-    """Cartesian product of the lambda net (real nonnegative unit vectors)
-    and the B net (right-canonical tensors from D x dD families), keeping
-    pairs that are approximately left canonical: those whose largest
-    off-diagonal Gram entry is not above 3*epsilon_op (ties are kept).
+@dataclass
+class PairFilter:
+    """The left-canonical keep mask of the pair net, with no pair formed:
+    lambda family row r keeps the pairs (lam_net[c], b_fam[n]) with
+    keep[c, n], c = fam_class[r]."""
 
-    The filter and `mu_of` run once per distinct lambda vector over the
-    whole B family; pairs come out lambda-major over the lambda family,
-    each lambda's pairs in B family order.
-    """
+    keep: np.ndarray         # (K, M) over the distinct lambdas and B rows
+    lam_net: np.ndarray      # (K, D) distinct lambda vectors, lexicographic
+    fam_class: np.ndarray    # (L,) row of lam_net of each lambda family row
+    lam_fam: np.ndarray      # (L, D)
+    b_fam: np.ndarray        # (M, D, d, D)
+    epsilon_cert: float
+    lam_cert: NetCertificate
+    b_cert: NetCertificate
+
+    @property
+    def size(self) -> int:
+        return int(np.count_nonzero(self.keep, axis=1)[self.fam_class].sum())
+
+    @property
+    def filtered_out(self) -> int:
+        return self.keep.shape[1] * len(self.fam_class) - self.size
+
+
+def filter_pair_net(D: int, d: int, delta: float, epsilon_op: float,
+                    cap: int = DEFAULT_CAP) -> PairFilter:
+    """Keep mask of the product of the lambda net (real nonnegative unit
+    vectors) and the B net (right-canonical tensors from D x dD families):
+    the pairs that are approximately left canonical, whose largest
+    off-diagonal Gram entry is not above 3*epsilon_op (ties are kept).
+    Raises EmptyNetError when it keeps none."""
     check_epsilon_op(epsilon_op)
     lam_mats, lam_cert = orthonormal_family(1, D, delta, real_nonneg=True,
                                             cap=cap)
@@ -411,29 +432,49 @@ def build_pair_net(D: int, d: int, delta: float, epsilon_op: float,
     b_fam = b_mats.reshape(-1, D, d, D)
     # equal lambda vectors from different grid points share one class
     lam_net, fam_class = np.unique(lam_fam, axis=0, return_inverse=True)
-    fam_class = fam_class.reshape(-1)
-    kept = [np.flatnonzero(k) for k in
-            _left_canonical_keep(lam_net, b_fam, 3.0 * epsilon_op)]
-    mu_net = [mu_of(lam, b_fam[k]) for lam, k in zip(lam_net, kept)]
-    net_counts = np.array([k.size for k in kept])
-    counts = net_counts[fam_class]
-    if counts.sum() == 0:
+    pf = PairFilter(_left_canonical_keep(lam_net, b_fam, 3.0 * epsilon_op),
+                    lam_net, fam_class.reshape(-1), lam_fam, b_fam,
+                    certified_epsilon(d, D, delta), lam_cert, b_cert)
+    if pf.size == 0:
         raise EmptyNetError(
             "left-canonical filter removed every pair; "
             f"epsilon_op={epsilon_op} too small for delta={delta}"
         )
-    lam_idx = np.repeat(np.arange(len(lam_fam)), counts)
+    return pf
+
+
+def _pair_net_bytes(size: int, widest: int, D: int, d: int) -> int:
+    """Bytes of forming `size` pairs: lam, b, mu, lam_class and two index
+    arrays, and `mu_of`'s B gather, product and modulus over the `widest`
+    kept pairs of one lambda (the traced peak is 0.66-0.90 of it)."""
+    return size * (16 * d * D * D + 16 * D + 24) + widest * 40 * d * D * D
+
+
+def build_pair_net(D: int, d: int, delta: float, epsilon_op: float,
+                   cap: int = DEFAULT_CAP) -> PairNet:
+    """The pairs `filter_pair_net` keeps, as arrays, once their bytes fit
+    in physical memory.  `mu_of` runs once per distinct lambda over its
+    kept B rows; pairs come out lambda-major over the lambda family, each
+    lambda's pairs in B family order."""
+    pf = filter_pair_net(D, d, delta, epsilon_op, cap)
+    kept = [np.flatnonzero(k) for k in pf.keep]
+    net_counts = np.array([k.size for k in kept])
+    check_size(_pair_net_bytes(pf.size, net_counts.max(), D, d),
+               hamiltonian._physical_memory(),
+               f"bytes of the {pf.size} pairs for D={D}, d={d}, "
+               f"delta={delta}", "physical memory")
+    mu_net = [mu_of(lam, pf.b_fam[k]) for lam, k in zip(pf.lam_net, kept)]
+    lam_idx = np.repeat(np.arange(len(pf.lam_fam)), net_counts[pf.fam_class])
     # classes without a kept pair leave lam_net
     live = net_counts > 0
     renumber = np.cumsum(live) - 1
     return PairNet(
-        lam=lam_fam[lam_idx],
-        b=b_fam[np.concatenate([kept[c] for c in fam_class])],
-        mu=np.concatenate([mu_net[c] for c in fam_class]),
-        lam_net=lam_net[live], lam_class=renumber[fam_class][lam_idx],
-        epsilon_cert=certified_epsilon(d, D, delta),
-        lam_cert=lam_cert, b_cert=b_cert,
-        filtered_out=int(counts.size * len(b_fam) - counts.sum()),
+        lam=pf.lam_fam[lam_idx],
+        b=pf.b_fam[np.concatenate([kept[c] for c in pf.fam_class])],
+        mu=np.concatenate([mu_net[c] for c in pf.fam_class]),
+        lam_net=pf.lam_net[live], lam_class=renumber[pf.fam_class][lam_idx],
+        epsilon_cert=pf.epsilon_cert, lam_cert=pf.lam_cert,
+        b_cert=pf.b_cert, filtered_out=pf.filtered_out,
     )
 
 

@@ -281,6 +281,35 @@ class TestMain:
             "2000000-site lists" in err
         assert not outp.exists()
 
+    @pytest.mark.parametrize("mode,code", [("net-stats", 0), ("solve", 3)])
+    def test_pair_arrays_against_memory(self, tmp_path, capsys, monkeypatch,
+                                        mode, code):
+        # 35 MB holds the D=2 delta=0.25 families (29.9 MB for B) but not
+        # the 43.7 MB of lam, b, mu and lam_class of the 259,840 pairs the
+        # certified epsilon keeps: net-stats counts them from the keep
+        # mask, and solve stops before forming them
+        from dpmps import hamiltonian as ham
+
+        def never(*args, **kwargs):
+            raise AssertionError("DP tables built")
+
+        monkeypatch.setattr(ham, "_physical_memory", lambda: 35 * 10**6)
+        monkeypatch.setattr(dp, "step_tables", never)
+        path = tmp_path / "cfg.json"
+        outp = tmp_path / "res.json"
+        doc = json.loads(cfg_text(model={"name": "heisenberg", "n": 4},
+                                  solver={"D": 2, "delta": 0.25},
+                                  run={"mode": mode}))
+        doc["output"] = {"path": str(outp)}
+        path.write_text(json.dumps(doc))
+        assert cli.main(["--config", str(path)]) == code
+        if code:
+            assert capsys.readouterr().err.startswith(
+                "infeasible: bytes of the 259840 pairs for D=2, d=2")
+            assert not outp.exists()
+        else:
+            assert json.loads(outp.read_text())["N"] == 259840
+
     @pytest.mark.parametrize("d", [1000, 10**400])
     def test_huge_site_dimension_exit_3(self, tmp_path, capsys, d):
         # d=1000 ended in numpy's allocation error ("Unable to allocate

@@ -1,6 +1,7 @@
 """Tests for the grid nets and the orthonormal-family generator."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dpmps import cli
 from dpmps import epsnet as en
 from dpmps.errors import EmptyNetError, NetSizeError
 from reference import enumerated_family
@@ -367,6 +369,65 @@ class TestPairNetFromRowProductFamilies:
             assert (net.size, net.filtered_out) == (123264, 136576)
         if D == 2 and eps == en.certified_epsilon(d, D, delta):
             assert net.size == 259840
+
+
+def net_stats(D, d, delta, eps):
+    """The net-stats document of a d-level chain at (D, delta), with
+    epsilon_op eps, or the certified epsilon for None."""
+    solver = {"D": D, "delta": delta}
+    if eps is not None:
+        solver["epsilon_op"] = eps
+    return cli.execute(cli.parse_config(json.dumps({
+        "model": {"name": "random_hermitian", "n": 5, "seed": 1,
+                  "params": {"d": d}},
+        "solver": solver, "run": {"mode": "net-stats"}})))
+
+
+class TestPairFilterCounts:
+    @pytest.mark.parametrize("D,d,delta,eps", PAIR_CONFIGS)
+    def test_counts_are_the_built_nets(self, D, d, delta, eps):
+        eps_op = en.certified_epsilon(d, D, delta) if eps is None else eps
+        pf = en.filter_pair_net(D, d, delta, eps_op)
+        net = en.build_pair_net(D, d, delta, eps_op)
+        assert (pf.size, pf.filtered_out) == (net.size, net.filtered_out)
+        doc = net_stats(D, d, delta, eps)
+        assert doc["N"] == net.size
+        assert doc["funnel"]["pairs"] == {
+            "candidates": net.size + net.filtered_out,
+            "kept_left_canonical": net.size}
+
+    @pytest.mark.parametrize("D,d,delta,eps", [
+        (2, 2, 0.25, 0.05), (2, 2, 0.25, 10.0), (1, 2, 0.05, 1.0),
+        (1, 3, 0.25, 1.0)])
+    def test_size_guard_bounds_traced_peak(self, monkeypatch, D, d, delta,
+                                           eps):
+        # what forming the arrays allocates past the filter
+        pf = en.filter_pair_net(D, d, delta, eps)
+        monkeypatch.setattr(en, "filter_pair_net", lambda *args: pf)
+        widest = np.count_nonzero(pf.keep, axis=1).max()
+        tracemalloc.start()
+        try:
+            en.build_pair_net(D, d, delta, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= en._pair_net_bytes(pf.size, widest, D, d)
+
+    def test_empty_net_from_the_filter(self, tmp_path, capsys, monkeypatch):
+        # TestPairNet.test_empty_net_error checks build_pair_net's raise
+        monkeypatch.setattr(en, "_left_canonical_keep",
+                            lambda lams, b, threshold:
+                            np.zeros((len(lams), len(b)), dtype=bool))
+        with pytest.raises(EmptyNetError, match="removed every pair"):
+            en.filter_pair_net(1, 2, 0.25, epsilon_op=0.01)
+        path, outp = tmp_path / "cfg.json", tmp_path / "res.json"
+        path.write_text(json.dumps({
+            "model": {"name": "zz_chain", "n": 4},
+            "solver": {"D": 1, "delta": 0.25, "epsilon_op": 0.01},
+            "run": {"mode": "net-stats"}, "output": {"path": str(outp)}}))
+        assert cli.main(["--config", str(path)]) == 4
+        assert "removed every pair" in capsys.readouterr().err
+        assert not outp.exists()
 
 
 @pytest.fixture(scope="module")
